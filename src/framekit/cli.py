@@ -15,9 +15,17 @@ Kernel output adds {"matrix": [[...]], "kind": "rkhs"|"naive", "rank_tol": r}.
 Machine files carry 17 significant digits (bit-exact round trip); human
 reports print 6.
 
-Exit codes: 0 success; 1 unreadable file; 2 schema or argument violation;
-3 degenerate input (zero span / not a frame); 4 a mathematical assertion
-failed; 5 sandwich violated in gp-sim.
+Exit codes:
+
+    0  success
+    1  unreadable file
+    2  schema or argument violation (SchemaError, InvalidArgument,
+       InvalidMatrix, DimensionMismatch, InvalidIndex, and any other
+       FramekitError)
+    3  degenerate input (ZeroSpan, NotAFrame)
+    4  a mathematical assertion failed (an identity residual above its
+       tolerance, a Hilbert table violation, NotPositiveSemidefinite)
+    5  sandwich violated in gp-sim
 """
 
 from __future__ import annotations
@@ -37,9 +45,10 @@ from .errors import (
     InvalidIndex,
     InvalidMatrix,
     NotAFrame,
+    NotPositiveSemidefinite,
     ZeroSpan,
 )
-from .spectral import DEFAULT_RANK_TOL, sym_eig
+from .spectral import DEFAULT_RANK_TOL, SymMatrix, sym_eig
 
 EXIT_OK = 0
 EXIT_MISSING = 1
@@ -283,7 +292,7 @@ def cmd_kernel(args) -> int:
     else:
         kernel = rkhs.rk_kernel(fs, args.rank_tol)
         kind = "rkhs"
-    eig = sym_eig(_as_sym(kernel.values))
+    eig = sym_eig(SymMatrix(kernel.values))
     psd_violation = max(0.0, -float(eig.eigenvalues[-1]))
     residual = 0.0
     for row in fs.vectors:
@@ -351,11 +360,9 @@ def cmd_canonical(args) -> int:
     fs = parse_frame_file(args.path)
     tight = rkhs.canonical_tight(fs, args.rank_tol)
     out = tight.as_frame_system()
-    gram = frames.build_gramian(out)
-    eig = sym_eig(gram.matrix)
-    projector_residual = float(
-        np.max(np.abs(eig.eigenvalues * (eig.eigenvalues - 1.0)))
-    )
+    # nonzero spectrum of the written frame's Gramian, in dimension min(N, M)
+    lam = frames.frame_spectrum(out, args.rank_tol).eigenvalues
+    projector_residual = float(np.max(np.abs(lam * (lam - 1.0))))
     if args.out:
         write_frame_file(args.out, out)
         print(f"wrote {args.out}")
@@ -368,7 +375,7 @@ def cmd_canonical(args) -> int:
 
 def cmd_verify(args) -> int:
     fs = parse_frame_file(args.path)
-    residuals = identity_suite(fs, args.rank_tol)
+    residuals = rkhs.identity_suite(fs, args.rank_tol)
     worst_scaled = 0.0
     for name, (value, tolerance) in residuals.items():
         print(f"{name}={_fmt_human(value)} (tolerance {_fmt_human(tolerance)})")
@@ -377,94 +384,6 @@ def cmd_verify(args) -> int:
         print("violation: identity residual above tolerance", file=sys.stderr)
         return EXIT_MATH
     return EXIT_OK
-
-
-def identity_suite(fs: frames.FrameSystem, rank_tol: float) -> dict:
-    """Max residuals of the frame/kernel identities on deterministic probes.
-
-    Returns {name: (residual, tolerance)}.  Probes are the frame vectors
-    themselves plus synthesized combinations, so everything lies in the span.
-    Identities that route through the Gramian pseudo-inverse lose digits in
-    proportion to the retained condition number (Hilbert-type systems reach
-    1e10), so their pass gates widen from the 1e-8 floor accordingly.
-    """
-    gram = frames.build_gramian(fs)
-    kernel = rkhs.rk_kernel(fs, rank_tol)
-    tight = rkhs.canonical_tight(fs, rank_tol)
-    lax = rkhs.lax_milgram(fs, rank_tol)
-    n = fs.n_vectors
-
-    kernel_vs_tight = float(
-        np.max(np.abs(kernel.values - rkhs.kernel_from_tight(tight).values))
-    )
-
-    probes = [fs.vectors[i] for i in range(n)]
-    coeffs = [np.zeros(n) for _ in range(min(n, 3))]
-    for i, c in enumerate(coeffs):
-        c[i] = 1.0
-        c[(i + 1) % n] = -0.5
-        probes.append(frames.synthesis(fs, c))
-
-    reproducing = 0.0
-    norms = [1.0]
-    for f in probes:
-        reproducing = max(reproducing, rkhs.verify_reproducing(fs, kernel, f))
-        norms.append(frames.weighted_norm(fs.grid, f))
-    scale = max(norms)
-
-    lax_residual = 0.0
-    for f in probes:
-        for g in probes:
-            lax_residual = max(lax_residual, rkhs.verify_lax_identity(fs, lax, f, g))
-
-    isometry = 0.0
-    adjoint = 0.0
-    for i in range(min(n, 6)):
-        c = np.zeros(n)
-        c[i] = 1.0
-        c[n - 1 - i] += 0.25
-        lhs, rhs = rkhs.isometry_check(fs, c)
-        isometry = max(isometry, abs(lhs - rhs) / max(1.0, abs(rhs)))
-        for f in probes[: min(len(probes), 4)]:
-            left = float(np.dot(frames.analysis(fs, f), c))
-            right = frames.weighted_inner(fs.grid, f, frames.synthesis(fs, c))
-            adjoint = max(adjoint, abs(left - right) / max(1.0, abs(right)))
-
-    eig = sym_eig(_as_sym(kernel.values))
-    lam_max = max(float(eig.eigenvalues[0]), 0.0)
-    psd_violation = max(0.0, -float(eig.eigenvalues[-1]))
-
-    gram_eig = sym_eig(gram.matrix)
-    gram_psd = max(0.0, -float(gram_eig.eigenvalues[-1]))
-    gram_lam_max = float(gram_eig.eigenvalues[0])
-    gram_scale = max(gram_lam_max, 1.0)
-    keep = gram_eig.eigenvalues > rank_tol * gram_lam_max
-    retained = gram_eig.eigenvalues[keep]
-    kappa = gram_lam_max / float(retained[-1]) if retained.size else 1.0
-    inverse_gate = max(1e-8, 1.1e-14 * kappa)
-    # probes hold genuine mass along eigendirections the rank cut discards;
-    # the kernel reproduces only the retained span, so allow for that tail
-    cut = gram_eig.eigenvalues[~keep]
-    cut_max = float(cut[0]) if cut.size else 0.0
-    if cut_max <= 100 * 2.2e-16 * gram_lam_max:
-        cut_max = 0.0
-    truncation = 2.0 * math.sqrt(cut_max / float(np.min(fs.grid.weights)))
-
-    return {
-        "max_reproducing_residual": (reproducing, inverse_gate * scale + truncation),
-        "kernel_vs_tight_max": (kernel_vs_tight, inverse_gate * max(1.0, lam_max)),
-        "lax_identity_max": (lax_residual, inverse_gate * max(1.0, scale * scale)),
-        "isometry_relative_max": (isometry, 1e-10),
-        "adjoint_relative_max": (adjoint, 1e-10),
-        "kernel_psd_violation": (psd_violation, 1e-9 * max(1.0, lam_max)),
-        "gramian_psd_violation": (gram_psd, 1e-10 * gram_scale),
-    }
-
-
-def _as_sym(values: np.ndarray):
-    from .spectral import SymMatrix
-
-    return SymMatrix(values)
 
 
 def _parse_sizes(raw: str) -> list[int]:
@@ -551,6 +470,12 @@ def main(argv=None) -> int:
     except (ZeroSpan, NotAFrame) as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except NotPositiveSemidefinite as exc:
+        print(f"mathematical assertion failed: {exc}", file=sys.stderr)
+        return EXIT_MATH
+    except FramekitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
 
 
 def entry() -> None:

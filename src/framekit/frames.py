@@ -5,6 +5,14 @@ weighted inner product <f, g> = sum_i w_i f(t_i) g(t_i).  A frame system is
 an N x M table: row n holds the samples of the n-th vector, column t is the
 coefficient-space vector l(t).  Coefficient sequences and grid functions are
 plain 1-D float arrays; operations validate lengths.
+
+Every spectral quantity of a frame comes from one factorization of
+B = Phi W^{1/2} (``frame_spectrum``): B is scaled by a power of two so that
+its largest entry lies in [0.5, 1), and the smaller of the Gramian B B^T
+(N x N) and the unit-weight frame operator B^T B (M x M) is decomposed once,
+in dimension min(N, M).  The two share their nonzero spectrum, and the
+singular vectors of the other side are recovered through B.  One rank rule,
+lambda > rank_tol * lambda_max with lambda_max > 0, decides what is kept.
 """
 
 from __future__ import annotations
@@ -13,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidIndex, InvalidMatrix
-from .spectral import DEFAULT_RANK_TOL, SymMatrix, sym_eig
+from .errors import DimensionMismatch, InvalidArgument, InvalidIndex, InvalidMatrix
+from .spectral import DEFAULT_RANK_TOL, SymMatrix, _binary_exponent, sym_eig
 
 _PARSEVAL_TOL = 1e-9
 
@@ -101,6 +109,33 @@ class Gramian:
 
 
 @dataclass(frozen=True)
+class FrameSpectrum:
+    """The retained singular system of B = Phi W^{1/2}.
+
+    ``eigenvalues`` holds all min(N, M) eigenvalues of the decomposed matrix
+    (the nonzero spectrum of both the Gramian and the frame operator),
+    non-increasing.  The first ``rank`` of them are retained; column k of
+    ``u`` (N x rank) and of ``v`` (M x rank) pair with eigenvalue k through
+    B v_k = sqrt(lambda_k) u_k, and both have orthonormal columns.
+    """
+
+    frame: FrameSystem
+    eigenvalues: np.ndarray
+    rank: int
+    u: np.ndarray
+    v: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.eigenvalues, self.u, self.v):
+            a.setflags(write=False)
+
+    @property
+    def retained(self) -> np.ndarray:
+        """The retained eigenvalues, non-increasing."""
+        return self.eigenvalues[: self.rank]
+
+
+@dataclass(frozen=True)
 class FrameBounds:
     """Spectral frame-bound report for a frame system.
 
@@ -173,35 +208,60 @@ def gram_apply(g: Gramian, c) -> np.ndarray:
     return g.matrix.entries @ c
 
 
+def frame_spectrum(
+    fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL
+) -> FrameSpectrum:
+    """One Jacobi decomposition of B = Phi W^{1/2}, in dimension min(N, M).
+
+    B is scaled by 2**-e so that max|B| lies in [0.5, 1); the scaling is
+    exact, so ranks and singular vectors do not depend on the overall scale
+    of the frame, and the eigenvalues are scaled back by 4**e.  The smaller
+    of B B^T and B^T B is decomposed; the singular vectors of the other side
+    are recovered through B, e.g. V_r = B^T U_r Lambda_r^{-1/2}.
+    """
+    if rank_tol < 0:
+        raise InvalidArgument("rank_tol must be >= 0")
+    b = fs.vectors * np.sqrt(fs.grid.weights)
+    shift = _binary_exponent(b)
+    b = np.ldexp(b, -shift)
+    gram_side = fs.n_vectors <= fs.n_points
+    eig = sym_eig(SymMatrix(b @ b.T if gram_side else b.T @ b))
+    lam = eig.eigenvalues
+    rank = int(np.count_nonzero(lam > rank_tol * lam[0])) if lam[0] > 0.0 else 0
+    kept = eig.eigenvectors[:, :rank]
+    root = np.sqrt(lam[:rank])
+    if gram_side:
+        u, v = kept, (b.T @ kept) / root
+    else:
+        u, v = (b @ kept) / root, kept
+    return FrameSpectrum(
+        frame=fs,
+        eigenvalues=np.ldexp(lam, 2 * shift),
+        rank=rank,
+        u=u,
+        v=v,
+    )
+
+
 def compute_frame_bounds(
     fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL
 ) -> FrameBounds:
-    """Sharp frame bounds from the Gramian spectrum.
+    """Sharp frame bounds from the frame spectrum.
 
-    B2 is the top eigenvalue of G.  The system spans the ambient space iff
-    the retained rank equals the number of grid points, in which case B1 is
-    the smallest retained eigenvalue; otherwise B1 = 0.  (The nonzero
-    spectrum of the coefficient-space operator G equals that of the frame
-    operator on the span.)
+    B2 is the top eigenvalue.  The system spans the ambient space iff the
+    retained rank equals the number of grid points, in which case B1 is the
+    smallest retained eigenvalue; otherwise B1 = 0.
     """
-    g = build_gramian(fs)
-    eig = sym_eig(g.matrix)
-    lam_max = float(eig.eigenvalues[0])
-    upper = max(lam_max, 0.0)
-    if upper == 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(eig.eigenvalues > rank_tol * lam_max))
-    spans = rank == fs.n_points
-    lower = 0.0
-    if spans and rank > 0:
-        lower = max(float(eig.eigenvalues[rank - 1]), 0.0)
+    spec = frame_spectrum(fs, rank_tol)
+    upper = max(float(spec.eigenvalues[0]), 0.0)
+    spans = spec.rank == fs.n_points
+    lower = float(spec.retained[-1]) if spans and spec.rank > 0 else 0.0
     is_frame = spans and lower > 0.0
     is_parseval = is_frame and max(abs(lower - 1.0), abs(upper - 1.0)) <= _PARSEVAL_TOL
     return FrameBounds(
         lower=lower,
         upper=upper,
-        rank=rank,
+        rank=spec.rank,
         spans_ambient=spans,
         is_frame=is_frame,
         is_parseval=is_parseval,

@@ -21,6 +21,9 @@ from .errors import DimensionMismatch, InvalidArgument, InvalidMatrix, NotAFrame
 from .frames import FrameBounds, FrameSystem, Grid, compute_frame_bounds
 from .spectral import DEFAULT_RANK_TOL
 
+#: Samples drawn and contracted per block in sample_kl.
+_SAMPLE_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class AtomicMeasure:
@@ -254,16 +257,23 @@ def sample_kl(
 
     Sample k consumes normal stream k of the seed (see rng module), so the
     set is reproducible bit-for-bit from (model, phat, s, seed) and samples
-    are independent of generation order.
+    are independent of generation order.  Streams are drawn and contracted
+    in blocks of _SAMPLE_BLOCK samples, so memory stays bounded in s.
     """
     if s < 1:
         raise InvalidArgument("sample count must be >= 1")
     coeffs = kl_coefficients(model, phat)
-    normals = rng.seeded_normal_matrix(seed, s, model.frame.n_vectors)
+    samples_re = np.empty(s)
+    samples_im = np.empty(s)
+    for first in range(0, s, _SAMPLE_BLOCK):
+        stop = min(first + _SAMPLE_BLOCK, s)
+        normals = rng.seeded_normal_rows(seed, first, stop, model.frame.n_vectors)
+        samples_re[first:stop] = normals @ coeffs.re
+        samples_im[first:stop] = normals @ coeffs.im
     return KLSampleSet(
         seed=seed,
-        samples_re=normals @ coeffs.re,
-        samples_im=normals @ coeffs.im,
+        samples_re=samples_re,
+        samples_im=samples_im,
         coefficients=coeffs,
     )
 

@@ -6,6 +6,18 @@ at a grid point is represented by the matching kernel column under the
 weighted inner product.  For systems that span only a strict subspace, the
 pseudo-inverse restricts every construction to the span.
 
+Every construction here is a product of one ``frames.frame_spectrum`` of
+B = Phi W^{1/2} = U_r Lambda_r^{1/2} V_r^T, computed once per frame in
+dimension min(N, M) after an exact power-of-two scaling of B:
+
+    kernel        K = W^{-1/2} V_r V_r^T W^{-1/2}      (= Phi^T G^+ Phi)
+    tight frame   Psi = U_r V_r^T W^{-1/2}             (= G^{-1/2} Phi)
+    Lax-Milgram   L = W^{-1/2} V_r Lambda_r^{-1} V_r^T W^{-1/2}
+    polar         U = (U_r V_r^T) W^{1/2}
+
+so the kernel, the tight frame and the rank do not depend on the overall
+scale of the frame.  ``identity_suite`` checks them all from one spectrum.
+
 Operator conventions on a weighted grid: kernel-style value tables (K, L)
 are elementwise symmetric and act on a function f as K (w * f).  Adjoints
 and projectors are therefore taken in the weighted inner product; on
@@ -14,20 +26,25 @@ unit-weight grids they coincide with plain transposes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroSpan
 from .frames import (
+    FrameSpectrum,
     FrameSystem,
     Grid,
     analysis,
     build_gramian,
+    frame_spectrum,
+    synthesis,
     weighted_inner,
+    weighted_norm,
     _grid_function,
 )
-from .spectral import DEFAULT_RANK_TOL, SymMatrix, inv_sqrt, pinv, sym_eig
+from .spectral import DEFAULT_RANK_TOL, SymMatrix, sym_eig
 
 
 @dataclass(frozen=True)
@@ -101,14 +118,7 @@ def naive_kernel(fs: FrameSystem) -> KernelMatrix:
 
 def rk_kernel(fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL) -> KernelMatrix:
     """Inverse-Gramian reproducing kernel K(s,t) = l(s)^T G^+ l(t)."""
-    gram = build_gramian(fs)
-    eig = sym_eig(gram.matrix)
-    if eig.retained_rank(rank_tol) == 0:
-        raise ZeroSpan("frame system spans only the zero subspace")
-    ginv = pinv(eig, rank_tol)
-    return KernelMatrix(
-        grid=fs.grid, values=fs.vectors.T @ ginv.entries @ fs.vectors
-    )
+    return _kernel(_spanning(frame_spectrum(fs, rank_tol)))
 
 
 def canonical_tight(
@@ -119,12 +129,7 @@ def canonical_tight(
     The resulting system is Parseval on the span of the original frame:
     every f in the span satisfies f = sum_n <psi_n, f> psi_n.
     """
-    gram = build_gramian(fs)
-    eig = sym_eig(gram.matrix)
-    if eig.retained_rank(rank_tol) == 0:
-        raise ZeroSpan("frame system spans only the zero subspace")
-    half = inv_sqrt(eig, rank_tol)
-    return CanonicalTightFrame(grid=fs.grid, vectors=half.entries @ fs.vectors)
+    return _tight(_spanning(frame_spectrum(fs, rank_tol)))
 
 
 def kernel_from_tight(ctf: CanonicalTightFrame) -> KernelMatrix:
@@ -153,12 +158,7 @@ def lax_milgram(
     fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL
 ) -> LaxMilgramOperator:
     """Pseudo-inverse of the frame operator in the weighted geometry."""
-    s_hat, root_w = _frame_operator_hat(fs)
-    eig = sym_eig(s_hat)
-    if eig.retained_rank(rank_tol) == 0:
-        raise ZeroSpan("frame system spans only the zero subspace")
-    p = pinv(eig, rank_tol).entries
-    return LaxMilgramOperator(grid=fs.grid, matrix=(p / root_w) / root_w[:, None])
+    return _lax(_spanning(frame_spectrum(fs, rank_tol)))
 
 
 def verify_lax_identity(fs: FrameSystem, op: LaxMilgramOperator, f, g) -> float:
@@ -188,22 +188,116 @@ def polar_unitary(fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL) -> np.nda
     Returned as the N x M coordinate matrix of the map from grid functions
     to coefficient sequences.  U composed with S^{1/2} reproduces T on the
     span, and U* U (adjoint in the weighted inner product) is the projector
-    onto the span; eigenvector sign ambiguity means only such sign-invariant
-    identities are promised.
+    onto the span; singular-vector sign ambiguity cancels in U_r V_r^T, but
+    only such sign-invariant identities are promised.
     """
-    s_hat, root_w = _frame_operator_hat(fs)
-    eig = sym_eig(s_hat)
-    if eig.retained_rank(rank_tol) == 0:
+    spec = _spanning(frame_spectrum(fs, rank_tol))
+    return (spec.u @ spec.v.T) * np.sqrt(fs.grid.weights)
+
+
+def identity_suite(fs: FrameSystem, rank_tol: float) -> dict:
+    """Max residuals of the frame/kernel identities on deterministic probes.
+
+    Returns {name: (residual, tolerance)}.  Probes are the frame vectors
+    themselves plus synthesized combinations, so everything lies in the span.
+    Identities that route through the Gramian pseudo-inverse lose digits in
+    proportion to the retained condition number (Hilbert-type systems reach
+    1e10), so their pass gates widen from the 1e-8 floor accordingly.  The
+    kernel, tight frame, Lax-Milgram operator, condition number, truncation
+    tail and Gramian PSD check all come from one frame spectrum; the kernel
+    matrix itself is decomposed once more for its own PSD check.
+    """
+    spec = _spanning(frame_spectrum(fs, rank_tol))
+    kernel = _kernel(spec)
+    tight = _tight(spec)
+    lax = _lax(spec)
+    n = fs.n_vectors
+
+    kernel_vs_tight = float(
+        np.max(np.abs(kernel.values - kernel_from_tight(tight).values))
+    )
+
+    probes = [fs.vectors[i] for i in range(n)]
+    coeffs = [np.zeros(n) for _ in range(min(n, 3))]
+    for i, c in enumerate(coeffs):
+        c[i] = 1.0
+        c[(i + 1) % n] = -0.5
+        probes.append(synthesis(fs, c))
+
+    reproducing = 0.0
+    norms = [1.0]
+    for f in probes:
+        reproducing = max(reproducing, verify_reproducing(fs, kernel, f))
+        norms.append(weighted_norm(fs.grid, f))
+    scale = max(norms)
+
+    lax_residual = 0.0
+    for f in probes:
+        for g in probes:
+            lax_residual = max(lax_residual, verify_lax_identity(fs, lax, f, g))
+
+    isometry = 0.0
+    adjoint = 0.0
+    for i in range(min(n, 6)):
+        c = np.zeros(n)
+        c[i] = 1.0
+        c[n - 1 - i] += 0.25
+        lhs, rhs = isometry_check(fs, c)
+        isometry = max(isometry, abs(lhs - rhs) / max(1.0, abs(rhs)))
+        for f in probes[: min(len(probes), 4)]:
+            left = float(np.dot(analysis(fs, f), c))
+            right = weighted_inner(fs.grid, f, synthesis(fs, c))
+            adjoint = max(adjoint, abs(left - right) / max(1.0, abs(right)))
+
+    eig = sym_eig(SymMatrix(kernel.values))
+    lam_max = max(float(eig.eigenvalues[0]), 0.0)
+    psd_violation = max(0.0, -float(eig.eigenvalues[-1]))
+
+    gram_lam_max = float(spec.eigenvalues[0])
+    gram_psd = max(0.0, -float(spec.eigenvalues[-1]))
+    gram_scale = max(gram_lam_max, 1.0)
+    kappa = gram_lam_max / float(spec.retained[-1])
+    inverse_gate = max(1e-8, 1.1e-14 * kappa)
+    # probes hold genuine mass along eigendirections the rank cut discards;
+    # the kernel reproduces only the retained span, so allow for that tail
+    cut = spec.eigenvalues[spec.rank :]
+    cut_max = float(cut[0]) if cut.size else 0.0
+    if cut_max <= 100 * 2.2e-16 * gram_lam_max:
+        cut_max = 0.0
+    truncation = 2.0 * math.sqrt(cut_max / float(np.min(fs.grid.weights)))
+
+    return {
+        "max_reproducing_residual": (reproducing, inverse_gate * scale + truncation),
+        "kernel_vs_tight_max": (kernel_vs_tight, inverse_gate * max(1.0, lam_max)),
+        "lax_identity_max": (lax_residual, inverse_gate * max(1.0, scale * scale)),
+        "isometry_relative_max": (isometry, 1e-10),
+        "adjoint_relative_max": (adjoint, 1e-10),
+        "kernel_psd_violation": (psd_violation, 1e-9 * max(1.0, lam_max)),
+        "gramian_psd_violation": (gram_psd, 1e-10 * gram_scale),
+    }
+
+
+def _spanning(spec: FrameSpectrum) -> FrameSpectrum:
+    if spec.rank == 0:
         raise ZeroSpan("frame system spans only the zero subspace")
-    half = inv_sqrt(eig, rank_tol).entries
-    b = fs.vectors * root_w
-    return (b @ half) * root_w
+    return spec
 
 
-def _frame_operator_hat(fs: FrameSystem):
-    # Frame operator conjugated into the unit-weight picture:
-    # S_hat = W^{1/2} Phi^T Phi W^{1/2}, symmetric PSD with the same spectrum
-    # as the frame operator on the span.
-    root_w = np.sqrt(fs.grid.weights)
-    b = fs.vectors * root_w
-    return SymMatrix(b.T @ b), root_w
+def _v_unweighted(spec: FrameSpectrum) -> np.ndarray:
+    # W^{-1/2} V_r, the M x r factor shared by the kernel-style tables
+    return spec.v / np.sqrt(spec.frame.grid.weights)[:, None]
+
+
+def _kernel(spec: FrameSpectrum) -> KernelMatrix:
+    v = _v_unweighted(spec)
+    return KernelMatrix(grid=spec.frame.grid, values=v @ v.T)
+
+
+def _tight(spec: FrameSpectrum) -> CanonicalTightFrame:
+    v = _v_unweighted(spec)
+    return CanonicalTightFrame(grid=spec.frame.grid, vectors=spec.u @ v.T)
+
+
+def _lax(spec: FrameSpectrum) -> LaxMilgramOperator:
+    v = _v_unweighted(spec)
+    return LaxMilgramOperator(grid=spec.frame.grid, matrix=(v / spec.retained) @ v.T)

@@ -62,11 +62,18 @@ def seeded_normals(seed: int, stream: int, count: int) -> np.ndarray:
     return _box_muller(words, pairs, count)
 
 
+def seeded_normal_rows(seed: int, first: int, stop: int, count: int) -> np.ndarray:
+    """Streams first..stop-1; row i equals seeded_normals(seed, first + i, count)."""
+    if not 0 <= first < stop or count < 1:
+        raise InvalidArgument("need 0 <= first < stop and count >= 1")
+    pairs, blocks = _stream_layout(count)
+    span = _WORDS_PER_BLOCK * blocks
+    words = philox_words(seed, first * blocks, (stop - first) * span)
+    return _box_muller(words.reshape(stop - first, span), pairs, count)
+
+
 def seeded_normal_matrix(seed: int, n_streams: int, count: int) -> np.ndarray:
     """All streams 0..n_streams-1 at once; row k equals seeded_normals(seed, k, count)."""
     if n_streams < 1 or count < 1:
         raise InvalidArgument("n_streams and count must be >= 1")
-    pairs, blocks = _stream_layout(count)
-    span = _WORDS_PER_BLOCK * blocks
-    words = philox_words(seed, 0, n_streams * span).reshape(n_streams, span)
-    return _box_muller(words, pairs, count)
+    return seeded_normal_rows(seed, 0, n_streams, count)

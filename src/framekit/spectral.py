@@ -1,9 +1,10 @@
 """Dense symmetric-matrix spectral machinery.
 
-Everything downstream (Gramians, kernels, canonical tight frames, frame
-bounds) is built on the three operations here: a deterministic cyclic-Jacobi
-eigendecomposition, the rank-revealing spectral pseudo-inverse, and the
-spectral inverse square root.
+A deterministic cyclic-Jacobi eigendecomposition, the rank-revealing
+spectral pseudo-inverse, and the spectral inverse square root for general
+symmetric input.  Frame bounds, kernels, canonical tight frames and the
+Lax-Milgram operator rest on one ``sym_eig`` call per frame, made by
+``frames.frame_spectrum``.
 """
 
 from __future__ import annotations
@@ -72,18 +73,33 @@ def _retained(eigenvalues, rank_tol):
     return np.abs(eigenvalues) > cut
 
 
+def _binary_exponent(a) -> int:
+    """Exponent e with max|a| = m * 2**e, m in [0.5, 1); 0 for an all-zero array.
+
+    Scaling by 2**-e is exact and brings the largest entry into [0.5, 1).
+    """
+    top = float(np.max(np.abs(a)))
+    return int(np.frexp(top)[1]) if top > 0.0 else 0
+
+
 def sym_eig(a: SymMatrix) -> SpectralDecomposition:
     """Full eigendecomposition by cyclic Jacobi rotations.
 
     Deterministic for a fixed input: fixed sweep order, off-diagonal
-    Frobenius threshold 1e-12 * ||A||_F, at most 100 sweeps.
+    Frobenius threshold 1e-12 * ||A||_F, at most 100 sweeps.  The working
+    copy is first scaled by a power of two so that its largest entry lies in
+    [0.5, 1), and the eigenvalues are scaled back.  Jacobi arithmetic is
+    homogeneous and the scaling is exact, so eigenvectors do not depend on
+    the overall scale of the input.  The squares summed for the norms cannot
+    overflow, and underflow only for entries below 1e-154 of the largest.
     """
-    work = np.array(a.entries, dtype=float, order="C", copy=True)
+    shift = _binary_exponent(a.entries)
+    work = np.ascontiguousarray(np.ldexp(a.entries, -shift))
     n = work.shape[0]
     vecs = np.eye(n, order="C")
     fro = float(np.sqrt(np.sum(work * work)))
     _kernels.jacobi_sweeps(work, vecs, fro, _MAX_SWEEPS, _SWEEP_TOL_FACTOR)
-    vals = np.diag(work).copy()
+    vals = np.ldexp(np.diag(work), shift)
     order = np.argsort(-vals, kind="stable")
     return SpectralDecomposition(
         eigenvalues=vals[order],

@@ -4,10 +4,12 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
-from framekit import cli, mercedes_frame
+from framekit import cli, errors, mercedes_frame
 from framekit.cli import (
     EXIT_DEGENERATE,
+    EXIT_MATH,
     EXIT_MISSING,
     EXIT_OK,
     EXIT_SCHEMA,
@@ -284,3 +286,57 @@ class TestSerialization:
         )
         assert proc.returncode == 0
         assert "B1=1.5" in proc.stdout
+
+
+# Every FramekitError class and the exit code the module docstring gives it.
+EXIT_BY_ERROR = {
+    errors.FramekitError: EXIT_SCHEMA,
+    errors.InvalidMatrix: EXIT_SCHEMA,
+    errors.DimensionMismatch: EXIT_SCHEMA,
+    errors.InvalidIndex: EXIT_SCHEMA,
+    errors.InvalidArgument: EXIT_SCHEMA,
+    cli.SchemaError: EXIT_SCHEMA,
+    errors.ZeroSpan: EXIT_DEGENERATE,
+    errors.NotAFrame: EXIT_DEGENERATE,
+    errors.NotPositiveSemidefinite: EXIT_MATH,
+}
+
+
+class TestExitCodes:
+    def test_every_error_class_is_mapped(self):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        assert set(subclasses(errors.FramekitError)) <= set(EXIT_BY_ERROR)
+
+    @pytest.mark.parametrize(
+        "error, code", list(EXIT_BY_ERROR.items()), ids=lambda x: getattr(x, "__name__", str(x))
+    )
+    def test_error_class_exit_code(self, monkeypatch, tmp_path, capsys, error, code):
+        def failing(args):
+            raise error("stubbed failure")
+
+        monkeypatch.setattr(cli, "cmd_analyze", failing)
+        path = write(tmp_path / "basis.json", standard_basis_payload())
+        assert cli.main(["analyze", path]) == code
+        assert "stubbed failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["canonical", "verify"])
+    def test_rank_tol_zero_on_scaled_duplicates(self, tmp_path, capsys, command):
+        # 8 random vectors on 16 points, each listed twice, scaled by 1e3:
+        # rank_tol 0 keeps noise directions, which must end in an exit code
+        r = np.random.default_rng(3)
+        m = 16
+        base = r.standard_normal((8, m))
+        payload = {
+            "grid": {
+                "points": list(np.arange(m) + r.uniform(0.0, 0.5, m)),
+                "weights": list(r.uniform(0.5, 2.0, m)),
+            },
+            "vectors": (1e3 * np.vstack([base, base])).tolist(),
+        }
+        path = write(tmp_path / "dup.json", payload)
+        code = cli.main([command, path, "--rank-tol", "0"])
+        assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_DEGENERATE, EXIT_MATH)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +24,7 @@ from framekit import (
     sigma_frame_bounds,
     theoretical_variances,
 )
-from framekit import rng
+from framekit import gp, rng
 from framekit.spectral import SymMatrix, sym_eig
 
 from oracles import orthonormal_rows
@@ -347,6 +350,51 @@ class TestSampling:
             assert np.array_equal(normals, batch[k])
             assert abs(both.samples_re[k] - float(normals @ coeffs.re)) <= 1e-12
             assert abs(both.samples_im[k] - float(normals @ coeffs.im)) <= 1e-12
+
+    def test_blocked_sampling_matches_one_shot(self):
+        # sample_kl draws and contracts normals in blocks of rows; with
+        # BLAS pinned to one thread (a multi-threaded gemv splits rows at
+        # thread-count dependent places) the samples are bit-identical to
+        # one product of the whole normal matrix.  s is not a block multiple.
+        code = """
+import numpy as np
+from framekit import gp, rng
+r = np.random.default_rng(61)
+for n, s in ((50, 10_001), (7, 4_097)):
+    j = 6
+    measure = gp.AtomicMeasure(
+        locations=np.sort(r.uniform(-3, 3, j)) + 7.0 * np.arange(j),
+        masses=r.uniform(0.2, 1.5, j),
+    )
+    model = gp.GaussianModel.from_frame(
+        gp.SigmaFrame(measure=measure, vectors=r.standard_normal((n, j)))
+    )
+    phat = gp.ComplexVector(re=r.standard_normal(j), im=r.standard_normal(j))
+    c = gp.kl_coefficients(model, phat)
+    out = gp.sample_kl(model, phat, s, 2024)
+    normals = rng.seeded_normal_matrix(2024, s, n)
+    assert out.samples_re.tobytes() == (normals @ c.re).tobytes(), (n, s)
+    assert out.samples_im.tobytes() == (normals @ c.im).tobytes(), (n, s)
+    assert s % gp._SAMPLE_BLOCK != 0
+print("identical")
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gp.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "identical"
+
+    def test_normal_rows_match_streams(self):
+        rows = rng.seeded_normal_rows(13, 5, 9, 7)
+        for i in range(4):
+            assert np.array_equal(rows[i], rng.seeded_normals(13, 5 + i, 7))
+        assert np.array_equal(rng.seeded_normal_matrix(13, 9, 7)[5:], rows)
+        with pytest.raises(InvalidArgument):
+            rng.seeded_normal_rows(13, 4, 4, 7)
 
     def test_invalid_count(self):
         model = onb_model()
