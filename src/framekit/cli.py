@@ -15,6 +15,15 @@ Kernel output adds {"matrix": [[...]], "kind": "rkhs"|"naive", "rank_tol": r}.
 Machine files carry 17 significant digits (bit-exact round trip); human
 reports print 6.
 
+Subcommands and the only flags each accepts, with their defaults:
+
+    analyze PATH    [--rank-tol 1e-10]
+    kernel PATH     [--rank-tol 1e-10] [--out FILE] [--naive]
+    canonical PATH  [--rank-tol 1e-10] [--out FILE]
+    verify PATH     [--rank-tol 1e-10]
+    gp-sim PATH     [--rank-tol 1e-10] [--seed 0] [--samples 200000]
+    hilbert         --sizes N,N,...
+
 Exit codes:
 
     0  success
@@ -48,7 +57,7 @@ from .errors import (
     NotPositiveSemidefinite,
     ZeroSpan,
 )
-from .spectral import DEFAULT_RANK_TOL, SymMatrix, sym_eig
+from .spectral import DEFAULT_RANK_TOL
 
 EXIT_OK = 0
 EXIT_MISSING = 1
@@ -292,11 +301,8 @@ def cmd_kernel(args) -> int:
     else:
         kernel = rkhs.rk_kernel(fs, args.rank_tol)
         kind = "rkhs"
-    eig = sym_eig(SymMatrix(kernel.values))
-    psd_violation = max(0.0, -float(eig.eigenvalues[-1]))
-    residual = 0.0
-    for row in fs.vectors:
-        residual = max(residual, rkhs.verify_reproducing(fs, kernel, row))
+    _, psd_violation = rkhs.kernel_psd(kernel)
+    residual = rkhs.verify_reproducing(fs, kernel, fs.vectors)
     if args.out:
         write_kernel_file(args.out, kernel, kind, args.rank_tol)
         print(f"wrote {args.out}")
@@ -317,16 +323,11 @@ def cmd_hilbert(args) -> int:
             f"{row.n} {_fmt_human(row.lam_max)} {_fmt_human(row.lam_min)} "
             f"{_fmt_human(row.pi_gap)}"
         )
-    lam = [row.lam_max for row in rows]
-    if any(x >= math.pi for x in lam):
+    if any(row.lam_max >= math.pi for row in rows):
         print("violation: lam_max reached pi", file=sys.stderr)
         return EXIT_MATH
-    ordered = sorted(range(len(rows)), key=lambda i: rows[i].n)
-    if any(
-        lam[ordered[i]] >= lam[ordered[i + 1]]
-        and rows[ordered[i]].n < rows[ordered[i + 1]].n
-        for i in range(len(ordered) - 1)
-    ):
+    ordered = sorted(rows, key=lambda row: row.n)
+    if any(a.n < b.n and a.lam_max >= b.lam_max for a, b in zip(ordered, ordered[1:])):
         print("violation: lam_max not increasing with n", file=sys.stderr)
         return EXIT_MATH
     return EXIT_OK
@@ -376,11 +377,9 @@ def cmd_canonical(args) -> int:
 def cmd_verify(args) -> int:
     fs = parse_frame_file(args.path)
     residuals = rkhs.identity_suite(fs, args.rank_tol)
-    worst_scaled = 0.0
     for name, (value, tolerance) in residuals.items():
         print(f"{name}={_fmt_human(value)} (tolerance {_fmt_human(tolerance)})")
-        worst_scaled = max(worst_scaled, value / tolerance)
-    if worst_scaled > 1.0:
+    if any(value > tolerance for value, tolerance in residuals.values()):
         print("violation: identity residual above tolerance", file=sys.stderr)
         return EXIT_MATH
     return EXIT_OK
@@ -401,55 +400,40 @@ def _parse_sizes(raw: str) -> list[int]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument(
-        "--rank-tol",
-        type=float,
-        default=DEFAULT_RANK_TOL,
-        help="relative eigenvalue threshold for rank decisions",
-    )
-    shared.add_argument("--out", default=None, help="output file path")
-    shared.add_argument("--seed", type=int, default=0, help="sampling seed")
-    shared.add_argument(
-        "--samples", type=int, default=200_000, help="Monte-Carlo sample count"
-    )
-    shared.add_argument(
-        "--naive",
-        action="store_true",
-        help="plain vector-sum kernel instead of the inverse-Gramian kernel",
-    )
-
+    arguments = {
+        "path": {},
+        "--rank-tol": dict(
+            type=float,
+            default=DEFAULT_RANK_TOL,
+            help="relative eigenvalue threshold for rank decisions",
+        ),
+        "--out": dict(default=None, help="output file path"),
+        "--naive": dict(
+            action="store_true",
+            help="plain vector-sum kernel instead of the inverse-Gramian kernel",
+        ),
+        "--seed": dict(type=int, default=0, help="sampling seed"),
+        "--samples": dict(type=int, default=200_000, help="Monte-Carlo sample count"),
+        "--sizes": dict(required=True, help="comma-separated matrix sizes"),
+    }
+    commands = {  # name: (handler, help, the arguments it reads)
+        "analyze": (cmd_analyze, "frame bounds of a frame file", "path --rank-tol"),
+        "kernel": (cmd_kernel, "write the kernel matrix", "path --rank-tol --out --naive"),
+        "hilbert": (cmd_hilbert, "Hilbert spectrum table", "--sizes"),
+        "gp-sim": (cmd_gp_sim, "KL sandwich simulation", "path --rank-tol --seed --samples"),
+        "canonical": (cmd_canonical, "write the canonical tight frame", "path --rank-tol --out"),
+        "verify": (cmd_verify, "run the identity suite", "path --rank-tol"),
+    }
     parser = argparse.ArgumentParser(
         prog="framekit",
         description="Frame bounds, reproducing kernels, and KL Gaussian sampling",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", parents=[shared], help="frame bounds of a frame file")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("kernel", parents=[shared], help="write the kernel matrix")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_kernel)
-
-    p = sub.add_parser("hilbert", parents=[shared], help="Hilbert spectrum table")
-    p.add_argument("--sizes", required=True, help="comma-separated matrix sizes")
-    p.set_defaults(func=cmd_hilbert)
-
-    p = sub.add_parser("gp-sim", parents=[shared], help="KL sandwich simulation")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_gp_sim)
-
-    p = sub.add_parser(
-        "canonical", parents=[shared], help="write the canonical tight frame"
-    )
-    p.add_argument("path")
-    p.set_defaults(func=cmd_canonical)
-
-    p = sub.add_parser("verify", parents=[shared], help="run the identity suite")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_verify)
+    for name, (func, help_text, names) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        for arg in names.split():
+            p.add_argument(arg, **arguments[arg])
+        p.set_defaults(func=func)
     return parser
 
 

@@ -16,7 +16,10 @@ dimension min(N, M) after an exact power-of-two scaling of B:
     polar         U = (U_r V_r^T) W^{1/2}
 
 so the kernel, the tight frame and the rank do not depend on the overall
-scale of the frame.  ``identity_suite`` checks them all from one spectrum.
+scale of the frame.  ``identity_suite`` checks them all from one spectrum,
+over all probes at once, against gates of the same degree in the data scale
+as their residuals, so neither do its verdicts (an absolute floor such as
+1e-8 would pass a kernel wrong by O(1) on a frame of size 1e-90).
 
 Operator conventions on a weighted grid: kernel-style value tables (K, L)
 are elementwise symmetric and act on a function f as K (w * f).  Adjoints
@@ -36,12 +39,8 @@ from .frames import (
     FrameSpectrum,
     FrameSystem,
     Grid,
-    analysis,
     build_gramian,
     frame_spectrum,
-    synthesis,
-    weighted_inner,
-    weighted_norm,
     _grid_function,
 )
 from .spectral import DEFAULT_RANK_TOL, SymMatrix, sym_eig
@@ -143,14 +142,18 @@ def kernel_from_tight(ctf: CanonicalTightFrame) -> KernelMatrix:
 def verify_reproducing(fs: FrameSystem, k: KernelMatrix, f) -> float:
     """Max residual of the reproducing identity f(t) = <K_t, f>.
 
-    Contracts to ~0 for f in the span when k = rk_kernel(fs).  For f with a
-    component outside the span, <K_t, f> evaluates the span-projection of f,
-    so the residual equals the sup norm of the out-of-span component.
+    ``f`` is one grid function or a stack of them as rows; the residual is
+    the max over all of them.  Contracts to ~0 for f in the span when
+    k = rk_kernel(fs).  For f with a component outside the span, <K_t, f>
+    evaluates the span-projection of f, so the residual equals the sup norm
+    of the out-of-span component.
     """
-    f = _grid_function(fs.grid, f)
-    if k.grid.size != fs.grid.size:
-        raise DimensionMismatch("kernel grid does not match frame grid")
-    reproduced = k.values @ (fs.grid.weights * f)
+    f = np.asarray(f, dtype=float)
+    if f.ndim > 2 or f.shape[-1:] != (fs.grid.size,) or k.grid.size != fs.grid.size:
+        raise DimensionMismatch(
+            f"grid functions {f.shape}, kernel of {k.grid.size} on {fs.grid.size} points"
+        )
+    reproduced = (k.values @ (fs.grid.weights * f).T).T
     return float(np.max(np.abs(f - reproduced)))
 
 
@@ -162,24 +165,42 @@ def lax_milgram(
 
 
 def verify_lax_identity(fs: FrameSystem, op: LaxMilgramOperator, f, g) -> float:
-    """Residual of sum_n <f, phi_n> <phi_n, L g> = <f, g> (f, g in span)."""
-    f = _grid_function(fs.grid, f)
-    g = _grid_function(fs.grid, g)
-    lhs = float(np.dot(analysis(fs, f), analysis(fs, op.apply(g))))
-    return abs(lhs - weighted_inner(fs.grid, f, g))
+    """Residual of sum_n <f, phi_n> <phi_n, L g> = <f, g> (f, g in span).
 
-
-def isometry_check(fs: FrameSystem, c) -> tuple[float, float]:
-    """Both sides of the synthesis isometry ||sum c_n phi_n||^2 = c^T G c."""
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 1 or c.size != fs.n_vectors:
+    ``f`` and ``g`` are grid functions or stacks of them as rows; the
+    residual is the max over every pair (f_i, g_j).
+    """
+    f, g = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
+    if any(x.ndim > 2 or x.shape[-1:] != (fs.grid.size,) for x in (f, g)):
         raise DimensionMismatch(
-            f"coefficient sequence of length {c.size} for {fs.n_vectors} vectors"
+            f"grid functions {f.shape}, {g.shape} on a grid of {fs.grid.size} points"
         )
-    combined = fs.vectors.T @ c
-    lhs = weighted_inner(fs.grid, combined, combined)
-    rhs = float(c @ build_gramian(fs).matrix.entries @ c)
+    w = fs.grid.weights
+    lg = (op.matrix @ (w * g).T).T
+    lhs = np.dot((fs.vectors @ (w * f).T).T, fs.vectors @ (w * lg).T)
+    return float(np.max(np.abs(lhs - np.dot(w * f, g.T))))
+
+
+def isometry_check(fs: FrameSystem, c):
+    """Both sides of the synthesis isometry ||sum c_n phi_n||^2 = c^T G c.
+
+    ``c`` is one coefficient sequence, giving two floats, or a stack of them
+    as rows, giving two arrays with one entry per row.  The Gramian is built
+    once per call.
+    """
+    c = np.asarray(c, dtype=float)
+    if c.ndim > 2 or c.shape[-1:] != (fs.n_vectors,):
+        raise DimensionMismatch(f"coefficients {c.shape} for {fs.n_vectors} vectors")
+    combined = c @ fs.vectors
+    lhs = np.sum(fs.grid.weights * combined * combined, axis=-1)
+    rhs = np.sum((c @ build_gramian(fs).matrix.entries) * c, axis=-1)
     return lhs, rhs
+
+
+def kernel_psd(k: KernelMatrix) -> tuple[float, float]:
+    """(lambda_max, max(0, -lambda_min)) of the kernel table, decomposed on its own."""
+    lam = sym_eig(SymMatrix(k.values)).eigenvalues
+    return float(lam[0]), max(0.0, -float(lam[-1]))
 
 
 def polar_unitary(fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -198,82 +219,77 @@ def polar_unitary(fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL) -> np.nda
 def identity_suite(fs: FrameSystem, rank_tol: float) -> dict:
     """Max residuals of the frame/kernel identities on deterministic probes.
 
-    Returns {name: (residual, tolerance)}.  Probes are the frame vectors
-    themselves plus synthesized combinations, so everything lies in the span.
-    Identities that route through the Gramian pseudo-inverse lose digits in
-    proportion to the retained condition number (Hilbert-type systems reach
-    1e10), so their pass gates widen from the 1e-8 floor accordingly.  The
-    kernel, tight frame, Lax-Milgram operator, condition number, truncation
-    tail and Gramian PSD check all come from one frame spectrum; the kernel
-    matrix itself is decomposed once more for its own PSD check.
+    Returns {name: (residual, tolerance)}.  The probes, the N frame vectors
+    and min(N, 3) combinations phi_i - phi_{i+1}/2, are the rows of one
+    matrix, so everything lies in the span and each identity is one stacked
+    call on the one frame spectrum (the kernel table is decomposed once more
+    for its own PSD check).  Each tolerance has the degree in the data scale
+    of its residual, so c * Phi gives the residual/tolerance ratios of Phi,
+    bit for bit when c is a power of two.  With lambda_max the top Gramian
+    eigenvalue, s the largest probe norm, and gate = max(1e-8, 1.1e-14 *
+    kappa) widening with the retained condition number kappa, to which the
+    pseudo-inverse routes lose digits (Hilbert-type systems reach 1e10):
+
+        max_reproducing_residual  gate * s + truncation tail
+        kernel_vs_tight_max       gate * lambda_max(K)
+        kernel_psd_violation      1e-9 * lambda_max(K)
+        lax_identity_max          gate * s^2
+        gramian_psd_violation     1e-10 * lambda_max
+        isometry_relative_max     1e-10 on |l - r| / (lambda_max ||c||^2)
+        adjoint_relative_max      1e-10 on |l - r| / (sqrt(lambda_max) ||f|| ||c||)
+
+    l and r are the two sides of the identity.  The last two divide by
+    Cauchy-Schwarz bounds, positive for every nonzero probe of a spanning
+    frame, where l and r themselves can be 0.
     """
     spec = _spanning(frame_spectrum(fs, rank_tol))
     kernel = _kernel(spec)
-    tight = _tight(spec)
-    lax = _lax(spec)
+    w = fs.grid.weights
     n = fs.n_vectors
+    lam_max = float(spec.eigenvalues[0])
 
-    kernel_vs_tight = float(
-        np.max(np.abs(kernel.values - kernel_from_tight(tight).values))
-    )
+    i = np.arange(min(n, 3))
+    combos = np.eye(n)[i]
+    combos[i, (i + 1) % n] = -0.5
+    probes = np.vstack([fs.vectors, combos @ fs.vectors])
+    probe_norms = np.sqrt(np.sum(w * probes * probes, axis=1))
+    scale = float(np.max(probe_norms))
 
-    probes = [fs.vectors[i] for i in range(n)]
-    coeffs = [np.zeros(n) for _ in range(min(n, 3))]
-    for i, c in enumerate(coeffs):
-        c[i] = 1.0
-        c[(i + 1) % n] = -0.5
-        probes.append(synthesis(fs, c))
+    j = np.arange(min(n, 6))
+    coeffs = np.eye(n)[j]
+    coeffs[j, n - 1 - j] += 0.25
+    coeff_sq = np.sum(coeffs * coeffs, axis=1)
+    lhs, rhs = isometry_check(fs, coeffs)
+    isometry = float(np.max(np.abs(lhs - rhs) / (lam_max * coeff_sq)))
+    # <T f, c> = <f, T* c> on four probes; a zero probe has both sides 0
+    heads = probes[:4]
+    left = (fs.vectors @ (w * heads).T).T @ coeffs.T
+    right = (w * heads) @ (coeffs @ fs.vectors).T
+    bound = math.sqrt(lam_max) * np.outer(probe_norms[:4], np.sqrt(coeff_sq))
+    adjoint = float(np.max(np.abs(left - right) / np.where(bound > 0, bound, 1.0)))
 
-    reproducing = 0.0
-    norms = [1.0]
-    for f in probes:
-        reproducing = max(reproducing, verify_reproducing(fs, kernel, f))
-        norms.append(weighted_norm(fs.grid, f))
-    scale = max(norms)
-
-    lax_residual = 0.0
-    for f in probes:
-        for g in probes:
-            lax_residual = max(lax_residual, verify_lax_identity(fs, lax, f, g))
-
-    isometry = 0.0
-    adjoint = 0.0
-    for i in range(min(n, 6)):
-        c = np.zeros(n)
-        c[i] = 1.0
-        c[n - 1 - i] += 0.25
-        lhs, rhs = isometry_check(fs, c)
-        isometry = max(isometry, abs(lhs - rhs) / max(1.0, abs(rhs)))
-        for f in probes[: min(len(probes), 4)]:
-            left = float(np.dot(analysis(fs, f), c))
-            right = weighted_inner(fs.grid, f, synthesis(fs, c))
-            adjoint = max(adjoint, abs(left - right) / max(1.0, abs(right)))
-
-    eig = sym_eig(SymMatrix(kernel.values))
-    lam_max = max(float(eig.eigenvalues[0]), 0.0)
-    psd_violation = max(0.0, -float(eig.eigenvalues[-1]))
-
-    gram_lam_max = float(spec.eigenvalues[0])
+    reproducing = verify_reproducing(fs, kernel, probes)
+    lax_residual = verify_lax_identity(fs, _lax(spec), probes, probes)
+    from_tight = kernel_from_tight(_tight(spec)).values
+    kernel_vs_tight = float(np.max(np.abs(kernel.values - from_tight)))
+    kernel_max, kernel_psd_violation = kernel_psd(kernel)
     gram_psd = max(0.0, -float(spec.eigenvalues[-1]))
-    gram_scale = max(gram_lam_max, 1.0)
-    kappa = gram_lam_max / float(spec.retained[-1])
-    inverse_gate = max(1e-8, 1.1e-14 * kappa)
+    inverse_gate = max(1e-8, 1.1e-14 * lam_max / float(spec.retained[-1]))
     # probes hold genuine mass along eigendirections the rank cut discards;
     # the kernel reproduces only the retained span, so allow for that tail
-    cut = spec.eigenvalues[spec.rank :]
-    cut_max = float(cut[0]) if cut.size else 0.0
-    if cut_max <= 100 * 2.2e-16 * gram_lam_max:
+    cut_max = float(np.max(spec.eigenvalues[spec.rank :], initial=0.0))
+    if cut_max <= 100 * 2.2e-16 * lam_max:
         cut_max = 0.0
-    truncation = 2.0 * math.sqrt(cut_max / float(np.min(fs.grid.weights)))
+    truncation = 2.0 * math.sqrt(cut_max / float(np.min(w)))
 
     return {
         "max_reproducing_residual": (reproducing, inverse_gate * scale + truncation),
-        "kernel_vs_tight_max": (kernel_vs_tight, inverse_gate * max(1.0, lam_max)),
-        "lax_identity_max": (lax_residual, inverse_gate * max(1.0, scale * scale)),
+        "kernel_vs_tight_max": (kernel_vs_tight, inverse_gate * kernel_max),
+        "lax_identity_max": (lax_residual, inverse_gate * scale * scale),
         "isometry_relative_max": (isometry, 1e-10),
         "adjoint_relative_max": (adjoint, 1e-10),
-        "kernel_psd_violation": (psd_violation, 1e-9 * max(1.0, lam_max)),
-        "gramian_psd_violation": (gram_psd, 1e-10 * gram_scale),
+        "kernel_psd_violation": (kernel_psd_violation, 1e-9 * kernel_max),
+        "gramian_psd_violation": (gram_psd, 1e-10 * lam_max),
     }
 
 

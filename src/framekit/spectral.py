@@ -57,7 +57,6 @@ class SpectralDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    source_dim: int
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
@@ -104,7 +103,6 @@ def sym_eig(a: SymMatrix) -> SpectralDecomposition:
     return SpectralDecomposition(
         eigenvalues=vals[order],
         eigenvectors=np.ascontiguousarray(vecs[:, order]),
-        source_dim=n,
     )
 
 

@@ -160,6 +160,11 @@ class TestHilbert:
         line = capsys.readouterr().out.strip().splitlines()[1]
         assert float(line.split()[2]) < 1e-8
 
+    def test_unsorted_sizes_with_repeat(self, capsys):
+        assert cli.main(["hilbert", "--sizes", "16,4,8,4"]) == EXIT_OK
+        lines = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [int(line.split()[0]) for line in lines] == [16, 4, 8, 4]
+
     def test_invalid_size(self, capsys):
         assert cli.main(["hilbert", "--sizes", "0"]) == EXIT_SCHEMA
         assert cli.main(["hilbert", "--sizes", "a,b"]) == EXIT_SCHEMA
@@ -286,6 +291,26 @@ class TestSerialization:
         )
         assert proc.returncode == 0
         assert "B1=1.5" in proc.stdout
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "PATH", "--out", "x"],
+            ["verify", "PATH", "--naive"],
+            ["canonical", "PATH", "--seed", "1"],
+            ["kernel", "PATH", "--samples", "10"],
+            ["gp-sim", "PATH", "--out", "x"],
+            ["hilbert", "--sizes", "4", "--rank-tol", "0"],
+        ],
+    )
+    def test_flag_the_subcommand_does_not_read(self, tmp_path, capsys, argv):
+        path = write(tmp_path / "basis.json", standard_basis_payload())
+        with pytest.raises(SystemExit) as exc:
+            cli.main([path if a == "PATH" else a for a in argv])
+        assert exc.value.code == EXIT_SCHEMA
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # Every FramekitError class and the exit code the module docstring gives it.

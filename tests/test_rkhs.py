@@ -260,6 +260,17 @@ class TestVerifyReproducing:
         k = rk_kernel(fs)
         with pytest.raises(DimensionMismatch):
             verify_reproducing(fs, k, np.zeros(3))
+        with pytest.raises(DimensionMismatch):
+            verify_reproducing(fs, k, np.zeros((4, 3)))
+
+    def test_stack_is_max_over_rows(self):
+        # frame vectors plus functions with components outside the span
+        fs = random_frame(31, 4, 7, weighted=True)
+        k = rk_kernel(fs)
+        off_span = np.random.default_rng(3).standard_normal((5, 7))
+        probes = np.vstack([fs.vectors, off_span])
+        rows = max(verify_reproducing(fs, k, f) for f in probes)
+        assert verify_reproducing(fs, k, probes) == pytest.approx(rows, rel=1e-12)
 
 
 class TestLaxMilgram:
@@ -329,6 +340,17 @@ class TestLaxMilgram:
             )
             assert verify_lax_identity(fs, op, f, g) <= bound
 
+    def test_stack_is_max_over_pairs(self):
+        # functions off the span leave O(1) residuals in every pair
+        fs = random_frame(32, 4, 7, weighted=True)
+        op = lax_milgram(fs)
+        r = np.random.default_rng(4)
+        f, g = r.standard_normal((3, 7)), r.standard_normal((5, 7))
+        pairs = max(verify_lax_identity(fs, op, a, b) for a in f for b in g)
+        assert verify_lax_identity(fs, op, f, g) == pytest.approx(pairs, rel=1e-12)
+        with pytest.raises(DimensionMismatch):
+            verify_lax_identity(fs, op, f, np.zeros((5, 6)))
+
     def test_zero_span(self):
         with pytest.raises(ZeroSpan):
             lax_milgram(zero_system())
@@ -361,6 +383,16 @@ class TestIsometry:
             c = r.standard_normal(6)
             lhs, rhs = isometry_check(fs, c)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, rhs)
+
+    def test_stack_gives_one_pair_per_row(self):
+        fs = random_frame(33, 6, 4, weighted=True)
+        c = np.random.default_rng(5).standard_normal((3, 6))
+        lhs, rhs = isometry_check(fs, c)
+        rows = np.array([isometry_check(fs, row) for row in c])
+        np.testing.assert_allclose(lhs, rows[:, 0], rtol=1e-12)
+        np.testing.assert_allclose(rhs, rows[:, 1], rtol=1e-12)
+        with pytest.raises(DimensionMismatch):
+            isometry_check(fs, np.zeros((3, 5)))
 
 
 class TestPolarUnitary:

@@ -58,6 +58,10 @@ def scaled(fs, c):
     return FrameSystem(grid=fs.grid, vectors=c * fs.vectors)
 
 
+def suite_ratios(fs):
+    return {name: v / t for name, (v, t) in rkhs.identity_suite(fs, RANK_TOL).items()}
+
+
 def svd_reference(fs):
     root_w = np.sqrt(fs.grid.weights)
     u, s, vt = np.linalg.svd(fs.vectors * root_w, full_matrices=False)
@@ -170,6 +174,19 @@ class TestScale:
         assert rel_err(rk_kernel(fs).values, ref["kernel"]) <= 1e-10
         assert rel_err(canonical_tight(fs).vectors, ref["tight"]) <= 1e-10
 
+    def test_doubled_kernel_is_caught_at_any_scale(self, tmp_path, capsys, monkeypatch):
+        # A kernel wrong by O(1) must fail verify however small the frame is.
+        # Scaling the factor shared by the kernel-style tables doubles K and
+        # keeps the tight frame consistent with it, as a wrong spectrum would,
+        # so only the scale-relative gates can catch it.
+        factor = rkhs._v_unweighted
+        monkeypatch.setattr(
+            rkhs, "_v_unweighted", lambda spec: np.sqrt(2.0) * factor(spec)
+        )
+        path = tmp_path / "scaled.json"
+        cli.write_frame_file(str(path), scaled(small_frame(), 1e-90))
+        assert cli.main(["verify", str(path)]) == cli.EXIT_MATH
+
     @pytest.mark.parametrize("k", [-600, 600])
     def test_sym_eig_power_of_two(self, k):
         r = np.random.default_rng(7)
@@ -209,6 +226,7 @@ class TestScale:
         assert big_bounds.lower == np.ldexp(base_bounds.lower, 2 * k)
         assert np.array_equal(rk_kernel(big).values, rk_kernel(fs).values)
         assert np.array_equal(canonical_tight(big).vectors, canonical_tight(fs).vectors)
+        assert suite_ratios(big) == suite_ratios(fs)
 
     @settings(max_examples=30, deadline=None, database=None)
     @given(e=st.floats(min_value=-150.0, max_value=150.0))
@@ -233,7 +251,7 @@ class TestOneDecompositionPerFrame:
             seen.append(a.dim)
             return spectral.sym_eig(a)
 
-        for module in (frames, rkhs, cli):
+        for module in (frames, rkhs):
             monkeypatch.setattr(module, "sym_eig", counted)
         return seen
 
@@ -255,6 +273,26 @@ class TestOneDecompositionPerFrame:
     def test_jacobi_calls(self, calls, frame_file, capsys, command, dims):
         assert cli.main([command, frame_file]) == cli.EXIT_OK
         assert calls == dims
+
+    def test_verify_checks_each_identity_once(
+        self, calls, frame_file, monkeypatch, capsys
+    ):
+        seen = {}
+        stacked = ("verify_reproducing", "verify_lax_identity", "isometry_check")
+        for name in stacked + ("build_gramian",):
+            original = getattr(rkhs, name)
+
+            def counted(*args, _name=name, _original=original):
+                seen[_name] = seen.get(_name, 0) + 1
+                return _original(*args)
+
+            monkeypatch.setattr(rkhs, name, counted)
+        assert cli.main(["verify", frame_file]) == cli.EXIT_OK
+        assert seen["verify_reproducing"] == 1
+        assert seen["verify_lax_identity"] == 1
+        assert seen["isometry_check"] == 1
+        assert seen["build_gramian"] <= 1
+        assert calls == [30, 30]
 
     def test_canonical_projector_residual(self, tmp_path, capsys, frame_file):
         out = tmp_path / "tight.json"
