@@ -1,11 +1,10 @@
 """Backend selection for the Jacobi rotation kernel.
 
-The compiled Cython kernel is preferred when present; the pure-numpy twin is
+The compiled Cython kernel is used when it imports; the pure-numpy twin is
 the fallback.  Both produce bit-identical output for the same input, so the
-choice only affects speed.  Override with FRAMEKIT_JACOBI=python|compiled.
+choice only affects speed.  ``BACKENDS`` lists every kernel that imports, for
+the parity test and ``benchmarks/bench_jacobi.py``.
 """
-
-import os
 
 from . import _jacobi_py
 
@@ -19,22 +18,5 @@ except ImportError:
     pass
 
 
-def _select():
-    forced = os.environ.get("FRAMEKIT_JACOBI", "").strip().lower()
-    if forced:
-        if forced not in BACKENDS:
-            raise ImportError(
-                f"FRAMEKIT_JACOBI={forced!r} but available backends are "
-                f"{sorted(BACKENDS)}"
-            )
-        return forced
-    return "compiled" if "compiled" in BACKENDS else "python"
-
-
-ACTIVE_BACKEND = _select()
+ACTIVE_BACKEND = "compiled" if "compiled" in BACKENDS else "python"
 jacobi_sweeps = BACKENDS[ACTIVE_BACKEND]
-
-
-def active_backend():
-    """Name of the Jacobi kernel in use ('compiled' or 'python')."""
-    return ACTIVE_BACKEND

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng
 from .errors import InvalidArgument
-from .frames import FrameSystem, Gramian, Grid
+from .frames import FrameSystem, Grid
 from .spectral import SymMatrix, sym_eig
 
 _RIESZ_RATIO = 0.05
@@ -38,17 +38,17 @@ def monomial_frame(n_funcs: int, m_points: int) -> FrameSystem:
     return FrameSystem(grid=grid, vectors=x[None, :] ** powers)
 
 
-def hilbert_gramian_exact(n: int) -> Gramian:
-    """Exact n x n Hilbert matrix 1/(i+j+1), i, j from 0, as a Gramian.
+def hilbert_gramian_exact(n: int) -> SymMatrix:
+    """Exact n x n Hilbert matrix 1/(i+j+1), i, j from 0.
 
-    This is the continuum Gramian of the monomial system; n_points is None
-    because no finite grid underlies it.
+    This is the continuum Gramian of the monomial system; no finite grid
+    underlies it.
     """
     if n < 1:
         raise InvalidArgument("n must be >= 1")
     idx = np.arange(n)
     entries = 1.0 / (idx[:, None] + idx[None, :] + 1.0)
-    return Gramian(matrix=SymMatrix(entries), n_vectors=n, n_points=None)
+    return SymMatrix(entries)
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def hilbert_spectrum_report(n_list) -> list[SpectrumRow]:
         n = int(n)
         if n < 1:
             raise InvalidArgument("sizes must be >= 1")
-        eig = sym_eig(hilbert_gramian_exact(n).matrix)
+        eig = sym_eig(hilbert_gramian_exact(n))
         lam_max = float(eig.eigenvalues[0])
         lam_min = float(eig.eigenvalues[-1])
         rows.append(

@@ -12,8 +12,8 @@ Model file:
      "phi_x": {"grid": {...}, "values": [...]}}  # phi_x for GP commands
 
 Kernel output adds {"matrix": [[...]], "kind": "rkhs"|"naive", "rank_tol": r}.
-Machine files carry 17 significant digits (bit-exact round trip); human
-reports print 6.
+Machine files carry 17 significant digits, and -0.0 as "-0.0", so every
+finite double reads back bit for bit; human reports print 6.
 
 Subcommands and the only flags each accepts, with their defaults:
 
@@ -33,7 +33,7 @@ Exit codes:
        FramekitError)
     3  degenerate input (ZeroSpan, NotAFrame)
     4  a mathematical assertion failed (an identity residual above its
-       tolerance, a Hilbert table violation, NotPositiveSemidefinite)
+       tolerance, a Hilbert table violation)
     5  sandwich violated in gp-sim
 """
 
@@ -54,7 +54,6 @@ from .errors import (
     InvalidIndex,
     InvalidMatrix,
     NotAFrame,
-    NotPositiveSemidefinite,
     ZeroSpan,
 )
 from .spectral import DEFAULT_RANK_TOL
@@ -76,7 +75,9 @@ class SchemaError(FramekitError):
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    text = format(float(x), ".17g")
+    # "-0" would read back as the integer 0, that is +0.0
+    return "-0.0" if text == "-0" else text
 
 
 def _fmt_human(x: float) -> str:
@@ -454,9 +455,6 @@ def main(argv=None) -> int:
     except (ZeroSpan, NotAFrame) as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except NotPositiveSemidefinite as exc:
-        print(f"mathematical assertion failed: {exc}", file=sys.stderr)
-        return EXIT_MATH
     except FramekitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

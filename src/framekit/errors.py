@@ -9,10 +9,6 @@ class InvalidMatrix(FramekitError):
     """Matrix input has non-finite entries or an illegal shape."""
 
 
-class NotPositiveSemidefinite(FramekitError):
-    """A retained eigenvalue is negative beyond the jitter clamp."""
-
-
 class DimensionMismatch(FramekitError):
     """Vector or matrix lengths do not agree."""
 

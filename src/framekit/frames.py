@@ -96,19 +96,6 @@ class FrameSystem:
 
 
 @dataclass(frozen=True)
-class Gramian:
-    """Matrix of pairwise weighted inner products of the frame vectors.
-
-    ``n_points`` is None for Gramians defined directly by a closed form
-    rather than sampled from a grid.
-    """
-
-    matrix: SymMatrix
-    n_vectors: int
-    n_points: int | None
-
-
-@dataclass(frozen=True)
 class FrameSpectrum:
     """The retained singular system of B = Phi W^{1/2}.
 
@@ -166,18 +153,14 @@ def weighted_norm(grid: Grid, f) -> float:
     return float(np.sqrt(max(weighted_inner(grid, f, f), 0.0)))
 
 
-def build_gramian(fs: FrameSystem) -> Gramian:
+def build_gramian(fs: FrameSystem) -> SymMatrix:
     """Gramian G_mn = <phi_m, phi_n> in the weighted inner product.
 
     Assembled as B B^T with B = Phi * sqrt(w), so the result is symmetric
     positive semidefinite by construction.
     """
     b = fs.vectors * np.sqrt(fs.grid.weights)
-    return Gramian(
-        matrix=SymMatrix(b @ b.T),
-        n_vectors=fs.n_vectors,
-        n_points=fs.n_points,
-    )
+    return SymMatrix(b @ b.T)
 
 
 def analysis(fs: FrameSystem, f) -> np.ndarray:
@@ -195,17 +178,6 @@ def synthesis(fs: FrameSystem, c) -> np.ndarray:
 def frame_operator_apply(fs: FrameSystem, f) -> np.ndarray:
     """Frame operator S f = sum_n <phi_n, f> phi_n."""
     return synthesis(fs, analysis(fs, f))
-
-
-def gram_apply(g: Gramian, c) -> np.ndarray:
-    """Matrix-vector product G c (the coefficient-space frame operator)."""
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 1 or c.size != g.n_vectors:
-        raise DimensionMismatch(
-            f"coefficient sequence of length {c.size} against Gramian of dim "
-            f"{g.n_vectors}"
-        )
-    return g.matrix.entries @ c
 
 
 def frame_spectrum(

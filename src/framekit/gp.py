@@ -232,20 +232,19 @@ def theoretical_variances(
     return ex2, ey2
 
 
-def sandwich_check(
-    model: GaussianModel, phat: ComplexVector, slack: float | None = None
-) -> SandwichReport:
+def sandwich_check(model: GaussianModel, phat: ComplexVector) -> SandwichReport:
     """Check a * E|X|^2 <= E|Y|^2 <= b * E|X|^2 within the slack.
 
-    Default slack is 1e-10 * max(1, b * E|X|^2).  Requires a > 0.
+    The slack is 1e-10 * b * E|X|^2, of the same degree in the data scale as
+    the three sides, so the verdict does not depend on the overall scale of
+    the frame or of phat.  Requires a > 0.
     """
     if model.a <= 0.0:
         raise NotAFrame("sandwich bounds need a strictly positive lower bound")
     ex2, ey2 = theoretical_variances(model, phat)
     lower = model.a * ex2
     upper = model.b * ex2
-    if slack is None:
-        slack = 1e-10 * max(1.0, upper)
+    slack = 1e-10 * upper
     holds = (lower - slack) <= ey2 <= (upper + slack)
     return SandwichReport(lower=lower, middle=ey2, upper=upper, slack=slack, holds=holds)
 

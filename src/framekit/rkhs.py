@@ -193,7 +193,7 @@ def isometry_check(fs: FrameSystem, c):
         raise DimensionMismatch(f"coefficients {c.shape} for {fs.n_vectors} vectors")
     combined = c @ fs.vectors
     lhs = np.sum(fs.grid.weights * combined * combined, axis=-1)
-    rhs = np.sum((c @ build_gramian(fs).matrix.entries) * c, axis=-1)
+    rhs = np.sum((c @ build_gramian(fs).entries) * c, axis=-1)
     return lhs, rhs
 
 

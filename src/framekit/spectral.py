@@ -1,10 +1,10 @@
 """Dense symmetric-matrix spectral machinery.
 
-A deterministic cyclic-Jacobi eigendecomposition, the rank-revealing
-spectral pseudo-inverse, and the spectral inverse square root for general
-symmetric input.  Frame bounds, kernels, canonical tight frames and the
-Lax-Milgram operator rest on one ``sym_eig`` call per frame, made by
-``frames.frame_spectrum``.
+The symmetric-matrix type and its deterministic cyclic-Jacobi
+eigendecomposition, ``sym_eig``, which makes no rank decision.  Frame
+bounds, kernels, canonical tight frames, Lax-Milgram and polar rest on one
+``sym_eig`` call per frame, made by ``frames.frame_spectrum``, which holds
+the library's one rank rule.
 """
 
 from __future__ import annotations
@@ -14,13 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidMatrix, NotPositiveSemidefinite
+from .errors import InvalidMatrix
 
 #: Relative eigenvalue threshold below which spectrum is treated as rank noise.
 DEFAULT_RANK_TOL = 1e-10
-
-#: Retained eigenvalues in [-PSD_JITTER, 0) are clamped to 0 by inv_sqrt.
-PSD_JITTER = 1e-12
 
 _SWEEP_TOL_FACTOR = 1e-12
 _MAX_SWEEPS = 100
@@ -62,15 +59,6 @@ class SpectralDecomposition:
         self.eigenvalues.setflags(write=False)
         self.eigenvectors.setflags(write=False)
 
-    def retained_rank(self, rank_tol: float) -> int:
-        """Number of eigenvalues above the relative rank threshold."""
-        return int(np.count_nonzero(_retained(self.eigenvalues, rank_tol)))
-
-
-def _retained(eigenvalues, rank_tol):
-    cut = rank_tol * np.max(np.abs(eigenvalues))
-    return np.abs(eigenvalues) > cut
-
 
 def _binary_exponent(a) -> int:
     """Exponent e with max|a| = m * 2**e, m in [0.5, 1); 0 for an all-zero array.
@@ -106,46 +94,6 @@ def sym_eig(a: SymMatrix) -> SpectralDecomposition:
     )
 
 
-def pinv(d: SpectralDecomposition, rank_tol: float = DEFAULT_RANK_TOL) -> SymMatrix:
-    """Moore-Penrose pseudo-inverse via spectral calculus.
-
-    Eigenvalues at or below rank_tol * max|eigenvalue| invert to 0; the rest
-    to their reciprocals.  An input with no retained spectrum yields the zero
-    matrix (rank 0), which is a valid result, not an error.
-    """
-    if rank_tol < 0:
-        raise InvalidMatrix("rank_tol must be >= 0")
-    keep = _retained(d.eigenvalues, rank_tol)
-    inv = np.where(keep, 1.0 / np.where(keep, d.eigenvalues, 1.0), 0.0)
-    return _assemble(d.eigenvectors, inv)
-
-
-def inv_sqrt(d: SpectralDecomposition, rank_tol: float = DEFAULT_RANK_TOL) -> SymMatrix:
-    """Spectral inverse square root on the retained spectrum, zero elsewhere.
-
-    Squaring the result reproduces pinv(d).  Retained eigenvalues in
-    [-1e-12, 0) are treated as floating-point jitter and clamped to 0; a
-    retained eigenvalue below -1e-12 raises NotPositiveSemidefinite.
-    """
-    if rank_tol < 0:
-        raise InvalidMatrix("rank_tol must be >= 0")
-    keep = _retained(d.eigenvalues, rank_tol)
-    retained = d.eigenvalues[keep]
-    if np.any(retained < -PSD_JITTER):
-        worst = float(retained.min())
-        raise NotPositiveSemidefinite(
-            f"retained eigenvalue {worst:.3e} below jitter clamp {-PSD_JITTER:.0e}"
-        )
-    clamped = np.where(keep, np.maximum(d.eigenvalues, 0.0), 0.0)
-    positive = clamped > 0.0
-    root = np.where(positive, 1.0 / np.sqrt(np.where(positive, clamped, 1.0)), 0.0)
-    return _assemble(d.eigenvectors, root)
-
-
-def _assemble(q, diag):
-    return SymMatrix((q * diag) @ q.T)
-
-
 def jacobi_backend() -> str:
     """Name of the active Jacobi kernel ('compiled' or 'python')."""
-    return _kernels.active_backend()
+    return _kernels.ACTIVE_BACKEND

@@ -21,11 +21,11 @@ from oracles import cholesky_succeeds, power_iteration
 
 class TestMonomialFrame:
     def test_constant_function_gramian(self):
-        g = build_gramian(monomial_frame(1, 64)).matrix.entries
+        g = build_gramian(monomial_frame(1, 64)).entries
         assert abs(g[0, 0] - 1.0) <= 1e-12  # midpoint rule exact for constants
 
     def test_two_functions_quadrature(self):
-        g = build_gramian(monomial_frame(2, 2048)).matrix.entries
+        g = build_gramian(monomial_frame(2, 2048)).entries
         expected = np.array([[1.0, 0.5], [0.5, 1.0 / 3.0]])
         assert np.max(np.abs(g - expected)) <= 1e-4
 
@@ -49,16 +49,16 @@ class TestMonomialFrame:
 class TestHilbertExact:
     def test_one_by_one(self):
         g = hilbert_gramian_exact(1)
-        assert np.array_equal(g.matrix.entries, [[1.0]])
+        assert np.array_equal(g.entries, [[1.0]])
 
     def test_two_by_two(self):
         g = hilbert_gramian_exact(2)
         np.testing.assert_allclose(
-            g.matrix.entries, [[1.0, 0.5], [0.5, 1.0 / 3.0]], atol=0
+            g.entries, [[1.0, 0.5], [0.5, 1.0 / 3.0]], atol=0
         )
 
     def test_lam_max_against_power_iteration(self):
-        h = hilbert_gramian_exact(5).matrix
+        h = hilbert_gramian_exact(5)
         oracle = power_iteration(h.entries, steps=10_000)
         assert abs(float(sym_eig(h).eigenvalues[0]) - oracle) <= 1e-9
 
@@ -68,8 +68,8 @@ class TestHilbertExact:
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_quadrature_consistency(self, n):
-        exact = hilbert_gramian_exact(n).matrix.entries
-        sampled = build_gramian(monomial_frame(n, 4096)).matrix.entries
+        exact = hilbert_gramian_exact(n).entries
+        sampled = build_gramian(monomial_frame(n, 4096)).entries
         assert np.max(np.abs(exact - sampled)) <= 1e-4
 
 
@@ -89,8 +89,8 @@ class TestSpectrumReport:
         # padded top eigenvector of H_n gives a Rayleigh quotient of H_{n+1}
         # equal to lam_max(H_n), so lam_max(H_{n+1}) must exceed it
         for n in [2, 4, 8, 16]:
-            small = hilbert_gramian_exact(n).matrix
-            big = hilbert_gramian_exact(n + 1).matrix.entries
+            small = hilbert_gramian_exact(n)
+            big = hilbert_gramian_exact(n + 1).entries
             eig = sym_eig(small)
             v = np.zeros(n + 1)
             v[:n] = eig.eigenvectors[:, 0]
@@ -109,7 +109,7 @@ class TestSpectrumReport:
         (row,) = hilbert_spectrum_report([12])
         assert row.lam_min < 1e-8
         # independent certificate: H - 1e-8 I has a negative pivot
-        h = hilbert_gramian_exact(12).matrix.entries
+        h = hilbert_gramian_exact(12).entries
         assert not cholesky_succeeds(h - 1e-8 * np.eye(12))
         assert cholesky_succeeds(h)  # H itself is positive definite
 
@@ -125,11 +125,11 @@ class TestMercedes:
         assert b.is_frame
 
     def test_gramian_unit_diagonal(self):
-        g = build_gramian(mercedes_frame()).matrix.entries
+        g = build_gramian(mercedes_frame()).entries
         np.testing.assert_allclose(np.diag(g), 1.0, atol=1e-15)
 
     def test_gramian_off_diagonal_cos120(self):
-        g = build_gramian(mercedes_frame()).matrix.entries
+        g = build_gramian(mercedes_frame()).entries
         off = g[~np.eye(3, dtype=bool)]
         np.testing.assert_allclose(off, -0.5, atol=1e-15)
 

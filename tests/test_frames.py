@@ -14,7 +14,6 @@ from framekit import (
     compute_frame_bounds,
     eval_l,
     frame_operator_apply,
-    gram_apply,
     mercedes_frame,
     monomial_frame,
     random_riesz_frame,
@@ -61,24 +60,24 @@ class TestGrid:
 class TestGramian:
     def test_standard_basis(self):
         g = build_gramian(standard_basis())
-        assert np.array_equal(g.matrix.entries, np.eye(2))
+        assert np.array_equal(g.entries, np.eye(2))
 
     def test_mercedes_hand_values(self):
-        g = build_gramian(mercedes_frame()).matrix.entries
+        g = build_gramian(mercedes_frame()).entries
         expected = np.array(
             [[1.0, -0.5, -0.5], [-0.5, 1.0, -0.5], [-0.5, -0.5, 1.0]]
         )
         np.testing.assert_allclose(g, expected, atol=1e-15)
 
     def test_monomial_matches_hilbert_entries(self):
-        g = build_gramian(monomial_frame(3, 2048)).matrix.entries
+        g = build_gramian(monomial_frame(3, 2048)).entries
         idx = np.arange(3)
         hilbert = 1.0 / (idx[:, None] + idx[None, :] + 1.0)
         assert np.max(np.abs(g - hilbert)) <= 1e-4
 
     def test_entrywise_definition(self):
         fs = weighted_system()
-        g = build_gramian(fs).matrix.entries
+        g = build_gramian(fs).entries
         direct = np.zeros_like(g)
         for a in range(fs.n_vectors):
             for b in range(fs.n_vectors):
@@ -98,7 +97,7 @@ class TestGramian:
             delta = np.zeros(n)
             delta[j] = 1.0
             assembled[:, j] = analysis(fs, synthesis(fs, delta))
-        assert np.max(np.abs(assembled - g.matrix.entries)) <= 1e-12 * max(
+        assert np.max(np.abs(assembled - g.entries)) <= 1e-12 * max(
             1.0, float(np.max(np.abs(assembled)))
         )
 
@@ -107,7 +106,7 @@ class TestGramian:
 
         for seed in range(5):
             fs = weighted_system(seed=seed, n=6, m=4)
-            eig = sym_eig(build_gramian(fs).matrix)
+            eig = sym_eig(build_gramian(fs))
             lam_max = float(eig.eigenvalues[0])
             assert np.all(eig.eigenvalues >= -1e-10 * lam_max)
 
@@ -183,38 +182,33 @@ class TestFrameOperator:
 
 
 class TestGramApply:
+    """G c, the coefficient-space frame operator, as ``build_gramian(fs).entries @ c``."""
+
     def test_identity(self):
-        g = build_gramian(standard_basis())
+        g = build_gramian(standard_basis()).entries
         c = np.array([4.0, -2.0])
-        np.testing.assert_allclose(gram_apply(g, c), c)
+        np.testing.assert_allclose(g @ c, c)
 
     def test_mercedes_kernel_vector(self):
-        g = build_gramian(mercedes_frame())
-        np.testing.assert_allclose(
-            gram_apply(g, np.ones(3)), np.zeros(3), atol=1e-15
-        )
+        g = build_gramian(mercedes_frame()).entries
+        np.testing.assert_allclose(g @ np.ones(3), np.zeros(3), atol=1e-15)
 
     def test_delta_gives_column(self):
         fs = weighted_system(seed=9)
-        g = build_gramian(fs)
+        g = build_gramian(fs).entries
         delta = np.zeros(fs.n_vectors)
         delta[1] = 1.0
-        np.testing.assert_allclose(gram_apply(g, delta), g.matrix.entries[:, 1])
+        np.testing.assert_allclose(g @ delta, g[:, 1])
 
     def test_matches_analysis_of_synthesis(self):
         r = np.random.default_rng(23)
         for seed in range(10):
             fs = weighted_system(seed=seed, n=6, m=5)
-            g = build_gramian(fs)
+            g = build_gramian(fs).entries
             c = r.standard_normal(6)
             np.testing.assert_allclose(
-                gram_apply(g, c), analysis(fs, synthesis(fs, c)), atol=1e-10
+                g @ c, analysis(fs, synthesis(fs, c)), atol=1e-10
             )
-
-    def test_mismatch(self):
-        g = build_gramian(mercedes_frame())
-        with pytest.raises(DimensionMismatch):
-            gram_apply(g, np.zeros(2))
 
 
 class TestFrameBounds:

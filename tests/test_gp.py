@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -271,6 +272,28 @@ class TestSandwich:
                 assert sandwich_check(model, phat).holds
                 count += 1
         assert count == 500
+
+    @pytest.mark.parametrize("c", [1e-60, 1.0, 1e60])
+    def test_verdict_does_not_depend_on_scale(self, c):
+        # Bounds claimed 10x too small are violated by some phat; scaling the
+        # frame by c scales a, b and E|Y|^2 by c^2 and must keep the verdict.
+        base = random_model(21, 10, 6)
+        model = GaussianModel.from_frame(
+            SigmaFrame(measure=base.frame.measure, vectors=c * base.frame.vectors)
+        )
+
+        def too_small(m):
+            bounds = dataclasses.replace(m.bounds, lower=m.a / 10, upper=m.b / 10)
+            return GaussianModel(frame=m.frame, bounds=bounds)
+
+        violated = 0
+        for k in range(10):
+            phat = random_phat(300 + k, 6)
+            assert sandwich_check(model, phat).holds
+            expected = sandwich_check(too_small(base), phat).holds
+            assert sandwich_check(too_small(model), phat).holds == expected
+            violated += not expected
+        assert violated > 0
 
     def test_not_a_frame(self):
         measure = simple_measure()

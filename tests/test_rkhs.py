@@ -172,7 +172,7 @@ class TestCanonicalTight:
         for seed in range(10):
             fs = random_frame(seed, 6, 4, weighted=seed % 2)
             ct = canonical_tight(fs)
-            eig = sym_eig(build_gramian(ct.as_frame_system()).matrix)
+            eig = sym_eig(build_gramian(ct.as_frame_system()))
             dist = np.minimum(np.abs(eig.eigenvalues), np.abs(eig.eigenvalues - 1.0))
             assert np.max(dist) <= 1e-8
 

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from framekit import (
+    FrameSystem,
+    Grid,
     InvalidMatrix,
-    NotPositiveSemidefinite,
     SymMatrix,
+    build_gramian,
+    frame_spectrum,
     hilbert_gramian_exact,
-    inv_sqrt,
-    pinv,
     sym_eig,
 )
 from framekit._kernels import BACKENDS
@@ -25,10 +26,30 @@ def random_sym(n, seed):
     return SymMatrix(a + a.T)
 
 
-def random_psd(n, seed):
+def random_factor(n, seed):
     r = np.random.default_rng(seed)
-    b = r.standard_normal((n, max(1, n - r.integers(0, 2))))
+    return r.standard_normal((n, max(1, n - r.integers(0, 2))))
+
+
+def random_psd(n, seed):
+    b = random_factor(n, seed)
     return SymMatrix(b @ b.T)
+
+
+def unit_weight_frame(b):
+    """Frame whose vectors are the rows of b, on a grid with unit weights.
+
+    Its Gramian is b b^T.
+    """
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    m = b.shape[1]
+    return FrameSystem(grid=Grid(np.arange(float(m)), np.ones(m)), vectors=b)
+
+
+def gramian_pinv(fs, rank_tol=1e-10):
+    """G^+ = U_r Lambda_r^{-1} U_r^T from the frame spectrum, and the spectrum."""
+    spec = frame_spectrum(fs, rank_tol)
+    return (spec.u / spec.retained) @ spec.u.T, spec
 
 
 class TestSymMatrix:
@@ -69,7 +90,7 @@ class TestSymEig:
         assert abs(abs(float(minus @ d.eigenvectors[:, 1])) - 1.0) <= 1e-12
 
     def test_hilbert5_against_power_iteration(self):
-        h = hilbert_gramian_exact(5).matrix
+        h = hilbert_gramian_exact(5)
         d = sym_eig(h)
         oracle = power_iteration(h.entries, steps=10_000)
         assert abs(oracle - HILBERT5_LAM_MAX) <= 1e-12
@@ -117,72 +138,47 @@ class TestSymEig:
 
 
 class TestPinv:
+    """The Gramian pseudo-inverse G^+ of the frame spectrum.
+
+    The kernel l(s)^T G^+ l(t) and Lax-Milgram rest on it; each matrix of
+    these cases is the Gramian of a frame with unit grid weights.
+    """
+
     def test_identity(self):
-        d = sym_eig(SymMatrix(np.eye(4)))
-        assert np.max(np.abs(pinv(d).entries - np.eye(4))) <= 1e-12
+        p, _ = gramian_pinv(unit_weight_frame(np.eye(4)))
+        assert np.max(np.abs(p - np.eye(4))) <= 1e-12
 
     def test_diagonal_rank_deficient(self):
-        d = sym_eig(SymMatrix(np.diag([2.0, 0.0])))
-        np.testing.assert_allclose(
-            pinv(d, 1e-10).entries, np.diag([0.5, 0.0]), atol=1e-14
-        )
+        # Gramian diag(2, 0)
+        p, _ = gramian_pinv(unit_weight_frame([[np.sqrt(2.0), 0.0], [0.0, 0.0]]))
+        np.testing.assert_allclose(p, np.diag([0.5, 0.0]), atol=1e-14)
 
     def test_mercedes_gramian_projector(self):
-        g = SymMatrix(1.5 * np.eye(3) - 0.5 * np.ones((3, 3)))
-        p = pinv(sym_eig(g), 1e-10).entries
+        theta = np.pi / 2 + 2 * np.pi * np.arange(3) / 3
+        fs = unit_weight_frame(np.column_stack([np.cos(theta), np.sin(theta)]))
+        a = build_gramian(fs).entries
+        np.testing.assert_allclose(
+            a, 1.5 * np.eye(3) - 0.5 * np.ones((3, 3)), atol=1e-15
+        )
+        p, _ = gramian_pinv(fs)
         expected = (2.0 / 3.0) * (np.eye(3) - np.ones((3, 3)) / 3.0)
         np.testing.assert_allclose(p, expected, atol=1e-12)
         # Moore-Penrose cross-checks as stated for this fixture
-        a = g.entries
         assert np.max(np.abs(a @ p @ a - a)) <= 1e-12
         assert np.max(np.abs(p @ a @ p - p)) <= 1e-12
 
     def test_zero_matrix_gives_zero(self):
-        d = sym_eig(SymMatrix(np.zeros((3, 3))))
-        assert np.array_equal(pinv(d).entries, np.zeros((3, 3)))
-        assert d.retained_rank(1e-10) == 0
+        p, spec = gramian_pinv(unit_weight_frame(np.zeros((3, 3))))
+        assert np.array_equal(p, np.zeros((3, 3)))
+        assert spec.rank == 0
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_moore_penrose_identities(self, n):
-        a = random_psd(n, 7 * n + 1)
-        p = pinv(sym_eig(a)).entries
-        m = a.entries
+        fs = unit_weight_frame(random_factor(n, 7 * n + 1))
+        m = build_gramian(fs).entries
+        assert np.array_equal(m, random_psd(n, 7 * n + 1).entries)
+        p, _ = gramian_pinv(fs)
         assert np.max(np.abs(m @ p @ m - m)) <= 1e-8
         assert np.max(np.abs(p @ m @ p - p)) <= 1e-8
         assert np.max(np.abs((m @ p).T - m @ p)) <= 1e-8
         assert np.max(np.abs((p @ m).T - p @ m)) <= 1e-8
-
-
-class TestInvSqrt:
-    def test_identity(self):
-        d = sym_eig(SymMatrix(np.eye(3)))
-        assert np.max(np.abs(inv_sqrt(d).entries - np.eye(3))) <= 1e-12
-
-    def test_diagonal(self):
-        d = sym_eig(SymMatrix(np.diag([4.0, 9.0])))
-        np.testing.assert_allclose(
-            inv_sqrt(d).entries, np.diag([0.5, 1.0 / 3.0]), atol=1e-14
-        )
-
-    def test_diagonal_rank_deficient(self):
-        d = sym_eig(SymMatrix(np.diag([4.0, 0.0])))
-        np.testing.assert_allclose(
-            inv_sqrt(d, 1e-10).entries, np.diag([0.5, 0.0]), atol=1e-14
-        )
-
-    def test_square_matches_pinv(self):
-        for n in [1, 3, 6, 12, 20]:
-            d = sym_eig(random_psd(n, 13 * n))
-            half = inv_sqrt(d).entries
-            assert np.max(np.abs(half @ half - pinv(d).entries)) <= 1e-8
-
-    def test_rejects_retained_negative(self):
-        d = sym_eig(SymMatrix(np.diag([1.0, -1.0])))
-        with pytest.raises(NotPositiveSemidefinite):
-            inv_sqrt(d)
-
-    def test_clamps_jitter(self):
-        # -1e-13 sits inside the jitter window once retained by rank_tol=0
-        d = sym_eig(SymMatrix(np.diag([1.0, -1e-13])))
-        half = inv_sqrt(d, rank_tol=0.0).entries
-        assert half[1, 1] == 0.0

@@ -242,6 +242,51 @@ class TestScale:
         assert rel_err(canonical_tight(big).vectors, canonical_tight(fs).vectors) <= 1e-12
 
 
+def frame_with_spectrum(seed, n, m, k):
+    """n x m weighted frame whose B = Phi W^{1/2} has exactly k singular values.
+
+    They lie in [0.1, 1], so the retained eigenvalues sit at least 1e8 times
+    above the rank cut and the rest are rounding noise far below it.
+    """
+    r = np.random.default_rng(seed)
+    left, _ = np.linalg.qr(r.standard_normal((n, k)))
+    right, _ = np.linalg.qr(r.standard_normal((m, k)))
+    weights = r.uniform(0.5, 2.0, m)
+    b = (left * r.uniform(0.1, 1.0, k)) @ right.T
+    grid = Grid(points=np.arange(m, dtype=float), weights=weights)
+    return FrameSystem(grid=grid, vectors=b / np.sqrt(weights))
+
+
+@st.composite
+def spectral_frames(draw):
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 8))
+    k = draw(st.integers(1, min(n, m)))
+    return frame_with_spectrum(draw(st.integers(0, 2**32 - 1)), n, m, k), k
+
+
+class TestVectorInvariance:
+    """Rank and kernel depend on the span of the vectors, not on their listing."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(case=spectral_frames(), data=st.data())
+    def test_permuting_vectors(self, case, data):
+        fs, k = case
+        order = data.draw(st.permutations(range(fs.n_vectors)))
+        moved = FrameSystem(grid=fs.grid, vectors=fs.vectors[list(order)])
+        assert frame_spectrum(fs, RANK_TOL).rank == k
+        assert frame_spectrum(moved, RANK_TOL).rank == k
+        assert rel_err(rk_kernel(moved).values, rk_kernel(fs).values) <= 1e-10
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(case=spectral_frames())
+    def test_listing_each_vector_twice(self, case):
+        fs, k = case
+        doubled = FrameSystem(grid=fs.grid, vectors=np.repeat(fs.vectors, 2, axis=0))
+        assert frame_spectrum(doubled, RANK_TOL).rank == k
+        assert rel_err(rk_kernel(doubled).values, rk_kernel(fs).values) <= 1e-10
+
+
 class TestOneDecompositionPerFrame:
     @pytest.fixture
     def calls(self, monkeypatch):
