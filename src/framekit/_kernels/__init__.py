@@ -20,3 +20,5 @@ except ImportError:
 
 ACTIVE_BACKEND = "compiled" if "compiled" in BACKENDS else "python"
 jacobi_sweeps = BACKENDS[ACTIVE_BACKEND]
+# off-diagonal norm off_norm(a, n) in the order both kernels test convergence
+off_norm = _jacobi_py._off_norm

@@ -29,8 +29,8 @@ Exit codes:
     0  success
     1  unreadable file
     2  schema or argument violation (SchemaError, InvalidArgument,
-       InvalidMatrix, DimensionMismatch, InvalidIndex, and any other
-       FramekitError)
+       InvalidMatrix, DimensionMismatch, InvalidIndex), a Jacobi solve that
+       did not converge (NotConverged), and any other FramekitError
     3  degenerate input (ZeroSpan, NotAFrame)
     4  a mathematical assertion failed (an identity residual above its
        tolerance, a Hilbert table violation)
@@ -297,12 +297,11 @@ def cmd_analyze(args) -> int:
 def cmd_kernel(args) -> int:
     fs = parse_frame_file(args.path)
     if args.naive:
-        kernel = rkhs.naive_kernel(fs)
-        kind = "naive"
+        kernel, factor, kind = rkhs.naive_kernel(fs), fs.vectors.T, "naive"
     else:
-        kernel = rkhs.rk_kernel(fs, args.rank_tol)
+        kernel, factor = rkhs.rk_kernel_factored(fs, args.rank_tol)
         kind = "rkhs"
-    _, psd_violation = rkhs.kernel_psd(kernel)
+    _, psd_violation = rkhs.kernel_psd(factor)
     residual = rkhs.verify_reproducing(fs, kernel, fs.vectors)
     if args.out:
         write_kernel_file(args.out, kernel, kind, args.rank_tol)

@@ -27,3 +27,7 @@ class ZeroSpan(FramekitError):
 
 class NotAFrame(FramekitError):
     """Operation requires a strictly positive lower frame bound."""
+
+
+class NotConverged(FramekitError):
+    """An iterative eigensolver stopped at its sweep limit before converging."""

@@ -16,7 +16,10 @@ dimension min(N, M) after an exact power-of-two scaling of B:
     polar         U = (U_r V_r^T) W^{1/2}
 
 so the kernel, the tight frame and the rank do not depend on the overall
-scale of the frame.  ``identity_suite`` checks them all from one spectrum,
+scale of the frame.  The kernel is K = F F^T with the M x r factor
+F = W^{-1/2} V_r, and ``kernel_psd`` takes its spectrum from F, never from
+the M x M table, so no Jacobi call here is larger than min(N, M).
+``identity_suite`` checks them all from one spectrum,
 over all probes at once, against gates of the same degree in the data scale
 as their residuals, so neither do its verdicts (an absolute floor such as
 1e-8 would pass a kernel wrong by O(1) on a frame of size 1e-90).
@@ -44,6 +47,8 @@ from .frames import (
     _grid_function,
 )
 from .spectral import DEFAULT_RANK_TOL, SymMatrix, sym_eig
+
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -118,6 +123,14 @@ def naive_kernel(fs: FrameSystem) -> KernelMatrix:
 def rk_kernel(fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL) -> KernelMatrix:
     """Inverse-Gramian reproducing kernel K(s,t) = l(s)^T G^+ l(t)."""
     return _kernel(_spanning(frame_spectrum(fs, rank_tol)))
+
+
+def rk_kernel_factored(
+    fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL
+) -> tuple[KernelMatrix, np.ndarray]:
+    """``rk_kernel`` and its M x r factor F = W^{-1/2} V_r, K = F F^T, from one spectrum."""
+    spec = _spanning(frame_spectrum(fs, rank_tol))
+    return _kernel(spec), _v_unweighted(spec)
 
 
 def canonical_tight(
@@ -197,10 +210,30 @@ def isometry_check(fs: FrameSystem, c):
     return lhs, rhs
 
 
-def kernel_psd(k: KernelMatrix) -> tuple[float, float]:
-    """(lambda_max, max(0, -lambda_min)) of the kernel table, decomposed on its own."""
-    lam = sym_eig(SymMatrix(k.values)).eigenvalues
-    return float(lam[0]), max(0.0, -float(lam[-1]))
+def kernel_psd(factor) -> tuple[float, float]:
+    """(lambda_max, bound on max(0, -lambda_min)) of the kernel table K = F F^T.
+
+    ``factor`` is F, M x k: W^{-1/2} V_r (k = r) for the inverse-Gramian
+    kernel, Phi^T (k = N) for the naive one.  F F^T and F^T F share their
+    nonzero spectrum, so one Jacobi call on F^T F gives lambda_max(K) when
+    that side is strictly smaller (k < M); otherwise F F^T itself is
+    decomposed, which for a spanning inverse-Gramian kernel is close to
+    W^{-1} and nearly diagonal.  Either way the dimension is min(M, k).
+
+    The table is the symmetrized fl(F F^T), PSD in exact arithmetic, so its
+    negative eigenvalues are rounding.  Each entry is a k-term dot product
+    off by at most gamma_k sum_l |F_il| |F_jl|, with gamma_j = j u / (1 - j u)
+    and u = 2**-53, and the symmetrization rounds once more.  The error E
+    thus has ||E||_2 <= gamma_{k+2} ||F||_F^2, and by Weyl's inequality
+    -lambda_min <= ||E||_2.  That a-priori bound is returned in place of a
+    measured violation.  It is below the 1e-9 * lambda_max(K) gate of
+    ``identity_suite`` while k(k + 2) < 9e6, since ||F||_F^2 <= k lambda_max(K).
+    """
+    f = np.asarray(factor, dtype=float)
+    m, k = f.shape
+    lam_max = float(sym_eig(SymMatrix(f.T @ f if k < m else f @ f.T)).eigenvalues[0])
+    gamma = (k + 2) * _UNIT_ROUNDOFF / (1.0 - (k + 2) * _UNIT_ROUNDOFF)
+    return lam_max, gamma * float(np.sum(f * f))
 
 
 def polar_unitary(fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -222,8 +255,9 @@ def identity_suite(fs: FrameSystem, rank_tol: float) -> dict:
     Returns {name: (residual, tolerance)}.  The probes, the N frame vectors
     and min(N, 3) combinations phi_i - phi_{i+1}/2, are the rows of one
     matrix, so everything lies in the span and each identity is one stacked
-    call on the one frame spectrum (the kernel table is decomposed once more
-    for its own PSD check).  Each tolerance has the degree in the data scale
+    call on the one frame spectrum; the kernel's PSD row reads lambda_max(K)
+    from the r x r side of its factor and reports the rounding bound of
+    ``kernel_psd``.  Each tolerance has the degree in the data scale
     of its residual, so c * Phi gives the residual/tolerance ratios of Phi,
     bit for bit when c is a power of two.  With lambda_max the top Gramian
     eigenvalue, s the largest probe norm, and gate = max(1e-8, 1.1e-14 *
@@ -272,7 +306,7 @@ def identity_suite(fs: FrameSystem, rank_tol: float) -> dict:
     lax_residual = verify_lax_identity(fs, _lax(spec), probes, probes)
     from_tight = kernel_from_tight(_tight(spec)).values
     kernel_vs_tight = float(np.max(np.abs(kernel.values - from_tight)))
-    kernel_max, kernel_psd_violation = kernel_psd(kernel)
+    kernel_max, kernel_psd_violation = kernel_psd(_v_unweighted(spec))
     gram_psd = max(0.0, -float(spec.eigenvalues[-1]))
     inverse_gate = max(1e-8, 1.1e-14 * lam_max / float(spec.retained[-1]))
     # probes hold genuine mass along eigendirections the rank cut discards;

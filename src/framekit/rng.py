@@ -2,7 +2,7 @@
 
 Uniform 64-bit words come from Philox-4x64-10, a counter-based generator
 with a published, fixed bit stream (numpy supplies the implementation; the
-output is defined by the algorithm, not the numpy version).  The stream is
+words are defined by the algorithm, not the numpy version).  The stream is
 keyed by the 64-bit seed; logical stream k of a batch owns the counter
 blocks [k*b, (k+1)*b) for a fixed per-stream block count b, so streams can
 be generated independently, in any order, or all at once.
@@ -17,6 +17,13 @@ Words become normals by the exact Box-Muller transform:
 Stream k of length ``count`` uses pairs = ceil(count/2) words for u1
 followed by pairs words for u2, yielding z0[0], z1[0], z0[1], z1[1], ...
 truncated to ``count``.
+
+The normals, unlike the words, are not defined by the algorithm alone:
+ln, cos and sin are numpy's ufuncs, whose last bit can differ from the C
+library's (with numpy 2.4.6 on x86-64, np.log and math.log disagree on 693
+of the first 200,000 u1 of seed 1) and may change with the numpy version
+or the CPU's SIMD path.  The normals reproduce bit for bit for a fixed
+numpy build and machine.
 """
 
 from __future__ import annotations

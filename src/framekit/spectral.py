@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidMatrix
+from .errors import InvalidMatrix, NotConverged
 
 #: Relative eigenvalue threshold below which spectrum is treated as rank noise.
 DEFAULT_RANK_TOL = 1e-10
@@ -49,11 +49,12 @@ class SpectralDecomposition:
     """Eigensystem of a SymMatrix.
 
     ``eigenvalues`` are non-increasing; column k of ``eigenvectors`` pairs
-    with eigenvalue k.
+    with eigenvalue k.  ``sweeps`` is the number of Jacobi sweeps run.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    sweeps: int
 
     def __post_init__(self):
         self.eigenvalues.setflags(write=False)
@@ -73,24 +74,35 @@ def sym_eig(a: SymMatrix) -> SpectralDecomposition:
     """Full eigendecomposition by cyclic Jacobi rotations.
 
     Deterministic for a fixed input: fixed sweep order, off-diagonal
-    Frobenius threshold 1e-12 * ||A||_F, at most 100 sweeps.  The working
-    copy is first scaled by a power of two so that its largest entry lies in
-    [0.5, 1), and the eigenvalues are scaled back.  Jacobi arithmetic is
-    homogeneous and the scaling is exact, so eigenvectors do not depend on
-    the overall scale of the input.  The squares summed for the norms cannot
-    overflow, and underflow only for entries below 1e-154 of the largest.
+    Frobenius threshold 1e-12 * ||A||_F, at most 100 sweeps, and
+    ``NotConverged`` if the off-diagonal norm is still above the threshold
+    after the last one.  The working copy is first scaled by a power of two
+    so that its largest entry lies in [0.5, 1), and the eigenvalues are
+    scaled back.  Jacobi arithmetic is homogeneous and the scaling is exact,
+    so eigenvectors do not depend on the overall scale of the input.  The
+    squares summed for the norms cannot overflow, and underflow only for
+    entries below 1e-154 of the largest.
     """
     shift = _binary_exponent(a.entries)
     work = np.ascontiguousarray(np.ldexp(a.entries, -shift))
     n = work.shape[0]
     vecs = np.eye(n, order="C")
     fro = float(np.sqrt(np.sum(work * work)))
-    _kernels.jacobi_sweeps(work, vecs, fro, _MAX_SWEEPS, _SWEEP_TOL_FACTOR)
+    sweeps = _kernels.jacobi_sweeps(work, vecs, fro, _MAX_SWEEPS, _SWEEP_TOL_FACTOR)
+    if sweeps >= _MAX_SWEEPS:
+        # the kernels test convergence only at the top of a sweep
+        off = _kernels.off_norm(work, n)
+        if off > _SWEEP_TOL_FACTOR * fro:
+            raise NotConverged(
+                f"Jacobi stopped after {sweeps} sweeps on a {n} x {n} matrix with "
+                f"off-diagonal norm {off:.3g} above {_SWEEP_TOL_FACTOR * fro:.3g}"
+            )
     vals = np.ldexp(np.diag(work), shift)
     order = np.argsort(-vals, kind="stable")
     return SpectralDecomposition(
         eigenvalues=vals[order],
         eigenvectors=np.ascontiguousarray(vecs[:, order]),
+        sweeps=sweeps,
     )
 
 

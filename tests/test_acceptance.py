@@ -28,8 +28,10 @@ from framekit import (
     lax_milgram,
     mercedes_frame,
     monomial_frame,
+    naive_kernel,
     random_riesz_frame,
     rk_kernel,
+    rk_kernel_factored,
     sample_kl,
     sandwich_check,
     sym_eig,
@@ -39,6 +41,7 @@ from framekit import (
     verify_reproducing,
     weighted_norm,
 )
+from framekit.rkhs import kernel_psd
 from framekit.spectral import SymMatrix
 
 from oracles import gram_schmidt_kernel, orthonormal_rows, weighted_gram_schmidt
@@ -160,6 +163,42 @@ def test_criterion_5_positive_definiteness(frame_battery):
         worst_eig >= -1e-9 and worst_sum >= -1e-9 and trials >= 500,
         f"worst eig={worst_eig:.2e}, worst sum={worst_sum:.2e}, trials={trials}",
     )
+
+
+def rank_deficient_frames():
+    """Frames with N < M or a rank cut, whose kernel tables have lambda_min = 0."""
+    r = np.random.default_rng(8)
+    out = [monomial_frame(12, 64), monomial_frame(6, 40)]
+    for _ in range(40):
+        m = int(r.integers(2, 31))
+        grid = Grid(points=np.arange(m, dtype=float), weights=r.uniform(0.5, 2.0, m))
+        vectors = r.standard_normal((int(r.integers(1, m)), m))
+        out.append(FrameSystem(grid=grid, vectors=vectors))
+    return out
+
+
+def test_kernel_psd_bound_against_numpy(frame_battery):
+    # kernel_psd reads lambda_max from the factor and bounds the rounding of
+    # the table; numpy's eigvalsh of the table itself is the oracle.  Jacobi
+    # stops at off-diagonal norm 1e-12 ||K||_F, which bounds its eigenvalue
+    # error (Weyl), so lambda_max is compared on that scale.
+    worst_bound = 0.0
+    worst_max = 0.0
+    negative = 0
+    for fs in frame_battery + rank_deficient_frames():
+        kernel, factor = rk_kernel_factored(fs)
+        for table, f in (
+            (kernel.values, factor),
+            (naive_kernel(fs).values, fs.vectors.T),
+        ):
+            lam = np.linalg.eigvalsh(table)
+            lam_max, bound = kernel_psd(f)
+            negative += bool(lam[0] < 0.0)
+            worst_bound = max(worst_bound, -float(lam[0]) / bound)
+            worst_max = max(worst_max, abs(lam_max - lam[-1]) / np.linalg.norm(table))
+    assert negative > 0
+    assert worst_bound <= 1.0, worst_bound
+    assert worst_max <= 1e-12, worst_max
 
 
 def test_criterion_6_isometry():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from framekit import cli, errors, mercedes_frame
+from framekit import cli, errors, mercedes_frame, spectral
 from framekit.cli import (
     EXIT_DEGENERATE,
     EXIT_MATH,
@@ -347,6 +347,7 @@ EXIT_BY_ERROR = {
     cli.SchemaError: EXIT_SCHEMA,
     errors.ZeroSpan: EXIT_DEGENERATE,
     errors.NotAFrame: EXIT_DEGENERATE,
+    errors.NotConverged: EXIT_SCHEMA,
 }
 
 
@@ -370,6 +371,18 @@ class TestExitCodes:
         path = write(tmp_path / "basis.json", standard_basis_payload())
         assert cli.main(["analyze", path]) == code
         assert "stubbed failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "kernel", "verify"])
+    def test_jacobi_sweep_limit(self, monkeypatch, tmp_path, capsys, command):
+        r = np.random.default_rng(4)
+        payload = {
+            "grid": {"points": list(range(8)), "weights": [1.0] * 8},
+            "vectors": r.standard_normal((8, 8)).tolist(),
+        }
+        path = write(tmp_path / "dense.json", payload)
+        monkeypatch.setattr(spectral, "_MAX_SWEEPS", 1)
+        assert cli.main([command, path]) == EXIT_SCHEMA
+        assert "after 1 sweeps" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["canonical", "verify"])
     def test_rank_tol_zero_on_scaled_duplicates(self, tmp_path, capsys, command):

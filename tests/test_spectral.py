@@ -5,10 +5,12 @@ from framekit import (
     FrameSystem,
     Grid,
     InvalidMatrix,
+    NotConverged,
     SymMatrix,
     build_gramian,
     frame_spectrum,
     hilbert_gramian_exact,
+    spectral,
     sym_eig,
 )
 from framekit._kernels import BACKENDS
@@ -120,6 +122,26 @@ class TestSymEig:
             d = sym_eig(random_psd(6 + seed, seed))
             lam_max = float(d.eigenvalues[0])
             assert np.all(d.eigenvalues >= -1e-10 * lam_max)
+
+    def test_reports_sweeps(self):
+        assert sym_eig(SymMatrix(np.diag([3.0, 1.0]))).sweeps == 0
+        assert 0 < sym_eig(random_sym(8, 11)).sweeps < _MAX_SWEEPS
+
+    def test_sweep_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_MAX_SWEEPS", 1)
+        with pytest.raises(NotConverged):
+            sym_eig(random_sym(8, 11))
+
+    def test_converging_on_the_last_sweep_is_not_an_error(self, monkeypatch):
+        # the kernels test convergence only before a sweep, so a limit equal
+        # to the sweeps needed ends the loop untested: same bits, no error
+        a = random_sym(8, 11)
+        free = sym_eig(a)
+        monkeypatch.setattr(spectral, "_MAX_SWEEPS", free.sweeps)
+        capped = sym_eig(a)
+        assert capped.sweeps == free.sweeps
+        assert np.array_equal(capped.eigenvalues, free.eigenvalues)
+        assert np.array_equal(capped.eigenvectors, free.eigenvectors)
 
     def test_backends_bit_identical(self):
         if "compiled" not in BACKENDS:

@@ -20,8 +20,10 @@ from framekit import (
     frame_spectrum,
     frames,
     lax_milgram,
+    monomial_frame,
     polar_unitary,
     rk_kernel,
+    rk_kernel_factored,
     rkhs,
     spectral,
     sym_eig,
@@ -229,6 +231,17 @@ class TestScale:
         assert suite_ratios(big) == suite_ratios(fs)
 
     @settings(max_examples=30, deadline=None, database=None)
+    @given(k=st.integers(min_value=-480, max_value=480))
+    def test_kernel_psd_is_scale_free(self, k):
+        # the factor W^{-1/2} V_r is bit-identical under 2**k * Phi, and so
+        # are lambda_max(K) and the rounding bound read from it
+        fs = small_frame()
+        _, factor = rk_kernel_factored(fs)
+        _, big_factor = rk_kernel_factored(scaled(fs, 2.0**k))
+        assert np.array_equal(big_factor, factor)
+        assert rkhs.kernel_psd(big_factor) == rkhs.kernel_psd(factor)
+
+    @settings(max_examples=30, deadline=None, database=None)
     @given(e=st.floats(min_value=-150.0, max_value=150.0))
     def test_scale_invariance(self, e):
         fs = small_frame()
@@ -287,6 +300,15 @@ class TestVectorInvariance:
         assert rel_err(rk_kernel(doubled).values, rk_kernel(fs).values) <= 1e-10
 
 
+# name: (frame, retained rank at RANK_TOL)
+DIMENSION_CASES = {
+    "monomial-12x64": (monomial_frame(12, 64), 9),
+    "random-16x16": (weighted_frame(61, 16, 16), 16),
+    "duplicated-16x20": (duplicated_frame(62, 8, 20), 8),
+    "random-60x30": (weighted_frame(60, 60, 30), 30),
+}
+
+
 class TestOneDecompositionPerFrame:
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -318,6 +340,29 @@ class TestOneDecompositionPerFrame:
     def test_jacobi_calls(self, calls, frame_file, capsys, command, dims):
         assert cli.main([command, frame_file]) == cli.EXIT_OK
         assert calls == dims
+
+    @pytest.mark.parametrize("name", sorted(DIMENSION_CASES))
+    def test_no_jacobi_call_above_min_dimension(self, calls, tmp_path, capsys, name):
+        # the kernel's spectrum comes from the smaller side of its factor:
+        # M x r for the inverse-Gramian kernel, Phi^T (M x N) for the naive one
+        fs, r = DIMENSION_CASES[name]
+        path = str(tmp_path / f"{name}.json")
+        cli.write_frame_file(path, fs)
+        n, m = fs.n_vectors, fs.n_points
+        side = min(n, m)
+        assert frame_spectrum(fs, RANK_TOL).rank == r
+        calls.clear()
+        expected = {
+            ("analyze",): [side],
+            ("kernel",): [side, min(m, r)],
+            ("kernel", "--naive"): [side],
+            ("canonical",): [side, side],
+            ("verify",): [side, min(m, r)],
+        }
+        for command, dims in expected.items():
+            assert cli.main([command[0], path, *command[1:]]) == cli.EXIT_OK
+            assert calls == dims, command
+            calls.clear()
 
     def test_verify_checks_each_identity_once(
         self, calls, frame_file, monkeypatch, capsys
