@@ -1,16 +1,21 @@
 """Pure-numpy cyclic Jacobi kernel.
 
-Twin of the compiled kernel in ``_jacobi_cy.pyx``: same sweep order, same
-rotation formulas, same convergence test, element-for-element identical
-arithmetic.  Keep the two files in sync.
+Twin of the C kernel in ``_jacobi.c``: same sweep order, same rotation
+formulas, same convergence test, element-for-element identical arithmetic.
+Keep the two files in sync.  Where this twin reads columns p and q of ``a``,
+the C twin reads rows p and q: the same numbers only because ``a`` is
+exactly symmetric on entry (``SymMatrix`` makes it so) and every rotation
+writes a column and its row alike.
 """
 
 from math import sqrt
 
 
-def _off_norm(a, n):
-    # Scalar accumulation in row-major (i, j>i) order; the compiled twin
-    # sums in exactly this order so both backends take identical branches.
+def off_norm(a):
+    """Off-diagonal Frobenius norm of square ``a``, the convergence measure."""
+    # Scalar accumulation in row-major (i, j>i) order; the C twin sums in
+    # exactly this order so both backends take identical branches.
+    n = a.shape[0]
     acc = 0.0
     for i in range(n - 1):
         row = a[i]
@@ -31,7 +36,7 @@ def jacobi_sweeps(a, v, fro_norm, max_sweeps, tol_factor):
     tol = tol_factor * fro_norm
     sweeps = 0
     while sweeps < max_sweeps:
-        if _off_norm(a, n) <= tol:
+        if off_norm(a) <= tol:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):

@@ -301,7 +301,7 @@ def cmd_kernel(args) -> int:
     else:
         kernel, factor = rkhs.rk_kernel_factored(fs, args.rank_tol)
         kind = "rkhs"
-    _, psd_violation = rkhs.kernel_psd(factor)
+    psd_violation = rkhs.kernel_psd_bound(factor)
     residual = rkhs.verify_reproducing(fs, kernel, fs.vectors)
     if args.out:
         write_kernel_file(args.out, kernel, kind, args.rank_tol)

@@ -18,7 +18,9 @@ dimension min(N, M) after an exact power-of-two scaling of B:
 so the kernel, the tight frame and the rank do not depend on the overall
 scale of the frame.  The kernel is K = F F^T with the M x r factor
 F = W^{-1/2} V_r, and ``kernel_psd`` takes its spectrum from F, never from
-the M x M table, so no Jacobi call here is larger than min(N, M).
+the M x M table, so no Jacobi call here is larger than min(N, M); its
+rounding bound on the table's negative eigenvalues, ``kernel_psd_bound``,
+needs F alone.
 ``identity_suite`` checks them all from one spectrum,
 over all probes at once, against gates of the same degree in the data scale
 as their residuals, so neither do its verdicts (an absolute floor such as
@@ -211,7 +213,7 @@ def isometry_check(fs: FrameSystem, c):
 
 
 def kernel_psd(factor) -> tuple[float, float]:
-    """(lambda_max, bound on max(0, -lambda_min)) of the kernel table K = F F^T.
+    """(lambda_max, ``kernel_psd_bound``) of the kernel table K = F F^T.
 
     ``factor`` is F, M x k: W^{-1/2} V_r (k = r) for the inverse-Gramian
     kernel, Phi^T (k = N) for the naive one.  F F^T and F^T F share their
@@ -219,21 +221,30 @@ def kernel_psd(factor) -> tuple[float, float]:
     that side is strictly smaller (k < M); otherwise F F^T itself is
     decomposed, which for a spanning inverse-Gramian kernel is close to
     W^{-1} and nearly diagonal.  Either way the dimension is min(M, k).
+    """
+    f = np.asarray(factor, dtype=float)
+    m, k = f.shape
+    lam_max = float(sym_eig(SymMatrix(f.T @ f if k < m else f @ f.T)).eigenvalues[0])
+    return lam_max, kernel_psd_bound(f)
 
+
+def kernel_psd_bound(factor) -> float:
+    """A-priori bound on max(0, -lambda_min) of the kernel table K = F F^T.
+
+    ``factor`` is F, M x k, as for ``kernel_psd``; no decomposition is made.
     The table is the symmetrized fl(F F^T), PSD in exact arithmetic, so its
     negative eigenvalues are rounding.  Each entry is a k-term dot product
     off by at most gamma_k sum_l |F_il| |F_jl|, with gamma_j = j u / (1 - j u)
     and u = 2**-53, and the symmetrization rounds once more.  The error E
     thus has ||E||_2 <= gamma_{k+2} ||F||_F^2, and by Weyl's inequality
-    -lambda_min <= ||E||_2.  That a-priori bound is returned in place of a
-    measured violation.  It is below the 1e-9 * lambda_max(K) gate of
+    -lambda_min <= ||E||_2.  That bound is returned in place of a measured
+    violation.  It is below the 1e-9 * lambda_max(K) gate of
     ``identity_suite`` while k(k + 2) < 9e6, since ||F||_F^2 <= k lambda_max(K).
     """
     f = np.asarray(factor, dtype=float)
-    m, k = f.shape
-    lam_max = float(sym_eig(SymMatrix(f.T @ f if k < m else f @ f.T)).eigenvalues[0])
+    k = f.shape[1]
     gamma = (k + 2) * _UNIT_ROUNDOFF / (1.0 - (k + 2) * _UNIT_ROUNDOFF)
-    return lam_max, gamma * float(np.sum(f * f))
+    return gamma * float(np.sum(f * f))
 
 
 def polar_unitary(fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:

@@ -88,10 +88,11 @@ def sym_eig(a: SymMatrix) -> SpectralDecomposition:
     n = work.shape[0]
     vecs = np.eye(n, order="C")
     fro = float(np.sqrt(np.sum(work * work)))
-    sweeps = _kernels.jacobi_sweeps(work, vecs, fro, _MAX_SWEEPS, _SWEEP_TOL_FACTOR)
+    kernels = _kernels.ACTIVE
+    sweeps = kernels.jacobi_sweeps(work, vecs, fro, _MAX_SWEEPS, _SWEEP_TOL_FACTOR)
     if sweeps >= _MAX_SWEEPS:
         # the kernels test convergence only at the top of a sweep
-        off = _kernels.off_norm(work, n)
+        off = kernels.off_norm(work)
         if off > _SWEEP_TOL_FACTOR * fro:
             raise NotConverged(
                 f"Jacobi stopped after {sweeps} sweeps on a {n} x {n} matrix with "
@@ -107,5 +108,6 @@ def sym_eig(a: SymMatrix) -> SpectralDecomposition:
 
 
 def jacobi_backend() -> str:
-    """Name of the active Jacobi kernel ('compiled' or 'python')."""
-    return _kernels.ACTIVE_BACKEND
+    """Name of the active Jacobi kernel: 'compiled' for the C twin built at
+    first import, 'python' for the numpy twin it falls back to."""
+    return _kernels.ACTIVE.name

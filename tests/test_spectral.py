@@ -1,3 +1,5 @@
+import shutil
+
 import numpy as np
 import pytest
 
@@ -145,18 +147,21 @@ class TestSymEig:
 
     def test_backends_bit_identical(self):
         if "compiled" not in BACKENDS:
-            pytest.skip("compiled kernel not built")
+            # the C twin builds at import wherever a compiler is on PATH
+            assert shutil.which("cc") is None, "cc is on PATH but the C twin did not load"
+            pytest.skip("no C compiler")
         for n in [1, 2, 5, 17, 33]:
             base = random_sym(n, n).entries
             results = []
-            for kernel in (BACKENDS["python"], BACKENDS["compiled"]):
+            for backend in (BACKENDS["python"], BACKENDS["compiled"]):
                 a = np.array(base, order="C")
                 v = np.eye(n, order="C")
                 fro = float(np.sqrt(np.sum(a * a)))
-                kernel(a, v, fro, _MAX_SWEEPS, _SWEEP_TOL_FACTOR)
-                results.append((a, v))
+                sweeps = backend.jacobi_sweeps(a, v, fro, _MAX_SWEEPS, _SWEEP_TOL_FACTOR)
+                results.append((a, v, sweeps))
             assert np.array_equal(results[0][0], results[1][0])
             assert np.array_equal(results[0][1], results[1][1])
+            assert results[0][2] == results[1][2]
 
 
 class TestPinv:

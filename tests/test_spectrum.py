@@ -209,7 +209,7 @@ class TestScale:
             work = np.array(a.entries, order="C", copy=True)
             vecs = np.eye(n, order="C")
             fro = float(np.sqrt(np.sum(work * work)))
-            _kernels.jacobi_sweeps(work, vecs, fro, 100, 1e-12)
+            _kernels.ACTIVE.jacobi_sweeps(work, vecs, fro, 100, 1e-12)
             vals = np.diag(work).copy()
             order = np.argsort(-vals, kind="stable")
             d = sym_eig(a)
@@ -332,7 +332,7 @@ class TestOneDecompositionPerFrame:
         "command, dims",
         [
             ("analyze", [30]),
-            ("kernel", [30, 30]),
+            ("kernel", [30]),
             ("canonical", [30, 30]),
             ("verify", [30, 30]),
         ],
@@ -343,8 +343,9 @@ class TestOneDecompositionPerFrame:
 
     @pytest.mark.parametrize("name", sorted(DIMENSION_CASES))
     def test_no_jacobi_call_above_min_dimension(self, calls, tmp_path, capsys, name):
-        # the kernel's spectrum comes from the smaller side of its factor:
-        # M x r for the inverse-Gramian kernel, Phi^T (M x N) for the naive one
+        # verify reads the kernel's lambda_max from the smaller side of its
+        # M x r factor; kernel prints only the rounding bound, which needs no
+        # decomposition, so kernel --naive makes no Jacobi call at all
         fs, r = DIMENSION_CASES[name]
         path = str(tmp_path / f"{name}.json")
         cli.write_frame_file(path, fs)
@@ -354,8 +355,8 @@ class TestOneDecompositionPerFrame:
         calls.clear()
         expected = {
             ("analyze",): [side],
-            ("kernel",): [side, min(m, r)],
-            ("kernel", "--naive"): [side],
+            ("kernel",): [side],
+            ("kernel", "--naive"): [],
             ("canonical",): [side, side],
             ("verify",): [side, min(m, r)],
         }
