@@ -13,7 +13,9 @@ Model file:
 
 Kernel output adds {"matrix": [[...]], "kind": "rkhs"|"naive", "rank_tol": r}.
 Machine files carry 17 significant digits, and -0.0 as "-0.0", so every
-finite double reads back bit for bit; human reports print 6.
+finite double reads back bit for bit; human reports print 6.  A number that
+is not a JSON int or float (true, "1.0", null, a nested array) or an integer
+too large for a double is a schema error naming its field.
 
 Subcommands and the only flags each accepts, with their defaults:
 
@@ -23,6 +25,9 @@ Subcommands and the only flags each accepts, with their defaults:
     verify PATH     [--rank-tol 1e-10]
     gp-sim PATH     [--rank-tol 1e-10] [--seed 0] [--samples 200000]
     hilbert         --sizes N,N,...
+
+--seed must lie in [0, 2**64).  The argument parser is built once per
+process, on the first call of main().
 
 Exit codes:
 
@@ -40,6 +45,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -84,8 +90,21 @@ def _fmt_human(x: float) -> str:
     return format(float(x), ".6g")
 
 
+def _fmt_row(row: np.ndarray) -> str:
+    # "%.17g" spells every double as format(x, ".17g") does
+    values = row.tolist()
+    texts = ["%.17g" % x for x in values]
+    if 0.0 in values:  # -0.0 == 0.0, so only a row holding a zero can hold -0.0
+        for i in np.flatnonzero((row == 0) & np.signbit(row)).tolist():
+            texts[i] = "-0.0"
+    return ", ".join(texts)
+
+
 def _emit(value, out: list) -> None:
-    if isinstance(value, dict):
+    # a float64 row in one join; a 2-D array is its rows (the sequence branch)
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64:
+        out.extend(("[", _fmt_row(value), "]"))
+    elif isinstance(value, dict):
         out.append("{")
         for i, (k, v) in enumerate(value.items()):
             if i:
@@ -130,14 +149,18 @@ def _read_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON (line {exc.lineno}: {exc.msg})")
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise SchemaError(f"{path}: {exc}")
 
 
 def _number_list(raw, field: str) -> np.ndarray:
-    if not isinstance(raw, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
-    ):
+    # json.loads yields exact types, so bool (a subclass of int) is not in the set
+    if not isinstance(raw, list) or not set(map(type, raw)) <= {int, float}:
         raise SchemaError(f"{field}: expected an array of numbers")
-    return np.asarray(raw, dtype=float)
+    try:
+        return np.asarray(raw, dtype=float)
+    except OverflowError:
+        raise SchemaError(f"{field}: integer too large for a double")
 
 
 def _matrix(raw, field: str) -> np.ndarray:
@@ -399,6 +422,7 @@ def _parse_sizes(raw: str) -> list[int]:
 # dispatch
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     arguments = {
         "path": {},
@@ -416,32 +440,32 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples": dict(type=int, default=200_000, help="Monte-Carlo sample count"),
         "--sizes": dict(required=True, help="comma-separated matrix sizes"),
     }
-    commands = {  # name: (handler, help, the arguments it reads)
-        "analyze": (cmd_analyze, "frame bounds of a frame file", "path --rank-tol"),
-        "kernel": (cmd_kernel, "write the kernel matrix", "path --rank-tol --out --naive"),
-        "hilbert": (cmd_hilbert, "Hilbert spectrum table", "--sizes"),
-        "gp-sim": (cmd_gp_sim, "KL sandwich simulation", "path --rank-tol --seed --samples"),
-        "canonical": (cmd_canonical, "write the canonical tight frame", "path --rank-tol --out"),
-        "verify": (cmd_verify, "run the identity suite", "path --rank-tol"),
+    commands = {  # name: (help, the arguments it reads); the handler is cmd_<name>
+        "analyze": ("frame bounds of a frame file", "path --rank-tol"),
+        "kernel": ("write the kernel matrix", "path --rank-tol --out --naive"),
+        "hilbert": ("Hilbert spectrum table", "--sizes"),
+        "gp-sim": ("KL sandwich simulation", "path --rank-tol --seed --samples"),
+        "canonical": ("write the canonical tight frame", "path --rank-tol --out"),
+        "verify": ("run the identity suite", "path --rank-tol"),
     }
     parser = argparse.ArgumentParser(
         prog="framekit",
         description="Frame bounds, reproducing kernels, and KL Gaussian sampling",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, names) in commands.items():
+    for name, (help_text, names) in commands.items():
         p = sub.add_parser(name, help=help_text)
         for arg in names.split():
             p.add_argument(arg, **arguments[arg])
-        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # looked up per call, so a rebound cmd_* (a test stub, a tracer) is the one run
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return handler(args)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING

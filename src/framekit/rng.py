@@ -3,9 +3,11 @@
 Uniform 64-bit words come from Philox-4x64-10, a counter-based generator
 with a published, fixed bit stream (numpy supplies the implementation; the
 words are defined by the algorithm, not the numpy version).  The stream is
-keyed by the 64-bit seed; logical stream k of a batch owns the counter
-blocks [k*b, (k+1)*b) for a fixed per-stream block count b, so streams can
-be generated independently, in any order, or all at once.
+keyed by the 64-bit seed, which must lie in [0, 2**64): a seed outside that
+range is an InvalidArgument, never reduced modulo 2**64.  Logical stream k
+of a batch owns the counter blocks [k*b, (k+1)*b) for a fixed per-stream
+block count b, so streams can be generated independently, in any order, or
+all at once.
 
 Words become normals by the exact Box-Muller transform:
 
@@ -38,7 +40,10 @@ _WORDS_PER_BLOCK = 4  # Philox-4x64 emits four words per counter increment
 
 def philox_words(seed: int, block_offset: int, count: int) -> np.ndarray:
     """Raw uint64 words starting at the given counter block."""
-    key = np.array([int(seed) & _MASK64, 0], dtype=np.uint64)
+    seed = int(seed)
+    if not 0 <= seed <= _MASK64:
+        raise InvalidArgument(f"seed must lie in [0, 2**64), got {seed}")
+    key = np.array([seed, 0], dtype=np.uint64)
     counter = np.array([int(block_offset) & _MASK64, 0, 0, 0], dtype=np.uint64)
     return np.random.Philox(key=key, counter=counter).random_raw(count)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from framekit import cli, errors, mercedes_frame, spectral
 from framekit.cli import (
@@ -315,6 +316,155 @@ class TestSerialization:
         )
         assert proc.returncode == 0
         assert "B1=1.5" in proc.stdout
+
+
+def per_element_spelling(a):
+    """dump_json's text for a float64 array, spelled one _fmt call per value."""
+    if a.ndim == 1:
+        return "[" + ", ".join(cli._fmt(x) for x in a) + "]"
+    return "[" + ", ".join(per_element_spelling(row) for row in a) + "]"
+
+
+class TestArraySerialization:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        a=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=7),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    @example(a=np.array([1.5, -0.0, 2.0, -0.0]))
+    @example(a=np.array([[0.0, -0.0], [-0.5, -0.0]]))
+    @example(a=np.array([5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308]))
+    @example(a=np.array([[1.7976931348623157e308, -1.7976931348623157e308]]))
+    @example(a=np.array([[1.0, -2.0, 3e20, 2.0**53, -(2.0**60)]]))
+    @example(a=np.array([0.1, -0.30000000000000004, 123456789.125, -7.5]))
+    @example(a=np.arange(6.0).reshape(2, 3).T - 2.5)  # not C-contiguous
+    def test_ndarray_rows_match_per_element_spelling(self, a):
+        text = cli.dump_json(a)
+        assert text == per_element_spelling(a) + "\n"
+        back = np.asarray(json.loads(text), dtype=np.float64).reshape(a.shape)
+        assert back.tobytes() == np.ascontiguousarray(a).tobytes()
+
+    def test_ndarray_inside_payload(self):
+        rows = np.array([[-0.0, 1.0], [2.5, 5e-324]])
+        text = cli.dump_json({"matrix": rows, "kind": "rkhs", "rank_tol": 1e-10})
+        assert text == (
+            '{"matrix": [[-0.0, 1], [2.5, 4.9406564584124654e-324]], '
+            '"kind": "rkhs", "rank_tol": 1e-10}\n'
+        )
+
+
+class TestParserOnce:
+    def test_built_once_over_several_calls(self, tmp_path, capsys):
+        path = write(tmp_path / "basis.json", standard_basis_payload())
+        cli._build_parser.cache_clear()
+        for argv in (["analyze", path], ["verify", path], ["hilbert", "--sizes", "4"]):
+            assert cli.main(argv) == EXIT_OK
+        with pytest.raises(SystemExit):  # an argument error leaves the parser usable
+            cli.main(["analyze", path, "--out", "x"])
+        assert cli.main(["analyze", path]) == EXIT_OK
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+
+    def test_not_built_at_import(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        code = "from framekit import cli; print(cli._build_parser.cache_info().currsize)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
+
+
+def phi_x_model_payload():
+    payload = onb_model_payload()
+    del payload["phat"]
+    payload["phi_x"] = {
+        "grid": {"points": [0.0, 0.5, 1.0], "weights": [0.5, 0.5, 0.5]},
+        "values": [1.0, 0.5, 0.25],
+    }
+    return payload
+
+
+def _put(target, key, bad):
+    target[key] = bad
+
+
+# field name in the message: (command, payload, how to put a bad value there)
+NUMBER_FIELDS = {
+    "grid.points": ("analyze", standard_basis_payload, lambda p, x: _put(p["grid"]["points"], 0, x)),
+    "grid.weights": ("analyze", standard_basis_payload, lambda p, x: _put(p["grid"]["weights"], 1, x)),
+    "vectors[1]": ("analyze", standard_basis_payload, lambda p, x: _put(p["vectors"][1], 1, x)),
+    "atoms[].u": ("gp-sim", onb_model_payload, lambda p, x: _put(p["atoms"][1], "u", x)),
+    "atoms[].mass": ("gp-sim", onb_model_payload, lambda p, x: _put(p["atoms"][2], "mass", x)),
+    "frame[0]": ("gp-sim", onb_model_payload, lambda p, x: _put(p["frame"][0], 0, x)),
+    "phat.re": ("gp-sim", onb_model_payload, lambda p, x: _put(p["phat"]["re"], 0, x)),
+    "phat.im": ("gp-sim", onb_model_payload, lambda p, x: _put(p["phat"]["im"], 2, x)),
+    "phi_x.grid.points": (
+        "gp-sim", phi_x_model_payload, lambda p, x: _put(p["phi_x"]["grid"]["points"], 1, x)
+    ),
+    "phi_x.grid.weights": (
+        "gp-sim", phi_x_model_payload, lambda p, x: _put(p["phi_x"]["grid"]["weights"], 0, x)
+    ),
+    "phi_x.values": ("gp-sim", phi_x_model_payload, lambda p, x: _put(p["phi_x"]["values"], 2, x)),
+}
+NOT_A_DOUBLE = {
+    "true": True,
+    "string": "1.0",
+    "null": None,
+    "nested": [1.0],
+    "int401": 10**400,  # 401 digits, past the largest double
+}
+
+
+class TestNumberFieldRejection:
+    @pytest.mark.parametrize("bad", list(NOT_A_DOUBLE), ids=str)
+    @pytest.mark.parametrize("field", list(NUMBER_FIELDS), ids=str)
+    def test_rejected_with_field_name(self, tmp_path, capsys, field, bad):
+        command, payload_fn, put = NUMBER_FIELDS[field]
+        payload = payload_fn()
+        put(payload, NOT_A_DOUBLE[bad])
+        path = write(tmp_path / "bad.json", payload)
+        assert cli.main([command, path]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: ")
+        assert field in err
+
+    def test_large_integer_that_fits_a_double_is_read(self, tmp_path, capsys):
+        payload = standard_basis_payload()
+        payload["vectors"][1][1] = 10**150
+        path = write(tmp_path / "big.json", payload)
+        assert cli.main(["analyze", path]) == EXIT_OK
+
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        # json.loads refuses int literals over sys.get_int_max_str_digits()
+        path = tmp_path / "huge.json"
+        path.write_text('{"grid": {"points": [0, 1], "weights": [1, 1]}, '
+                        '"vectors": [[1, 0], [0, 1' + "0" * 5000 + ']]}', encoding="utf-8")
+        assert cli.main(["analyze", str(path)]) == EXIT_SCHEMA
+        assert "huge.json" in capsys.readouterr().err
+
+
+class TestSeedRange:
+    @pytest.mark.parametrize("seed, code", [
+        ("0", EXIT_OK),
+        (str(2**64 - 1), EXIT_OK),
+        ("-1", EXIT_SCHEMA),
+        (str(2**64), EXIT_SCHEMA),
+    ])
+    def test_ends(self, tmp_path, capsys, seed, code):
+        path = write(tmp_path / "model.json", onb_model_payload())
+        assert cli.main(["gp-sim", path, "--samples", "10", f"--seed={seed}"]) == code
+        captured = capsys.readouterr()
+        if code == EXIT_OK:
+            assert f"seed={seed}" in captured.out
+        else:
+            assert "seed" in captured.err and captured.out == ""
 
 
 class TestFlags:
