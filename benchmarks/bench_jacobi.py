@@ -9,6 +9,11 @@ twin is built at the first import of framekit wherever ``cc`` works.
     PYTHONPATH=src python3 benchmarks/bench_jacobi.py [--sizes 8,16,32,64,96] [--repeats 5]
 """
 
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"  # pinned before numpy loads BLAS
+
 import argparse
 import time
 

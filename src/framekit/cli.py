@@ -399,10 +399,10 @@ def cmd_canonical(args) -> int:
 
 def cmd_verify(args) -> int:
     fs = parse_frame_file(args.path)
-    residuals = rkhs.identity_suite(fs, args.rank_tol)
-    for name, (value, tolerance) in residuals.items():
-        print(f"{name}={_fmt_human(value)} (tolerance {_fmt_human(tolerance)})")
-    if any(value > tolerance for value, tolerance in residuals.values()):
+    rows = rkhs.identity_suite(fs, args.rank_tol)
+    for name, row in rows.items():
+        print(f"{name}={_fmt_human(row.residual)} (tolerance {_fmt_human(row.tolerance)})")
+    if not all(row.holds for row in rows.values()):
         print("violation: identity residual above tolerance", file=sys.stderr)
         return EXIT_MATH
     return EXIT_OK

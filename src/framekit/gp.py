@@ -12,6 +12,7 @@ Parseval frames.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,8 @@ from .errors import DimensionMismatch, InvalidArgument, InvalidMatrix, NotAFrame
 from .frames import FrameBounds, FrameSystem, Grid, compute_frame_bounds
 from .spectral import DEFAULT_RANK_TOL
 
-#: Samples drawn and contracted per block in sample_kl.
-_SAMPLE_BLOCK = 4096
+#: Samples drawn and contracted per block (per worker at a time) in sample_kl.
+_SAMPLE_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -257,24 +258,50 @@ def sample_kl(
     Sample k consumes normal stream k of the seed (see rng module), so the
     set is reproducible bit-for-bit from (model, phat, s, seed) and samples
     are independent of generation order.  Streams are drawn and contracted
-    in blocks of _SAMPLE_BLOCK samples, so memory stays bounded in s.
+    in blocks of _SAMPLE_BLOCK samples, each written to its own slice of the
+    output, so the blocks run on a thread pool with one worker per usable
+    CPU (numpy's Philox, ufuncs and BLAS release the GIL).  The samples do
+    not depend on the worker count, and memory stays bounded by workers x
+    block, not by s.
     """
     if s < 1:
         raise InvalidArgument("sample count must be >= 1")
     coeffs = kl_coefficients(model, phat)
+    n = model.frame.n_vectors
     samples_re = np.empty(s)
     samples_im = np.empty(s)
-    for first in range(0, s, _SAMPLE_BLOCK):
-        stop = min(first + _SAMPLE_BLOCK, s)
-        normals = rng.seeded_normal_rows(seed, first, stop, model.frame.n_vectors)
+
+    def block(first: int) -> None:
+        stop = first + _SAMPLE_BLOCK
+        if stop >= s - 1:
+            # the last block takes in a lone last row: numpy contracts a
+            # one-row block with dot, which rounds unlike the gemv of s rows
+            stop = s
+        normals = rng.seeded_normal_rows(seed, first, stop, n)
         samples_re[first:stop] = normals @ coeffs.re
         samples_im[first:stop] = normals @ coeffs.im
+
+    # imported here, not with the module: the import costs milliseconds
+    # that every other command would pay at startup
+    from concurrent.futures import ThreadPoolExecutor
+
+    firsts = range(0, max(s - 1, 1), _SAMPLE_BLOCK)
+    with ThreadPoolExecutor(max_workers=min(_worker_count(), len(firsts))) as pool:
+        list(pool.map(block, firsts))  # re-raises a worker's exception
     return KLSampleSet(
         seed=seed,
         samples_re=samples_re,
         samples_im=samples_im,
         coefficients=coeffs,
     )
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on (all of them where affinity is unknown)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def empirical_variance(ks: KLSampleSet) -> float:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,9 +49,29 @@ from .frames import (
     frame_spectrum,
     _grid_function,
 )
-from .spectral import DEFAULT_RANK_TOL, SymMatrix, sym_eig
+from .spectral import DEFAULT_RANK_TOL, SymMatrix, _binary_exponent, sym_eig
 
 _UNIT_ROUNDOFF = 2.0**-53
+
+#: Degree in the data scale of each identity_suite row: c * Phi multiplies
+#: its residual and tolerance by c**degree.
+_IDENTITY_DEGREES = {
+    "max_reproducing_residual": 1,
+    "kernel_vs_tight_max": 0,
+    "lax_identity_max": 2,
+    "isometry_relative_max": 0,
+    "adjoint_relative_max": 0,
+    "kernel_psd_violation": 0,
+    "gramian_psd_violation": 2,
+}
+
+
+class IdentityRow(NamedTuple):
+    """One row of ``identity_suite``, in the units of the frame checked."""
+
+    residual: float
+    tolerance: float
+    holds: bool  # decided on the normalized frame, so saturation cannot flip it
 
 
 @dataclass(frozen=True)
@@ -263,17 +284,23 @@ def polar_unitary(fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL) -> np.nda
 def identity_suite(fs: FrameSystem, rank_tol: float) -> dict:
     """Max residuals of the frame/kernel identities on deterministic probes.
 
-    Returns {name: (residual, tolerance)}.  The probes, the N frame vectors
-    and min(N, 3) combinations phi_i - phi_{i+1}/2, are the rows of one
-    matrix, so everything lies in the span and each identity is one stacked
-    call on the one frame spectrum; the kernel's PSD row reads lambda_max(K)
-    from the r x r side of its factor and reports the rounding bound of
-    ``kernel_psd``.  Each tolerance has the degree in the data scale
-    of its residual, so c * Phi gives the residual/tolerance ratios of Phi,
-    bit for bit when c is a power of two.  With lambda_max the top Gramian
-    eigenvalue, s the largest probe norm, and gate = max(1e-8, 1.1e-14 *
-    kappa) widening with the retained condition number kappa, to which the
-    pseudo-inverse routes lose digits (Hilbert-type systems reach 1e10):
+    Returns {name: IdentityRow(residual, tolerance, holds)}.  The suite runs
+    on 2**-e * Phi, scaled exactly so that max|Phi| lies in [0.5, 1) as
+    ``frame_spectrum`` scales B, and each residual and tolerance is scaled
+    back by 2**(degree * e), its degree in the data scale; ``holds`` is the
+    verdict on 2**-e * Phi.  So no frame overflows inside the suite, and
+    c * Phi gives the verdicts of Phi and, when c is a power of two, the
+    same rows bit for bit; a row beyond the double range prints as inf or 0.
+
+    The probes, the N frame vectors and min(N, 3) combinations
+    phi_i - phi_{i+1}/2, are the rows of one matrix, so everything lies in
+    the span and each identity is one stacked call on the one frame
+    spectrum; the kernel's PSD row reads lambda_max(K) from the r x r side
+    of its factor and reports the rounding bound of ``kernel_psd``.  With
+    lambda_max the top Gramian eigenvalue, s the largest probe norm, and
+    gate = max(1e-8, 1.1e-14 * kappa) widening with the retained condition
+    number kappa, to which the pseudo-inverse routes lose digits
+    (Hilbert-type systems reach 1e10):
 
         max_reproducing_residual  gate * s + truncation tail
         kernel_vs_tight_max       gate * lambda_max(K)
@@ -287,6 +314,29 @@ def identity_suite(fs: FrameSystem, rank_tol: float) -> dict:
     Cauchy-Schwarz bounds, positive for every nonzero probe of a spanning
     frame, where l and r themselves can be 0.
     """
+    shift = _binary_exponent(fs.vectors)
+    unit = FrameSystem(grid=fs.grid, vectors=np.ldexp(fs.vectors, -shift))
+    rows = {}
+    for name, (residual, tolerance) in _identity_rows(unit, rank_tol).items():
+        back = _IDENTITY_DEGREES[name] * shift
+        rows[name] = IdentityRow(
+            residual=_ldexp_saturating(residual, back),
+            tolerance=_ldexp_saturating(tolerance, back),
+            holds=not residual > tolerance,
+        )
+    return rows
+
+
+def _ldexp_saturating(x: float, e: int) -> float:
+    # x * 2**e for x >= 0, inf past the largest double (math.ldexp raises)
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
+
+
+def _identity_rows(fs: FrameSystem, rank_tol: float) -> dict:
+    # {name: (residual, tolerance)} of identity_suite, in the units of fs
     spec = _spanning(frame_spectrum(fs, rank_tol))
     kernel = _kernel(spec)
     w = fs.grid.weights

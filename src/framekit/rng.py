@@ -55,13 +55,23 @@ def _stream_layout(count: int) -> tuple[int, int]:
 
 
 def _box_muller(words: np.ndarray, pairs: int, count: int) -> np.ndarray:
-    u1 = ((words[..., :pairs] >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
-    u2 = (words[..., pairs : 2 * pairs] >> np.uint64(11)) * 2.0**-53
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = (2.0 * np.pi) * u2
+    # In place where it keeps the bits: ``words`` is overwritten, radius
+    # and angle are one buffer each, and cos/sin go through one contiguous
+    # buffer before their products land in the strided halves of ``out``.
+    np.right_shift(words, np.uint64(11), out=words)
+    u1 = words[..., :pairs]
+    np.add(u1, np.uint64(1), out=u1)
+    radius = np.multiply(u1, 2.0**-53)
+    np.log(radius, out=radius)
+    np.multiply(radius, -2.0, out=radius)
+    np.sqrt(radius, out=radius)
+    angle = np.multiply(words[..., pairs : 2 * pairs], 2.0**-53)
+    np.multiply(angle, 2.0 * np.pi, out=angle)
     out = np.empty(words.shape[:-1] + (2 * pairs,))
-    out[..., 0::2] = radius * np.cos(angle)
-    out[..., 1::2] = radius * np.sin(angle)
+    trig = np.cos(angle)
+    np.multiply(radius, trig, out=out[..., 0::2])
+    np.sin(angle, out=trig)
+    np.multiply(radius, trig, out=out[..., 1::2])
     return out[..., :count]
 
 

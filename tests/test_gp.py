@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framekit import (
     AtomicMeasure,
@@ -63,6 +65,48 @@ def random_model(seed, n, j):
 def random_phat(seed, j):
     r = np.random.default_rng(seed)
     return ComplexVector(re=r.standard_normal(j), im=r.standard_normal(j))
+
+
+#: Prelude of the pinned sampling scripts: model(r, n) draws N = n vectors
+#: on 6 atoms and a profile phat from the generator r.
+MODEL_CODE = """
+import numpy as np
+from framekit import gp, rng
+
+def model(r, n, j=6):
+    measure = gp.AtomicMeasure(
+        locations=np.sort(r.uniform(-3, 3, j)) + 7.0 * np.arange(j),
+        masses=r.uniform(0.2, 1.5, j),
+    )
+    frame = gp.SigmaFrame(measure=measure, vectors=r.standard_normal((n, j)))
+    phat = gp.ComplexVector(re=r.standard_normal(j), im=r.standard_normal(j))
+    return gp.GaussianModel.from_frame(frame), phat
+"""
+
+
+def run_pinned(code):
+    """Run ``code`` in a fresh interpreter with BLAS pinned to one thread."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gp.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def box_muller_out_of_place(words, pairs, count):
+    """The Box-Muller transform as a formula, one temporary per step."""
+    u1 = ((words[..., :pairs] >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+    u2 = (words[..., pairs : 2 * pairs] >> np.uint64(11)) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = (2.0 * np.pi) * u2
+    out = np.empty(words.shape[:-1] + (2 * pairs,))
+    out[..., 0::2] = radius * np.cos(angle)
+    out[..., 1::2] = radius * np.sin(angle)
+    return out[..., :count]
 
 
 class TestAtomicMeasure:
@@ -379,37 +423,94 @@ class TestSampling:
         # BLAS pinned to one thread (a multi-threaded gemv splits rows at
         # thread-count dependent places) the samples are bit-identical to
         # one product of the whole normal matrix.  s is not a block multiple.
-        code = """
-import numpy as np
-from framekit import gp, rng
+        code = MODEL_CODE + """
 r = np.random.default_rng(61)
-for n, s in ((50, 10_001), (7, 4_097)):
-    j = 6
-    measure = gp.AtomicMeasure(
-        locations=np.sort(r.uniform(-3, 3, j)) + 7.0 * np.arange(j),
-        masses=r.uniform(0.2, 1.5, j),
-    )
-    model = gp.GaussianModel.from_frame(
-        gp.SigmaFrame(measure=measure, vectors=r.standard_normal((n, j)))
-    )
-    phat = gp.ComplexVector(re=r.standard_normal(j), im=r.standard_normal(j))
-    c = gp.kl_coefficients(model, phat)
-    out = gp.sample_kl(model, phat, s, 2024)
+for n, s in ((50, 10_001), (7, 4_097), (50, 2 * gp._SAMPLE_BLOCK + 1)):
+    m, phat = model(r, n)
+    c = gp.kl_coefficients(m, phat)
+    out = gp.sample_kl(m, phat, s, 2024)
     normals = rng.seeded_normal_matrix(2024, s, n)
     assert out.samples_re.tobytes() == (normals @ c.re).tobytes(), (n, s)
     assert out.samples_im.tobytes() == (normals @ c.im).tobytes(), (n, s)
     assert s % gp._SAMPLE_BLOCK != 0
 print("identical")
 """
-        src = os.path.dirname(os.path.dirname(os.path.abspath(gp.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = "1"
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        assert run_pinned(code) == "identical"
+
+    def test_worker_count_leaves_samples_unchanged(self):
+        # blocks are fixed by _SAMPLE_BLOCK alone and each writes its own
+        # slice, so 1, 2 or 3 workers (more than a 2-core machine has) give
+        # the same bytes around the block edges and for a single-block s; a
+        # short switch interval interleaves the workers finely
+        code = MODEL_CODE + """
+import sys
+sys.setswitchinterval(1e-6)
+r = np.random.default_rng(62)
+assert gp._SAMPLE_BLOCK == 2048
+for n in (50, 7):
+    m, phat = model(r, n)
+    seen = {}
+    for workers in (1, 2, 3):
+        gp._worker_count = lambda workers=workers: workers
+        for s in (1, 2047, 2048, 2049, 10_001):
+            out = gp.sample_kl(m, phat, s, 77)
+            got = (out.samples_re.tobytes(), out.samples_im.tobytes())
+            assert seen.setdefault(s, got) == got, (n, s, workers)
+print("identical")
+"""
+        assert run_pinned(code) == "identical"
+
+    def test_worker_count_falls_back_to_cpu_count(self, monkeypatch):
+        assert gp._worker_count() >= 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert gp._worker_count() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert gp._worker_count() == 1
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(gp, "_worker_count", lambda: 2)
+
+        def failing(seed, first, stop, count):
+            if first > 0:
+                raise InvalidArgument(f"block at {first}")
+            return np.zeros((stop - first, count))
+
+        monkeypatch.setattr(rng, "seeded_normal_rows", failing)
+        model = onb_model()
+        phat = random_phat(1, model.frame.measure.n_atoms)
+        with pytest.raises(InvalidArgument, match="block at"):
+            sample_kl(model, phat, 3 * gp._SAMPLE_BLOCK, 1)
+
+    def test_import_leaves_thread_pool_unloaded(self):
+        # the pool's import is paid by sample_kl, not by every CLI call
+        code = "import sys, framekit.cli; print('concurrent.futures' in sys.modules)"
+        assert run_pinned(code) == "False"
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        count=st.integers(min_value=1, max_value=23),
+        rows=st.integers(min_value=0, max_value=3),
+        data=st.data(),
+    )
+    def test_in_place_box_muller_keeps_the_bits(self, count, rows, data):
+        # rows == 0 is the 1-D layout of seeded_normals; count odd truncates
+        # the last pair; the words 0 and 2**64 - 1 give u1 = 2**-53 and 1,
+        # and an array of only those two words is checked every time
+        pairs, blocks = rng._stream_layout(count)
+        shape = ((rows,) if rows else ()) + (4 * blocks,)
+        size = int(np.prod(shape))
+        edge = st.sampled_from([0, 2**64 - 1])
+        drawn = data.draw(
+            st.lists(edge | st.integers(0, 2**64 - 1), min_size=size, max_size=size)
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "identical"
+        edges = [0, 2**64 - 1] * size
+        for values in (drawn, edges[:size], edges[1 : size + 1]):
+            words = np.array(values, dtype=np.uint64).reshape(shape)
+            expected = box_muller_out_of_place(words, pairs, count)
+            got = rng._box_muller(words.copy(), pairs, count)
+            assert got.shape == expected.shape == shape[:-1] + (count,)
+            assert got.tobytes() == expected.tobytes()
 
     def test_normal_rows_match_streams(self):
         rows = rng.seeded_normal_rows(13, 5, 9, 7)

@@ -61,7 +61,8 @@ def scaled(fs, c):
 
 
 def suite_ratios(fs):
-    return {name: v / t for name, (v, t) in rkhs.identity_suite(fs, RANK_TOL).items()}
+    rows = rkhs.identity_suite(fs, RANK_TOL)
+    return {name: row.residual / row.tolerance for name, row in rows.items()}
 
 
 def svd_reference(fs):
@@ -188,6 +189,45 @@ class TestScale:
         path = tmp_path / "scaled.json"
         cli.write_frame_file(str(path), scaled(small_frame(), 1e-90))
         assert cli.main(["verify", str(path)]) == cli.EXIT_MATH
+
+    @staticmethod
+    def verify_rows(tmp_path, capsys, fs):
+        path = tmp_path / "scaled.json"
+        cli.write_frame_file(str(path), fs)
+        code = cli.main(["verify", str(path)])
+        rows = []
+        for line in capsys.readouterr().out.splitlines():
+            name, rest = line.split("=", 1)
+            value, tolerance = rest.removesuffix(")").split(" (tolerance ")
+            rows.append((name, float(value) <= float(tolerance)))
+        return code, rows
+
+    @pytest.mark.parametrize("c", [1.0, 1e150, 1e160, 1e200, 1e-160])
+    def test_verify_beyond_the_square_root_of_the_double_range(self, tmp_path, capsys, c):
+        # Phi Phi^T and the probe norms overflow above |Phi| ~ 1e154 (and
+        # underflow below 1e-154); the suite runs on the normalized frame
+        # and only its printed rows saturate, to inf or 0
+        code, rows = self.verify_rows(tmp_path, capsys, scaled(small_frame(), c))
+        assert code == cli.EXIT_OK
+        _, base = self.verify_rows(tmp_path, capsys, small_frame())
+        assert rows == base and all(holds for _, holds in rows)
+
+    def test_saturated_row_keeps_its_verdict(self, tmp_path, capsys, monkeypatch):
+        # a failing degree-2 row prints as inf against inf at 1e200, and
+        # still fails: the verdict is taken before scaling back
+        rows = rkhs._identity_rows
+
+        def lax_fails(fs, rank_tol):
+            out = rows(fs, rank_tol)
+            out["lax_identity_max"] = (3.0, 1.0)
+            return out
+
+        monkeypatch.setattr(rkhs, "_identity_rows", lax_fails)
+        suite = rkhs.identity_suite(scaled(small_frame(), 1e200), RANK_TOL)
+        assert suite["lax_identity_max"] == (np.inf, np.inf, False)
+        assert all(row.holds for name, row in suite.items() if name != "lax_identity_max")
+        code, _ = self.verify_rows(tmp_path, capsys, scaled(small_frame(), 1e200))
+        assert code == cli.EXIT_MATH
 
     @pytest.mark.parametrize("k", [-600, 600])
     def test_sym_eig_power_of_two(self, k):
