@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Time the layers of KL sampling and sample_kl on one and on all workers.
 
-Prints the milliseconds per call (best of ``--repeats``) of the Philox words,
-of the Box-Muller transform of those words, of the two sample products
-(normals @ c.re and normals @ c.im), and of the whole ``sample_kl`` with one
-worker and with one worker per usable CPU, all at ``--samples`` x
-``--vectors``.  The layers run once over the whole sample set; sample_kl runs
-them block by block.  It also checks that both worker counts give the same
-sample bytes.
+Prints the milliseconds (best of ``--repeats``) that each layer takes over
+``--samples`` x ``--vectors``, run block by block as sample_kl runs it, on
+one thread: the Philox words, and on each twin that loaded (``python``,
+``compiled``) the whole Box-Muller transform, its angle kernel
+(``polar_normals``) and the KL contraction (``kl_contract``); and
+the whole ``sample_kl`` with one worker and with one worker per usable CPU.
+It checks that both worker counts, and both twins, give the same sample
+bytes, and exits 1 if they do not.
 
     PYTHONPATH=src python3 benchmarks/bench_sampling.py [--samples 200000] [--vectors 50] [--repeats 5]
 """
@@ -18,11 +19,12 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # pinned before numpy loads BLAS
 
 import argparse
+import contextlib
 import time
 
 import numpy as np
 
-from framekit import gp, rng
+from framekit import _kernels, gp, rng
 
 
 def best_ms(fn, repeats, setup=lambda: None):
@@ -61,34 +63,85 @@ def main():
     coeffs = gp.kl_coefficients(model, phat)
     pairs, blocks = rng._stream_layout(n)
     span = 4 * blocks
-    words = rng.philox_words(seed, 0, s * span).reshape(s, span)
-    normals = rng._box_muller(words.copy(), pairs, n)
-    worker_count = gp._worker_count
+    firsts = range(0, s, gp._SAMPLE_BLOCK)
+
+    def block_words(first):
+        stop = min(first + gp._SAMPLE_BLOCK, s)
+        return rng.philox_words(seed, first * blocks, (stop - first) * span).reshape(-1, span)
+
+    # per block: the shifted words, the radius and the normals, made once
+    inputs = []
+    for first in firsts:
+        words = block_words(first)
+        normals = rng._box_muller(words.copy(), pairs, n)
+        np.right_shift(words, np.uint64(11), out=words)
+        radius = np.sqrt(-2.0 * np.log((words[:, :pairs] + np.uint64(1)) * 2.0**-53))
+        inputs.append((words, radius, normals))
+    out_re, out_im = np.empty(s), np.empty(s)
+
+    def angle(backend):
+        for words, radius, _ in inputs:
+            backend.polar_normals(words[:, pairs : 2 * pairs], radius, n)
+
+    def contract(backend):
+        for first, (_, _, normals) in zip(firsts, inputs):
+            stop = first + len(normals)
+            backend.kl_contract(normals, coeffs.re, coeffs.im, out_re[first:stop], out_im[first:stop])
+
+    worker_count, active = gp._worker_count, _kernels.ACTIVE
     cpus = worker_count()
 
-    def sample(workers):
-        gp._worker_count = lambda: workers
+    @contextlib.contextmanager
+    def running(backend, workers=1):
+        gp._worker_count, _kernels.ACTIVE = (lambda: workers), backend
         try:
-            return gp.sample_kl(model, phat, s, seed)
+            yield
         finally:
-            gp._worker_count = worker_count
+            gp._worker_count, _kernels.ACTIVE = worker_count, active
 
-    rows = [
-        ("philox words", best_ms(lambda _: rng.philox_words(seed, 0, s * span), args.repeats)),
-        ("box-muller", best_ms(lambda w: rng._box_muller(w, pairs, n), args.repeats, words.copy)),
-        ("two gemvs", best_ms(lambda _: (normals @ coeffs.re, normals @ coeffs.im), args.repeats)),
+    def sample(workers, backend=active):
+        with running(backend, workers):
+            return gp.sample_kl(model, phat, s, seed)
+
+    def philox(_):
+        for first in firsts:
+            block_words(first)  # dropped at once, as sample_kl drops each block
+
+    def box_muller(backend, raw):
+        with running(backend):
+            for words in raw:
+                rng._box_muller(words, pairs, n)
+
+    rows = [("philox words", best_ms(philox, args.repeats))]
+    for name, backend in _kernels.BACKENDS.items():
+        rows += [
+            (
+                f"box-muller, {name}",
+                best_ms(
+                    lambda raw: box_muller(backend, raw),
+                    args.repeats,
+                    lambda: [block_words(f) for f in firsts],
+                ),
+            ),
+            (f"angle kernel, {name}", best_ms(lambda _: angle(backend), args.repeats)),
+            (f"contraction, {name}", best_ms(lambda _: contract(backend), args.repeats)),
+        ]
+    rows += [
         ("sample_kl, 1 worker", best_ms(lambda _: sample(1), args.repeats)),
         (f"sample_kl, {cpus} workers", best_ms(lambda _: sample(cpus), args.repeats)),
     ]
-    print(f"{s} samples x {n} vectors, block {gp._SAMPLE_BLOCK}, BLAS pinned to 1 thread")
+    print(f"{s} samples x {n} vectors in blocks of {gp._SAMPLE_BLOCK}, BLAS pinned to 1 thread")
     for name, ms in rows:
-        print(f"{name:>24} {ms:>10.2f} ms")
-    one, many = sample(1), sample(cpus)
-    same = (
-        one.samples_re.tobytes() == many.samples_re.tobytes()
-        and one.samples_im.tobytes() == many.samples_im.tobytes()
+        print(f"{name:>28} {ms:>10.2f} ms")
+    runs = [(f"{name}, 1 worker", sample(1, b)) for name, b in _kernels.BACKENDS.items()]
+    runs.append((f"{active.name}, {cpus} workers", sample(cpus)))
+    first = runs[0][1]
+    same = all(
+        ks.samples_re.tobytes() == first.samples_re.tobytes()
+        and ks.samples_im.tobytes() == first.samples_im.tobytes()
+        for _, ks in runs
     )
-    print(f"1 and {cpus} workers: {'same bytes' if same else 'DIFFERENT BYTES'}")
+    print(f"{'; '.join(name for name, _ in runs)}: {'same bytes' if same else 'DIFFERENT BYTES'}")
     return 0 if same else 1
 
 

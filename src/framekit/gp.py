@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import _kernels, rng
 from .errors import DimensionMismatch, InvalidArgument, InvalidMatrix, NotAFrame
 from .frames import FrameBounds, FrameSystem, Grid, compute_frame_bounds
 from .spectral import DEFAULT_RANK_TOL
@@ -206,8 +206,13 @@ def sigma_frame_bounds(
 
 
 def kl_coefficients(model: GaussianModel, phat: ComplexVector) -> ComplexVector:
-    """KL coefficients c_n = <f_n, phat> in L2(sigma) (f_n real)."""
-    f = model.frame.vectors
+    """KL coefficients c_n = <f_n, phat> in L2(sigma) (f_n real).
+
+    Each sums over the atoms in index order, as ``sample_kl`` sums its
+    samples (the active kernel's ``kl_contract``), so no BLAS thread count
+    enters the bits.
+    """
+    f = np.ascontiguousarray(model.frame.vectors)
     if len(phat) != model.frame.measure.n_atoms:
         raise DimensionMismatch(
             f"phat has {len(phat)} entries but measure has "
@@ -215,7 +220,9 @@ def kl_coefficients(model: GaussianModel, phat: ComplexVector) -> ComplexVector:
         )
     weighted_re = model.frame.measure.masses * phat.re
     weighted_im = model.frame.measure.masses * phat.im
-    return ComplexVector(re=f @ weighted_re, im=f @ weighted_im)
+    re, im = np.empty(len(f)), np.empty(len(f))
+    _kernels.ACTIVE.kl_contract(f, weighted_re, weighted_im, re, im)
+    return ComplexVector(re=re, im=im)
 
 
 def theoretical_variances(
@@ -257,11 +264,14 @@ def sample_kl(
 
     Sample k consumes normal stream k of the seed (see rng module), so the
     set is reproducible bit-for-bit from (model, phat, s, seed) and samples
-    are independent of generation order.  Streams are drawn and contracted
-    in blocks of _SAMPLE_BLOCK samples, each written to its own slice of the
-    output, so the blocks run on a thread pool with one worker per usable
-    CPU (numpy's Philox, ufuncs and BLAS release the GIL).  The samples do
-    not depend on the worker count, and memory stays bounded by workers x
+    are independent of generation order.  Each sample sums c_n B_{n,k} over
+    n in index order, one rounded multiply and one rounded add per term
+    (the active kernel's ``kl_contract``), so no BLAS thread count enters the
+    bits.  Streams are drawn and contracted in blocks of _SAMPLE_BLOCK
+    samples, each written to its own slice of the output, so the blocks run
+    on a thread pool with one worker per usable CPU (numpy's Philox, its
+    ufuncs and the ctypes kernels release the GIL).  The samples do not
+    depend on the worker count, and memory stays bounded by workers x
     block, not by s.
     """
     if s < 1:
@@ -272,20 +282,17 @@ def sample_kl(
     samples_im = np.empty(s)
 
     def block(first: int) -> None:
-        stop = first + _SAMPLE_BLOCK
-        if stop >= s - 1:
-            # the last block takes in a lone last row: numpy contracts a
-            # one-row block with dot, which rounds unlike the gemv of s rows
-            stop = s
+        stop = min(first + _SAMPLE_BLOCK, s)
         normals = rng.seeded_normal_rows(seed, first, stop, n)
-        samples_re[first:stop] = normals @ coeffs.re
-        samples_im[first:stop] = normals @ coeffs.im
+        _kernels.ACTIVE.kl_contract(
+            normals, coeffs.re, coeffs.im, samples_re[first:stop], samples_im[first:stop]
+        )
 
     # imported here, not with the module: the import costs milliseconds
     # that every other command would pay at startup
     from concurrent.futures import ThreadPoolExecutor
 
-    firsts = range(0, max(s - 1, 1), _SAMPLE_BLOCK)
+    firsts = range(0, s, _SAMPLE_BLOCK)
     with ThreadPoolExecutor(max_workers=min(_worker_count(), len(firsts))) as pool:
         list(pool.map(block, firsts))  # re-raises a worker's exception
     return KLSampleSet(

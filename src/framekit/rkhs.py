@@ -322,7 +322,7 @@ def identity_suite(fs: FrameSystem, rank_tol: float) -> dict:
         rows[name] = IdentityRow(
             residual=_ldexp_saturating(residual, back),
             tolerance=_ldexp_saturating(tolerance, back),
-            holds=not residual > tolerance,
+            holds=residual <= tolerance,  # a NaN residual fails its row
         )
     return rows
 

@@ -278,6 +278,25 @@ class TestCanonicalAndVerify:
         src = write(tmp_path / "w.json", payload)
         assert cli.main(["verify", src]) == EXIT_OK
 
+    def test_verify_nan_residual_fails_its_row(self, tmp_path, capsys, monkeypatch):
+        # NaN compares false both ways, so the verdict must be
+        # residual <= tolerance, not "not residual > tolerance"
+        from framekit import rkhs
+
+        rows = rkhs._identity_rows
+
+        def nan_row(fs, rank_tol):
+            out = rows(fs, rank_tol)
+            out["lax_identity_max"] = (math.nan, out["lax_identity_max"][1])
+            return out
+
+        monkeypatch.setattr(rkhs, "_identity_rows", nan_row)
+        src = write(tmp_path / "m.json", mercedes_payload())
+        assert cli.main(["verify", src]) == EXIT_MATH
+        captured = capsys.readouterr()
+        assert "lax_identity_max=nan" in captured.out
+        assert "violation" in captured.err
+
 
 class TestSerialization:
     def test_dump_json_roundtrip_awkward_floats(self):

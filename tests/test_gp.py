@@ -84,12 +84,12 @@ def model(r, n, j=6):
 """
 
 
-def run_pinned(code):
-    """Run ``code`` in a fresh interpreter with BLAS pinned to one thread."""
+def run_pinned(code, blas_threads=1):
+    """Run ``code`` in a fresh interpreter with BLAS pinned to ``blas_threads``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(gp.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
+        env[var] = str(blas_threads)
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
     )
@@ -97,16 +97,54 @@ def run_pinned(code):
     return proc.stdout.strip()
 
 
-def box_muller_out_of_place(words, pairs, count):
-    """The Box-Muller transform as a formula, one temporary per step."""
-    u1 = ((words[..., :pairs] >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
-    u2 = (words[..., pairs : 2 * pairs] >> np.uint64(11)) * 2.0**-53
+def taylor_doubles(first_power):
+    """Nearest doubles to the Taylor coefficients of sin (first_power 1) or
+    cos (0) of pi t/4, through t**17 and t**18."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(200):
+        x = mpmath.pi / 4
+        return [
+            float((-1) ** (p // 2) * x**p / mpmath.factorial(p))
+            for p in range(first_power, 19, 2)
+        ]
+
+
+def box_muller_reference(words, pairs, count):
+    """The transform documented in the rng module, one pair at a time in
+    Python ints and floats; the radius takes numpy's log, as rng does."""
+    sin_coef, cos_coef = taylor_doubles(1), taylor_doubles(0)
+    flat = words.reshape(-1, words.shape[-1])
+    u1 = ((flat[:, :pairs] >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
     radius = np.sqrt(-2.0 * np.log(u1))
-    angle = (2.0 * np.pi) * u2
-    out = np.empty(words.shape[:-1] + (2 * pairs,))
-    out[..., 0::2] = radius * np.cos(angle)
-    out[..., 1::2] = radius * np.sin(angle)
-    return out[..., :count]
+    out = np.empty((len(flat), count))
+    for i, row in enumerate(flat):
+        for j in range(pairs):
+            k = int(row[pairs + j]) >> 11
+            q = (k + 2**50) >> 51
+            t = (k - q * 2**51) * 2.0**-50
+            z = t * t
+            s = sin_coef[-1]
+            for a in sin_coef[-2::-1]:
+                s = a + z * s
+            s = t * s
+            c = cos_coef[-1]
+            for a in cos_coef[-2::-1]:
+                c = a + z * c
+            a, b = ((1.0, 0.0), (0.0, -1.0), (-1.0, 0.0), (0.0, 1.0))[q % 4]
+            r = float(radius[i, j])
+            out[i, 2 * j] = r * (a * c + b * s)
+            if 2 * j + 1 < count:
+                out[i, 2 * j + 1] = r * (a * s - b * c)
+    return out.reshape(words.shape[:-1] + (count,))
+
+
+def kl_reference(normals, c):
+    """sum_n normals[:, n] * c[n] in index order: the first term, then one
+    rounded add per term."""
+    acc = normals[:, 0] * c[0]
+    for j in range(1, normals.shape[1]):
+        acc = acc + normals[:, j] * c[j]
+    return acc
 
 
 class TestAtomicMeasure:
@@ -419,23 +457,37 @@ class TestSampling:
             assert abs(both.samples_im[k] - float(normals @ coeffs.im)) <= 1e-12
 
     def test_blocked_sampling_matches_one_shot(self):
-        # sample_kl draws and contracts normals in blocks of rows; with
-        # BLAS pinned to one thread (a multi-threaded gemv splits rows at
-        # thread-count dependent places) the samples are bit-identical to
-        # one product of the whole normal matrix.  s is not a block multiple.
+        # sample_kl draws and contracts normals in blocks of rows; the
+        # samples are bit-identical to the index-order sum over the whole
+        # normal matrix at once.  s is not a block multiple.
+        r = np.random.default_rng(61)
+        for n, s in ((50, 10_001), (7, 4_097), (50, 2 * gp._SAMPLE_BLOCK + 1)):
+            m = random_model(int(r.integers(1000)), n, 6)
+            phat = random_phat(int(r.integers(1000)), 6)
+            c = kl_coefficients(m, phat)
+            out = sample_kl(m, phat, s, 2024)
+            normals = rng.seeded_normal_matrix(2024, s, n)
+            assert out.samples_re.tobytes() == kl_reference(normals, c.re).tobytes(), (n, s)
+            assert out.samples_im.tobytes() == kl_reference(normals, c.im).tobytes(), (n, s)
+            assert s % gp._SAMPLE_BLOCK != 0
+
+    def test_blas_threads_leave_samples_unchanged(self):
+        # no BLAS call sums the samples or their coefficients, so one and
+        # two BLAS threads give the same bytes (a threaded gemv did not, on
+        # 2049 x 257 normals and on 10,001 x 50 frame vectors); one worker
+        # keeps the process at two threads
         code = MODEL_CODE + """
-r = np.random.default_rng(61)
-for n, s in ((50, 10_001), (7, 4_097), (50, 2 * gp._SAMPLE_BLOCK + 1)):
-    m, phat = model(r, n)
-    c = gp.kl_coefficients(m, phat)
-    out = gp.sample_kl(m, phat, s, 2024)
-    normals = rng.seeded_normal_matrix(2024, s, n)
-    assert out.samples_re.tobytes() == (normals @ c.re).tobytes(), (n, s)
-    assert out.samples_im.tobytes() == (normals @ c.im).tobytes(), (n, s)
-    assert s % gp._SAMPLE_BLOCK != 0
-print("identical")
+import hashlib
+gp._worker_count = lambda: 1
+digest = hashlib.sha256()
+for seed, n, j, s in ((63, 50, 6, 10_001), (63, 257, 6, 2_049), (0, 10_001, 50, 3)):
+    m, phat = model(np.random.default_rng(seed), n, j)
+    out = gp.sample_kl(m, phat, s, 5)
+    digest.update(out.samples_re.tobytes() + out.samples_im.tobytes())
+    digest.update(out.coefficients.re.tobytes() + out.coefficients.im.tobytes())
+print(digest.hexdigest())
 """
-        assert run_pinned(code) == "identical"
+        assert run_pinned(code, blas_threads=1) == run_pinned(code, blas_threads=2)
 
     def test_worker_count_leaves_samples_unchanged(self):
         # blocks are fixed by _SAMPLE_BLOCK alone and each writes its own
@@ -495,19 +547,21 @@ print("identical")
     )
     def test_in_place_box_muller_keeps_the_bits(self, count, rows, data):
         # rows == 0 is the 1-D layout of seeded_normals; count odd truncates
-        # the last pair; the words 0 and 2**64 - 1 give u1 = 2**-53 and 1,
-        # and an array of only those two words is checked every time
+        # the last pair; the words 0 and 2**64 - 1 give u1 = 2**-53 and 1
+        # and u2 = 0 and 1 - 2**-53, (j 2**61) >> 11 = j 2**50 puts u2 on an
+        # octant edge, and an array of only those words is checked every time
         pairs, blocks = rng._stream_layout(count)
         shape = ((rows,) if rows else ()) + (4 * blocks,)
         size = int(np.prod(shape))
-        edge = st.sampled_from([0, 2**64 - 1])
+        edge_words = [0, 2**64 - 1, *(j * 2**61 for j in range(1, 8))]
+        edge = st.sampled_from(edge_words)
         drawn = data.draw(
             st.lists(edge | st.integers(0, 2**64 - 1), min_size=size, max_size=size)
         )
-        edges = [0, 2**64 - 1] * size
+        edges = edge_words * size
         for values in (drawn, edges[:size], edges[1 : size + 1]):
             words = np.array(values, dtype=np.uint64).reshape(shape)
-            expected = box_muller_out_of_place(words, pairs, count)
+            expected = box_muller_reference(words, pairs, count)
             got = rng._box_muller(words.copy(), pairs, count)
             assert got.shape == expected.shape == shape[:-1] + (count,)
             assert got.tobytes() == expected.tobytes()
