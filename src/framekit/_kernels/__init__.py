@@ -1,16 +1,16 @@
-"""Backend selection for the compiled kernels: Jacobi rotations and sampling.
+"""Backend selection for the compiled kernels: one-sided Jacobi and sampling.
 
-Each kernel ships twice: plain C (``_jacobi.c``, ``_sampling.c``), loaded
-through ``ctypes``, and a pure-numpy twin (``_jacobi_py.py``,
+Each kernel ships twice: plain C (``_hestenes.c``, ``_sampling.c``), loaded
+through ``ctypes``, and a pure-numpy twin (``_hestenes_py.py``,
 ``_sampling_py.py``).  Both produce bit-identical output for the same input,
 so the choice only affects speed.  Nothing is built at install time: the
 first import compiles the C sources with ``cc`` into one library in this
 package's ``__pycache__/``, under a name keyed by a hash of the sources and
 the flags, and later imports load that file.  Without a compiler, when the
 build fails or when the directory is not writable, the numpy twins run.
-``ACTIVE`` is the backend ``sym_eig``, the Box-Muller transform and
-``sample_kl`` run; ``BACKENDS`` lists every one that loaded, for the parity
-tests and the benchmarks.
+``ACTIVE`` is the backend ``spectral.row_svd``, the Box-Muller transform and
+the fixed-order sums of ``gp`` run; ``BACKENDS`` lists every one that loaded,
+for the parity tests and the benchmarks.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import _jacobi_py, _sampling_py
+from . import _hestenes_py, _sampling_py
 
-_SOURCES = tuple(Path(__file__).with_name(name) for name in ("_jacobi.c", "_sampling.c"))
+_SOURCES = tuple(Path(__file__).with_name(name) for name in ("_hestenes.c", "_sampling.c"))
 # -ffp-contract=off keeps the C twins bit-identical to the numpy twins (no FMA
 # re-rounding inside rotations or sums); -fno-math-errno lets sqrt compile to the
 # correctly rounded instruction alone, so the library needs no libm
@@ -34,25 +34,20 @@ _FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 
 
 class Backend(NamedTuple):
-    """One twin: ``jacobi_sweeps(a, v, fro_norm, max_sweeps, tol_factor)``;
-    ``off_norm(a)``, the off-diagonal norm in the order both twins test
-    convergence; ``polar_normals(k, radius, count)``, the angle half of
-    Box-Muller; and ``kl_contract(x, c_re, c_im, out_re, out_im)``, the
-    fixed-order sample sums of ``sample_kl``."""
+    """One twin: ``jacobi_rows(a, max_sweeps, tol)``, one-sided Jacobi on the
+    rows of ``a``, returning (squared row norms, rotations, sweeps);
+    ``polar_normals(k, radius, count)``, the angle half of Box-Muller; and
+    ``kl_contract(x, c_re, c_im, out_re, out_im)``, the fixed-order sums of
+    ``sample_kl``, ``kl_coefficients`` and ``fourier_at_atoms``."""
 
     name: str
-    jacobi_sweeps: Callable
-    off_norm: Callable
+    jacobi_rows: Callable
     polar_normals: Callable
     kl_contract: Callable
 
 
 PYTHON = Backend(
-    "python",
-    _jacobi_py.jacobi_sweeps,
-    _jacobi_py.off_norm,
-    _sampling_py.polar_normals,
-    _sampling_py.kl_contract,
+    "python", _hestenes_py.jacobi_rows, _sampling_py.polar_normals, _sampling_py.kl_contract
 )
 
 
@@ -96,26 +91,19 @@ def _load(library: Path) -> Backend:
     # typed pointers make a wrong dtype, rank, layout or a read-only array
     # raise instead of handing C the wrong memory
     matrix = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
-    lib.jacobi_sweeps.argtypes = [
-        matrix, matrix, ctypes.c_long, ctypes.c_double, ctypes.c_int, ctypes.c_double
+    out_vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
+    lib.jacobi_rows.argtypes = [
+        matrix, matrix, out_vector, ctypes.c_long, ctypes.c_long, ctypes.c_int, ctypes.c_double
     ]
-    lib.jacobi_sweeps.restype = ctypes.c_int
-    lib.off_norm.argtypes = [
-        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS"), ctypes.c_long
-    ]
-    lib.off_norm.restype = ctypes.c_double
+    lib.jacobi_rows.restype = ctypes.c_int
 
-    def jacobi_sweeps(a, v, fro_norm, max_sweeps, tol_factor):
-        n = _square(a)
-        if v.shape != a.shape:
-            raise ValueError(f"eigenvector array {v.shape} for a {a.shape} matrix")
-        return lib.jacobi_sweeps(a, v, n, fro_norm, max_sweeps, tol_factor)
-
-    def off_norm(a):
-        return lib.off_norm(a, _square(a))
+    def jacobi_rows(a, max_sweeps, tol):
+        k, n = _hestenes_py.check_rows_args(a)
+        v, norms = np.eye(k), np.empty(k)
+        sweeps = lib.jacobi_rows(a, v, norms, k, n, max_sweeps, tol)
+        return norms, v, sweeps
 
     vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    out_vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
     # the angle words are a column range of the Philox words: rows may be
     # strided, elements must be adjacent (checked below)
     lib.polar_normals.argtypes = [
@@ -142,14 +130,7 @@ def _load(library: Path) -> Backend:
         rows, n = _sampling_py.check_contract_args(x, c_re, c_im, out_re, out_im)
         lib.kl_contract(x, c_re, c_im, out_re, out_im, rows, n)
 
-    return Backend("compiled", jacobi_sweeps, off_norm, polar_normals, kl_contract)
-
-
-def _square(a) -> int:
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return n
+    return Backend("compiled", jacobi_rows, polar_normals, kl_contract)
 
 
 def _select(cc: str, cache: Path) -> tuple[dict, Backend]:

@@ -8,10 +8,10 @@ plain 1-D float arrays; operations validate lengths.
 
 Every spectral quantity of a frame comes from one factorization of
 B = Phi W^{1/2} (``frame_spectrum``): B is scaled by a power of two so that
-its largest entry lies in [0.5, 1), and the smaller of the Gramian B B^T
-(N x N) and the unit-weight frame operator B^T B (M x M) is decomposed once,
-in dimension min(N, M).  The two share their nonzero spectrum, and the
-singular vectors of the other side are recovered through B.  One rank rule,
+its largest entry lies in [0.5, 1), and one-sided Jacobi orthogonalizes the
+min(N, M) rows of its thinner side, B or B^T.  The squared singular values
+are the nonzero spectrum of both the Gramian B B^T and the unit-weight frame
+operator B^T B, neither of which is formed.  One rank rule,
 lambda > rank_tol * lambda_max with lambda_max > 0, decides what is kept.
 """
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument, InvalidIndex, InvalidMatrix
-from .spectral import DEFAULT_RANK_TOL, SymMatrix, _binary_exponent, sym_eig
+from .spectral import DEFAULT_RANK_TOL, SymMatrix, _binary_exponent, row_svd
 
 _PARSEVAL_TOL = 1e-9
 
@@ -99,8 +99,8 @@ class FrameSystem:
 class FrameSpectrum:
     """The retained singular system of B = Phi W^{1/2}.
 
-    ``eigenvalues`` holds all min(N, M) eigenvalues of the decomposed matrix
-    (the nonzero spectrum of both the Gramian and the frame operator),
+    ``eigenvalues`` holds all min(N, M) squared singular values of B (the
+    nonzero spectrum of both the Gramian and the frame operator),
     non-increasing.  The first ``rank`` of them are retained; column k of
     ``u`` (N x rank) and of ``v`` (M x rank) pair with eigenvalue k through
     B v_k = sqrt(lambda_k) u_k, and both have orthonormal columns.
@@ -156,11 +156,10 @@ def weighted_norm(grid: Grid, f) -> float:
 def build_gramian(fs: FrameSystem) -> SymMatrix:
     """Gramian G_mn = <phi_m, phi_n> in the weighted inner product.
 
-    Assembled as B B^T with B = Phi * sqrt(w), so the result is symmetric
-    positive semidefinite by construction.
+    Assembled as B B^T with B = Phi W^{1/2}; no spectrum is read from it.
     """
-    b = fs.vectors * np.sqrt(fs.grid.weights)
-    return SymMatrix(b @ b.T)
+    half = fs.vectors * np.sqrt(fs.grid.weights)
+    return SymMatrix(half @ half.T)
 
 
 def analysis(fs: FrameSystem, f) -> np.ndarray:
@@ -183,29 +182,27 @@ def frame_operator_apply(fs: FrameSystem, f) -> np.ndarray:
 def frame_spectrum(
     fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL
 ) -> FrameSpectrum:
-    """One Jacobi decomposition of B = Phi W^{1/2}, in dimension min(N, M).
+    """One-sided Jacobi on B = Phi W^{1/2}, in dimension min(N, M).
 
     B is scaled by 2**-e so that max|B| lies in [0.5, 1); the scaling is
     exact, so ranks and singular vectors do not depend on the overall scale
-    of the frame, and the eigenvalues are scaled back by 4**e.  The smaller
-    of B B^T and B^T B is decomposed; the singular vectors of the other side
-    are recovered through B, e.g. V_r = B^T U_r Lambda_r^{-1/2}.
+    of the frame, and the eigenvalues are scaled back by 4**e.  The rows of
+    the thinner side, B or B^T, are rotated until orthogonal: the rotations
+    give that side's singular vectors, and the rotated rows, sigma_k times
+    the other side's singular vectors, give the rest by one division.
     """
     if rank_tol < 0:
         raise InvalidArgument("rank_tol must be >= 0")
     b = fs.vectors * np.sqrt(fs.grid.weights)
     shift = _binary_exponent(b)
     b = np.ldexp(b, -shift)
-    gram_side = fs.n_vectors <= fs.n_points
-    eig = sym_eig(SymMatrix(b @ b.T if gram_side else b.T @ b))
-    lam = eig.eigenvalues
+    wide = fs.n_vectors <= fs.n_points
+    svd = row_svd(b if wide else b.T)
+    lam = svd.squares
     rank = int(np.count_nonzero(lam > rank_tol * lam[0])) if lam[0] > 0.0 else 0
-    kept = eig.eigenvectors[:, :rank]
-    root = np.sqrt(lam[:rank])
-    if gram_side:
-        u, v = kept, (b.T @ kept) / root
-    else:
-        u, v = (b @ kept) / root, kept
+    rotated = svd.left[:rank].T
+    divided = svd.rows[:rank].T / np.sqrt(lam[:rank])
+    u, v = (rotated, divided) if wide else (divided, rotated)
     return FrameSpectrum(
         frame=fs,
         eigenvalues=np.ldexp(lam, 2 * shift),

@@ -183,7 +183,11 @@ class SandwichReport:
 
 
 def fourier_at_atoms(x_grid: Grid, phi, measure: AtomicMeasure) -> ComplexVector:
-    """Quadrature Fourier transform phat(u_j) = sum_i w_i e^{i x_i u_j} phi(x_i)."""
+    """Quadrature Fourier transform phat(u_j) = sum_i w_i e^{i x_i u_j} phi(x_i).
+
+    Each sum runs over the grid in index order (``kl_contract`` on the
+    stacked cos and sin rows), so no BLAS thread count enters the bits.
+    """
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 1 or phi.size != x_grid.size:
         raise DimensionMismatch(
@@ -191,10 +195,10 @@ def fourier_at_atoms(x_grid: Grid, phi, measure: AtomicMeasure) -> ComplexVector
         )
     weighted = x_grid.weights * phi
     phase = np.outer(measure.locations, x_grid.points)
-    return ComplexVector(
-        re=np.cos(phase) @ weighted,
-        im=np.sin(phase) @ weighted,
-    )
+    waves = np.concatenate([np.cos(phase), np.sin(phase)])
+    sums, same = np.empty(len(waves)), np.empty(len(waves))
+    _kernels.ACTIVE.kl_contract(waves, weighted, weighted, sums, same)
+    return ComplexVector(re=sums[: len(phase)], im=sums[len(phase) :])
 
 
 def sigma_frame_bounds(

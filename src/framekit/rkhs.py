@@ -7,8 +7,8 @@ weighted inner product.  For systems that span only a strict subspace, the
 pseudo-inverse restricts every construction to the span.
 
 Every construction here is a product of one ``frames.frame_spectrum`` of
-B = Phi W^{1/2} = U_r Lambda_r^{1/2} V_r^T, computed once per frame in
-dimension min(N, M) after an exact power-of-two scaling of B:
+B = Phi W^{1/2} = U_r Lambda_r^{1/2} V_r^T, one-sided Jacobi on the
+min(N, M) rows of B or B^T after an exact power-of-two scaling of B:
 
     kernel        K = W^{-1/2} V_r V_r^T W^{-1/2}      (= Phi^T G^+ Phi)
     tight frame   Psi = U_r V_r^T W^{-1/2}             (= G^{-1/2} Phi)
@@ -17,10 +17,11 @@ dimension min(N, M) after an exact power-of-two scaling of B:
 
 so the kernel, the tight frame and the rank do not depend on the overall
 scale of the frame.  The kernel is K = F F^T with the M x r factor
-F = W^{-1/2} V_r, and ``kernel_psd`` takes its spectrum from F, never from
-the M x M table, so no Jacobi call here is larger than min(N, M); its
-rounding bound on the table's negative eigenvalues, ``kernel_psd_bound``,
-needs F alone.
+F = W^{-1/2} V_r, and ``kernel_psd`` reads lambda_max(K) from the r rows of
+F^T, never from the M x M table; its rounding bound on the table's negative
+eigenvalues, ``kernel_psd_bound``, needs F alone.  The spectrum uses no
+BLAS, but the products that form the kernel, the tight frame, L and the
+identity checks do, so their last bits may follow BLAS's thread count.
 ``identity_suite`` checks them all from one spectrum,
 over all probes at once, against gates of the same degree in the data scale
 as their residuals, so neither do its verdicts (an absolute floor such as
@@ -49,7 +50,7 @@ from .frames import (
     frame_spectrum,
     _grid_function,
 )
-from .spectral import DEFAULT_RANK_TOL, SymMatrix, _binary_exponent, sym_eig
+from .spectral import DEFAULT_RANK_TOL, _binary_exponent, row_svd
 
 _UNIT_ROUNDOFF = 2.0**-53
 
@@ -237,15 +238,13 @@ def kernel_psd(factor) -> tuple[float, float]:
     """(lambda_max, ``kernel_psd_bound``) of the kernel table K = F F^T.
 
     ``factor`` is F, M x k: W^{-1/2} V_r (k = r) for the inverse-Gramian
-    kernel, Phi^T (k = N) for the naive one.  F F^T and F^T F share their
-    nonzero spectrum, so one Jacobi call on F^T F gives lambda_max(K) when
-    that side is strictly smaller (k < M); otherwise F F^T itself is
-    decomposed, which for a spanning inverse-Gramian kernel is close to
-    W^{-1} and nearly diagonal.  Either way the dimension is min(M, k).
+    kernel, Phi^T (k = N) for the naive one.  lambda_max(K) is the largest
+    squared singular value of F, read by one-sided Jacobi on the rows of
+    F^T, or of F when k > M; no product of F is formed.
     """
     f = np.asarray(factor, dtype=float)
     m, k = f.shape
-    lam_max = float(sym_eig(SymMatrix(f.T @ f if k < m else f @ f.T)).eigenvalues[0])
+    lam_max = float(row_svd(f.T if k <= m else f).squares[0])
     return lam_max, kernel_psd_bound(f)
 
 
@@ -312,7 +311,9 @@ def identity_suite(fs: FrameSystem, rank_tol: float) -> dict:
 
     l and r are the two sides of the identity.  The last two divide by
     Cauchy-Schwarz bounds, positive for every nonzero probe of a spanning
-    frame, where l and r themselves can be 0.
+    frame, where l and r themselves can be 0.  ``gramian_psd_violation``
+    reads -lambda_min, and the spectrum is made of squared singular values,
+    so it is 0 by construction and checks nothing.
     """
     shift = _binary_exponent(fs.vectors)
     unit = FrameSystem(grid=fs.grid, vectors=np.ldexp(fs.vectors, -shift))

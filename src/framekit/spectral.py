@@ -1,15 +1,19 @@
-"""Dense symmetric-matrix spectral machinery.
+"""Dense spectral machinery: one deterministic one-sided Jacobi kernel.
 
-The symmetric-matrix type and its deterministic cyclic-Jacobi
-eigendecomposition, ``sym_eig``, which makes no rank decision.  Frame
-bounds, kernels, canonical tight frames, Lax-Milgram and polar rest on one
-``sym_eig`` call per frame, made by ``frames.frame_spectrum``, which holds
-the library's one rank rule.
+``row_svd`` orthogonalizes the rows of a factor A by cyclic Jacobi
+rotations and so gives the eigensystem of A A^T without forming it, which
+keeps the small eigenvalues that squaring the condition number would lose.
+It makes no rank decision.  Frame bounds, kernels, canonical tight frames,
+Lax-Milgram and polar rest on one ``row_svd`` call per frame, made by
+``frames.frame_spectrum``, which holds the library's one rank rule; the
+kernel's lambda_max, the Hilbert table and the Riesz draws factor their own
+matrices.  ``SymMatrix`` is the type of the Gramians the library returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +23,7 @@ from .errors import InvalidMatrix, NotConverged
 #: Relative eigenvalue threshold below which spectrum is treated as rank noise.
 DEFAULT_RANK_TOL = 1e-10
 
-_SWEEP_TOL_FACTOR = 1e-12
+_ORTHOGONAL_TOL = 1e-14
 _MAX_SWEEPS = 100
 
 
@@ -44,21 +48,19 @@ class SymMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigensystem of a SymMatrix.
+class RowSVD(NamedTuple):
+    """Singular system of a k x L array A, from its rows.
 
-    ``eigenvalues`` are non-increasing; column k of ``eigenvectors`` pairs
-    with eigenvalue k.  ``sweeps`` is the number of Jacobi sweeps run.
+    ``squares`` holds the k values sigma_j**2, non-increasing; row j of
+    ``rows`` is sigma_j v_j^T and row j of ``left`` is u_j^T, so that
+    A = left^T rows and A A^T = left^T diag(squares) left, with ``left``
+    orthogonal.  ``sweeps`` is the number of Jacobi sweeps that rotated.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    squares: np.ndarray
+    rows: np.ndarray
+    left: np.ndarray
     sweeps: int
-
-    def __post_init__(self):
-        self.eigenvalues.setflags(write=False)
-        self.eigenvectors.setflags(write=False)
 
 
 def _binary_exponent(a) -> int:
@@ -70,39 +72,34 @@ def _binary_exponent(a) -> int:
     return int(np.frexp(top)[1]) if top > 0.0 else 0
 
 
-def sym_eig(a: SymMatrix) -> SpectralDecomposition:
-    """Full eigendecomposition by cyclic Jacobi rotations.
+def row_svd(a) -> RowSVD:
+    """Singular system of the rows of ``a`` by one-sided cyclic Jacobi.
 
-    Deterministic for a fixed input: fixed sweep order, off-diagonal
-    Frobenius threshold 1e-12 * ||A||_F, at most 100 sweeps, and
-    ``NotConverged`` if the off-diagonal norm is still above the threshold
-    after the last one.  The working copy is first scaled by a power of two
-    so that its largest entry lies in [0.5, 1), and the eigenvalues are
-    scaled back.  Jacobi arithmetic is homogeneous and the scaling is exact,
-    so eigenvectors do not depend on the overall scale of the input.  The
-    squares summed for the norms cannot overflow, and underflow only for
-    entries below 1e-154 of the largest.
+    The rows of a working copy are rotated in pairs, in cyclic order, until a
+    sweep finds every pair orthogonal to within |a_p.a_q| <= 1e-14 |a_p| |a_q|;
+    ``NotConverged`` if that takes more than 100 sweeps.  No A A^T is formed,
+    so small singular values keep the relative accuracy of the rows rather
+    than of their squares.  The copy is first scaled by a power of two so
+    that its largest entry lies in [0.5, 1), and the results are scaled back;
+    the scaling is exact, so ``left`` does not depend on the scale of ``a``.
+    Rows beyond the rank of ``a`` are rotated down to about 1e-136 of the
+    largest entry and then count as zero; that costs sweeps, so callers pass
+    the thinner side.
     """
-    shift = _binary_exponent(a.entries)
-    work = np.ascontiguousarray(np.ldexp(a.entries, -shift))
-    n = work.shape[0]
-    vecs = np.eye(n, order="C")
-    fro = float(np.sqrt(np.sum(work * work)))
-    kernels = _kernels.ACTIVE
-    sweeps = kernels.jacobi_sweeps(work, vecs, fro, _MAX_SWEEPS, _SWEEP_TOL_FACTOR)
-    if sweeps >= _MAX_SWEEPS:
-        # the kernels test convergence only at the top of a sweep
-        off = kernels.off_norm(work)
-        if off > _SWEEP_TOL_FACTOR * fro:
-            raise NotConverged(
-                f"Jacobi stopped after {sweeps} sweeps on a {n} x {n} matrix with "
-                f"off-diagonal norm {off:.3g} above {_SWEEP_TOL_FACTOR * fro:.3g}"
-            )
-    vals = np.ldexp(np.diag(work), shift)
-    order = np.argsort(-vals, kind="stable")
-    return SpectralDecomposition(
-        eigenvalues=vals[order],
-        eigenvectors=np.ascontiguousarray(vecs[:, order]),
+    a = np.asarray(a, dtype=float)
+    shift = _binary_exponent(a)
+    work = np.ldexp(a, -shift, order="C")
+    squares, left, sweeps = _kernels.ACTIVE.jacobi_rows(work, _MAX_SWEEPS, _ORTHOGONAL_TOL)
+    if sweeps > _MAX_SWEEPS:
+        raise NotConverged(
+            f"Jacobi on a {a.shape[0]} x {a.shape[1]} array still rotated after "
+            f"{_MAX_SWEEPS} sweeps"
+        )
+    order = np.argsort(-squares, kind="stable")
+    return RowSVD(
+        squares=np.ldexp(squares[order], 2 * shift),
+        rows=np.ldexp(work[order], shift),
+        left=left[order],
         sweeps=sweeps,
     )
 

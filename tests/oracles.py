@@ -1,8 +1,8 @@
 """Independent reference implementations used to cross-check the library.
 
 Nothing here calls into framekit's linear algebra: eigenvalue estimates come
-from power iteration, subspace kernels from weighted Gram-Schmidt, and
-positive-definiteness certificates from a hand-rolled Cholesky.
+from power iteration or LAPACK, subspace kernels from weighted Gram-Schmidt,
+and positive-definiteness certificates from a hand-rolled Cholesky.
 """
 
 import math
@@ -26,6 +26,12 @@ def power_iteration(a, steps=10_000):
             return 0.0
         v = w / nrm
     return lam
+
+
+def eigh_descending(a):
+    """(eigenvalues non-increasing, eigenvectors as columns) of symmetric a, by LAPACK."""
+    vals, vecs = np.linalg.eigh(np.asarray(a, dtype=float))
+    return vals[::-1], vecs[:, ::-1]
 
 
 def weighted_gram_schmidt(vectors, weights, rel_tol=1e-8):

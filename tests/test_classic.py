@@ -13,10 +13,9 @@ from framekit import (
     monomial_frame,
     random_riesz_frame,
     rk_kernel,
-    sym_eig,
 )
 
-from oracles import cholesky_succeeds, power_iteration
+from oracles import cholesky_succeeds, eigh_descending, power_iteration
 
 
 class TestMonomialFrame:
@@ -60,7 +59,8 @@ class TestHilbertExact:
     def test_lam_max_against_power_iteration(self):
         h = hilbert_gramian_exact(5)
         oracle = power_iteration(h.entries, steps=10_000)
-        assert abs(float(sym_eig(h).eigenvalues[0]) - oracle) <= 1e-9
+        (row,) = hilbert_spectrum_report([5])
+        assert abs(row.lam_max - oracle) <= 1e-9
 
     def test_invalid(self):
         with pytest.raises(InvalidArgument):
@@ -91,11 +91,11 @@ class TestSpectrumReport:
         for n in [2, 4, 8, 16]:
             small = hilbert_gramian_exact(n)
             big = hilbert_gramian_exact(n + 1).entries
-            eig = sym_eig(small)
+            lam, vecs = eigh_descending(small.entries)
             v = np.zeros(n + 1)
-            v[:n] = eig.eigenvectors[:, 0]
+            v[:n] = vecs[:, 0]
             rayleigh = float(v @ big @ v)
-            assert abs(rayleigh - float(eig.eigenvalues[0])) <= 1e-12
+            assert abs(rayleigh - float(lam[0])) <= 1e-12
             (row,) = hilbert_spectrum_report([n + 1])
             assert row.lam_max > rayleigh
 
@@ -104,6 +104,20 @@ class TestSpectrumReport:
         lam = [r.lam_min for r in rows]
         assert all(a > b for a, b in zip(lam, lam[1:]))
         assert lam[-1] > 1e-12  # still above roundoff at n=8
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_lam_min_against_exact_hilbert(self, n):
+        # a 60-digit eigensolve of the exact rational matrix is the oracle
+        mpmath = pytest.importorskip("mpmath")
+        (row,) = hilbert_spectrum_report([n])
+        with mpmath.workdps(60):
+            h = mpmath.matrix(n, n)
+            for i in range(n):
+                for j in range(n):
+                    h[i, j] = mpmath.mpf(1) / (i + j + 1)
+            exact = min(mpmath.eigsy(h, eigvals_only=True))
+            error = float(abs(row.lam_min - exact) / exact)
+        assert error <= 1e-12, error
 
     def test_n12_no_lower_bound(self):
         (row,) = hilbert_spectrum_report([12])

@@ -28,9 +28,7 @@ from framekit import (
     theoretical_variances,
 )
 from framekit import gp, rng
-from framekit.spectral import SymMatrix, sym_eig
-
-from oracles import orthonormal_rows
+from oracles import eigh_descending, orthonormal_rows
 
 
 def simple_measure():
@@ -216,6 +214,44 @@ class TestFourierAtAtoms:
         with pytest.raises(DimensionMismatch):
             fourier_at_atoms(grid, np.zeros(9), simple_measure())
 
+    def test_sums_run_in_index_order(self):
+        # the first term alone, then one rounded multiply and add per term
+        r = np.random.default_rng(4)
+        grid = Grid(points=np.sort(r.uniform(-3, 3, 40)), weights=r.uniform(0.1, 1.0, 40))
+        phi = r.standard_normal(40)
+        measure = AtomicMeasure(locations=r.uniform(-5, 5, 7), masses=np.ones(7))
+        out = fourier_at_atoms(grid, phi, measure)
+        weighted = (grid.weights * phi).tolist()
+        for j, u in enumerate(measure.locations):
+            phase = u * grid.points
+            for wave, got in ((np.cos(phase), out.re[j]), (np.sin(phase), out.im[j])):
+                acc = wave[0] * weighted[0]
+                for term, w in zip(wave[1:].tolist(), weighted[1:]):
+                    acc = acc + term * w
+                assert got == acc
+
+    def test_blas_threads_leave_the_profile_unchanged(self):
+        # a phi_x model of 10,001 atoms on 50 grid points, large enough for a
+        # threaded gemv to split its sums
+        code = """
+import hashlib
+import numpy as np
+from framekit import gp, rng
+from framekit.frames import Grid
+digest = hashlib.sha256()
+for seed in range(4):
+    grid = Grid(points=np.linspace(-4.0, 4.0, 50), weights=np.full(50, 8.0 / 50))
+    phi = rng.seeded_normals(seed, 0, 50)
+    measure = gp.AtomicMeasure(
+        locations=np.linspace(-20.0, 20.0, 10_001) + 1e-3 * rng.seeded_normals(seed, 1, 10_001),
+        masses=np.full(10_001, 1e-4),
+    )
+    out = gp.fourier_at_atoms(grid, phi, measure)
+    digest.update(out.re.tobytes() + out.im.tobytes())
+print(digest.hexdigest())
+"""
+        assert run_pinned(code, blas_threads=1) == run_pinned(code, blas_threads=2)
+
 
 class TestSigmaFrameBounds:
     def test_orthonormal_rows(self):
@@ -394,10 +430,10 @@ class TestSandwich:
                 continue
             masses = model.frame.measure.masses
             b_hat = model.frame.vectors * np.sqrt(masses)
-            eig = sym_eig(SymMatrix(b_hat.T @ b_hat))
+            values, vectors = eigh_descending(b_hat.T @ b_hat)
             which = 0 if abs(model.b - 1.0) >= abs(model.a - 1.0) else -1
-            lam = float(eig.eigenvalues[which])
-            v_hat = eig.eigenvectors[:, which]
+            lam = float(values[which])
+            v_hat = vectors[:, which]
             phat = ComplexVector(
                 re=v_hat / np.sqrt(masses), im=np.zeros(len(masses))
             )

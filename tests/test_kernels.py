@@ -1,4 +1,4 @@
-"""The Jacobi and sampling twins and the build cache of the C library.
+"""The one-sided Jacobi and sampling twins and the build cache of the C library.
 
 ``_kernels._select(cc, cache)`` is what the package runs at import with the
 ``cc`` on PATH and its own ``__pycache__/``; here it gets a fake compiler and
@@ -20,35 +20,36 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import framekit
-from framekit import SymMatrix, gp, rng, sym_eig
+from framekit import gp, rng, row_svd
 from framekit import _kernels
 from framekit._kernels import BACKENDS
-from framekit.spectral import _MAX_SWEEPS, _SWEEP_TOL_FACTOR
+from framekit.spectral import _MAX_SWEEPS, _ORTHOGONAL_TOL
 
 CC = shutil.which("cc")
 needs_cc = pytest.mark.skipif(CC is None, reason="no C compiler")
 
 
-def symmetric(n, seed, kind, k):
-    """2**k times a symmetric n x n matrix: dense, with exact zeros, or with
-    each eigenvalue repeated three times."""
+def factor(k, n, seed, kind, e):
+    """2**e times k rows of length n: dense, with exact zeros and zero rows,
+    with each singular value repeated three times, or each row listed twice."""
     r = np.random.default_rng(seed)
-    x = r.standard_normal((n, n))
+    x = r.standard_normal((k, n))
     if kind == "zeros":
-        x[r.random((n, n)) < 0.5] = 0.0
+        x[r.random((k, n)) < 0.5] = 0.0
+        x[r.random(k) < 0.3] = 0.0
     elif kind == "repeated":
-        q, _ = np.linalg.qr(x)
-        x = q @ np.diag(np.repeat(r.standard_normal(n), 3)[:n]) @ q.T
-    return np.ldexp(SymMatrix(x).entries, k)
+        left, _ = np.linalg.qr(r.standard_normal((k, k)))
+        right, _ = np.linalg.qr(r.standard_normal((n, k)))
+        x = (left * np.repeat(r.standard_normal(k), 3)[:k]) @ right.T
+    elif kind == "duplicated":
+        x = np.repeat(x[: (k + 1) // 2], 2, axis=0)[:k]
+    return np.ldexp(x, e)
 
 
 def run(backend, base):
     a = np.array(base, order="C")
-    v = np.eye(a.shape[0], order="C")
-    fro = float(np.sqrt(np.sum(a * a)))
-    before = backend.off_norm(a)
-    sweeps = backend.jacobi_sweeps(a, v, fro, _MAX_SWEEPS, _SWEEP_TOL_FACTOR)
-    return a.tobytes(), v.tobytes(), sweeps, before, backend.off_norm(a)
+    squares, v, sweeps = backend.jacobi_rows(a, _MAX_SWEEPS, _ORTHOGONAL_TOL)
+    return squares.tobytes(), a.tobytes(), v.tobytes(), sweeps
 
 
 def sample(backend, words, count):
@@ -82,17 +83,19 @@ def fake_compiler(tmp_path, body):
 @pytest.mark.skipif("compiled" not in BACKENDS, reason="C twin not loaded")
 @settings(max_examples=60, deadline=None, database=None)
 @given(
-    n=st.integers(min_value=1, max_value=20),
+    k=st.integers(min_value=1, max_value=20),
+    extra=st.integers(min_value=0, max_value=6),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    kind=st.sampled_from(["dense", "zeros", "repeated"]),
-    k=st.integers(min_value=-200, max_value=200),
+    kind=st.sampled_from(["dense", "zeros", "repeated", "duplicated"]),
+    e=st.integers(min_value=-200, max_value=200),
 )
-@example(n=1, seed=0, kind="dense", k=0)
-@example(n=12, seed=1, kind="repeated", k=0)
-@example(n=12, seed=1, kind="zeros", k=-200)
-def test_twins_agree_bit_for_bit(n, seed, kind, k):
-    # a, v, the sweep count and the off-diagonal norm before and after
-    base = symmetric(n, seed, kind, k)
+@example(k=1, extra=0, seed=0, kind="dense", e=0)
+@example(k=12, extra=3, seed=1, kind="repeated", e=0)
+@example(k=12, extra=0, seed=1, kind="zeros", e=-200)
+@example(k=20, extra=6, seed=2, kind="duplicated", e=200)
+def test_twins_agree_bit_for_bit(k, extra, seed, kind, e):
+    # squared norms, rotated rows, rotations and the sweep count
+    base = factor(k, k + extra, seed, kind, e)
     assert run(BACKENDS["compiled"], base) == run(BACKENDS["python"], base)
 
 
@@ -211,23 +214,20 @@ def test_coefficients_are_the_nearest_taylor_doubles():
 @pytest.mark.skipif("compiled" not in BACKENDS, reason="C twin not loaded")
 def test_wrong_arrays_raise():
     # the typed pointers and the shape checks stop what C would misread
-    a = symmetric(4, 0, "dense", 0)
+    a = factor(4, 6, 0, "dense", 0)
     frozen = a.copy()
     frozen.setflags(write=False)
-    for bad_a, bad_v, error in [
-        (a.astype(np.float32), np.eye(4), ctypes.ArgumentError),
-        (frozen, np.eye(4), ctypes.ArgumentError),
-        (a, np.eye(4)[::-1], ctypes.ArgumentError),
-        (a[:3], np.eye(3), ValueError),
-        (a, np.eye(3), ValueError),
+    for bad, error in [
+        (a.astype(np.float32), ctypes.ArgumentError),
+        (frozen, ctypes.ArgumentError),
+        (a[::-1], ctypes.ArgumentError),
+        (np.asfortranarray(a), ctypes.ArgumentError),
+        (a[0], ValueError),
+        (a[:0], ValueError),
+        (a[:, :0], ValueError),
     ]:
         with pytest.raises(error):
-            BACKENDS["compiled"].jacobi_sweeps(bad_a, bad_v, 1.0, _MAX_SWEEPS, _SWEEP_TOL_FACTOR)
-    with pytest.raises(ValueError):
-        BACKENDS["compiled"].off_norm(a[:3])
-    with pytest.raises(ctypes.ArgumentError):
-        BACKENDS["compiled"].off_norm(np.asfortranarray(a))
-    assert BACKENDS["compiled"].off_norm(frozen) == BACKENDS["python"].off_norm(frozen)
+            BACKENDS["compiled"].jacobi_rows(bad, _MAX_SWEEPS, _ORTHOGONAL_TOL)
 
 
 @pytest.mark.skipif("compiled" not in BACKENDS, reason="C twin not loaded")
@@ -282,7 +282,7 @@ def test_second_build_does_not_run_the_compiler(tmp_path):
     assert [p.name for p in cache.iterdir()] == [
         _kernels._library_name([p.read_bytes() for p in _kernels._SOURCES], _kernels._FLAGS)
     ]
-    base = symmetric(9, 3, "dense", 0)
+    base = factor(9, 11, 3, "dense", 0)
     assert run(active, base) == run(BACKENDS["python"], base)
     words = rng.philox_words(3, 0, 4 * 13 * 7).reshape(7, 52)
     assert sample(active, words, 25) == sample(BACKENDS["python"], words, 25)
@@ -290,8 +290,8 @@ def test_second_build_does_not_run_the_compiler(tmp_path):
 
 @pytest.mark.parametrize("failure", ["compiler fails", "no compiler", "cache not writable"])
 def test_failed_build_keeps_the_numpy_twin(tmp_path, monkeypatch, failure):
-    a = SymMatrix(symmetric(12, 5, "dense", 0))
-    expected = sym_eig(a)
+    a = factor(12, 15, 5, "dense", 0)
+    expected = row_svd(a)
     model, phat = kl_model(9, 3)
     expected_kl = gp.sample_kl(model, phat, gp._SAMPLE_BLOCK + 5, 11)
     cc = fake_compiler(tmp_path, "echo error >&2\nexit 1")
@@ -308,9 +308,10 @@ def test_failed_build_keeps_the_numpy_twin(tmp_path, monkeypatch, failure):
         assert list(cache.iterdir()) == []  # no partial library left behind
     monkeypatch.setattr(_kernels, "ACTIVE", active)
     assert framekit.jacobi_backend() == "python"
-    got = sym_eig(a)
-    assert np.array_equal(got.eigenvalues, expected.eigenvalues)
-    assert np.array_equal(got.eigenvectors, expected.eigenvectors)
+    got = row_svd(a)
+    assert np.array_equal(got.squares, expected.squares)
+    assert np.array_equal(got.rows, expected.rows)
+    assert np.array_equal(got.left, expected.left)
     assert got.sweeps == expected.sweeps
     got_kl = gp.sample_kl(model, phat, gp._SAMPLE_BLOCK + 5, 11)
     assert got_kl.samples_re.tobytes() == expected_kl.samples_re.tobytes()

@@ -12,11 +12,11 @@ from framekit import (
     build_gramian,
     frame_spectrum,
     hilbert_gramian_exact,
+    row_svd,
     spectral,
-    sym_eig,
 )
 from framekit._kernels import BACKENDS
-from framekit.spectral import _MAX_SWEEPS, _SWEEP_TOL_FACTOR
+from framekit.spectral import _MAX_SWEEPS, _ORTHOGONAL_TOL
 
 from oracles import power_iteration
 
@@ -24,10 +24,9 @@ from oracles import power_iteration
 HILBERT5_LAM_MAX = 1.5670506910982305
 
 
-def random_sym(n, seed):
-    r = np.random.default_rng(seed)
-    a = r.standard_normal((n, n))
-    return SymMatrix(a + a.T)
+def random_rows(n, seed):
+    """n random rows of length n + 2."""
+    return np.random.default_rng(seed).standard_normal((n, n + 2))
 
 
 def random_factor(n, seed):
@@ -79,71 +78,83 @@ class TestSymMatrix:
 
 
 class TestSymEig:
+    """Eigensystems of the symmetric A A^T, read by ``row_svd`` from the rows of A."""
+
     def test_identity(self):
-        d = sym_eig(SymMatrix(np.eye(3)))
-        assert np.allclose(d.eigenvalues, 1.0)
-        q = d.eigenvectors
-        assert np.max(np.abs(q.T @ q - np.eye(3))) <= 1e-10
+        d = row_svd(np.eye(3))
+        assert np.allclose(d.squares, 1.0)
+        q = d.left
+        assert np.max(np.abs(q @ q.T - np.eye(3))) <= 1e-10
 
     def test_two_by_two_closed_form(self):
-        d = sym_eig(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
-        np.testing.assert_allclose(d.eigenvalues, [3.0, 1.0], atol=1e-12)
+        # the rows of the Cholesky factor of [[2, 1], [1, 2]]
+        d = row_svd([[np.sqrt(2.0), 0.0], [np.sqrt(0.5), np.sqrt(1.5)]])
+        np.testing.assert_allclose(d.squares, [3.0, 1.0], atol=1e-12)
         plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
         minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        assert abs(abs(float(plus @ d.eigenvectors[:, 0])) - 1.0) <= 1e-12
-        assert abs(abs(float(minus @ d.eigenvectors[:, 1])) - 1.0) <= 1e-12
+        assert abs(abs(float(plus @ d.left[0])) - 1.0) <= 1e-12
+        assert abs(abs(float(minus @ d.left[1])) - 1.0) <= 1e-12
 
     def test_hilbert5_against_power_iteration(self):
         h = hilbert_gramian_exact(5)
-        d = sym_eig(h)
+        d = row_svd(np.linalg.cholesky(h.entries))
         oracle = power_iteration(h.entries, steps=10_000)
         assert abs(oracle - HILBERT5_LAM_MAX) <= 1e-12
-        assert abs(float(d.eigenvalues[0]) - oracle) <= 1e-9
+        assert abs(float(d.squares[0]) - oracle) <= 1e-9
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 20])
     def test_reconstruction_and_orthogonality(self, n):
         for seed in range(3):
-            a = random_sym(n, 100 * n + seed)
-            d = sym_eig(a)
-            q = d.eigenvectors
-            assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-10
-            rebuilt = (q * d.eigenvalues) @ q.T
-            scale = max(1.0, float(np.max(np.abs(a.entries))))
-            assert np.max(np.abs(rebuilt - a.entries)) <= 1e-9 * scale
-            assert np.all(np.diff(d.eigenvalues) <= 0.0)
+            a = random_rows(n, 100 * n + seed)
+            d = row_svd(a)
+            q = d.left
+            assert np.max(np.abs(q @ q.T - np.eye(n))) <= 1e-10
+            scale = max(1.0, float(np.max(np.abs(a))))
+            assert np.max(np.abs(q.T @ d.rows - a)) <= 1e-9 * scale
+            gram = a @ a.T
+            rebuilt = (q.T * d.squares) @ q
+            assert np.max(np.abs(rebuilt - gram)) <= 1e-9 * scale * scale
+            assert np.max(np.abs(d.rows @ d.rows.T - np.diag(d.squares))) <= 1e-9 * scale * scale
+            assert np.all(np.diff(d.squares) <= 0.0)
 
     def test_deterministic(self):
-        a = random_sym(9, 4)
-        d1 = sym_eig(a)
-        d2 = sym_eig(a)
-        assert np.array_equal(d1.eigenvalues, d2.eigenvalues)
-        assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
+        a = random_rows(9, 4)
+        d1 = row_svd(a)
+        d2 = row_svd(a)
+        assert np.array_equal(d1.squares, d2.squares)
+        assert np.array_equal(d1.rows, d2.rows)
+        assert np.array_equal(d1.left, d2.left)
 
     def test_psd_eigenvalue_floor(self):
+        # the squares of a rank-deficient factor are >= 0 and match the
+        # Gramian's eigenvalues, its zeros included
         for seed in range(10):
-            d = sym_eig(random_psd(6 + seed, seed))
-            lam_max = float(d.eigenvalues[0])
-            assert np.all(d.eigenvalues >= -1e-10 * lam_max)
+            b = random_factor(6 + seed, seed)
+            d = row_svd(b.T)
+            lam = np.linalg.eigvalsh(b.T @ b)[::-1]
+            assert np.all(d.squares >= 0.0)
+            assert np.max(np.abs(d.squares - lam)) <= 1e-10 * float(lam[0])
 
     def test_reports_sweeps(self):
-        assert sym_eig(SymMatrix(np.diag([3.0, 1.0]))).sweeps == 0
-        assert 0 < sym_eig(random_sym(8, 11)).sweeps < _MAX_SWEEPS
+        assert row_svd(np.diag([3.0, 1.0])).sweeps == 0
+        assert 0 < row_svd(random_rows(8, 11)).sweeps < _MAX_SWEEPS
 
     def test_sweep_limit_raises(self, monkeypatch):
         monkeypatch.setattr(spectral, "_MAX_SWEEPS", 1)
         with pytest.raises(NotConverged):
-            sym_eig(random_sym(8, 11))
+            row_svd(random_rows(8, 11))
 
     def test_converging_on_the_last_sweep_is_not_an_error(self, monkeypatch):
-        # the kernels test convergence only before a sweep, so a limit equal
-        # to the sweeps needed ends the loop untested: same bits, no error
-        a = random_sym(8, 11)
-        free = sym_eig(a)
+        # the kernels stop after a sweep that rotates nothing, so a limit
+        # equal to the sweeps needed still ends converged: same bits, no error
+        a = random_rows(8, 11)
+        free = row_svd(a)
         monkeypatch.setattr(spectral, "_MAX_SWEEPS", free.sweeps)
-        capped = sym_eig(a)
+        capped = row_svd(a)
         assert capped.sweeps == free.sweeps
-        assert np.array_equal(capped.eigenvalues, free.eigenvalues)
-        assert np.array_equal(capped.eigenvectors, free.eigenvectors)
+        assert np.array_equal(capped.squares, free.squares)
+        assert np.array_equal(capped.rows, free.rows)
+        assert np.array_equal(capped.left, free.left)
 
     def test_backends_bit_identical(self):
         if "compiled" not in BACKENDS:
@@ -151,17 +162,13 @@ class TestSymEig:
             assert shutil.which("cc") is None, "cc is on PATH but the C twin did not load"
             pytest.skip("no C compiler")
         for n in [1, 2, 5, 17, 33]:
-            base = random_sym(n, n).entries
+            base = random_rows(n, n)
             results = []
             for backend in (BACKENDS["python"], BACKENDS["compiled"]):
                 a = np.array(base, order="C")
-                v = np.eye(n, order="C")
-                fro = float(np.sqrt(np.sum(a * a)))
-                sweeps = backend.jacobi_sweeps(a, v, fro, _MAX_SWEEPS, _SWEEP_TOL_FACTOR)
-                results.append((a, v, sweeps))
-            assert np.array_equal(results[0][0], results[1][0])
-            assert np.array_equal(results[0][1], results[1][1])
-            assert results[0][2] == results[1][2]
+                squares, v, sweeps = backend.jacobi_rows(a, _MAX_SWEEPS, _ORTHOGONAL_TOL)
+                results.append((squares.tobytes(), a.tobytes(), v.tobytes(), sweeps))
+            assert results[0] == results[1]
 
 
 class TestPinv:

@@ -1,10 +1,14 @@
 """One frame spectrum behind bounds, kernel, tight frame, Lax-Milgram and polar.
 
-References come from numpy's SVD of B = Phi W^{1/2} and from the weighted
-Gram-Schmidt oracle, never from framekit's Jacobi code.
+References come from numpy's SVD of B = Phi W^{1/2}, from 60-digit mpmath
+eigensolves and from the weighted Gram-Schmidt oracle, never from
+framekit's Jacobi code.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,12 +29,12 @@ from framekit import (
     rk_kernel,
     rk_kernel_factored,
     rkhs,
+    rng,
+    row_svd,
     spectral,
-    sym_eig,
 )
 from framekit import _kernels
 from framekit.errors import InvalidArgument
-from framekit.spectral import SymMatrix
 
 from oracles import gram_schmidt_kernel
 
@@ -152,6 +156,63 @@ class TestAgainstSvd:
         assert compute_frame_bounds(fs).upper == 0.0
 
 
+class TestSmallEigenvalues:
+    def test_monomial_spectrum_against_mpmath(self):
+        # the paper's system without a lower frame bound: every eigenvalue,
+        # down to lambda_12 ~ 1e-16 lambda_1, within 1e-8 of a 60-digit
+        # eigensolve of fl(B) fl(B)^T, B scaled as frame_spectrum scales it
+        mpmath = pytest.importorskip("mpmath")
+        fs = monomial_frame(12, 64)
+        b = fs.vectors * np.sqrt(fs.grid.weights)
+        shift = int(np.frexp(np.max(np.abs(b)))[1])
+        got = np.ldexp(frame_spectrum(fs, RANK_TOL).eigenvalues, -2 * shift)
+        with mpmath.workdps(60):
+            rows = mpmath.matrix(np.ldexp(b, -shift).tolist())
+            exact = sorted(mpmath.eigsy(rows * rows.T, eigvals_only=True), reverse=True)
+            errors = [float(abs(g - e) / e) for g, e in zip(got.tolist(), exact)]
+        assert max(errors) <= 1e-8, errors
+
+
+SPECTRUM_CODE = """
+import contextlib, hashlib, io, sys
+import numpy as np
+from framekit import cli, frame_spectrum
+digest = hashlib.sha256()
+for path in sys.argv[1:]:
+    spec = frame_spectrum(cli.parse_frame_file(path))
+    for a in (spec.eigenvalues, spec.u, spec.v):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["analyze", path]) == 0
+    digest.update(out.getvalue().encode())
+print(digest.hexdigest())
+"""
+
+
+def test_spectrum_does_not_follow_blas_threads(tmp_path):
+    # no BLAS call feeds the spectrum, so one and two BLAS threads give the
+    # same bytes on frames large enough for a threaded gemm to split its sums
+    paths = []
+    for n, m in ((40, 150), (100, 200), (120, 300)):
+        grid = Grid(np.arange(m, dtype=float), 1.0 + np.abs(rng.seeded_normals(7, 1, m)))
+        fs = FrameSystem(grid=grid, vectors=rng.seeded_normals(7, 0, n * m).reshape(n, m))
+        paths.append(str(tmp_path / f"{n}x{m}.json"))
+        cli.write_frame_file(paths[-1], fs)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        env.update(OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", SPECTRUM_CODE, *paths],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
+
+
 class TestScale:
     @pytest.mark.parametrize("c", [1e-90, 1e80])
     def test_analyze_scaled_copies(self, tmp_path, capsys, c):
@@ -231,30 +292,30 @@ class TestScale:
 
     @pytest.mark.parametrize("k", [-600, 600])
     def test_sym_eig_power_of_two(self, k):
+        # A A^T scaled by 2**k: the same rotations, the squares scaled by 2**k
         r = np.random.default_rng(7)
-        x = r.standard_normal((9, 9))
-        a = x @ x.T
-        base = sym_eig(SymMatrix(a))
-        big = sym_eig(SymMatrix(np.ldexp(a, k)))
-        assert np.array_equal(big.eigenvectors, base.eigenvectors)
-        assert np.array_equal(big.eigenvalues, np.ldexp(base.eigenvalues, k))
+        x = r.standard_normal((9, 11))
+        base = row_svd(x)
+        big = row_svd(np.ldexp(x, k // 2))
+        assert np.array_equal(big.left, base.left)
+        assert np.array_equal(big.rows, np.ldexp(base.rows, k // 2))
+        assert np.array_equal(big.squares, np.ldexp(base.squares, k))
 
     def test_sym_eig_in_range_matches_unscaled_sweeps(self):
         # the pre-scaling is exact, so an in-range input gives the bits of
-        # a plain run of the sweeps on the unscaled matrix
+        # a plain run of the sweeps on the unscaled rows
         r = np.random.default_rng(8)
         for n in (1, 2, 5, 12):
-            x = r.standard_normal((n, n)) * 3.0
-            a = SymMatrix(x + x.T)
-            work = np.array(a.entries, order="C", copy=True)
-            vecs = np.eye(n, order="C")
-            fro = float(np.sqrt(np.sum(work * work)))
-            _kernels.ACTIVE.jacobi_sweeps(work, vecs, fro, 100, 1e-12)
-            vals = np.diag(work).copy()
-            order = np.argsort(-vals, kind="stable")
-            d = sym_eig(a)
-            assert np.array_equal(d.eigenvalues, vals[order])
-            assert np.array_equal(d.eigenvectors, vecs[:, order])
+            x = r.standard_normal((n, n + 1)) * 3.0
+            work = np.array(x, order="C", copy=True)
+            squares, left, _ = _kernels.ACTIVE.jacobi_rows(
+                work, spectral._MAX_SWEEPS, spectral._ORTHOGONAL_TOL
+            )
+            order = np.argsort(-squares, kind="stable")
+            d = row_svd(x)
+            assert np.array_equal(d.squares, squares[order])
+            assert np.array_equal(d.rows, work[order])
+            assert np.array_equal(d.left, left[order])
 
     @settings(max_examples=30, deadline=None, database=None)
     @given(k=st.integers(min_value=-480, max_value=480))
@@ -355,11 +416,11 @@ class TestOneDecompositionPerFrame:
         seen = []
 
         def counted(a):
-            seen.append(a.dim)
-            return spectral.sym_eig(a)
+            seen.append(np.shape(a))
+            return spectral.row_svd(a)
 
         for module in (frames, rkhs):
-            monkeypatch.setattr(module, "sym_eig", counted)
+            monkeypatch.setattr(module, "row_svd", counted)
         return seen
 
     @pytest.fixture
@@ -371,10 +432,10 @@ class TestOneDecompositionPerFrame:
     @pytest.mark.parametrize(
         "command, dims",
         [
-            ("analyze", [30]),
-            ("kernel", [30]),
-            ("canonical", [30, 30]),
-            ("verify", [30, 30]),
+            ("analyze", [(30, 60)]),
+            ("kernel", [(30, 60)]),
+            ("canonical", [(30, 60), (30, 60)]),
+            ("verify", [(30, 60), (30, 30)]),
         ],
     )
     def test_jacobi_calls(self, calls, frame_file, capsys, command, dims):
@@ -383,14 +444,15 @@ class TestOneDecompositionPerFrame:
 
     @pytest.mark.parametrize("name", sorted(DIMENSION_CASES))
     def test_no_jacobi_call_above_min_dimension(self, calls, tmp_path, capsys, name):
-        # verify reads the kernel's lambda_max from the smaller side of its
-        # M x r factor; kernel prints only the rounding bound, which needs no
+        # every call rotates the rows of the thinner side of B; verify reads
+        # the kernel's lambda_max from the r rows of its factor's transpose;
+        # kernel prints only the rounding bound, which needs no
         # decomposition, so kernel --naive makes no Jacobi call at all
         fs, r = DIMENSION_CASES[name]
         path = str(tmp_path / f"{name}.json")
         cli.write_frame_file(path, fs)
         n, m = fs.n_vectors, fs.n_points
-        side = min(n, m)
+        side = (min(n, m), max(n, m))
         assert frame_spectrum(fs, RANK_TOL).rank == r
         calls.clear()
         expected = {
@@ -398,7 +460,7 @@ class TestOneDecompositionPerFrame:
             ("kernel",): [side],
             ("kernel", "--naive"): [],
             ("canonical",): [side, side],
-            ("verify",): [side, min(m, r)],
+            ("verify",): [side, (r, m)],
         }
         for command, dims in expected.items():
             assert cli.main([command[0], path, *command[1:]]) == cli.EXIT_OK
@@ -423,7 +485,7 @@ class TestOneDecompositionPerFrame:
         assert seen["verify_lax_identity"] == 1
         assert seen["isometry_check"] == 1
         assert seen["build_gramian"] <= 1
-        assert calls == [30, 30]
+        assert calls == [(30, 60), (30, 30)]
 
     def test_canonical_projector_residual(self, tmp_path, capsys, frame_file):
         out = tmp_path / "tight.json"
