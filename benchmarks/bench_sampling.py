@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Time the layers of KL sampling and sample_kl on one and on all workers.
+"""Time the stages of KL sampling and sample_kl on one and on all workers.
 
-Prints the milliseconds (best of ``--repeats``) that each layer takes over
-``--samples`` x ``--vectors``, run block by block as sample_kl runs it, on
-one thread: the Philox words, and on each twin that loaded (``python``,
-``compiled``) the whole Box-Muller transform, its angle kernel
-(``polar_normals``) and the KL contraction (``kl_contract``); and
-the whole ``sample_kl`` with one worker and with one worker per usable CPU.
-It checks that both worker counts, and both twins, give the same sample
-bytes, and exits 1 if they do not.
+Prints the milliseconds (best of ``--repeats``) that each stage takes over
+``--samples`` x ``--vectors``, run block by block into one reused scratch as
+a sample_kl worker runs it, on one thread, for each twin that loaded
+(``python``, ``compiled``): the Philox words split into u1 and the angle
+words (``philox_split``), numpy's log in place on u1, the fused radius and
+angle kernel (``polar_normals``) and the KL contraction (``kl_contract``);
+then the whole ``sample_kl`` with one worker and with one worker per usable
+CPU.  It prints the minor page faults per block of each twin's draw loop in
+this thread and of ``sample_kl`` on one worker, once warm.  It checks that
+both twins, and one and all workers, give the same sample bytes, and exits 1
+if they do not.
 
     PYTHONPATH=src python3 benchmarks/bench_sampling.py [--samples 200000] [--vectors 50] [--repeats 5]
 """
@@ -20,21 +23,18 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import contextlib
-import time
+import resource
+from time import perf_counter
 
 import numpy as np
 
-from framekit import _kernels, gp, rng
+from framekit import _kernels, gp
+
+STAGES = ("philox split", "log", "polar kernel", "contraction")
 
 
-def best_ms(fn, repeats, setup=lambda: None):
-    best = float("inf")
-    for _ in range(repeats):
-        arg = setup()
-        start = time.perf_counter()
-        fn(arg)
-        best = min(best, time.perf_counter() - start)
-    return best * 1e3
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def random_model(n, atoms, seed):
@@ -61,32 +61,30 @@ def main():
 
     model, phat = random_model(n, 40, seed)
     coeffs = gp.kl_coefficients(model, phat)
-    pairs, blocks = rng._stream_layout(n)
-    span = 4 * blocks
     firsts = range(0, s, gp._SAMPLE_BLOCK)
-
-    def block_words(first):
-        stop = min(first + gp._SAMPLE_BLOCK, s)
-        return rng.philox_words(seed, first * blocks, (stop - first) * span).reshape(-1, span)
-
-    # per block: the shifted words, the radius and the normals, made once
-    inputs = []
-    for first in firsts:
-        words = block_words(first)
-        normals = rng._box_muller(words.copy(), pairs, n)
-        np.right_shift(words, np.uint64(11), out=words)
-        radius = np.sqrt(-2.0 * np.log((words[:, :pairs] + np.uint64(1)) * 2.0**-53))
-        inputs.append((words, radius, normals))
+    pairs, rows = (n + 1) // 2, min(gp._SAMPLE_BLOCK, s)
+    u1, k = np.empty((rows, pairs)), np.empty((rows, pairs), dtype=np.uint64)
+    normals = np.empty((rows, n))
     out_re, out_im = np.empty(s), np.empty(s)
 
-    def angle(backend):
-        for words, radius, _ in inputs:
-            backend.polar_normals(words[:, pairs : 2 * pairs], radius, n)
-
-    def contract(backend):
-        for first, (_, _, normals) in zip(firsts, inputs):
-            stop = first + len(normals)
-            backend.kl_contract(normals, coeffs.re, coeffs.im, out_re[first:stop], out_im[first:stop])
+    def stages(backend):
+        """Seconds of each stage over all blocks, in sample_kl's order."""
+        spent = [0.0] * len(STAGES)
+        for first in firsts:
+            stop = min(first + gp._SAMPLE_BLOCK, s)
+            u, w, x = u1[: stop - first], k[: stop - first], normals[: stop - first]
+            t0 = perf_counter()
+            backend.philox_split(seed, first, u, w)
+            t1 = perf_counter()
+            np.log(u, out=u)
+            t2 = perf_counter()
+            backend.polar_normals(u, w, x)
+            t3 = perf_counter()
+            backend.kl_contract(x, coeffs.re, coeffs.im, out_re[first:stop], out_im[first:stop])
+            t4 = perf_counter()
+            for i, dt in enumerate((t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
+                spent[i] += dt
+        return spent
 
     worker_count, active = gp._worker_count, _kernels.ACTIVE
     cpus = worker_count()
@@ -103,36 +101,37 @@ def main():
         with running(backend, workers):
             return gp.sample_kl(model, phat, s, seed)
 
-    def philox(_):
-        for first in firsts:
-            block_words(first)  # dropped at once, as sample_kl drops each block
+    def best_ms(fn):
+        best = float("inf")
+        for _ in range(args.repeats):
+            start = perf_counter()
+            fn()
+            best = min(best, perf_counter() - start)
+        return best * 1e3
 
-    def box_muller(backend, raw):
-        with running(backend):
-            for words in raw:
-                rng._box_muller(words, pairs, n)
+    def faults_per_block(fn):
+        fn()  # warm: the scratch and the allocator's pools are in place
+        before = minor_faults()
+        fn()
+        return (minor_faults() - before) / len(firsts)
 
-    rows = [("philox words", best_ms(philox, args.repeats))]
+    rows_out, faults = [], []
     for name, backend in _kernels.BACKENDS.items():
-        rows += [
-            (
-                f"box-muller, {name}",
-                best_ms(
-                    lambda raw: box_muller(backend, raw),
-                    args.repeats,
-                    lambda: [block_words(f) for f in firsts],
-                ),
-            ),
-            (f"angle kernel, {name}", best_ms(lambda _: angle(backend), args.repeats)),
-            (f"contraction, {name}", best_ms(lambda _: contract(backend), args.repeats)),
-        ]
-    rows += [
-        ("sample_kl, 1 worker", best_ms(lambda _: sample(1), args.repeats)),
-        (f"sample_kl, {cpus} workers", best_ms(lambda _: sample(cpus), args.repeats)),
+        best = [min(col) for col in zip(*(stages(backend) for _ in range(args.repeats)))]
+        rows_out += [(f"{stage}, {name}", 1e3 * t) for stage, t in zip(STAGES, best)]
+        faults.append((f"draw loop, {name}", faults_per_block(lambda b=backend: stages(b))))
+    rows_out += [
+        ("sample_kl, 1 worker", best_ms(lambda: sample(1))),
+        (f"sample_kl, {cpus} workers", best_ms(lambda: sample(cpus))),
     ]
+    faults.append((f"sample_kl 1 worker, {active.name}", faults_per_block(lambda: sample(1))))
+
     print(f"{s} samples x {n} vectors in blocks of {gp._SAMPLE_BLOCK}, BLAS pinned to 1 thread")
-    for name, ms in rows:
+    for name, ms in rows_out:
         print(f"{name:>28} {ms:>10.2f} ms")
+    print("minor page faults per block, warm:")
+    for name, per_block in faults:
+        print(f"{name:>28} {per_block:>10.1f}")
     runs = [(f"{name}, 1 worker", sample(1, b)) for name, b in _kernels.BACKENDS.items()]
     runs.append((f"{active.name}, {cpus} workers", sample(cpus)))
     first = runs[0][1]

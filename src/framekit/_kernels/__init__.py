@@ -8,8 +8,8 @@ first import compiles the C sources with ``cc`` into one library in this
 package's ``__pycache__/``, under a name keyed by a hash of the sources and
 the flags, and later imports load that file.  Without a compiler, when the
 build fails or when the directory is not writable, the numpy twins run.
-``ACTIVE`` is the backend ``spectral.row_svd``, the Box-Muller transform and
-the fixed-order sums of ``gp`` run; ``BACKENDS`` lists every one that loaded,
+``ACTIVE`` is the backend ``spectral.row_svd``, ``rng``'s normals and the
+fixed-order sums of ``gp`` run; ``BACKENDS`` lists every one that loaded,
 for the parity tests and the benchmarks.
 """
 
@@ -36,18 +36,26 @@ _FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 class Backend(NamedTuple):
     """One twin: ``jacobi_rows(a, max_sweeps, tol)``, one-sided Jacobi on the
     rows of ``a``, returning (squared row norms, rotations, sweeps);
-    ``polar_normals(k, radius, count)``, the angle half of Box-Muller; and
+    ``philox_split(seed, first, u1, k)``, which writes the Box-Muller operands
+    u1 and angle words k of Philox streams first.. into (rows, pairs) arrays;
+    ``polar_normals(ln_u1, k, out)``, radius and angle of Box-Muller from ln
+    u1 and k, written into the (rows, count) ``out``; and
     ``kl_contract(x, c_re, c_im, out_re, out_im)``, the fixed-order sums of
     ``sample_kl``, ``kl_coefficients`` and ``fourier_at_atoms``."""
 
     name: str
     jacobi_rows: Callable
+    philox_split: Callable
     polar_normals: Callable
     kl_contract: Callable
 
 
 PYTHON = Backend(
-    "python", _hestenes_py.jacobi_rows, _sampling_py.polar_normals, _sampling_py.kl_contract
+    "python",
+    _hestenes_py.jacobi_rows,
+    _sampling_py.philox_split,
+    _sampling_py.polar_normals,
+    _sampling_py.kl_contract,
 )
 
 
@@ -104,33 +112,35 @@ def _load(library: Path) -> Backend:
         return norms, v, sweeps
 
     vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    # the angle words are a column range of the Philox words: rows may be
-    # strided, elements must be adjacent (checked below)
+    rows_in = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
+    words_in = np.ctypeslib.ndpointer(np.uint64, ndim=2, flags="C_CONTIGUOUS")
+    words_out = np.ctypeslib.ndpointer(np.uint64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
+    lib.philox_split.argtypes = [
+        ctypes.c_uint64, ctypes.c_uint64, matrix, words_out, ctypes.c_long, ctypes.c_long
+    ]
+    lib.philox_split.restype = None
     lib.polar_normals.argtypes = [
-        np.ctypeslib.ndpointer(np.uint64, ndim=2), ctypes.c_long,
-        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS"),
-        matrix, ctypes.c_long, ctypes.c_long, ctypes.c_long,
+        rows_in, words_in, matrix, ctypes.c_long, ctypes.c_long, ctypes.c_long
     ]
     lib.polar_normals.restype = None
     lib.kl_contract.argtypes = [
-        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS"),
-        vector, vector, out_vector, out_vector, ctypes.c_long, ctypes.c_long,
+        rows_in, vector, vector, out_vector, out_vector, ctypes.c_long, ctypes.c_long
     ]
     lib.kl_contract.restype = None
 
-    def polar_normals(k, radius, count):
-        rows, pairs = _sampling_py.check_polar_args(k, radius, count)
-        if k.strides[1] != k.itemsize or k.strides[0] % k.itemsize:
-            raise ValueError(f"angle words with strides {k.strides}")
-        out = np.empty((rows, count))
-        lib.polar_normals(k, k.strides[0] // k.itemsize, radius, out, rows, pairs, count)
-        return out
+    def philox_split(seed, first, u1, k):
+        rows, pairs = _sampling_py.check_philox_args(seed, first, u1, k)
+        lib.philox_split(seed, first, u1, k, rows, pairs)
+
+    def polar_normals(ln_u1, k, out):
+        rows, pairs, count = _sampling_py.check_polar_args(ln_u1, k, out)
+        lib.polar_normals(ln_u1, k, out, rows, pairs, count)
 
     def kl_contract(x, c_re, c_im, out_re, out_im):
         rows, n = _sampling_py.check_contract_args(x, c_re, c_im, out_re, out_im)
         lib.kl_contract(x, c_re, c_im, out_re, out_im, rows, n)
 
-    return Backend("compiled", jacobi_rows, polar_normals, kl_contract)
+    return Backend("compiled", jacobi_rows, philox_split, polar_normals, kl_contract)
 
 
 def _select(cc: str, cache: Path) -> tuple[dict, Backend]:

@@ -1,13 +1,70 @@
-/* Compiled sampling kernels: the Box-Muller angle and the KL contraction.
+/* Compiled sampling kernels: Philox-4x64-10 split into the Box-Muller
+ * operands, the Box-Muller radius and angle, and the KL contraction.
  *
  * Twin of _sampling_py.py: the same operations on the same operands in the
  * same order, element for element (built with -ffp-contract=off so no FMA
  * re-rounding creeps in, and no libm call); where the numpy twin converts an
- * integer or reads a table, this one computes the same double by integer
- * arithmetic.  Keep the two files in sync.
- * The angle algorithm is documented in framekit/rng.py.
+ * integer, reads a table or runs numpy's Philox, this one computes the same
+ * double or word by integer arithmetic.  Keep the two files in sync.
+ * The stream layout and the angle algorithm are documented in framekit/rng.py.
  */
+#include <math.h>
 #include <stdint.h>
+
+/* Philox-4x64 multipliers and Weyl key increments (Salmon et al., SC 2011) */
+#define PHILOX_M0 UINT64_C(0xD2E7470EE14C6C93)
+#define PHILOX_M1 UINT64_C(0xCA5A826395121157)
+#define PHILOX_W0 UINT64_C(0x9E3779B97F4A7C15)
+#define PHILOX_W1 UINT64_C(0xBB67AE8584CAA73B)
+
+/* the four words of Philox-4x64-10 at counter x under key (k0, k1), in place */
+static inline void philox4x64_10(uint64_t x[4], uint64_t k0, uint64_t k1)
+{
+    for (int round = 0; round < 10; round++) {
+        if (round) {
+            k0 += PHILOX_W0;
+            k1 += PHILOX_W1;
+        }
+        unsigned __int128 p0 = (unsigned __int128)PHILOX_M0 * x[0];
+        unsigned __int128 p1 = (unsigned __int128)PHILOX_M1 * x[2];
+        uint64_t x1 = x[1], x3 = x[3];
+        x[0] = (uint64_t)(p1 >> 64) ^ x1 ^ k0;
+        x[1] = (uint64_t)p1;
+        x[2] = (uint64_t)(p0 >> 64) ^ x3 ^ k1;
+        x[3] = (uint64_t)p0;
+    }
+}
+
+/* Streams first..first+rows-1 of the seed, each of 2 pairs words: row i
+ * takes the words of counter blocks c + i b + 1 .. c + (i+1) b, with
+ * b = ceil(pairs/2), c = first b mod 2^64 and the counter 256 bits wide, as
+ * numpy's Philox(key=[seed, 0], counter=[c, 0, 0, 0]) emits them.  Word w
+ * < pairs of a row becomes u1[i][w] = ((w >> 11) + 1) 2^-53, word pairs + j
+ * becomes k[i][j] = w >> 11, and words past 2 pairs in a row's last block
+ * are dropped. */
+void philox_split(uint64_t seed, uint64_t first, double *u1, uint64_t *k,
+                  long rows, long pairs)
+{
+    uint64_t blocks = (uint64_t)(pairs + 1) / 2;
+    uint64_t c = first * blocks;
+    for (long i = 0; i < rows; i++) {
+        double *ui = u1 + i * pairs;
+        uint64_t *ki = k + i * pairs;
+        uint64_t n = (uint64_t)i * blocks;
+        for (long w = 0; w < 2 * pairs; w += 4) {
+            n++;
+            uint64_t x[4] = {c + n, c + n < n, 0, 0}; /* the carry into word 1 */
+            philox4x64_10(x, seed, 0);
+            for (long l = 0; l < 4 && w + l < 2 * pairs; l++) {
+                uint64_t word = x[l] >> 11;
+                if (w + l < pairs)
+                    ui[w + l] = (double)(word + 1) * 0x1p-53;
+                else
+                    ki[w + l - pairs] = word;
+            }
+        }
+    }
+}
 
 /* nearest doubles to the Taylor coefficients of sin(pi t/4) (odd powers,
  * t^1..t^17) and cos(pi t/4) (even powers, t^0..t^18) */
@@ -55,25 +112,26 @@ static inline void cos_sin(uint64_t k, double *cosv, double *sinv)
     *sinv = a * s - b * c;
 }
 
-/* out[i][2j] = radius[i][j] cos, out[i][2j+1] = radius[i][j] sin of the
- * angle word k[i * k_row + j], for the count columns of each of the rows */
-void polar_normals(const uint64_t *k, long k_row, const double *radius, double *out,
+/* out[i][2j] = r cos, out[i][2j+1] = r sin of the angle word k[i][j], with
+ * the radius r = sqrt(ln_u1[i][j] * -2), for the count columns of each of
+ * the rows */
+void polar_normals(const double *ln_u1, const uint64_t *k, double *out,
                    long rows, long pairs, long count)
 {
     for (long i = 0; i < rows; i++) {
-        const uint64_t *ki = k + i * k_row;
-        const double *ri = radius + i * pairs;
+        const double *li = ln_u1 + i * pairs;
+        const uint64_t *ki = k + i * pairs;
         double *oi = out + i * count;
         for (long j = 0; j < count / 2; j++) {
-            double cosv, sinv;
+            double cosv, sinv, r = sqrt(li[j] * -2.0);
             cos_sin(ki[j], &cosv, &sinv);
-            oi[2 * j] = ri[j] * cosv;
-            oi[2 * j + 1] = ri[j] * sinv;
+            oi[2 * j] = r * cosv;
+            oi[2 * j + 1] = r * sinv;
         }
         if (count % 2) {
-            double cosv, sinv;
+            double cosv, sinv, r = sqrt(li[pairs - 1] * -2.0);
             cos_sin(ki[pairs - 1], &cosv, &sinv);
-            oi[count - 1] = ri[pairs - 1] * cosv;
+            oi[count - 1] = r * cosv;
         }
     }
 }

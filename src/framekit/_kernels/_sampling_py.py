@@ -1,15 +1,18 @@
-"""Pure-numpy sampling kernels: the Box-Muller angle and the KL contraction.
+"""Pure-numpy sampling kernels: Philox split into the Box-Muller operands,
+the Box-Muller radius and angle, and the KL contraction.
 
 Twin of the C kernels in ``_sampling.c``: the same operations on the same
 operands in the same order, element for element, vectorised over the
-elements where the C twin loops over them.  Integer-to-double conversions
-and the rotation table give the doubles that the C twin builds by integer
-arithmetic.  Keep the two files in sync.  The angle algorithm is documented
-in ``framekit/rng.py``.
+elements where the C twin loops over them.  numpy's Philox, integer-to-double
+conversions and the rotation table give the words and doubles that the C
+twin builds by integer arithmetic; numpy's Philox is the reference the C
+twin is tested against.  Keep the two files in sync.  The stream layout and
+the angle algorithm are documented in ``framekit/rng.py``.
 """
 
 import numpy as np
 
+_MASK64 = (1 << 64) - 1
 #: Nearest doubles to the Taylor coefficients of sin(pi t/4) (odd powers,
 #: t**1..t**17) and cos(pi t/4) (even powers, t**0..t**18).
 SIN_COEF = tuple(
@@ -43,12 +46,23 @@ def _horner(z, coef):
     return np.add(acc, coef[0], out=acc)
 
 
-def check_polar_args(k, radius, count):
-    """(rows, pairs) of a valid ``polar_normals`` call; ValueError otherwise."""
-    rows, pairs = radius.shape
-    if k.shape != radius.shape or count not in (2 * pairs - 1, 2 * pairs):
-        raise ValueError(f"angle words {k.shape}, radius {radius.shape}, count {count}")
+def check_philox_args(seed, first, u1, k):
+    """(rows, pairs) of a valid ``philox_split`` call; ValueError otherwise."""
+    if not (0 <= seed <= _MASK64 and 0 <= first <= _MASK64):
+        raise ValueError(f"seed {seed} or first stream {first} outside [0, 2**64)")
+    rows, pairs = u1.shape
+    if k.shape != u1.shape or rows < 1 or pairs < 1:
+        raise ValueError(f"u1 {u1.shape}, angle words {k.shape}")
     return rows, pairs
+
+
+def check_polar_args(ln_u1, k, out):
+    """(rows, pairs, count) of a valid ``polar_normals`` call; ValueError otherwise."""
+    rows, pairs = ln_u1.shape
+    _, count = out.shape
+    if k.shape != ln_u1.shape or out.shape[0] != rows or count not in (2 * pairs - 1, 2 * pairs):
+        raise ValueError(f"ln u1 {ln_u1.shape}, angle words {k.shape}, output {out.shape}")
+    return rows, pairs, count
 
 
 def check_contract_args(x, c_re, c_im, out_re, out_im):
@@ -61,14 +75,38 @@ def check_contract_args(x, c_re, c_im, out_re, out_im):
     return rows, n
 
 
-def polar_normals(k, radius, count):
-    """(rows, count) normals: radius * (cos, sin) of 2 pi k 2**-53, interleaved.
+def philox_split(seed, first, u1, k):
+    """Streams first..first + rows - 1 of ``seed``, split into the operands of
+    Box-Muller: u1 = ((w >> 11) + 1) 2**-53 from the first ``pairs`` words of
+    each stream, and the angle words k = w >> 11 from the next ``pairs``.
 
-    ``k`` is a (rows, pairs) uint64 array of angle words, already shifted
-    below 2**53; ``radius`` a C-contiguous (rows, pairs) float64 array; count
-    is 2 * pairs or 2 * pairs - 1, which drops the last sine.
+    ``u1`` and ``k`` are (rows, pairs) arrays, float64 and uint64, written in
+    place; ``first`` lies in [0, 2**64).
     """
-    rows, pairs = check_polar_args(k, radius, count)
+    rows, pairs = check_philox_args(seed, first, u1, k)
+    blocks = (pairs + 1) // 2
+    key = np.array([seed, 0], dtype=np.uint64)
+    counter = np.array([first * blocks & _MASK64, 0, 0, 0], dtype=np.uint64)
+    words = np.random.Philox(key=key, counter=counter).random_raw(rows * 4 * blocks)
+    words = words.reshape(rows, 4 * blocks)
+    np.right_shift(words, np.uint64(11), out=words)
+    k[...] = words[:, pairs : 2 * pairs]
+    head = words[:, :pairs]
+    np.add(head, np.uint64(1), out=head)
+    np.multiply(head, 2.0**-53, out=u1)
+
+
+def polar_normals(ln_u1, k, out):
+    """Normals radius * (cos, sin) of 2 pi k 2**-53, interleaved, into ``out``.
+
+    ``ln_u1`` is a (rows, pairs) float64 array of ln u1, from which the
+    radius sqrt(ln_u1 * -2.0) is taken; ``k`` a (rows, pairs) uint64 array of
+    angle words, already shifted below 2**53; ``out`` a (rows, count) float64
+    array with count 2 * pairs, or 2 * pairs - 1, which drops the last sine.
+    """
+    rows, pairs, count = check_polar_args(ln_u1, k, out)
+    radius = np.multiply(ln_u1, -2.0)
+    np.sqrt(radius, out=radius)
     q = np.add(k, np.uint64(1 << 50))
     np.right_shift(q, np.uint64(51), out=q)
     r = np.left_shift(q, np.uint64(51))
@@ -88,11 +126,9 @@ def polar_normals(k, radius, count):
     np.multiply(a, s, out=a)
     np.multiply(b, c, out=b)
     sinv = np.subtract(a, b, out=a)
-    out = np.empty((rows, count))
     np.multiply(radius, cosv, out=out[:, 0::2])
     half = count // 2
     np.multiply(radius[:, :half], sinv[:, :half], out=out[:, 1::2])
-    return out
 
 
 def kl_contract(x, c_re, c_im, out_re, out_im):

@@ -13,6 +13,7 @@ Parseval frames.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,10 +274,12 @@ def sample_kl(
     (the active kernel's ``kl_contract``), so no BLAS thread count enters the
     bits.  Streams are drawn and contracted in blocks of _SAMPLE_BLOCK
     samples, each written to its own slice of the output, so the blocks run
-    on a thread pool with one worker per usable CPU (numpy's Philox, its
-    ufuncs and the ctypes kernels release the GIL).  The samples do not
-    depend on the worker count, and memory stays bounded by workers x
-    block, not by s.
+    on a thread pool with one worker per usable CPU (the ctypes kernels, or
+    numpy's Philox and ufuncs in the numpy twin, release the GIL).  Each
+    worker takes the next undrawn block until none is left, and draws them
+    all into one ``rng.NormalScratch`` of its own.  The samples do not
+    depend on the worker count, and memory stays bounded by workers x block,
+    not by s.
     """
     if s < 1:
         raise InvalidArgument("sample count must be >= 1")
@@ -285,20 +288,34 @@ def sample_kl(
     samples_re = np.empty(s)
     samples_im = np.empty(s)
 
-    def block(first: int) -> None:
-        stop = min(first + _SAMPLE_BLOCK, s)
-        normals = rng.seeded_normal_rows(seed, first, stop, n)
-        _kernels.ACTIVE.kl_contract(
-            normals, coeffs.re, coeffs.im, samples_re[first:stop], samples_im[first:stop]
-        )
+    firsts = iter(range(0, s, _SAMPLE_BLOCK))
+    taking = threading.Lock()
+
+    def work() -> None:
+        scratch = rng.NormalScratch(min(_SAMPLE_BLOCK, s), n)
+        while True:
+            with taking:
+                first = next(firsts, None)
+            if first is None:
+                return
+            stop = min(first + _SAMPLE_BLOCK, s)
+            _kernels.ACTIVE.kl_contract(
+                scratch.fill(seed, first, stop),
+                coeffs.re,
+                coeffs.im,
+                samples_re[first:stop],
+                samples_im[first:stop],
+            )
 
     # imported here, not with the module: the import costs milliseconds
     # that every other command would pay at startup
     from concurrent.futures import ThreadPoolExecutor
 
-    firsts = range(0, s, _SAMPLE_BLOCK)
-    with ThreadPoolExecutor(max_workers=min(_worker_count(), len(firsts))) as pool:
-        list(pool.map(block, firsts))  # re-raises a worker's exception
+    workers = min(_worker_count(), -(-s // _SAMPLE_BLOCK))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(work) for _ in range(workers)]
+    for future in futures:
+        future.result()  # re-raises a worker's exception
     return KLSampleSet(
         seed=seed,
         samples_re=samples_re,

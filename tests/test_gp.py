@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+import mmap
 import os
 import subprocess
 import sys
@@ -27,7 +29,7 @@ from framekit import (
     sigma_frame_bounds,
     theoretical_variances,
 )
-from framekit import gp, rng
+from framekit import _kernels, gp, rng
 from oracles import eigh_descending, orthonormal_rows
 
 
@@ -134,6 +136,24 @@ def box_muller_reference(words, pairs, count):
             if 2 * j + 1 < count:
                 out[i, 2 * j + 1] = r * (a * s - b * c)
     return out.reshape(words.shape[:-1] + (count,))
+
+
+def dyadic_model(n, j=6):
+    """Model with n vectors on j atoms and its profile, all exact dyadic
+    values from integer formulas."""
+    i, a = np.arange(n * j), np.arange(j)
+    measure = AtomicMeasure(locations=a * 1.5, masses=1.0 + (a % 5) / 8.0)
+    vectors = (((i * 7919) % 1021 - 510) / 256.0).reshape(n, j)
+    phat = ComplexVector(re=((a * 37) % 29 - 14) / 16.0, im=((a * 53) % 31 - 15) / 32.0)
+    return GaussianModel.from_frame(SigmaFrame(measure=measure, vectors=vectors)), phat
+
+
+def sha256_of(*arrays):
+    """sha256 hex digest of the little-endian float64 bytes of the arrays."""
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return digest.hexdigest()
 
 
 def kl_reference(normals, c):
@@ -559,12 +579,14 @@ print("identical")
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(gp, "_worker_count", lambda: 2)
 
-        def failing(seed, first, stop, count):
+        fill = rng.NormalScratch.fill
+
+        def failing(scratch, seed, first, stop):
             if first > 0:
                 raise InvalidArgument(f"block at {first}")
-            return np.zeros((stop - first, count))
+            return fill(scratch, seed, first, stop)
 
-        monkeypatch.setattr(rng, "seeded_normal_rows", failing)
+        monkeypatch.setattr(rng.NormalScratch, "fill", failing)
         model = onb_model()
         phat = random_phat(1, model.frame.measure.n_atoms)
         with pytest.raises(InvalidArgument, match="block at"):
@@ -582,12 +604,13 @@ print("identical")
         data=st.data(),
     )
     def test_in_place_box_muller_keeps_the_bits(self, count, rows, data):
-        # rows == 0 is the 1-D layout of seeded_normals; count odd truncates
-        # the last pair; the words 0 and 2**64 - 1 give u1 = 2**-53 and 1
-        # and u2 = 0 and 1 - 2**-53, (j 2**61) >> 11 = j 2**50 puts u2 on an
-        # octant edge, and an array of only those words is checked every time
-        pairs, blocks = rng._stream_layout(count)
-        shape = ((rows,) if rows else ()) + (4 * blocks,)
+        # rows == 0 is one stream as a 1-D array; count odd truncates the
+        # last pair; the words 0 and 2**64 - 1 give u1 = 2**-53 and 1 and
+        # u2 = 0 and 1 - 2**-53, (j 2**61) >> 11 = j 2**50 puts u2 on an
+        # octant edge, and an array of only those words is checked every
+        # time.  The kernels run on the words after ln in place on u1.
+        pairs = (count + 1) // 2
+        shape = ((rows,) if rows else ()) + (2 * pairs,)
         size = int(np.prod(shape))
         edge_words = [0, 2**64 - 1, *(j * 2**61 for j in range(1, 8))]
         edge = st.sampled_from(edge_words)
@@ -598,9 +621,73 @@ print("identical")
         for values in (drawn, edges[:size], edges[1 : size + 1]):
             words = np.array(values, dtype=np.uint64).reshape(shape)
             expected = box_muller_reference(words, pairs, count)
-            got = rng._box_muller(words.copy(), pairs, count)
-            assert got.shape == expected.shape == shape[:-1] + (count,)
-            assert got.tobytes() == expected.tobytes()
+            flat = words.reshape(-1, 2 * pairs) >> np.uint64(11)
+            u1 = (flat[:, :pairs] + np.uint64(1)) * 2.0**-53
+            np.log(u1, out=u1)
+            for backend in _kernels.BACKENDS.values():
+                got = np.empty((len(flat), count))
+                backend.polar_normals(u1, flat[:, pairs:].copy(), got)
+                assert got.tobytes() == expected.tobytes(), backend.name
+        # and whole streams from a drawn seed and first stream, across the
+        # 2**64 counter edge too
+        seed = data.draw(st.integers(0, 2**64 - 1))
+        first = data.draw(st.integers(0, 2**20) | st.integers(2**64 - 4, 2**64 - 1))
+        n = max(rows, 1)
+        words = rng.philox_words(seed, first * ((pairs + 1) // 2), n * 4 * ((pairs + 1) // 2))
+        expected = box_muller_reference(words.reshape(n, -1), pairs, count)
+        assert rng.seeded_normal_rows(seed, first, first + n, count).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("backend", sorted(_kernels.BACKENDS))
+    def test_sample_bits_are_pinned(self, backend, monkeypatch):
+        # sha256 of the samples and coefficients, and of one stream at the
+        # top seed, recorded before the Philox split moved into the kernels;
+        # the model is built from dyadic values, so no platform enters it
+        monkeypatch.setattr(_kernels, "ACTIVE", _kernels.BACKENDS[backend])
+        got = []
+        for n, s in ((50, 10_001), (7, 2_049)):
+            m, phat = dyadic_model(n)
+            out = sample_kl(m, phat, s, 20240601)
+            c = out.coefficients
+            got.append(sha256_of(out.samples_re, out.samples_im, c.re, c.im))
+        got.append(sha256_of(rng.seeded_normals(2**64 - 1, 3, 51)))
+        assert got == [
+            "a06e0db26fbacd8b7564b7ebb38bdd00ee7920bfaf8f788013c87df8b88fdb58",
+            "f038d7fee378e17befe6d83a873865028633b70c7eeb59008e91aee4a8d47524",
+            "15b4806b49b8678dd1067d6da98e181c571661645aebf7222cda18e352ce1a9d",
+        ]
+
+    @pytest.mark.skipif("compiled" not in _kernels.BACKENDS, reason="C twin not loaded")
+    def test_memory_follows_workers_not_blocks(self, monkeypatch):
+        # each worker draws all its blocks into one scratch, so 24 more
+        # blocks may fault in no more than 50 pages each (a 2048 x 50 block
+        # of fresh words, radius and normals is about 480 pages); the draw
+        # loop is also run in this thread, where glibc returns freed heap
+        # to the system and a per-block buffer would fault in every time
+        resource = pytest.importorskip("resource")
+
+        def minflt():
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+        probe, before = mmap.mmap(-1, 16 * mmap.PAGESIZE), minflt()
+        for offset in range(0, len(probe), mmap.PAGESIZE):
+            probe[offset] = 1  # 16 fresh pages, 16 minor faults
+        if minflt() == before:
+            pytest.skip("ru_minflt is not counted here")
+        monkeypatch.setattr(_kernels, "ACTIVE", _kernels.BACKENDS["compiled"])
+        monkeypatch.setattr(gp, "_worker_count", lambda: 1)
+        m, phat = dyadic_model(50)
+        scratch = rng.NormalScratch(gp._SAMPLE_BLOCK, 50)
+
+        def faults(blocks):
+            before = minflt()
+            sample_kl(m, phat, blocks * gp._SAMPLE_BLOCK, 3)
+            for first in range(0, blocks * gp._SAMPLE_BLOCK, gp._SAMPLE_BLOCK):
+                scratch.fill(3, first, first + gp._SAMPLE_BLOCK)
+            return minflt() - before
+
+        faults(8)
+        few, many = faults(8), faults(32)
+        assert many - few <= 24 * 50, (few, many)
 
     def test_normal_rows_match_streams(self):
         rows = rng.seeded_normal_rows(13, 5, 9, 7)

@@ -11,7 +11,6 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -53,16 +52,26 @@ def run(backend, base):
 
 
 def sample(backend, words, count):
-    """Bytes of the normals of ``words`` and of their KL contraction, with
-    ``backend`` as the active kernel."""
-    pairs, _ = rng._stream_layout(count)
-    with mock.patch.object(_kernels, "ACTIVE", backend):
-        normals = rng._box_muller(words.copy(), pairs, count)
-    rows = normals.reshape(-1, count)
+    """Bytes of the normals of ``words`` (per row: the u1 words, then the
+    angle words) and of their KL contraction, with ``backend``'s kernels
+    around numpy's log, as ``rng`` runs them."""
+    rows = words.reshape(-1, words.shape[-1])
+    pairs = (count + 1) // 2
+    ln_u1 = np.log(((rows[:, :pairs] >> np.uint64(11)) + np.uint64(1)) * 2.0**-53)
+    k = rows[:, pairs : 2 * pairs] >> np.uint64(11)
+    normals = np.empty((len(rows), count))
+    backend.polar_normals(ln_u1, k, normals)
     c = np.linspace(-1.5, 2.0, count)
     out_re, out_im = np.empty(len(rows)), np.empty(len(rows))
-    backend.kl_contract(rows, c, -c[::-1].copy(), out_re, out_im)
+    backend.kl_contract(normals, c, -c[::-1].copy(), out_re, out_im)
     return normals.tobytes(), out_re.tobytes(), out_im.tobytes()
+
+
+def split(backend, seed, first, rows, pairs):
+    """Bytes of u1 and of the angle words that ``backend``'s Philox writes."""
+    u1, k = np.empty((rows, pairs)), np.empty((rows, pairs), dtype=np.uint64)
+    backend.philox_split(seed, first, u1, k)
+    return u1.tobytes(), k.tobytes()
 
 
 def kl_model(n, seed):
@@ -112,10 +121,9 @@ EDGE_WORDS = [0, *(j * 2**61 + d for j in range(1, 8) for d in (-1, 0, 1)), 2**6
     data=st.data(),
 )
 def test_sampling_twins_agree_bit_for_bit(count, rows, data):
-    # rows == 0 is the 1-D layout of seeded_normals; an odd count drops the
-    # last sine; the normals and their contraction are compared
-    pairs, blocks = rng._stream_layout(count)
-    shape = ((rows,) if rows else ()) + (4 * blocks,)
+    # rows == 0 is one stream as a 1-D array; an odd count drops the last
+    # sine; the normals and their contraction are compared
+    shape = ((rows,) if rows else ()) + (count + count % 2,)
     size = int(np.prod(shape))
     words = data.draw(
         st.lists(
@@ -133,12 +141,48 @@ def test_sampling_twins_agree_bit_for_bit(count, rows, data):
 @pytest.mark.parametrize("rows", [0, 3])
 def test_sampling_twins_agree_on_edge_words(count, rows):
     # every edge word as an angle word and as a radius word, in both layouts
-    pairs, blocks = rng._stream_layout(count)
-    span = 4 * blocks
+    span = count + count % 2
     line = np.resize(np.array(EDGE_WORDS, dtype=np.uint64), span)
     words = np.stack([np.roll(line, i) for i in range(max(rows, 1))])
     words = words.reshape(((rows,) if rows else ()) + (span,))
     assert sample(BACKENDS["compiled"], words, count) == sample(BACKENDS["python"], words, count)
+
+
+def philox_reference(seed, first, rows, pairs):
+    """u1 and angle words of streams first.. from numpy's Philox, one word
+    at a time in Python ints: block b = ceil(pairs/2) words per stream, the
+    counter starting at first * b mod 2**64."""
+    blocks = (pairs + 1) // 2
+    counter = np.array([first * blocks % 2**64, 0, 0, 0], dtype=np.uint64)
+    philox = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64), counter=counter)
+    words = philox.random_raw(rows * 4 * blocks).reshape(rows, 4 * blocks).tolist()
+    u1 = [[((w >> 11) + 1) * 2.0**-53 for w in row[:pairs]] for row in words]
+    k = [[w >> 11 for w in row[pairs : 2 * pairs]] for row in words]
+    return np.array(u1).tobytes(), np.array(k, dtype=np.uint64).tobytes()
+
+
+#: first streams whose counter passes 2**64 within a batch of up to four
+#: streams: first * b mod 2**64 = 2**64 - d b, so the last block of the
+#: batch's stream d - 1 and every later block carry into counter word 1
+CARRY_FIRSTS = [2**64 - d for d in range(1, 5)]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    seed=st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+    first=st.sampled_from(CARRY_FIRSTS) | st.integers(0, 2**64 - 1),
+    rows=st.integers(min_value=1, max_value=4),
+    count=st.sampled_from([1, 7, 51]) | st.integers(1, 60),
+)
+@example(seed=0, first=0, rows=1, count=1)
+@example(seed=2**64 - 1, first=2**64 - 1, rows=1, count=51)
+@example(seed=2**64 - 1, first=2**64 - 2, rows=4, count=7)
+@example(seed=0, first=2**64 - 1, rows=3, count=1)
+def test_philox_twins_match_numpy_word_for_word(seed, first, rows, count):
+    pairs = (count + 1) // 2
+    expected = philox_reference(seed, first, rows, pairs)
+    for backend in BACKENDS.values():
+        assert split(backend, seed, first, rows, pairs) == expected, backend.name
 
 
 @pytest.mark.skipif("compiled" not in BACKENDS, reason="C twin not loaded")
@@ -183,14 +227,16 @@ def test_angle_within_two_ulp_of_the_radius():
     words[: len(EDGE_WORDS)] = EDGE_WORDS
     words[1000 : 1000 + len(EDGE_WORDS)] = EDGE_WORDS
     k = (words[1000:] >> np.uint64(11)).reshape(1, -1)
-    radius = np.sqrt(-2.0 * np.log(((words[:1000] >> np.uint64(11)) + 1) * 2.0**-53))
-    radius = radius.reshape(1, -1)
+    ln_u1 = np.log(((words[:1000] >> np.uint64(11)) + 1) * 2.0**-53).reshape(1, -1)
+    radius = np.sqrt(-2.0 * ln_u1)
     with mpmath.workprec(120):
         turns = [2 * mpmath.pi * int(w) / mpmath.mpf(2) ** 53 for w in k[0]]
         exact = [(r * mpmath.cos(a), r * mpmath.sin(a)) for r, a in zip(radius[0], turns)]
     ulp = np.spacing(radius[0])
     for backend in BACKENDS.values():
-        out = backend.polar_normals(k, radius, 2000)[0]
+        out = np.empty((1, 2000))
+        backend.polar_normals(ln_u1, k, out)
+        out = out[0]
         worst = max(
             float(abs(mpmath.mpf(out[2 * j + i]) - exact[j][i])) / ulp[j]
             for j in range(1000)
@@ -232,19 +278,37 @@ def test_wrong_arrays_raise():
 
 @pytest.mark.skipif("compiled" not in BACKENDS, reason="C twin not loaded")
 def test_wrong_sampling_arrays_raise():
-    words = np.arange(4 * 8, dtype=np.uint64).reshape(4, 8)
-    radius = np.ones((4, 3))
+    ln_u1, words = -np.ones((4, 3)), np.arange(4 * 3, dtype=np.uint64).reshape(4, 3)
     polar = BACKENDS["compiled"].polar_normals
-    assert polar(words[:, 3:6], radius, 5).shape == (4, 5)
-    for k, r, count, error in [
-        (words[:, 3:6].astype(np.int64), radius, 6, ctypes.ArgumentError),
-        (words[:, 3:6], np.ones((4, 6))[:, ::2], 6, ctypes.ArgumentError),
-        (words[:, 3:5], radius, 6, ValueError),
-        (words[:, 3:6], radius, 4, ValueError),
-        (words[:, 0:6:2], radius, 6, ValueError),
+    polar(ln_u1, words, np.empty((4, 5)))
+    frozen = np.empty((4, 6))
+    frozen.setflags(write=False)
+    for args, error in [
+        ((ln_u1, words.view(np.int64), np.empty((4, 6))), ctypes.ArgumentError),
+        ((np.ones((4, 6))[:, ::2], words, np.empty((4, 6))), ctypes.ArgumentError),
+        ((ln_u1, np.arange(4 * 6, dtype=np.uint64).reshape(4, 6)[:, ::2], np.empty((4, 6))),
+         ctypes.ArgumentError),
+        ((ln_u1, words, frozen), ctypes.ArgumentError),
+        ((ln_u1, words, np.empty((4, 8))[:, :6]), ctypes.ArgumentError),
+        ((ln_u1, words[:, :2], np.empty((4, 6))), ValueError),
+        ((ln_u1, words, np.empty((4, 4))), ValueError),
+        ((ln_u1, words, np.empty((3, 6))), ValueError),
     ]:
         with pytest.raises(error):
-            polar(k, r, count)
+            polar(*args)
+    philox = BACKENDS["compiled"].philox_split
+    u1, k = np.empty((4, 3)), np.empty((4, 3), dtype=np.uint64)
+    for args, error in [
+        ((1, 0, u1, k.view(np.int64)), ctypes.ArgumentError),
+        ((1, 0, u1.astype(np.float32), k), ctypes.ArgumentError),
+        ((1, 0, np.empty((4, 6))[:, ::2], k), ctypes.ArgumentError),
+        ((1, 0, u1, k[:, :2]), ValueError),
+        ((1, 0, u1[:0], k[:0]), ValueError),
+        ((2**64, 0, u1, k), ValueError),
+        ((1, -1, u1, k), ValueError),
+    ]:
+        with pytest.raises(error):
+            philox(*args)
     x, c = np.ones((4, 3)), np.ones(3)
     frozen = np.zeros(4)
     frozen.setflags(write=False)
@@ -286,6 +350,7 @@ def test_second_build_does_not_run_the_compiler(tmp_path):
     assert run(active, base) == run(BACKENDS["python"], base)
     words = rng.philox_words(3, 0, 4 * 13 * 7).reshape(7, 52)
     assert sample(active, words, 25) == sample(BACKENDS["python"], words, 25)
+    assert split(active, 3, 5, 7, 13) == split(BACKENDS["python"], 3, 5, 7, 13)
 
 
 @pytest.mark.parametrize("failure", ["compiler fails", "no compiler", "cache not writable"])
