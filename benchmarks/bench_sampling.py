@@ -29,6 +29,7 @@ from time import perf_counter
 import numpy as np
 
 from framekit import _kernels, gp
+from framekit.frames import FrameSystem, Grid
 
 STAGES = ("philox split", "log", "polar kernel", "contraction")
 
@@ -37,17 +38,16 @@ def minor_faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def random_model(n, atoms, seed):
+def random_coefficients(n, atoms, seed):
+    """KL coefficients of n random vectors and a random profile on random atoms."""
     r = np.random.default_rng(seed)
-    measure = gp.AtomicMeasure(
-        locations=np.sort(r.uniform(-3.0, 3.0, atoms)) + 7.0 * np.arange(atoms),
-        masses=r.uniform(0.2, 1.5, atoms),
+    grid = Grid(
+        points=np.sort(r.uniform(-3.0, 3.0, atoms)) + 7.0 * np.arange(atoms),
+        weights=r.uniform(0.2, 1.5, atoms),
     )
-    model = gp.GaussianModel.from_frame(
-        gp.SigmaFrame(measure=measure, vectors=r.standard_normal((n, atoms)))
-    )
+    fs = FrameSystem(grid=grid, vectors=r.standard_normal((n, atoms)))
     phat = gp.ComplexVector(re=r.standard_normal(atoms), im=r.standard_normal(atoms))
-    return model, phat
+    return gp.kl_coefficients(fs, phat)
 
 
 def main():
@@ -59,8 +59,7 @@ def main():
     args = parser.parse_args()
     s, n, seed = args.samples, args.vectors, args.seed
 
-    model, phat = random_model(n, 40, seed)
-    coeffs = gp.kl_coefficients(model, phat)
+    coeffs = random_coefficients(n, 40, seed)
     firsts = range(0, s, gp._SAMPLE_BLOCK)
     pairs, rows = (n + 1) // 2, min(gp._SAMPLE_BLOCK, s)
     u1, k = np.empty((rows, pairs)), np.empty((rows, pairs), dtype=np.uint64)
@@ -99,7 +98,7 @@ def main():
 
     def sample(workers, backend=active):
         with running(backend, workers):
-            return gp.sample_kl(model, phat, s, seed)
+            return gp.sample_kl(coeffs, s, seed)
 
     def best_ms(fn):
         best = float("inf")

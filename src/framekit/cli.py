@@ -223,7 +223,8 @@ def write_frame_file(path: str, fs: frames.FrameSystem) -> None:
 
 
 def parse_model_file(path: str):
-    """Returns (model, phat) for GP commands."""
+    """Returns (frame system, phat) for GP commands; the frame system's grid
+    is the atomic measure, with the atoms' u as points and masses as weights."""
     raw = _read_json(path)
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: top level must be an object")
@@ -238,9 +239,9 @@ def parse_model_file(path: str):
         locations.append(atom["u"])
         masses.append(atom["mass"])
     try:
-        measure = gp.AtomicMeasure(
-            locations=_number_list(locations, "atoms[].u"),
-            masses=_number_list(masses, "atoms[].mass"),
+        atoms = frames.Grid(
+            points=_number_list(locations, "atoms[].u"),
+            weights=_number_list(masses, "atoms[].mass"),
         )
     except FramekitError as exc:
         raise SchemaError(f"atoms: {exc}")
@@ -248,7 +249,7 @@ def parse_model_file(path: str):
         raise SchemaError("frame: missing")
     vectors = _matrix(raw["frame"], "frame")
     try:
-        sigma_frame = gp.SigmaFrame(measure=measure, vectors=vectors)
+        fs = frames.FrameSystem(grid=atoms, vectors=vectors)
     except FramekitError as exc:
         raise SchemaError(f"frame: {exc}")
 
@@ -266,9 +267,9 @@ def parse_model_file(path: str):
             phat = gp.ComplexVector(re=re, im=im)
         except FramekitError as exc:
             raise SchemaError(f"phat: {exc}")
-        if len(phat) != measure.n_atoms:
+        if len(phat) != atoms.size:
             raise SchemaError(
-                f"phat: {len(phat)} entries for {measure.n_atoms} atoms"
+                f"phat: {len(phat)} entries for {atoms.size} atoms"
             )
     else:
         section = raw["phi_x"]
@@ -280,8 +281,8 @@ def parse_model_file(path: str):
             raise SchemaError(
                 f"phi_x.values: {values.size} entries for {x_grid.size} grid points"
             )
-        phat = gp.fourier_at_atoms(x_grid, values, measure)
-    return sigma_frame, phat
+        phat = gp.fourier_at_atoms(x_grid, values, atoms)
+    return fs, phat
 
 
 def write_kernel_file(path: str, k: rkhs.KernelMatrix, kind: str, rank_tol: float):
@@ -357,15 +358,15 @@ def cmd_hilbert(args) -> int:
 
 
 def cmd_gp_sim(args) -> int:
-    sigma_frame, phat = parse_model_file(args.path)
-    model = gp.GaussianModel.from_frame(sigma_frame, args.rank_tol)
-    report = gp.sandwich_check(model, phat)
-    sampled = gp.sample_kl(model, phat, args.samples, args.seed)
-    empirical = gp.empirical_variance(sampled)
-    ex2, ey2 = gp.theoretical_variances(model, phat)
+    fs, phat = parse_model_file(args.path)
+    bounds = frames.compute_frame_bounds(fs, args.rank_tol)
+    coefficients = gp.kl_coefficients(fs, phat)
+    ex2, ey2 = gp.theoretical_variances(fs.grid, phat, coefficients)
+    report = gp.sandwich_check(bounds, ex2, ey2)
+    empirical = gp.empirical_variance(gp.sample_kl(coefficients, args.samples, args.seed))
     print(
-        f"a={_fmt_human(model.a)} b={_fmt_human(model.b)} "
-        f"cauchy_mass={_fmt_human(model.frame.measure.cauchy_mass())}"
+        f"a={_fmt_human(bounds.lower)} b={_fmt_human(bounds.upper)} "
+        f"cauchy_mass={_fmt_human(gp.cauchy_mass(fs.grid))}"
     )
     print(
         f"ex2={_fmt_human(ex2)} ey2={_fmt_human(ey2)} "
@@ -373,7 +374,7 @@ def cmd_gp_sim(args) -> int:
         f"samples={args.samples} seed={args.seed}"
     )
     print(
-        f"sandwich {_fmt_human(report.lower)} <= {_fmt_human(report.middle)} "
+        f"sandwich {_fmt_human(report.lower)} <= {_fmt_human(ey2)} "
         f"<= {_fmt_human(report.upper)}: "
         f"{'holds' if report.holds else 'VIOLATED'}"
     )

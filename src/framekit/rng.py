@@ -99,9 +99,11 @@ class NormalScratch:
         rows = stop - first
         if not 0 < rows <= len(self._out):
             raise InvalidArgument(f"{rows} streams for a scratch of {len(self._out)}")
+        if first < 0 or stop > 1 << 64:
+            raise InvalidArgument(f"streams {first}..{stop - 1} outside [0, 2**64)")
         u1, k, out = self._u1[:rows], self._k[:rows], self._out[:rows]
         kernel = _kernels.ACTIVE
-        kernel.philox_split(_check_seed(seed), first & _MASK64, u1, k)
+        kernel.philox_split(_check_seed(seed), first, u1, k)
         np.log(u1, out=u1)
         kernel.polar_normals(u1, k, out)
         return out
@@ -120,9 +122,3 @@ def seeded_normal_rows(seed: int, first: int, stop: int, count: int) -> np.ndarr
         raise InvalidArgument("need 0 <= first < stop and count >= 1")
     return NormalScratch(stop - first, count).fill(seed, first, stop)
 
-
-def seeded_normal_matrix(seed: int, n_streams: int, count: int) -> np.ndarray:
-    """All streams 0..n_streams-1 at once; row k equals seeded_normals(seed, k, count)."""
-    if n_streams < 1 or count < 1:
-        raise InvalidArgument("n_streams and count must be >= 1")
-    return seeded_normal_rows(seed, 0, n_streams, count)

@@ -11,12 +11,9 @@ import numpy as np
 import pytest
 
 from framekit import (
-    AtomicMeasure,
     ComplexVector,
     FrameSystem,
-    GaussianModel,
     Grid,
-    SigmaFrame,
     build_gramian,
     canonical_tight,
     cli,
@@ -26,6 +23,7 @@ from framekit import (
     hilbert_spectrum_report,
     isometry_check,
     kernel_from_tight,
+    kl_coefficients,
     lax_milgram,
     mercedes_frame,
     monomial_frame,
@@ -266,27 +264,30 @@ def test_criterion_7_lax_milgram():
 
 def _onb_model(seed, j):
     r = np.random.default_rng(seed)
-    measure = AtomicMeasure(
-        locations=np.sort(r.uniform(-4.0, 4.0, j) + 9.0 * np.arange(j)),
-        masses=r.uniform(0.2, 2.0, j),
+    atoms = Grid(
+        points=np.sort(r.uniform(-4.0, 4.0, j) + 9.0 * np.arange(j)),
+        weights=r.uniform(0.2, 2.0, j),
     )
-    rows = orthonormal_rows(j, j, measure.masses, seed=seed)
-    return GaussianModel.from_frame(SigmaFrame(measure=measure, vectors=rows))
+    rows = orthonormal_rows(j, j, atoms.weights, seed=seed)
+    return FrameSystem(grid=atoms, vectors=rows)
 
 
 def _random_model(seed, n, j):
     r = np.random.default_rng(seed)
-    measure = AtomicMeasure(
-        locations=np.sort(r.uniform(-3.0, 3.0, j) + 7.0 * np.arange(j)),
-        masses=r.uniform(0.2, 2.0, j),
+    atoms = Grid(
+        points=np.sort(r.uniform(-3.0, 3.0, j) + 7.0 * np.arange(j)),
+        weights=r.uniform(0.2, 2.0, j),
     )
     for _ in range(50):
-        model = GaussianModel.from_frame(
-            SigmaFrame(measure=measure, vectors=r.standard_normal((n, j)))
-        )
-        if model.is_frame and model.a >= 1e-4 * model.b:
-            return model
+        fs = FrameSystem(grid=atoms, vectors=r.standard_normal((n, j)))
+        bounds = compute_frame_bounds(fs)
+        if bounds.is_frame and bounds.lower >= 1e-4 * bounds.upper:
+            return fs
     raise AssertionError("no frame model drawn")
+
+
+def _variances(fs, phat):
+    return theoretical_variances(fs.grid, phat, kl_coefficients(fs, phat))
 
 
 def test_criterion_8_parseval_agreement():
@@ -294,26 +295,27 @@ def test_criterion_8_parseval_agreement():
     worst_onb = 0.0
     checked = 0
     for seed in range(10):
-        model = _onb_model(300 + seed, 4 + seed % 3)
-        j = model.frame.measure.n_atoms
+        fs = _onb_model(300 + seed, 4 + seed % 3)
+        j = fs.n_points
         for _ in range(10):
             phat = ComplexVector(re=r.standard_normal(j), im=r.standard_normal(j))
-            ex2, ey2 = theoretical_variances(model, phat)
+            ex2, ey2 = _variances(fs, phat)
             worst_onb = max(worst_onb, abs(ey2 - ex2) / max(ex2, 1e-300))
             checked += 1
 
     # a deliberately non-Parseval model (b/a = 2) and its separating profile
     masses = np.array([0.5, 1.25])
-    measure = AtomicMeasure(locations=np.array([-1.0, 2.0]), masses=masses)
+    atoms = Grid(points=np.array([-1.0, 2.0]), weights=masses)
     vectors = np.array(
         [[1.0 / math.sqrt(masses[0]), 0.0], [0.0, math.sqrt(2.0 / masses[1])]]
     )
-    model = GaussianModel.from_frame(SigmaFrame(measure=measure, vectors=vectors))
-    ratio_ok = model.b / model.a >= 1.5
+    fs = FrameSystem(grid=atoms, vectors=vectors)
+    bounds = compute_frame_bounds(fs)
+    ratio_ok = bounds.upper / bounds.lower >= 1.5
     phat = ComplexVector(
         re=np.array([0.0, 1.0 / math.sqrt(masses[1])]), im=np.zeros(2)
     )
-    ex2, ey2 = theoretical_variances(model, phat)
+    ex2, ey2 = _variances(fs, phat)
     separated = abs(ey2 - ex2) > 1e-8 * ex2
     report(
         8,
@@ -327,11 +329,12 @@ def test_criterion_9_sandwich():
     r = np.random.default_rng(9)
     held = 0
     for seed in range(100):
-        model = _random_model(500 + seed, 5 + seed % 4, 3 + seed % 2)
-        j = model.frame.measure.n_atoms
+        fs = _random_model(500 + seed, 5 + seed % 4, 3 + seed % 2)
+        bounds = compute_frame_bounds(fs)
+        j = fs.n_points
         for _ in range(5):
             phat = ComplexVector(re=r.standard_normal(j), im=r.standard_normal(j))
-            if sandwich_check(model, phat).holds:
+            if sandwich_check(bounds, *_variances(fs, phat)).holds:
                 held += 1
 
     # tight sigma-frame: both sides collapse onto ey2
@@ -339,16 +342,13 @@ def test_criterion_9_sandwich():
     for seed in range(5):
         base = _onb_model(700 + seed, 4)
         c = 1.0 + seed / 3.0
-        model = GaussianModel.from_frame(
-            SigmaFrame(
-                measure=base.frame.measure, vectors=c * base.frame.vectors
-            )
-        )
-        j = model.frame.measure.n_atoms
+        fs = FrameSystem(grid=base.grid, vectors=c * base.vectors)
+        j = fs.n_points
         phat = ComplexVector(re=r.standard_normal(j), im=r.standard_normal(j))
-        rep = sandwich_check(model, phat)
-        spread = max(abs(rep.lower - rep.middle), abs(rep.upper - rep.middle))
-        worst_tight = max(worst_tight, spread / max(rep.middle, 1e-300))
+        ex2, ey2 = _variances(fs, phat)
+        rep = sandwich_check(compute_frame_bounds(fs), ex2, ey2)
+        spread = max(abs(rep.lower - ey2), abs(rep.upper - ey2))
+        worst_tight = max(worst_tight, spread / max(ey2, 1e-300))
     report(
         9,
         "sandwich holds on 500 random (model, phat); tight frames collapse to equality",
@@ -360,12 +360,13 @@ def test_criterion_9_sandwich():
 def test_criterion_10_monte_carlo():
     start = time.perf_counter()
     s = 200_000
-    model = _random_model(901, 6, 4)
+    fs = _random_model(901, 6, 4)
     r = np.random.default_rng(10)
     phat = ComplexVector(re=r.standard_normal(4), im=r.standard_normal(4))
-    _, ey2 = theoretical_variances(model, phat)
-    first = sample_kl(model, phat, s, seed=4242)
-    second = sample_kl(model, phat, s, seed=4242)
+    coeffs = kl_coefficients(fs, phat)
+    _, ey2 = theoretical_variances(fs.grid, phat, coeffs)
+    first = sample_kl(coeffs, s, seed=4242)
+    second = sample_kl(coeffs, s, seed=4242)
     identical = np.array_equal(first.samples_re, second.samples_re) and np.array_equal(
         first.samples_im, second.samples_im
     )

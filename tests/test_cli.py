@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import json
 import math
 import os
@@ -10,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from framekit import cli, errors, mercedes_frame, spectral
+from framekit import _kernels, cli, errors, frames, gp, mercedes_frame, spectral
 from framekit.cli import (
     EXIT_DEGENERATE,
     EXIT_MATH,
@@ -55,6 +57,28 @@ def onb_model_payload(scale=1.0):
         "frame": [list(r) for r in rows],
         "phat": {"re": [0.3, -1.1, 0.25], "im": [0.0, 0.7, -0.4]},
     }
+
+
+def dyadic_model_payload(profile):
+    """12 vectors on 6 atoms and a phat or phi_x profile, all exact dyadic
+    values from integer formulas."""
+    i, a = np.arange(12 * 6), np.arange(6)
+    payload = {
+        "atoms": [{"u": 1.5 * k - 3.0, "mass": 1.0 + (k % 5) / 8.0} for k in range(6)],
+        "frame": (((i * 7919) % 1021 - 510) / 256.0).reshape(12, 6).tolist(),
+    }
+    if profile == "phat":
+        payload["phat"] = {
+            "re": (((a * 37) % 29 - 14) / 16.0).tolist(),
+            "im": (((a * 53) % 31 - 15) / 32.0).tolist(),
+        }
+    else:
+        x = np.arange(16)
+        payload["phi_x"] = {
+            "grid": {"points": ((x - 8) / 4.0).tolist(), "weights": [0.25] * 16},
+            "values": (((x * 13) % 17 - 8) / 8.0).tolist(),
+        }
+    return payload
 
 
 class TestAnalyze:
@@ -233,6 +257,43 @@ class TestGpSim:
         payload["frame"] = [[1.0, 0.0, 0.0]]
         path = write(tmp_path / "model.json", payload)
         assert cli.main(["gp-sim", path, "--samples", "10"]) == EXIT_DEGENERATE
+
+    @pytest.mark.parametrize("backend", sorted(_kernels.BACKENDS))
+    @pytest.mark.parametrize("profile", ["phat", "phi_x"])
+    def test_stdout_is_pinned(self, tmp_path, capsys, monkeypatch, backend, profile):
+        # sha256 of the whole report, recorded before gp was rebuilt on Grid
+        # and FrameSystem; the models are dyadic, so no platform enters them
+        digest = {
+            "phat": "dca71a188f65b2c328863a6587cf3a004fe117f1243ba353edaa5cbae2e64003",
+            "phi_x": "fc90bca6cfe3d139ff97c8f2912cf51ad62df868cc7ccfef0009c348e6014a46",
+        }[profile]
+        monkeypatch.setattr(_kernels, "ACTIVE", _kernels.BACKENDS[backend])
+        path = write(tmp_path / "model.json", dyadic_model_payload(profile))
+        assert cli.main(["gp-sim", path, "--samples", "20001", "--seed", "7"]) == EXIT_OK
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("profile, grids", [("phat", 1), ("phi_x", 2)])
+    def test_bounds_and_coefficients_computed_once(
+        self, tmp_path, capsys, monkeypatch, profile, grids
+    ):
+        # one Grid for the atoms (and one for phi_x's quadrature grid), one
+        # frame spectrum and one set of KL coefficients per call
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        path = write(tmp_path / "model.json", dyadic_model_payload(profile))
+        monkeypatch.setattr(frames.Grid, "__post_init__", counted("grid", frames.Grid.__post_init__))
+        monkeypatch.setattr(
+            frames, "compute_frame_bounds", counted("bounds", frames.compute_frame_bounds)
+        )
+        monkeypatch.setattr(gp, "kl_coefficients", counted("kl", gp.kl_coefficients))
+        assert cli.main(["gp-sim", path, "--samples", "3000", "--seed", "7"]) == EXIT_OK
+        assert calls == {"grid": grids, "bounds": 1, "kl": 1}
 
 
 class TestCanonicalAndVerify:

@@ -12,54 +12,69 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framekit import (
-    AtomicMeasure,
     ComplexVector,
     DimensionMismatch,
-    GaussianModel,
+    FrameSystem,
     Grid,
     InvalidArgument,
     InvalidMatrix,
     NotAFrame,
-    SigmaFrame,
+    cauchy_mass,
+    compute_frame_bounds,
     empirical_variance,
     fourier_at_atoms,
     kl_coefficients,
     sample_kl,
     sandwich_check,
-    sigma_frame_bounds,
     theoretical_variances,
 )
 from framekit import _kernels, gp, rng
 from oracles import eigh_descending, orthonormal_rows
 
 
-def simple_measure():
-    return AtomicMeasure.from_atoms([(-1.0, 0.5), (0.0, 1.0), (2.0, 0.25)])
+def simple_atoms():
+    """The measure 0.5 delta(-1) + delta(0) + 0.25 delta(2)."""
+    return Grid(points=np.array([-1.0, 0.0, 2.0]), weights=np.array([0.5, 1.0, 0.25]))
 
 
 def onb_model(seed=0, n=4):
     r = np.random.default_rng(seed)
-    measure = AtomicMeasure(
-        locations=np.linspace(-2.0, 2.0, n), masses=r.uniform(0.2, 2.0, n)
-    )
-    rows = orthonormal_rows(n, n, measure.masses, seed=seed)
-    return GaussianModel.from_frame(SigmaFrame(measure=measure, vectors=rows))
+    atoms = Grid(points=np.linspace(-2.0, 2.0, n), weights=r.uniform(0.2, 2.0, n))
+    rows = orthonormal_rows(n, n, atoms.weights, seed=seed)
+    return FrameSystem(grid=atoms, vectors=rows)
 
 
 def random_model(seed, n, j):
     """Frame model with a > 0: n >= j rows over j atoms."""
     assert n >= j
     r = np.random.default_rng(seed)
-    measure = AtomicMeasure(
-        locations=np.sort(r.uniform(-3.0, 3.0, j) + np.arange(j) * 7.0),
-        masses=r.uniform(0.2, 2.0, j),
+    atoms = Grid(
+        points=np.sort(r.uniform(-3.0, 3.0, j) + np.arange(j) * 7.0),
+        weights=r.uniform(0.2, 2.0, j),
     )
     for _ in range(50):
-        vectors = r.standard_normal((n, j))
-        model = GaussianModel.from_frame(SigmaFrame(measure=measure, vectors=vectors))
-        if model.is_frame and model.a >= 1e-4 * model.b:
-            return model
+        fs = FrameSystem(grid=atoms, vectors=r.standard_normal((n, j)))
+        bounds = compute_frame_bounds(fs)
+        if bounds.is_frame and bounds.lower >= 1e-4 * bounds.upper:
+            return fs
     raise AssertionError("no frame model drawn")
+
+
+def scaled(fs, c):
+    """The frame c f_n on the same atoms."""
+    return FrameSystem(grid=fs.grid, vectors=c * fs.vectors)
+
+
+def variances(fs, phat):
+    return theoretical_variances(fs.grid, phat, kl_coefficients(fs, phat))
+
+
+def sandwich(fs, phat):
+    return sandwich_check(compute_frame_bounds(fs), *variances(fs, phat))
+
+
+def sample(fs, phat, s, seed):
+    return sample_kl(kl_coefficients(fs, phat), s, seed)
 
 
 def random_phat(seed, j):
@@ -67,20 +82,22 @@ def random_phat(seed, j):
     return ComplexVector(re=r.standard_normal(j), im=r.standard_normal(j))
 
 
-#: Prelude of the pinned sampling scripts: model(r, n) draws N = n vectors
-#: on 6 atoms and a profile phat from the generator r.
+#: Prelude of the pinned sampling scripts: coefficients(r, n) draws N = n
+#: vectors on 6 atoms and a profile phat from the generator r, and returns
+#: their KL coefficients.
 MODEL_CODE = """
 import numpy as np
 from framekit import gp, rng
+from framekit.frames import FrameSystem, Grid
 
-def model(r, n, j=6):
-    measure = gp.AtomicMeasure(
-        locations=np.sort(r.uniform(-3, 3, j)) + 7.0 * np.arange(j),
-        masses=r.uniform(0.2, 1.5, j),
+def coefficients(r, n, j=6):
+    atoms = Grid(
+        points=np.sort(r.uniform(-3, 3, j)) + 7.0 * np.arange(j),
+        weights=r.uniform(0.2, 1.5, j),
     )
-    frame = gp.SigmaFrame(measure=measure, vectors=r.standard_normal((n, j)))
+    fs = FrameSystem(grid=atoms, vectors=r.standard_normal((n, j)))
     phat = gp.ComplexVector(re=r.standard_normal(j), im=r.standard_normal(j))
-    return gp.GaussianModel.from_frame(frame), phat
+    return gp.kl_coefficients(fs, phat)
 """
 
 
@@ -142,10 +159,10 @@ def dyadic_model(n, j=6):
     """Model with n vectors on j atoms and its profile, all exact dyadic
     values from integer formulas."""
     i, a = np.arange(n * j), np.arange(j)
-    measure = AtomicMeasure(locations=a * 1.5, masses=1.0 + (a % 5) / 8.0)
+    atoms = Grid(points=a * 1.5, weights=1.0 + (a % 5) / 8.0)
     vectors = (((i * 7919) % 1021 - 510) / 256.0).reshape(n, j)
     phat = ComplexVector(re=((a * 37) % 29 - 14) / 16.0, im=((a * 53) % 31 - 15) / 32.0)
-    return GaussianModel.from_frame(SigmaFrame(measure=measure, vectors=vectors)), phat
+    return FrameSystem(grid=atoms, vectors=vectors), phat
 
 
 def sha256_of(*arrays):
@@ -167,43 +184,43 @@ def kl_reference(normals, c):
 
 class TestAtomicMeasure:
     def test_validation(self):
+        # an atomic measure is a Grid: atoms at distinct points, positive masses
         with pytest.raises(InvalidMatrix):
-            AtomicMeasure(locations=np.array([1.0, 1.0]), masses=np.array([1.0, 1.0]))
+            Grid(points=np.array([1.0, 1.0]), weights=np.array([1.0, 1.0]))
         with pytest.raises(InvalidMatrix):
-            AtomicMeasure(locations=np.array([1.0, 2.0]), masses=np.array([1.0, 0.0]))
+            Grid(points=np.array([1.0, 2.0]), weights=np.array([1.0, 0.0]))
 
     def test_cauchy_mass_brute_force(self):
-        m = simple_measure()
         expected = 0.5 / (1 + 1.0) + 1.0 / (1 + 0.0) + 0.25 / (1 + 4.0)
-        assert abs(m.cauchy_mass() - expected) <= 1e-14
+        assert abs(cauchy_mass(simple_atoms()) - expected) <= 1e-14
 
     def test_cauchy_mass_random(self):
         r = np.random.default_rng(10)
         for _ in range(20):
             j = int(r.integers(1, 12))
-            m = AtomicMeasure(
-                locations=np.cumsum(r.uniform(0.1, 3.0, j)),
-                masses=r.uniform(0.01, 5.0, j),
+            atoms = Grid(
+                points=np.cumsum(r.uniform(0.1, 3.0, j)),
+                weights=r.uniform(0.01, 5.0, j),
             )
             brute = sum(
-                float(m.masses[i]) / (1.0 + float(m.locations[i]) ** 2)
+                float(atoms.weights[i]) / (1.0 + float(atoms.points[i]) ** 2)
                 for i in range(j)
             )
-            assert abs(m.cauchy_mass() - brute) <= 1e-14 * max(1.0, brute)
+            assert abs(cauchy_mass(atoms) - brute) <= 1e-14 * max(1.0, brute)
 
 
 class TestFourierAtAtoms:
     def test_zero_function(self):
         grid = Grid(points=np.linspace(-1, 1, 16), weights=np.full(16, 2.0 / 16))
-        out = fourier_at_atoms(grid, np.zeros(16), simple_measure())
+        out = fourier_at_atoms(grid, np.zeros(16), simple_atoms())
         assert np.array_equal(out.re, np.zeros(3))
         assert np.array_equal(out.im, np.zeros(3))
 
     def test_zero_frequency_is_integral(self):
         grid = Grid(points=np.linspace(-1, 1, 32), weights=np.full(32, 2.0 / 32))
-        measure = AtomicMeasure(locations=np.array([0.0]), masses=np.array([1.0]))
+        atoms = Grid(points=np.array([0.0]), weights=np.array([1.0]))
         phi = np.cos(grid.points)
-        out = fourier_at_atoms(grid, phi, measure)
+        out = fourier_at_atoms(grid, phi, atoms)
         assert abs(out.re[0] - float(np.sum(grid.weights * phi))) <= 1e-15
         assert out.im[0] == 0.0
 
@@ -223,8 +240,8 @@ class TestFourierAtAtoms:
         m = 4096
         x = -1.0 + (np.arange(m) + 0.5) * (2.0 / m)
         grid = Grid(points=x, weights=np.full(m, 2.0 / m))
-        measure = AtomicMeasure(locations=np.array([np.pi]), masses=np.array([1.0]))
-        out = fourier_at_atoms(grid, bump(x), measure)
+        atoms = Grid(points=np.array([np.pi]), weights=np.array([1.0]))
+        out = fourier_at_atoms(grid, bump(x), atoms)
         oracle_re, oracle_im = midpoint_transform(2 * m, np.pi)
         assert abs(out.re[0] - oracle_re) <= 1e-6
         assert abs(out.im[0] - oracle_im) <= 1e-6
@@ -232,17 +249,17 @@ class TestFourierAtAtoms:
     def test_mismatch(self):
         grid = Grid(points=np.linspace(-1, 1, 8), weights=np.full(8, 0.25))
         with pytest.raises(DimensionMismatch):
-            fourier_at_atoms(grid, np.zeros(9), simple_measure())
+            fourier_at_atoms(grid, np.zeros(9), simple_atoms())
 
     def test_sums_run_in_index_order(self):
         # the first term alone, then one rounded multiply and add per term
         r = np.random.default_rng(4)
         grid = Grid(points=np.sort(r.uniform(-3, 3, 40)), weights=r.uniform(0.1, 1.0, 40))
         phi = r.standard_normal(40)
-        measure = AtomicMeasure(locations=r.uniform(-5, 5, 7), masses=np.ones(7))
-        out = fourier_at_atoms(grid, phi, measure)
+        atoms = Grid(points=r.uniform(-5, 5, 7), weights=np.ones(7))
+        out = fourier_at_atoms(grid, phi, atoms)
         weighted = (grid.weights * phi).tolist()
-        for j, u in enumerate(measure.locations):
+        for j, u in enumerate(atoms.points):
             phase = u * grid.points
             for wave, got in ((np.cos(phase), out.re[j]), (np.sin(phase), out.im[j])):
                 acc = wave[0] * weighted[0]
@@ -262,11 +279,11 @@ digest = hashlib.sha256()
 for seed in range(4):
     grid = Grid(points=np.linspace(-4.0, 4.0, 50), weights=np.full(50, 8.0 / 50))
     phi = rng.seeded_normals(seed, 0, 50)
-    measure = gp.AtomicMeasure(
-        locations=np.linspace(-20.0, 20.0, 10_001) + 1e-3 * rng.seeded_normals(seed, 1, 10_001),
-        masses=np.full(10_001, 1e-4),
+    atoms = Grid(
+        points=np.linspace(-20.0, 20.0, 10_001) + 1e-3 * rng.seeded_normals(seed, 1, 10_001),
+        weights=np.full(10_001, 1e-4),
     )
-    out = gp.fourier_at_atoms(grid, phi, measure)
+    out = gp.fourier_at_atoms(grid, phi, atoms)
     digest.update(out.re.tobytes() + out.im.tobytes())
 print(digest.hexdigest())
 """
@@ -275,54 +292,48 @@ print(digest.hexdigest())
 
 class TestSigmaFrameBounds:
     def test_orthonormal_rows(self):
-        model = onb_model(seed=1)
-        assert abs(model.a - 1.0) <= 1e-10
-        assert abs(model.b - 1.0) <= 1e-10
+        bounds = compute_frame_bounds(onb_model(seed=1))
+        assert abs(bounds.lower - 1.0) <= 1e-10
+        assert abs(bounds.upper - 1.0) <= 1e-10
 
     def test_scaling(self):
-        model = random_model(2, 5, 3)
+        fs = random_model(2, 5, 3)
         c = 1.7
-        scaled = GaussianModel.from_frame(
-            SigmaFrame(measure=model.frame.measure, vectors=c * model.frame.vectors)
-        )
-        assert abs(scaled.a - c**2 * model.a) <= 1e-10 * max(1.0, scaled.a)
-        assert abs(scaled.b - c**2 * model.b) <= 1e-10 * max(1.0, scaled.b)
+        base, big = compute_frame_bounds(fs), compute_frame_bounds(scaled(fs, c))
+        assert abs(big.lower - c**2 * base.lower) <= 1e-10 * max(1.0, big.lower)
+        assert abs(big.upper - c**2 * base.upper) <= 1e-10 * max(1.0, big.upper)
 
     def test_rank_deficient(self):
-        measure = simple_measure()
         vectors = np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
-        a, b = sigma_frame_bounds(SigmaFrame(measure=measure, vectors=vectors))
-        assert a == 0.0 and b > 0.0
+        bounds = compute_frame_bounds(FrameSystem(grid=simple_atoms(), vectors=vectors))
+        assert bounds.lower == 0.0 and bounds.upper > 0.0
 
 
 class TestKlCoefficients:
     def test_zero_phat(self):
-        model = onb_model()
-        j = model.frame.measure.n_atoms
-        out = kl_coefficients(model, ComplexVector(re=np.zeros(j), im=np.zeros(j)))
-        assert np.array_equal(out.re, np.zeros(model.frame.n_vectors))
-        assert np.array_equal(out.im, np.zeros(model.frame.n_vectors))
+        fs = onb_model()
+        j = fs.n_points
+        out = kl_coefficients(fs, ComplexVector(re=np.zeros(j), im=np.zeros(j)))
+        assert np.array_equal(out.re, np.zeros(fs.n_vectors))
+        assert np.array_equal(out.im, np.zeros(fs.n_vectors))
 
     def test_onb_reproduces_delta(self):
-        model = onb_model(seed=3)
+        fs = onb_model(seed=3)
         k = 2
-        phat = ComplexVector(
-            re=model.frame.vectors[k],
-            im=np.zeros(model.frame.measure.n_atoms),
-        )
-        out = kl_coefficients(model, phat)
-        expected = np.zeros(model.frame.n_vectors)
+        phat = ComplexVector(re=fs.vectors[k], im=np.zeros(fs.n_points))
+        out = kl_coefficients(fs, phat)
+        expected = np.zeros(fs.n_vectors)
         expected[k] = 1.0
         np.testing.assert_allclose(out.re, expected, atol=1e-10)
         np.testing.assert_allclose(out.im, 0.0, atol=1e-15)
 
     def test_brute_force_double_loop(self):
         for seed in range(10):
-            model = random_model(seed, 5, 4)
+            fs = random_model(seed, 5, 4)
             phat = random_phat(seed + 100, 4)
-            out = kl_coefficients(model, phat)
-            f = model.frame.vectors
-            masses = model.frame.measure.masses
+            out = kl_coefficients(fs, phat)
+            f = fs.vectors
+            masses = fs.grid.weights
             for n in range(5):
                 re = sum(
                     float(masses[j] * f[n, j] * phat.re[j]) for j in range(4)
@@ -334,80 +345,79 @@ class TestKlCoefficients:
                 assert abs(out.im[n] - im) <= 1e-12 * max(1.0, abs(im))
 
     def test_mismatch(self):
-        model = onb_model()
+        fs = onb_model()
         with pytest.raises(DimensionMismatch):
-            kl_coefficients(model, ComplexVector(re=np.zeros(9), im=np.zeros(9)))
+            kl_coefficients(fs, ComplexVector(re=np.zeros(9), im=np.zeros(9)))
 
 
 class TestTheoreticalVariances:
     def test_zero(self):
-        model = onb_model()
-        j = model.frame.measure.n_atoms
-        ex2, ey2 = theoretical_variances(
-            model, ComplexVector(re=np.zeros(j), im=np.zeros(j))
-        )
+        fs = onb_model()
+        j = fs.n_points
+        ex2, ey2 = variances(fs, ComplexVector(re=np.zeros(j), im=np.zeros(j)))
         assert ex2 == 0.0 and ey2 == 0.0
 
     def test_parseval_equality(self):
         for seed in range(10):
-            model = onb_model(seed=seed)
-            phat = random_phat(seed, model.frame.measure.n_atoms)
-            ex2, ey2 = theoretical_variances(model, phat)
+            fs = onb_model(seed=seed)
+            ex2, ey2 = variances(fs, random_phat(seed, fs.n_points))
             assert abs(ey2 - ex2) <= 1e-12 * max(1.0, ex2)
 
     def test_frame_scaling_moves_ey2_only(self):
-        model = random_model(4, 5, 3)
+        fs = random_model(4, 5, 3)
         phat = random_phat(5, 3)
-        ex2, ey2 = theoretical_variances(model, phat)
+        ex2, ey2 = variances(fs, phat)
         c = 2.5
-        scaled = GaussianModel.from_frame(
-            SigmaFrame(measure=model.frame.measure, vectors=c * model.frame.vectors)
-        )
-        ex2_s, ey2_s = theoretical_variances(scaled, phat)
+        ex2_s, ey2_s = variances(scaled(fs, c), phat)
         assert ex2_s == ex2
         assert abs(ey2_s - c**2 * ey2) <= 1e-10 * max(1.0, ey2_s)
 
+    def test_mismatch(self):
+        fs = onb_model()
+        phat = ComplexVector(re=np.zeros(9), im=np.zeros(9))
+        with pytest.raises(DimensionMismatch):
+            theoretical_variances(fs.grid, phat, kl_coefficients(fs, random_phat(1, 4)))
+
     def test_identity_against_brute_force(self):
         for seed in range(100):
-            model = random_model(seed, 4 + seed % 3, 3)
+            fs = random_model(seed, 4 + seed % 3, 3)
             phat = random_phat(seed + 1000, 3)
-            _, ey2 = theoretical_variances(model, phat)
-            coeffs = kl_coefficients(model, phat)
+            coeffs = kl_coefficients(fs, phat)
+            _, ey2 = theoretical_variances(fs.grid, phat, coeffs)
             brute = 0.0
-            for n in range(model.frame.n_vectors):
+            for n in range(fs.n_vectors):
                 brute += float(coeffs.re[n]) ** 2 + float(coeffs.im[n]) ** 2
             assert abs(ey2 - brute) <= 1e-12 * max(1.0, brute)
 
 
 class TestSandwich:
     def test_parseval_all_equal(self):
-        model = onb_model(seed=8)
-        phat = random_phat(9, model.frame.measure.n_atoms)
-        report = sandwich_check(model, phat)
+        fs = onb_model(seed=8)
+        phat = random_phat(9, fs.n_points)
+        _, ey2 = variances(fs, phat)
+        report = sandwich(fs, phat)
         assert report.holds
-        assert abs(report.lower - report.middle) <= 1e-9 * max(1.0, report.middle)
-        assert abs(report.upper - report.middle) <= 1e-9 * max(1.0, report.middle)
+        assert abs(report.lower - ey2) <= 1e-9 * max(1.0, ey2)
+        assert abs(report.upper - ey2) <= 1e-9 * max(1.0, ey2)
 
     def test_scaled_onb_tight(self):
-        base = onb_model(seed=12)
         c = 2.0
-        model = GaussianModel.from_frame(
-            SigmaFrame(measure=base.frame.measure, vectors=c * base.frame.vectors)
-        )
-        phat = random_phat(13, base.frame.measure.n_atoms)
-        ex2, ey2 = theoretical_variances(model, phat)
+        fs = scaled(onb_model(seed=12), c)
+        phat = random_phat(13, fs.n_points)
+        ex2, ey2 = variances(fs, phat)
         assert abs(ey2 - c**2 * ex2) <= 1e-10 * max(1.0, ey2)
-        report = sandwich_check(model, phat)
-        assert report.holds
-        assert abs(model.a - 4.0) <= 1e-9 and abs(model.b - 4.0) <= 1e-9
+        assert sandwich(fs, phat).holds
+        bounds = compute_frame_bounds(fs)
+        assert abs(bounds.lower - 4.0) <= 1e-9 and abs(bounds.upper - 4.0) <= 1e-9
 
     def test_holds_on_random_models(self):
         count = 0
         for seed in range(100):
-            model = random_model(seed, 5 + seed % 4, 3 + seed % 2)
+            fs = random_model(seed, 5 + seed % 4, 3 + seed % 2)
+            bounds = compute_frame_bounds(fs)
             for k in range(5):
-                phat = random_phat(seed * 10 + k, model.frame.measure.n_atoms)
-                assert sandwich_check(model, phat).holds
+                phat = random_phat(seed * 10 + k, fs.n_points)
+                assert sandwich_check(bounds, *variances(fs, phat)).holds
                 count += 1
         assert count == 500
 
@@ -416,48 +426,47 @@ class TestSandwich:
         # Bounds claimed 10x too small are violated by some phat; scaling the
         # frame by c scales a, b and E|Y|^2 by c^2 and must keep the verdict.
         base = random_model(21, 10, 6)
-        model = GaussianModel.from_frame(
-            SigmaFrame(measure=base.frame.measure, vectors=c * base.frame.vectors)
-        )
+        fs = scaled(base, c)
 
-        def too_small(m):
-            bounds = dataclasses.replace(m.bounds, lower=m.a / 10, upper=m.b / 10)
-            return GaussianModel(frame=m.frame, bounds=bounds)
+        def too_small(frame):
+            bounds = compute_frame_bounds(frame)
+            return dataclasses.replace(bounds, lower=bounds.lower / 10, upper=bounds.upper / 10)
 
         violated = 0
         for k in range(10):
             phat = random_phat(300 + k, 6)
-            assert sandwich_check(model, phat).holds
-            expected = sandwich_check(too_small(base), phat).holds
-            assert sandwich_check(too_small(model), phat).holds == expected
+            assert sandwich(fs, phat).holds
+            expected = sandwich_check(too_small(base), *variances(base, phat)).holds
+            assert sandwich_check(too_small(fs), *variances(fs, phat)).holds == expected
             violated += not expected
         assert violated > 0
 
     def test_not_a_frame(self):
-        measure = simple_measure()
         vectors = np.array([[1.0, 0.0, 0.0]])
-        model = GaussianModel.from_frame(SigmaFrame(measure=measure, vectors=vectors))
+        fs = FrameSystem(grid=simple_atoms(), vectors=vectors)
         with pytest.raises(NotAFrame):
-            sandwich_check(model, random_phat(1, 3))
+            sandwich(fs, random_phat(1, 3))
 
     def test_non_parseval_has_separating_phat(self):
         # extremal eigenvector of the hat frame operator pins ey2 at an
         # extreme eigenvalue times ex2, separating any non-Parseval model
         separated = 0
         for seed in range(10):
-            model = random_model(21 + seed, 6, 4)
-            if abs(model.a - 1.0) + abs(model.b - 1.0) <= 1e-6:
+            fs = random_model(21 + seed, 6, 4)
+            bounds = compute_frame_bounds(fs)
+            a, b = bounds.lower, bounds.upper
+            if abs(a - 1.0) + abs(b - 1.0) <= 1e-6:
                 continue
-            masses = model.frame.measure.masses
-            b_hat = model.frame.vectors * np.sqrt(masses)
+            masses = fs.grid.weights
+            b_hat = fs.vectors * np.sqrt(masses)
             values, vectors = eigh_descending(b_hat.T @ b_hat)
-            which = 0 if abs(model.b - 1.0) >= abs(model.a - 1.0) else -1
+            which = 0 if abs(b - 1.0) >= abs(a - 1.0) else -1
             lam = float(values[which])
             v_hat = vectors[:, which]
             phat = ComplexVector(
                 re=v_hat / np.sqrt(masses), im=np.zeros(len(masses))
             )
-            ex2, ey2 = theoretical_variances(model, phat)
+            ex2, ey2 = variances(fs, phat)
             assert abs(ex2 - 1.0) <= 1e-10
             assert abs(ey2 - lam) <= 1e-9 * max(1.0, lam)
             assert abs(ey2 - ex2) > 1e-8 * ex2
@@ -467,31 +476,25 @@ class TestSandwich:
 
 class TestSampling:
     def test_zero_phat_gives_zero_samples(self):
-        model = onb_model()
-        j = model.frame.measure.n_atoms
-        out = sample_kl(model, ComplexVector(re=np.zeros(j), im=np.zeros(j)), 50, 3)
+        fs = onb_model()
+        j = fs.n_points
+        out = sample(fs, ComplexVector(re=np.zeros(j), im=np.zeros(j)), 50, 3)
         assert np.array_equal(out.samples_re, np.zeros(50))
         assert np.array_equal(out.samples_im, np.zeros(50))
 
     def test_seed_determinism(self):
-        model = random_model(30, 5, 3)
-        phat = random_phat(31, 3)
-        a = sample_kl(model, phat, 200, 77)
-        b = sample_kl(model, phat, 200, 77)
+        coeffs = kl_coefficients(random_model(30, 5, 3), random_phat(31, 3))
+        a = sample_kl(coeffs, 200, 77)
+        b = sample_kl(coeffs, 200, 77)
         assert np.array_equal(a.samples_re, b.samples_re)
         assert np.array_equal(a.samples_im, b.samples_im)
-        c = sample_kl(model, phat, 200, 78)
+        c = sample_kl(coeffs, 200, 78)
         assert not np.array_equal(a.samples_re, c.samples_re)
 
     def test_single_coefficient_exposes_raw_stream(self):
-        measure = AtomicMeasure(locations=np.array([0.0]), masses=np.array([1.0]))
-        model = GaussianModel.from_frame(
-            SigmaFrame(measure=measure, vectors=np.array([[1.0]]))
-        )
-        phat = ComplexVector(re=np.array([1.0]), im=np.array([0.0]))
         s = 40_000
-        out = sample_kl(model, phat, s, 5)
-        stream = rng.seeded_normal_matrix(5, s, 1)[:, 0]
+        out = sample_kl(ComplexVector(re=np.array([1.0]), im=np.array([0.0])), s, 5)
+        stream = rng.seeded_normal_rows(5, 0, s, 1)[:, 0]
         assert np.array_equal(out.samples_re, stream)
         bound = 5.0 * math.sqrt(2.0 / s)
         assert abs(float(np.mean(out.samples_re))) <= bound
@@ -501,11 +504,9 @@ class TestSampling:
         # normal draws for sample k depend only on (seed, k); regenerating
         # them stream by stream gives the exact same words, and the
         # contracted samples agree up to dot-product reassociation
-        model = random_model(40, 4, 3)
-        phat = random_phat(41, 3)
-        both = sample_kl(model, phat, 6, 9)
-        batch = rng.seeded_normal_matrix(9, 6, 4)
-        coeffs = kl_coefficients(model, phat)
+        coeffs = kl_coefficients(random_model(40, 4, 3), random_phat(41, 3))
+        both = sample_kl(coeffs, 6, 9)
+        batch = rng.seeded_normal_rows(9, 0, 6, 4)
         for k in range(6):
             normals = rng.seeded_normals(9, k, 4)
             assert np.array_equal(normals, batch[k])
@@ -519,10 +520,9 @@ class TestSampling:
         r = np.random.default_rng(61)
         for n, s in ((50, 10_001), (7, 4_097), (50, 2 * gp._SAMPLE_BLOCK + 1)):
             m = random_model(int(r.integers(1000)), n, 6)
-            phat = random_phat(int(r.integers(1000)), 6)
-            c = kl_coefficients(m, phat)
-            out = sample_kl(m, phat, s, 2024)
-            normals = rng.seeded_normal_matrix(2024, s, n)
+            c = kl_coefficients(m, random_phat(int(r.integers(1000)), 6))
+            out = sample_kl(c, s, 2024)
+            normals = rng.seeded_normal_rows(2024, 0, s, n)
             assert out.samples_re.tobytes() == kl_reference(normals, c.re).tobytes(), (n, s)
             assert out.samples_im.tobytes() == kl_reference(normals, c.im).tobytes(), (n, s)
             assert s % gp._SAMPLE_BLOCK != 0
@@ -537,10 +537,10 @@ import hashlib
 gp._worker_count = lambda: 1
 digest = hashlib.sha256()
 for seed, n, j, s in ((63, 50, 6, 10_001), (63, 257, 6, 2_049), (0, 10_001, 50, 3)):
-    m, phat = model(np.random.default_rng(seed), n, j)
-    out = gp.sample_kl(m, phat, s, 5)
+    c = coefficients(np.random.default_rng(seed), n, j)
+    out = gp.sample_kl(c, s, 5)
     digest.update(out.samples_re.tobytes() + out.samples_im.tobytes())
-    digest.update(out.coefficients.re.tobytes() + out.coefficients.im.tobytes())
+    digest.update(c.re.tobytes() + c.im.tobytes())
 print(digest.hexdigest())
 """
         assert run_pinned(code, blas_threads=1) == run_pinned(code, blas_threads=2)
@@ -556,12 +556,12 @@ sys.setswitchinterval(1e-6)
 r = np.random.default_rng(62)
 assert gp._SAMPLE_BLOCK == 2048
 for n in (50, 7):
-    m, phat = model(r, n)
+    c = coefficients(r, n)
     seen = {}
     for workers in (1, 2, 3):
         gp._worker_count = lambda workers=workers: workers
         for s in (1, 2047, 2048, 2049, 10_001):
-            out = gp.sample_kl(m, phat, s, 77)
+            out = gp.sample_kl(c, s, 77)
             got = (out.samples_re.tobytes(), out.samples_im.tobytes())
             assert seen.setdefault(s, got) == got, (n, s, workers)
 print("identical")
@@ -587,10 +587,8 @@ print("identical")
             return fill(scratch, seed, first, stop)
 
         monkeypatch.setattr(rng.NormalScratch, "fill", failing)
-        model = onb_model()
-        phat = random_phat(1, model.frame.measure.n_atoms)
         with pytest.raises(InvalidArgument, match="block at"):
-            sample_kl(model, phat, 3 * gp._SAMPLE_BLOCK, 1)
+            sample_kl(random_phat(1, 4), 3 * gp._SAMPLE_BLOCK, 1)
 
     def test_import_leaves_thread_pool_unloaded(self):
         # the pool's import is paid by sample_kl, not by every CLI call
@@ -628,11 +626,11 @@ print("identical")
                 got = np.empty((len(flat), count))
                 backend.polar_normals(u1, flat[:, pairs:].copy(), got)
                 assert got.tobytes() == expected.tobytes(), backend.name
-        # and whole streams from a drawn seed and first stream, across the
-        # 2**64 counter edge too
+        # and whole streams from a drawn seed and first stream, up to the
+        # last stream 2**64 - 1
         seed = data.draw(st.integers(0, 2**64 - 1))
-        first = data.draw(st.integers(0, 2**20) | st.integers(2**64 - 4, 2**64 - 1))
         n = max(rows, 1)
+        first = data.draw(st.integers(0, 2**20) | st.integers(2**64 - 4, 2**64 - n))
         words = rng.philox_words(seed, first * ((pairs + 1) // 2), n * 4 * ((pairs + 1) // 2))
         expected = box_muller_reference(words.reshape(n, -1), pairs, count)
         assert rng.seeded_normal_rows(seed, first, first + n, count).tobytes() == expected.tobytes()
@@ -645,9 +643,8 @@ print("identical")
         monkeypatch.setattr(_kernels, "ACTIVE", _kernels.BACKENDS[backend])
         got = []
         for n, s in ((50, 10_001), (7, 2_049)):
-            m, phat = dyadic_model(n)
-            out = sample_kl(m, phat, s, 20240601)
-            c = out.coefficients
+            c = kl_coefficients(*dyadic_model(n))
+            out = sample_kl(c, s, 20240601)
             got.append(sha256_of(out.samples_re, out.samples_im, c.re, c.im))
         got.append(sha256_of(rng.seeded_normals(2**64 - 1, 3, 51)))
         assert got == [
@@ -675,12 +672,12 @@ print("identical")
             pytest.skip("ru_minflt is not counted here")
         monkeypatch.setattr(_kernels, "ACTIVE", _kernels.BACKENDS["compiled"])
         monkeypatch.setattr(gp, "_worker_count", lambda: 1)
-        m, phat = dyadic_model(50)
+        c = kl_coefficients(*dyadic_model(50))
         scratch = rng.NormalScratch(gp._SAMPLE_BLOCK, 50)
 
         def faults(blocks):
             before = minflt()
-            sample_kl(m, phat, blocks * gp._SAMPLE_BLOCK, 3)
+            sample_kl(c, blocks * gp._SAMPLE_BLOCK, 3)
             for first in range(0, blocks * gp._SAMPLE_BLOCK, gp._SAMPLE_BLOCK):
                 scratch.fill(3, first, first + gp._SAMPLE_BLOCK)
             return minflt() - before
@@ -693,15 +690,15 @@ print("identical")
         rows = rng.seeded_normal_rows(13, 5, 9, 7)
         for i in range(4):
             assert np.array_equal(rows[i], rng.seeded_normals(13, 5 + i, 7))
-        assert np.array_equal(rng.seeded_normal_matrix(13, 9, 7)[5:], rows)
+        assert np.array_equal(rng.seeded_normal_rows(13, 0, 9, 7)[5:], rows)
         with pytest.raises(InvalidArgument):
             rng.seeded_normal_rows(13, 4, 4, 7)
 
     def test_invalid_count(self):
-        model = onb_model()
-        phat = random_phat(1, model.frame.measure.n_atoms)
         with pytest.raises(InvalidArgument):
-            sample_kl(model, phat, 0, 1)
+            sample_kl(random_phat(1, 4), 0, 1)
+        with pytest.raises(InvalidArgument):
+            sample_kl(ComplexVector(re=np.zeros(0), im=np.zeros(0)), 10, 1)
 
     def test_seed_range_ends(self):
         # the key is the seed itself: no two seeds share a stream, and a
@@ -715,6 +712,15 @@ print("identical")
                 rng.philox_words(seed, 0, 8)
             with pytest.raises(InvalidArgument, match="seed"):
                 rng.seeded_normal_rows(seed, 0, 2, 4)
+        # and the streams are [0, 2**64) too: stream -1 is not stream
+        # 2**64 - 1, nor stream 2**64 stream 0
+        assert rng.seeded_normals(3, 0, 6).shape == (6,)
+        assert rng.seeded_normal_rows(3, top - 1, top + 1, 6).shape == (2, 6)
+        for stream in (-1, 2**64):
+            with pytest.raises(InvalidArgument, match="stream"):
+                rng.seeded_normals(3, stream, 6)
+        with pytest.raises(InvalidArgument, match="stream"):
+            rng.seeded_normal_rows(3, top, top + 2, 6)
 
     def test_counter_offset_still_wraps(self):
         # only the seed is range-checked; the block offset keeps its mask
@@ -723,31 +729,27 @@ print("identical")
 
 class TestEmpiricalVariance:
     def test_zero_samples(self):
-        model = onb_model()
-        j = model.frame.measure.n_atoms
-        out = sample_kl(model, ComplexVector(re=np.zeros(j), im=np.zeros(j)), 10, 3)
+        out = sample_kl(ComplexVector(re=np.zeros(4), im=np.zeros(4)), 10, 3)
         assert empirical_variance(out) == 0.0
 
     def test_concentration(self):
         s = 200_000
-        model = random_model(50, 5, 3)
+        fs = random_model(50, 5, 3)
         phat = random_phat(51, 3)
-        _, ey2 = theoretical_variances(model, phat)
-        out = sample_kl(model, phat, s, 123)
+        _, ey2 = variances(fs, phat)
+        out = sample(fs, phat, s, 123)
         bound = 4.0 * math.sqrt(2.0 / s)
         assert abs(empirical_variance(out) - ey2) <= bound * ey2
 
     def test_doubling_coefficients_quadruples_variance(self):
-        model = random_model(52, 5, 3)
+        fs = random_model(52, 5, 3)
         phat = random_phat(53, 3)
         doubled = ComplexVector(re=2.0 * phat.re, im=2.0 * phat.im)
-        base = empirical_variance(sample_kl(model, phat, 5000, 7))
-        big = empirical_variance(sample_kl(model, doubled, 5000, 7))
+        base = empirical_variance(sample(fs, phat, 5000, 7))
+        big = empirical_variance(sample(fs, doubled, 5000, 7))
         assert abs(big - 4.0 * base) <= 1e-12 * max(1.0, big)
 
     def test_requires_two_samples(self):
-        model = onb_model()
-        phat = random_phat(1, model.frame.measure.n_atoms)
-        out = sample_kl(model, phat, 1, 1)
+        out = sample_kl(random_phat(1, 4), 1, 1)
         with pytest.raises(InvalidArgument):
             empirical_variance(out)

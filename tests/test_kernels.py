@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import framekit
-from framekit import gp, rng, row_svd
+from framekit import FrameSystem, Grid, gp, rng, row_svd
 from framekit import _kernels
 from framekit._kernels import BACKENDS
 from framekit.spectral import _MAX_SWEEPS, _ORTHOGONAL_TOL
@@ -74,12 +74,12 @@ def split(backend, seed, first, rows, pairs):
     return u1.tobytes(), k.tobytes()
 
 
-def kl_model(n, seed):
+def random_coefficients(n, seed):
     r = np.random.default_rng(seed)
-    measure = gp.AtomicMeasure(locations=np.arange(6.0), masses=r.uniform(0.5, 1.5, 6))
-    frame = gp.SigmaFrame(measure=measure, vectors=r.standard_normal((n, 6)))
+    atoms = Grid(points=np.arange(6.0), weights=r.uniform(0.5, 1.5, 6))
+    fs = FrameSystem(grid=atoms, vectors=r.standard_normal((n, 6)))
     phat = gp.ComplexVector(re=r.standard_normal(6), im=r.standard_normal(6))
-    return gp.GaussianModel.from_frame(frame), phat
+    return gp.kl_coefficients(fs, phat)
 
 
 def fake_compiler(tmp_path, body):
@@ -357,8 +357,8 @@ def test_second_build_does_not_run_the_compiler(tmp_path):
 def test_failed_build_keeps_the_numpy_twin(tmp_path, monkeypatch, failure):
     a = factor(12, 15, 5, "dense", 0)
     expected = row_svd(a)
-    model, phat = kl_model(9, 3)
-    expected_kl = gp.sample_kl(model, phat, gp._SAMPLE_BLOCK + 5, 11)
+    coefficients = random_coefficients(9, 3)
+    expected_kl = gp.sample_kl(coefficients, gp._SAMPLE_BLOCK + 5, 11)
     cc = fake_compiler(tmp_path, "echo error >&2\nexit 1")
     cache = tmp_path / "cache"
     if failure == "no compiler":
@@ -378,7 +378,7 @@ def test_failed_build_keeps_the_numpy_twin(tmp_path, monkeypatch, failure):
     assert np.array_equal(got.rows, expected.rows)
     assert np.array_equal(got.left, expected.left)
     assert got.sweeps == expected.sweeps
-    got_kl = gp.sample_kl(model, phat, gp._SAMPLE_BLOCK + 5, 11)
+    got_kl = gp.sample_kl(coefficients, gp._SAMPLE_BLOCK + 5, 11)
     assert got_kl.samples_re.tobytes() == expected_kl.samples_re.tobytes()
     assert got_kl.samples_im.tobytes() == expected_kl.samples_im.tobytes()
 
