@@ -52,19 +52,15 @@ from .gp import (
     theoretical_variances,
 )
 from .rkhs import (
-    CanonicalTightFrame,
     IdentityRow,
     KernelMatrix,
-    LaxMilgramOperator,
     canonical_tight,
     identity_suite,
     isometry_check,
-    kernel_from_tight,
     lax_milgram,
     naive_kernel,
     polar_unitary,
     rk_kernel,
-    rk_kernel_factored,
     verify_lax_identity,
     verify_reproducing,
 )
@@ -97,13 +93,9 @@ __all__ = [
     "weighted_inner",
     "weighted_norm",
     "KernelMatrix",
-    "CanonicalTightFrame",
-    "LaxMilgramOperator",
     "naive_kernel",
     "rk_kernel",
-    "rk_kernel_factored",
     "canonical_tight",
-    "kernel_from_tight",
     "verify_reproducing",
     "lax_milgram",
     "verify_lax_identity",

@@ -37,23 +37,23 @@ static inline void philox4x64_10(uint64_t x[4], uint64_t k0, uint64_t k1)
 
 /* Streams first..first+rows-1 of the seed, each of 2 pairs words: row i
  * takes the words of counter blocks c + i b + 1 .. c + (i+1) b, with
- * b = ceil(pairs/2), c = first b mod 2^64 and the counter 256 bits wide, as
- * numpy's Philox(key=[seed, 0], counter=[c, 0, 0, 0]) emits them.  Word w
- * < pairs of a row becomes u1[i][w] = ((w >> 11) + 1) 2^-53, word pairs + j
- * becomes k[i][j] = w >> 11, and words past 2 pairs in a row's last block
- * are dropped. */
+ * b = ceil(pairs/2), c = first b (below 2^128) and the counter 256 bits
+ * wide, as numpy's Philox(key=[seed, 0], counter=[c mod 2^64, c >> 64, 0, 0])
+ * emits them.  Word w < pairs of a row becomes u1[i][w] = ((w >> 11) + 1)
+ * 2^-53, word pairs + j becomes k[i][j] = w >> 11, and words past 2 pairs in
+ * a row's last block are dropped. */
 void philox_split(uint64_t seed, uint64_t first, double *u1, uint64_t *k,
                   long rows, long pairs)
 {
     uint64_t blocks = (uint64_t)(pairs + 1) / 2;
-    uint64_t c = first * blocks;
+    unsigned __int128 c = (unsigned __int128)first * blocks;
     for (long i = 0; i < rows; i++) {
         double *ui = u1 + i * pairs;
         uint64_t *ki = k + i * pairs;
-        uint64_t n = (uint64_t)i * blocks;
+        unsigned __int128 n = c + (unsigned __int128)i * blocks;
         for (long w = 0; w < 2 * pairs; w += 4) {
             n++;
-            uint64_t x[4] = {c + n, c + n < n, 0, 0}; /* the carry into word 1 */
+            uint64_t x[4] = {(uint64_t)n, (uint64_t)(n >> 64), 0, 0};
             philox4x64_10(x, seed, 0);
             for (long l = 0; l < 4 && w + l < 2 * pairs; l++) {
                 uint64_t word = x[l] >> 11;

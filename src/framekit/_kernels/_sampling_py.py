@@ -86,7 +86,8 @@ def philox_split(seed, first, u1, k):
     rows, pairs = check_philox_args(seed, first, u1, k)
     blocks = (pairs + 1) // 2
     key = np.array([seed, 0], dtype=np.uint64)
-    counter = np.array([first * blocks & _MASK64, 0, 0, 0], dtype=np.uint64)
+    c = first * blocks
+    counter = np.array([c & _MASK64, c >> 64, 0, 0], dtype=np.uint64)
     words = np.random.Philox(key=key, counter=counter).random_raw(rows * 4 * blocks)
     words = words.reshape(rows, 4 * blocks)
     np.right_shift(words, np.uint64(11), out=words)

@@ -321,11 +321,10 @@ def cmd_analyze(args) -> int:
 def cmd_kernel(args) -> int:
     fs = parse_frame_file(args.path)
     if args.naive:
-        kernel, factor, kind = rkhs.naive_kernel(fs), fs.vectors.T, "naive"
+        kernel, kind = rkhs.naive_kernel(fs), "naive"
     else:
-        kernel, factor = rkhs.rk_kernel_factored(fs, args.rank_tol)
-        kind = "rkhs"
-    psd_violation = rkhs.kernel_psd_bound(factor)
+        kernel, kind = rkhs.rk_kernel(fs, args.rank_tol), "rkhs"
+    psd_violation = rkhs.kernel_psd_bound(kernel)
     residual = rkhs.verify_reproducing(fs, kernel, fs.vectors)
     if args.out:
         write_kernel_file(args.out, kernel, kind, args.rank_tol)
@@ -383,8 +382,7 @@ def cmd_gp_sim(args) -> int:
 
 def cmd_canonical(args) -> int:
     fs = parse_frame_file(args.path)
-    tight = rkhs.canonical_tight(fs, args.rank_tol)
-    out = tight.as_frame_system()
+    out = rkhs.canonical_tight(fs, args.rank_tol)
     # nonzero spectrum of the written frame's Gramian, in dimension min(N, M)
     lam = frames.frame_spectrum(out, args.rank_tol).eigenvalues
     projector_residual = float(np.max(np.abs(lam * (lam - 1.0))))

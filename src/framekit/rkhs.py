@@ -16,13 +16,22 @@ min(N, M) rows of B or B^T after an exact power-of-two scaling of B:
     polar         U = (U_r V_r^T) W^{1/2}
 
 so the kernel, the tight frame and the rank do not depend on the overall
-scale of the frame.  The kernel is K = F F^T with the M x r factor
-F = W^{-1/2} V_r, and ``kernel_psd`` reads lambda_max(K) from the r rows of
-F^T, never from the M x M table; its rounding bound on the table's negative
-eigenvalues, ``kernel_psd_bound``, needs F alone.  The spectrum uses no
-BLAS, but the products that form the kernel, the tight frame, L and the
-identity checks do, so their last bits may follow BLAS's thread count.
-``identity_suite`` checks them all from one spectrum,
+scale of the frame.  Every kernel-style table is a ``KernelMatrix``, F F^T
+for an M x k factor F:
+
+    kernel                    F = W^{-1/2} V_r
+    naive kernel              F = Phi^T
+    kernel of the tight frame F = Psi^T   (naive_kernel(canonical_tight(fs)))
+    Lax-Milgram               F = W^{-1/2} V_r Lambda_r^{-1/2}
+
+The table is formed once, by one product of F with its own transpose, which
+numpy computes as one triangle and its mirror, so it is exactly symmetric
+with no symmetrization pass.  ``kernel_psd`` reads lambda_max(K) from the
+k rows of F^T, never from the M x M table; its rounding bound on the
+table's negative eigenvalues, ``kernel_psd_bound``, needs F alone.  The
+spectrum uses no BLAS, but the products that form the tables, the tight
+frame and the identity checks do, so their last bits may follow BLAS's
+thread count.  ``identity_suite`` checks them all from one spectrum,
 over all probes at once, against gates of the same degree in the data scale
 as their residuals, so neither do its verdicts (an absolute floor such as
 1e-8 would pass a kernel wrong by O(1) on a frame of size 1e-90).
@@ -36,7 +45,7 @@ unit-weight grids they coincide with plain transposes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -48,7 +57,6 @@ from .frames import (
     Grid,
     build_gramian,
     frame_spectrum,
-    _grid_function,
 )
 from .spectral import DEFAULT_RANK_TOL, _binary_exponent, row_svd
 
@@ -77,71 +85,47 @@ class IdentityRow(NamedTuple):
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Positive semidefinite table values[s][t] = K(t_s, t_t) over grid pairs."""
+    """Kernel-style table values[s][t] = sum_k F[s, k] F[t, k] over grid pairs.
 
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.size, self.grid.size):
-            raise DimensionMismatch(
-                f"kernel values {v.shape} for a grid of {self.grid.size} points"
-            )
-        v = 0.5 * (v + v.T)
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def section(self, t_index: int) -> np.ndarray:
-        """Kernel section K_t, the column at grid index t."""
-        return self.values[:, t_index].copy()
-
-
-@dataclass(frozen=True)
-class CanonicalTightFrame:
-    """Parseval frame for the span; row n holds the samples of psi_n."""
-
-    grid: Grid
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=float)
-        v.setflags(write=False)
-        object.__setattr__(self, "vectors", v)
-
-    def as_frame_system(self) -> FrameSystem:
-        return FrameSystem(grid=self.grid, vectors=self.vectors)
-
-
-@dataclass(frozen=True)
-class LaxMilgramOperator:
-    """Inverse of the frame operator on the span, as a kernel-style table.
-
-    Application to a grid function f is matrix @ (w * f); composed with the
-    frame operator it acts as the identity on the span.
+    ``factor`` is the M x k factor F; ``values`` = F F^T is formed once,
+    read-only and exactly symmetric.  The table acts on a grid function f
+    as values @ (w * f).
     """
 
     grid: Grid
-    matrix: np.ndarray
+    factor: np.ndarray
+    values: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        m = 0.5 * (m + m.T)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        f = np.asarray(self.factor, dtype=float)
+        if f.ndim != 2 or f.shape[0] != self.grid.size:
+            raise DimensionMismatch(
+                f"kernel factor {f.shape} for a grid of {self.grid.size} points"
+            )
+        v = f @ f.T
+        f.setflags(write=False)
+        v.setflags(write=False)
+        object.__setattr__(self, "factor", f)
+        object.__setattr__(self, "values", v)
 
     def apply(self, f) -> np.ndarray:
-        f = _grid_function(self.grid, f)
-        return self.matrix @ (self.grid.weights * f)
+        """values @ (w * f) for one grid function, or for each row of a stack."""
+        f = np.asarray(f, dtype=float)
+        if f.ndim not in (1, 2) or f.shape[-1] != self.grid.size:
+            raise DimensionMismatch(
+                f"grid functions {f.shape} on a grid of {self.grid.size} points"
+            )
+        return (self.values @ (self.grid.weights * f).T).T
 
 
 def naive_kernel(fs: FrameSystem) -> KernelMatrix:
-    """Plain vector-sum kernel K(s,t) = sum_n phi_n(s) phi_n(t).
+    """Plain vector-sum kernel K(s,t) = sum_n phi_n(s) phi_n(t), factor Phi^T.
 
     Reproduces only when the system is Parseval; kept as the comparison
-    point for the inverse-Gramian kernel.
+    point for the inverse-Gramian kernel, which is the naive kernel of the
+    canonical tight frame.
     """
-    return KernelMatrix(grid=fs.grid, values=fs.vectors.T @ fs.vectors)
+    return KernelMatrix(grid=fs.grid, factor=fs.vectors.T)
 
 
 def rk_kernel(fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL) -> KernelMatrix:
@@ -149,31 +133,13 @@ def rk_kernel(fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL) -> KernelMatr
     return _kernel(_spanning(frame_spectrum(fs, rank_tol)))
 
 
-def rk_kernel_factored(
-    fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL
-) -> tuple[KernelMatrix, np.ndarray]:
-    """``rk_kernel`` and its M x r factor F = W^{-1/2} V_r, K = F F^T, from one spectrum."""
-    spec = _spanning(frame_spectrum(fs, rank_tol))
-    return _kernel(spec), _v_unweighted(spec)
-
-
-def canonical_tight(
-    fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL
-) -> CanonicalTightFrame:
+def canonical_tight(fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL) -> FrameSystem:
     """Canonical tight frame psi_n, column t = G^{-1/2} l(t).
 
     The resulting system is Parseval on the span of the original frame:
     every f in the span satisfies f = sum_n <psi_n, f> psi_n.
     """
     return _tight(_spanning(frame_spectrum(fs, rank_tol)))
-
-
-def kernel_from_tight(ctf: CanonicalTightFrame) -> KernelMatrix:
-    """Kernel reassembled from the tight frame: sum_n psi_n(s) psi_n(t).
-
-    Agrees with rk_kernel of the originating system.
-    """
-    return KernelMatrix(grid=ctf.grid, values=ctf.vectors.T @ ctf.vectors)
 
 
 def verify_reproducing(fs: FrameSystem, k: KernelMatrix, f) -> float:
@@ -190,18 +156,19 @@ def verify_reproducing(fs: FrameSystem, k: KernelMatrix, f) -> float:
         raise DimensionMismatch(
             f"grid functions {f.shape}, kernel of {k.grid.size} on {fs.grid.size} points"
         )
-    reproduced = (k.values @ (fs.grid.weights * f).T).T
-    return float(np.max(np.abs(f - reproduced)))
+    return float(np.max(np.abs(f - k.apply(f))))
 
 
-def lax_milgram(
-    fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL
-) -> LaxMilgramOperator:
-    """Pseudo-inverse of the frame operator in the weighted geometry."""
+def lax_milgram(fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL) -> KernelMatrix:
+    """Pseudo-inverse L of the frame operator in the weighted geometry.
+
+    Composed with the frame operator, ``apply`` acts as the identity on the
+    span.
+    """
     return _lax(_spanning(frame_spectrum(fs, rank_tol)))
 
 
-def verify_lax_identity(fs: FrameSystem, op: LaxMilgramOperator, f, g) -> float:
+def verify_lax_identity(fs: FrameSystem, op: KernelMatrix, f, g) -> float:
     """Residual of sum_n <f, phi_n> <phi_n, L g> = <f, g> (f, g in span).
 
     ``f`` and ``g`` are grid functions or stacks of them as rows; the
@@ -213,7 +180,7 @@ def verify_lax_identity(fs: FrameSystem, op: LaxMilgramOperator, f, g) -> float:
             f"grid functions {f.shape}, {g.shape} on a grid of {fs.grid.size} points"
         )
     w = fs.grid.weights
-    lg = (op.matrix @ (w * g).T).T
+    lg = op.apply(g)
     lhs = np.dot((fs.vectors @ (w * f).T).T, fs.vectors @ (w * lg).T)
     return float(np.max(np.abs(lhs - np.dot(w * f, g.T))))
 
@@ -234,34 +201,36 @@ def isometry_check(fs: FrameSystem, c):
     return lhs, rhs
 
 
-def kernel_psd(factor) -> tuple[float, float]:
-    """(lambda_max, ``kernel_psd_bound``) of the kernel table K = F F^T.
+def kernel_psd(kernel: KernelMatrix) -> tuple[float, float]:
+    """(lambda_max, ``kernel_psd_bound``) of the table K = F F^T.
 
-    ``factor`` is F, M x k: W^{-1/2} V_r (k = r) for the inverse-Gramian
-    kernel, Phi^T (k = N) for the naive one.  lambda_max(K) is the largest
-    squared singular value of F, read by one-sided Jacobi on the rows of
-    F^T, or of F when k > M; no product of F is formed.
+    F is ``kernel.factor``, M x k: W^{-1/2} V_r (k = r) for the
+    inverse-Gramian kernel, Phi^T (k = N) for the naive one.  lambda_max(K)
+    is the largest squared singular value of F, read by one-sided Jacobi on
+    the rows of F^T, or of F when k > M; the table itself is not read.
     """
-    f = np.asarray(factor, dtype=float)
+    f = kernel.factor
     m, k = f.shape
     lam_max = float(row_svd(f.T if k <= m else f).squares[0])
-    return lam_max, kernel_psd_bound(f)
+    return lam_max, kernel_psd_bound(kernel)
 
 
-def kernel_psd_bound(factor) -> float:
-    """A-priori bound on max(0, -lambda_min) of the kernel table K = F F^T.
+def kernel_psd_bound(kernel: KernelMatrix) -> float:
+    """A-priori bound on max(0, -lambda_min) of the table K = F F^T.
 
-    ``factor`` is F, M x k, as for ``kernel_psd``; no decomposition is made.
-    The table is the symmetrized fl(F F^T), PSD in exact arithmetic, so its
+    F is ``kernel.factor``, M x k, as for ``kernel_psd``; no decomposition
+    is made.  The table is fl(F F^T), PSD in exact arithmetic, so its
     negative eigenvalues are rounding.  Each entry is a k-term dot product
     off by at most gamma_k sum_l |F_il| |F_jl|, with gamma_j = j u / (1 - j u)
-    and u = 2**-53, and the symmetrization rounds once more.  The error E
-    thus has ||E||_2 <= gamma_{k+2} ||F||_F^2, and by Weyl's inequality
-    -lambda_min <= ||E||_2.  That bound is returned in place of a measured
-    violation.  It is below the 1e-9 * lambda_max(K) gate of
-    ``identity_suite`` while k(k + 2) < 9e6, since ||F||_F^2 <= k lambda_max(K).
+    and u = 2**-53, so the error E has ||E||_2 <= gamma_k ||F||_F^2, and by
+    Weyl's inequality -lambda_min <= ||E||_2.  gamma_{k+2} ||F||_F^2 is
+    returned in place of a measured violation: one unit of the +2 paid for
+    a symmetrization pass that no longer runs and is now spare headroom,
+    kept so the bound that ``kernel`` prints keeps its bits.  It is below
+    the 1e-9 * lambda_max(K) gate of ``identity_suite`` while
+    k(k + 2) < 9e6, since ||F||_F^2 <= k lambda_max(K).
     """
-    f = np.asarray(factor, dtype=float)
+    f = kernel.factor
     k = f.shape[1]
     gamma = (k + 2) * _UNIT_ROUNDOFF / (1.0 - (k + 2) * _UNIT_ROUNDOFF)
     return gamma * float(np.sum(f * f))
@@ -295,7 +264,9 @@ def identity_suite(fs: FrameSystem, rank_tol: float) -> dict:
     phi_i - phi_{i+1}/2, are the rows of one matrix, so everything lies in
     the span and each identity is one stacked call on the one frame
     spectrum; the kernel's PSD row reads lambda_max(K) from the r x r side
-    of its factor and reports the rounding bound of ``kernel_psd``.  With
+    of its factor and reports the rounding bound of ``kernel_psd``, and
+    ``kernel_vs_tight_max`` compares the kernel with the naive kernel of the
+    canonical tight frame.  With
     lambda_max the top Gramian eigenvalue, s the largest probe norm, and
     gate = max(1e-8, 1.1e-14 * kappa) widening with the retained condition
     number kappa, to which the pseudo-inverse routes lose digits
@@ -366,9 +337,9 @@ def _identity_rows(fs: FrameSystem, rank_tol: float) -> dict:
 
     reproducing = verify_reproducing(fs, kernel, probes)
     lax_residual = verify_lax_identity(fs, _lax(spec), probes, probes)
-    from_tight = kernel_from_tight(_tight(spec)).values
+    from_tight = naive_kernel(_tight(spec)).values
     kernel_vs_tight = float(np.max(np.abs(kernel.values - from_tight)))
-    kernel_max, kernel_psd_violation = kernel_psd(_v_unweighted(spec))
+    kernel_max, kernel_psd_violation = kernel_psd(kernel)
     gram_psd = max(0.0, -float(spec.eigenvalues[-1]))
     inverse_gate = max(1e-8, 1.1e-14 * lam_max / float(spec.retained[-1]))
     # probes hold genuine mass along eigendirections the rank cut discards;
@@ -401,15 +372,14 @@ def _v_unweighted(spec: FrameSpectrum) -> np.ndarray:
 
 
 def _kernel(spec: FrameSpectrum) -> KernelMatrix:
-    v = _v_unweighted(spec)
-    return KernelMatrix(grid=spec.frame.grid, values=v @ v.T)
+    return KernelMatrix(grid=spec.frame.grid, factor=_v_unweighted(spec))
 
 
-def _tight(spec: FrameSpectrum) -> CanonicalTightFrame:
-    v = _v_unweighted(spec)
-    return CanonicalTightFrame(grid=spec.frame.grid, vectors=spec.u @ v.T)
+def _tight(spec: FrameSpectrum) -> FrameSystem:
+    return FrameSystem(grid=spec.frame.grid, vectors=spec.u @ _v_unweighted(spec).T)
 
 
-def _lax(spec: FrameSpectrum) -> LaxMilgramOperator:
-    v = _v_unweighted(spec)
-    return LaxMilgramOperator(grid=spec.frame.grid, matrix=(v / spec.retained) @ v.T)
+def _lax(spec: FrameSpectrum) -> KernelMatrix:
+    # W^{-1/2} V_r Lambda_r^{-1/2}, so L = F F^T
+    factor = _v_unweighted(spec) / np.sqrt(spec.retained)
+    return KernelMatrix(grid=spec.frame.grid, factor=factor)

@@ -10,8 +10,8 @@ for word.  The stream is keyed by the 64-bit seed, which must lie in
 modulo 2**64.  Logical stream k of a batch owns the counter blocks
 [k*b, (k+1)*b) for a fixed per-stream block count b, so streams can be
 generated independently, in any order, or all at once.  A batch of streams
-first.. runs one 256-bit counter up from first*b mod 2**64, as
-``np.random.Philox(key=[seed, 0], counter=[first*b mod 2**64, 0, 0, 0])``
+first.. runs one 256-bit counter up from the full product c = first*b, as
+``np.random.Philox(key=[seed, 0], counter=[c mod 2**64, c >> 64, 0, 0])``
 emits it.
 
 Words become normals by the Box-Muller transform.  For a pair of words

@@ -151,9 +151,10 @@ def test_sampling_twins_agree_on_edge_words(count, rows):
 def philox_reference(seed, first, rows, pairs):
     """u1 and angle words of streams first.. from numpy's Philox, one word
     at a time in Python ints: block b = ceil(pairs/2) words per stream, the
-    counter starting at first * b mod 2**64."""
+    counter starting at c = first * b, split into its low and high words."""
     blocks = (pairs + 1) // 2
-    counter = np.array([first * blocks % 2**64, 0, 0, 0], dtype=np.uint64)
+    c = first * blocks
+    counter = np.array([c % 2**64, c >> 64, 0, 0], dtype=np.uint64)
     philox = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64), counter=counter)
     words = philox.random_raw(rows * 4 * blocks).reshape(rows, 4 * blocks).tolist()
     u1 = [[((w >> 11) + 1) * 2.0**-53 for w in row[:pairs]] for row in words]
@@ -161,9 +162,10 @@ def philox_reference(seed, first, rows, pairs):
     return np.array(u1).tobytes(), np.array(k, dtype=np.uint64).tobytes()
 
 
-#: first streams whose counter passes 2**64 within a batch of up to four
-#: streams: first * b mod 2**64 = 2**64 - d b, so the last block of the
-#: batch's stream d - 1 and every later block carry into counter word 1
+#: first streams whose counter's low word passes 2**64 within a batch of up
+#: to four streams: first * b = (b - 1) 2**64 + 2**64 - d b, so the last
+#: block of the batch's stream d - 1 and every later block carry into
+#: counter word 1
 CARRY_FIRSTS = [2**64 - d for d in range(1, 5)]
 
 
@@ -183,6 +185,19 @@ def test_philox_twins_match_numpy_word_for_word(seed, first, rows, count):
     expected = philox_reference(seed, first, rows, pairs)
     for backend in BACKENDS.values():
         assert split(backend, seed, first, rows, pairs) == expected, backend.name
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_streams_past_the_low_counter_word_stay_distinct(backend, monkeypatch):
+    # stream 2**63 of 6 normals has b = 2 blocks and starts at counter
+    # 2**63 * 2 = 2**64, that is [0, 1, 0, 0], not stream 0's [0, 0, 0, 0]
+    monkeypatch.setattr(_kernels, "ACTIVE", BACKENDS[backend])
+    assert rng.seeded_normals(3, 2**63, 6).tobytes() != rng.seeded_normals(3, 0, 6).tobytes()
+    counter = np.array([0, 1, 0, 0], dtype=np.uint64)
+    philox = np.random.Philox(key=np.array([3, 0], dtype=np.uint64), counter=counter)
+    words = philox.random_raw(8) >> np.uint64(11)
+    u1 = ((words[:3] + np.uint64(1)) * 2.0**-53).tobytes()
+    assert split(BACKENDS[backend], 3, 2**63, 1, 3) == (u1, words[3:6].tobytes())
 
 
 @pytest.mark.skipif("compiled" not in BACKENDS, reason="C twin not loaded")

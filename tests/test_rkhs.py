@@ -2,18 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import framekit
 from framekit import (
     DimensionMismatch,
     FrameSystem,
     Grid,
+    KernelMatrix,
     ZeroSpan,
     analysis,
     build_gramian,
     canonical_tight,
     compute_frame_bounds,
     isometry_check,
-    kernel_from_tight,
     lax_milgram,
     mercedes_frame,
     naive_kernel,
@@ -169,7 +172,7 @@ class TestCanonicalTight:
         for seed in range(10):
             fs = random_frame(seed, 6, 4, weighted=seed % 2)
             ct = canonical_tight(fs)
-            lam = np.linalg.eigvalsh(build_gramian(ct.as_frame_system()).entries)
+            lam = np.linalg.eigvalsh(build_gramian(ct).entries)
             dist = np.minimum(np.abs(lam), np.abs(lam - 1.0))
             assert np.max(dist) <= 1e-8
 
@@ -178,7 +181,7 @@ class TestCanonicalTight:
         for seed in range(5):
             fs = redundant_spanning_frame(seed, 4)
             ct = canonical_tight(fs)
-            bounds = compute_frame_bounds(ct.as_frame_system())
+            bounds = compute_frame_bounds(ct)
             assert abs(bounds.lower - 1.0) <= 1e-8
             assert abs(bounds.upper - 1.0) <= 1e-8
 
@@ -186,8 +189,7 @@ class TestCanonicalTight:
         r = np.random.default_rng(4)
         for seed in range(10):
             fs = random_frame(seed + 300, 5, 4, weighted=seed % 2)
-            ct = canonical_tight(fs)
-            tight_fs = ct.as_frame_system()
+            tight_fs = canonical_tight(fs)
             f = synthesis(fs, r.standard_normal(5))
             rebuilt = synthesis(tight_fs, analysis(tight_fs, f))
             scale = max(1.0, weighted_norm(fs.grid, f))
@@ -200,23 +202,23 @@ class TestCanonicalTight:
 
 class TestKernelFromTight:
     def test_standard_basis(self):
-        k = kernel_from_tight(canonical_tight(standard_basis()))
+        k = naive_kernel(canonical_tight(standard_basis()))
         assert np.max(np.abs(k.values - np.eye(2))) <= 1e-12
 
     def test_mercedes_identity(self):
-        k = kernel_from_tight(canonical_tight(mercedes_frame()))
+        k = naive_kernel(canonical_tight(mercedes_frame()))
         np.testing.assert_allclose(k.values, np.eye(2), atol=1e-12)
 
     def test_single_vector(self):
         fs = single_vector_system()
-        k = kernel_from_tight(canonical_tight(fs))
+        k = naive_kernel(canonical_tight(fs))
         np.testing.assert_allclose(k.values, rk_kernel(fs).values, atol=1e-12)
 
     def test_matches_rk_kernel(self):
         for seed in range(20):
             fs = random_frame(seed, 4 + seed % 6, 3 + seed % 4, weighted=seed % 2)
             diff = np.abs(
-                kernel_from_tight(canonical_tight(fs)).values - rk_kernel(fs).values
+                naive_kernel(canonical_tight(fs)).values - rk_kernel(fs).values
             )
             assert np.max(diff) <= 1e-8
 
@@ -273,18 +275,18 @@ class TestVerifyReproducing:
 class TestLaxMilgram:
     def test_standard_basis(self):
         op = lax_milgram(standard_basis())
-        assert np.max(np.abs(op.matrix - np.eye(2))) <= 1e-12
+        assert np.max(np.abs(op.values - np.eye(2))) <= 1e-12
 
     def test_mercedes(self):
         op = lax_milgram(mercedes_frame())
-        np.testing.assert_allclose(op.matrix, (2.0 / 3.0) * np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(op.values, (2.0 / 3.0) * np.eye(2), atol=1e-12)
 
     def test_scaled_basis(self):
         fs = standard_basis()
         alpha = 4.0
         scaled = FrameSystem(grid=fs.grid, vectors=alpha * fs.vectors)
         op = lax_milgram(scaled)
-        np.testing.assert_allclose(op.matrix, np.eye(2) / alpha**2, atol=1e-12)
+        np.testing.assert_allclose(op.values, np.eye(2) / alpha**2, atol=1e-12)
 
     def test_inverts_frame_operator_on_span(self):
         r = np.random.default_rng(13)
@@ -447,3 +449,59 @@ class TestPolarUnitary:
     def test_zero_span(self):
         with pytest.raises(ZeroSpan):
             polar_unitary(zero_system())
+
+
+@st.composite
+def weighted_frames(draw):
+    """N x M frames with weights in [0.25, 4] and rank r <= min(N, M),
+    rank-deficient whenever r < min(N, M)."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rank = draw(st.integers(1, min(n, m)))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = Grid(points=np.arange(m, dtype=float), weights=r.uniform(0.25, 4.0, m))
+    vectors = r.standard_normal((n, rank)) @ r.standard_normal((rank, m))
+    return FrameSystem(grid=grid, vectors=vectors)
+
+
+class TestKernelMatrix:
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(fs=weighted_frames(), rows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_values_are_the_factor_squared(self, fs, rows, seed):
+        # bitwise: F F^T is formed once and is exactly symmetric; a stack
+        # of functions is applied as each of its rows is, to rounding
+        f = np.random.default_rng(seed).standard_normal((rows, fs.n_points))
+        wf = np.abs(fs.grid.weights * f)
+        tables = {
+            "rkhs": rk_kernel(fs),
+            "naive": naive_kernel(fs),
+            "tight": naive_kernel(canonical_tight(fs)),
+            "lax": lax_milgram(fs),
+        }
+        for name, k in tables.items():
+            assert not k.values.flags.writeable, name
+            assert k.values.tobytes() == k.values.T.tobytes(), name
+            assert k.values.tobytes() == (k.factor @ k.factor.T).tobytes(), name
+            each = np.array([k.apply(row) for row in f])
+            bound = 4 * fs.n_points * 2.0**-53 * (np.abs(k.values) @ wf.T).T
+            assert np.all(np.abs(k.apply(f) - each) <= bound), name
+
+    def test_shapes(self):
+        fs = random_frame(5, 3, 4, weighted=True)
+        with pytest.raises(DimensionMismatch):
+            KernelMatrix(grid=fs.grid, factor=np.ones((3, 2)))
+        with pytest.raises(DimensionMismatch):
+            KernelMatrix(grid=fs.grid, factor=np.ones(4))
+        k = rk_kernel(fs)
+        assert k.apply(np.ones(4)).shape == (4,)
+        assert k.apply(np.ones((2, 4))).shape == (2, 4)
+        for bad in (np.ones(3), np.ones((2, 3)), np.ones((1, 2, 4)), 1.0):
+            with pytest.raises(DimensionMismatch):
+                k.apply(bad)
+
+
+def test_public_api():
+    for name in framekit.__all__:
+        assert getattr(framekit, name) is not None, name
+    for gone in ("CanonicalTightFrame", "LaxMilgramOperator", "rk_kernel_factored",
+                 "kernel_from_tight"):
+        assert not hasattr(framekit, gone) and not hasattr(framekit.rkhs, gone), gone
