@@ -67,7 +67,6 @@ from .rkhs import (
 from .spectral import (
     DEFAULT_RANK_TOL,
     RowSVD,
-    SymMatrix,
     jacobi_backend,
     row_svd,
 )
@@ -75,7 +74,6 @@ from .spectral import (
 __all__ = [
     "__version__",
     "DEFAULT_RANK_TOL",
-    "SymMatrix",
     "RowSVD",
     "row_svd",
     "jacobi_backend",

@@ -71,7 +71,8 @@ def _build(cc: str, cache: Path) -> Path:
 
     The compiler writes a file private to this process, which ``os.replace``
     then moves into place, so concurrent first imports never load a partial
-    library.
+    library.  A new build then removes the libraries of earlier sources or
+    flags from ``cache``; another process's partial ``*.tmp`` files stay.
     """
     library = cache / _library_name([p.read_bytes() for p in _SOURCES], _FLAGS)
     if not library.exists():
@@ -87,6 +88,12 @@ def _build(cc: str, cache: Path) -> Path:
                 timeout=120,
             )
             os.replace(partial, library)
+            for stale in cache.glob("_kernels-*.so"):
+                if stale != library:
+                    try:
+                        stale.unlink()
+                    except OSError:
+                        pass
         except subprocess.SubprocessError as exc:
             raise OSError(f"{cc} could not build {library.name}") from exc
         finally:

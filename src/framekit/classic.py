@@ -18,7 +18,7 @@ import numpy as np
 from . import rng
 from .errors import InvalidArgument
 from .frames import FrameSystem, Grid
-from .spectral import SymMatrix, row_svd
+from .spectral import row_svd
 
 _RIESZ_RATIO = 0.05
 
@@ -40,8 +40,8 @@ def monomial_frame(n_funcs: int, m_points: int) -> FrameSystem:
     return FrameSystem(grid=grid, vectors=x[None, :] ** powers)
 
 
-def hilbert_gramian_exact(n: int) -> SymMatrix:
-    """Exact n x n Hilbert matrix 1/(i+j+1), i, j from 0.
+def hilbert_gramian_exact(n: int) -> np.ndarray:
+    """Exact n x n Hilbert matrix 1/(i+j+1), i, j from 0, read-only.
 
     This is the continuum Gramian of the monomial system; no finite grid
     underlies it.
@@ -50,7 +50,8 @@ def hilbert_gramian_exact(n: int) -> SymMatrix:
         raise InvalidArgument("n must be >= 1")
     idx = np.arange(n)
     entries = 1.0 / (idx[:, None] + idx[None, :] + 1.0)
-    return SymMatrix(entries)
+    entries.setflags(write=False)
+    return entries
 
 
 @dataclass(frozen=True)

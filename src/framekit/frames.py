@@ -3,8 +3,11 @@
 The ambient Hilbert space is real-valued functions on the grid with the
 weighted inner product <f, g> = sum_i w_i f(t_i) g(t_i).  A frame system is
 an N x M table: row n holds the samples of the n-th vector, column t is the
-coefficient-space vector l(t).  Coefficient sequences and grid functions are
-plain 1-D float arrays; operations validate lengths.
+coefficient-space vector l(t).  Grid functions and coefficient sequences
+are 1-D float arrays; every operator also takes a stack of them as the rows
+of a 2-D array and returns one result row per input row, so the analysis
+operator T, its adjoint T* (synthesis) and the weighted inner product are one
+matrix product each whatever the number of rows.  Lengths are validated.
 
 Every spectral quantity of a frame comes from one factorization of
 B = Phi W^{1/2} (``frame_spectrum``): B is scaled by a power of two so that
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument, InvalidIndex, InvalidMatrix
-from .spectral import DEFAULT_RANK_TOL, SymMatrix, _binary_exponent, row_svd
+from .spectral import DEFAULT_RANK_TOL, _binary_exponent, row_svd
 
 _PARSEVAL_TOL = 1e-9
 
@@ -39,8 +42,8 @@ class Grid:
     weights: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        wts = np.asarray(self.weights, dtype=float)
+        pts = np.array(self.points, dtype=float)
+        wts = np.array(self.weights, dtype=float)
         if pts.ndim != 1 or wts.ndim != 1:
             raise InvalidMatrix("grid points and weights must be 1-D")
         if pts.size < 1:
@@ -73,7 +76,7 @@ class FrameSystem:
     vectors: np.ndarray
 
     def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.vectors, dtype=float))
+        v = np.atleast_2d(np.array(self.vectors, dtype=float))
         if v.ndim != 2 or v.shape[0] < 1:
             raise InvalidMatrix("vectors must form an N x M table with N >= 1")
         if v.shape[1] != self.grid.size:
@@ -141,37 +144,40 @@ class FrameBounds:
     rank_tol: float
 
 
-def weighted_inner(grid: Grid, f, g) -> float:
-    """Inner product <f, g> = sum_i w_i f_i g_i of two grid functions."""
-    f = _grid_function(grid, f)
-    g = _grid_function(grid, g)
-    return float(np.dot(grid.weights * f, g))
+def weighted_inner(grid: Grid, f, g):
+    """<f, g> = sum_i w_i f_i g_i; for stacks, the matrix of pairwise products."""
+    return (grid.weights * _rows(f, grid.size)) @ _rows(g, grid.size).T
 
 
-def weighted_norm(grid: Grid, f) -> float:
-    """Norm induced by weighted_inner."""
-    return float(np.sqrt(max(weighted_inner(grid, f, f), 0.0)))
+def weighted_norm(grid: Grid, f):
+    """Norm induced by weighted_inner, of f or of each row of a stack."""
+    f = _rows(f, grid.size)
+    return np.sqrt(np.sum(grid.weights * f * f, axis=-1))
 
 
-def build_gramian(fs: FrameSystem) -> SymMatrix:
+def build_gramian(fs: FrameSystem) -> np.ndarray:
     """Gramian G_mn = <phi_m, phi_n> in the weighted inner product.
 
-    Assembled as B B^T with B = Phi W^{1/2}; no spectrum is read from it.
+    Assembled, read-only, as B B^T with B = Phi W^{1/2}, which numpy forms
+    as one triangle and its mirror, so it is exactly symmetric; no spectrum
+    is read from it.  ``InvalidMatrix`` if it overflows.
     """
     half = fs.vectors * np.sqrt(fs.grid.weights)
-    return SymMatrix(half @ half.T)
+    g = half @ half.T
+    if not np.all(np.isfinite(g)):
+        raise InvalidMatrix("Gramian has non-finite entries")
+    g.setflags(write=False)
+    return g
 
 
 def analysis(fs: FrameSystem, f) -> np.ndarray:
-    """Coefficients (<phi_n, f>)_n of a grid function."""
-    f = _grid_function(fs.grid, f)
-    return fs.vectors @ (fs.grid.weights * f)
+    """Coefficients (<phi_n, f>)_n of a grid function, or of each row of a stack."""
+    return (fs.vectors @ (fs.grid.weights * _rows(f, fs.n_points)).T).T
 
 
 def synthesis(fs: FrameSystem, c) -> np.ndarray:
-    """Grid function sum_n c_n phi_n."""
-    c = _coeff_seq(fs, c)
-    return fs.vectors.T @ c
+    """Grid function sum_n c_n phi_n, or one per row of a stack."""
+    return _rows(c, fs.n_vectors) @ fs.vectors
 
 
 def frame_operator_apply(fs: FrameSystem, f) -> np.ndarray:
@@ -247,19 +253,9 @@ def eval_l(fs: FrameSystem, t_index: int) -> np.ndarray:
     return fs.vectors[:, t_index].copy()
 
 
-def _grid_function(grid: Grid, f) -> np.ndarray:
-    f = np.asarray(f, dtype=float)
-    if f.ndim != 1 or f.size != grid.size:
-        raise DimensionMismatch(
-            f"grid function of length {f.size} on a grid of {grid.size} points"
-        )
-    return f
-
-
-def _coeff_seq(fs: FrameSystem, c) -> np.ndarray:
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 1 or c.size != fs.n_vectors:
-        raise DimensionMismatch(
-            f"coefficient sequence of length {c.size} for {fs.n_vectors} vectors"
-        )
-    return c
+def _rows(x, length: int) -> np.ndarray:
+    # one vector, or a stack of them as rows, each of the given length
+    x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] != length:
+        raise DimensionMismatch(f"shape {x.shape} where rows of length {length} are expected")
+    return x

@@ -35,8 +35,8 @@ class ComplexVector:
     im: np.ndarray
 
     def __post_init__(self):
-        re = np.asarray(self.re, dtype=float)
-        im = np.asarray(self.im, dtype=float)
+        re = np.array(self.re, dtype=float)
+        im = np.array(self.im, dtype=float)
         if re.shape != im.shape or re.ndim != 1:
             raise DimensionMismatch(
                 f"re/im shapes {re.shape} and {im.shape} must be equal 1-D"

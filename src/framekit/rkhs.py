@@ -39,7 +39,10 @@ as their residuals, so neither do its verdicts (an absolute floor such as
 Operator conventions on a weighted grid: kernel-style value tables (K, L)
 are elementwise symmetric and act on a function f as K (w * f).  Adjoints
 and projectors are therefore taken in the weighted inner product; on
-unit-weight grids they coincide with plain transposes.
+unit-weight grids they coincide with plain transposes.  Like the frame
+operators of ``frames`` (analysis T, synthesis T*, ``weighted_inner``,
+``weighted_norm``), on which the verifiers here are written, ``apply`` and
+every verifier take one grid function or a stack of them as rows.
 """
 
 from __future__ import annotations
@@ -55,8 +58,13 @@ from .frames import (
     FrameSpectrum,
     FrameSystem,
     Grid,
+    _rows,
+    analysis,
     build_gramian,
     frame_spectrum,
+    synthesis,
+    weighted_inner,
+    weighted_norm,
 )
 from .spectral import DEFAULT_RANK_TOL, _binary_exponent, row_svd
 
@@ -97,7 +105,7 @@ class KernelMatrix:
     values: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        f = np.asarray(self.factor, dtype=float)
+        f = np.array(self.factor, dtype=float)
         if f.ndim != 2 or f.shape[0] != self.grid.size:
             raise DimensionMismatch(
                 f"kernel factor {f.shape} for a grid of {self.grid.size} points"
@@ -110,12 +118,7 @@ class KernelMatrix:
 
     def apply(self, f) -> np.ndarray:
         """values @ (w * f) for one grid function, or for each row of a stack."""
-        f = np.asarray(f, dtype=float)
-        if f.ndim not in (1, 2) or f.shape[-1] != self.grid.size:
-            raise DimensionMismatch(
-                f"grid functions {f.shape} on a grid of {self.grid.size} points"
-            )
-        return (self.values @ (self.grid.weights * f).T).T
+        return (self.values @ (self.grid.weights * _rows(f, self.grid.size)).T).T
 
 
 def naive_kernel(fs: FrameSystem) -> KernelMatrix:
@@ -151,11 +154,8 @@ def verify_reproducing(fs: FrameSystem, k: KernelMatrix, f) -> float:
     evaluates the span-projection of f, so the residual equals the sup norm
     of the out-of-span component.
     """
-    f = np.asarray(f, dtype=float)
-    if f.ndim > 2 or f.shape[-1:] != (fs.grid.size,) or k.grid.size != fs.grid.size:
-        raise DimensionMismatch(
-            f"grid functions {f.shape}, kernel of {k.grid.size} on {fs.grid.size} points"
-        )
+    if k.grid.size != fs.n_points:
+        raise DimensionMismatch(f"kernel on {k.grid.size} points, frame on {fs.n_points}")
     return float(np.max(np.abs(f - k.apply(f))))
 
 
@@ -174,15 +174,8 @@ def verify_lax_identity(fs: FrameSystem, op: KernelMatrix, f, g) -> float:
     ``f`` and ``g`` are grid functions or stacks of them as rows; the
     residual is the max over every pair (f_i, g_j).
     """
-    f, g = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
-    if any(x.ndim > 2 or x.shape[-1:] != (fs.grid.size,) for x in (f, g)):
-        raise DimensionMismatch(
-            f"grid functions {f.shape}, {g.shape} on a grid of {fs.grid.size} points"
-        )
-    w = fs.grid.weights
-    lg = op.apply(g)
-    lhs = np.dot((fs.vectors @ (w * f).T).T, fs.vectors @ (w * lg).T)
-    return float(np.max(np.abs(lhs - np.dot(w * f, g.T))))
+    lhs = analysis(fs, f) @ analysis(fs, op.apply(g)).T
+    return float(np.max(np.abs(lhs - weighted_inner(fs.grid, f, g))))
 
 
 def isometry_check(fs: FrameSystem, c):
@@ -192,12 +185,9 @@ def isometry_check(fs: FrameSystem, c):
     as rows, giving two arrays with one entry per row.  The Gramian is built
     once per call.
     """
-    c = np.asarray(c, dtype=float)
-    if c.ndim > 2 or c.shape[-1:] != (fs.n_vectors,):
-        raise DimensionMismatch(f"coefficients {c.shape} for {fs.n_vectors} vectors")
-    combined = c @ fs.vectors
+    combined = synthesis(fs, c)
     lhs = np.sum(fs.grid.weights * combined * combined, axis=-1)
-    rhs = np.sum((c @ build_gramian(fs).entries) * c, axis=-1)
+    rhs = np.sum((c @ build_gramian(fs)) * c, axis=-1)
     return lhs, rhs
 
 
@@ -311,7 +301,6 @@ def _identity_rows(fs: FrameSystem, rank_tol: float) -> dict:
     # {name: (residual, tolerance)} of identity_suite, in the units of fs
     spec = _spanning(frame_spectrum(fs, rank_tol))
     kernel = _kernel(spec)
-    w = fs.grid.weights
     n = fs.n_vectors
     lam_max = float(spec.eigenvalues[0])
 
@@ -319,7 +308,7 @@ def _identity_rows(fs: FrameSystem, rank_tol: float) -> dict:
     combos = np.eye(n)[i]
     combos[i, (i + 1) % n] = -0.5
     probes = np.vstack([fs.vectors, combos @ fs.vectors])
-    probe_norms = np.sqrt(np.sum(w * probes * probes, axis=1))
+    probe_norms = weighted_norm(fs.grid, probes)
     scale = float(np.max(probe_norms))
 
     j = np.arange(min(n, 6))
@@ -330,8 +319,8 @@ def _identity_rows(fs: FrameSystem, rank_tol: float) -> dict:
     isometry = float(np.max(np.abs(lhs - rhs) / (lam_max * coeff_sq)))
     # <T f, c> = <f, T* c> on four probes; a zero probe has both sides 0
     heads = probes[:4]
-    left = (fs.vectors @ (w * heads).T).T @ coeffs.T
-    right = (w * heads) @ (coeffs @ fs.vectors).T
+    left = analysis(fs, heads) @ coeffs.T
+    right = weighted_inner(fs.grid, heads, synthesis(fs, coeffs))
     bound = math.sqrt(lam_max) * np.outer(probe_norms[:4], np.sqrt(coeff_sq))
     adjoint = float(np.max(np.abs(left - right) / np.where(bound > 0, bound, 1.0)))
 
@@ -347,7 +336,7 @@ def _identity_rows(fs: FrameSystem, rank_tol: float) -> dict:
     cut_max = float(np.max(spec.eigenvalues[spec.rank :], initial=0.0))
     if cut_max <= 100 * 2.2e-16 * lam_max:
         cut_max = 0.0
-    truncation = 2.0 * math.sqrt(cut_max / float(np.min(w)))
+    truncation = 2.0 * math.sqrt(cut_max / float(np.min(fs.grid.weights)))
 
     return {
         "max_reproducing_residual": (reproducing, inverse_gate * scale + truncation),

@@ -72,13 +72,6 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-def philox_words(seed: int, block_offset: int, count: int) -> np.ndarray:
-    """Raw uint64 words starting at the given counter block."""
-    key = np.array([_check_seed(seed), 0], dtype=np.uint64)
-    counter = np.array([int(block_offset) & _MASK64, 0, 0, 0], dtype=np.uint64)
-    return np.random.Philox(key=key, counter=counter).random_raw(count)
-
-
 class NormalScratch:
     """Buffers for blocks of up to ``rows`` streams of ``count`` normals,
     allocated once and reused by every ``fill``.

@@ -7,45 +7,23 @@ It makes no rank decision.  Frame bounds, kernels, canonical tight frames,
 Lax-Milgram and polar rest on one ``row_svd`` call per frame, made by
 ``frames.frame_spectrum``, which holds the library's one rank rule; the
 kernel's lambda_max, the Hilbert table and the Riesz draws factor their own
-matrices.  ``SymMatrix`` is the type of the Gramians the library returns.
+matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _kernels
-from .errors import InvalidMatrix, NotConverged
+from .errors import NotConverged
 
 #: Relative eigenvalue threshold below which spectrum is treated as rank noise.
 DEFAULT_RANK_TOL = 1e-10
 
 _ORTHOGONAL_TOL = 1e-14
 _MAX_SWEEPS = 100
-
-
-@dataclass(frozen=True)
-class SymMatrix:
-    """Real symmetric matrix; construction symmetrizes via (A + A^T)/2."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise InvalidMatrix(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise InvalidMatrix("matrix has non-finite entries")
-        a = 0.5 * (a + a.T)
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 class RowSVD(NamedTuple):

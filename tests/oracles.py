@@ -2,14 +2,17 @@
 
 Nothing here calls into framekit's linear algebra: eigenvalue estimates come
 from power iteration or LAPACK, subspace kernels from weighted Gram-Schmidt,
-and positive-definiteness certificates from a hand-rolled Cholesky.
+and positive-definiteness certificates from a hand-rolled Cholesky.  The
+hypothesis strategy ``weighted_frames`` draws the frames that property tests
+share.
 """
 
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
-from framekit import rng
+from framekit import FrameSystem, Grid, rng
 
 
 def power_iteration(a, steps=10_000):
@@ -94,3 +97,15 @@ def orthonormal_rows(n_rows, n_cols, weights, seed, stream=0):
         if basis.shape[0] == n_rows:
             return basis
     raise AssertionError("could not draw a full-rank system")
+
+
+@st.composite
+def weighted_frames(draw):
+    """N x M frames with weights in [0.25, 4] and rank r <= min(N, M),
+    rank-deficient whenever r < min(N, M)."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rank = draw(st.integers(1, min(n, m)))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = Grid(points=np.arange(m, dtype=float), weights=r.uniform(0.25, 4.0, m))
+    vectors = r.standard_normal((n, rank)) @ r.standard_normal((rank, m))
+    return FrameSystem(grid=grid, vectors=vectors)

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framekit import (
+    ComplexVector,
     DimensionMismatch,
     FrameSystem,
     Grid,
     InvalidIndex,
     InvalidMatrix,
+    KernelMatrix,
     analysis,
     build_gramian,
     compute_frame_bounds,
@@ -21,6 +25,7 @@ from framekit import (
     weighted_inner,
     weighted_norm,
 )
+from oracles import weighted_frames
 
 
 def standard_basis():
@@ -56,28 +61,43 @@ class TestGrid:
         with pytest.raises(InvalidMatrix):
             FrameSystem(grid=grid, vectors=np.array([[1.0, np.nan]]))
 
+    def test_construction_copies_the_callers_arrays(self):
+        # the objects are read-only; the arrays they were built from stay writable
+        points, weights, vectors = np.arange(3.0), np.ones(3), np.eye(3)
+        factor, re, im = np.ones((3, 2)), np.zeros(3), np.ones(3)
+        grid = Grid(points=points, weights=weights)
+        fs = FrameSystem(grid=grid, vectors=vectors)
+        kernel = KernelMatrix(grid=grid, factor=factor)
+        phat = ComplexVector(re=re, im=im)
+        for given_array in (points, weights, vectors, factor, re, im):
+            assert given_array.flags.writeable
+        vectors[0, 0] = 5.0
+        assert fs.vectors[0, 0] == 1.0
+        for held in (grid.points, grid.weights, fs.vectors, kernel.factor, phat.re, phat.im):
+            assert not held.flags.writeable
+
 
 class TestGramian:
     def test_standard_basis(self):
         g = build_gramian(standard_basis())
-        assert np.array_equal(g.entries, np.eye(2))
+        assert np.array_equal(g, np.eye(2))
 
     def test_mercedes_hand_values(self):
-        g = build_gramian(mercedes_frame()).entries
+        g = build_gramian(mercedes_frame())
         expected = np.array(
             [[1.0, -0.5, -0.5], [-0.5, 1.0, -0.5], [-0.5, -0.5, 1.0]]
         )
         np.testing.assert_allclose(g, expected, atol=1e-15)
 
     def test_monomial_matches_hilbert_entries(self):
-        g = build_gramian(monomial_frame(3, 2048)).entries
+        g = build_gramian(monomial_frame(3, 2048))
         idx = np.arange(3)
         hilbert = 1.0 / (idx[:, None] + idx[None, :] + 1.0)
         assert np.max(np.abs(g - hilbert)) <= 1e-4
 
     def test_entrywise_definition(self):
         fs = weighted_system()
-        g = build_gramian(fs).entries
+        g = build_gramian(fs)
         direct = np.zeros_like(g)
         for a in range(fs.n_vectors):
             for b in range(fs.n_vectors):
@@ -97,14 +117,14 @@ class TestGramian:
             delta = np.zeros(n)
             delta[j] = 1.0
             assembled[:, j] = analysis(fs, synthesis(fs, delta))
-        assert np.max(np.abs(assembled - g.entries)) <= 1e-12 * max(
+        assert np.max(np.abs(assembled - g)) <= 1e-12 * max(
             1.0, float(np.max(np.abs(assembled)))
         )
 
     def test_psd(self):
         for seed in range(5):
             fs = weighted_system(seed=seed, n=6, m=4)
-            lam = np.linalg.eigvalsh(build_gramian(fs).entries)
+            lam = np.linalg.eigvalsh(build_gramian(fs))
             assert np.all(lam >= -1e-10 * lam[-1])
 
 
@@ -156,6 +176,65 @@ class TestAnalysisSynthesis:
             assert abs(left - right) <= 1e-10 * max(1.0, abs(right))
 
 
+class TestStacks:
+    """Each operator takes one vector or a stack of them as rows."""
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(fs=weighted_frames(), rows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_a_stack_is_its_rows(self, fs, rows, seed):
+        # weighted_norm sums each row as it sums one vector, so bit for bit;
+        # the products are one matrix-matrix product for a stack and one
+        # matrix-vector product per row, which BLAS may sum in other orders,
+        # so they agree to the rounding of an L-term dot product:
+        # |x - y| <= 2 gamma_L sum_i |a_i b_i| <= 4 L 2**-53 sum_i |a_i b_i|
+        r = np.random.default_rng(seed)
+        grid, phi = fs.grid, fs.vectors
+        f = r.standard_normal((rows, fs.n_points))
+        g = r.standard_normal((rows + 1, fs.n_points))
+        c = r.standard_normal((rows, fs.n_vectors))
+        norms = np.array([weighted_norm(grid, x) for x in f])
+        assert weighted_norm(grid, f).tobytes() == norms.tobytes()
+        wf = np.abs(grid.weights * f)
+        m, n = fs.n_points, fs.n_vectors
+        products = [
+            (analysis(fs, f), [analysis(fs, x) for x in f], m, wf @ np.abs(phi).T),
+            (synthesis(fs, c), [synthesis(fs, x) for x in c], n, np.abs(c) @ np.abs(phi)),
+            (
+                weighted_inner(grid, f, g),
+                [[weighted_inner(grid, x, y) for y in g] for x in f],
+                m,
+                wf @ np.abs(g).T,
+            ),
+        ]
+        for stacked, each, length, sums in products:
+            each = np.array(each)
+            assert stacked.shape == each.shape
+            assert np.all(np.abs(stacked - each) <= 4 * length * 2.0**-53 * sums)
+
+    def test_shapes(self):
+        fs = weighted_system(n=4, m=3)
+        assert analysis(fs, np.ones((2, 3))).shape == (2, 4)
+        assert synthesis(fs, np.ones((2, 4))).shape == (2, 3)
+        assert frame_operator_apply(fs, np.ones((2, 3))).shape == (2, 3)
+        assert weighted_inner(fs.grid, np.ones((2, 3)), np.ones((5, 3))).shape == (2, 5)
+        assert weighted_inner(fs.grid, np.ones(3), np.ones((5, 3))).shape == (5,)
+        assert weighted_norm(fs.grid, np.ones((2, 3))).shape == (2,)
+        on_grid = [
+            lambda x: analysis(fs, x),
+            lambda x: frame_operator_apply(fs, x),
+            lambda x: weighted_inner(fs.grid, x, np.ones(3)),
+            lambda x: weighted_inner(fs.grid, np.ones(3), x),
+            lambda x: weighted_norm(fs.grid, x),
+        ]
+        for bad in (1.0, np.ones((1, 2, 3)), np.ones(4), np.ones((2, 4)), np.ones((3, 0))):
+            for call in on_grid:
+                with pytest.raises(DimensionMismatch):
+                    call(bad)
+        for bad in (1.0, np.ones((1, 2, 4)), np.ones(3), np.ones((2, 3))):
+            with pytest.raises(DimensionMismatch):
+                synthesis(fs, bad)
+
+
 class TestFrameOperator:
     def test_standard_basis_identity(self):
         fs = standard_basis()
@@ -179,20 +258,20 @@ class TestFrameOperator:
 
 
 class TestGramApply:
-    """G c, the coefficient-space frame operator, as ``build_gramian(fs).entries @ c``."""
+    """G c, the coefficient-space frame operator, as ``build_gramian(fs) @ c``."""
 
     def test_identity(self):
-        g = build_gramian(standard_basis()).entries
+        g = build_gramian(standard_basis())
         c = np.array([4.0, -2.0])
         np.testing.assert_allclose(g @ c, c)
 
     def test_mercedes_kernel_vector(self):
-        g = build_gramian(mercedes_frame()).entries
+        g = build_gramian(mercedes_frame())
         np.testing.assert_allclose(g @ np.ones(3), np.zeros(3), atol=1e-15)
 
     def test_delta_gives_column(self):
         fs = weighted_system(seed=9)
-        g = build_gramian(fs).entries
+        g = build_gramian(fs)
         delta = np.zeros(fs.n_vectors)
         delta[1] = 1.0
         np.testing.assert_allclose(g @ delta, g[:, 1])
@@ -201,7 +280,7 @@ class TestGramApply:
         r = np.random.default_rng(23)
         for seed in range(10):
             fs = weighted_system(seed=seed, n=6, m=5)
-            g = build_gramian(fs).entries
+            g = build_gramian(fs)
             c = r.standard_normal(6)
             np.testing.assert_allclose(
                 g @ c, analysis(fs, synthesis(fs, c)), atol=1e-10

@@ -148,6 +148,11 @@ def test_sampling_twins_agree_on_edge_words(count, rows):
     assert sample(BACKENDS["compiled"], words, count) == sample(BACKENDS["python"], words, count)
 
 
+def philox_words(seed, count):
+    """The first ``count`` words of numpy's Philox keyed by ``seed``."""
+    return np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)).random_raw(count)
+
+
 def philox_reference(seed, first, rows, pairs):
     """u1 and angle words of streams first.. from numpy's Philox, one word
     at a time in Python ints: block b = ceil(pairs/2) words per stream, the
@@ -238,7 +243,7 @@ def test_contraction_is_the_index_order_sum():
 def test_angle_within_two_ulp_of_the_radius():
     # against radius * (cos, sin)(2 pi k 2**-53) in 120-bit arithmetic
     mpmath = pytest.importorskip("mpmath")
-    words = rng.philox_words(17, 0, 2000)
+    words = philox_words(17, 2000)
     words[: len(EDGE_WORDS)] = EDGE_WORDS
     words[1000 : 1000 + len(EDGE_WORDS)] = EDGE_WORDS
     k = (words[1000:] >> np.uint64(11)).reshape(1, -1)
@@ -363,9 +368,24 @@ def test_second_build_does_not_run_the_compiler(tmp_path):
     ]
     base = factor(9, 11, 3, "dense", 0)
     assert run(active, base) == run(BACKENDS["python"], base)
-    words = rng.philox_words(3, 0, 4 * 13 * 7).reshape(7, 52)
+    words = philox_words(3, 4 * 13 * 7).reshape(7, 52)
     assert sample(active, words, 25) == sample(BACKENDS["python"], words, 25)
     assert split(active, 3, 5, 7, 13) == split(BACKENDS["python"], 3, 5, 7, 13)
+
+
+@needs_cc
+def test_a_new_build_removes_stale_libraries(tmp_path):
+    # a library of other sources goes; another process's partial build stays
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    stale = cache / "_kernels-00000000.so"
+    partial = cache / "_kernels-00000000.so.12345.tmp"
+    stale.write_bytes(b"old")
+    partial.write_bytes(b"partial")
+    _, active = _kernels._select(CC, cache)
+    assert active.name == "compiled"
+    library = _kernels._library_name([p.read_bytes() for p in _kernels._SOURCES], _kernels._FLAGS)
+    assert sorted(p.name for p in cache.iterdir()) == sorted([library, partial.name])
 
 
 @pytest.mark.parametrize("failure", ["compiler fails", "no compiler", "cache not writable"])

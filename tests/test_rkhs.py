@@ -29,7 +29,7 @@ from framekit import (
     weighted_inner,
     weighted_norm,
 )
-from oracles import eigh_descending, gram_schmidt_kernel, weighted_gram_schmidt
+from oracles import eigh_descending, gram_schmidt_kernel, weighted_frames, weighted_gram_schmidt
 
 
 def standard_basis():
@@ -172,7 +172,7 @@ class TestCanonicalTight:
         for seed in range(10):
             fs = random_frame(seed, 6, 4, weighted=seed % 2)
             ct = canonical_tight(fs)
-            lam = np.linalg.eigvalsh(build_gramian(ct).entries)
+            lam = np.linalg.eigvalsh(build_gramian(ct))
             dist = np.minimum(np.abs(lam), np.abs(lam - 1.0))
             assert np.max(dist) <= 1e-8
 
@@ -451,18 +451,6 @@ class TestPolarUnitary:
             polar_unitary(zero_system())
 
 
-@st.composite
-def weighted_frames(draw):
-    """N x M frames with weights in [0.25, 4] and rank r <= min(N, M),
-    rank-deficient whenever r < min(N, M)."""
-    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
-    rank = draw(st.integers(1, min(n, m)))
-    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    grid = Grid(points=np.arange(m, dtype=float), weights=r.uniform(0.25, 4.0, m))
-    vectors = r.standard_normal((n, rank)) @ r.standard_normal((rank, m))
-    return FrameSystem(grid=grid, vectors=vectors)
-
-
 class TestKernelMatrix:
     @settings(max_examples=80, deadline=None, database=None)
     @given(fs=weighted_frames(), rows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
@@ -497,6 +485,24 @@ class TestKernelMatrix:
         for bad in (np.ones(3), np.ones((2, 3)), np.ones((1, 2, 4)), 1.0):
             with pytest.raises(DimensionMismatch):
                 k.apply(bad)
+
+    def test_verifiers_refuse_bad_shapes(self):
+        # one vector or a stack of rows of the right length, nothing else
+        fs = random_frame(5, 3, 4, weighted=True)
+        k, op = rk_kernel(fs), lax_milgram(fs)
+        for bad in (1.0, np.ones((1, 2, 4)), np.ones(3), np.ones((2, 5))):
+            with pytest.raises(DimensionMismatch):
+                verify_reproducing(fs, k, bad)
+            with pytest.raises(DimensionMismatch):
+                verify_lax_identity(fs, op, bad, np.ones(4))
+            with pytest.raises(DimensionMismatch):
+                verify_lax_identity(fs, op, np.ones(4), bad)
+        for bad in (1.0, np.ones((1, 2, 3)), np.ones(4), np.ones((2, 2))):
+            with pytest.raises(DimensionMismatch):
+                isometry_check(fs, bad)
+        other = random_frame(6, 3, 5, weighted=True)
+        with pytest.raises(DimensionMismatch):
+            verify_reproducing(fs, rk_kernel(other), np.ones(4))
 
 
 def test_public_api():
