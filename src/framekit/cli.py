@@ -26,8 +26,8 @@ Subcommands and the only flags each accepts, with their defaults:
     gp-sim PATH     [--rank-tol 1e-10] [--seed 0] [--samples 200000]
     hilbert         --sizes N,N,...
 
---seed must lie in [0, 2**64).  The argument parser is built once per
-process, on the first call of main().
+--rank-tol must lie in [0, 1) and --seed in [0, 2**64).  The argument
+parser is built once per process, on the first call of main().
 
 Exit codes:
 
@@ -421,14 +421,22 @@ def _parse_sizes(raw: str) -> list[int]:
 # dispatch
 
 
+def _rank_tol(raw: str) -> float:
+    # refused by the parser, so --naive, which reads no rank, is covered too
+    value = float(raw)
+    if not 0.0 <= value < 1.0:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {raw}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     arguments = {
         "path": {},
         "--rank-tol": dict(
-            type=float,
+            type=_rank_tol,
             default=DEFAULT_RANK_TOL,
-            help="relative eigenvalue threshold for rank decisions",
+            help="relative eigenvalue threshold for rank decisions, in [0, 1)",
         ),
         "--out": dict(default=None, help="output file path"),
         "--naive": dict(

@@ -163,7 +163,8 @@ def build_gramian(fs: FrameSystem) -> np.ndarray:
     is read from it.  ``InvalidMatrix`` if it overflows.
     """
     half = fs.vectors * np.sqrt(fs.grid.weights)
-    g = half @ half.T
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as InvalidMatrix
+        g = half @ half.T
     if not np.all(np.isfinite(g)):
         raise InvalidMatrix("Gramian has non-finite entries")
     g.setflags(write=False)
@@ -197,8 +198,8 @@ def frame_spectrum(
     give that side's singular vectors, and the rotated rows, sigma_k times
     the other side's singular vectors, give the rest by one division.
     """
-    if rank_tol < 0:
-        raise InvalidArgument("rank_tol must be >= 0")
+    if not 0.0 <= rank_tol < 1.0:
+        raise InvalidArgument(f"rank_tol must lie in [0, 1), got {rank_tol}")
     b = fs.vectors * np.sqrt(fs.grid.weights)
     shift = _binary_exponent(b)
     b = np.ldexp(b, -shift)

@@ -26,9 +26,9 @@ for an M x k factor F:
 
 The table is formed once, by one product of F with its own transpose, which
 numpy computes as one triangle and its mirror, so it is exactly symmetric
-with no symmetrization pass.  ``kernel_psd`` reads lambda_max(K) from the
-k rows of F^T, never from the M x M table; its rounding bound on the
-table's negative eigenvalues, ``kernel_psd_bound``, needs F alone.  The
+with no symmetrization pass.  Its scale, max_t K(t,t) = max_t ||F_t||^2,
+which bounds every entry of a PSD table, and its rounding bound on the
+table's negative eigenvalues, ``kernel_psd_bound``, need F alone.  The
 spectrum uses no BLAS, but the products that form the tables, the tight
 frame and the identity checks do, so their last bits may follow BLAS's
 thread count.  ``identity_suite`` checks them all from one spectrum,
@@ -66,7 +66,7 @@ from .frames import (
     weighted_inner,
     weighted_norm,
 )
-from .spectral import DEFAULT_RANK_TOL, _binary_exponent, row_svd
+from .spectral import DEFAULT_RANK_TOL, _binary_exponent
 
 _UNIT_ROUNDOFF = 2.0**-53
 
@@ -191,34 +191,22 @@ def isometry_check(fs: FrameSystem, c):
     return lhs, rhs
 
 
-def kernel_psd(kernel: KernelMatrix) -> tuple[float, float]:
-    """(lambda_max, ``kernel_psd_bound``) of the table K = F F^T.
-
-    F is ``kernel.factor``, M x k: W^{-1/2} V_r (k = r) for the
-    inverse-Gramian kernel, Phi^T (k = N) for the naive one.  lambda_max(K)
-    is the largest squared singular value of F, read by one-sided Jacobi on
-    the rows of F^T, or of F when k > M; the table itself is not read.
-    """
-    f = kernel.factor
-    m, k = f.shape
-    lam_max = float(row_svd(f.T if k <= m else f).squares[0])
-    return lam_max, kernel_psd_bound(kernel)
-
-
 def kernel_psd_bound(kernel: KernelMatrix) -> float:
     """A-priori bound on max(0, -lambda_min) of the table K = F F^T.
 
-    F is ``kernel.factor``, M x k, as for ``kernel_psd``; no decomposition
-    is made.  The table is fl(F F^T), PSD in exact arithmetic, so its
-    negative eigenvalues are rounding.  Each entry is a k-term dot product
-    off by at most gamma_k sum_l |F_il| |F_jl|, with gamma_j = j u / (1 - j u)
-    and u = 2**-53, so the error E has ||E||_2 <= gamma_k ||F||_F^2, and by
-    Weyl's inequality -lambda_min <= ||E||_2.  gamma_{k+2} ||F||_F^2 is
+    F is ``kernel.factor``, M x k: W^{-1/2} V_r (k = r) for the
+    inverse-Gramian kernel, Phi^T (k = N) for the naive one; no
+    decomposition is made.  The table is fl(F F^T), PSD in exact
+    arithmetic, so its negative eigenvalues are rounding.  Each entry is a
+    k-term dot product off by at most gamma_k sum_l |F_il| |F_jl|, with
+    gamma_j = j u / (1 - j u) and u = 2**-53, so the error E has
+    ||E||_2 <= gamma_k ||F||_F^2, and by Weyl's inequality
+    -lambda_min <= ||E||_2.  gamma_{k+2} ||F||_F^2 is
     returned in place of a measured violation: one unit of the +2 paid for
     a symmetrization pass that no longer runs and is now spare headroom,
     kept so the bound that ``kernel`` prints keeps its bits.  It is below
-    the 1e-9 * lambda_max(K) gate of ``identity_suite`` while
-    k(k + 2) < 9e6, since ||F||_F^2 <= k lambda_max(K).
+    the 1e-9 * max_t K(t,t) gate of ``identity_suite`` while
+    (k + 2) M < 9e6, since ||F||_F^2 = tr K <= M max_t K(t,t).
     """
     f = kernel.factor
     k = f.shape[1]
@@ -253,18 +241,18 @@ def identity_suite(fs: FrameSystem, rank_tol: float) -> dict:
     The probes, the N frame vectors and min(N, 3) combinations
     phi_i - phi_{i+1}/2, are the rows of one matrix, so everything lies in
     the span and each identity is one stacked call on the one frame
-    spectrum; the kernel's PSD row reads lambda_max(K) from the r x r side
-    of its factor and reports the rounding bound of ``kernel_psd``, and
+    spectrum; the kernel's PSD row reports ``kernel_psd_bound``, and
     ``kernel_vs_tight_max`` compares the kernel with the naive kernel of the
-    canonical tight frame.  With
-    lambda_max the top Gramian eigenvalue, s the largest probe norm, and
-    gate = max(1e-8, 1.1e-14 * kappa) widening with the retained condition
-    number kappa, to which the pseudo-inverse routes lose digits
-    (Hilbert-type systems reach 1e10):
+    canonical tight frame.  With lambda_max the top Gramian eigenvalue,
+    K(t,t) the kernel's diagonal, s the largest probe norm, and
+    gate = min(1e-3, max(1e-8, 1.1e-14 * kappa)) widening with the retained
+    condition number kappa, to which the pseudo-inverse routes lose digits
+    (Hilbert-type systems reach 1e10), up to a cap of three digits, past
+    which the frame fails rather than passes uncertified:
 
         max_reproducing_residual  gate * s + truncation tail
-        kernel_vs_tight_max       gate * lambda_max(K)
-        kernel_psd_violation      1e-9 * lambda_max(K)
+        kernel_vs_tight_max       gate * max_t K(t,t)
+        kernel_psd_violation      1e-9 * max_t K(t,t)
         lax_identity_max          gate * s^2
         gramian_psd_violation     1e-10 * lambda_max
         isometry_relative_max     1e-10 on |l - r| / (lambda_max ||c||^2)
@@ -328,9 +316,12 @@ def _identity_rows(fs: FrameSystem, rank_tol: float) -> dict:
     lax_residual = verify_lax_identity(fs, _lax(spec), probes, probes)
     from_tight = naive_kernel(_tight(spec)).values
     kernel_vs_tight = float(np.max(np.abs(kernel.values - from_tight)))
-    kernel_max, kernel_psd_violation = kernel_psd(kernel)
+    # max_t K(t,t) = max_t ||F_t||^2 bounds every |K(s,t)| of the PSD table
+    kernel_max = float(np.max(np.sum(kernel.factor * kernel.factor, axis=1)))
     gram_psd = max(0.0, -float(spec.eigenvalues[-1]))
-    inverse_gate = max(1e-8, 1.1e-14 * lam_max / float(spec.retained[-1]))
+    # capped, so a frame that needs a wider gate fails rather than passing
+    # with fewer than three digits
+    inverse_gate = min(1e-3, max(1e-8, 1.1e-14 * lam_max / float(spec.retained[-1])))
     # probes hold genuine mass along eigendirections the rank cut discards;
     # the kernel reproduces only the retained span, so allow for that tail
     cut_max = float(np.max(spec.eigenvalues[spec.rank :], initial=0.0))
@@ -344,7 +335,7 @@ def _identity_rows(fs: FrameSystem, rank_tol: float) -> dict:
         "lax_identity_max": (lax_residual, inverse_gate * scale * scale),
         "isometry_relative_max": (isometry, 1e-10),
         "adjoint_relative_max": (adjoint, 1e-10),
-        "kernel_psd_violation": (kernel_psd_violation, 1e-9 * kernel_max),
+        "kernel_psd_violation": (kernel_psd_bound(kernel), 1e-9 * kernel_max),
         "gramian_psd_violation": (gram_psd, 1e-10 * lam_max),
     }
 

@@ -6,8 +6,7 @@ keeps the small eigenvalues that squaring the condition number would lose.
 It makes no rank decision.  Frame bounds, kernels, canonical tight frames,
 Lax-Milgram and polar rest on one ``row_svd`` call per frame, made by
 ``frames.frame_spectrum``, which holds the library's one rank rule; the
-kernel's lambda_max, the Hilbert table and the Riesz draws factor their own
-matrices.
+Hilbert table and the Riesz draws factor their own matrices.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ from framekit import (
     verify_reproducing,
     weighted_norm,
 )
-from framekit.rkhs import kernel_psd
+from framekit.rkhs import kernel_psd_bound
 
 from oracles import (
     eigh_descending,
@@ -177,23 +177,23 @@ def rank_deficient_frames():
 
 
 def test_kernel_psd_bound_against_numpy(frame_battery):
-    # kernel_psd reads lambda_max from the factor and bounds the rounding of
-    # the table; numpy's eigvalsh of the table itself is the oracle, and
-    # lambda_max is compared on the scale of ||K||_F.
+    # kernel_psd_bound bounds the rounding of the table, with numpy's
+    # eigvalsh of the table itself as the oracle; the largest squared row
+    # norm of the factor, the diagonal max_t K(t,t), bounds every entry.
     worst_bound = 0.0
-    worst_max = 0.0
+    worst_entry = 0.0
     negative = 0
     for fs in frame_battery + rank_deficient_frames():
         for kernel in (rk_kernel(fs), naive_kernel(fs)):
             table = kernel.values
             lam = np.linalg.eigvalsh(table)
-            lam_max, bound = kernel_psd(kernel)
+            diagonal_max = np.max(np.sum(kernel.factor**2, axis=1))
             negative += bool(lam[0] < 0.0)
-            worst_bound = max(worst_bound, -float(lam[0]) / bound)
-            worst_max = max(worst_max, abs(lam_max - lam[-1]) / np.linalg.norm(table))
+            worst_bound = max(worst_bound, -float(lam[0]) / kernel_psd_bound(kernel))
+            worst_entry = max(worst_entry, np.max(np.abs(table)) / diagonal_max)
     assert negative > 0
     assert worst_bound <= 1.0, worst_bound
-    assert worst_max <= 1e-12, worst_max
+    assert worst_entry <= 1.0 + 1e-12, worst_entry
 
 
 def test_criterion_6_isometry():

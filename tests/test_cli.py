@@ -547,6 +547,51 @@ class TestSeedRange:
             assert "seed" in captured.err and captured.out == ""
 
 
+RANK_TOL_COMMANDS = {  # name: argv, with PATH and MODEL for the input files
+    "analyze": ["analyze", "PATH"],
+    "kernel": ["kernel", "PATH"],
+    "kernel --naive": ["kernel", "PATH", "--naive"],
+    "canonical": ["canonical", "PATH"],
+    "verify": ["verify", "PATH"],
+    "gp-sim": ["gp-sim", "MODEL", "--samples", "10"],
+}
+
+
+class TestRankTolRange:
+    @pytest.fixture(scope="class")
+    def argv(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("rank-tol")
+        inputs = {
+            "PATH": write(root / "basis.json", standard_basis_payload()),
+            "MODEL": write(root / "model.json", onb_model_payload()),
+        }
+
+        def build(command, rank_tol):
+            args = [inputs.get(a, a) for a in RANK_TOL_COMMANDS[command]]
+            return args + [f"--rank-tol={rank_tol}"]
+
+        return build
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        command=st.sampled_from(sorted(RANK_TOL_COMMANDS)),
+        rank_tol=st.one_of(
+            st.just(math.nan),
+            st.floats(max_value=-5e-324),  # negative, down to -inf
+            st.floats(min_value=1.0),  # 1 and above, up to inf
+        ),
+    )
+    def test_outside_unit_interval_is_an_argument_error(self, argv, command, rank_tol):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv(command, repr(rank_tol)))
+        assert exc.value.code == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("command", sorted(RANK_TOL_COMMANDS))
+    @pytest.mark.parametrize("rank_tol", ["0", "-0.0", "0.5"])
+    def test_inside_unit_interval_is_accepted(self, argv, command, rank_tol):
+        assert cli.main(argv(command, rank_tol)) == EXIT_OK
+
+
 class TestFlags:
     @pytest.mark.parametrize(
         "argv",
@@ -614,10 +659,18 @@ class TestExitCodes:
         assert cli.main([command, path]) == EXIT_SCHEMA
         assert "after 1 sweeps" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["canonical", "verify"])
-    def test_rank_tol_zero_on_scaled_duplicates(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        "command, codes",
+        [
+            ("canonical", (EXIT_OK, EXIT_SCHEMA, EXIT_DEGENERATE, EXIT_MATH)),
+            ("verify", (EXIT_MATH,)),
+        ],
+        ids=["canonical", "verify"],
+    )
+    def test_rank_tol_zero_on_scaled_duplicates(self, tmp_path, capsys, command, codes):
         # 8 random vectors on 16 points, each listed twice, scaled by 1e3:
-        # rank_tol 0 keeps noise directions, which must end in an exit code
+        # rank_tol 0 keeps noise directions, which must end in an exit code;
+        # verify cannot certify three digits there (kappa ~ 1e270) and fails
         r = np.random.default_rng(3)
         m = 16
         base = r.standard_normal((8, m))
@@ -630,4 +683,4 @@ class TestExitCodes:
         }
         path = write(tmp_path / "dup.json", payload)
         code = cli.main([command, path, "--rank-tol", "0"])
-        assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_DEGENERATE, EXIT_MATH)
+        assert code in codes

@@ -22,7 +22,6 @@ from framekit import (
     cli,
     compute_frame_bounds,
     frame_spectrum,
-    frames,
     lax_milgram,
     monomial_frame,
     polar_unitary,
@@ -148,6 +147,12 @@ class TestAgainstSvd:
         with pytest.raises(InvalidArgument):
             frame_spectrum(CASES["n<m"], -1.0)
 
+    @pytest.mark.parametrize("rank_tol", [np.nan, 1.0, np.inf])
+    def test_rank_tol_outside_unit_interval(self, rank_tol):
+        # at 1 and above the rank rule would keep nothing
+        with pytest.raises(InvalidArgument):
+            frame_spectrum(CASES["n<m"], rank_tol)
+
     def test_zero_frame(self):
         fs = FrameSystem(grid=CASES["n<m"].grid, vectors=np.zeros((2, 9)))
         spec = frame_spectrum(fs)
@@ -237,7 +242,21 @@ class TestScale:
         assert rel_err(rk_kernel(fs).values, ref["kernel"]) <= 1e-10
         assert rel_err(canonical_tight(fs).vectors, ref["tight"]) <= 1e-10
 
-    def test_doubled_kernel_is_caught_at_any_scale(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "fs, rank_tol",
+        [
+            (scaled(small_frame(), 1e-90), "1e-10"),
+            (small_frame(), "1e-10"),
+            (scaled(small_frame(), 1e80), "1e-10"),
+            # rank_tol 0 keeps noise directions, kappa ~ 1e270: the capped
+            # gate must not widen past the fault
+            (scaled(duplicated_frame(3, 8, 16), 1e3), "0"),
+        ],
+        ids=["1e-90", "1", "1e80", "duplicates-rank-tol-0"],
+    )
+    def test_doubled_kernel_is_caught_at_any_scale(
+        self, tmp_path, capsys, monkeypatch, fs, rank_tol
+    ):
         # A kernel wrong by O(1) must fail verify however small the frame is.
         # Scaling the factor shared by the kernel-style tables doubles K and
         # keeps the tight frame consistent with it, as a wrong spectrum would,
@@ -247,8 +266,8 @@ class TestScale:
             rkhs, "_v_unweighted", lambda spec: np.sqrt(2.0) * factor(spec)
         )
         path = tmp_path / "scaled.json"
-        cli.write_frame_file(str(path), scaled(small_frame(), 1e-90))
-        assert cli.main(["verify", str(path)]) == cli.EXIT_MATH
+        cli.write_frame_file(str(path), fs)
+        assert cli.main(["verify", str(path), "--rank-tol", rank_tol]) == cli.EXIT_MATH
 
     @staticmethod
     def verify_rows(tmp_path, capsys, fs):
@@ -334,11 +353,11 @@ class TestScale:
     @given(k=st.integers(min_value=-480, max_value=480))
     def test_kernel_psd_is_scale_free(self, k):
         # the factor W^{-1/2} V_r is bit-identical under 2**k * Phi, and so
-        # are lambda_max(K) and the rounding bound read from it
+        # is the rounding bound read from it
         fs = small_frame()
         kernel, big = rk_kernel(fs), rk_kernel(scaled(fs, 2.0**k))
         assert np.array_equal(big.factor, kernel.factor)
-        assert rkhs.kernel_psd(big) == rkhs.kernel_psd(kernel)
+        assert rkhs.kernel_psd_bound(big) == rkhs.kernel_psd_bound(kernel)
 
     @settings(max_examples=30, deadline=None, database=None)
     @given(e=st.floats(min_value=-150.0, max_value=150.0))
@@ -411,14 +430,15 @@ DIMENSION_CASES = {
 class TestOneDecompositionPerFrame:
     @pytest.fixture
     def calls(self, monkeypatch):
+        # every Jacobi call of the library, whichever module makes it
         seen = []
+        jacobi_rows = _kernels.ACTIVE.jacobi_rows
 
-        def counted(a):
+        def counted(a, *args):
             seen.append(np.shape(a))
-            return spectral.row_svd(a)
+            return jacobi_rows(a, *args)
 
-        for module in (frames, rkhs):
-            monkeypatch.setattr(module, "row_svd", counted)
+        monkeypatch.setattr(_kernels, "ACTIVE", _kernels.ACTIVE._replace(jacobi_rows=counted))
         return seen
 
     @pytest.fixture
@@ -433,7 +453,7 @@ class TestOneDecompositionPerFrame:
             ("analyze", [(30, 60)]),
             ("kernel", [(30, 60)]),
             ("canonical", [(30, 60), (30, 60)]),
-            ("verify", [(30, 60), (30, 30)]),
+            ("verify", [(30, 60)]),
         ],
     )
     def test_jacobi_calls(self, calls, frame_file, capsys, command, dims):
@@ -443,9 +463,9 @@ class TestOneDecompositionPerFrame:
     @pytest.mark.parametrize("name", sorted(DIMENSION_CASES))
     def test_no_jacobi_call_above_min_dimension(self, calls, tmp_path, capsys, name):
         # every call rotates the rows of the thinner side of B; verify reads
-        # the kernel's lambda_max from the r rows of its factor's transpose;
-        # kernel prints only the rounding bound, which needs no
-        # decomposition, so kernel --naive makes no Jacobi call at all
+        # the kernel's scale from its factor's rows and kernel prints only
+        # the rounding bound, neither of which needs a decomposition, so
+        # kernel --naive makes no Jacobi call at all
         fs, r = DIMENSION_CASES[name]
         path = str(tmp_path / f"{name}.json")
         cli.write_frame_file(path, fs)
@@ -458,7 +478,7 @@ class TestOneDecompositionPerFrame:
             ("kernel",): [side],
             ("kernel", "--naive"): [],
             ("canonical",): [side, side],
-            ("verify",): [side, (r, m)],
+            ("verify",): [side],
         }
         for command, dims in expected.items():
             assert cli.main([command[0], path, *command[1:]]) == cli.EXIT_OK
@@ -483,7 +503,7 @@ class TestOneDecompositionPerFrame:
         assert seen["verify_lax_identity"] == 1
         assert seen["isometry_check"] == 1
         assert seen["build_gramian"] <= 1
-        assert calls == [(30, 60), (30, 30)]
+        assert calls == [(30, 60)]
 
     def test_canonical_projector_residual(self, tmp_path, capsys, frame_file):
         out = tmp_path / "tight.json"
