@@ -2,10 +2,11 @@
 """Time the CLI's per-call costs that are not numerics.
 
 Prints the milliseconds per call (best of ``--repeats``) of building the
-argument parser, of ``dump_json`` on an n x n float64 kernel, and of
-``parse_frame_file`` on a written n x n frame (n vectors on n points).  For
-each size it also checks that the written kernel text is the per-element
-``_fmt`` spelling (17 significant digits, -0.0 kept), byte for byte.
+argument parser, of ``write_kernel_file`` of an n x n kernel to a temporary
+file, and of ``parse_frame_file`` on a written n x n frame (n vectors on n
+points).  For each size it also reads the kernel file back and checks that
+its table is the per-element ``_fmt`` spelling (17 significant digits, -0.0
+kept), byte for byte.
 
     PYTHONPATH=src python3 benchmarks/bench_cli.py [--sizes 8,16,32,64,128] [--repeats 20]
 """
@@ -21,7 +22,7 @@ import time
 
 import numpy as np
 
-from framekit import cli, frames
+from framekit import cli, frames, rkhs
 
 
 def best_ms(fn, repeats):
@@ -34,7 +35,7 @@ def best_ms(fn, repeats):
 
 
 def per_element(a):
-    return "[" + ", ".join("[" + ", ".join(cli._fmt(x) for x in row) + "]" for row in a) + "]\n"
+    return "[" + ", ".join("[" + ", ".join(cli._fmt(x) for x in row) + "]" for row in a) + "]"
 
 
 def main():
@@ -47,20 +48,24 @@ def main():
     build = cli._build_parser.__wrapped__  # the construction itself, not the cached parser
     print(f"_build_parser: {best_ms(build, args.repeats):.3f} ms per call")
     rng = np.random.default_rng(0)
-    print(f"{'n':>5} {'dump_json':>12} {'parse_frame':>12} {'text':>6}")
+    print(f"{'n':>5} {'write_kernel':>12} {'parse_frame':>12} {'text':>6}")
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         for n in sizes:
-            kernel = rng.standard_normal((n, n))
-            kernel[0, -1] = -0.0
-            same = cli.dump_json(kernel) == per_element(kernel)
+            grid = frames.Grid(points=np.arange(float(n)), weights=rng.uniform(0.5, 2.0, n))
+            factor = rng.standard_normal((n, n))
+            factor[0] = 0.0  # zeros in the table take the branch of _fmt_row that looks for -0.0
+            kernel = rkhs.KernelMatrix(grid=grid, factor=factor)
+            kernel_path = os.path.join(tmp, f"kernel-{n}.json")
+            t_write = best_ms(lambda: cli.write_kernel_file(kernel_path, kernel, "rkhs", 1e-10), args.repeats)
+            with open(kernel_path, encoding="utf-8") as fh:
+                text = fh.read()
+            same = text == '{"matrix": ' + per_element(kernel.values) + ', "kind": "rkhs", "rank_tol": 1e-10}\n'
             failed |= not same
             path = os.path.join(tmp, f"frame-{n}.json")
-            grid = frames.Grid(points=np.arange(float(n)), weights=rng.uniform(0.5, 2.0, n))
             cli.write_frame_file(path, frames.FrameSystem(grid=grid, vectors=rng.standard_normal((n, n))))
-            t_dump = best_ms(lambda: cli.dump_json(kernel), args.repeats)
             t_parse = best_ms(lambda: cli.parse_frame_file(path), args.repeats)
-            print(f"{n:>5} {t_dump:>10.3f}ms {t_parse:>10.3f}ms {'same' if same else 'DIFFERS':>6}")
+            print(f"{n:>5} {t_write:>10.3f}ms {t_parse:>10.3f}ms {'same' if same else 'DIFFERS':>6}")
     return 1 if failed else 0
 
 

@@ -11,11 +11,17 @@ Model file:
      "phat": {"re": [...], "im": [...]}        # exactly one of phat /
      "phi_x": {"grid": {...}, "values": [...]}}  # phi_x for GP commands
 
-Kernel output adds {"matrix": [[...]], "kind": "rkhs"|"naive", "rank_tol": r}.
-Machine files carry 17 significant digits, and -0.0 as "-0.0", so every
-finite double reads back bit for bit; human reports print 6.  A number that
-is not a JSON int or float (true, "1.0", null, a nested array) or an integer
-too large for a double is a schema error naming its field.
+Kernel file, written by kernel --out:
+
+    {"matrix": [[...], ...], "kind": "rkhs"|"naive", "rank_tol": r}
+
+The CLI writes only frame files (canonical --out) and kernel files, a row
+of the table at a time, so the memory a write needs beyond the table is
+one row's text.  Machine files carry 17 significant digits, and -0.0 as
+"-0.0", so every finite double reads back bit for bit; human reports print
+6.  A number that is not a JSON int or float (true, "1.0", null, a nested
+array) or an integer too large for a double is a schema error naming its
+field.
 
 Subcommands and the only flags each accepts, with their defaults:
 
@@ -32,7 +38,7 @@ parser is built once per process, on the first call of main().
 Exit codes:
 
     0  success
-    1  unreadable file
+    1  unreadable or unwritable file
     2  schema or argument violation (SchemaError, InvalidArgument,
        InvalidMatrix, DimensionMismatch, InvalidIndex), a Jacobi solve that
        did not converge (NotConverged), and any other FramekitError
@@ -100,43 +106,13 @@ def _fmt_row(row: np.ndarray) -> str:
     return ", ".join(texts)
 
 
-def _emit(value, out: list) -> None:
-    # a float64 row in one join; a 2-D array is its rows (the sequence branch)
-    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64:
-        out.extend(("[", _fmt_row(value), "]"))
-    elif isinstance(value, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(value.items()):
-            if i:
-                out.append(", ")
-            out.append(json.dumps(k))
-            out.append(": ")
-            _emit(v, out)
-        out.append("}")
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        out.append("[")
-        for i, v in enumerate(value):
-            if i:
-                out.append(", ")
-            _emit(v, out)
-        out.append("]")
-    elif isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(_fmt(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    else:
-        raise TypeError(f"cannot serialize {type(value)!r}")
-
-
-def dump_json(value) -> str:
-    """JSON text with floats at 17 significant digits."""
-    out: list = []
-    _emit(value, out)
-    return "".join(out) + "\n"
+def _write_table(path: str, head: str, table: np.ndarray, tail: str) -> None:
+    # each row is written as soon as it is spelled, so the text in memory is one row
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(head + "[")
+        for i, row in enumerate(table):
+            fh.write(("[" if i == 0 else ", [") + _fmt_row(row) + "]")
+        fh.write("]" + tail + "\n")
 
 
 def _read_json(path: str):
@@ -211,15 +187,11 @@ def parse_frame_file(path: str) -> frames.FrameSystem:
 
 
 def write_frame_file(path: str, fs: frames.FrameSystem) -> None:
-    payload = {
-        "grid": {
-            "points": fs.grid.points,
-            "weights": fs.grid.weights,
-        },
-        "vectors": fs.vectors,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(payload))
+    head = (
+        f'{{"grid": {{"points": [{_fmt_row(fs.grid.points)}], '
+        f'"weights": [{_fmt_row(fs.grid.weights)}]}}, "vectors": '
+    )
+    _write_table(path, head, fs.vectors, "}")
 
 
 def parse_model_file(path: str):
@@ -286,16 +258,8 @@ def parse_model_file(path: str):
 
 
 def write_kernel_file(path: str, k: rkhs.KernelMatrix, kind: str, rank_tol: float):
-    payload = {"matrix": k.values, "kind": kind, "rank_tol": rank_tol}
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(payload))
-
-
-def read_kernel_file(path: str):
-    raw = _read_json(path)
-    if not isinstance(raw, dict) or "matrix" not in raw:
-        raise SchemaError("matrix: missing")
-    return _matrix(raw["matrix"], "matrix"), raw.get("kind"), raw.get("rank_tol")
+    tail = f', "kind": {json.dumps(kind)}, "rank_tol": {_fmt(rank_tol)}}}'
+    _write_table(path, '{"matrix": ', k.values, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +437,7 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an unreadable input or an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
     except SchemaError as exc:

@@ -53,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroSpan
+from .errors import DimensionMismatch, InvalidMatrix, ZeroSpan
 from .frames import (
     FrameSpectrum,
     FrameSystem,
@@ -97,7 +97,7 @@ class KernelMatrix:
 
     ``factor`` is the M x k factor F; ``values`` = F F^T is formed once,
     read-only and exactly symmetric.  The table acts on a grid function f
-    as values @ (w * f).
+    as values @ (w * f).  ``InvalidMatrix`` if the table overflows.
     """
 
     grid: Grid
@@ -110,7 +110,10 @@ class KernelMatrix:
             raise DimensionMismatch(
                 f"kernel factor {f.shape} for a grid of {self.grid.size} points"
             )
-        v = f @ f.T
+        with np.errstate(over="ignore", invalid="ignore"):  # reported as InvalidMatrix
+            v = f @ f.T
+        if not np.all(np.isfinite(v)):
+            raise InvalidMatrix("kernel table has non-finite entries")
         f.setflags(write=False)
         v.setflags(write=False)
         object.__setattr__(self, "factor", f)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from framekit import _kernels, cli, errors, frames, gp, mercedes_frame, spectral
+from framekit import _kernels, cli, errors, frames, gp, mercedes_frame, rkhs, spectral
 from framekit.cli import (
     EXIT_DEGENERATE,
     EXIT_MATH,
@@ -25,6 +26,11 @@ from framekit.cli import (
 def write(path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+def read_kernel(path):
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    return np.asarray(raw["matrix"], dtype=float), raw["kind"], raw["rank_tol"]
 
 
 def standard_basis_payload():
@@ -125,7 +131,7 @@ class TestKernel:
         src = write(tmp_path / "m.json", mercedes_payload())
         out_path = tmp_path / "kernel.json"
         assert cli.main(["kernel", src, "--out", str(out_path)]) == EXIT_OK
-        matrix, kind, rank_tol = cli.read_kernel_file(str(out_path))
+        matrix, kind, rank_tol = read_kernel(out_path)
         assert kind == "rkhs"
         assert rank_tol == 1e-10
         from framekit import rk_kernel
@@ -137,7 +143,7 @@ class TestKernel:
         src = write(tmp_path / "m.json", mercedes_payload())
         out_path = tmp_path / "naive.json"
         assert cli.main(["kernel", src, "--naive", "--out", str(out_path)]) == EXIT_OK
-        matrix, kind, _ = cli.read_kernel_file(str(out_path))
+        matrix, kind, _ = read_kernel(out_path)
         assert kind == "naive"
         np.testing.assert_allclose(matrix, 1.5 * np.eye(2), atol=1e-15)
 
@@ -149,7 +155,7 @@ class TestKernel:
         src = write(tmp_path / "one.json", payload)
         out_path = tmp_path / "k.json"
         assert cli.main(["kernel", src, "--out", str(out_path)]) == EXIT_OK
-        matrix, _, _ = cli.read_kernel_file(str(out_path))
+        matrix, _, _ = read_kernel(out_path)
         expected = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 0.0]])
         np.testing.assert_allclose(matrix, expected, atol=1e-12)
 
@@ -168,6 +174,30 @@ class TestKernel:
         assert "kind=rkhs" in out
         assert "psd_violation=" in out
         assert "max_reproducing_residual=" in out
+
+    def test_overflowing_table_is_refused_before_writing(self, tmp_path, capsys, recwarn):
+        payload = {
+            "grid": {"points": [0.0, 1.0, 2.0], "weights": [1.0, 1.0, 1.0]},
+            "vectors": [[1e200, -1e200, 0.0], [2e200, 1e200, 0.0]],
+        }
+        src = write(tmp_path / "big.json", payload)
+        out_path = tmp_path / "o.json"
+        assert cli.main(["kernel", src, "--naive", "--out", str(out_path)]) == EXIT_SCHEMA
+        assert not out_path.exists()
+        assert not recwarn.list
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
+
+@pytest.mark.parametrize("command", [["kernel"], ["kernel", "--naive"], ["canonical"]])
+def test_unwritable_out_exits_1(tmp_path, capsys, command):
+    src = write(tmp_path / "m.json", mercedes_payload())
+    target = tmp_path / "a-directory"
+    target.mkdir()
+    argv = [command[0], src, *command[1:], "--out", str(target)]
+    assert cli.main(argv) == EXIT_MISSING
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestHilbert:
@@ -359,12 +389,42 @@ class TestCanonicalAndVerify:
         assert "violation" in captured.err
 
 
+def per_element_spelling(a):
+    """The written text of a float64 array, spelled one _fmt call per value."""
+    if a.ndim == 1:
+        return "[" + ", ".join(cli._fmt(x) for x in a) + "]"
+    return "[" + ", ".join(per_element_spelling(row) for row in a) + "]"
+
+
+def frame_file_text(fs):
+    return (
+        '{"grid": {"points": ' + per_element_spelling(fs.grid.points)
+        + ', "weights": ' + per_element_spelling(fs.grid.weights)
+        + '}, "vectors": ' + per_element_spelling(fs.vectors) + "}\n"
+    )
+
+
+def assert_frame_file_exact(path, fs):
+    text = path.read_text(encoding="utf-8")
+    assert text == frame_file_text(fs)
+    raw = json.loads(text)
+    for back, sent in (
+        (raw["grid"]["points"], fs.grid.points),
+        (raw["grid"]["weights"], fs.grid.weights),
+        (raw["vectors"], fs.vectors),
+    ):
+        assert np.asarray(back, dtype=np.float64).tobytes() == sent.tobytes()
+
+
 class TestSerialization:
-    def test_dump_json_roundtrip_awkward_floats(self):
+    def test_dump_json_roundtrip_awkward_floats(self, tmp_path):
         values = [math.pi, 1.0 / 3.0, 1e-300, 123456789.123456789, 2.0**-1074]
-        text = cli.dump_json({"matrix": [values]})
-        parsed = json.loads(text)
-        assert parsed["matrix"][0] == values
+        grid = frames.Grid(points=values, weights=np.abs(values))
+        path = tmp_path / "f.json"
+        cli.write_frame_file(str(path), frames.FrameSystem(grid=grid, vectors=[values]))
+        parsed = json.loads(path.read_text(encoding="utf-8"))
+        assert parsed["grid"]["points"] == values
+        assert parsed["vectors"][0] == values
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(x=st.floats(allow_nan=False, allow_infinity=False))
@@ -375,14 +435,19 @@ class TestSerialization:
     @example(x=1.7e308)
     @example(x=-1.7e308)
     @example(x=1.7976931348623157e308)
-    def test_every_finite_double_round_trips_bit_for_bit(self, x):
-        text = cli.dump_json({"matrix": [[x, 1.0], [2.5, x]]})
-        back = np.asarray(json.loads(text)["matrix"], dtype=np.float64)
-        sent = np.array([[x, 1.0], [2.5, x]], dtype=np.float64)
-        assert back.tobytes() == sent.tobytes()
+    def test_every_finite_double_round_trips_bit_for_bit(self, x, tmp_path_factory):
+        # x in every row of the file: points, weights (|x| > 0 only) and vectors
+        other = 2.0 if x == 1.0 else 1.0
+        grid = frames.Grid(points=[x, other], weights=[abs(x) or 1.0, 1.0])
+        fs = frames.FrameSystem(grid=grid, vectors=[[x, 1.0], [2.5, x]])
+        path = tmp_path_factory.mktemp("x") / "f.json"
+        cli.write_frame_file(str(path), fs)
+        assert_frame_file_exact(path, fs)
         # only negative zero is spelled differently from ".17g"
         expected = "-0.0" if x == 0.0 and math.copysign(1.0, x) < 0 else format(x, ".17g")
-        assert cli.dump_json(x) == expected + "\n"
+        assert path.read_text(encoding="utf-8").startswith(
+            '{"grid": {"points": [' + expected + ", "
+        )
 
     def test_entry_point_runs(self, tmp_path):
         path = write(tmp_path / "m.json", mercedes_payload())
@@ -398,42 +463,56 @@ class TestSerialization:
         assert "B1=1.5" in proc.stdout
 
 
-def per_element_spelling(a):
-    """dump_json's text for a float64 array, spelled one _fmt call per value."""
-    if a.ndim == 1:
-        return "[" + ", ".join(cli._fmt(x) for x in a) + "]"
-    return "[" + ", ".join(per_element_spelling(row) for row in a) + "]"
-
-
 class TestArraySerialization:
     @settings(max_examples=300, deadline=None, database=None)
     @given(
         a=hnp.arrays(
             np.float64,
-            hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=7),
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=7),
             elements=st.floats(allow_nan=False, allow_infinity=False),
         )
     )
-    @example(a=np.array([1.5, -0.0, 2.0, -0.0]))
+    @example(a=np.array([[1.5, -0.0, 2.0, -0.0]]))
     @example(a=np.array([[0.0, -0.0], [-0.5, -0.0]]))
-    @example(a=np.array([5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308]))
+    @example(a=np.array([[5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308]]))
     @example(a=np.array([[1.7976931348623157e308, -1.7976931348623157e308]]))
     @example(a=np.array([[1.0, -2.0, 3e20, 2.0**53, -(2.0**60)]]))
-    @example(a=np.array([0.1, -0.30000000000000004, 123456789.125, -7.5]))
-    @example(a=np.arange(6.0).reshape(2, 3).T - 2.5)  # not C-contiguous
-    def test_ndarray_rows_match_per_element_spelling(self, a):
-        text = cli.dump_json(a)
-        assert text == per_element_spelling(a) + "\n"
-        back = np.asarray(json.loads(text), dtype=np.float64).reshape(a.shape)
-        assert back.tobytes() == np.ascontiguousarray(a).tobytes()
+    @example(a=np.array([[0.1, -0.30000000000000004, 123456789.125, -7.5]]))
+    def test_ndarray_rows_match_per_element_spelling(self, a, tmp_path_factory):
+        # the first row doubles as the points where distinct, the last as the
+        # weights where nonzero, so the grid rows see the same doubles
+        points = a[0] if np.unique(a[0]).size == a.shape[1] else np.arange(a.shape[1], dtype=float)
+        weights = np.abs(a[-1]) if np.all(a[-1] != 0) else np.ones(a.shape[1])
+        fs = frames.FrameSystem(grid=frames.Grid(points=points, weights=weights), vectors=a)
+        path = tmp_path_factory.mktemp("a") / "f.json"
+        cli.write_frame_file(str(path), fs)
+        assert_frame_file_exact(path, fs)
 
-    def test_ndarray_inside_payload(self):
-        rows = np.array([[-0.0, 1.0], [2.5, 5e-324]])
-        text = cli.dump_json({"matrix": rows, "kind": "rkhs", "rank_tol": 1e-10})
-        assert text == (
-            '{"matrix": [[-0.0, 1], [2.5, 4.9406564584124654e-324]], '
-            '"kind": "rkhs", "rank_tol": 1e-10}\n'
+    def test_ndarray_inside_payload(self, tmp_path):
+        path = tmp_path / "k.json"
+        cli.write_kernel_file(str(path), rkhs.naive_kernel(mercedes_frame()), "naive", 1e-10)
+        assert path.read_text(encoding="utf-8") == (
+            '{"matrix": [[1.5, 0], [0, 1.4999999999999998]], '
+            '"kind": "naive", "rank_tol": 1e-10}\n'
         )
+
+    def test_kernel_write_memory_is_one_row(self, tmp_path):
+        # the text of a 1000 x 1000 table is 20 MB; the write holds one row of it
+        table = rkhs.KernelMatrix(
+            grid=frames.Grid(points=np.arange(1000.0), weights=np.ones(1000)),
+            factor=np.random.default_rng(0).standard_normal((1000, 2)),
+        )
+        path = tmp_path / "k.json"
+        tracemalloc.start()
+        try:
+            cli.write_kernel_file(str(path), table, "rkhs", 1e-10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        text = path.read_text(encoding="utf-8")  # whole: every row, then the tail
+        assert text.count("], [") == 999
+        assert text.endswith(']], "kind": "rkhs", "rank_tol": 1e-10}\n')
 
 
 class TestParserOnce:
