@@ -5,8 +5,8 @@ Prints the milliseconds per call (best of ``--repeats``) of building the
 argument parser, of ``write_kernel_file`` of an n x n kernel to a temporary
 file, and of ``parse_frame_file`` on a written n x n frame (n vectors on n
 points).  For each size it also reads the kernel file back and checks that
-its table is the per-element ``_fmt`` spelling (17 significant digits, -0.0
-kept), byte for byte.
+its table is the per-element spelling (17 significant digits, -0.0 kept),
+byte for byte.
 
     PYTHONPATH=src python3 benchmarks/bench_cli.py [--sizes 8,16,32,64,128] [--repeats 20]
 """
@@ -34,8 +34,13 @@ def best_ms(fn, repeats):
     return best * 1e3
 
 
+def spell(x):
+    text = format(float(x), ".17g")
+    return "-0.0" if text == "-0" else text
+
+
 def per_element(a):
-    return "[" + ", ".join("[" + ", ".join(cli._fmt(x) for x in row) + "]" for row in a) + "]"
+    return "[" + ", ".join("[" + ", ".join(spell(x) for x in row) + "]" for row in a) + "]"
 
 
 def main():

@@ -135,9 +135,8 @@ def main():
     runs.append((f"{active.name}, {cpus} workers", sample(cpus)))
     first = runs[0][1]
     same = all(
-        ks.samples_re.tobytes() == first.samples_re.tobytes()
-        and ks.samples_im.tobytes() == first.samples_im.tobytes()
-        for _, ks in runs
+        re.tobytes() == first[0].tobytes() and im.tobytes() == first[1].tobytes()
+        for _, (re, im) in runs
     )
     print(f"{'; '.join(name for name, _ in runs)}: {'same bytes' if same else 'DIFFERENT BYTES'}")
     return 0 if same else 1

@@ -9,7 +9,6 @@ variances obey the frame-bound sandwich.
 __version__ = "0.1.0"
 
 from .classic import (
-    hilbert_gramian_exact,
     hilbert_spectrum_report,
     mercedes_frame,
     monomial_frame,
@@ -26,13 +25,11 @@ from .errors import (
     ZeroSpan,
 )
 from .frames import (
-    FrameBounds,
     FrameSpectrum,
     FrameSystem,
     Grid,
     analysis,
     build_gramian,
-    compute_frame_bounds,
     eval_l,
     frame_operator_apply,
     frame_spectrum,
@@ -42,7 +39,6 @@ from .frames import (
 )
 from .gp import (
     ComplexVector,
-    KLSampleSet,
     cauchy_mass,
     empirical_variance,
     fourier_at_atoms,
@@ -79,14 +75,12 @@ __all__ = [
     "jacobi_backend",
     "Grid",
     "FrameSystem",
-    "FrameBounds",
     "FrameSpectrum",
     "frame_spectrum",
     "build_gramian",
     "analysis",
     "synthesis",
     "frame_operator_apply",
-    "compute_frame_bounds",
     "eval_l",
     "weighted_inner",
     "weighted_norm",
@@ -102,12 +96,10 @@ __all__ = [
     "IdentityRow",
     "polar_unitary",
     "monomial_frame",
-    "hilbert_gramian_exact",
     "hilbert_spectrum_report",
     "mercedes_frame",
     "random_riesz_frame",
     "ComplexVector",
-    "KLSampleSet",
     "cauchy_mass",
     "fourier_at_atoms",
     "kl_coefficients",

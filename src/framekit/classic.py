@@ -40,20 +40,6 @@ def monomial_frame(n_funcs: int, m_points: int) -> FrameSystem:
     return FrameSystem(grid=grid, vectors=x[None, :] ** powers)
 
 
-def hilbert_gramian_exact(n: int) -> np.ndarray:
-    """Exact n x n Hilbert matrix 1/(i+j+1), i, j from 0, read-only.
-
-    This is the continuum Gramian of the monomial system; no finite grid
-    underlies it.
-    """
-    if n < 1:
-        raise InvalidArgument("n must be >= 1")
-    idx = np.arange(n)
-    entries = 1.0 / (idx[:, None] + idx[None, :] + 1.0)
-    entries.setflags(write=False)
-    return entries
-
-
 @dataclass(frozen=True)
 class SpectrumRow:
     """One line of the Hilbert spectrum table."""

@@ -13,7 +13,8 @@ Model file:
 
 Kernel file, written by kernel --out:
 
-    {"matrix": [[...], ...], "kind": "rkhs"|"naive", "rank_tol": r}
+    {"matrix": [[...], ...], "kind": "rkhs", "rank_tol": r}
+    {"matrix": [[...], ...], "kind": "naive"}   # kernel --naive --out
 
 The CLI writes only frame files (canonical --out) and kernel files, a row
 of the table at a time, so the memory a write needs beyond the table is
@@ -86,12 +87,6 @@ class SchemaError(FramekitError):
 # serialization
 
 
-def _fmt(x: float) -> str:
-    text = format(float(x), ".17g")
-    # "-0" would read back as the integer 0, that is +0.0
-    return "-0.0" if text == "-0" else text
-
-
 def _fmt_human(x: float) -> str:
     return format(float(x), ".6g")
 
@@ -116,11 +111,8 @@ def _write_table(path: str, head: str, table: np.ndarray, tail: str) -> None:
 
 
 def _read_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise FileNotFoundError(f"cannot read {path}: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as fh:  # an OSError propagates; main exits 1
+        text = fh.read()
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -258,8 +250,10 @@ def parse_model_file(path: str):
 
 
 def write_kernel_file(path: str, k: rkhs.KernelMatrix, kind: str, rank_tol: float):
-    tail = f', "kind": {json.dumps(kind)}, "rank_tol": {_fmt(rank_tol)}}}'
-    _write_table(path, '{"matrix": ', k.values, tail)
+    tail = f', "kind": {json.dumps(kind)}'
+    if kind == "rkhs":  # the naive kernel reads no rank, so its file records none
+        tail += f', "rank_tol": {_fmt_row(np.array([rank_tol]))}'
+    _write_table(path, '{"matrix": ', k.values, tail + "}")
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +266,12 @@ def _bool_str(x: bool) -> str:
 
 def cmd_analyze(args) -> int:
     fs = parse_frame_file(args.path)
-    report = frames.compute_frame_bounds(fs, args.rank_tol)
+    spec = frames.frame_spectrum(fs, args.rank_tol)
     print(
-        f"N={fs.n_vectors} M={fs.n_points} rank={report.rank} "
-        f"B1={_fmt_human(report.lower)} B2={_fmt_human(report.upper)} "
-        f"frame={_bool_str(report.is_frame)} "
-        f"parseval={_bool_str(report.is_parseval)}"
+        f"N={fs.n_vectors} M={fs.n_points} rank={spec.rank} "
+        f"B1={_fmt_human(spec.lower)} B2={_fmt_human(spec.upper)} "
+        f"frame={_bool_str(spec.is_frame)} "
+        f"parseval={_bool_str(spec.is_parseval)}"
     )
     return EXIT_OK
 
@@ -322,13 +316,13 @@ def cmd_hilbert(args) -> int:
 
 def cmd_gp_sim(args) -> int:
     fs, phat = parse_model_file(args.path)
-    bounds = frames.compute_frame_bounds(fs, args.rank_tol)
+    spec = frames.frame_spectrum(fs, args.rank_tol)
     coefficients = gp.kl_coefficients(fs, phat)
     ex2, ey2 = gp.theoretical_variances(fs.grid, phat, coefficients)
-    report = gp.sandwich_check(bounds, ex2, ey2)
-    empirical = gp.empirical_variance(gp.sample_kl(coefficients, args.samples, args.seed))
+    report = gp.sandwich_check(spec.lower, spec.upper, ex2, ey2)
+    empirical = gp.empirical_variance(*gp.sample_kl(coefficients, args.samples, args.seed))
     print(
-        f"a={_fmt_human(bounds.lower)} b={_fmt_human(bounds.upper)} "
+        f"a={_fmt_human(spec.lower)} b={_fmt_human(spec.upper)} "
         f"cauchy_mass={_fmt_human(gp.cauchy_mass(fs.grid))}"
     )
     print(

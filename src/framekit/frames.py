@@ -15,7 +15,9 @@ its largest entry lies in [0.5, 1), and one-sided Jacobi orthogonalizes the
 min(N, M) rows of its thinner side, B or B^T.  The squared singular values
 are the nonzero spectrum of both the Gramian B B^T and the unit-weight frame
 operator B^T B, neither of which is formed.  One rank rule,
-lambda > rank_tol * lambda_max with lambda_max > 0, decides what is kept.
+lambda > rank_tol * lambda_max with lambda_max > 0, decides what is kept,
+and the frame bounds are read off what is kept (``FrameSpectrum.lower`` and
+``.upper``).
 """
 
 from __future__ import annotations
@@ -107,6 +109,10 @@ class FrameSpectrum:
     non-increasing.  The first ``rank`` of them are retained; column k of
     ``u`` (N x rank) and of ``v`` (M x rank) pair with eigenvalue k through
     B v_k = sqrt(lambda_k) u_k, and both have orthonormal columns.
+
+    ``lower`` and ``upper`` are the sharp constants of the sampling
+    inequality B1 ||f||^2 <= sum_n |<phi_n, f>|^2 <= B2 ||f||^2 over the
+    ambient space.
     """
 
     frame: FrameSystem
@@ -124,24 +130,29 @@ class FrameSpectrum:
         """The retained eigenvalues, non-increasing."""
         return self.eigenvalues[: self.rank]
 
+    @property
+    def upper(self) -> float:
+        """B2, the top eigenvalue."""
+        return max(float(self.eigenvalues[0]), 0.0)
 
-@dataclass(frozen=True)
-class FrameBounds:
-    """Spectral frame-bound report for a frame system.
+    @property
+    def lower(self) -> float:
+        """B1, the smallest retained eigenvalue if the retained rank equals the
+        number of grid points; otherwise 0, as a system spanning a strict
+        subspace is not a frame for the ambient space (it frames its span)."""
+        spans = 0 < self.rank == self.frame.n_points
+        return float(self.retained[-1]) if spans else 0.0
 
-    ``lower``/``upper`` are the sharp constants of the sampling inequality
-    B1 ||f||^2 <= sum_n |<phi_n, f>|^2 <= B2 ||f||^2 over the ambient space.
-    A system spanning only a strict subspace has lower bound 0 and is not a
-    frame for the ambient space (it still frames its span).
-    """
+    @property
+    def is_frame(self) -> bool:
+        """True iff B1 > 0: the system spans the ambient space."""
+        return self.lower > 0.0
 
-    lower: float
-    upper: float
-    rank: int
-    spans_ambient: bool
-    is_frame: bool
-    is_parseval: bool
-    rank_tol: float
+    @property
+    def is_parseval(self) -> bool:
+        """True iff a frame with B1 = B2 = 1 within 1e-9."""
+        gap = max(abs(self.lower - 1.0), abs(self.upper - 1.0))
+        return self.is_frame and gap <= _PARSEVAL_TOL
 
 
 def weighted_inner(grid: Grid, f, g):
@@ -216,32 +227,6 @@ def frame_spectrum(
         rank=rank,
         u=u,
         v=v,
-    )
-
-
-def compute_frame_bounds(
-    fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL
-) -> FrameBounds:
-    """Sharp frame bounds from the frame spectrum.
-
-    B2 is the top eigenvalue.  The system spans the ambient space iff the
-    retained rank equals the number of grid points, in which case B1 is the
-    smallest retained eigenvalue; otherwise B1 = 0.
-    """
-    spec = frame_spectrum(fs, rank_tol)
-    upper = max(float(spec.eigenvalues[0]), 0.0)
-    spans = spec.rank == fs.n_points
-    lower = float(spec.retained[-1]) if spans and spec.rank > 0 else 0.0
-    is_frame = spans and lower > 0.0
-    is_parseval = is_frame and max(abs(lower - 1.0), abs(upper - 1.0)) <= _PARSEVAL_TOL
-    return FrameBounds(
-        lower=lower,
-        upper=upper,
-        rank=spec.rank,
-        spans_ambient=spans,
-        is_frame=is_frame,
-        is_parseval=is_parseval,
-        rank_tol=rank_tol,
     )
 
 

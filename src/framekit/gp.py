@@ -4,11 +4,13 @@ The measure sigma = sum_j mass_j * delta(u_j) is a finite list of weighted
 point masses, so L2(sigma) is the weighted grid space of ``frames``: sigma
 is a ``Grid`` with points u_j and weights mass_j, a frame {f_n} there is a
 ``FrameSystem`` on that grid (row n holds f_n at the atoms), and its bounds
-0 < a <= b are ``compute_frame_bounds``.  Given a complex profile phat
-(typically a Fourier transform evaluated at the atoms), the Karhunen-Loeve
-variable Y = sum_n <f_n, phat> B_n with i.i.d. standard normals B_n has
-E|Y|^2 = sum_n |<f_n, phat>|^2,  squeezed between a * ||phat||^2 and
-b * ||phat||^2; equality on both sides holds exactly for Parseval frames.
+0 < a <= b are the ``lower`` and ``upper`` of its ``frame_spectrum``.
+Given a complex profile phat (typically a Fourier transform evaluated at
+the atoms), the Karhunen-Loeve variable Y = sum_n <f_n, phat> B_n with
+i.i.d. standard normals B_n has E|Y|^2 = sum_n |<f_n, phat>|^2, squeezed
+between a * ||phat||^2 and b * ||phat||^2; equality on both sides holds
+exactly for Parseval frames.  ``sample_kl`` returns its draws as the two
+read-only arrays (re Y_k, im Y_k).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import _kernels, rng
 from .errors import DimensionMismatch, InvalidArgument, InvalidMatrix, NotAFrame
-from .frames import FrameBounds, FrameSystem, Grid
+from .frames import FrameSystem, Grid
 
 #: Samples drawn and contracted per block (per worker at a time) in sample_kl.
 _SAMPLE_BLOCK = 2048
@@ -53,23 +55,6 @@ class ComplexVector:
 
     def abs2(self) -> np.ndarray:
         return self.re**2 + self.im**2
-
-
-@dataclass(frozen=True)
-class KLSampleSet:
-    """Seeded realizations of the KL variable."""
-
-    seed: int
-    samples_re: np.ndarray
-    samples_im: np.ndarray
-
-    def __post_init__(self):
-        self.samples_re.setflags(write=False)
-        self.samples_im.setflags(write=False)
-
-    @property
-    def n_samples(self) -> int:
-        return self.samples_re.size
 
 
 @dataclass(frozen=True)
@@ -137,24 +122,28 @@ def theoretical_variances(
     return ex2, ey2
 
 
-def sandwich_check(bounds: FrameBounds, ex2: float, ey2: float) -> SandwichReport:
-    """Check a * E|X|^2 <= E|Y|^2 <= b * E|X|^2 within the slack.
+def sandwich_check(a: float, b: float, ex2: float, ey2: float) -> SandwichReport:
+    """Check a * E|X|^2 <= E|Y|^2 <= b * E|X|^2 within the slack, for the
+    frame bounds a <= b.
 
     The slack is 1e-10 * b * E|X|^2, of the same degree in the data scale as
     the three sides, so the verdict does not depend on the overall scale of
     the frame or of phat.  Requires a > 0.
     """
-    if bounds.lower <= 0.0:
+    if a <= 0.0:
         raise NotAFrame("sandwich bounds need a strictly positive lower bound")
-    lower = bounds.lower * ex2
-    upper = bounds.upper * ex2
+    lower = a * ex2
+    upper = b * ex2
     slack = 1e-10 * upper
     holds = (lower - slack) <= ey2 <= (upper + slack)
     return SandwichReport(lower=lower, upper=upper, slack=slack, holds=holds)
 
 
-def sample_kl(coefficients: ComplexVector, s: int, seed: int) -> KLSampleSet:
-    """Draw s realizations Y_k = sum_n c_n B_{n,k} with i.i.d. N(0,1) draws.
+def sample_kl(
+    coefficients: ComplexVector, s: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw s realizations Y_k = sum_n c_n B_{n,k} with i.i.d. N(0,1) draws,
+    returned read-only as (re Y, im Y).
 
     Sample k consumes normal stream k of the seed (see rng module), so the
     set is reproducible bit-for-bit from (c, s, seed) and samples are
@@ -206,7 +195,9 @@ def sample_kl(coefficients: ComplexVector, s: int, seed: int) -> KLSampleSet:
         futures = [pool.submit(work) for _ in range(workers)]
     for future in futures:
         future.result()  # re-raises a worker's exception
-    return KLSampleSet(seed=seed, samples_re=samples_re, samples_im=samples_im)
+    samples_re.setflags(write=False)
+    samples_im.setflags(write=False)
+    return samples_re, samples_im
 
 
 def _worker_count() -> int:
@@ -217,11 +208,11 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def empirical_variance(ks: KLSampleSet) -> float:
+def empirical_variance(samples_re: np.ndarray, samples_im: np.ndarray) -> float:
     """Monte-Carlo estimate (1/s) sum_k |Y_k|^2 (the mean of |Y|^2; E Y = 0)."""
-    if ks.n_samples < 2:
+    if samples_re.size < 2:
         raise InvalidArgument("need at least two samples")
-    return float(np.mean(ks.samples_re**2 + ks.samples_im**2))
+    return float(np.mean(samples_re**2 + samples_im**2))
 
 
 def _check_profile(atoms: Grid, phat: ComplexVector) -> None:

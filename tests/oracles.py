@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the library.
 
-Nothing here calls into framekit's linear algebra: eigenvalue estimates come
-from power iteration or LAPACK, subspace kernels from weighted Gram-Schmidt,
-and positive-definiteness certificates from a hand-rolled Cholesky.  The
+Nothing here calls into framekit's linear algebra: the Hilbert matrix is
+formed entry by entry, eigenvalue estimates come from power iteration or
+LAPACK, subspace kernels from weighted Gram-Schmidt, and
+positive-definiteness certificates from a hand-rolled Cholesky.  The
 hypothesis strategy ``weighted_frames`` draws the frames that property tests
 share.
 """
@@ -12,7 +13,7 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from framekit import FrameSystem, Grid, rng
+from framekit import FrameSystem, Grid, InvalidArgument, rng
 
 
 def power_iteration(a, steps=10_000):
@@ -29,6 +30,20 @@ def power_iteration(a, steps=10_000):
             return 0.0
         v = w / nrm
     return lam
+
+
+def hilbert_gramian_exact(n: int) -> np.ndarray:
+    """Exact n x n Hilbert matrix 1/(i+j+1), i, j from 0, read-only.
+
+    This is the continuum Gramian of the monomial system; no finite grid
+    underlies it.
+    """
+    if n < 1:
+        raise InvalidArgument("n must be >= 1")
+    idx = np.arange(n)
+    entries = 1.0 / (idx[:, None] + idx[None, :] + 1.0)
+    entries.setflags(write=False)
+    return entries
 
 
 def eigh_descending(a):

@@ -17,9 +17,8 @@ from framekit import (
     build_gramian,
     canonical_tight,
     cli,
-    compute_frame_bounds,
     empirical_variance,
-    hilbert_gramian_exact,
+    frame_spectrum,
     hilbert_spectrum_report,
     isometry_check,
     kl_coefficients,
@@ -42,6 +41,7 @@ from framekit.rkhs import kernel_psd_bound
 from oracles import (
     eigh_descending,
     gram_schmidt_kernel,
+    hilbert_gramian_exact,
     orthonormal_rows,
     weighted_gram_schmidt,
 )
@@ -59,7 +59,7 @@ def redundant_frame(seed, m, extra=5):
     grid = Grid(points=np.arange(m, dtype=float), weights=np.ones(m))
     for _ in range(50):
         fs = FrameSystem(grid=grid, vectors=r.standard_normal((m + extra, m)))
-        bounds = compute_frame_bounds(fs)
+        bounds = frame_spectrum(fs)
         if bounds.is_frame and bounds.lower >= 4e-4 * bounds.upper:
             return fs
     raise AssertionError("no well-conditioned redundant frame drawn")
@@ -275,7 +275,7 @@ def _random_model(seed, n, j):
     )
     for _ in range(50):
         fs = FrameSystem(grid=atoms, vectors=r.standard_normal((n, j)))
-        bounds = compute_frame_bounds(fs)
+        bounds = frame_spectrum(fs)
         if bounds.is_frame and bounds.lower >= 1e-4 * bounds.upper:
             return fs
     raise AssertionError("no frame model drawn")
@@ -305,7 +305,7 @@ def test_criterion_8_parseval_agreement():
         [[1.0 / math.sqrt(masses[0]), 0.0], [0.0, math.sqrt(2.0 / masses[1])]]
     )
     fs = FrameSystem(grid=atoms, vectors=vectors)
-    bounds = compute_frame_bounds(fs)
+    bounds = frame_spectrum(fs)
     ratio_ok = bounds.upper / bounds.lower >= 1.5
     phat = ComplexVector(
         re=np.array([0.0, 1.0 / math.sqrt(masses[1])]), im=np.zeros(2)
@@ -325,11 +325,11 @@ def test_criterion_9_sandwich():
     held = 0
     for seed in range(100):
         fs = _random_model(500 + seed, 5 + seed % 4, 3 + seed % 2)
-        bounds = compute_frame_bounds(fs)
+        bounds = frame_spectrum(fs)
         j = fs.n_points
         for _ in range(5):
             phat = ComplexVector(re=r.standard_normal(j), im=r.standard_normal(j))
-            if sandwich_check(bounds, *_variances(fs, phat)).holds:
+            if sandwich_check(bounds.lower, bounds.upper, *_variances(fs, phat)).holds:
                 held += 1
 
     # tight sigma-frame: both sides collapse onto ey2
@@ -341,7 +341,8 @@ def test_criterion_9_sandwich():
         j = fs.n_points
         phat = ComplexVector(re=r.standard_normal(j), im=r.standard_normal(j))
         ex2, ey2 = _variances(fs, phat)
-        rep = sandwich_check(compute_frame_bounds(fs), ex2, ey2)
+        spec = frame_spectrum(fs)
+        rep = sandwich_check(spec.lower, spec.upper, ex2, ey2)
         spread = max(abs(rep.lower - ey2), abs(rep.upper - ey2))
         worst_tight = max(worst_tight, spread / max(ey2, 1e-300))
     report(
@@ -362,10 +363,8 @@ def test_criterion_10_monte_carlo():
     _, ey2 = theoretical_variances(fs.grid, phat, coeffs)
     first = sample_kl(coeffs, s, seed=4242)
     second = sample_kl(coeffs, s, seed=4242)
-    identical = np.array_equal(first.samples_re, second.samples_re) and np.array_equal(
-        first.samples_im, second.samples_im
-    )
-    estimate = empirical_variance(first)
+    identical = np.array_equal(first[0], second[0]) and np.array_equal(first[1], second[1])
+    estimate = empirical_variance(*first)
     rel_err = abs(estimate - ey2) / ey2
     bound = 4.0 * math.sqrt(2.0 / s)
     elapsed = time.perf_counter() - start

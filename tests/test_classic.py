@@ -6,8 +6,7 @@ import pytest
 from framekit import (
     InvalidArgument,
     build_gramian,
-    compute_frame_bounds,
-    hilbert_gramian_exact,
+    frame_spectrum,
     hilbert_spectrum_report,
     mercedes_frame,
     monomial_frame,
@@ -15,7 +14,12 @@ from framekit import (
     rk_kernel,
 )
 
-from oracles import cholesky_succeeds, eigh_descending, power_iteration
+from oracles import (
+    cholesky_succeeds,
+    eigh_descending,
+    hilbert_gramian_exact,
+    power_iteration,
+)
 
 
 class TestMonomialFrame:
@@ -134,7 +138,7 @@ class TestSpectrumReport:
 
 class TestMercedes:
     def test_bounds(self):
-        b = compute_frame_bounds(mercedes_frame())
+        b = frame_spectrum(mercedes_frame())
         assert abs(b.lower - 1.5) <= 1e-12 and abs(b.upper - 1.5) <= 1e-12
         assert b.is_frame
 
@@ -162,7 +166,7 @@ class TestRandomRiesz:
 
     @pytest.mark.parametrize("m", [1, 2, 5, 12, 30])
     def test_is_frame(self, m):
-        bounds = compute_frame_bounds(random_riesz_frame(m, m))
+        bounds = frame_spectrum(random_riesz_frame(m, m))
         assert bounds.is_frame and bounds.lower > 0.0
         # construction guard: singular-value ratio at least 0.05
         assert bounds.lower / bounds.upper >= 0.05**2

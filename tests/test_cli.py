@@ -30,7 +30,7 @@ def write(path, payload):
 
 def read_kernel(path):
     raw = json.loads(path.read_text(encoding="utf-8"))
-    return np.asarray(raw["matrix"], dtype=float), raw["kind"], raw["rank_tol"]
+    return np.asarray(raw["matrix"], dtype=float), raw["kind"], raw.get("rank_tol")
 
 
 def standard_basis_payload():
@@ -106,6 +106,14 @@ class TestAnalyze:
     def test_missing_file(self, tmp_path, capsys):
         assert cli.main(["analyze", str(tmp_path / "nope.json")]) == EXIT_MISSING
 
+    @pytest.mark.parametrize("command", ["analyze", "gp-sim"])
+    def test_directory_keeps_its_error_type(self, tmp_path, capsys, command):
+        parse = cli.parse_frame_file if command == "analyze" else cli.parse_model_file
+        with pytest.raises(IsADirectoryError):
+            parse(str(tmp_path))
+        assert cli.main([command, str(tmp_path)]) == EXIT_MISSING
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_malformed_weights(self, tmp_path, capsys):
         payload = standard_basis_payload()
         payload["grid"]["weights"] = [1.0]
@@ -143,8 +151,8 @@ class TestKernel:
         src = write(tmp_path / "m.json", mercedes_payload())
         out_path = tmp_path / "naive.json"
         assert cli.main(["kernel", src, "--naive", "--out", str(out_path)]) == EXIT_OK
-        matrix, kind, _ = read_kernel(out_path)
-        assert kind == "naive"
+        matrix, kind, rank_tol = read_kernel(out_path)
+        assert kind == "naive" and rank_tol is None  # it reads no rank
         np.testing.assert_allclose(matrix, 1.5 * np.eye(2), atol=1e-15)
 
     def test_single_vector_hand_values(self, tmp_path, capsys):
@@ -307,7 +315,8 @@ class TestGpSim:
         self, tmp_path, capsys, monkeypatch, profile, grids
     ):
         # one Grid for the atoms (and one for phi_x's quadrature grid), one
-        # frame spectrum and one set of KL coefficients per call
+        # Jacobi call, counted at the backend whichever module makes it, and
+        # one set of KL coefficients per call
         calls = collections.Counter()
 
         def counted(name, fn):
@@ -318,12 +327,13 @@ class TestGpSim:
 
         path = write(tmp_path / "model.json", dyadic_model_payload(profile))
         monkeypatch.setattr(frames.Grid, "__post_init__", counted("grid", frames.Grid.__post_init__))
+        active = _kernels.ACTIVE
         monkeypatch.setattr(
-            frames, "compute_frame_bounds", counted("bounds", frames.compute_frame_bounds)
+            _kernels, "ACTIVE", active._replace(jacobi_rows=counted("jacobi", active.jacobi_rows))
         )
         monkeypatch.setattr(gp, "kl_coefficients", counted("kl", gp.kl_coefficients))
         assert cli.main(["gp-sim", path, "--samples", "3000", "--seed", "7"]) == EXIT_OK
-        assert calls == {"grid": grids, "bounds": 1, "kl": 1}
+        assert calls == {"grid": grids, "jacobi": 1, "kl": 1}
 
 
 class TestCanonicalAndVerify:
@@ -389,10 +399,19 @@ class TestCanonicalAndVerify:
         assert "violation" in captured.err
 
 
+def spell(x):
+    """One double as a file spells it: 17 significant digits, -0.0 kept.
+
+    "-0" would read back as the integer 0, that is +0.0.
+    """
+    text = format(float(x), ".17g")
+    return "-0.0" if text == "-0" else text
+
+
 def per_element_spelling(a):
-    """The written text of a float64 array, spelled one _fmt call per value."""
+    """The written text of a float64 array, spelled one value at a time."""
     if a.ndim == 1:
-        return "[" + ", ".join(cli._fmt(x) for x in a) + "]"
+        return "[" + ", ".join(spell(x) for x in a) + "]"
     return "[" + ", ".join(per_element_spelling(row) for row in a) + "]"
 
 
@@ -489,11 +508,11 @@ class TestArraySerialization:
         assert_frame_file_exact(path, fs)
 
     def test_ndarray_inside_payload(self, tmp_path):
+        # the naive kernel reads no rank, so its file records none
         path = tmp_path / "k.json"
         cli.write_kernel_file(str(path), rkhs.naive_kernel(mercedes_frame()), "naive", 1e-10)
         assert path.read_text(encoding="utf-8") == (
-            '{"matrix": [[1.5, 0], [0, 1.4999999999999998]], '
-            '"kind": "naive", "rank_tol": 1e-10}\n'
+            '{"matrix": [[1.5, 0], [0, 1.4999999999999998]], "kind": "naive"}\n'
         )
 
     def test_kernel_write_memory_is_one_row(self, tmp_path):

@@ -15,9 +15,9 @@ from framekit import (
     KernelMatrix,
     analysis,
     build_gramian,
-    compute_frame_bounds,
     eval_l,
     frame_operator_apply,
+    frame_spectrum,
     mercedes_frame,
     monomial_frame,
     random_riesz_frame,
@@ -289,20 +289,20 @@ class TestGramApply:
 
 class TestFrameBounds:
     def test_standard_basis_parseval(self):
-        b = compute_frame_bounds(standard_basis())
+        b = frame_spectrum(standard_basis())
         assert b.lower == b.upper == 1.0
-        assert b.is_frame and b.is_parseval and b.spans_ambient
+        assert b.is_frame and b.is_parseval and b.rank == standard_basis().n_points
         assert b.rank == 2
 
     def test_mercedes(self):
-        b = compute_frame_bounds(mercedes_frame())
+        b = frame_spectrum(mercedes_frame())
         assert abs(b.lower - 1.5) <= 1e-12
         assert abs(b.upper - 1.5) <= 1e-12
         assert b.is_frame and not b.is_parseval
         assert b.rank == 2
 
     def test_monomial_degenerate(self):
-        b = compute_frame_bounds(monomial_frame(12, 512))
+        b = frame_spectrum(monomial_frame(12, 512))
         assert not b.is_frame
         assert b.lower == 0.0
         assert b.upper < math.pi
@@ -310,16 +310,16 @@ class TestFrameBounds:
     def test_all_zero_system(self):
         grid = Grid(points=np.array([0.0, 1.0]), weights=np.array([1.0, 1.0]))
         fs = FrameSystem(grid=grid, vectors=np.zeros((3, 2)))
-        b = compute_frame_bounds(fs)
+        b = frame_spectrum(fs)
         assert b.upper == 0.0 and b.lower == 0.0
         assert b.rank == 0 and not b.is_frame
 
     def test_quadratic_scaling(self):
         for seed in range(5):
             fs = random_riesz_frame(4, seed)
-            base = compute_frame_bounds(fs)
+            base = frame_spectrum(fs)
             alpha = 3.0
-            scaled = compute_frame_bounds(
+            scaled = frame_spectrum(
                 FrameSystem(grid=fs.grid, vectors=alpha * fs.vectors)
             )
             assert abs(scaled.lower - alpha**2 * base.lower) <= 1e-10 * max(
@@ -333,7 +333,7 @@ class TestFrameBounds:
         r = np.random.default_rng(31)
         systems = [standard_basis(), mercedes_frame(), random_riesz_frame(6, 1)]
         for fs in systems:
-            bounds = compute_frame_bounds(fs)
+            bounds = frame_spectrum(fs)
             for _ in range(200):
                 f = r.standard_normal(fs.n_points)
                 total = float(np.sum(analysis(fs, f) ** 2))

@@ -15,7 +15,7 @@ from framekit import (
     analysis,
     build_gramian,
     canonical_tight,
-    compute_frame_bounds,
+    frame_spectrum,
     isometry_check,
     lax_milgram,
     mercedes_frame,
@@ -60,7 +60,7 @@ def redundant_spanning_frame(seed, m, extra=5):
     """(m+extra) x m Gaussian system; spans whp, redrawn if badly conditioned."""
     for attempt in range(50):
         fs = random_frame(1000 * seed + attempt, m + extra, m)
-        bounds = compute_frame_bounds(fs)
+        bounds = frame_spectrum(fs)
         if bounds.is_frame and bounds.upper <= 2500.0 * max(bounds.lower, 1e-300):
             return fs
     raise AssertionError("no well-conditioned redundant frame drawn")
@@ -145,7 +145,7 @@ class TestRkKernel:
             basis = weighted_gram_schmidt(raw.vectors, raw.grid.weights)
             assert basis.shape[0] == 4
             fs = FrameSystem(grid=raw.grid, vectors=basis)
-            assert compute_frame_bounds(fs).is_parseval
+            assert frame_spectrum(fs).is_parseval
             diff = np.abs(naive_kernel(fs).values - rk_kernel(fs).values)
             assert np.max(diff) <= 1e-8
 
@@ -181,7 +181,7 @@ class TestCanonicalTight:
         for seed in range(5):
             fs = redundant_spanning_frame(seed, 4)
             ct = canonical_tight(fs)
-            bounds = compute_frame_bounds(ct)
+            bounds = frame_spectrum(ct)
             assert abs(bounds.lower - 1.0) <= 1e-8
             assert abs(bounds.upper - 1.0) <= 1e-8
 
@@ -432,7 +432,7 @@ class TestPolarUnitary:
             u = polar_unitary(fs)
             u_hat = u / np.sqrt(fs.grid.weights)
             values, _ = eigh_descending(u_hat.T @ u_hat)
-            rank = compute_frame_bounds(fs).rank
+            rank = frame_spectrum(fs).rank
             singular = np.sqrt(np.maximum(values[:rank], 0.0))
             assert np.max(np.abs(singular - 1.0)) <= 1e-8
 

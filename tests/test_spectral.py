@@ -10,14 +10,13 @@ from framekit import (
     NotConverged,
     build_gramian,
     frame_spectrum,
-    hilbert_gramian_exact,
     row_svd,
     spectral,
 )
 from framekit._kernels import BACKENDS
 from framekit.spectral import _MAX_SWEEPS, _ORTHOGONAL_TOL
 
-from oracles import power_iteration
+from oracles import hilbert_gramian_exact, power_iteration
 
 # Frozen output of power_iteration(hilbert(5), steps=10_000).
 HILBERT5_LAM_MAX = 1.5670506910982305

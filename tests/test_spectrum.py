@@ -20,7 +20,6 @@ from framekit import (
     Grid,
     canonical_tight,
     cli,
-    compute_frame_bounds,
     frame_spectrum,
     lax_milgram,
     monomial_frame,
@@ -104,7 +103,7 @@ class TestAgainstSvd:
     def test_constructions(self, name):
         fs = CASES[name]
         ref = svd_reference(fs)
-        bounds = compute_frame_bounds(fs, RANK_TOL)
+        bounds = frame_spectrum(fs, RANK_TOL)
         assert bounds.rank == ref["rank"]
         assert abs(bounds.upper - ref["upper"]) <= 1e-12 * ref["upper"]
         assert abs(bounds.lower - ref["lower"]) <= 1e-12 * ref["upper"]
@@ -157,7 +156,7 @@ class TestAgainstSvd:
         fs = FrameSystem(grid=CASES["n<m"].grid, vectors=np.zeros((2, 9)))
         spec = frame_spectrum(fs)
         assert spec.rank == 0 and spec.u.shape == (2, 0) and spec.v.shape == (9, 0)
-        assert compute_frame_bounds(fs).upper == 0.0
+        assert frame_spectrum(fs).upper == 0.0
 
 
 class TestSmallEigenvalues:
@@ -341,7 +340,7 @@ class TestScale:
         fs = small_frame()
         c = 2.0**k
         big = scaled(fs, c)
-        base_bounds, big_bounds = compute_frame_bounds(fs), compute_frame_bounds(big)
+        base_bounds, big_bounds = frame_spectrum(fs), frame_spectrum(big)
         assert big_bounds.rank == base_bounds.rank
         assert big_bounds.upper == np.ldexp(base_bounds.upper, 2 * k)
         assert big_bounds.lower == np.ldexp(base_bounds.lower, 2 * k)
@@ -365,7 +364,7 @@ class TestScale:
         fs = small_frame()
         c = 10.0**e
         big = scaled(fs, c)
-        base_bounds, big_bounds = compute_frame_bounds(fs), compute_frame_bounds(big)
+        base_bounds, big_bounds = frame_spectrum(fs), frame_spectrum(big)
         assert big_bounds.rank == base_bounds.rank
         assert abs(big_bounds.upper / (c * c) - base_bounds.upper) <= 1e-12 * base_bounds.upper
         assert abs(big_bounds.lower / (c * c) - base_bounds.lower) <= 1e-12 * base_bounds.lower
