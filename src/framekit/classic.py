@@ -21,6 +21,7 @@ from .frames import FrameSystem, Grid
 from .spectral import row_svd
 
 _RIESZ_RATIO = 0.05
+_HILBERT_MAX_N = 202  # the largest n whose lam_min is a normal double
 
 
 def monomial_frame(n_funcs: int, m_points: int) -> FrameSystem:
@@ -74,12 +75,19 @@ def hilbert_spectrum_report(n_list) -> list[SpectrumRow]:
     so lam_min is within 1e-13 relative of the exact value up to n = 16,
     where the rounded Hilbert matrix is singular to working precision (1e-12
     at n = 20, 5e-9 at n = 32).
+
+    Every size must lie in [1, 202], and all are checked before the first
+    factorization.  lam_min(H_202) = 5.5376e-307 is a normal double;
+    lam_min(H_203) = 1.6342e-308 is below the smallest one, 2.2251e-308.
+    Both come from power iteration on the exact integer inverse Hilbert
+    matrix in mpmath at 30 digits.
     """
+    sizes = [int(n) for n in n_list]
+    for n in sizes:
+        if not 1 <= n <= _HILBERT_MAX_N:
+            raise InvalidArgument(f"sizes must lie in [1, {_HILBERT_MAX_N}], got {n}")
     rows = []
-    for n in n_list:
-        n = int(n)
-        if n < 1:
-            raise InvalidArgument("sizes must be >= 1")
+    for n in sizes:
         squares = row_svd(_hilbert_cholesky(n)).squares
         lam_max = float(squares[0])
         lam_min = float(squares[-1])

@@ -22,7 +22,7 @@ one row's text.  Machine files carry 17 significant digits, and -0.0 as
 "-0.0", so every finite double reads back bit for bit; human reports print
 6.  A number that is not a JSON int or float (true, "1.0", null, a nested
 array) or an integer too large for a double is a schema error naming its
-field.
+field; a file that is not UTF-8 or not JSON is one naming the file.
 
 Subcommands and the only flags each accepts, with their defaults:
 
@@ -33,16 +33,19 @@ Subcommands and the only flags each accepts, with their defaults:
     gp-sim PATH     [--rank-tol 1e-10] [--seed 0] [--samples 200000]
     hilbert         --sizes N,N,...
 
---rank-tol must lie in [0, 1) and --seed in [0, 2**64).  The argument
-parser is built once per process, on the first call of main().
+--rank-tol must lie in [0, 1), --seed in [0, 2**64) and each hilbert size
+in [1, 202]: past 202 the smallest eigenvalue of the Hilbert matrix is not
+a normal double.  The argument parser is built once per process, on the
+first call of main().
 
 Exit codes:
 
     0  success
     1  unreadable or unwritable file
-    2  schema or argument violation (SchemaError, InvalidArgument,
-       InvalidMatrix, DimensionMismatch, InvalidIndex), a Jacobi solve that
-       did not converge (NotConverged), and any other FramekitError
+    2  schema or argument violation (SchemaError, a file that is not UTF-8
+       or not JSON included; InvalidArgument, InvalidMatrix,
+       DimensionMismatch, InvalidIndex), a Jacobi solve that did not
+       converge (NotConverged), and any other FramekitError
     3  degenerate input (ZeroSpan, NotAFrame)
     4  a mathematical assertion failed (an identity residual above its
        tolerance, a Hilbert table violation)
@@ -110,15 +113,38 @@ def _write_table(path: str, head: str, table: np.ndarray, tail: str) -> None:
         fh.write("]" + tail + "\n")
 
 
-def _read_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:  # an OSError propagates; main exits 1
-        text = fh.read()
+def _read_json(path: str) -> dict:
+    with open(path, "rb") as fh:  # an OSError propagates; main exits 1
+        data = fh.read()
     try:
-        return json.loads(text)
+        raw = json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON (line {exc.lineno}: {exc.msg})")
+    except UnicodeDecodeError as exc:  # a ValueError too, so caught first
+        raise SchemaError(f"{path}: not UTF-8 (byte {exc.start}: {exc.reason})")
     except ValueError as exc:  # an integer literal past the interpreter's digit limit
         raise SchemaError(f"{path}: {exc}")
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{path}: top level must be an object")
+    return raw
+
+
+def _object(raw, field: str, keys: tuple[str, ...]) -> list:
+    # the values of the named keys, in order; field is "" at the top level
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{field}: expected an object with {' and '.join(keys)}")
+    for key in keys:
+        if key not in raw:
+            raise SchemaError(f"{field}.{key}: missing" if field else f"{key}: missing")
+    return [raw[key] for key in keys]
+
+
+def _build(kind, field: str, **parts):
+    # the library type or function checks its parts; its refusal names the field
+    try:
+        return kind(**parts)
+    except FramekitError as exc:
+        raise SchemaError(f"{field}: {exc}")
 
 
 def _number_list(raw, field: str) -> np.ndarray:
@@ -138,44 +164,21 @@ def _matrix(raw, field: str) -> np.ndarray:
     width = rows[0].size
     for i, r in enumerate(rows):
         if r.size != width:
-            raise SchemaError(
-                f"{field}[{i}]: expected {width} numbers, got {r.size}"
-            )
+            raise SchemaError(f"{field}[{i}]: expected {width} numbers, got {r.size}")
     return np.vstack(rows)
 
 
-def _parse_grid(raw, field: str) -> frames.Grid:
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{field}: expected an object with points and weights")
-    for key in ("points", "weights"):
-        if key not in raw:
-            raise SchemaError(f"{field}.{key}: missing")
-    points = _number_list(raw["points"], f"{field}.points")
-    weights = _number_list(raw["weights"], f"{field}.weights")
-    if points.size != weights.size:
-        raise SchemaError(
-            f"{field}.weights: {weights.size} entries for {points.size} points"
-        )
-    try:
-        return frames.Grid(points=points, weights=weights)
-    except FramekitError as exc:
-        raise SchemaError(f"{field}: {exc}")
+def _grid(raw, field: str) -> frames.Grid:
+    points, weights = _object(raw, field, ("points", "weights"))
+    points = _number_list(points, f"{field}.points")
+    weights = _number_list(weights, f"{field}.weights")
+    return _build(frames.Grid, field, points=points, weights=weights)
 
 
 def parse_frame_file(path: str) -> frames.FrameSystem:
-    raw = _read_json(path)
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{path}: top level must be an object")
-    if "grid" not in raw:
-        raise SchemaError("grid: missing")
-    if "vectors" not in raw:
-        raise SchemaError("vectors: missing")
-    grid = _parse_grid(raw["grid"], "grid")
-    vectors = _matrix(raw["vectors"], "vectors")
-    try:
-        return frames.FrameSystem(grid=grid, vectors=vectors)
-    except FramekitError as exc:
-        raise SchemaError(f"vectors: {exc}")
+    grid, vectors = _object(_read_json(path), "", ("grid", "vectors"))
+    grid, vectors = _grid(grid, "grid"), _matrix(vectors, "vectors")
+    return _build(frames.FrameSystem, "vectors", grid=grid, vectors=vectors)
 
 
 def write_frame_file(path: str, fs: frames.FrameSystem) -> None:
@@ -190,62 +193,25 @@ def parse_model_file(path: str):
     """Returns (frame system, phat) for GP commands; the frame system's grid
     is the atomic measure, with the atoms' u as points and masses as weights."""
     raw = _read_json(path)
-    if not isinstance(raw, dict):
-        raise SchemaError(f"{path}: top level must be an object")
-    if "atoms" not in raw:
-        raise SchemaError("atoms: missing")
-    if not isinstance(raw["atoms"], list) or not raw["atoms"]:
+    atom_list, frame = _object(raw, "", ("atoms", "frame"))
+    if not isinstance(atom_list, list) or not atom_list:
         raise SchemaError("atoms: expected a non-empty array")
-    locations, masses = [], []
-    for i, atom in enumerate(raw["atoms"]):
-        if not isinstance(atom, dict) or "u" not in atom or "mass" not in atom:
-            raise SchemaError(f"atoms[{i}]: expected an object with u and mass")
-        locations.append(atom["u"])
-        masses.append(atom["mass"])
-    try:
-        atoms = frames.Grid(
-            points=_number_list(locations, "atoms[].u"),
-            weights=_number_list(masses, "atoms[].mass"),
-        )
-    except FramekitError as exc:
-        raise SchemaError(f"atoms: {exc}")
-    if "frame" not in raw:
-        raise SchemaError("frame: missing")
-    vectors = _matrix(raw["frame"], "frame")
-    try:
-        fs = frames.FrameSystem(grid=atoms, vectors=vectors)
-    except FramekitError as exc:
-        raise SchemaError(f"frame: {exc}")
-
-    has_phat = "phat" in raw
-    has_phi = "phi_x" in raw
-    if has_phat == has_phi:
+    u, mass = zip(*[_object(a, f"atoms[{i}]", ("u", "mass")) for i, a in enumerate(atom_list)])
+    u, mass = _number_list(list(u), "atoms[].u"), _number_list(list(mass), "atoms[].mass")
+    atoms = _build(frames.Grid, "atoms", points=u, weights=mass)
+    fs = _build(frames.FrameSystem, "frame", grid=atoms, vectors=_matrix(frame, "frame"))
+    if ("phat" in raw) == ("phi_x" in raw):
         raise SchemaError("phat/phi_x: exactly one must be present")
-    if has_phat:
-        section = raw["phat"]
-        if not isinstance(section, dict) or "re" not in section or "im" not in section:
-            raise SchemaError("phat: expected an object with re and im")
-        re = _number_list(section["re"], "phat.re")
-        im = _number_list(section["im"], "phat.im")
-        try:
-            phat = gp.ComplexVector(re=re, im=im)
-        except FramekitError as exc:
-            raise SchemaError(f"phat: {exc}")
+    if "phat" in raw:
+        re, im = _object(raw["phat"], "phat", ("re", "im"))
+        re, im = _number_list(re, "phat.re"), _number_list(im, "phat.im")
+        phat = _build(gp.ComplexVector, "phat", re=re, im=im)
         if len(phat) != atoms.size:
-            raise SchemaError(
-                f"phat: {len(phat)} entries for {atoms.size} atoms"
-            )
+            raise SchemaError(f"phat: {len(phat)} entries for {atoms.size} atoms")
     else:
-        section = raw["phi_x"]
-        if not isinstance(section, dict) or "grid" not in section or "values" not in section:
-            raise SchemaError("phi_x: expected an object with grid and values")
-        x_grid = _parse_grid(section["grid"], "phi_x.grid")
-        values = _number_list(section["values"], "phi_x.values")
-        if values.size != x_grid.size:
-            raise SchemaError(
-                f"phi_x.values: {values.size} entries for {x_grid.size} grid points"
-            )
-        phat = gp.fourier_at_atoms(x_grid, values, atoms)
+        grid, values = _object(raw["phi_x"], "phi_x", ("grid", "values"))
+        grid, values = _grid(grid, "phi_x.grid"), _number_list(values, "phi_x.values")
+        phat = _build(gp.fourier_at_atoms, "phi_x.values", x_grid=grid, phi=values, atoms=atoms)
     return fs, phat
 
 

@@ -133,6 +133,22 @@ class TestAnalyze:
         bad.write_text("{not json", encoding="utf-8")
         assert cli.main(["analyze", str(bad)]) == EXIT_SCHEMA
 
+    @pytest.mark.parametrize("command", ["analyze", "gp-sim"])
+    @pytest.mark.parametrize("where", ["utf16-bom", "latin1-string"])
+    def test_not_utf8(self, tmp_path, capsys, command, where):
+        payload = standard_basis_payload() if command == "analyze" else onb_model_payload()
+        text = json.dumps(payload)
+        if where == "utf16-bom":  # the file starts with the bytes ff fe
+            data = b"\xff\xfe" + text.encode("utf-16-le")
+        else:  # a lone 0xe9 (Latin-1 e acute) inside a string
+            data = b'{"note": "caf\xe9", ' + text[1:].encode("utf-8")
+        path = tmp_path / "not-utf8.json"
+        path.write_bytes(data)
+        assert cli.main([command, str(path)]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith(f"schema error: {path}: ")
+        assert "UTF-8" in err
+
 
 class TestKernel:
     def test_roundtrip_bit_exact(self, tmp_path, capsys):
@@ -234,6 +250,29 @@ class TestHilbert:
     def test_invalid_size(self, capsys):
         assert cli.main(["hilbert", "--sizes", "0"]) == EXIT_SCHEMA
         assert cli.main(["hilbert", "--sizes", "a,b"]) == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("sizes", ["203", "4,203", "4,0"])
+    def test_size_outside_limit_refused_before_any_factorization(
+        self, monkeypatch, capsys, sizes
+    ):
+        calls = []
+        active = _kernels.ACTIVE
+        jacobi = active.jacobi_rows
+        monkeypatch.setattr(
+            _kernels,
+            "ACTIVE",
+            active._replace(jacobi_rows=lambda *a: calls.append(1) or jacobi(*a)),
+        )
+        assert cli.main(["hilbert", "--sizes", sizes]) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "[1, 202]" in captured.err
+        assert calls == []
+
+    def test_largest_size_is_read(self, capsys):
+        assert cli.main(["hilbert", "--sizes", "202"]) == EXIT_OK
+        (line,) = capsys.readouterr().out.strip().splitlines()[1:]
+        assert line.startswith("202 ")
 
 
 class TestGpSim:
@@ -626,6 +665,118 @@ class TestNumberFieldRejection:
                         '"vectors": [[1, 0], [0, 1' + "0" * 5000 + ']]}', encoding="utf-8")
         assert cli.main(["analyze", str(path)]) == EXIT_SCHEMA
         assert "huge.json" in capsys.readouterr().err
+
+
+def _without(path):
+    # drop the last key of a path into the payload
+    def drop(payload):
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+        return payload
+    return drop
+
+
+def _with(path, value):
+    # set the value at a path into the payload
+    def put(payload):
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return payload
+    return put
+
+
+# one malformed file per path of the reader: (command, payload, how to break
+# it, the start of the message after "schema error: "); FILE is the path
+SCHEMA_WALK = {
+    "frame top level": ("analyze", standard_basis_payload, lambda p: [p], "FILE: "),
+    "model top level": ("gp-sim", onb_model_payload, lambda p: "model", "FILE: "),
+    "grid missing": ("analyze", standard_basis_payload, _without(["grid"]), "grid: missing"),
+    "vectors missing": (
+        "analyze", standard_basis_payload, _without(["vectors"]), "vectors: missing"
+    ),
+    "grid not an object": ("analyze", standard_basis_payload, _with(["grid"], [0.0]), "grid: "),
+    "grid.points missing": (
+        "analyze", standard_basis_payload, _without(["grid", "points"]), "grid.points: missing"
+    ),
+    "grid.weights missing": (
+        "analyze", standard_basis_payload, _without(["grid", "weights"]), "grid.weights: missing"
+    ),
+    "grid weights count": (
+        "analyze", standard_basis_payload, _with(["grid", "weights"], [1.0]), "grid: "
+    ),
+    "vectors not rows": ("analyze", standard_basis_payload, _with(["vectors"], []), "vectors: "),
+    "vectors ragged": (
+        "analyze", standard_basis_payload, _with(["vectors", 1], [0.0]), "vectors[1]: "
+    ),
+    "vectors columns": (
+        "analyze", standard_basis_payload, _with(["vectors"], [[1.0, 0.0, 2.0]]), "vectors: "
+    ),
+    "atoms missing": ("gp-sim", onb_model_payload, _without(["atoms"]), "atoms: missing"),
+    "frame missing": ("gp-sim", onb_model_payload, _without(["frame"]), "frame: missing"),
+    "atoms not an array": ("gp-sim", onb_model_payload, _with(["atoms"], {}), "atoms: "),
+    "atom not an object": ("gp-sim", onb_model_payload, _with(["atoms", 1], 0.5), "atoms[1]: "),
+    "atoms[i].u missing": (
+        "gp-sim", onb_model_payload, _without(["atoms", 1, "u"]), "atoms[1].u: missing"
+    ),
+    "atoms[i].mass missing": (
+        "gp-sim", onb_model_payload, _without(["atoms", 2, "mass"]), "atoms[2].mass: missing"
+    ),
+    "atoms repeated u": ("gp-sim", onb_model_payload, _with(["atoms", 1, "u"], -1.0), "atoms: "),
+    "frame ragged": ("gp-sim", onb_model_payload, _with(["frame", 2], [0.0]), "frame[2]: "),
+    "frame columns": (
+        "gp-sim", onb_model_payload, _with(["frame"], [[1.0, 0.0]]), "frame: "
+    ),
+    "both profiles": (
+        "gp-sim", onb_model_payload, _with(["phi_x"], phi_x_model_payload()["phi_x"]), "phat/phi_x: "
+    ),
+    "neither profile": ("gp-sim", onb_model_payload, _without(["phat"]), "phat/phi_x: "),
+    "phat not an object": ("gp-sim", onb_model_payload, _with(["phat"], [0.0]), "phat: "),
+    "phat.re missing": (
+        "gp-sim", onb_model_payload, _without(["phat", "re"]), "phat.re: missing"
+    ),
+    "phat.im missing": (
+        "gp-sim", onb_model_payload, _without(["phat", "im"]), "phat.im: missing"
+    ),
+    "phat re/im lengths": (
+        "gp-sim", onb_model_payload, _with(["phat", "im"], [0.0, 1.0]), "phat: "
+    ),
+    "phat length": (
+        "gp-sim", onb_model_payload, _with(["phat"], {"re": [1.0], "im": [0.0]}), "phat: "
+    ),
+    "phi_x not an object": ("gp-sim", phi_x_model_payload, _with(["phi_x"], 1.0), "phi_x: "),
+    "phi_x.grid missing": (
+        "gp-sim", phi_x_model_payload, _without(["phi_x", "grid"]), "phi_x.grid: missing"
+    ),
+    "phi_x.values missing": (
+        "gp-sim", phi_x_model_payload, _without(["phi_x", "values"]), "phi_x.values: missing"
+    ),
+    "phi_x.grid.points missing": (
+        "gp-sim",
+        phi_x_model_payload,
+        _without(["phi_x", "grid", "points"]),
+        "phi_x.grid.points: missing",
+    ),
+    "phi_x.grid weights count": (
+        "gp-sim", phi_x_model_payload, _with(["phi_x", "grid", "weights"], [0.5]), "phi_x.grid: "
+    ),
+    "phi_x.values length": (
+        "gp-sim", phi_x_model_payload, _with(["phi_x", "values"], [1.0, 0.5]), "phi_x.values: "
+    ),
+}
+
+
+class TestSchemaWalk:
+    @pytest.mark.parametrize("case", list(SCHEMA_WALK), ids=str)
+    def test_refusal_names_its_field(self, tmp_path, capsys, case):
+        command, payload_fn, breaks, start = SCHEMA_WALK[case]
+        path = write(tmp_path / "bad.json", breaks(payload_fn()))
+        assert cli.main([command, path]) == EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith("schema error: " + start.replace("FILE", path)), err
 
 
 class TestSeedRange:
