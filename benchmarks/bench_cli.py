@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
-"""Time the CLI's per-call costs that are not numerics.
+"""Time the CLI's per-call costs that are not numerics, for each twin.
 
-Prints the milliseconds per call (best of ``--repeats``) of building the
-argument parser, of ``write_kernel_file`` of an n x n kernel to a temporary
-file, and of ``parse_frame_file`` on a written n x n frame (n vectors on n
-points).  For each size it also reads the kernel file back and checks that
-its table is the per-element spelling (17 significant digits, -0.0 kept),
-byte for byte.
+For each size n and each backend that loaded (``python``, ``compiled``), it
+times ``write_kernel_file`` of an n x n kernel to a temporary file and
+``parse_frame_file`` of a written n x n frame (n vectors on n points), and
+prints the median milliseconds per call over ``--repeats`` calls.  It also
+prints the cost of building the argument parser.  It exits 1 unless every
+backend writes the same bytes, the per-element spelling (17 significant
+digits, -0.0 kept), and reads back the same arrays bit for bit.  ``--json
+PATH`` also writes the medians and quartiles, with the environment, as JSON.
 
-    PYTHONPATH=src python3 benchmarks/bench_cli.py [--sizes 8,16,32,64,128] [--repeats 20]
+    PYTHONPATH=src python3 benchmarks/bench_cli.py [--sizes 8,16,32,64,128] [--repeats 20] [--json PATH]
 """
 
 import os
@@ -17,21 +19,27 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # pinned before numpy loads BLAS
 
 import argparse
+import json
+import platform
+import statistics
+import subprocess
 import tempfile
 import time
 
 import numpy as np
 
-from framekit import cli, frames, rkhs
+from framekit import _kernels, cli, frames, jacobi_backend, rkhs
 
 
-def best_ms(fn, repeats):
-    best = float("inf")
+def timed_ms(fn, repeats):
+    """Median and quartiles of the milliseconds per call over ``repeats`` calls."""
+    times = []
     for _ in range(repeats):
         start = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - start)
-    return best * 1e3
+        times.append((time.perf_counter() - start) * 1e3)
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive") if repeats > 1 else times * 3
+    return {"median": median, "q1": q1, "q3": q3}
 
 
 def spell(x):
@@ -43,34 +51,76 @@ def per_element(a):
     return "[" + ", ".join("[" + ", ".join(spell(x) for x in row) + "]" for row in a) + "]"
 
 
+def environment():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    try:
+        commit = subprocess.run(
+            ["git", "-C", root, "rev-parse", "HEAD"], capture_output=True, text=True, check=True
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = None
+    return {
+        "commit": commit,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        "jacobi_backend": jacobi_backend(),
+        "backends": sorted(_kernels.BACKENDS),
+        "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+    }
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", default="8,16,32,64,128")
     parser.add_argument("--repeats", type=int, default=20)
+    parser.add_argument("--json", default=None, help="also write the results to this file")
     args = parser.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
 
     build = cli._build_parser.__wrapped__  # the construction itself, not the cached parser
-    print(f"_build_parser: {best_ms(build, args.repeats):.3f} ms per call")
+    parser_ms = timed_ms(build, args.repeats)
+    print(f"_build_parser: {parser_ms['median']:.3f} ms per call")
     rng = np.random.default_rng(0)
-    print(f"{'n':>5} {'write_kernel':>12} {'parse_frame':>12} {'text':>6}")
-    failed = False
+    print(f"{'n':>5} {'backend':>9} {'write_kernel':>12} {'parse_frame':>12} {'check':>6}")
+    results, failed = [], False
     with tempfile.TemporaryDirectory() as tmp:
         for n in sizes:
             grid = frames.Grid(points=np.arange(float(n)), weights=rng.uniform(0.5, 2.0, n))
             factor = rng.standard_normal((n, n))
-            factor[0] = 0.0  # zeros in the table take the branch of _fmt_row that looks for -0.0
+            factor[0] = 0.0  # zeros in the table, so -0.0 can occur and must be spelt
             kernel = rkhs.KernelMatrix(grid=grid, factor=factor)
-            kernel_path = os.path.join(tmp, f"kernel-{n}.json")
-            t_write = best_ms(lambda: cli.write_kernel_file(kernel_path, kernel, "rkhs", 1e-10), args.repeats)
-            with open(kernel_path, encoding="utf-8") as fh:
-                text = fh.read()
-            same = text == '{"matrix": ' + per_element(kernel.values) + ', "kind": "rkhs", "rank_tol": 1e-10}\n'
-            failed |= not same
-            path = os.path.join(tmp, f"frame-{n}.json")
-            cli.write_frame_file(path, frames.FrameSystem(grid=grid, vectors=rng.standard_normal((n, n))))
-            t_parse = best_ms(lambda: cli.parse_frame_file(path), args.repeats)
-            print(f"{n:>5} {t_write:>10.3f}ms {t_parse:>10.3f}ms {'same' if same else 'DIFFERS':>6}")
+            fs = frames.FrameSystem(grid=grid, vectors=rng.standard_normal((n, n)))
+            expected = '{"matrix": ' + per_element(kernel.values) + ', "kind": "rkhs", "rank_tol": 1e-10}\n'
+            for name, backend in _kernels.BACKENDS.items():
+                _kernels.ACTIVE = backend
+                kernel_path = os.path.join(tmp, f"kernel-{n}-{name}.json")
+                frame_path = os.path.join(tmp, f"frame-{n}-{name}.json")
+                write = timed_ms(lambda: cli.write_kernel_file(kernel_path, kernel, "rkhs", 1e-10), args.repeats)
+                cli.write_frame_file(frame_path, fs)
+                parse = timed_ms(lambda: cli.parse_frame_file(frame_path), args.repeats)
+                with open(kernel_path, encoding="utf-8") as fh:
+                    same = fh.read() == expected
+                back = cli.parse_frame_file(frame_path)
+                same &= back.vectors.tobytes() == fs.vectors.tobytes()
+                same &= back.grid.weights.tobytes() == fs.grid.weights.tobytes()
+                failed |= not same
+                results.append(
+                    {"n": n, "backend": name, "write_kernel_ms": write, "parse_frame_ms": parse, "same": same}
+                )
+                print(
+                    f"{n:>5} {name:>9} {write['median']:>10.3f}ms {parse['median']:>10.3f}ms "
+                    f"{'same' if same else 'DIFFERS':>6}"
+                )
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(
+                {"environment": environment(), "repeats": args.repeats, "build_parser_ms": parser_ms,
+                 "sizes": results, "same": not failed},
+                fh,
+                indent=1,
+            )
     return 1 if failed else 0
 
 

@@ -1,16 +1,21 @@
-"""Backend selection for the compiled kernels: one-sided Jacobi and sampling.
+"""Backend selection for the compiled kernels: one-sided Jacobi, sampling
+and frame-file I/O.
 
-Each kernel ships twice: plain C (``_hestenes.c``, ``_sampling.c``), loaded
-through ``ctypes``, and a pure-numpy twin (``_hestenes_py.py``,
-``_sampling_py.py``).  Both produce bit-identical output for the same input,
-so the choice only affects speed.  Nothing is built at install time: the
-first import compiles the C sources with ``cc`` into one library in this
-package's ``__pycache__/``, under a name keyed by a hash of the sources and
-the flags, and later imports load that file.  Without a compiler, when the
-build fails or when the directory is not writable, the numpy twins run.
-``ACTIVE`` is the backend ``spectral.row_svd``, ``rng``'s normals and the
-fixed-order sums of ``gp`` run; ``BACKENDS`` lists every one that loaded,
-for the parity tests and the benchmarks.
+Each kernel ships twice: plain C (``_hestenes.c``, ``_sampling.c``,
+``_frameio.c``), loaded through ``ctypes``, and a Python twin
+(``_hestenes_py.py``, ``_sampling_py.py``, ``_frameio_py.py``).  Both produce
+bit-identical output for the same input, so the choice only affects speed.
+The frame-file reader is the one exception in form, not in result: the
+Python twin declines every file and the C scanner declines every file
+outside the one frame layout, and the JSON walk in ``framekit.cli`` reads
+what they decline.  Nothing is built at install time: the first import
+compiles the C sources with ``cc`` into one library in this package's
+``__pycache__/``, under a name keyed by a hash of the sources and the flags,
+and later imports load that file.  Without a compiler, when the build fails
+or when the directory is not writable, the Python twins run.  ``ACTIVE`` is
+the backend ``spectral.row_svd``, ``rng``'s normals, the fixed-order sums of
+``gp`` and the file reader and writers of ``cli`` run; ``BACKENDS`` lists
+every one that loaded, for the parity tests and the benchmarks.
 """
 
 from __future__ import annotations
@@ -24,9 +29,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import _hestenes_py, _sampling_py
+from . import _frameio_py, _hestenes_py, _sampling_py
 
-_SOURCES = tuple(Path(__file__).with_name(name) for name in ("_hestenes.c", "_sampling.c"))
+_SOURCES = tuple(
+    Path(__file__).with_name(name) for name in ("_hestenes.c", "_sampling.c", "_frameio.c")
+)
 # -ffp-contract=off keeps the C twins bit-identical to the numpy twins (no FMA
 # re-rounding inside rotations or sums); -fno-math-errno lets sqrt compile to the
 # correctly rounded instruction alone, so the library needs no libm
@@ -41,13 +48,20 @@ class Backend(NamedTuple):
     ``polar_normals(ln_u1, k, out)``, radius and angle of Box-Muller from ln
     u1 and k, written into the (rows, count) ``out``; and
     ``kl_contract(x, c_re, c_im, out_re, out_im)``, the fixed-order sums of
-    ``sample_kl``, ``kl_coefficients`` and ``fourier_at_atoms``."""
+    ``sample_kl``, ``kl_coefficients`` and ``fourier_at_atoms``;
+    ``spell_rows(table)``, the rows of a 2-D float table as ASCII bytes
+    "[v, v], [v, v]", each value spelt as ``"%.17g"`` does and negative zero
+    as "-0.0", yielded in chunks of whole rows; and ``scan_frame(data)``, the
+    (points, weights, vectors) arrays of the bytes of a frame file in the
+    frame layout, or None to leave the file to the JSON walk."""
 
     name: str
     jacobi_rows: Callable
     philox_split: Callable
     polar_normals: Callable
     kl_contract: Callable
+    spell_rows: Callable
+    scan_frame: Callable
 
 
 PYTHON = Backend(
@@ -56,7 +70,12 @@ PYTHON = Backend(
     _sampling_py.philox_split,
     _sampling_py.polar_normals,
     _sampling_py.kl_contract,
+    _frameio_py.spell_rows,
+    _frameio_py.scan_frame,
 )
+
+#: bytes a compiled ``spell_rows`` call fills at most, unless one row needs more
+_SPELL_CHUNK = 1 << 18
 
 
 def _library_name(sources, flags) -> str:
@@ -147,7 +166,44 @@ def _load(library: Path) -> Backend:
         rows, n = _sampling_py.check_contract_args(x, c_re, c_im, out_re, out_im)
         lib.kl_contract(x, c_re, c_im, out_re, out_im, rows, n)
 
-    return Backend("compiled", jacobi_rows, philox_split, polar_normals, kl_contract)
+    lib.spell_rows.argtypes = [
+        rows_in, ctypes.c_long, ctypes.c_long, ctypes.c_char_p, ctypes.c_long,
+        ctypes.POINTER(ctypes.c_long),
+    ]
+    lib.spell_rows.restype = ctypes.c_long
+    shape_type = ctypes.c_long * 4
+    lib.frame_shape.argtypes = [ctypes.c_char_p, ctypes.c_long, shape_type]
+    lib.frame_shape.restype = ctypes.c_int
+    lib.frame_read.argtypes = [
+        ctypes.c_char_p, ctypes.c_long, shape_type, out_vector, out_vector, matrix
+    ]
+    lib.frame_read.restype = ctypes.c_int
+
+    def spell_rows(table):
+        table = np.ascontiguousarray(table, dtype=np.float64)
+        rows, cols = _frameio_py.check_table(table)
+        # 24 bytes a value at most, ", " after it, and "[", "]" and ", " a row
+        row_bytes = 26 * cols + 4
+        size = max(row_bytes, min(_SPELL_CHUNK, rows * row_bytes))
+        buffer = ctypes.create_string_buffer(size)
+        row = ctypes.c_long(0)
+        while row.value < rows:
+            n = lib.spell_rows(table, rows, cols, buffer, size, ctypes.byref(row))
+            yield ctypes.string_at(buffer, n)
+
+    def scan_frame(data):
+        shape = shape_type()
+        if lib.frame_shape(data, len(data), shape) != 0:
+            return None
+        points, weights = np.empty(shape[0]), np.empty(shape[1])
+        vectors = np.empty((shape[2], shape[3]))
+        if lib.frame_read(data, len(data), shape, points, weights, vectors) != 0:
+            return None
+        return points, weights, vectors
+
+    return Backend(
+        "compiled", jacobi_rows, philox_split, polar_normals, kl_contract, spell_rows, scan_frame
+    )
 
 
 def _select(cc: str, cache: Path) -> tuple[dict, Backend]:

@@ -16,13 +16,24 @@ Kernel file, written by kernel --out:
     {"matrix": [[...], ...], "kind": "rkhs", "rank_tol": r}
     {"matrix": [[...], ...], "kind": "naive"}   # kernel --naive --out
 
-The CLI writes only frame files (canonical --out) and kernel files, a row
-of the table at a time, so the memory a write needs beyond the table is
-one row's text.  Machine files carry 17 significant digits, and -0.0 as
-"-0.0", so every finite double reads back bit for bit; human reports print
-6.  A number that is not a JSON int or float (true, "1.0", null, a nested
-array) or an integer too large for a double is a schema error naming its
-field; a file that is not UTF-8 or not JSON is one naming the file.
+The CLI writes only frame files (canonical --out) and kernel files, in
+chunks of whole rows of the table, so the memory a write needs beyond the
+table is one chunk's text, at most 256 KiB or one row.  Machine files
+carry 17 significant digits ("%.17g"), and -0.0 as "-0.0", so every finite
+double reads back bit for bit; human reports print 6.  A number that is
+not a JSON int or float (true, "1.0", null, a nested array) or an integer
+too large for a double is a schema error naming its field; a file that is
+not UTF-8 or not JSON is one naming the file.
+
+The active backend of ``framekit._kernels`` spells the rows and scans frame
+files.  The compiled scanner accepts only the frame layout above with the
+keys in that order and no others, any JSON whitespace, non-empty arrays,
+rows of equal width and finite numbers under the JSON number grammar, in
+ASCII, and reads each number as json does (the int literal -0 is +0.0).
+It declines everything else, and the JSON walk below then reads the file.
+The walk is the reference and gives every refusal, so every schema error
+and exit code is the same whichever backend runs; model files always go
+through the walk.
 
 Subcommands and the only flags each accepts, with their defaults:
 
@@ -62,7 +73,7 @@ import sys
 
 import numpy as np
 
-from . import classic, frames, gp, rkhs
+from . import _kernels, classic, frames, gp, rkhs
 from .errors import (
     DimensionMismatch,
     FramekitError,
@@ -94,28 +105,27 @@ def _fmt_human(x: float) -> str:
     return format(float(x), ".6g")
 
 
-def _fmt_row(row: np.ndarray) -> str:
-    # "%.17g" spells every double as format(x, ".17g") does
-    values = row.tolist()
-    texts = ["%.17g" % x for x in values]
-    if 0.0 in values:  # -0.0 == 0.0, so only a row holding a zero can hold -0.0
-        for i in np.flatnonzero((row == 0) & np.signbit(row)).tolist():
-            texts[i] = "-0.0"
-    return ", ".join(texts)
+def _spell(table: np.ndarray) -> bytes:
+    # the rows of a 2-D table as "[v, v], [v, v]"; one row is "[v, v]"
+    return b"".join(_kernels.ACTIVE.spell_rows(table))
 
 
-def _write_table(path: str, head: str, table: np.ndarray, tail: str) -> None:
-    # each row is written as soon as it is spelled, so the text in memory is one row
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head + "[")
-        for i, row in enumerate(table):
-            fh.write(("[" if i == 0 else ", [") + _fmt_row(row) + "]")
-        fh.write("]" + tail + "\n")
+def _write_table(path: str, head: bytes, table: np.ndarray, tail: bytes) -> None:
+    # rows are written a chunk of whole rows at a time, so the text in memory
+    # is one chunk, at most 256 KiB or one row
+    with open(path, "wb") as fh:
+        fh.write(head + b"[")
+        for chunk in _kernels.ACTIVE.spell_rows(table):
+            fh.write(chunk)
+        fh.write(b"]" + tail + b"\n")
 
 
-def _read_json(path: str) -> dict:
+def _read(path: str) -> bytes:
     with open(path, "rb") as fh:  # an OSError propagates; main exits 1
-        data = fh.read()
+        return fh.read()
+
+
+def _load_json(path: str, data: bytes) -> dict:
     try:
         raw = json.loads(data.decode("utf-8"))
     except json.JSONDecodeError as exc:
@@ -176,23 +186,29 @@ def _grid(raw, field: str) -> frames.Grid:
 
 
 def parse_frame_file(path: str) -> frames.FrameSystem:
-    grid, vectors = _object(_read_json(path), "", ("grid", "vectors"))
-    grid, vectors = _grid(grid, "grid"), _matrix(vectors, "vectors")
+    data = _read(path)
+    arrays = _kernels.ACTIVE.scan_frame(data)
+    if arrays is None:  # not the frame layout: the walk reads it, or refuses it
+        grid, vectors = _object(_load_json(path, data), "", ("grid", "vectors"))
+        grid, vectors = _grid(grid, "grid"), _matrix(vectors, "vectors")
+    else:
+        points, weights, vectors = arrays
+        grid = _build(frames.Grid, "grid", points=points, weights=weights)
     return _build(frames.FrameSystem, "vectors", grid=grid, vectors=vectors)
 
 
 def write_frame_file(path: str, fs: frames.FrameSystem) -> None:
     head = (
-        f'{{"grid": {{"points": [{_fmt_row(fs.grid.points)}], '
-        f'"weights": [{_fmt_row(fs.grid.weights)}]}}, "vectors": '
+        b'{"grid": {"points": ' + _spell(fs.grid.points[None]) + b', "weights": '
+        + _spell(fs.grid.weights[None]) + b'}, "vectors": '
     )
-    _write_table(path, head, fs.vectors, "}")
+    _write_table(path, head, fs.vectors, b"}")
 
 
 def parse_model_file(path: str):
     """Returns (frame system, phat) for GP commands; the frame system's grid
     is the atomic measure, with the atoms' u as points and masses as weights."""
-    raw = _read_json(path)
+    raw = _load_json(path, _read(path))
     atom_list, frame = _object(raw, "", ("atoms", "frame"))
     if not isinstance(atom_list, list) or not atom_list:
         raise SchemaError("atoms: expected a non-empty array")
@@ -216,10 +232,10 @@ def parse_model_file(path: str):
 
 
 def write_kernel_file(path: str, k: rkhs.KernelMatrix, kind: str, rank_tol: float):
-    tail = f', "kind": {json.dumps(kind)}'
+    tail = b', "kind": ' + json.dumps(kind).encode()
     if kind == "rkhs":  # the naive kernel reads no rank, so its file records none
-        tail += f', "rank_tol": {_fmt_row(np.array([rank_tol]))}'
-    _write_table(path, '{"matrix": ', k.values, tail + "}")
+        tail += b', "rank_tol": ' + _spell(np.array([[rank_tol]]))[1:-1]
+    _write_table(path, b'{"matrix": ', k.values, tail + b"}")
 
 
 # ---------------------------------------------------------------------------

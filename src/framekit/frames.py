@@ -15,9 +15,10 @@ its largest entry lies in [0.5, 1), and one-sided Jacobi orthogonalizes the
 min(N, M) rows of its thinner side, B or B^T.  The squared singular values
 are the nonzero spectrum of both the Gramian B B^T and the unit-weight frame
 operator B^T B, neither of which is formed.  One rank rule,
-lambda > rank_tol * lambda_max with lambda_max > 0, decides what is kept,
-and the frame bounds are read off what is kept (``FrameSpectrum.lower`` and
-``.upper``).
+lambda > max(rank_tol, (min(N, M) 2**-52)**2) * lambda_max with
+lambda_max > 0, decides what is kept: below the floor an eigenvalue is
+rounding noise whatever rank_tol is.  The frame bounds are read off what is
+kept (``FrameSpectrum.lower`` and ``.upper``).
 """
 
 from __future__ import annotations
@@ -217,7 +218,10 @@ def frame_spectrum(
     wide = fs.n_vectors <= fs.n_points
     svd = row_svd(b if wide else b.T)
     lam = svd.squares
-    rank = int(np.count_nonzero(lam > rank_tol * lam[0])) if lam[0] > 0.0 else 0
+    # below (min(N, M) eps)**2 lambda_max an eigenvalue is rounding noise
+    # whatever rank_tol is, since Jacobi's error in sigma is about n eps sigma_max
+    floor = (min(fs.n_vectors, fs.n_points) * 2.0**-52) ** 2
+    rank = int(np.count_nonzero(lam > max(rank_tol, floor) * lam[0])) if lam[0] > 0.0 else 0
     rotated = svd.left[:rank].T
     divided = svd.rows[:rank].T / np.sqrt(lam[:rank])
     u, v = (rotated, divided) if wide else (divided, rotated)

@@ -1,0 +1,173 @@
+"""Frame files for the scanner's parity and sanitizer tests, and the
+sanitizer run itself.
+
+``corpus()`` is a fixed list of byte strings: small frame files in the
+layouts framekit and perfbench write, variants of their structure that the
+scanner must decline, and mutants of all of them (every truncation, byte
+flips, deletions, and insertions of awkward tokens: ``-0``, ``1e400``,
+bools, integers past 2**53, bytes that are not UTF-8, a BOM).
+
+Run as a script with the path of a library built from ``_frameio.c``, it
+hands every input to ``frame_shape`` and ``frame_read`` in a heap buffer of
+exactly its length, with output arrays of exactly the counted size, and
+spells rows of awkward doubles with ``spell_rows`` into a buffer of exactly
+the size the calls are given, so that a sanitizer sees any access out of
+bounds:
+
+    python tests/frameio_corpus.py LIBRARY
+
+It imports neither numpy nor framekit, and exits 1 if a row's spelling
+differs from Python's ``"%.17g"`` or no input was accepted.
+"""
+
+import ctypes
+import json
+import random
+import struct
+import sys
+
+#: inserted at random offsets of the frame files
+TOKENS = [
+    b" ", b"\t", b"\n", b"\r", b"\x0b", b",", b":", b"[", b"]", b"{", b"}", b'"', b"\\",
+    b"-0", b"-0.0", b"0", b"-", b"+", b".", b"e", b"E", b"e+", b"01", b"1.", b".5",
+    b"1e400", b"-1e400", b"1e-400", b"NaN", b"Infinity", b"-Infinity", b"true", b"false",
+    b"null", b"9007199254740993", b"-9007199254740993", b"18446744073709551617",
+    b"123456789012345678901234567890", b"1" * 70, b"0." + b"0" * 70 + b"1",
+    b"\xff", b"\xe9", b"\xc3\xa9", b"\xef\xbb\xbf", b"\x00",
+]
+
+
+def _payload():
+    return {
+        "grid": {"points": [0, 0.5, 1.25, -3], "weights": [1.5, 2, 0.75, 1e-3]},
+        "vectors": [[1, -0.0, 2.5e-3, 7], [-1e10, 3, 0.1, -0], [4, 5, 6, 9007199254740993]],
+    }
+
+
+def _frame_texts():
+    """Frame files the scanner accepts, then structures it must decline."""
+    p = _payload()
+    grid, vectors = p["grid"], p["vectors"]
+    written = (
+        '{"grid": {"points": [0, 0.5, 1.25, -3], "weights": [1.5, 2, 0.75, '
+        '0.001]}, "vectors": [[1, -0.0, 0.0025000000000000001, 7], [-10000000000, 3, '
+        '0.10000000000000001, 0], [4, 5, 6, 9007199254740992]]}\n'
+    )
+    accepted = [
+        written,
+        json.dumps(p),
+        json.dumps(p, separators=(",", ":")),
+        json.dumps(p, indent=2),
+        json.dumps(p, indent="\t").replace("\n", "\r\n"),
+        ' \n{"grid":{"points":[1],"weights":[2]},"vectors":[[3]]}\t\r\n ',
+        '{"grid": {"points": [1E5, -0e-0, 2e+2], "weights": [1, 1, 1]}, "vectors": [[-0, 0, 0.0]]}',
+    ]
+    declined = [
+        json.dumps({"grid": {"weights": grid["weights"], "points": grid["points"]}, "vectors": vectors}),
+        json.dumps({"vectors": vectors, "grid": grid}),
+        json.dumps({**p, "note": "x"}),
+        json.dumps({"grid": {**grid, "extra": 1}, "vectors": vectors}),
+        json.dumps(p)[:-1] + ', "grid": ' + json.dumps(grid) + "}",
+        json.dumps(p).replace('"grid"', '"gr\\u0069d"'),
+        "\ufeff" + json.dumps(p),
+        json.dumps({"grid": {"points": [], "weights": []}, "vectors": [[]]}),
+        json.dumps({"grid": grid, "vectors": []}),
+        json.dumps({"grid": grid, "vectors": [[1, 2, 3, 4], [1, 2]]}),
+        json.dumps({"grid": grid, "vectors": [[1, 2, 3, 4], [1, 2, 3, 4, 5]]}),
+        json.dumps({"grid": grid, "vectors": [[True, 2, 3, 4]]}),
+        json.dumps({"grid": grid, "vectors": [[None, 2, 3, 4]]}),
+        json.dumps({"grid": grid, "vectors": [[float("nan"), 2, 3, 4]]}),
+        json.dumps({"grid": grid, "vectors": [[10**400, 2, 3, 4]]}),
+        json.dumps({"grid": grid, "vectors": [["1", 2, 3, 4]]}),
+        json.dumps({"grid": grid, "vectors": [[[1], 2, 3, 4]]}),
+        json.dumps({"grid": grid, "vectors": [1, 2, 3, 4]}),
+        json.dumps([p]),
+        json.dumps(p) + " []",
+    ]
+    return [t.encode("utf-8") for t in accepted + declined]
+
+
+def corpus(seed=0, mutants=60):
+    """The fixed inputs: each frame text, every truncation of it, and
+    ``mutants`` each of flipped, deleted and inserted bytes."""
+    rng = random.Random(seed)
+    out = []
+    for base in _frame_texts():
+        out.append(base)
+        out.extend(base[:i] for i in range(len(base)))
+        for _ in range(mutants):
+            i = rng.randrange(len(base))
+            out.append(base[:i] + bytes([rng.randrange(256)]) + base[i + 1 :])
+            out.append(base[:i] + base[i + 1 :])
+            out.append(base[:i] + rng.choice(TOKENS) + base[i:])
+    return out
+
+
+def awkward_doubles(seed=0, count=20000):
+    """Signed zeros, subnormals, the extremes, powers of ten and two,
+    neighbours of powers of ten and random bit patterns (NaN and inf too)."""
+    rng = random.Random(seed)
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308]
+    values += [float(f"1e{k}") for k in range(-40, 50)]
+    values += [2.0**k for k in range(-1074, 1024, 7)]
+    for k in range(-20, 45):
+        bits = struct.unpack("<q", struct.pack("<d", float(f"1e{k}")))[0]
+        values += [struct.unpack("<d", struct.pack("<q", bits + d))[0] for d in (-1, 1)]
+    values += [struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0] for _ in range(count)]
+    return values
+
+
+def python_spelling(x):
+    return "-0.0" if x == 0.0 and struct.pack("<d", x)[7] & 0x80 else "%.17g" % x
+
+
+def main(library):
+    lib = ctypes.CDLL(library)
+    libc = ctypes.CDLL(None)
+    libc.malloc.restype = ctypes.c_void_p
+    libc.malloc.argtypes = [ctypes.c_size_t]
+    libc.free.argtypes = [ctypes.c_void_p]
+    shape_type = ctypes.c_long * 4
+    lib.frame_shape.argtypes = [ctypes.c_void_p, ctypes.c_long, shape_type]
+    lib.frame_read.argtypes = [ctypes.c_void_p, ctypes.c_long, shape_type] + [ctypes.c_void_p] * 3
+    lib.spell_rows.argtypes = [
+        ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_long,
+        ctypes.POINTER(ctypes.c_long),
+    ]
+    lib.spell_rows.restype = ctypes.c_long
+
+    inputs = corpus()
+    accepted = 0
+    for data in inputs:
+        buffer = libc.malloc(max(len(data), 1))
+        ctypes.memmove(buffer, data, len(data))
+        shape = shape_type()
+        if lib.frame_shape(buffer, len(data), shape) == 0:
+            arrays = [libc.malloc(8 * n) for n in (shape[0], shape[1], shape[2] * shape[3])]
+            accepted += lib.frame_read(buffer, len(data), shape, *arrays) == 0
+            for a in arrays:
+                libc.free(a)
+        libc.free(buffer)
+
+    # rows of 9 awkward doubles, spelt into a buffer that holds three rows by
+    # the writer's bound, so each call fills it as far as the bound lets it
+    values = awkward_doubles()
+    cols = 9
+    rows = len(values) // cols
+    table = (ctypes.c_double * (rows * cols))(*values[: rows * cols])
+    size = 3 * (26 * cols + 4)
+    out = libc.malloc(size)
+    done, chunks = ctypes.c_long(0), []
+    while done.value < rows:
+        n = lib.spell_rows(table, rows, cols, out, size, ctypes.byref(done))
+        chunks.append(ctypes.string_at(out, n).decode())
+    libc.free(out)
+    got = "".join(chunks)[1:-1].split("], [")
+    expected = [", ".join(map(python_spelling, values[i * cols : (i + 1) * cols])) for i in range(rows)]
+    wrong = sum(a != b for a, b in zip(got, expected)) + abs(len(got) - len(expected))
+    print(f"{len(inputs)} inputs, {accepted} accepted; {rows} rows, {wrong} spelt wrong")
+    return 1 if wrong or not accepted else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1]))

@@ -908,18 +908,12 @@ class TestExitCodes:
         assert cli.main([command, path]) == EXIT_SCHEMA
         assert "after 1 sweeps" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "command, codes",
-        [
-            ("canonical", (EXIT_OK, EXIT_SCHEMA, EXIT_DEGENERATE, EXIT_MATH)),
-            ("verify", (EXIT_MATH,)),
-        ],
-        ids=["canonical", "verify"],
-    )
-    def test_rank_tol_zero_on_scaled_duplicates(self, tmp_path, capsys, command, codes):
+    @pytest.mark.parametrize("command", ["analyze", "kernel", "canonical", "verify"])
+    def test_rank_tol_zero_on_scaled_duplicates(self, tmp_path, capsys, command):
         # 8 random vectors on 16 points, each listed twice, scaled by 1e3:
-        # rank_tol 0 keeps noise directions, which must end in an exit code;
-        # verify cannot certify three digits there (kappa ~ 1e270) and fails
+        # the eigenvalues past the 8th are rounding noise, about 1e-32 of
+        # lambda_max, below the floor of the rank rule, so rank_tol 0 keeps
+        # rank 8 and every command prints what it prints at the default
         r = np.random.default_rng(3)
         m = 16
         base = r.standard_normal((8, m))
@@ -931,5 +925,9 @@ class TestExitCodes:
             "vectors": (1e3 * np.vstack([base, base])).tolist(),
         }
         path = write(tmp_path / "dup.json", payload)
-        code = cli.main([command, path, "--rank-tol", "0"])
-        assert code in codes
+        assert cli.main([command, path]) == EXIT_OK
+        default = capsys.readouterr()
+        assert cli.main([command, path, "--rank-tol", "0"]) == EXIT_OK
+        assert capsys.readouterr() == default
+        if command == "analyze":
+            assert " rank=8 " in default.out and "frame=false" in default.out

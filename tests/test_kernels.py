@@ -441,3 +441,46 @@ def test_concurrent_first_builds(tmp_path):
     outputs = [p.communicate(timeout=120)[0].strip() for p in procs]
     assert outputs == ["compiled"] * 3
     assert len(list(cache.iterdir())) == 1
+
+
+@needs_cc
+def test_c_sources_compile_without_warnings(tmp_path):
+    proc = subprocess.run(
+        [CC, *_kernels._FLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "lib.so"),
+         *map(str, _kernels._SOURCES)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@needs_cc
+def test_frame_io_under_address_and_undefined_sanitizers(tmp_path):
+    # the corpus of tests/frameio_corpus.py, each input in a heap buffer of
+    # exactly its length, against the scanner and writer built with ASan and
+    # UBSan; the interpreter is not instrumented, so libasan is preloaded
+    libasan = subprocess.run(
+        [CC, "-print-file-name=libasan.so"], capture_output=True, text=True
+    ).stdout.strip()
+    if not os.path.isabs(libasan):
+        pytest.skip("no libasan for this compiler")
+    library = tmp_path / "frameio-sanitized.so"
+    source = Path(_kernels.__file__).with_name("_frameio.c")
+    subprocess.run(
+        [CC, "-O1", "-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined",
+         "-fno-sanitize-recover=all", "-fPIC", "-shared", "-o", str(library), str(source)],
+        check=True,
+        capture_output=True,
+        timeout=120,
+    )
+    script = Path(__file__).with_name("frameio_corpus.py")
+    proc = subprocess.run(
+        [sys.executable, str(script), str(library)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0"},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert " 0 spelt wrong" in proc.stdout

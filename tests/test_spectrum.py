@@ -247,8 +247,7 @@ class TestScale:
             (scaled(small_frame(), 1e-90), "1e-10"),
             (small_frame(), "1e-10"),
             (scaled(small_frame(), 1e80), "1e-10"),
-            # rank_tol 0 keeps noise directions, kappa ~ 1e270: the capped
-            # gate must not widen past the fault
+            # rank_tol 0 meets the rank rule's noise floor
             (scaled(duplicated_frame(3, 8, 16), 1e3), "0"),
         ],
         ids=["1e-90", "1", "1e80", "duplicates-rank-tol-0"],
@@ -393,6 +392,26 @@ def spectral_frames(draw):
     m = draw(st.integers(1, 8))
     k = draw(st.integers(1, min(n, m)))
     return frame_with_spectrum(draw(st.integers(0, 2**32 - 1)), n, m, k), k
+
+
+@pytest.mark.parametrize(
+    "fs, rank",
+    [
+        (scaled(duplicated_frame(3, 8, 16), 1e3), 8),
+        (duplicated_frame(62, 8, 20), 8),
+        (frame_with_spectrum(5, 6, 8, 3), 3),
+        (monomial_frame(12, 64), 12),
+        (monomial_frame(16, 200), 16),
+        # lambda_21..23 of this one are off by more than 1e-4 against an
+        # 80-digit oracle of the quadrature Gramian; the floor drops them
+        (monomial_frame(24, 400), 21),
+    ],
+    ids=["duplicates-1e3", "duplicates", "spectrum-3", "monomial-12", "monomial-16",
+         "monomial-24"],
+)
+def test_rank_tol_zero_keeps_no_rounding_noise(fs, rank):
+    # eigenvalues below (min(N, M) 2**-52)**2 lambda_max are never kept
+    assert frame_spectrum(fs, 0.0).rank == rank
 
 
 class TestVectorInvariance:
