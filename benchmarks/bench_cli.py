@@ -31,6 +31,12 @@ import numpy as np
 from framekit import _kernels, cli, frames, jacobi_backend, rkhs
 
 
+def quartiles(times):
+    """Median and quartiles of a list of timings."""
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive") if len(times) > 1 else times * 3
+    return {"median": median, "q1": q1, "q3": q3}
+
+
 def timed_ms(fn, repeats):
     """Median and quartiles of the milliseconds per call over ``repeats`` calls."""
     times = []
@@ -38,8 +44,7 @@ def timed_ms(fn, repeats):
         start = time.perf_counter()
         fn()
         times.append((time.perf_counter() - start) * 1e3)
-    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive") if repeats > 1 else times * 3
-    return {"median": median, "q1": q1, "q3": q3}
+    return quartiles(times)
 
 
 def spell(x):

@@ -1,19 +1,24 @@
 #!/usr/bin/env python3
 """Time the stages of KL sampling and sample_kl on one and on all workers.
 
-Prints the milliseconds (best of ``--repeats``) that each stage takes over
-``--samples`` x ``--vectors``, run block by block into one reused scratch as
-a sample_kl worker runs it, on one thread, for each twin that loaded
-(``python``, ``compiled``): the Philox words split into u1 and the angle
-words (``philox_split``), numpy's log in place on u1, the fused radius and
-angle kernel (``polar_normals``) and the KL contraction (``kl_contract``);
-then the whole ``sample_kl`` with one worker and with one worker per usable
-CPU.  It prints the minor page faults per block of each twin's draw loop in
-this thread and of ``sample_kl`` on one worker, once warm.  It checks that
-both twins, and one and all workers, give the same sample bytes, and exits 1
-if they do not.
+It prints the sampling variant the compiled backend selected (the widest
+vector ISA this CPU runs), then, for the numpy twin (``python``) and for
+every variant of the compiled kernels this CPU runs (``compiled/avx512f``,
+``compiled/avx2``, ``compiled/baseline``), the milliseconds (median over
+``--repeats``) that each stage takes over ``--samples`` x ``--vectors``, run
+block by block into one reused scratch, on one thread: the Philox words
+split into u1 and the angle words (``philox_split``), numpy's log in place
+on u1, the radius and angle kernel (``polar_normals``), the KL contraction
+of those normals (``kl_contract``), and the two fused (``polar_contract``),
+which a sample_kl worker runs in their place.  Then it prints the whole
+``sample_kl`` with one worker and with one worker per usable CPU, and the
+minor page faults per block, once warm, of each draw loop in this thread
+and of ``sample_kl`` on one worker.  It checks that every twin and variant,
+and one and all workers, give the same sample bytes, and exits 1 if they do
+not.  ``--json PATH`` also writes the medians and quartiles, with the
+environment, as JSON.
 
-    PYTHONPATH=src python3 benchmarks/bench_sampling.py [--samples 200000] [--vectors 50] [--repeats 5]
+    PYTHONPATH=src python3 benchmarks/bench_sampling.py [--samples 200000] [--vectors 50] [--repeats 5] [--json PATH]
 """
 
 import os
@@ -23,15 +28,17 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import contextlib
+import json
 import resource
 from time import perf_counter
 
 import numpy as np
+from bench_cli import environment, quartiles, timed_ms
 
 from framekit import _kernels, gp
 from framekit.frames import FrameSystem, Grid
 
-STAGES = ("philox split", "log", "polar kernel", "contraction")
+STAGES = ("philox split", "log", "polar kernel", "contraction", "fused polar + contraction")
 
 
 def minor_faults():
@@ -56,6 +63,7 @@ def main():
     parser.add_argument("--vectors", type=int, default=50)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--json", default=None, help="also write the results to this file")
     args = parser.parse_args()
     s, n, seed = args.samples, args.vectors, args.seed
 
@@ -65,13 +73,16 @@ def main():
     u1, k = np.empty((rows, pairs)), np.empty((rows, pairs), dtype=np.uint64)
     normals = np.empty((rows, n))
     out_re, out_im = np.empty(s), np.empty(s)
+    twins = {"python": _kernels.PYTHON}
+    twins.update((f"compiled/{name}", backend) for name, backend in _kernels.VARIANTS.items())
 
     def stages(backend):
-        """Seconds of each stage over all blocks, in sample_kl's order."""
+        """Milliseconds of each stage over all blocks, in sample_kl's order."""
         spent = [0.0] * len(STAGES)
         for first in firsts:
             stop = min(first + gp._SAMPLE_BLOCK, s)
             u, w, x = u1[: stop - first], k[: stop - first], normals[: stop - first]
+            re, im = out_re[first:stop], out_im[first:stop]
             t0 = perf_counter()
             backend.philox_split(seed, first, u, w)
             t1 = perf_counter()
@@ -79,10 +90,12 @@ def main():
             t2 = perf_counter()
             backend.polar_normals(u, w, x)
             t3 = perf_counter()
-            backend.kl_contract(x, coeffs.re, coeffs.im, out_re[first:stop], out_im[first:stop])
+            backend.kl_contract(x, coeffs.re, coeffs.im, re, im)
             t4 = perf_counter()
-            for i, dt in enumerate((t1 - t0, t2 - t1, t3 - t2, t4 - t3)):
-                spent[i] += dt
+            backend.polar_contract(u, w, coeffs.re, coeffs.im, re, im)
+            t5 = perf_counter()
+            for i, dt in enumerate((t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
+                spent[i] += dt * 1e3
         return spent
 
     worker_count, active = gp._worker_count, _kernels.ACTIVE
@@ -100,45 +113,54 @@ def main():
         with running(backend, workers):
             return gp.sample_kl(coeffs, s, seed)
 
-    def best_ms(fn):
-        best = float("inf")
-        for _ in range(args.repeats):
-            start = perf_counter()
-            fn()
-            best = min(best, perf_counter() - start)
-        return best * 1e3
-
     def faults_per_block(fn):
         fn()  # warm: the scratch and the allocator's pools are in place
         before = minor_faults()
         fn()
         return (minor_faults() - before) / len(firsts)
 
-    rows_out, faults = [], []
-    for name, backend in _kernels.BACKENDS.items():
-        best = [min(col) for col in zip(*(stages(backend) for _ in range(args.repeats)))]
-        rows_out += [(f"{stage}, {name}", 1e3 * t) for stage, t in zip(STAGES, best)]
-        faults.append((f"draw loop, {name}", faults_per_block(lambda b=backend: stages(b))))
-    rows_out += [
-        ("sample_kl, 1 worker", best_ms(lambda: sample(1))),
-        (f"sample_kl, {cpus} workers", best_ms(lambda: sample(cpus))),
-    ]
-    faults.append((f"sample_kl 1 worker, {active.name}", faults_per_block(lambda: sample(1))))
+    stage_ms, faults = {}, {}
+    for name, backend in twins.items():
+        passes = [stages(backend) for _ in range(args.repeats)]
+        stage_ms[name] = {stage: quartiles(list(col)) for stage, col in zip(STAGES, zip(*passes))}
+        faults[f"draw loop, {name}"] = faults_per_block(lambda b=backend: stages(b))
+    sample_ms = {
+        "1 worker": timed_ms(lambda: sample(1), args.repeats),
+        f"{cpus} workers": timed_ms(lambda: sample(cpus), args.repeats),
+    }
+    faults[f"sample_kl 1 worker, {active.name}/{active.variant}"] = faults_per_block(
+        lambda: sample(1)
+    )
 
+    print(f"sampling variant: {active.variant} (of {', '.join(_kernels.VARIANTS) or 'none'})")
     print(f"{s} samples x {n} vectors in blocks of {gp._SAMPLE_BLOCK}, BLAS pinned to 1 thread")
-    for name, ms in rows_out:
-        print(f"{name:>28} {ms:>10.2f} ms")
+    print("median ms over all blocks:")
+    for name, row in stage_ms.items():
+        for stage, q in row.items():
+            print(f"{stage + ', ' + name:>45} {q['median']:>10.2f} ms")
+    for workers, q in sample_ms.items():
+        print(f"{'sample_kl, ' + workers:>45} {q['median']:>10.2f} ms")
     print("minor page faults per block, warm:")
-    for name, per_block in faults:
-        print(f"{name:>28} {per_block:>10.1f}")
-    runs = [(f"{name}, 1 worker", sample(1, b)) for name, b in _kernels.BACKENDS.items()]
-    runs.append((f"{active.name}, {cpus} workers", sample(cpus)))
+    for name, per_block in faults.items():
+        print(f"{name:>45} {per_block:>10.1f}")
+    runs = [(f"{name}, 1 worker", sample(1, b)) for name, b in twins.items()]
+    runs.append((f"{active.name}/{active.variant}, {cpus} workers", sample(cpus)))
     first = runs[0][1]
     same = all(
         re.tobytes() == first[0].tobytes() and im.tobytes() == first[1].tobytes()
         for _, (re, im) in runs
     )
     print(f"{'; '.join(name for name, _ in runs)}: {'same bytes' if same else 'DIFFERENT BYTES'}")
+    if args.json:
+        with open(args.json, "w", encoding="utf-8") as fh:
+            json.dump(
+                {"environment": {**environment(), "sampling_variant": active.variant},
+                 "samples": s, "vectors": n, "block": gp._SAMPLE_BLOCK, "repeats": args.repeats,
+                 "stages_ms": stage_ms, "sample_kl_ms": sample_ms,
+                 "minor_faults_per_block": faults, "same": same},
+                fh,
+                indent=1,
+            )
     return 0 if same else 1
 
 

@@ -16,6 +16,15 @@ or when the directory is not writable, the Python twins run.  ``ACTIVE`` is
 the backend ``spectral.row_svd``, ``rng``'s normals, the fixed-order sums of
 ``gp`` and the file reader and writers of ``cli`` run; ``BACKENDS`` lists
 every one that loaded, for the parity tests and the benchmarks.
+
+The C library holds its floating-point sampling kernels (``polar_normals``
+and ``polar_contract``) once per vector ISA: AVX-512F, AVX2 and the x86-64
+baseline where the compiler targets x86-64, the baseline alone elsewhere.
+The library names the variants this CPU runs, the compiled backend takes
+the widest, once per process, and ``VARIANTS`` holds a compiled backend
+for each (widest first; empty when the numpy twin runs) for the parity
+tests and the benchmarks.  The variants give the same bits, so samples do
+not depend on which one runs.
 """
 
 from __future__ import annotations
@@ -41,12 +50,17 @@ _FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 
 
 class Backend(NamedTuple):
-    """One twin: ``jacobi_rows(a, max_sweeps, tol)``, one-sided Jacobi on the
+    """One twin: ``variant``, the vector ISA its floating-point sampling
+    kernels were built for ("numpy" for the numpy twin);
+    ``jacobi_rows(a, max_sweeps, tol)``, one-sided Jacobi on the
     rows of ``a``, returning (squared row norms, rotations, sweeps);
     ``philox_split(seed, first, u1, k)``, which writes the Box-Muller operands
     u1 and angle words k of Philox streams first.. into (rows, pairs) arrays;
     ``polar_normals(ln_u1, k, out)``, radius and angle of Box-Muller from ln
-    u1 and k, written into the (rows, count) ``out``; and
+    u1 and k, written into the (rows, count) ``out``;
+    ``polar_contract(ln_u1, k, c_re, c_im, out_re, out_im)``, the
+    ``kl_contract`` of those normals, count = len(c_re) of them a row, into
+    the (rows,) ``out_re`` and ``out_im``, the normals never written out; and
     ``kl_contract(x, c_re, c_im, out_re, out_im)``, the fixed-order sums of
     ``sample_kl``, ``kl_coefficients`` and ``fourier_at_atoms``;
     ``spell_rows(table)``, the rows of a 2-D float table as ASCII bytes
@@ -56,9 +70,11 @@ class Backend(NamedTuple):
     frame layout, or None to leave the file to the JSON walk."""
 
     name: str
+    variant: str
     jacobi_rows: Callable
     philox_split: Callable
     polar_normals: Callable
+    polar_contract: Callable
     kl_contract: Callable
     spell_rows: Callable
     scan_frame: Callable
@@ -66,9 +82,11 @@ class Backend(NamedTuple):
 
 PYTHON = Backend(
     "python",
+    "numpy",
     _hestenes_py.jacobi_rows,
     _sampling_py.philox_split,
     _sampling_py.polar_normals,
+    _sampling_py.polar_contract,
     _sampling_py.kl_contract,
     _frameio_py.spell_rows,
     _frameio_py.scan_frame,
@@ -120,7 +138,9 @@ def _build(cc: str, cache: Path) -> Path:
     return library
 
 
-def _load(library: Path) -> Backend:
+def _load(library: Path) -> list[Backend]:
+    """A compiled backend for each variant of the sampling kernels that this
+    CPU runs, widest first."""
     lib = ctypes.CDLL(str(library))
     # typed pointers make a wrong dtype, rank, layout or a read-only array
     # raise instead of handing C the wrong memory
@@ -145,10 +165,6 @@ def _load(library: Path) -> Backend:
         ctypes.c_uint64, ctypes.c_uint64, matrix, words_out, ctypes.c_long, ctypes.c_long
     ]
     lib.philox_split.restype = None
-    lib.polar_normals.argtypes = [
-        rows_in, words_in, matrix, ctypes.c_long, ctypes.c_long, ctypes.c_long
-    ]
-    lib.polar_normals.restype = None
     lib.kl_contract.argtypes = [
         rows_in, vector, vector, out_vector, out_vector, ctypes.c_long, ctypes.c_long
     ]
@@ -158,12 +174,8 @@ def _load(library: Path) -> Backend:
         rows, pairs = _sampling_py.check_philox_args(seed, first, u1, k)
         lib.philox_split(seed, first, u1, k, rows, pairs)
 
-    def polar_normals(ln_u1, k, out):
-        rows, pairs, count = _sampling_py.check_polar_args(ln_u1, k, out)
-        lib.polar_normals(ln_u1, k, out, rows, pairs, count)
-
     def kl_contract(x, c_re, c_im, out_re, out_im):
-        rows, n = _sampling_py.check_contract_args(x, c_re, c_im, out_re, out_im)
+        rows, n = _sampling_py.check_contract_args(x.shape, c_re, c_im, out_re, out_im)
         lib.kl_contract(x, c_re, c_im, out_re, out_im, rows, n)
 
     lib.spell_rows.argtypes = [
@@ -201,19 +213,47 @@ def _load(library: Path) -> Backend:
             return None
         return points, weights, vectors
 
-    return Backend(
-        "compiled", jacobi_rows, philox_split, polar_normals, kl_contract, spell_rows, scan_frame
-    )
+    lib.sampling_variants.argtypes = []
+    lib.sampling_variants.restype = ctypes.c_char_p
+    sizes = [ctypes.c_long] * 3
+
+    def variant(name):
+        polar = getattr(lib, f"polar_normals_{name}")
+        polar.argtypes = [rows_in, words_in, matrix, *sizes]
+        polar.restype = None
+        fused = getattr(lib, f"polar_contract_{name}")
+        fused.argtypes = [rows_in, words_in, vector, vector, out_vector, out_vector, *sizes]
+        fused.restype = None
+
+        def polar_normals(ln_u1, k, out):
+            rows, pairs, count = _sampling_py.check_polar_args(ln_u1, k, out.shape)
+            polar(ln_u1, k, out, rows, pairs, count)
+
+        def polar_contract(ln_u1, k, c_re, c_im, out_re, out_im):
+            rows, pairs, count = _sampling_py.check_polar_contract_args(
+                ln_u1, k, c_re, c_im, out_re, out_im
+            )
+            fused(ln_u1, k, c_re, c_im, out_re, out_im, rows, pairs, count)
+
+        return Backend(
+            "compiled", name, jacobi_rows, philox_split, polar_normals, polar_contract,
+            kl_contract, spell_rows, scan_frame,
+        )
+
+    return [variant(name) for name in lib.sampling_variants().decode().split()]
 
 
-def _select(cc: str, cache: Path) -> tuple[dict, Backend]:
-    """(every backend that loads, the one to run): the C twin built by ``cc``
-    into ``cache`` when that works, the numpy twin otherwise."""
+def _select(cc: str, cache: Path) -> tuple[dict, dict, Backend]:
+    """(every backend that loads, a compiled backend for each variant of the
+    sampling kernels this CPU runs, the backend to run): the C twin built by
+    ``cc`` into ``cache``, with its widest variant, when that works, the
+    numpy twin otherwise."""
     try:
-        compiled = _load(_build(cc, cache))
+        variants = _load(_build(cc, cache))
     except OSError:
-        return {"python": PYTHON}, PYTHON
-    return {"python": PYTHON, "compiled": compiled}, compiled
+        return {"python": PYTHON}, {}, PYTHON
+    widest = variants[0]
+    return {"python": PYTHON, "compiled": widest}, {v.variant: v for v in variants}, widest
 
 
-BACKENDS, ACTIVE = _select("cc", Path(__file__).with_name("__pycache__"))
+BACKENDS, VARIANTS, ACTIVE = _select("cc", Path(__file__).with_name("__pycache__"))

@@ -7,9 +7,26 @@
  * integer, reads a table or runs numpy's Philox, this one computes the same
  * double or word by integer arithmetic.  Keep the two files in sync.
  * The stream layout and the angle algorithm are documented in framekit/rng.py.
+ *
+ * The floating-point kernels, polar_normals and the fused polar_contract, are
+ * built once per vector ISA: for AVX-512F and for AVX2 where the compiler
+ * targets x86-64 (GCC or Clang), and for the baseline everywhere.  Each
+ * variant inlines the same bodies, and with no FMA and every sum in a fixed
+ * order they give the same bits; sampling_variants names those this CPU
+ * runs, and the loader picks the widest.  philox_split and kl_contract are
+ * built for the baseline alone: in a whole-library AVX2 build, Philox's
+ * 64 x 64 -> 128-bit multiplies ran slower, and the contraction no faster.
  */
 #include <math.h>
 #include <stdint.h>
+
+#if defined(__x86_64__) && (defined(__clang__) || __GNUC__ >= 5)
+#define ISA_DISPATCH 1
+#endif
+
+/* the bodies below are inlined into every variant, so that each is compiled
+ * for its caller's ISA */
+#define BODY static inline __attribute__((always_inline))
 
 /* Philox-4x64 multipliers and Weyl key increments (Salmon et al., SC 2011) */
 #define PHILOX_M0 UINT64_C(0xD2E7470EE14C6C93)
@@ -83,14 +100,14 @@ static const double COS_COEF[10] = {
  * mantissa of 1.5 2^52, and the subtraction is exact.  Unlike a cast, it
  * vectorizes where the vector unit has no int64-to-double conversion, as
  * on baseline x86-64. */
-static inline double small_int_to_double(int64_t r)
+BODY double small_int_to_double(int64_t r)
 {
     union { int64_t i; double d; } u = {r + INT64_C(0x4338000000000000)};
     return u.d - 0x1.8p52;
 }
 
 /* (cos 2 pi u, sin 2 pi u) for u = k 2^-53, k < 2^53 */
-static inline void cos_sin(uint64_t k, double *cosv, double *sinv)
+BODY void cos_sin(uint64_t k, double *cosv, double *sinv)
 {
     uint64_t q = (k + (UINT64_C(1) << 50)) >> 51;
     double t = small_int_to_double((int64_t)k - (int64_t)(q << 51)) * 0x1p-50;
@@ -112,53 +129,136 @@ static inline void cos_sin(uint64_t k, double *cosv, double *sinv)
     *sinv = a * s - b * c;
 }
 
-/* out[i][2j] = r cos, out[i][2j+1] = r sin of the angle word k[i][j], with
- * the radius r = sqrt(ln_u1[i][j] * -2), for the count columns of each of
- * the rows */
-void polar_normals(const double *ln_u1, const uint64_t *k, double *out,
-                   long rows, long pairs, long count)
+/* oi[2j] = r cos, oi[2j+1] = r sin of the angle word ki[j], with the radius
+ * r = sqrt(li[j] * -2), for the count columns of one row; an odd count drops
+ * the last sine */
+BODY void polar_row(const double *li, const uint64_t *ki, double *oi, long count)
 {
-    for (long i = 0; i < rows; i++) {
-        const double *li = ln_u1 + i * pairs;
-        const uint64_t *ki = k + i * pairs;
-        double *oi = out + i * count;
-        for (long j = 0; j < count / 2; j++) {
-            double cosv, sinv, r = sqrt(li[j] * -2.0);
-            cos_sin(ki[j], &cosv, &sinv);
-            oi[2 * j] = r * cosv;
-            oi[2 * j + 1] = r * sinv;
-        }
-        if (count % 2) {
-            double cosv, sinv, r = sqrt(li[pairs - 1] * -2.0);
-            cos_sin(ki[pairs - 1], &cosv, &sinv);
-            oi[count - 1] = r * cosv;
-        }
+    for (long j = 0; j < count / 2; j++) {
+        double cosv, sinv, r = sqrt(li[j] * -2.0);
+        cos_sin(ki[j], &cosv, &sinv);
+        oi[2 * j] = r * cosv;
+        oi[2 * j + 1] = r * sinv;
     }
+    if (count % 2) {
+        double cosv, sinv, r = sqrt(li[count / 2] * -2.0);
+        cos_sin(ki[count / 2], &cosv, &sinv);
+        oi[count - 1] = r * cosv;
+    }
+}
+
+/* rows whose sums overlap in the contraction */
+#define TILE 8
+/* columns of normals one tile of polar_contract holds at a time (even) */
+#define SPAN 64
+
+/* re[i] = re[i] + x[i][j] c_re[j] for j = 0..cols-1 in index order, and im
+ * likewise, for the tile rows of x (row stride `stride`); with `first`, each
+ * sum starts from its first term alone */
+BODY void contract_tile(const double *x, long stride, long cols, const double *c_re,
+                        const double *c_im, double *re, double *im, long tile, int first)
+{
+    long j = 0;
+    if (first) {
+        for (long i = 0; i < tile; i++) {
+            re[i] = x[i * stride] * c_re[0];
+            im[i] = x[i * stride] * c_im[0];
+        }
+        j = 1;
+    }
+    for (; j < cols; j++)
+        for (long i = 0; i < tile; i++) {
+            re[i] = re[i] + x[i * stride + j] * c_re[j];
+            im[i] = im[i] + x[i * stride + j] * c_im[j];
+        }
 }
 
 /* out_re[i] = sum over j in index order of x[i][j] c_re[j] (the first term
  * alone, then one add per term), and out_im likewise; TILE rows at a time
  * so that independent sums overlap */
-#define TILE 8
 void kl_contract(const double *x, const double *c_re, const double *c_im,
                  double *out_re, double *out_im, long rows, long n)
 {
     for (long i0 = 0; i0 < rows; i0 += TILE) {
         long tile = rows - i0 < TILE ? rows - i0 : TILE;
-        const double *xi = x + i0 * n;
         double re[TILE], im[TILE];
-        for (long i = 0; i < tile; i++) {
-            re[i] = xi[i * n] * c_re[0];
-            im[i] = xi[i * n] * c_im[0];
-        }
-        for (long j = 1; j < n; j++)
-            for (long i = 0; i < tile; i++) {
-                re[i] = re[i] + xi[i * n + j] * c_re[j];
-                im[i] = im[i] + xi[i * n + j] * c_im[j];
-            }
+        contract_tile(x + i0 * n, n, n, c_re, c_im, re, im, tile, 1);
         for (long i = 0; i < tile; i++) {
             out_re[i0 + i] = re[i];
             out_im[i0 + i] = im[i];
         }
     }
+}
+
+/* the count normals of each of the rows (polar_row) into out */
+BODY void polar_rows(const double *ln_u1, const uint64_t *k, double *out, long rows,
+                     long pairs, long count)
+{
+    for (long i = 0; i < rows; i++)
+        polar_row(ln_u1 + i * pairs, k + i * pairs, out + i * count, count);
+}
+
+/* kl_contract of the normals polar_rows would write, into out_re and
+ * out_im, without writing them out: a tile of rows is drawn SPAN columns at
+ * a time into a buffer on the stack and its sums carried over the spans, so
+ * the normals stay in L1 and every sum is kl_contract's */
+BODY void polar_contract_rows(const double *ln_u1, const uint64_t *k, const double *c_re,
+                              const double *c_im, double *out_re, double *out_im,
+                              long rows, long pairs, long count)
+{
+    double x[TILE * SPAN];
+    for (long i0 = 0; i0 < rows; i0 += TILE) {
+        long tile = rows - i0 < TILE ? rows - i0 : TILE;
+        double re[TILE], im[TILE];
+        for (long c0 = 0; c0 < count; c0 += SPAN) {
+            long cols = count - c0 < SPAN ? count - c0 : SPAN;
+            for (long i = 0; i < tile; i++) {
+                long at = (i0 + i) * pairs + c0 / 2;
+                polar_row(ln_u1 + at, k + at, x + i * SPAN, cols);
+            }
+            contract_tile(x, SPAN, cols, c_re + c0, c_im + c0, re, im, tile, c0 == 0);
+        }
+        for (long i = 0; i < tile; i++) {
+            out_re[i0 + i] = re[i];
+            out_im[i0 + i] = im[i];
+        }
+    }
+}
+
+/* the exported polar_normals_<isa> and polar_contract_<isa>, compiled with
+ * the attributes that follow the name */
+#define SAMPLING_KERNELS(isa, ...)                                                   \
+    __VA_ARGS__ void polar_normals_##isa(const double *ln_u1, const uint64_t *k,    \
+                                         double *out, long rows, long pairs,        \
+                                         long count)                                \
+    {                                                                                \
+        polar_rows(ln_u1, k, out, rows, pairs, count);                               \
+    }                                                                                \
+    __VA_ARGS__ void polar_contract_##isa(const double *ln_u1, const uint64_t *k,   \
+                                          const double *c_re, const double *c_im,   \
+                                          double *out_re, double *out_im,           \
+                                          long rows, long pairs, long count)        \
+    {                                                                                \
+        polar_contract_rows(ln_u1, k, c_re, c_im, out_re, out_im, rows, pairs, count); \
+    }
+
+SAMPLING_KERNELS(baseline)
+#ifdef ISA_DISPATCH
+SAMPLING_KERNELS(avx2, __attribute__((target("avx2"))))
+SAMPLING_KERNELS(avx512f, __attribute__((target("avx512f"))))
+#endif
+
+/* the variants of the floating-point kernels this CPU runs, widest first,
+ * separated by spaces */
+const char *sampling_variants(void)
+{
+#ifdef ISA_DISPATCH
+    static const char *const runs[4] = {
+        "baseline", "avx2 baseline", "avx512f baseline", "avx512f avx2 baseline",
+    };
+    __builtin_cpu_init();
+    return runs[2 * !!__builtin_cpu_supports("avx512f") + !!__builtin_cpu_supports("avx2")];
+#else
+    return "baseline";
+#endif
 }

@@ -1,5 +1,5 @@
 """Pure-numpy sampling kernels: Philox split into the Box-Muller operands,
-the Box-Muller radius and angle, and the KL contraction.
+the Box-Muller radius and angle, the KL contraction, and the two fused.
 
 Twin of the C kernels in ``_sampling.c``: the same operations on the same
 operands in the same order, element for element, vectorised over the
@@ -56,23 +56,31 @@ def check_philox_args(seed, first, u1, k):
     return rows, pairs
 
 
-def check_polar_args(ln_u1, k, out):
-    """(rows, pairs, count) of a valid ``polar_normals`` call; ValueError otherwise."""
+def check_polar_args(ln_u1, k, shape):
+    """(rows, pairs, count) of a valid ``polar_normals`` call writing normals
+    of ``shape``; ValueError otherwise."""
     rows, pairs = ln_u1.shape
-    _, count = out.shape
-    if k.shape != ln_u1.shape or out.shape[0] != rows or count not in (2 * pairs - 1, 2 * pairs):
-        raise ValueError(f"ln u1 {ln_u1.shape}, angle words {k.shape}, output {out.shape}")
-    return rows, pairs, count
+    if k.shape != ln_u1.shape or tuple(shape) not in ((rows, 2 * pairs - 1), (rows, 2 * pairs)):
+        raise ValueError(f"ln u1 {ln_u1.shape}, angle words {k.shape}, output {shape}")
+    return rows, pairs, shape[1]
 
 
-def check_contract_args(x, c_re, c_im, out_re, out_im):
-    """(rows, n) of a valid ``kl_contract`` call; ValueError otherwise."""
-    rows, n = x.shape
+def check_contract_args(shape, c_re, c_im, out_re, out_im):
+    """(rows, n) of a valid ``kl_contract`` call on normals of ``shape``;
+    ValueError otherwise."""
+    rows, n = shape
     if n < 1 or c_re.shape != (n,) or c_im.shape != (n,):
-        raise ValueError(f"normals {x.shape} for coefficients {c_re.shape}, {c_im.shape}")
+        raise ValueError(f"normals {shape} for coefficients {c_re.shape}, {c_im.shape}")
     if out_re.shape != (rows,) or out_im.shape != (rows,):
         raise ValueError(f"outputs {out_re.shape}, {out_im.shape} for {rows} rows")
     return rows, n
+
+
+def check_polar_contract_args(ln_u1, k, c_re, c_im, out_re, out_im):
+    """(rows, pairs, count) of a valid ``polar_contract`` call; ValueError otherwise."""
+    shape = (ln_u1.shape[0], c_re.size)
+    check_contract_args(shape, c_re, c_im, out_re, out_im)
+    return check_polar_args(ln_u1, k, shape)
 
 
 def philox_split(seed, first, u1, k):
@@ -105,7 +113,7 @@ def polar_normals(ln_u1, k, out):
     angle words, already shifted below 2**53; ``out`` a (rows, count) float64
     array with count 2 * pairs, or 2 * pairs - 1, which drops the last sine.
     """
-    rows, pairs, count = check_polar_args(ln_u1, k, out)
+    rows, pairs, count = check_polar_args(ln_u1, k, out.shape)
     radius = np.multiply(ln_u1, -2.0)
     np.sqrt(radius, out=radius)
     q = np.add(k, np.uint64(1 << 50))
@@ -139,10 +147,22 @@ def kl_contract(x, c_re, c_im, out_re, out_im):
     rounded on its own; a loop over the n coefficients, vectorised over the
     rows of the C-contiguous (rows, n) array ``x``.
     """
-    rows, n = check_contract_args(x, c_re, c_im, out_re, out_im)
+    rows, n = check_contract_args(x.shape, c_re, c_im, out_re, out_im)
     term = np.empty(rows)
     for c, out in ((c_re, out_re), (c_im, out_im)):
         np.multiply(x[:, 0], c[0], out=out)
         for j in range(1, n):
             np.multiply(x[:, j], c[j], out=term)
             np.add(out, term, out=out)
+
+
+def polar_contract(ln_u1, k, c_re, c_im, out_re, out_im):
+    """``kl_contract`` of the ``polar_normals`` of ``ln_u1`` and ``k``, with
+    count = len(c_re) normals a row, into ``out_re`` and ``out_im``.
+
+    The normals go through a temporary (rows, count) array, where the C twin
+    keeps a tile of them at a time in L1; the bits are the same.
+    """
+    x = np.empty((len(ln_u1), len(c_re)))
+    polar_normals(ln_u1, k, x)
+    kl_contract(x, c_re, c_im, out_re, out_im)

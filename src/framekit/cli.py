@@ -44,9 +44,10 @@ Subcommands and the only flags each accepts, with their defaults:
     gp-sim PATH     [--rank-tol 1e-10] [--seed 0] [--samples 200000]
     hilbert         --sizes N,N,...
 
---rank-tol must lie in [0, 1), --seed in [0, 2**64) and each hilbert size
-in [1, 202]: past 202 the smallest eigenvalue of the Hilbert matrix is not
-a normal double.  The argument parser is built once per process, on the
+--rank-tol must lie in [0, 1), --seed in [0, 2**64), --samples at 2 or
+more and each hilbert size in [1, 202]: past 202 the smallest eigenvalue of
+the Hilbert matrix is not a normal double.  A sample count whose samples do
+not fit in memory exits 2 as well.  The argument parser is built once per process, on the
 first call of main().
 
 Exit codes:
@@ -369,6 +370,14 @@ def _rank_tol(raw: str) -> float:
     return value
 
 
+def _samples(raw: str) -> int:
+    # refused before any file is read: the empirical variance needs two
+    value = int(raw)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"must be at least 2, got {raw}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     arguments = {
@@ -384,7 +393,9 @@ def _build_parser() -> argparse.ArgumentParser:
             help="plain vector-sum kernel instead of the inverse-Gramian kernel",
         ),
         "--seed": dict(type=int, default=0, help="sampling seed"),
-        "--samples": dict(type=int, default=200_000, help="Monte-Carlo sample count"),
+        "--samples": dict(
+            type=_samples, default=200_000, help="Monte-Carlo sample count, at least 2"
+        ),
         "--sizes": dict(required=True, help="comma-separated matrix sizes"),
     }
     commands = {  # name: (help, the arguments it reads); the handler is cmd_<name>

@@ -149,23 +149,28 @@ def sample_kl(
     set is reproducible bit-for-bit from (c, s, seed) and samples are
     independent of generation order.  Each sample sums c_n B_{n,k} over
     n in index order, one rounded multiply and one rounded add per term
-    (the active kernel's ``kl_contract``), so no BLAS thread count enters the
-    bits.  Streams are drawn and contracted in blocks of _SAMPLE_BLOCK
-    samples, each written to its own slice of the output, so the blocks run
-    on a thread pool with one worker per usable CPU (the ctypes kernels, or
-    numpy's Philox and ufuncs in the numpy twin, release the GIL).  Each
-    worker takes the next undrawn block until none is left, and draws them
-    all into one ``rng.NormalScratch`` of its own.  The samples do not
-    depend on the worker count, and memory stays bounded by workers x block,
-    not by s.
+    (the sums of the active kernel's ``kl_contract``, which its
+    ``polar_contract`` forms as it draws the normals), so no BLAS thread
+    count enters the bits.  Streams are drawn and contracted in blocks of
+    _SAMPLE_BLOCK samples, each written to its own slice of the output, so
+    the blocks run on a thread pool with one worker per usable CPU (the
+    ctypes kernels, or numpy's Philox and ufuncs in the numpy twin, release
+    the GIL).  Each worker takes the next undrawn block until none is left,
+    and draws them all into one ``rng.NormalScratch`` of its own.  The
+    samples do not depend on the worker count, and memory stays bounded by
+    workers x block, not by s.  A count whose two output arrays cannot be
+    allocated is an InvalidArgument.
     """
     if s < 1:
         raise InvalidArgument("sample count must be >= 1")
     n = len(coefficients)
     if n < 1:
         raise InvalidArgument("need at least one KL coefficient")
-    samples_re = np.empty(s)
-    samples_im = np.empty(s)
+    try:
+        samples_re = np.empty(s)
+        samples_im = np.empty(s)
+    except (MemoryError, ValueError):  # ValueError: a count past 2**63 - 1
+        raise InvalidArgument(f"{s} samples do not fit in memory") from None
 
     firsts = iter(range(0, s, _SAMPLE_BLOCK))
     taking = threading.Lock()
@@ -178,8 +183,10 @@ def sample_kl(
             if first is None:
                 return
             stop = min(first + _SAMPLE_BLOCK, s)
-            _kernels.ACTIVE.kl_contract(
-                scratch.fill(seed, first, stop),
+            scratch.contract(
+                seed,
+                first,
+                stop,
                 coefficients.re,
                 coefficients.im,
                 samples_re[first:stop],
@@ -212,7 +219,9 @@ def empirical_variance(samples_re: np.ndarray, samples_im: np.ndarray) -> float:
     """Monte-Carlo estimate (1/s) sum_k |Y_k|^2 (the mean of |Y|^2; E Y = 0)."""
     if samples_re.size < 2:
         raise InvalidArgument("need at least two samples")
-    return float(np.mean(samples_re**2 + samples_im**2))
+    abs2 = np.square(samples_re)
+    abs2 += np.square(samples_im)
+    return float(np.mean(abs2))
 
 
 def _check_profile(atoms: Grid, phat: ComplexVector) -> None:

@@ -45,7 +45,9 @@ for u2 (so b = ceil(pairs/2)), yielding z0[0], z1[0], z0[1], z1[1], ...
 truncated to ``count``.  The Philox words, u1, the radius, the angle and the
 products run in the active kernel of ``_kernels`` (the C twin, or its numpy
 twin where no compiler is found), which give the same bits; ln runs between
-them, in place on u1.
+them, in place on u1.  The C twin's radius, angle and KL sums are built for
+several vector ISAs and run on the widest the CPU has; every variant gives
+the same bits, so the normals and samples do not depend on which one runs.
 
 So the normals are defined by the algorithm, except for ln: it is numpy's
 ufunc, whose last bit can differ from the C library's (with numpy 2.4.6 on
@@ -74,8 +76,10 @@ def _check_seed(seed: int) -> int:
 
 class NormalScratch:
     """Buffers for blocks of up to ``rows`` streams of ``count`` normals,
-    allocated once and reused by every ``fill``.
+    allocated once and reused by every ``fill`` or ``contract``.
 
+    ``fill`` writes the normals out; ``contract`` sums them into KL samples
+    in the kernel, so only ``fill`` allocates the (rows, count) normals.
     One object serves one thread at a time: ``sample_kl`` gives each worker
     its own.
     """
@@ -84,22 +88,39 @@ class NormalScratch:
         pairs = (count + 1) // 2
         self._u1 = np.empty((rows, pairs))
         self._k = np.empty((rows, pairs), dtype=np.uint64)
-        self._out = np.empty((rows, count))
+        self._count = count
+        self._out = None
+
+    def _operands(self, seed: int, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """ln u1 and the angle words of streams first..stop-1, as views of
+        the scratch."""
+        rows = stop - first
+        if not 0 < rows <= len(self._u1):
+            raise InvalidArgument(f"{rows} streams for a scratch of {len(self._u1)}")
+        if first < 0 or stop > 1 << 64:
+            raise InvalidArgument(f"streams {first}..{stop - 1} outside [0, 2**64)")
+        u1, k = self._u1[:rows], self._k[:rows]
+        _kernels.ACTIVE.philox_split(_check_seed(seed), first, u1, k)
+        np.log(u1, out=u1)
+        return u1, k
 
     def fill(self, seed: int, first: int, stop: int) -> np.ndarray:
         """Streams first..stop-1 as the rows of a view of the scratch, valid
         until the next ``fill``; row i equals seeded_normals(seed, first + i, count)."""
-        rows = stop - first
-        if not 0 < rows <= len(self._out):
-            raise InvalidArgument(f"{rows} streams for a scratch of {len(self._out)}")
-        if first < 0 or stop > 1 << 64:
-            raise InvalidArgument(f"streams {first}..{stop - 1} outside [0, 2**64)")
-        u1, k, out = self._u1[:rows], self._k[:rows], self._out[:rows]
-        kernel = _kernels.ACTIVE
-        kernel.philox_split(_check_seed(seed), first, u1, k)
-        np.log(u1, out=u1)
-        kernel.polar_normals(u1, k, out)
+        u1, k = self._operands(seed, first, stop)
+        if self._out is None:
+            self._out = np.empty((len(self._u1), self._count))
+        out = self._out[: len(u1)]
+        _kernels.ACTIVE.polar_normals(u1, k, out)
         return out
+
+    def contract(self, seed: int, first: int, stop: int, c_re, c_im, out_re, out_im) -> None:
+        """out_re[i] and out_im[i] = the index-order sums over n of
+        B[i, n] c_re[n] and B[i, n] c_im[n], as ``kl_contract`` forms them,
+        where B[i] = seeded_normals(seed, first + i, count) and count =
+        len(c_re); the normals are never written out."""
+        u1, k = self._operands(seed, first, stop)
+        _kernels.ACTIVE.polar_contract(u1, k, c_re, c_im, out_re, out_im)
 
 
 def seeded_normals(seed: int, stream: int, count: int) -> np.ndarray:

@@ -796,6 +796,34 @@ class TestSeedRange:
             assert "seed" in captured.err and captured.out == ""
 
 
+class TestSampleCount:
+    @pytest.mark.parametrize("samples", ["1", "0", "-3", "two"])
+    def test_below_two_is_refused_up_front(self, tmp_path, capsys, monkeypatch, samples):
+        # refused by the parser, as --rank-tol is: the model file, which does
+        # not exist, is never opened, and no sample is drawn
+        monkeypatch.setattr(gp, "sample_kl", None)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gp-sim", str(tmp_path / "missing.json"), "--samples", samples])
+        assert exc.value.code == EXIT_SCHEMA
+        assert "--samples" in capsys.readouterr().err
+
+    def test_two_is_accepted(self, tmp_path, capsys):
+        path = write(tmp_path / "model.json", onb_model_payload())
+        assert cli.main(["gp-sim", path, "--samples", "2"]) == EXIT_OK
+        assert "samples=2 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("samples", [10**13, 2**63, 10**30])
+    def test_more_than_memory_holds_is_an_argument_error(self, tmp_path, capsys, samples):
+        # the two output arrays cannot be allocated: an argument error that
+        # names the count, not numpy's MemoryError (or, past 2**63 - 1, its
+        # ValueError)
+        path = write(tmp_path / "model.json", onb_model_payload())
+        assert cli.main(["gp-sim", path, "--samples", str(samples)]) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.err == f"invalid input: {samples} samples do not fit in memory\n"
+        assert captured.out == ""
+
+
 RANK_TOL_COMMANDS = {  # name: argv, with PATH and MODEL for the input files
     "analyze": ["analyze", "PATH"],
     "kernel": ["kernel", "PATH"],

@@ -585,14 +585,14 @@ print("identical")
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(gp, "_worker_count", lambda: 2)
 
-        fill = rng.NormalScratch.fill
+        contract = rng.NormalScratch.contract
 
-        def failing(scratch, seed, first, stop):
+        def failing(scratch, seed, first, stop, *arrays):
             if first > 0:
                 raise InvalidArgument(f"block at {first}")
-            return fill(scratch, seed, first, stop)
+            return contract(scratch, seed, first, stop, *arrays)
 
-        monkeypatch.setattr(rng.NormalScratch, "fill", failing)
+        monkeypatch.setattr(rng.NormalScratch, "contract", failing)
         with pytest.raises(InvalidArgument, match="block at"):
             sample_kl(random_phat(1, 4), 3 * gp._SAMPLE_BLOCK, 1)
 
@@ -664,6 +664,29 @@ print("identical")
         ]
 
     @pytest.mark.skipif("compiled" not in _kernels.BACKENDS, reason="C twin not loaded")
+    def test_contract_allocates_no_normals(self, monkeypatch):
+        # the compiled fused kernel keeps a tile of normals on its stack, so
+        # a scratch that only contracts never allocates the (rows, count)
+        # normals a fill writes; the sums are those of fill + kl_contract
+        tracemalloc = pytest.importorskip("tracemalloc")
+        monkeypatch.setattr(_kernels, "ACTIVE", _kernels.BACKENDS["compiled"])
+        rows, count = gp._SAMPLE_BLOCK, 257
+        c = kl_coefficients(*dyadic_model(count))
+        scratch = rng.NormalScratch(rows, count)
+        out = np.empty(rows), np.empty(rows)
+        tracemalloc.start()
+        try:
+            scratch.contract(5, 3, 3 + rows, c.re, c.im, *out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows * count * 8 // 16, peak
+        expected = np.empty(rows), np.empty(rows)
+        _kernels.ACTIVE.kl_contract(scratch.fill(5, 3, 3 + rows), c.re, c.im, *expected)
+        assert out[0].tobytes() == expected[0].tobytes()
+        assert out[1].tobytes() == expected[1].tobytes()
+
+    @pytest.mark.skipif("compiled" not in _kernels.BACKENDS, reason="C twin not loaded")
     def test_memory_follows_workers_not_blocks(self, monkeypatch):
         # each worker draws all its blocks into one scratch, so 24 more
         # blocks may fault in no more than 50 pages each (a 2048 x 50 block
@@ -707,6 +730,9 @@ print("identical")
     def test_invalid_count(self):
         with pytest.raises(InvalidArgument):
             sample_kl(random_phat(1, 4), 0, 1)
+        for s in (10**13, 2**63):
+            with pytest.raises(InvalidArgument, match=f"^{s} samples do not fit in memory$"):
+                sample_kl(random_phat(1, 4), s, 1)
         with pytest.raises(InvalidArgument):
             sample_kl(ComplexVector(re=np.zeros(0), im=np.zeros(0)), 10, 1)
 

@@ -21,7 +21,7 @@ from hypothesis.extra import numpy as hnp
 import framekit
 from framekit import FrameSystem, Grid, gp, rng, row_svd
 from framekit import _kernels
-from framekit._kernels import BACKENDS
+from framekit._kernels import BACKENDS, VARIANTS
 from framekit.spectral import _MAX_SWEEPS, _ORTHOGONAL_TOL
 
 CC = shutil.which("cc")
@@ -51,20 +51,28 @@ def run(backend, base):
     return squares.tobytes(), a.tobytes(), v.tobytes(), sweeps
 
 
-def sample(backend, words, count):
-    """Bytes of the normals of ``words`` (per row: the u1 words, then the
-    angle words) and of their KL contraction, with ``backend``'s kernels
-    around numpy's log, as ``rng`` runs them."""
+def operands(words, count):
+    """ln u1 and the angle words of ``words`` (per row: the u1 words, then
+    the angle words), with numpy's log, as ``rng`` forms them."""
     rows = words.reshape(-1, words.shape[-1])
     pairs = (count + 1) // 2
     ln_u1 = np.log(((rows[:, :pairs] >> np.uint64(11)) + np.uint64(1)) * 2.0**-53)
-    k = rows[:, pairs : 2 * pairs] >> np.uint64(11)
-    normals = np.empty((len(rows), count))
+    return ln_u1, rows[:, pairs : 2 * pairs] >> np.uint64(11)
+
+
+def sample(backend, words, count):
+    """Bytes of the normals of ``words``, of their KL contraction, and of the
+    fused kernel's contraction of the same normals, with ``backend``'s
+    kernels."""
+    ln_u1, k = operands(words, count)
+    normals = np.empty((len(k), count))
     backend.polar_normals(ln_u1, k, normals)
-    c = np.linspace(-1.5, 2.0, count)
-    out_re, out_im = np.empty(len(rows)), np.empty(len(rows))
-    backend.kl_contract(normals, c, -c[::-1].copy(), out_re, out_im)
-    return normals.tobytes(), out_re.tobytes(), out_im.tobytes()
+    c_re = np.linspace(-1.5, 2.0, count)
+    c_im = -c_re[::-1].copy()
+    contracted = [np.empty(len(k)) for _ in range(4)]
+    backend.kl_contract(normals, c_re, c_im, *contracted[:2])
+    backend.polar_contract(ln_u1, k, c_re, c_im, *contracted[2:])
+    return normals.tobytes(), *(out.tobytes() for out in contracted)
 
 
 def split(backend, seed, first, rows, pairs):
@@ -146,6 +154,41 @@ def test_sampling_twins_agree_on_edge_words(count, rows):
     words = np.stack([np.roll(line, i) for i in range(max(rows, 1))])
     words = words.reshape(((rows,) if rows else ()) + (span,))
     assert sample(BACKENDS["compiled"], words, count) == sample(BACKENDS["python"], words, count)
+
+
+#: normals a row in the variant tests: one, an odd and an even count within
+#: one span of the fused kernel's tile (64 columns), and one past four spans
+VARIANT_COUNTS = [1, 49, 50, 257]
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    rows=st.integers(min_value=1, max_value=27),
+    count=st.sampled_from(VARIANT_COUNTS),
+    seed=st.integers(0, 2**32 - 1),
+    edge_share=st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_every_variant_matches_the_numpy_twin(variant, rows, count, seed, edge_share):
+    # each ISA variant this CPU runs, not only the widest, which the other
+    # parity tests see; row counts off the fused kernel's 8-row tile; random
+    # words with a share of edge words in random places
+    r = np.random.default_rng(seed)
+    words = r.integers(0, 2**64, size=(rows, count + count % 2), dtype=np.uint64)
+    edge = r.random(words.shape) < edge_share
+    words[edge] = r.choice(np.array(EDGE_WORDS, dtype=np.uint64), int(edge.sum()))
+    got = sample(VARIANTS[variant], words, count)
+    assert got == sample(BACKENDS["python"], words, count)
+    assert got[3:] == got[1:3]  # the fused sums are kl_contract's
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+@pytest.mark.parametrize("rows, count", [(9, 10_001), (17, 257), (8, 129), (1, 64), (3, 65)])
+def test_every_variant_fuses_any_count(variant, rows, count):
+    # the fused kernel's stack tile holds 64 columns; longer rows go through
+    # it a span at a time, carrying their sums
+    words = philox_words(23, rows * (count + count % 2)).reshape(rows, -1)
+    assert sample(VARIANTS[variant], words, count) == sample(BACKENDS["python"], words, count)
 
 
 def philox_words(seed, count):
@@ -360,8 +403,9 @@ def test_second_build_does_not_run_the_compiler(tmp_path):
     cc = fake_compiler(tmp_path, f'echo run >> "{log}"\nexec "{CC}" "$@"')
     cache = tmp_path / "cache"
     for _ in range(2):
-        backends, active = _kernels._select(cc, cache)
+        backends, variants, active = _kernels._select(cc, cache)
         assert active.name == "compiled" and set(backends) == {"python", "compiled"}
+        assert list(variants) == list(VARIANTS) and active is variants[active.variant]
     assert log.read_text() == "run\n"
     assert [p.name for p in cache.iterdir()] == [
         _kernels._library_name([p.read_bytes() for p in _kernels._SOURCES], _kernels._FLAGS)
@@ -382,7 +426,7 @@ def test_a_new_build_removes_stale_libraries(tmp_path):
     partial = cache / "_kernels-00000000.so.12345.tmp"
     stale.write_bytes(b"old")
     partial.write_bytes(b"partial")
-    _, active = _kernels._select(CC, cache)
+    _, _, active = _kernels._select(CC, cache)
     assert active.name == "compiled"
     library = _kernels._library_name([p.read_bytes() for p in _kernels._SOURCES], _kernels._FLAGS)
     assert sorted(p.name for p in cache.iterdir()) == sorted([library, partial.name])
@@ -402,8 +446,8 @@ def test_failed_build_keeps_the_numpy_twin(tmp_path, monkeypatch, failure):
         cc = CC or cc
         (tmp_path / "file").write_text("")
         cache = tmp_path / "file" / "cache"
-    backends, active = _kernels._select(cc, cache)
-    assert active is _kernels.PYTHON and list(backends) == ["python"]
+    backends, variants, active = _kernels._select(cc, cache)
+    assert active is _kernels.PYTHON and list(backends) == ["python"] and variants == {}
     if cache.is_dir():
         assert list(cache.iterdir()) == []  # no partial library left behind
     monkeypatch.setattr(_kernels, "ACTIVE", active)
@@ -426,7 +470,7 @@ def test_concurrent_first_builds(tmp_path):
     code = (
         "import sys; from framekit import _kernels; "
         "from pathlib import Path; "
-        "print(_kernels._select(sys.argv[1], Path(sys.argv[2]))[1].name)"
+        "print(_kernels._select(sys.argv[1], Path(sys.argv[2]))[2].name)"
     )
     src = str(Path(framekit.__file__).parents[1])
     procs = [
@@ -456,17 +500,75 @@ def test_c_sources_compile_without_warnings(tmp_path):
 
 
 @needs_cc
-def test_frame_io_under_address_and_undefined_sanitizers(tmp_path):
-    # the corpus of tests/frameio_corpus.py, each input in a heap buffer of
-    # exactly its length, against the scanner and writer built with ASan and
-    # UBSan; the interpreter is not instrumented, so libasan is preloaded
+def test_sources_build_without_the_isa_dispatch(tmp_path):
+    # where the compiler does not target x86-64 the dispatch guard is false;
+    # the same sources with the guard's definition taken out must still build
+    # without warnings, and run the baseline variant alone, with the numpy
+    # twin's bits
+    guard = "#define ISA_DISPATCH 1\n"
+    sources = []
+    for path in _kernels._SOURCES:
+        text = path.read_text()
+        if path.name == "_sampling.c":
+            assert text.count(guard) == 1
+            text = text.replace(guard, "")
+        sources.append(tmp_path / path.name)
+        sources[-1].write_text(text)
+    library = tmp_path / "plain.so"
+    proc = subprocess.run(
+        [CC, *_kernels._FLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(library),
+         *map(str, sources)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    variants = _kernels._load(library)
+    assert [v.variant for v in variants] == ["baseline"]
+    words = philox_words(5, 9 * 52).reshape(9, 52)
+    assert sample(variants[0], words, 51) == sample(BACKENDS["python"], words, 51)
+
+
+#: run under the sanitizers with the path of a library built from
+#: _sampling.c, a folder and cases "ROWSxPAIRSxCOUNT": every variant's
+#: polar_normals and polar_contract on inputs read from the folder into heap
+#: buffers of exactly their size, their outputs written back; no numpy
+SANITIZED_SAMPLING = """
+import ctypes, sys
+lib = ctypes.CDLL(sys.argv[1])
+lib.sampling_variants.restype = ctypes.c_char_p
+names = lib.sampling_variants().decode().split()
+real, word, size = ctypes.c_double, ctypes.c_uint64, ctypes.c_long
+for case in sys.argv[3:]:
+    rows, pairs, count = map(int, case.split("x"))
+    def read(name, kind):
+        with open(f"{sys.argv[2]}/{case}-{name}", "rb") as fh:
+            data = fh.read()
+        return (kind * (len(data) // 8)).from_buffer_copy(data)
+    ln_u1, k, c_re, c_im = read("ln", real), read("k", word), read("re", real), read("im", real)
+    for name in names:
+        polar = getattr(lib, "polar_normals_" + name)
+        fused = getattr(lib, "polar_contract_" + name)
+        polar.argtypes = [ctypes.POINTER(real), ctypes.POINTER(word), ctypes.POINTER(real)] + [size] * 3
+        fused.argtypes = [ctypes.POINTER(real), ctypes.POINTER(word)] + [ctypes.POINTER(real)] * 4 + [size] * 3
+        normals, out_re, out_im = (real * (rows * count))(), (real * rows)(), (real * rows)()
+        polar(ln_u1, k, normals, rows, pairs, count)
+        fused(ln_u1, k, c_re, c_im, out_re, out_im, rows, pairs, count)
+        with open(f"{sys.argv[2]}/{case}-{name}", "wb") as fh:
+            fh.write(bytes(normals) + bytes(out_re) + bytes(out_im))
+print(" ".join(names))
+"""
+
+
+def sanitized_library(tmp_path, source):
+    """``source`` built with ASan and UBSan into ``tmp_path``, and the libasan
+    to preload into an interpreter that loads it; skips without libasan."""
     libasan = subprocess.run(
         [CC, "-print-file-name=libasan.so"], capture_output=True, text=True
     ).stdout.strip()
     if not os.path.isabs(libasan):
         pytest.skip("no libasan for this compiler")
-    library = tmp_path / "frameio-sanitized.so"
-    source = Path(_kernels.__file__).with_name("_frameio.c")
+    library = tmp_path / (Path(source).stem + "-sanitized.so")
     subprocess.run(
         [CC, "-O1", "-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined",
          "-fno-sanitize-recover=all", "-fPIC", "-shared", "-o", str(library), str(source)],
@@ -474,6 +576,49 @@ def test_frame_io_under_address_and_undefined_sanitizers(tmp_path):
         capture_output=True,
         timeout=120,
     )
+    return library, libasan
+
+
+@needs_cc
+def test_sampling_under_address_and_undefined_sanitizers(tmp_path):
+    # the fused kernel's stack tile and the row loops of every variant, on
+    # rows off the tile and counts past the tile's 64 columns
+    library, libasan = sanitized_library(tmp_path, Path(_kernels.__file__).with_name("_sampling.c"))
+    cases, expected = [], {}
+    for rows, count in [(9, 10_001), (17, 257), (13, 49), (3, 50), (1, 1)]:
+        pairs = (count + 1) // 2
+        case = f"{rows}x{pairs}x{count}"
+        words = philox_words(rows, rows * 2 * pairs).reshape(rows, -1)
+        ln_u1, k = operands(words, count)
+        c_re = np.linspace(-1.5, 2.0, count)
+        c_im = -c_re[::-1].copy()
+        for name, array in (("ln", ln_u1), ("k", k), ("re", c_re), ("im", c_im)):
+            (tmp_path / f"{case}-{name}").write_bytes(np.ascontiguousarray(array).tobytes())
+        normals, re, im, _, _ = sample(BACKENDS["python"], words, count)
+        cases.append(case)
+        expected[case] = normals + re + im
+    proc = subprocess.run(
+        [sys.executable, "-c", SANITIZED_SAMPLING, str(library), str(tmp_path), *cases],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0",
+             "PYTHONMALLOC": "malloc"},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    names = proc.stdout.split()
+    assert names == list(VARIANTS) or (not VARIANTS and names)
+    for case in cases:
+        for name in names:
+            assert (tmp_path / f"{case}-{name}").read_bytes() == expected[case], (case, name)
+
+
+@needs_cc
+def test_frame_io_under_address_and_undefined_sanitizers(tmp_path):
+    # the corpus of tests/frameio_corpus.py, each input in a heap buffer of
+    # exactly its length, against the scanner and writer built with ASan and
+    # UBSan; the interpreter is not instrumented, so libasan is preloaded
+    library, libasan = sanitized_library(tmp_path, Path(_kernels.__file__).with_name("_frameio.c"))
     script = Path(__file__).with_name("frameio_corpus.py")
     proc = subprocess.run(
         [sys.executable, str(script), str(library)],
