@@ -6,11 +6,10 @@ vector ISA this CPU runs), then, for the numpy twin (``python``) and for
 every variant of the compiled kernels this CPU runs (``compiled/avx512f``,
 ``compiled/avx2``, ``compiled/baseline``), the milliseconds (median over
 ``--repeats``) that each stage takes over ``--samples`` x ``--vectors``, run
-block by block into one reused scratch, on one thread: the Philox words
-split into u1 and the angle words (``philox_split``), numpy's log in place
-on u1, the radius and angle kernel (``polar_normals``), the KL contraction
-of those normals (``kl_contract``), and the two fused (``polar_contract``),
-which a sample_kl worker runs in their place.  Then it prints the whole
+block by block into one reused scratch, on one thread, as a sample_kl
+worker runs them: the Philox words split into u1 and the angle words
+(``philox_split``), numpy's log in place on u1, and the radius and angle
+fused with the KL contraction (``polar_contract``).  Then it prints the whole
 ``sample_kl`` with one worker and with one worker per usable CPU, and the
 minor page faults per block, once warm, of each draw loop in this thread
 and of ``sample_kl`` on one worker.  It checks that every twin and variant,
@@ -38,7 +37,7 @@ from bench_cli import environment, quartiles, timed_ms
 from framekit import _kernels, gp
 from framekit.frames import FrameSystem, Grid
 
-STAGES = ("philox split", "log", "polar kernel", "contraction", "fused polar + contraction")
+STAGES = ("philox split", "log", "fused polar + contraction")
 
 
 def minor_faults():
@@ -71,7 +70,6 @@ def main():
     firsts = range(0, s, gp._SAMPLE_BLOCK)
     pairs, rows = (n + 1) // 2, min(gp._SAMPLE_BLOCK, s)
     u1, k = np.empty((rows, pairs)), np.empty((rows, pairs), dtype=np.uint64)
-    normals = np.empty((rows, n))
     out_re, out_im = np.empty(s), np.empty(s)
     twins = {"python": _kernels.PYTHON}
     twins.update((f"compiled/{name}", backend) for name, backend in _kernels.VARIANTS.items())
@@ -81,20 +79,16 @@ def main():
         spent = [0.0] * len(STAGES)
         for first in firsts:
             stop = min(first + gp._SAMPLE_BLOCK, s)
-            u, w, x = u1[: stop - first], k[: stop - first], normals[: stop - first]
+            u, w = u1[: stop - first], k[: stop - first]
             re, im = out_re[first:stop], out_im[first:stop]
             t0 = perf_counter()
             backend.philox_split(seed, first, u, w)
             t1 = perf_counter()
             np.log(u, out=u)
             t2 = perf_counter()
-            backend.polar_normals(u, w, x)
-            t3 = perf_counter()
-            backend.kl_contract(x, coeffs.re, coeffs.im, re, im)
-            t4 = perf_counter()
             backend.polar_contract(u, w, coeffs.re, coeffs.im, re, im)
-            t5 = perf_counter()
-            for i, dt in enumerate((t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)):
+            t3 = perf_counter()
+            for i, dt in enumerate((t1 - t0, t2 - t1, t3 - t2)):
                 spent[i] += dt * 1e3
         return spent
 

@@ -13,18 +13,20 @@ compiles the C sources with ``cc`` into one library in this package's
 ``__pycache__/``, under a name keyed by a hash of the sources and the flags,
 and later imports load that file.  Without a compiler, when the build fails
 or when the directory is not writable, the Python twins run.  ``ACTIVE`` is
-the backend ``spectral.row_svd``, ``rng``'s normals, the fixed-order sums of
-``gp`` and the file reader and writers of ``cli`` run; ``BACKENDS`` lists
-every one that loaded, for the parity tests and the benchmarks.
+the backend ``spectral.row_svd``, ``rng.NormalScratch``, the fixed-order
+sums of ``gp`` and the file reader and writers of ``cli`` run; ``BACKENDS``
+lists every one that loaded, for the parity tests and the benchmarks.
 
-The C library holds its floating-point sampling kernels (``polar_normals``
-and ``polar_contract``) once per vector ISA: AVX-512F, AVX2 and the x86-64
+The C library holds its one kernel that draws normals, the fused
+``polar_contract``, once per vector ISA: AVX-512F, AVX2 and the x86-64
 baseline where the compiler targets x86-64, the baseline alone elsewhere.
 The library names the variants this CPU runs, the compiled backend takes
 the widest, once per process, and ``VARIANTS`` holds a compiled backend
 for each (widest first; empty when the numpy twin runs) for the parity
 tests and the benchmarks.  The variants give the same bits, so samples do
-not depend on which one runs.
+not depend on which one runs.  The normals themselves are defined by the
+numpy twin: ``rng.seeded_normals`` computes them with ``_sampling_py``
+alone, and every variant's ``polar_contract`` sums them bit for bit.
 """
 
 from __future__ import annotations
@@ -50,17 +52,16 @@ _FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 
 
 class Backend(NamedTuple):
-    """One twin: ``variant``, the vector ISA its floating-point sampling
-    kernels were built for ("numpy" for the numpy twin);
+    """One twin: ``variant``, the vector ISA its ``polar_contract`` was
+    built for ("numpy" for the numpy twin);
     ``jacobi_rows(a, max_sweeps, tol)``, one-sided Jacobi on the
     rows of ``a``, returning (squared row norms, rotations, sweeps);
     ``philox_split(seed, first, u1, k)``, which writes the Box-Muller operands
     u1 and angle words k of Philox streams first.. into (rows, pairs) arrays;
-    ``polar_normals(ln_u1, k, out)``, radius and angle of Box-Muller from ln
-    u1 and k, written into the (rows, count) ``out``;
     ``polar_contract(ln_u1, k, c_re, c_im, out_re, out_im)``, the
-    ``kl_contract`` of those normals, count = len(c_re) of them a row, into
-    the (rows,) ``out_re`` and ``out_im``, the normals never written out; and
+    ``kl_contract`` of the normals that the radius and angle of Box-Muller
+    give from ln u1 and k, count = len(c_re) of them a row, into the (rows,)
+    ``out_re`` and ``out_im``, the normals never written out; and
     ``kl_contract(x, c_re, c_im, out_re, out_im)``, the fixed-order sums of
     ``sample_kl``, ``kl_coefficients`` and ``fourier_at_atoms``;
     ``spell_rows(table)``, the rows of a 2-D float table as ASCII bytes
@@ -73,7 +74,6 @@ class Backend(NamedTuple):
     variant: str
     jacobi_rows: Callable
     philox_split: Callable
-    polar_normals: Callable
     polar_contract: Callable
     kl_contract: Callable
     spell_rows: Callable
@@ -85,7 +85,6 @@ PYTHON = Backend(
     "numpy",
     _hestenes_py.jacobi_rows,
     _sampling_py.philox_split,
-    _sampling_py.polar_normals,
     _sampling_py.polar_contract,
     _sampling_py.kl_contract,
     _frameio_py.spell_rows,
@@ -139,7 +138,7 @@ def _build(cc: str, cache: Path) -> Path:
 
 
 def _load(library: Path) -> list[Backend]:
-    """A compiled backend for each variant of the sampling kernels that this
+    """A compiled backend for each variant of ``polar_contract`` that this
     CPU runs, widest first."""
     lib = ctypes.CDLL(str(library))
     # typed pointers make a wrong dtype, rank, layout or a read-only array
@@ -218,16 +217,9 @@ def _load(library: Path) -> list[Backend]:
     sizes = [ctypes.c_long] * 3
 
     def variant(name):
-        polar = getattr(lib, f"polar_normals_{name}")
-        polar.argtypes = [rows_in, words_in, matrix, *sizes]
-        polar.restype = None
         fused = getattr(lib, f"polar_contract_{name}")
         fused.argtypes = [rows_in, words_in, vector, vector, out_vector, out_vector, *sizes]
         fused.restype = None
-
-        def polar_normals(ln_u1, k, out):
-            rows, pairs, count = _sampling_py.check_polar_args(ln_u1, k, out.shape)
-            polar(ln_u1, k, out, rows, pairs, count)
 
         def polar_contract(ln_u1, k, c_re, c_im, out_re, out_im):
             rows, pairs, count = _sampling_py.check_polar_contract_args(
@@ -236,16 +228,16 @@ def _load(library: Path) -> list[Backend]:
             fused(ln_u1, k, c_re, c_im, out_re, out_im, rows, pairs, count)
 
         return Backend(
-            "compiled", name, jacobi_rows, philox_split, polar_normals, polar_contract,
-            kl_contract, spell_rows, scan_frame,
+            "compiled", name, jacobi_rows, philox_split, polar_contract, kl_contract,
+            spell_rows, scan_frame,
         )
 
     return [variant(name) for name in lib.sampling_variants().decode().split()]
 
 
 def _select(cc: str, cache: Path) -> tuple[dict, dict, Backend]:
-    """(every backend that loads, a compiled backend for each variant of the
-    sampling kernels this CPU runs, the backend to run): the C twin built by
+    """(every backend that loads, a compiled backend for each variant of
+    ``polar_contract`` this CPU runs, the backend to run): the C twin built by
     ``cc`` into ``cache``, with its widest variant, when that works, the
     numpy twin otherwise."""
     try:

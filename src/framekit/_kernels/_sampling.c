@@ -8,14 +8,16 @@
  * double or word by integer arithmetic.  Keep the two files in sync.
  * The stream layout and the angle algorithm are documented in framekit/rng.py.
  *
- * The floating-point kernels, polar_normals and the fused polar_contract, are
- * built once per vector ISA: for AVX-512F and for AVX2 where the compiler
+ * The one floating-point kernel that draws normals, the fused polar_contract,
+ * is built once per vector ISA: for AVX-512F and for AVX2 where the compiler
  * targets x86-64 (GCC or Clang), and for the baseline everywhere.  Each
  * variant inlines the same bodies, and with no FMA and every sum in a fixed
  * order they give the same bits; sampling_variants names those this CPU
  * runs, and the loader picks the widest.  philox_split and kl_contract are
  * built for the baseline alone: in a whole-library AVX2 build, Philox's
  * 64 x 64 -> 128-bit multiplies ran slower, and the contraction no faster.
+ * The normals themselves are defined by the numpy twin (rng.seeded_normals),
+ * which every variant matches bit for bit.
  */
 #include <math.h>
 #include <stdint.h>
@@ -190,18 +192,10 @@ void kl_contract(const double *x, const double *c_re, const double *c_im,
     }
 }
 
-/* the count normals of each of the rows (polar_row) into out */
-BODY void polar_rows(const double *ln_u1, const uint64_t *k, double *out, long rows,
-                     long pairs, long count)
-{
-    for (long i = 0; i < rows; i++)
-        polar_row(ln_u1 + i * pairs, k + i * pairs, out + i * count, count);
-}
-
-/* kl_contract of the normals polar_rows would write, into out_re and
- * out_im, without writing them out: a tile of rows is drawn SPAN columns at
- * a time into a buffer on the stack and its sums carried over the spans, so
- * the normals stay in L1 and every sum is kl_contract's */
+/* kl_contract of the count normals polar_row gives each of the rows, into
+ * out_re and out_im, without writing them out: a tile of rows is drawn SPAN
+ * columns at a time into a buffer on the stack and its sums carried over
+ * the spans, so the normals stay in L1 and every sum is kl_contract's */
 BODY void polar_contract_rows(const double *ln_u1, const uint64_t *k, const double *c_re,
                               const double *c_im, double *out_re, double *out_im,
                               long rows, long pairs, long count)
@@ -225,15 +219,9 @@ BODY void polar_contract_rows(const double *ln_u1, const uint64_t *k, const doub
     }
 }
 
-/* the exported polar_normals_<isa> and polar_contract_<isa>, compiled with
- * the attributes that follow the name */
+/* the exported polar_contract_<isa>, compiled with the attributes that
+ * follow the name */
 #define SAMPLING_KERNELS(isa, ...)                                                   \
-    __VA_ARGS__ void polar_normals_##isa(const double *ln_u1, const uint64_t *k,    \
-                                         double *out, long rows, long pairs,        \
-                                         long count)                                \
-    {                                                                                \
-        polar_rows(ln_u1, k, out, rows, pairs, count);                               \
-    }                                                                                \
     __VA_ARGS__ void polar_contract_##isa(const double *ln_u1, const uint64_t *k,   \
                                           const double *c_re, const double *c_im,   \
                                           double *out_re, double *out_im,           \
@@ -248,8 +236,8 @@ SAMPLING_KERNELS(avx2, __attribute__((target("avx2"))))
 SAMPLING_KERNELS(avx512f, __attribute__((target("avx512f"))))
 #endif
 
-/* the variants of the floating-point kernels this CPU runs, widest first,
- * separated by spaces */
+/* the variants of polar_contract this CPU runs, widest first, separated by
+ * spaces */
 const char *sampling_variants(void)
 {
 #ifdef ISA_DISPATCH

@@ -5,8 +5,10 @@ Twin of the C kernels in ``_sampling.c``: the same operations on the same
 operands in the same order, element for element, vectorised over the
 elements where the C twin loops over them.  numpy's Philox, integer-to-double
 conversions and the rotation table give the words and doubles that the C
-twin builds by integer arithmetic; numpy's Philox is the reference the C
-twin is tested against.  Keep the two files in sync.  The stream layout and
+twin builds by integer arithmetic.  ``philox_split`` and ``polar_normals``
+are the reference: ``rng.seeded_normals`` computes the normal streams with
+them, and the C twin, which draws normals only inside ``polar_contract``,
+is tested against them.  Keep the two files in sync.  The stream layout and
 the angle algorithm are documented in ``framekit/rng.py``.
 """
 

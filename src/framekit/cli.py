@@ -135,6 +135,8 @@ def _load_json(path: str, data: bytes) -> dict:
         raise SchemaError(f"{path}: not UTF-8 (byte {exc.start}: {exc.reason})")
     except ValueError as exc:  # an integer literal past the interpreter's digit limit
         raise SchemaError(f"{path}: {exc}")
+    except RecursionError:  # arrays or objects nested past the interpreter's stack
+        raise SchemaError(f"{path}: nested too deeply to read")
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: top level must be an object")
     return raw

@@ -225,9 +225,11 @@ def frame_spectrum(
     rotated = svd.left[:rank].T
     divided = svd.rows[:rank].T / np.sqrt(lam[:rank])
     u, v = (rotated, divided) if wide else (divided, rotated)
+    with np.errstate(over="ignore"):  # past the largest double a bound reads inf
+        eigenvalues = np.ldexp(lam, 2 * shift)
     return FrameSpectrum(
         frame=fs,
-        eigenvalues=np.ldexp(lam, 2 * shift),
+        eigenvalues=eigenvalues,
         rank=rank,
         u=u,
         v=v,

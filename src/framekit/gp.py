@@ -15,6 +15,7 @@ read-only arrays (re Y_k, im Y_k).
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -86,11 +87,12 @@ def fourier_at_atoms(x_grid: Grid, phi, atoms: Grid) -> ComplexVector:
         raise DimensionMismatch(
             f"phi has length {phi.size} on a grid of {x_grid.size} points"
         )
-    weighted = x_grid.weights * phi
-    phase = np.outer(atoms.points, x_grid.points)
-    waves = np.concatenate([np.cos(phase), np.sin(phase)])
-    sums, same = np.empty(len(waves)), np.empty(len(waves))
-    _kernels.ACTIVE.kl_contract(waves, weighted, weighted, sums, same)
+    with np.errstate(over="ignore", invalid="ignore"):  # ComplexVector refuses the result
+        weighted = x_grid.weights * phi
+        phase = np.outer(atoms.points, x_grid.points)
+        waves = np.concatenate([np.cos(phase), np.sin(phase)])
+        sums, same = np.empty(len(waves)), np.empty(len(waves))
+        _kernels.ACTIVE.kl_contract(waves, weighted, weighted, sums, same)
     return ComplexVector(re=sums[: len(phase)], im=sums[len(phase) :])
 
 
@@ -104,10 +106,11 @@ def kl_coefficients(fs: FrameSystem, phat: ComplexVector) -> ComplexVector:
     """
     _check_profile(fs.grid, phat)
     f = np.ascontiguousarray(fs.vectors)
-    weighted_re = fs.grid.weights * phat.re
-    weighted_im = fs.grid.weights * phat.im
-    re, im = np.empty(len(f)), np.empty(len(f))
-    _kernels.ACTIVE.kl_contract(f, weighted_re, weighted_im, re, im)
+    with np.errstate(over="ignore", invalid="ignore"):  # ComplexVector refuses the result
+        weighted_re = fs.grid.weights * phat.re
+        weighted_im = fs.grid.weights * phat.im
+        re, im = np.empty(len(f)), np.empty(len(f))
+        _kernels.ACTIVE.kl_contract(f, weighted_re, weighted_im, re, im)
     return ComplexVector(re=re, im=im)
 
 
@@ -115,10 +118,12 @@ def theoretical_variances(
     atoms: Grid, phat: ComplexVector, coefficients: ComplexVector
 ) -> tuple[float, float]:
     """(E|X|^2, E|Y|^2) = (||phat||^2 in L2(sigma), sum_n |c_n|^2), where
-    ``coefficients`` are the KL coefficients of phat."""
+    ``coefficients`` are the KL coefficients of phat.  Past the largest
+    double they read inf, which ``sandwich_check`` refuses."""
     _check_profile(atoms, phat)
-    ex2 = float(np.sum(atoms.weights * phat.abs2()))
-    ey2 = float(np.sum(coefficients.abs2()))
+    with np.errstate(over="ignore"):
+        ex2 = float(np.sum(atoms.weights * phat.abs2()))
+        ey2 = float(np.sum(coefficients.abs2()))
     return ex2, ey2
 
 
@@ -128,8 +133,12 @@ def sandwich_check(a: float, b: float, ex2: float, ey2: float) -> SandwichReport
 
     The slack is 1e-10 * b * E|X|^2, of the same degree in the data scale as
     the three sides, so the verdict does not depend on the overall scale of
-    the frame or of phat.  Requires a > 0.
+    the frame or of phat.  Requires a > 0, and a, b, E|X|^2 and E|Y|^2
+    finite: one that overflowed is an InvalidMatrix that names it.
     """
+    for name, value in (("a", a), ("b", b), ("E|X|^2", ex2), ("E|Y|^2", ey2)):
+        if not math.isfinite(value):
+            raise InvalidMatrix(f"{name} = {value} is not finite")
     if a <= 0.0:
         raise NotAFrame("sandwich bounds need a strictly positive lower bound")
     lower = a * ex2
@@ -219,9 +228,10 @@ def empirical_variance(samples_re: np.ndarray, samples_im: np.ndarray) -> float:
     """Monte-Carlo estimate (1/s) sum_k |Y_k|^2 (the mean of |Y|^2; E Y = 0)."""
     if samples_re.size < 2:
         raise InvalidArgument("need at least two samples")
-    abs2 = np.square(samples_re)
-    abs2 += np.square(samples_im)
-    return float(np.mean(abs2))
+    with np.errstate(over="ignore"):  # past the largest double it reads inf
+        abs2 = np.square(samples_re)
+        abs2 += np.square(samples_im)
+        return float(np.mean(abs2))
 
 
 def _check_profile(atoms: Grid, phat: ComplexVector) -> None:

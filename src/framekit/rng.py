@@ -2,14 +2,14 @@
 
 Uniform 64-bit words come from Philox-4x64-10 (Salmon et al., SC 2011), a
 counter-based generator with a published, fixed bit stream: the words are
-defined by the algorithm, not by a library version.  It runs in the active
-kernel of ``_kernels``: a C twin, or the numpy twin, which calls
-``np.random.Philox`` and is the reference the C twin is tested against word
-for word.  The stream is keyed by the 64-bit seed, which must lie in
-[0, 2**64): a seed outside that range is an InvalidArgument, never reduced
-modulo 2**64.  Logical stream k of a batch owns the counter blocks
-[k*b, (k+1)*b) for a fixed per-stream block count b, so streams can be
-generated independently, in any order, or all at once.  A batch of streams
+defined by the algorithm, not by a library version.  ``seeded_normals``
+draws them with ``np.random.Philox``, the reference the C twin of
+``_kernels`` is tested against word for word.  The stream is keyed by the
+64-bit seed, which must lie in [0, 2**64): a seed outside that range is an
+InvalidArgument, never reduced modulo 2**64.  Logical stream k of a batch
+owns the counter blocks [k*b, (k+1)*b) for a fixed per-stream block count
+b, so streams can be generated independently, in any order, or all at
+once.  A batch of streams
 first.. runs one 256-bit counter up from the full product c = first*b, as
 ``np.random.Philox(key=[seed, 0], counter=[c mod 2**64, c >> 64, 0, 0])``
 emits it.
@@ -42,12 +42,17 @@ within 2 units in the last place of the radius (checked against 120-bit
 arithmetic in the tests).  Stream k of length
 ``count`` uses pairs = ceil(count/2) words for u1 followed by pairs words
 for u2 (so b = ceil(pairs/2)), yielding z0[0], z1[0], z0[1], z1[1], ...
-truncated to ``count``.  The Philox words, u1, the radius, the angle and the
-products run in the active kernel of ``_kernels`` (the C twin, or its numpy
-twin where no compiler is found), which give the same bits; ln runs between
-them, in place on u1.  The C twin's radius, angle and KL sums are built for
-several vector ISAs and run on the widest the CPU has; every variant gives
-the same bits, so the normals and samples do not depend on which one runs.
+truncated to ``count``.
+
+``seeded_normals`` and ``seeded_normal_rows`` are the definition of a
+stream: they run every step in numpy, the numpy twin's Philox split and its
+radius and angle (``_sampling_py.polar_normals``), with ln between them in
+place on u1.  ``NormalScratch.contract``, which ``gp.sample_kl`` runs, takes
+the same steps in the active kernel of ``_kernels`` and sums the normals
+into KL samples as it draws them, never writing them out; the C twin's
+fused kernel is built for several vector ISAs and runs on the widest the
+CPU has.  Every variant and both twins give the sums of the defined normals
+bit for bit, so the samples do not depend on which one runs.
 
 So the normals are defined by the algorithm, except for ln: it is numpy's
 ufunc, whose last bit can differ from the C library's (with numpy 2.4.6 on
@@ -62,6 +67,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
+from ._kernels import _sampling_py
 from .errors import InvalidArgument
 
 _MASK64 = (1 << 64) - 1
@@ -74,12 +80,17 @@ def _check_seed(seed: int) -> int:
     return seed
 
 
-class NormalScratch:
-    """Buffers for blocks of up to ``rows`` streams of ``count`` normals,
-    allocated once and reused by every ``fill`` or ``contract``.
+def _check_streams(seed: int, first: int, stop: int) -> int:
+    """The seed of a batch of streams first..stop-1, all in [0, 2**64)."""
+    if first < 0 or stop > 1 << 64:
+        raise InvalidArgument(f"streams {first}..{stop - 1} outside [0, 2**64)")
+    return _check_seed(seed)
 
-    ``fill`` writes the normals out; ``contract`` sums them into KL samples
-    in the kernel, so only ``fill`` allocates the (rows, count) normals.
+
+class NormalScratch:
+    """Operand buffers for blocks of up to ``rows`` streams of ``count``
+    normals, allocated once and reused by every ``contract``.
+
     One object serves one thread at a time: ``sample_kl`` gives each worker
     its own.
     """
@@ -88,51 +99,38 @@ class NormalScratch:
         pairs = (count + 1) // 2
         self._u1 = np.empty((rows, pairs))
         self._k = np.empty((rows, pairs), dtype=np.uint64)
-        self._count = count
-        self._out = None
-
-    def _operands(self, seed: int, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """ln u1 and the angle words of streams first..stop-1, as views of
-        the scratch."""
-        rows = stop - first
-        if not 0 < rows <= len(self._u1):
-            raise InvalidArgument(f"{rows} streams for a scratch of {len(self._u1)}")
-        if first < 0 or stop > 1 << 64:
-            raise InvalidArgument(f"streams {first}..{stop - 1} outside [0, 2**64)")
-        u1, k = self._u1[:rows], self._k[:rows]
-        _kernels.ACTIVE.philox_split(_check_seed(seed), first, u1, k)
-        np.log(u1, out=u1)
-        return u1, k
-
-    def fill(self, seed: int, first: int, stop: int) -> np.ndarray:
-        """Streams first..stop-1 as the rows of a view of the scratch, valid
-        until the next ``fill``; row i equals seeded_normals(seed, first + i, count)."""
-        u1, k = self._operands(seed, first, stop)
-        if self._out is None:
-            self._out = np.empty((len(self._u1), self._count))
-        out = self._out[: len(u1)]
-        _kernels.ACTIVE.polar_normals(u1, k, out)
-        return out
 
     def contract(self, seed: int, first: int, stop: int, c_re, c_im, out_re, out_im) -> None:
         """out_re[i] and out_im[i] = the index-order sums over n of
         B[i, n] c_re[n] and B[i, n] c_im[n], as ``kl_contract`` forms them,
         where B[i] = seeded_normals(seed, first + i, count) and count =
         len(c_re); the normals are never written out."""
-        u1, k = self._operands(seed, first, stop)
+        rows = stop - first
+        if not 0 < rows <= len(self._u1):
+            raise InvalidArgument(f"{rows} streams for a scratch of {len(self._u1)}")
+        seed = _check_streams(seed, first, stop)
+        u1, k = self._u1[:rows], self._k[:rows]
+        _kernels.ACTIVE.philox_split(seed, first, u1, k)
+        np.log(u1, out=u1)
         _kernels.ACTIVE.polar_contract(u1, k, c_re, c_im, out_re, out_im)
 
 
 def seeded_normals(seed: int, stream: int, count: int) -> np.ndarray:
     """``count`` standard normals from logical stream ``stream``."""
-    if count < 1:
-        raise InvalidArgument("count must be >= 1")
-    return NormalScratch(1, count).fill(seed, stream, stream + 1)[0]
+    return seeded_normal_rows(seed, stream, stream + 1, count)[0]
 
 
 def seeded_normal_rows(seed: int, first: int, stop: int, count: int) -> np.ndarray:
-    """Streams first..stop-1; row i equals seeded_normals(seed, first + i, count)."""
-    if not 0 <= first < stop or count < 1:
+    """Streams first..stop-1 of ``count`` normals each, as the rows of an
+    array, computed by the numpy reference kernels."""
+    if not first < stop or count < 1:
         raise InvalidArgument("need 0 <= first < stop and count >= 1")
-    return NormalScratch(stop - first, count).fill(seed, first, stop)
-
+    seed = _check_streams(seed, first, stop)
+    pairs = (count + 1) // 2
+    u1 = np.empty((stop - first, pairs))
+    k = np.empty((stop - first, pairs), dtype=np.uint64)
+    _sampling_py.philox_split(seed, first, u1, k)
+    np.log(u1, out=u1)
+    out = np.empty((stop - first, count))
+    _sampling_py.polar_normals(u1, k, out)
+    return out

@@ -5,7 +5,8 @@ formed entry by entry, eigenvalue estimates come from power iteration or
 LAPACK, subspace kernels from weighted Gram-Schmidt, and
 positive-definiteness certificates from a hand-rolled Cholesky.  The
 hypothesis strategy ``weighted_frames`` draws the frames that property tests
-share.
+share, and ``fused_normals`` reads the normals back out of a backend's fused
+sampling kernel, which never writes them out.
 """
 
 import math
@@ -124,3 +125,31 @@ def weighted_frames(draw):
     grid = Grid(points=np.arange(m, dtype=float), weights=r.uniform(0.25, 4.0, m))
     vectors = r.standard_normal((n, rank)) @ r.standard_normal((rank, m))
     return FrameSystem(grid=grid, vectors=vectors)
+
+
+def fused_normals(backend, ln_u1, k, count):
+    """The (rows, count) normals that ``backend.polar_contract`` draws from
+    the Box-Muller operands ``ln_u1`` and ``k``, read back bit for bit.
+
+    Each pair of operands goes through the kernel as a row of its own.  With
+    count 1 and c = (1), a sum is its first term alone, the cosine normal
+    z0.  With count 2, c_re = (+0, 1) and c_im = (-0, 1), the sums are
+    z0 * (+0) + z1 and z0 * (-0) + z1; the two products are zeros of
+    opposite signs, and the one that is -0 leaves z1 as it is, even a
+    signed zero: it is in out_re where z0 has its sign bit set, in out_im
+    where not.
+    """
+    rows, pairs = ln_u1.shape
+    operands = [np.ascontiguousarray(a).reshape(-1, 1) for a in (ln_u1, k)]
+
+    def contract(c_re, c_im):
+        out = np.empty(rows * pairs), np.empty(rows * pairs)
+        backend.polar_contract(*operands, np.array(c_re), np.array(c_im), *out)
+        return out
+
+    cos, _ = contract([1.0], [1.0])
+    plus, minus = contract([0.0, 1.0], [-0.0, 1.0])
+    normals = np.empty((rows, 2 * pairs))
+    normals[:, 0::2] = cos.reshape(rows, pairs)
+    normals[:, 1::2] = np.where(np.signbit(cos), plus, minus).reshape(rows, pairs)
+    return normals[:, :count]

@@ -14,8 +14,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 @pytest.mark.parametrize(
     "argv",
     [
-        ["bench_jacobi.py", "--shapes", "16x16,12x40"],
-        ["bench_cli.py", "--sizes", "4,16", "--repeats", "2"],
+        ["bench_jacobi.py", "--shapes", "16x16,12x40", "--json", "jacobi.json"],
+        ["bench_cli.py", "--sizes", "4,16", "--repeats", "2", "--json", "cli.json"],
         ["bench_sampling.py", "--samples", "5000", "--vectors", "7", "--json", "sampling.json"],
     ],
     ids=lambda argv: argv[0],

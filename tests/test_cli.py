@@ -149,6 +149,24 @@ class TestAnalyze:
         assert err.startswith(f"schema error: {path}: ")
         assert "UTF-8" in err
 
+    @pytest.mark.parametrize("command", ["analyze", "gp-sim"])
+    def test_deep_nesting(self, tmp_path, capsys, command):
+        # json.loads runs out of stack on 100,000 open brackets, in a frame
+        # file or a model file; that is a schema error naming the file
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        assert cli.main([command, str(path)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err == f"schema error: {path}: nested too deeply to read\n"
+
+    def test_overflowing_bounds_read_inf(self, tmp_path, capsys):
+        # B1 = B2 = 1e600 is past the largest double: the bounds print as
+        # inf, with no RuntimeWarning (an error under this suite's filter)
+        payload = standard_basis_payload()
+        payload["vectors"] = [[1e300, 0.0], [0.0, 1e300]]
+        path = write(tmp_path / "big.json", payload)
+        assert cli.main(["analyze", path]) == EXIT_OK
+        assert "rank=2 B1=inf B2=inf frame=true" in capsys.readouterr().out
+
 
 class TestKernel:
     def test_roundtrip_bit_exact(self, tmp_path, capsys):
@@ -328,6 +346,48 @@ class TestGpSim:
         del payload["phat"]
         path = write(tmp_path / "model2.json", payload)
         assert cli.main(["gp-sim", path]) == EXIT_SCHEMA
+
+    @pytest.mark.parametrize("backend", sorted(_kernels.BACKENDS))
+    @pytest.mark.parametrize("overflow", ["phat", "frame", "masses", "phi_x"])
+    def test_overflow_is_refused_before_sampling(
+        self, tmp_path, capsys, monkeypatch, backend, overflow
+    ):
+        # the identity frame on two unit atoms (a = b = 1) with phat =
+        # (1e300, 1e300 i) has E|X|^2 = E|Y|^2 = inf, and a frame of entries
+        # 1e300 has a = b = inf; masses of 1e300 under that phat overflow
+        # the KL coefficients, and an atom and a grid point at 1e200 the
+        # phases of phi_x.  Each is refused, naming what overflowed, before
+        # a sample is drawn and with no RuntimeWarning
+        monkeypatch.setattr(_kernels, "ACTIVE", _kernels.BACKENDS[backend])
+        monkeypatch.setattr(gp, "sample_kl", None)  # a call would raise TypeError
+        payload = {
+            "atoms": [{"u": 0.0, "mass": 1.0}, {"u": 1.0, "mass": 1.0}],
+            "frame": [[1.0, 0.0], [0.0, 1.0]],
+            "phat": {"re": [1e300, 0.0], "im": [0.0, 1e300]},
+        }
+        if overflow == "frame":
+            payload["frame"] = [[1e300, 0.0], [0.0, 1e300]]
+            payload["phat"] = {"re": [1.0, 0.0], "im": [0.0, 1.0]}
+        elif overflow == "masses":
+            for atom in payload["atoms"]:
+                atom["mass"] = 1e300
+        elif overflow == "phi_x":
+            payload["atoms"][0]["u"] = 1e200
+            del payload["phat"]
+            payload["phi_x"] = {
+                "grid": {"points": [1e200, 1.0], "weights": [1.0, 1.0]},
+                "values": [1.0, 1.0],
+            }
+        path = write(tmp_path / "model.json", payload)
+        assert cli.main(["gp-sim", path]) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == {
+            "phat": "invalid input: E|X|^2 = inf is not finite\n",
+            "frame": "invalid input: a = inf is not finite\n",
+            "masses": "invalid input: complex vector has non-finite entries\n",
+            "phi_x": "schema error: phi_x.values: complex vector has non-finite entries\n",
+        }[overflow]
 
     def test_not_a_frame(self, tmp_path, capsys):
         payload = onb_model_payload()

@@ -4,10 +4,11 @@ import mmap
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framekit import (
@@ -28,7 +29,7 @@ from framekit import (
     theoretical_variances,
 )
 from framekit import _kernels, gp, rng
-from oracles import eigh_descending, orthonormal_rows
+from oracles import eigh_descending, fused_normals, orthonormal_rows
 
 
 def simple_atoms():
@@ -447,6 +448,15 @@ class TestSandwich:
         with pytest.raises(NotAFrame):
             sandwich(fs, random_phat(1, 3))
 
+    @pytest.mark.parametrize("side, value", enumerate([math.inf, -math.inf, math.nan, math.inf]))
+    def test_non_finite_side_is_refused(self, side, value):
+        sides = [0.5, 2.0, 1.0, 1.5]
+        sides[side] = value
+        name = ["a", "b", "E|X|^2", "E|Y|^2"][side]
+        with pytest.raises(InvalidMatrix) as refused:
+            sandwich_check(*sides)
+        assert str(refused.value) == f"{name} = {value} is not finite"
+
     def test_non_parseval_has_separating_phat(self):
         # extremal eigenvector of the hat frame operator pins ey2 at an
         # extreme eigenvalue times ex2, separating any non-Parseval model
@@ -612,7 +622,8 @@ print("identical")
         # last pair; the words 0 and 2**64 - 1 give u1 = 2**-53 and 1 and
         # u2 = 0 and 1 - 2**-53, (j 2**61) >> 11 = j 2**50 puts u2 on an
         # octant edge, and an array of only those words is checked every
-        # time.  The kernels run on the words after ln in place on u1.
+        # time.  The fused kernels, read back by fused_normals, run on the
+        # words after ln in place on u1.
         pairs = (count + 1) // 2
         shape = ((rows,) if rows else ()) + (2 * pairs,)
         size = int(np.prod(shape))
@@ -628,10 +639,9 @@ print("identical")
             flat = words.reshape(-1, 2 * pairs) >> np.uint64(11)
             u1 = (flat[:, :pairs] + np.uint64(1)) * 2.0**-53
             np.log(u1, out=u1)
-            for backend in _kernels.BACKENDS.values():
-                got = np.empty((len(flat), count))
-                backend.polar_normals(u1, flat[:, pairs:].copy(), got)
-                assert got.tobytes() == expected.tobytes(), backend.name
+            for backend in [_kernels.PYTHON, *_kernels.VARIANTS.values()]:
+                got = fused_normals(backend, u1, flat[:, pairs:], count)
+                assert got.tobytes() == expected.tobytes(), backend.variant
         # and whole streams from a drawn seed and first stream, up to the
         # last stream 2**64 - 1, whose counter first * b passes 2**64
         seed = data.draw(st.integers(0, 2**64 - 1))
@@ -644,6 +654,44 @@ print("identical")
         words = philox.random_raw(n * 4 * blocks)
         expected = box_muller_reference(words.reshape(n, -1), pairs, count)
         assert rng.seeded_normal_rows(seed, first, first + n, count).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("variant", [*_kernels.VARIANTS, "numpy"])
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        seed=st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+        first=st.integers(0, 64) | st.integers(2**64 - 64, 2**64 - 1),
+        rows=st.integers(1, 40),
+        count=st.sampled_from([1, 2, 63, 64, 65, 127, 128, 129, 140]) | st.integers(1, 140),
+        draw=st.integers(0, 2**32 - 1),
+    )
+    @example(seed=2**64 - 1, first=2**64 - 40, rows=40, count=140, draw=0)
+    @example(seed=0, first=0, rows=17, count=129, draw=1)
+    @example(seed=2**64 - 1, first=2**64 - 1, rows=1, count=65, draw=2)
+    def test_every_variant_sums_the_defined_normals(self, variant, seed, first, rows, count, draw):
+        # the fused kernels of each variant, through the scratch and through
+        # sample_kl, against the active kl_contract of the normals that
+        # seeded_normal_rows defines with numpy alone: rows off the 8-row
+        # tile, counts across the 64-column spans, streams up to 2**64 - 1,
+        # random coefficients of random binary scales with signed zeros
+        backend = _kernels.VARIANTS.get(variant, _kernels.PYTHON)
+        stop = min(first + rows, 2**64)
+        r = np.random.default_rng(draw)
+        c_re, c_im = r.standard_normal((2, count)) * 2.0 ** r.integers(-40, 40, (2, count))
+        c_re[r.random(count) < 0.1] = -0.0
+
+        def expected(first, stop):
+            out = np.empty(stop - first), np.empty(stop - first)
+            normals = rng.seeded_normal_rows(seed, first, stop, count)
+            _kernels.ACTIVE.kl_contract(normals, c_re, c_im, *out)
+            return out[0].tobytes(), out[1].tobytes()
+
+        got = np.empty(stop - first), np.empty(stop - first)
+        # mock, not monkeypatch: hypothesis refuses function-scoped fixtures
+        with mock.patch.object(_kernels, "ACTIVE", backend):
+            rng.NormalScratch(40, count).contract(seed, first, stop, c_re, c_im, *got)
+            samples = sample_kl(ComplexVector(re=c_re, im=c_im), rows, seed)
+        assert (got[0].tobytes(), got[1].tobytes()) == expected(first, stop)
+        assert (samples[0].tobytes(), samples[1].tobytes()) == expected(0, rows)
 
     @pytest.mark.parametrize("backend", sorted(_kernels.BACKENDS))
     def test_sample_bits_are_pinned(self, backend, monkeypatch):
@@ -666,8 +714,8 @@ print("identical")
     @pytest.mark.skipif("compiled" not in _kernels.BACKENDS, reason="C twin not loaded")
     def test_contract_allocates_no_normals(self, monkeypatch):
         # the compiled fused kernel keeps a tile of normals on its stack, so
-        # a scratch that only contracts never allocates the (rows, count)
-        # normals a fill writes; the sums are those of fill + kl_contract
+        # a scratch never allocates the (rows, count) normals; the sums are
+        # kl_contract's of the streams seeded_normal_rows defines
         tracemalloc = pytest.importorskip("tracemalloc")
         monkeypatch.setattr(_kernels, "ACTIVE", _kernels.BACKENDS["compiled"])
         rows, count = gp._SAMPLE_BLOCK, 257
@@ -682,7 +730,8 @@ print("identical")
             tracemalloc.stop()
         assert peak < rows * count * 8 // 16, peak
         expected = np.empty(rows), np.empty(rows)
-        _kernels.ACTIVE.kl_contract(scratch.fill(5, 3, 3 + rows), c.re, c.im, *expected)
+        normals = rng.seeded_normal_rows(5, 3, 3 + rows, count)
+        _kernels.ACTIVE.kl_contract(normals, c.re, c.im, *expected)
         assert out[0].tobytes() == expected[0].tobytes()
         assert out[1].tobytes() == expected[1].tobytes()
 
@@ -690,9 +739,9 @@ print("identical")
     def test_memory_follows_workers_not_blocks(self, monkeypatch):
         # each worker draws all its blocks into one scratch, so 24 more
         # blocks may fault in no more than 50 pages each (a 2048 x 50 block
-        # of fresh words, radius and normals is about 480 pages); the draw
-        # loop is also run in this thread, where glibc returns freed heap
-        # to the system and a per-block buffer would fault in every time
+        # of fresh operands, u1 and the angle words, is about 200 pages); the
+        # draw loop is also run in this thread, where glibc returns freed
+        # heap to the system and a per-block buffer would fault in every time
         resource = pytest.importorskip("resource")
 
         def minflt():
@@ -707,12 +756,13 @@ print("identical")
         monkeypatch.setattr(gp, "_worker_count", lambda: 1)
         c = kl_coefficients(*dyadic_model(50))
         scratch = rng.NormalScratch(gp._SAMPLE_BLOCK, 50)
+        out = np.empty(gp._SAMPLE_BLOCK), np.empty(gp._SAMPLE_BLOCK)
 
         def faults(blocks):
             before = minflt()
             sample_kl(c, blocks * gp._SAMPLE_BLOCK, 3)
             for first in range(0, blocks * gp._SAMPLE_BLOCK, gp._SAMPLE_BLOCK):
-                scratch.fill(3, first, first + gp._SAMPLE_BLOCK)
+                scratch.contract(3, first, first + gp._SAMPLE_BLOCK, c.re, c.im, *out)
             return minflt() - before
 
         faults(8)

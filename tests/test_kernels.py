@@ -21,8 +21,9 @@ from hypothesis.extra import numpy as hnp
 import framekit
 from framekit import FrameSystem, Grid, gp, rng, row_svd
 from framekit import _kernels
-from framekit._kernels import BACKENDS, VARIANTS
+from framekit._kernels import BACKENDS, VARIANTS, _sampling_py
 from framekit.spectral import _MAX_SWEEPS, _ORTHOGONAL_TOL
+from oracles import fused_normals
 
 CC = shutil.which("cc")
 needs_cc = pytest.mark.skipif(CC is None, reason="no C compiler")
@@ -60,19 +61,30 @@ def operands(words, count):
     return ln_u1, rows[:, pairs : 2 * pairs] >> np.uint64(11)
 
 
+def coefficients(count):
+    c_re = np.linspace(-1.5, 2.0, count)
+    return c_re, -c_re[::-1].copy()
+
+
 def sample(backend, words, count):
-    """Bytes of the normals of ``words``, of their KL contraction, and of the
-    fused kernel's contraction of the same normals, with ``backend``'s
-    kernels."""
+    """Bytes of the normals that ``backend``'s fused kernel draws from
+    ``words``, read back by ``fused_normals``, and of its KL contraction of
+    them."""
+    ln_u1, k = operands(words, count)
+    out = np.empty(len(k)), np.empty(len(k))
+    backend.polar_contract(ln_u1, k, *coefficients(count), *out)
+    return fused_normals(backend, ln_u1, k, count).tobytes(), *(o.tobytes() for o in out)
+
+
+def reference(words, count):
+    """The bytes ``sample`` must give, by the numpy reference kernels: the
+    normals of ``polar_normals`` and their ``kl_contract``."""
     ln_u1, k = operands(words, count)
     normals = np.empty((len(k), count))
-    backend.polar_normals(ln_u1, k, normals)
-    c_re = np.linspace(-1.5, 2.0, count)
-    c_im = -c_re[::-1].copy()
-    contracted = [np.empty(len(k)) for _ in range(4)]
-    backend.kl_contract(normals, c_re, c_im, *contracted[:2])
-    backend.polar_contract(ln_u1, k, c_re, c_im, *contracted[2:])
-    return normals.tobytes(), *(out.tobytes() for out in contracted)
+    _sampling_py.polar_normals(ln_u1, k, normals)
+    out = np.empty(len(k)), np.empty(len(k))
+    _sampling_py.kl_contract(normals, *coefficients(count), *out)
+    return normals.tobytes(), *(o.tobytes() for o in out)
 
 
 def split(backend, seed, first, rows, pairs):
@@ -121,7 +133,6 @@ def test_twins_agree_bit_for_bit(k, extra, seed, kind, e):
 EDGE_WORDS = [0, *(j * 2**61 + d for j in range(1, 8) for d in (-1, 0, 1)), 2**64 - 1]
 
 
-@pytest.mark.skipif("compiled" not in BACKENDS, reason="C twin not loaded")
 @settings(max_examples=60, deadline=None, database=None)
 @given(
     count=st.integers(min_value=1, max_value=23),
@@ -130,7 +141,7 @@ EDGE_WORDS = [0, *(j * 2**61 + d for j in range(1, 8) for d in (-1, 0, 1)), 2**6
 )
 def test_sampling_twins_agree_bit_for_bit(count, rows, data):
     # rows == 0 is one stream as a 1-D array; an odd count drops the last
-    # sine; the normals and their contraction are compared
+    # sine; the normals and their contraction are compared with the reference
     shape = ((rows,) if rows else ()) + (count + count % 2,)
     size = int(np.prod(shape))
     words = data.draw(
@@ -141,10 +152,11 @@ def test_sampling_twins_agree_bit_for_bit(count, rows, data):
         )
     )
     words = np.array(words, dtype=np.uint64).reshape(shape)
-    assert sample(BACKENDS["compiled"], words, count) == sample(BACKENDS["python"], words, count)
+    expected = reference(words, count)
+    for backend in BACKENDS.values():
+        assert sample(backend, words, count) == expected, backend.name
 
 
-@pytest.mark.skipif("compiled" not in BACKENDS, reason="C twin not loaded")
 @pytest.mark.parametrize("count", [2 * len(EDGE_WORDS), 2 * len(EDGE_WORDS) - 1])
 @pytest.mark.parametrize("rows", [0, 3])
 def test_sampling_twins_agree_on_edge_words(count, rows):
@@ -153,12 +165,15 @@ def test_sampling_twins_agree_on_edge_words(count, rows):
     line = np.resize(np.array(EDGE_WORDS, dtype=np.uint64), span)
     words = np.stack([np.roll(line, i) for i in range(max(rows, 1))])
     words = words.reshape(((rows,) if rows else ()) + (span,))
-    assert sample(BACKENDS["compiled"], words, count) == sample(BACKENDS["python"], words, count)
+    expected = reference(words, count)
+    for backend in BACKENDS.values():
+        assert sample(backend, words, count) == expected, backend.name
 
 
-#: normals a row in the variant tests: one, an odd and an even count within
-#: one span of the fused kernel's tile (64 columns), and one past four spans
-VARIANT_COUNTS = [1, 49, 50, 257]
+#: normals a row in the variant tests: one and two, odd and even counts
+#: within one span of the fused kernel's tile (64 columns), counts just past
+#: one and two spans, and one past four
+VARIANT_COUNTS = [1, 2, 7, 49, 50, 65, 129, 257]
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
@@ -177,9 +192,7 @@ def test_every_variant_matches_the_numpy_twin(variant, rows, count, seed, edge_s
     words = r.integers(0, 2**64, size=(rows, count + count % 2), dtype=np.uint64)
     edge = r.random(words.shape) < edge_share
     words[edge] = r.choice(np.array(EDGE_WORDS, dtype=np.uint64), int(edge.sum()))
-    got = sample(VARIANTS[variant], words, count)
-    assert got == sample(BACKENDS["python"], words, count)
-    assert got[3:] == got[1:3]  # the fused sums are kl_contract's
+    assert sample(VARIANTS[variant], words, count) == reference(words, count)
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
@@ -188,7 +201,7 @@ def test_every_variant_fuses_any_count(variant, rows, count):
     # the fused kernel's stack tile holds 64 columns; longer rows go through
     # it a span at a time, carrying their sums
     words = philox_words(23, rows * (count + count % 2)).reshape(rows, -1)
-    assert sample(VARIANTS[variant], words, count) == sample(BACKENDS["python"], words, count)
+    assert sample(VARIANTS[variant], words, count) == reference(words, count)
 
 
 def philox_words(seed, count):
@@ -296,17 +309,15 @@ def test_angle_within_two_ulp_of_the_radius():
         turns = [2 * mpmath.pi * int(w) / mpmath.mpf(2) ** 53 for w in k[0]]
         exact = [(r * mpmath.cos(a), r * mpmath.sin(a)) for r, a in zip(radius[0], turns)]
     ulp = np.spacing(radius[0])
-    for backend in BACKENDS.values():
-        out = np.empty((1, 2000))
-        backend.polar_normals(ln_u1, k, out)
-        out = out[0]
+    for backend in [_kernels.PYTHON, *VARIANTS.values()]:
+        out = fused_normals(backend, ln_u1, k, 2000)[0]
         worst = max(
             float(abs(mpmath.mpf(out[2 * j + i]) - exact[j][i])) / ulp[j]
             for j in range(1000)
             for i in (0, 1)
             if radius[0, j] > 0.0
         )
-        assert worst <= 2.0, (backend.name, worst)
+        assert worst <= 2.0, (backend.name, backend.variant, worst)
 
 
 def test_coefficients_are_the_nearest_taylor_doubles():
@@ -342,20 +353,28 @@ def test_wrong_arrays_raise():
 @pytest.mark.skipif("compiled" not in BACKENDS, reason="C twin not loaded")
 def test_wrong_sampling_arrays_raise():
     ln_u1, words = -np.ones((4, 3)), np.arange(4 * 3, dtype=np.uint64).reshape(4, 3)
-    polar = BACKENDS["compiled"].polar_normals
-    polar(ln_u1, words, np.empty((4, 5)))
-    frozen = np.empty((4, 6))
+    c5, c6, out = np.ones(5), np.ones(6), (np.empty(4), np.empty(4))
+    for variant in VARIANTS.values():
+        variant.polar_contract(ln_u1, words, c5, c5, *out)
+        variant.polar_contract(ln_u1, words, c6, c6, *out)
+    polar = BACKENDS["compiled"].polar_contract
+    frozen = np.empty(4)
     frozen.setflags(write=False)
     for args, error in [
-        ((ln_u1, words.view(np.int64), np.empty((4, 6))), ctypes.ArgumentError),
-        ((np.ones((4, 6))[:, ::2], words, np.empty((4, 6))), ctypes.ArgumentError),
-        ((ln_u1, np.arange(4 * 6, dtype=np.uint64).reshape(4, 6)[:, ::2], np.empty((4, 6))),
+        ((ln_u1, words.view(np.int64), c6, c6, *out), ctypes.ArgumentError),
+        ((np.ones((4, 6))[:, ::2], words, c6, c6, *out), ctypes.ArgumentError),
+        ((ln_u1, np.arange(4 * 6, dtype=np.uint64).reshape(4, 6)[:, ::2], c6, c6, *out),
          ctypes.ArgumentError),
-        ((ln_u1, words, frozen), ctypes.ArgumentError),
-        ((ln_u1, words, np.empty((4, 8))[:, :6]), ctypes.ArgumentError),
-        ((ln_u1, words[:, :2], np.empty((4, 6))), ValueError),
-        ((ln_u1, words, np.empty((4, 4))), ValueError),
-        ((ln_u1, words, np.empty((3, 6))), ValueError),
+        ((ln_u1, words, np.ones(12)[::2], c6, *out), ctypes.ArgumentError),
+        ((ln_u1, words, c6, c6.astype(np.float32), *out), ctypes.ArgumentError),
+        ((ln_u1, words, c6, c6, frozen, out[1]), ctypes.ArgumentError),
+        ((ln_u1, words, c6, c6, out[0], np.empty(8)[::2]), ctypes.ArgumentError),
+        ((ln_u1, words[:, :2], c6, c6, *out), ValueError),
+        ((ln_u1, words, np.ones(4), np.ones(4), *out), ValueError),
+        ((ln_u1, words, np.ones(7), np.ones(7), *out), ValueError),
+        ((ln_u1, words, c6, c5, *out), ValueError),
+        ((ln_u1, words, c6, c6, np.empty(3), np.empty(3)), ValueError),
+        ((ln_u1, words, c6, c6, out[0], np.empty(5)), ValueError),
     ]:
         with pytest.raises(error):
             polar(*args)
@@ -413,7 +432,7 @@ def test_second_build_does_not_run_the_compiler(tmp_path):
     base = factor(9, 11, 3, "dense", 0)
     assert run(active, base) == run(BACKENDS["python"], base)
     words = philox_words(3, 4 * 13 * 7).reshape(7, 52)
-    assert sample(active, words, 25) == sample(BACKENDS["python"], words, 25)
+    assert sample(active, words, 25) == reference(words, 25)
     assert split(active, 3, 5, 7, 13) == split(BACKENDS["python"], 3, 5, 7, 13)
 
 
@@ -526,13 +545,13 @@ def test_sources_build_without_the_isa_dispatch(tmp_path):
     variants = _kernels._load(library)
     assert [v.variant for v in variants] == ["baseline"]
     words = philox_words(5, 9 * 52).reshape(9, 52)
-    assert sample(variants[0], words, 51) == sample(BACKENDS["python"], words, 51)
+    assert sample(variants[0], words, 51) == reference(words, 51)
 
 
 #: run under the sanitizers with the path of a library built from
 #: _sampling.c, a folder and cases "ROWSxPAIRSxCOUNT": every variant's
-#: polar_normals and polar_contract on inputs read from the folder into heap
-#: buffers of exactly their size, their outputs written back; no numpy
+#: polar_contract on inputs read from the folder into heap buffers of
+#: exactly their size, its outputs written back; no numpy
 SANITIZED_SAMPLING = """
 import ctypes, sys
 lib = ctypes.CDLL(sys.argv[1])
@@ -547,15 +566,12 @@ for case in sys.argv[3:]:
         return (kind * (len(data) // 8)).from_buffer_copy(data)
     ln_u1, k, c_re, c_im = read("ln", real), read("k", word), read("re", real), read("im", real)
     for name in names:
-        polar = getattr(lib, "polar_normals_" + name)
         fused = getattr(lib, "polar_contract_" + name)
-        polar.argtypes = [ctypes.POINTER(real), ctypes.POINTER(word), ctypes.POINTER(real)] + [size] * 3
         fused.argtypes = [ctypes.POINTER(real), ctypes.POINTER(word)] + [ctypes.POINTER(real)] * 4 + [size] * 3
-        normals, out_re, out_im = (real * (rows * count))(), (real * rows)(), (real * rows)()
-        polar(ln_u1, k, normals, rows, pairs, count)
+        out_re, out_im = (real * rows)(), (real * rows)()
         fused(ln_u1, k, c_re, c_im, out_re, out_im, rows, pairs, count)
         with open(f"{sys.argv[2]}/{case}-{name}", "wb") as fh:
-            fh.write(bytes(normals) + bytes(out_re) + bytes(out_im))
+            fh.write(bytes(out_re) + bytes(out_im))
 print(" ".join(names))
 """
 
@@ -581,8 +597,8 @@ def sanitized_library(tmp_path, source):
 
 @needs_cc
 def test_sampling_under_address_and_undefined_sanitizers(tmp_path):
-    # the fused kernel's stack tile and the row loops of every variant, on
-    # rows off the tile and counts past the tile's 64 columns
+    # the fused kernel's stack tile and row loop of every variant, on rows
+    # off the tile and counts past the tile's 64 columns
     library, libasan = sanitized_library(tmp_path, Path(_kernels.__file__).with_name("_sampling.c"))
     cases, expected = [], {}
     for rows, count in [(9, 10_001), (17, 257), (13, 49), (3, 50), (1, 1)]:
@@ -590,13 +606,12 @@ def test_sampling_under_address_and_undefined_sanitizers(tmp_path):
         case = f"{rows}x{pairs}x{count}"
         words = philox_words(rows, rows * 2 * pairs).reshape(rows, -1)
         ln_u1, k = operands(words, count)
-        c_re = np.linspace(-1.5, 2.0, count)
-        c_im = -c_re[::-1].copy()
+        c_re, c_im = coefficients(count)
         for name, array in (("ln", ln_u1), ("k", k), ("re", c_re), ("im", c_im)):
             (tmp_path / f"{case}-{name}").write_bytes(np.ascontiguousarray(array).tobytes())
-        normals, re, im, _, _ = sample(BACKENDS["python"], words, count)
+        _, re, im = reference(words, count)
         cases.append(case)
-        expected[case] = normals + re + im
+        expected[case] = re + im
     proc = subprocess.run(
         [sys.executable, "-c", SANITIZED_SAMPLING, str(library), str(tmp_path), *cases],
         capture_output=True,
