@@ -8,8 +8,9 @@ every variant of the compiled kernels this CPU runs (``compiled/avx512f``,
 ``--repeats``) that each stage takes over ``--samples`` x ``--vectors``, run
 block by block into one reused scratch, on one thread, as a sample_kl
 worker runs them: the Philox words split into u1 and the angle words
-(``philox_split``), numpy's log in place on u1, and the radius and angle
-fused with the KL contraction (``polar_contract``).  Then it prints the whole
+(the variant's ``philox_split``; ``compiled/avx2`` runs the baseline's),
+numpy's log in place on u1, and the radius and angle fused with the KL
+contraction (the variant's ``polar_contract``).  Then it prints the whole
 ``sample_kl`` with one worker and with one worker per usable CPU, and the
 minor page faults per block, once warm, of each draw loop in this thread
 and of ``sample_kl`` on one worker.  It checks that every twin and variant,

@@ -12,7 +12,6 @@ from .classic import (
     hilbert_spectrum_report,
     mercedes_frame,
     monomial_frame,
-    random_riesz_frame,
 )
 from .errors import (
     DimensionMismatch,
@@ -98,7 +97,6 @@ __all__ = [
     "monomial_frame",
     "hilbert_spectrum_report",
     "mercedes_frame",
-    "random_riesz_frame",
     "ComplexVector",
     "cauchy_mass",
     "fourier_at_atoms",

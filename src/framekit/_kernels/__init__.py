@@ -17,16 +17,19 @@ the backend ``spectral.row_svd``, ``rng.NormalScratch``, the fixed-order
 sums of ``gp`` and the file reader and writers of ``cli`` run; ``BACKENDS``
 lists every one that loaded, for the parity tests and the benchmarks.
 
-The C library holds its one kernel that draws normals, the fused
-``polar_contract``, once per vector ISA: AVX-512F, AVX2 and the x86-64
-baseline where the compiler targets x86-64, the baseline alone elsewhere.
-The library names the variants this CPU runs, the compiled backend takes
-the widest, once per process, and ``VARIANTS`` holds a compiled backend
-for each (widest first; empty when the numpy twin runs) for the parity
-tests and the benchmarks.  The variants give the same bits, so samples do
-not depend on which one runs.  The normals themselves are defined by the
-numpy twin: ``rng.seeded_normals`` computes them with ``_sampling_py``
-alone, and every variant's ``polar_contract`` sums them bit for bit.
+The C library holds its sampling kernels, Philox's ``philox_split`` and the
+one kernel that draws normals, the fused ``polar_contract``, once per
+vector ISA: AVX-512 (F and DQ), AVX2 and the x86-64 baseline where the
+compiler targets x86-64, the baseline alone elsewhere.  The AVX-512
+variant runs both on 8 lanes of 64 bits; the AVX2 variant runs the
+baseline's scalar Philox.  The library names the variants this CPU runs,
+the compiled backend takes the widest, once per process, and ``VARIANTS``
+holds a compiled backend for each (widest first; empty when the numpy twin
+runs) for the parity tests and the benchmarks.  The variants give the same
+bits, so samples do not depend on which one runs.  The normals themselves
+are defined by the numpy twin: ``rng.seeded_normals`` computes them with
+``_sampling_py`` alone, and every variant's ``philox_split`` matches its
+words and every variant's ``polar_contract`` sums its normals bit for bit.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ _FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 
 
 class Backend(NamedTuple):
-    """One twin: ``variant``, the vector ISA its ``polar_contract`` was
-    built for ("numpy" for the numpy twin);
+    """One twin: ``variant``, the vector ISA its ``philox_split`` and
+    ``polar_contract`` were built for ("numpy" for the numpy twin);
     ``jacobi_rows(a, max_sweeps, tol)``, one-sided Jacobi on the
     rows of ``a``, returning (squared row norms, rotations, sweeps);
     ``philox_split(seed, first, u1, k)``, which writes the Box-Muller operands
@@ -138,8 +141,8 @@ def _build(cc: str, cache: Path) -> Path:
 
 
 def _load(library: Path) -> list[Backend]:
-    """A compiled backend for each variant of ``polar_contract`` that this
-    CPU runs, widest first."""
+    """A compiled backend for each sampling variant that this CPU runs,
+    widest first."""
     lib = ctypes.CDLL(str(library))
     # typed pointers make a wrong dtype, rank, layout or a read-only array
     # raise instead of handing C the wrong memory
@@ -160,18 +163,10 @@ def _load(library: Path) -> list[Backend]:
     rows_in = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
     words_in = np.ctypeslib.ndpointer(np.uint64, ndim=2, flags="C_CONTIGUOUS")
     words_out = np.ctypeslib.ndpointer(np.uint64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
-    lib.philox_split.argtypes = [
-        ctypes.c_uint64, ctypes.c_uint64, matrix, words_out, ctypes.c_long, ctypes.c_long
-    ]
-    lib.philox_split.restype = None
     lib.kl_contract.argtypes = [
         rows_in, vector, vector, out_vector, out_vector, ctypes.c_long, ctypes.c_long
     ]
     lib.kl_contract.restype = None
-
-    def philox_split(seed, first, u1, k):
-        rows, pairs = _sampling_py.check_philox_args(seed, first, u1, k)
-        lib.philox_split(seed, first, u1, k, rows, pairs)
 
     def kl_contract(x, c_re, c_im, out_re, out_im):
         rows, n = _sampling_py.check_contract_args(x.shape, c_re, c_im, out_re, out_im)
@@ -217,9 +212,17 @@ def _load(library: Path) -> list[Backend]:
     sizes = [ctypes.c_long] * 3
 
     def variant(name):
+        # a variant without a Philox of its own runs the baseline's
+        philox = getattr(lib, f"philox_split_{name}", lib.philox_split)
+        philox.argtypes = [ctypes.c_uint64, ctypes.c_uint64, matrix, words_out, *sizes[:2]]
+        philox.restype = None
         fused = getattr(lib, f"polar_contract_{name}")
         fused.argtypes = [rows_in, words_in, vector, vector, out_vector, out_vector, *sizes]
         fused.restype = None
+
+        def philox_split(seed, first, u1, k):
+            rows, pairs = _sampling_py.check_philox_args(seed, first, u1, k)
+            philox(seed, first, u1, k, rows, pairs)
 
         def polar_contract(ln_u1, k, c_re, c_im, out_re, out_im):
             rows, pairs, count = _sampling_py.check_polar_contract_args(
@@ -236,8 +239,8 @@ def _load(library: Path) -> list[Backend]:
 
 
 def _select(cc: str, cache: Path) -> tuple[dict, dict, Backend]:
-    """(every backend that loads, a compiled backend for each variant of
-    ``polar_contract`` this CPU runs, the backend to run): the C twin built by
+    """(every backend that loads, a compiled backend for each sampling
+    variant this CPU runs, the backend to run): the C twin built by
     ``cc`` into ``cache``, with its widest variant, when that works, the
     numpy twin otherwise."""
     try:

@@ -1,4 +1,4 @@
-"""Built-in frame generators: monomials on (0,1), Hilbert matrices, fixtures.
+"""Built-in frame generators: monomials on (0,1), Hilbert matrices, the Mercedes frame.
 
 The monomial system phi_n(t) = t^n on the open unit interval has Gramian
 entries 1/(n+m+1), the Hilbert matrix: operator norm approaching pi from
@@ -15,12 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
 from .errors import InvalidArgument
 from .frames import FrameSystem, Grid
 from .spectral import row_svd
 
-_RIESZ_RATIO = 0.05
 _HILBERT_MAX_N = 202  # the largest n whose lam_min is a normal double
 
 
@@ -106,26 +104,3 @@ def mercedes_frame() -> FrameSystem:
             [[1.0, 0.0], [-0.5, half_root3], [-0.5, -half_root3]]
         ),
     )
-
-
-def random_riesz_frame(m: int, seed: int) -> FrameSystem:
-    """Seeded random m x m Riesz system on a unit-weight grid.
-
-    Each attempt draws m*m normals from stream `attempt` of the seed and
-    places them around an identity shift (0.3/sqrt(m) scale), which keeps
-    the singular-value ratio comfortably above the acceptance guard; draws
-    are repeated until s_min >= 0.05 * s_max.  Deterministic per seed.
-    """
-    if m < 1:
-        raise InvalidArgument("m must be >= 1")
-    grid = Grid(points=np.arange(m, dtype=float), weights=np.ones(m))
-    scale = 0.3 / math.sqrt(m)
-    for attempt in range(1000):
-        noise = rng.seeded_normals(seed, attempt, m * m).reshape(m, m)
-        a = np.eye(m) + scale * noise
-        squares = row_svd(a).squares
-        s_max = math.sqrt(float(squares[0]))
-        s_min = math.sqrt(float(squares[-1]))
-        if s_max > 0.0 and s_min >= _RIESZ_RATIO * s_max:
-            return FrameSystem(grid=grid, vectors=a)
-    raise InvalidArgument(f"no acceptable draw for m={m}, seed={seed}")

@@ -205,16 +205,22 @@ def frame_spectrum(
 
     B is scaled by 2**-e so that max|B| lies in [0.5, 1); the scaling is
     exact, so ranks and singular vectors do not depend on the overall scale
-    of the frame, and the eigenvalues are scaled back by 4**e.  The rows of
+    of the frame, and the eigenvalues are scaled back by 4**e.  Phi and
+    W^{1/2} are each scaled by a power of two before their product, so a B
+    past the double range is formed all the same; where the unscaled product
+    is finite and normal, this gives its bits.  The rows of
     the thinner side, B or B^T, are rotated until orthogonal: the rotations
     give that side's singular vectors, and the rotated rows, sigma_k times
     the other side's singular vectors, give the rest by one division.
     """
     if not 0.0 <= rank_tol < 1.0:
         raise InvalidArgument(f"rank_tol must lie in [0, 1), got {rank_tol}")
-    b = fs.vectors * np.sqrt(fs.grid.weights)
-    shift = _binary_exponent(b)
-    b = np.ldexp(b, -shift)
+    root = np.sqrt(fs.grid.weights)
+    e_phi, e_root = _binary_exponent(fs.vectors), _binary_exponent(root)
+    b = np.ldexp(fs.vectors, -e_phi) * np.ldexp(root, -e_root)
+    e_b = _binary_exponent(b)
+    b = np.ldexp(b, -e_b)
+    shift = e_phi + e_root + e_b
     wide = fs.n_vectors <= fs.n_points
     svd = row_svd(b if wide else b.T)
     lam = svd.squares

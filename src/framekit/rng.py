@@ -50,9 +50,11 @@ radius and angle (``_sampling_py.polar_normals``), with ln between them in
 place on u1.  ``NormalScratch.contract``, which ``gp.sample_kl`` runs, takes
 the same steps in the active kernel of ``_kernels`` and sums the normals
 into KL samples as it draws them, never writing them out; the C twin's
-fused kernel is built for several vector ISAs and runs on the widest the
-CPU has.  Every variant and both twins give the sums of the defined normals
-bit for bit, so the samples do not depend on which one runs.
+Philox and fused kernel are built for several vector ISAs and run on the
+widest the CPU has (on AVX-512, 8 counter blocks and 8 sums a vector).
+Every variant and both twins give the defined words and the sums of the
+defined normals bit for bit, so the samples do not depend on which one
+runs.
 
 So the normals are defined by the algorithm, except for ln: it is numpy's
 ufunc, whose last bit can differ from the C library's (with numpy 2.4.6 on

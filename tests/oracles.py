@@ -3,10 +3,11 @@
 Nothing here calls into framekit's linear algebra: the Hilbert matrix is
 formed entry by entry, eigenvalue estimates come from power iteration or
 LAPACK, subspace kernels from weighted Gram-Schmidt, and
-positive-definiteness certificates from a hand-rolled Cholesky.  The
-hypothesis strategy ``weighted_frames`` draws the frames that property tests
-share, and ``fused_normals`` reads the normals back out of a backend's fused
-sampling kernel, which never writes them out.
+positive-definiteness certificates from a hand-rolled Cholesky.
+``random_riesz_frame`` draws seeded Riesz systems, the hypothesis strategy
+``weighted_frames`` the frames that property tests share, and
+``fused_normals`` reads the normals back out of a backend's fused sampling
+kernel, which never writes them out.
 """
 
 import math
@@ -113,6 +114,27 @@ def orthonormal_rows(n_rows, n_cols, weights, seed, stream=0):
         if basis.shape[0] == n_rows:
             return basis
     raise AssertionError("could not draw a full-rank system")
+
+
+def random_riesz_frame(m: int, seed: int) -> FrameSystem:
+    """Seeded random m x m Riesz system on a unit-weight grid.
+
+    Each attempt draws m*m normals from stream ``attempt`` of the seed and
+    places them around an identity shift (0.3/sqrt(m) scale), which keeps
+    the singular-value ratio comfortably above the acceptance guard; draws
+    are repeated until s_min >= 0.05 s_max, by LAPACK's singular values.
+    Deterministic per seed.
+    """
+    if m < 1:
+        raise InvalidArgument("m must be >= 1")
+    grid = Grid(points=np.arange(m, dtype=float), weights=np.ones(m))
+    scale = 0.3 / math.sqrt(m)
+    for attempt in range(1000):
+        a = np.eye(m) + scale * rng.seeded_normals(seed, attempt, m * m).reshape(m, m)
+        s = np.linalg.svd(a, compute_uv=False)
+        if s[0] > 0.0 and s[-1] >= 0.05 * s[0]:
+            return FrameSystem(grid=grid, vectors=a)
+    raise AssertionError(f"no acceptable draw for m={m}, seed={seed}")
 
 
 @st.composite

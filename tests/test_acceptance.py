@@ -26,7 +26,6 @@ from framekit import (
     mercedes_frame,
     monomial_frame,
     naive_kernel,
-    random_riesz_frame,
     rk_kernel,
     sample_kl,
     sandwich_check,
@@ -43,6 +42,7 @@ from oracles import (
     gram_schmidt_kernel,
     hilbert_gramian_exact,
     orthonormal_rows,
+    random_riesz_frame,
     weighted_gram_schmidt,
 )
 

@@ -10,7 +10,6 @@ from framekit import (
     hilbert_spectrum_report,
     mercedes_frame,
     monomial_frame,
-    random_riesz_frame,
     rk_kernel,
 )
 
@@ -19,6 +18,7 @@ from oracles import (
     eigh_descending,
     hilbert_gramian_exact,
     power_iteration,
+    random_riesz_frame,
 )
 
 

@@ -20,12 +20,11 @@ from framekit import (
     frame_spectrum,
     mercedes_frame,
     monomial_frame,
-    random_riesz_frame,
     synthesis,
     weighted_inner,
     weighted_norm,
 )
-from oracles import weighted_frames
+from oracles import random_riesz_frame, weighted_frames
 
 
 def standard_basis():

@@ -7,6 +7,7 @@ a temporary cache instead.
 
 import ctypes
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -246,6 +247,47 @@ def test_philox_twins_match_numpy_word_for_word(seed, first, rows, count):
     expected = philox_reference(seed, first, rows, pairs)
     for backend in BACKENDS.values():
         assert split(backend, seed, first, rows, pairs) == expected, backend.name
+
+
+def carry_first(blocks):
+    """A first stream whose counter blocks c + 1, c + 2, ... (c = first *
+    blocks) pass 2**64 at block index g = 1, 3 or 7 mod 8, inside one of
+    the 8-block groups of the AVX-512 Philox rather than at its start:
+    first solves first * blocks = 2**64 - (g + 1) mod 2**64 with
+    g + 1 = max(2, 2**t), where 2**t is the largest power of two dividing
+    blocks."""
+    t = (blocks & -blocks).bit_length() - 1
+    d, odd, bits = max(2, 2**t), blocks >> t, 64 - t
+    return ((2**64 - d) >> t) * pow(odd, -1, 2**bits) % 2**bits
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    seed=st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1),
+    rows=st.integers(min_value=1, max_value=27),
+    pairs=st.integers(min_value=1, max_value=300),
+    first=st.none() | st.integers(0, 2**64 - 1),
+)
+@example(seed=0, rows=1, pairs=1, first=0)
+@example(seed=2**64 - 1, rows=27, pairs=300, first=None)
+@example(seed=0, rows=9, pairs=299, first=None)
+@example(seed=2**64 - 1, rows=2, pairs=25, first=2**64 - 1)
+def test_every_variant_philox_matches_numpy_word_for_word(variant, seed, rows, pairs, first):
+    # each variant this CPU runs: rows off the 8-block group, odd and even
+    # pairs, batches past the 512 blocks of the AVX-512 variant's buffer,
+    # and (first None) a counter that passes 2**64 inside a group
+    if first is None:
+        first = carry_first((pairs + 1) // 2)
+    expected = philox_reference(seed, first, rows, pairs)
+    assert split(VARIANTS[variant], seed, first, rows, pairs) == expected
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3, 4, 8, 12, 13, 48, 150])
+def test_carry_first_passes_the_low_word_inside_a_group(blocks):
+    c = carry_first(blocks) * blocks
+    g = (-(c + 1)) % 2**64
+    assert c < 2**64 * blocks and g % 8 in (1, 3, 7) and g < max(2, blocks)
 
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
@@ -506,6 +548,31 @@ def test_concurrent_first_builds(tmp_path):
     assert len(list(cache.iterdir())) == 1
 
 
+def cpu_flags():
+    """The flags /proc/cpuinfo lists for the first CPU."""
+    for line in Path("/proc/cpuinfo").read_text().splitlines():
+        if line.startswith("flags"):
+            return set(line.split(":", 1)[1].split())
+    return set()
+
+
+@needs_cc
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.machine() != "x86_64",
+    reason="reads the flags of Linux on x86-64",
+)
+def test_the_widest_variant_the_cpu_allows_runs():
+    # a build or a dispatch that fell back to a narrower variant would keep
+    # the bits and lose the speed without a sign
+    flags = cpu_flags()
+    if {"avx512f", "avx512dq"} <= flags:
+        widest = "avx512f"
+    else:
+        widest = "avx2" if "avx2" in flags else "baseline"
+    assert _kernels.ACTIVE.variant == widest
+    assert list(VARIANTS)[0] == widest
+
+
 @needs_cc
 def test_c_sources_compile_without_warnings(tmp_path):
     proc = subprocess.run(
@@ -551,7 +618,9 @@ def test_sources_build_without_the_isa_dispatch(tmp_path):
 #: run under the sanitizers with the path of a library built from
 #: _sampling.c, a folder and cases "ROWSxPAIRSxCOUNT": every variant's
 #: polar_contract on inputs read from the folder into heap buffers of
-#: exactly their size, its outputs written back; no numpy
+#: exactly their size, its outputs written back; and cases
+#: "philox-SEEDxFIRSTxROWSxPAIRS": every variant's philox_split into heap
+#: buffers of exactly their size, u1 then k written to the folder; no numpy
 SANITIZED_SAMPLING = """
 import ctypes, sys
 lib = ctypes.CDLL(sys.argv[1])
@@ -559,6 +628,16 @@ lib.sampling_variants.restype = ctypes.c_char_p
 names = lib.sampling_variants().decode().split()
 real, word, size = ctypes.c_double, ctypes.c_uint64, ctypes.c_long
 for case in sys.argv[3:]:
+    if case.startswith("philox-"):
+        seed, first, rows, pairs = map(int, case[len("philox-"):].split("x"))
+        for name in names:
+            split = getattr(lib, "philox_split_" + name, lib.philox_split)
+            split.argtypes = [word, word, ctypes.POINTER(real), ctypes.POINTER(word), size, size]
+            u1, k = (real * (rows * pairs))(), (word * (rows * pairs))()
+            split(seed, first, u1, k, rows, pairs)
+            with open(f"{sys.argv[2]}/{case}-{name}", "wb") as fh:
+                fh.write(bytes(u1) + bytes(k))
+        continue
     rows, pairs, count = map(int, case.split("x"))
     def read(name, kind):
         with open(f"{sys.argv[2]}/{case}-{name}", "rb") as fh:
@@ -598,9 +677,19 @@ def sanitized_library(tmp_path, source):
 @needs_cc
 def test_sampling_under_address_and_undefined_sanitizers(tmp_path):
     # the fused kernel's stack tile and row loop of every variant, on rows
-    # off the tile and counts past the tile's 64 columns
+    # off the tile and counts past the tile's 64 columns; and every
+    # variant's philox_split, on partial 8-block groups and batches past
+    # the AVX-512 variant's 512-block buffer, one with a carry into
+    # counter word 1
     library, libasan = sanitized_library(tmp_path, Path(_kernels.__file__).with_name("_sampling.c"))
     cases, expected = [], {}
+    for seed, first, rows, pairs in [
+        (2**64 - 1, 0, 27, 300), (0, 7, 9, 1025), (5, carry_first(13), 5, 25), (1, 3, 1, 513),
+        (0, 2**64 - 1, 3, 1),
+    ]:
+        case = f"philox-{seed}x{first}x{rows}x{pairs}"
+        cases.append(case)
+        expected[case] = b"".join(philox_reference(seed, first, rows, pairs))
     for rows, count in [(9, 10_001), (17, 257), (13, 49), (3, 50), (1, 1)]:
         pairs = (count + 1) // 2
         case = f"{rows}x{pairs}x{count}"

@@ -21,7 +21,6 @@ from framekit import (
     mercedes_frame,
     naive_kernel,
     polar_unitary,
-    random_riesz_frame,
     rk_kernel,
     synthesis,
     verify_lax_identity,
@@ -29,7 +28,13 @@ from framekit import (
     weighted_inner,
     weighted_norm,
 )
-from oracles import eigh_descending, gram_schmidt_kernel, weighted_frames, weighted_gram_schmidt
+from oracles import (
+    eigh_descending,
+    gram_schmidt_kernel,
+    random_riesz_frame,
+    weighted_frames,
+    weighted_gram_schmidt,
+)
 
 
 def standard_basis():

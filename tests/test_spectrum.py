@@ -9,10 +9,11 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from framekit import (
@@ -21,6 +22,7 @@ from framekit import (
     canonical_tight,
     cli,
     frame_spectrum,
+    frames,
     lax_milgram,
     monomial_frame,
     polar_unitary,
@@ -216,6 +218,21 @@ def test_spectrum_does_not_follow_blas_threads(tmp_path):
     assert digests[0] == digests[1]
 
 
+@st.composite
+def wide_range_frames(draw):
+    """Frames up to 6 x 6, a fifth of their entries zero, whose entries and
+    weights spread over 2**-200..2**200 around scales anywhere from 2**-800
+    to 2**800."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale, weight = draw(st.integers(-800, 800)), draw(st.integers(-800, 800))
+    vectors = np.ldexp(r.standard_normal((n, m)), r.integers(-200, 201, (n, m)) + scale)
+    vectors[r.random((n, m)) < 0.2] = 0.0
+    weights = np.ldexp(r.uniform(0.5, 2.0, m), r.integers(-200, 201, m) + weight)
+    grid = Grid(points=np.arange(m, dtype=float), weights=weights)
+    return FrameSystem(grid=grid, vectors=vectors)
+
+
 class TestScale:
     @pytest.mark.parametrize("c", [1e-90, 1e80])
     def test_analyze_scaled_copies(self, tmp_path, capsys, c):
@@ -356,6 +373,44 @@ class TestScale:
         kernel, big = rk_kernel(fs), rk_kernel(scaled(fs, 2.0**k))
         assert np.array_equal(big.factor, kernel.factor)
         assert rkhs.kernel_psd_bound(big) == rkhs.kernel_psd_bound(kernel)
+
+    def test_frame_past_the_double_range(self, tmp_path, capsys):
+        # B = diag(1e450) is past the largest double; Phi and W^{1/2} are
+        # scaled before their product, so the frame keeps its rank, and
+        # only its bounds saturate
+        path = tmp_path / "big.json"
+        path.write_text(
+            '{"grid": {"points": [0, 1], "weights": [1e300, 1e300]},'
+            ' "vectors": [[1e300, 0], [0, 1e300]]}'
+        )
+        assert cli.main(["analyze", str(path)]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert "rank=2 " in out and "frame=true" in out
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(fs=wide_range_frames())
+    def test_in_range_products_keep_their_bits(self, fs):
+        # where the unscaled product Phi W^{1/2} is finite and normal, the
+        # scaled factors give B, and so the spectrum, its bits
+        with np.errstate(over="ignore", under="ignore"):
+            old = fs.vectors * np.sqrt(fs.grid.weights)
+        normal = (fs.vectors == 0.0) | (np.abs(old) >= np.finfo(float).tiny)
+        assume(np.all(np.isfinite(old)) and np.all(normal))
+        shift = spectral._binary_exponent(old)
+        old = np.ldexp(old, -shift)
+        seen = []
+
+        def spy(a):
+            seen.append(np.array(a))
+            return row_svd(a)
+
+        with mock.patch.object(frames, "row_svd", spy):
+            spec = frame_spectrum(fs)
+        wide = fs.n_vectors <= fs.n_points
+        assert seen[0].tobytes() == (old if wide else old.T).tobytes()
+        with np.errstate(over="ignore"):
+            expected = np.ldexp(row_svd(seen[0]).squares, 2 * shift)
+        assert spec.eigenvalues.tobytes() == expected.tobytes()
 
     @settings(max_examples=30, deadline=None, database=None)
     @given(e=st.floats(min_value=-150.0, max_value=150.0))
