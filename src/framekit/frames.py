@@ -138,16 +138,15 @@ class FrameSpectrum:
 
     @property
     def lower(self) -> float:
-        """B1, the smallest retained eigenvalue if the retained rank equals the
-        number of grid points; otherwise 0, as a system spanning a strict
-        subspace is not a frame for the ambient space (it frames its span)."""
-        spans = 0 < self.rank == self.frame.n_points
-        return float(self.retained[-1]) if spans else 0.0
+        """B1, the smallest retained eigenvalue if ``is_frame``, else 0: a
+        system spanning a strict subspace frames only its span."""
+        return float(self.retained[-1]) if self.is_frame else 0.0
 
     @property
     def is_frame(self) -> bool:
-        """True iff B1 > 0: the system spans the ambient space."""
-        return self.lower > 0.0
+        """True iff the retained rank equals the number of grid points: the
+        system spans the ambient space, even where B1 underflows to 0."""
+        return 0 < self.rank == self.frame.n_points
 
     @property
     def is_parseval(self) -> bool:

@@ -17,21 +17,19 @@ min(N, M) rows of B or B^T after an exact power-of-two scaling of B:
 
 so the kernel, the tight frame and the rank do not depend on the overall
 scale of the frame.  Every kernel-style table is a ``KernelMatrix``, F F^T
-for an M x k factor F:
+for an M x k factor F, held as F alone:
 
     kernel                    F = W^{-1/2} V_r
     naive kernel              F = Phi^T
     kernel of the tight frame F = Psi^T   (naive_kernel(canonical_tight(fs)))
     Lax-Milgram               F = W^{-1/2} V_r Lambda_r^{-1/2}
 
-The table is formed once, by one product of F with its own transpose, which
-numpy computes as one triangle and its mirror, so it is exactly symmetric
-with no symmetrization pass.  Its scale, max_t K(t,t) = max_t ||F_t||^2,
-which bounds every entry of a PSD table, and its rounding bound on the
-table's negative eigenvalues, ``kernel_psd_bound``, need F alone.  The
-spectrum uses no BLAS, but the products that form the tables, the tight
-frame and the identity checks do, so their last bits may follow BLAS's
-thread count.  ``identity_suite`` checks them all from one spectrum,
+Applying a table, in O(M k), its scale max_t K(t,t) = max_t ||F_t||^2, which
+bounds every entry of a PSD table, and its rounding bound on the table's
+negative eigenvalues, ``kernel_psd_bound``, need F alone; only the kernel file
+forms the M x M table.  The spectrum uses no BLAS, but the products with F,
+the tight frame and the identity checks do, so their last bits may follow
+BLAS's thread count.  ``identity_suite`` checks them all from one spectrum,
 over all probes at once, against gates of the same degree in the data scale
 as their residuals, so neither do its verdicts (an absolute floor such as
 1e-8 would pass a kernel wrong by O(1) on a frame of size 1e-90).
@@ -48,7 +46,7 @@ every verifier take one grid function or a stack of them as rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -93,16 +91,14 @@ class IdentityRow(NamedTuple):
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Kernel-style table values[s][t] = sum_k F[s, k] F[t, k] over grid pairs.
+    """Kernel-style table K[s][t] = sum_k F[s, k] F[t, k] over grid pairs.
 
-    ``factor`` is the M x k factor F; ``values`` = F F^T is formed once,
-    read-only and exactly symmetric.  The table acts on a grid function f
-    as values @ (w * f).  ``InvalidMatrix`` if the table overflows.
+    ``factor`` is the M x k factor F, read-only, and all that is held; the
+    table acts on f as K (w * f).  ``InvalidMatrix`` if it would overflow.
     """
 
     grid: Grid
     factor: np.ndarray
-    values: np.ndarray = field(init=False)
 
     def __post_init__(self):
         f = np.array(self.factor, dtype=float)
@@ -110,18 +106,26 @@ class KernelMatrix:
             raise DimensionMismatch(
                 f"kernel factor {f.shape} for a grid of {self.grid.size} points"
             )
-        with np.errstate(over="ignore", invalid="ignore"):  # reported as InvalidMatrix
-            v = f @ f.T
-        if not np.all(np.isfinite(v)):
-            raise InvalidMatrix("kernel table has non-finite entries")
         f.setflags(write=False)
-        v.setflags(write=False)
         object.__setattr__(self, "factor", f)
-        object.__setattr__(self, "values", v)
+        # a k-term dot product errs by gamma_k of its |terms|, so every entry
+        # |fl(F_s . F_t)| is below max_t ||F_t||^2 (1 + gamma_k) / (1 - gamma_k)
+        gamma = f.shape[1] * _UNIT_ROUNDOFF / (1.0 - f.shape[1] * _UNIT_ROUNDOFF)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported as InvalidMatrix
+            top = float(np.max(np.sum(f * f, axis=1))) * (1.0 + gamma) / (1.0 - gamma)
+        if not math.isfinite(top):
+            raise InvalidMatrix("kernel table has non-finite entries")
+
+    @property
+    def values(self) -> np.ndarray:
+        """The table F F^T, formed on each read: read-only and exactly symmetric."""
+        v = self.factor @ self.factor.T
+        v.setflags(write=False)
+        return v
 
     def apply(self, f) -> np.ndarray:
-        """values @ (w * f) for one grid function, or for each row of a stack."""
-        return (self.values @ (self.grid.weights * _rows(f, self.grid.size)).T).T
+        """K (w * f) = ((w * f) F) F^T, for one grid function or each row of a stack."""
+        return (self.grid.weights * _rows(f, self.grid.size)) @ self.factor @ self.factor.T
 
 
 def naive_kernel(fs: FrameSystem) -> KernelMatrix:
@@ -145,7 +149,8 @@ def canonical_tight(fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL) -> Fram
     The resulting system is Parseval on the span of the original frame:
     every f in the span satisfies f = sum_n <psi_n, f> psi_n.
     """
-    return _tight(_spanning(frame_spectrum(fs, rank_tol)))
+    spec = _spanning(frame_spectrum(fs, rank_tol))
+    return FrameSystem(grid=fs.grid, vectors=spec.u @ _v_unweighted(spec).T)
 
 
 def verify_reproducing(fs: FrameSystem, k: KernelMatrix, f) -> float:
@@ -155,11 +160,13 @@ def verify_reproducing(fs: FrameSystem, k: KernelMatrix, f) -> float:
     the max over all of them.  Contracts to ~0 for f in the span when
     k = rk_kernel(fs).  For f with a component outside the span, <K_t, f>
     evaluates the span-projection of f, so the residual equals the sup norm
-    of the out-of-span component.
+    of the out-of-span component.  It is taken on f scaled by a power of two
+    into [0.5, 1), and scaled back; past the double range it reads inf.
     """
-    if k.grid.size != fs.n_points:
-        raise DimensionMismatch(f"kernel on {k.grid.size} points, frame on {fs.n_points}")
-    return float(np.max(np.abs(f - k.apply(f))))
+    shift = _binary_exponent(_rows(f, fs.n_points))  # apply checks the kernel's grid
+    unit = np.ldexp(f, -shift)
+    unit -= k.apply(unit)  # the residual, in place: one M-wide temporary fewer
+    return _ldexp_saturating(float(np.max(np.abs(unit, out=unit))), shift)
 
 
 def lax_milgram(fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL) -> KernelMatrix:
@@ -202,14 +209,13 @@ def kernel_psd_bound(kernel: KernelMatrix) -> float:
     decomposition is made.  The table is fl(F F^T), PSD in exact
     arithmetic, so its negative eigenvalues are rounding.  Each entry is a
     k-term dot product off by at most gamma_k sum_l |F_il| |F_jl|, with
-    gamma_j = j u / (1 - j u) and u = 2**-53, so the error E has
-    ||E||_2 <= gamma_k ||F||_F^2, and by Weyl's inequality
-    -lambda_min <= ||E||_2.  gamma_{k+2} ||F||_F^2 is
-    returned in place of a measured violation: one unit of the +2 paid for
-    a symmetrization pass that no longer runs and is now spare headroom,
-    kept so the bound that ``kernel`` prints keeps its bits.  It is below
-    the 1e-9 * max_t K(t,t) gate of ``identity_suite`` while
-    (k + 2) M < 9e6, since ||F||_F^2 = tr K <= M max_t K(t,t).
+    gamma_j = j u / (1 - j u) and u = 2**-53, so the error E has ||E||_2 <=
+    gamma_k ||F||_F^2, and by Weyl's inequality -lambda_min <= ||E||_2.
+    gamma_{k+2} ||F||_F^2 is returned in place of a measured violation: one
+    unit of the +2 paid for a symmetrization pass that no longer runs and is
+    now spare headroom, kept so the bound that ``kernel`` prints keeps its
+    bits.  It is below the 1e-9 * max_t K(t,t) gate of ``identity_suite``
+    while (k + 2) M < 9e6, since ||F||_F^2 = tr K <= M max_t K(t,t).
     """
     f = kernel.factor
     k = f.shape[1]
@@ -242,19 +248,19 @@ def identity_suite(fs: FrameSystem, rank_tol: float) -> dict:
     same rows bit for bit; a row beyond the double range prints as inf or 0.
 
     The probes, the N frame vectors and min(N, 3) combinations
-    phi_i - phi_{i+1}/2, are the rows of one matrix, so everything lies in
-    the span and each identity is one stacked call on the one frame
-    spectrum; the kernel's PSD row reports ``kernel_psd_bound``, and
-    ``kernel_vs_tight_max`` compares the kernel with the naive kernel of the
-    canonical tight frame.  With lambda_max the top Gramian eigenvalue,
-    K(t,t) the kernel's diagonal, s the largest probe norm, and
+    phi_i - phi_{i+1}/2, are the rows of one matrix, so everything lies in the
+    span and each identity is one stacked call on the one frame spectrum, with
+    no M x M table; the kernel's PSD row reports ``kernel_psd_bound``, and
+    ``kernel_vs_tight_max`` bounds K - Psi^T Psi = F (I - U_r^T U_r) F^T for
+    the canonical tight frame Psi = U_r F^T.  With lambda_max the top Gramian
+    eigenvalue, K(t,t) the kernel's diagonal, s the largest probe norm, and
     gate = min(1e-3, max(1e-8, 1.1e-14 * kappa)) widening with the retained
     condition number kappa, to which the pseudo-inverse routes lose digits
-    (Hilbert-type systems reach 1e10), up to a cap of three digits, past
-    which the frame fails rather than passes uncertified:
+    (Hilbert-type systems reach 1e10), up to a cap of three digits, past which
+    the frame fails rather than passes uncertified:
 
         max_reproducing_residual  gate * s + truncation tail
-        kernel_vs_tight_max       gate * max_t K(t,t)
+        kernel_vs_tight_max       gate * max_t K(t,t) on max_t K(t,t) ||U_r^T U_r - I||_F
         kernel_psd_violation      1e-9 * max_t K(t,t)
         lax_identity_max          gate * s^2
         gramian_psd_violation     1e-10 * lambda_max
@@ -317,10 +323,9 @@ def _identity_rows(fs: FrameSystem, rank_tol: float) -> dict:
 
     reproducing = verify_reproducing(fs, kernel, probes)
     lax_residual = verify_lax_identity(fs, _lax(spec), probes, probes)
-    from_tight = naive_kernel(_tight(spec)).values
-    kernel_vs_tight = float(np.max(np.abs(kernel.values - from_tight)))
-    # max_t K(t,t) = max_t ||F_t||^2 bounds every |K(s,t)| of the PSD table
+    # |K(s,t)| <= max_t ||F_t||^2, and |(K - Psi^T Psi)(s,t)| <= that ||U_r^T U_r - I||_2
     kernel_max = float(np.max(np.sum(kernel.factor * kernel.factor, axis=1)))
+    kernel_vs_tight = kernel_max * float(np.linalg.norm(spec.u.T @ spec.u - np.eye(spec.rank)))
     gram_psd = max(0.0, -float(spec.eigenvalues[-1]))
     # capped, so a frame that needs a wider gate fails rather than passing
     # with fewer than three digits
@@ -356,10 +361,6 @@ def _v_unweighted(spec: FrameSpectrum) -> np.ndarray:
 
 def _kernel(spec: FrameSpectrum) -> KernelMatrix:
     return KernelMatrix(grid=spec.frame.grid, factor=_v_unweighted(spec))
-
-
-def _tight(spec: FrameSpectrum) -> FrameSystem:
-    return FrameSystem(grid=spec.frame.grid, vectors=spec.u @ _v_unweighted(spec).T)
 
 
 def _lax(spec: FrameSpectrum) -> KernelMatrix:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,12 +17,14 @@ from framekit import (
     build_gramian,
     canonical_tight,
     frame_spectrum,
+    identity_suite,
     isometry_check,
     lax_milgram,
     mercedes_frame,
     naive_kernel,
     polar_unitary,
     rk_kernel,
+    rng,
     synthesis,
     verify_lax_identity,
     verify_reproducing,
@@ -460,8 +463,9 @@ class TestKernelMatrix:
     @settings(max_examples=80, deadline=None, database=None)
     @given(fs=weighted_frames(), rows=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
     def test_values_are_the_factor_squared(self, fs, rows, seed):
-        # bitwise: F F^T is formed once and is exactly symmetric; a stack
-        # of functions is applied as each of its rows is, to rounding
+        # bitwise: F F^T is one product, exactly symmetric; a stack of
+        # functions is applied as each of its rows is, to the rounding of
+        # the two products ((w * f) F) F^T
         f = np.random.default_rng(seed).standard_normal((rows, fs.n_points))
         wf = np.abs(fs.grid.weights * f)
         tables = {
@@ -475,7 +479,8 @@ class TestKernelMatrix:
             assert k.values.tobytes() == k.values.T.tobytes(), name
             assert k.values.tobytes() == (k.factor @ k.factor.T).tobytes(), name
             each = np.array([k.apply(row) for row in f])
-            bound = 4 * fs.n_points * 2.0**-53 * (np.abs(k.values) @ wf.T).T
+            size = fs.n_points + k.factor.shape[1]
+            bound = 4 * size * 2.0**-53 * (wf @ np.abs(k.factor)) @ np.abs(k.factor).T
             assert np.all(np.abs(k.apply(f) - each) <= bound), name
 
     def test_shapes(self):
@@ -508,6 +513,31 @@ class TestKernelMatrix:
         other = random_frame(6, 3, 5, weighted=True)
         with pytest.raises(DimensionMismatch):
             verify_reproducing(fs, rk_kernel(other), np.ones(4))
+
+    def test_checks_form_no_table(self):
+        # on the weighted 50 x 3000 frame the kernel factor is 1.2 MB and the
+        # table 72 MB; the identity suite and the reproducing check need the
+        # factor alone
+        n, m = 50, 3000
+        weights = 1.0 + np.abs(rng.seeded_normals(7, 1, m))
+        fs = FrameSystem(
+            grid=Grid(points=np.arange(m, dtype=float), weights=weights),
+            vectors=rng.seeded_normals(7, 0, n * m).reshape(n, m),
+        )
+        checks = {
+            "suite": lambda: identity_suite(fs, 1e-10),
+            "kernel": lambda: verify_reproducing(fs, rk_kernel(fs), fs.vectors),
+        }
+        peaks = {}
+        for name, check in checks.items():
+            tracemalloc.start()
+            try:
+                check()
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["suite"] < 16 << 20
+        assert peaks["kernel"] < 8 << 20
 
 
 def test_public_api():

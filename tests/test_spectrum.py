@@ -374,18 +374,38 @@ class TestScale:
         assert np.array_equal(big.factor, kernel.factor)
         assert rkhs.kernel_psd_bound(big) == rkhs.kernel_psd_bound(kernel)
 
-    def test_frame_past_the_double_range(self, tmp_path, capsys):
-        # B = diag(1e450) is past the largest double; Phi and W^{1/2} are
-        # scaled before their product, so the frame keeps its rank, and
-        # only its bounds saturate
-        path = tmp_path / "big.json"
+    @staticmethod
+    def diagonal_file(tmp_path, c):
+        # Phi = c I on weights c, so B = c**1.5 I
+        path = tmp_path / f"diag{c}.json"
         path.write_text(
-            '{"grid": {"points": [0, 1], "weights": [1e300, 1e300]},'
-            ' "vectors": [[1e300, 0], [0, 1e300]]}'
+            f'{{"grid": {{"points": [0, 1], "weights": [{c}, {c}]}},'
+            f' "vectors": [[{c}, 0], [0, {c}]]}}'
         )
-        assert cli.main(["analyze", str(path)]) == cli.EXIT_OK
-        out = capsys.readouterr().out
-        assert "rank=2 " in out and "frame=true" in out
+        return str(path)
+
+    def test_frame_past_the_double_range(self, tmp_path, capsys, recwarn):
+        # B = diag(1e450) or diag(1e-450) is past the double range; Phi and
+        # W^{1/2} are scaled before their product, so the frame keeps its
+        # rank and is a frame, and only its bounds saturate.  The kernel's
+        # residual is taken on scaled probes, as w * Phi overflows at 1e300
+        # and underflows at 1e-300, so it stays a rounding error of |Phi|
+        for c, bound in (("1e300", "inf"), ("1e-300", "0")):
+            path = self.diagonal_file(tmp_path, c)
+            assert cli.main(["analyze", path]) == cli.EXIT_OK
+            assert f"rank=2 B1={bound} B2={bound} frame=true" in capsys.readouterr().out
+            assert cli.main(["kernel", path]) == cli.EXIT_OK
+            residual = float(capsys.readouterr().out.split("max_reproducing_residual=")[1])
+            assert residual <= 1e-12 * float(c), c
+        assert not recwarn.list
+
+    def test_verify_past_the_double_range(self, tmp_path, capsys, recwarn):
+        # every verdict is taken on the normalized frame, whose Lax factor
+        # W^{-1/2} V_r Lambda_r^{-1/2} is about 1e-300 on weights of 1e300;
+        # the rows past the double range print inf
+        assert cli.main(["verify", self.diagonal_file(tmp_path, "1e300")]) == cli.EXIT_OK
+        assert "lax_identity_max=inf (tolerance inf)" in capsys.readouterr().out
+        assert not recwarn.list
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(fs=wide_range_frames())
