@@ -30,9 +30,10 @@ negative eigenvalues, ``kernel_psd_bound``, need F alone; only the kernel file
 forms the M x M table.  The spectrum uses no BLAS, but the products with F,
 the tight frame and the identity checks do, so their last bits may follow
 BLAS's thread count.  ``identity_suite`` checks them all from one spectrum,
-over all probes at once, against gates of the same degree in the data scale
-as their residuals, so neither do its verdicts (an absolute floor such as
-1e-8 would pass a kernel wrong by O(1) on a frame of size 1e-90).
+over all probes at once, on Phi and W each scaled by a power of two, against
+gates of the same degrees in Phi and W^{1/2} as their residuals, so its
+verdicts do not follow the scale of Phi or W either (an absolute floor such
+as 1e-8 would pass a kernel wrong by O(1) on a frame of size 1e-90).
 
 Operator conventions on a weighted grid: kernel-style value tables (K, L)
 are elementwise symmetric and act on a function f as K (w * f).  Adjoints
@@ -67,18 +68,6 @@ from .frames import (
 from .spectral import DEFAULT_RANK_TOL, _binary_exponent
 
 _UNIT_ROUNDOFF = 2.0**-53
-
-#: Degree in the data scale of each identity_suite row: c * Phi multiplies
-#: its residual and tolerance by c**degree.
-_IDENTITY_DEGREES = {
-    "max_reproducing_residual": 1,
-    "kernel_vs_tight_max": 0,
-    "lax_identity_max": 2,
-    "isometry_relative_max": 0,
-    "adjoint_relative_max": 0,
-    "kernel_psd_violation": 0,
-    "gramian_psd_violation": 2,
-}
 
 
 class IdentityRow(NamedTuple):
@@ -211,10 +200,12 @@ def kernel_psd_bound(kernel: KernelMatrix) -> float:
     k-term dot product off by at most gamma_k sum_l |F_il| |F_jl|, with
     gamma_j = j u / (1 - j u) and u = 2**-53, so the error E has ||E||_2 <=
     gamma_k ||F||_F^2, and by Weyl's inequality -lambda_min <= ||E||_2.
-    gamma_{k+2} ||F||_F^2 is returned in place of a measured violation: one
-    unit of the +2 paid for a symmetrization pass that no longer runs and is
-    now spare headroom, kept so the bound that ``kernel`` prints keeps its
-    bits.  It is below the 1e-9 * max_t K(t,t) gate of ``identity_suite``
+    gamma_{k+2} ||F||_F^2 is returned in place of a measured violation.  The
+    +2 is not spare: it covers the rounding of the eigensolver that measures
+    a violation, about u ||K||_2 <= u ||F||_F^2 a unit.  With gamma_k,
+    LAPACK's eigvalsh of a rank-1 9 x 9 kernel table reads -lambda_min at
+    1.24 times the bound, where the table's exact lambda_min (40 digits) is
+    0.18 times it.  It stays below the suite's gate, 1e-9 * max_t K(t,t),
     while (k + 2) M < 9e6, since ||F||_F^2 = tr K <= M max_t K(t,t).
     """
     f = kernel.factor
@@ -240,12 +231,15 @@ def identity_suite(fs: FrameSystem, rank_tol: float) -> dict:
     """Max residuals of the frame/kernel identities on deterministic probes.
 
     Returns {name: IdentityRow(residual, tolerance, holds)}.  The suite runs
-    on 2**-e * Phi, scaled exactly so that max|Phi| lies in [0.5, 1) as
-    ``frame_spectrum`` scales B, and each residual and tolerance is scaled
-    back by 2**(degree * e), its degree in the data scale; ``holds`` is the
-    verdict on 2**-e * Phi.  So no frame overflows inside the suite, and
-    c * Phi gives the verdicts of Phi and, when c is a power of two, the
-    same rows bit for bit; a row beyond the double range prints as inf or 0.
+    on 2**-e_phi * Phi, with max|Phi| in [0.5, 1) as ``frame_spectrum`` scales
+    B, and on 4**-e_w * W, e_w = floor((e_max + e_min - 1) / 2) from the binary
+    exponents of max and min sqrt(w), which centres sqrt(W)'s range on 1 (all
+    weights 4**k become 1) and keeps W in range at both ends.  Each row is
+    scaled back by 2**(d_Phi * e_phi + d_w * e_w), its degrees below; ``holds``
+    is the verdict on the scaled frame.  So 2**k * Phi or 4**k * W keeps every
+    verdict and residual / tolerance bit for bit, another scale moves the
+    suite's frame by under 2 in Phi or 4 in W, and a row past the double range
+    prints as inf or 0.
 
     The probes, the N frame vectors and min(N, 3) combinations
     phi_i - phi_{i+1}/2, are the rows of one matrix, so everything lies in the
@@ -257,15 +251,15 @@ def identity_suite(fs: FrameSystem, rank_tol: float) -> dict:
     gate = min(1e-3, max(1e-8, 1.1e-14 * kappa)) widening with the retained
     condition number kappa, to which the pseudo-inverse routes lose digits
     (Hilbert-type systems reach 1e10), up to a cap of three digits, past which
-    the frame fails rather than passes uncertified:
+    the frame fails rather than passes uncertified (d_Phi, d_w; tolerance):
 
-        max_reproducing_residual  gate * s + truncation tail
-        kernel_vs_tight_max       gate * max_t K(t,t) on max_t K(t,t) ||U_r^T U_r - I||_F
-        kernel_psd_violation      1e-9 * max_t K(t,t)
-        lax_identity_max          gate * s^2
-        gramian_psd_violation     1e-10 * lambda_max
-        isometry_relative_max     1e-10 on |l - r| / (lambda_max ||c||^2)
-        adjoint_relative_max      1e-10 on |l - r| / (sqrt(lambda_max) ||f|| ||c||)
+        max_reproducing_residual  1, 0   gate * s + truncation tail (s at the centred W)
+        kernel_vs_tight_max       0, -2  gate * max_t K(t,t) on max_t K(t,t) ||U_r^T U_r - I||_F
+        kernel_psd_violation      0, -2  1e-9 * max_t K(t,t)
+        lax_identity_max          2, 2   gate * s^2
+        gramian_psd_violation     2, 2   1e-10 * lambda_max
+        isometry_relative_max     0, 0   1e-10 on |l - r| / (lambda_max ||c||^2)
+        adjoint_relative_max      0, 0   1e-10 on |l - r| / (sqrt(lambda_max) ||f|| ||c||)
 
     l and r are the two sides of the identity.  The last two divide by
     Cauchy-Schwarz bounds, positive for every nonzero probe of a spanning
@@ -273,11 +267,14 @@ def identity_suite(fs: FrameSystem, rank_tol: float) -> dict:
     reads -lambda_min, and the spectrum is made of squared singular values,
     so it is 0 by construction and checks nothing.
     """
-    shift = _binary_exponent(fs.vectors)
-    unit = FrameSystem(grid=fs.grid, vectors=np.ldexp(fs.vectors, -shift))
+    e_phi = _binary_exponent(fs.vectors)
+    w = fs.grid.weights
+    e_w = (math.frexp(math.sqrt(w.max()))[1] + math.frexp(math.sqrt(w.min()))[1] - 1) // 2
+    grid = Grid(fs.grid.points, np.ldexp(w, -2 * e_w)) if e_w else fs.grid
+    unit = FrameSystem(grid=grid, vectors=np.ldexp(fs.vectors, -e_phi))
     rows = {}
-    for name, (residual, tolerance) in _identity_rows(unit, rank_tol).items():
-        back = _IDENTITY_DEGREES[name] * shift
+    for name, (residual, tolerance, d_phi, d_w) in _identity_rows(unit, rank_tol).items():
+        back = d_phi * e_phi + d_w * e_w
         rows[name] = IdentityRow(
             residual=_ldexp_saturating(residual, back),
             tolerance=_ldexp_saturating(tolerance, back),
@@ -295,7 +292,7 @@ def _ldexp_saturating(x: float, e: int) -> float:
 
 
 def _identity_rows(fs: FrameSystem, rank_tol: float) -> dict:
-    # {name: (residual, tolerance)} of identity_suite, in the units of fs
+    # {name: (residual, tolerance, d_Phi, d_w)} of identity_suite, in the units of fs
     spec = _spanning(frame_spectrum(fs, rank_tol))
     kernel = _kernel(spec)
     n = fs.n_vectors
@@ -338,13 +335,13 @@ def _identity_rows(fs: FrameSystem, rank_tol: float) -> dict:
     truncation = 2.0 * math.sqrt(cut_max / float(np.min(fs.grid.weights)))
 
     return {
-        "max_reproducing_residual": (reproducing, inverse_gate * scale + truncation),
-        "kernel_vs_tight_max": (kernel_vs_tight, inverse_gate * kernel_max),
-        "lax_identity_max": (lax_residual, inverse_gate * scale * scale),
-        "isometry_relative_max": (isometry, 1e-10),
-        "adjoint_relative_max": (adjoint, 1e-10),
-        "kernel_psd_violation": (kernel_psd_bound(kernel), 1e-9 * kernel_max),
-        "gramian_psd_violation": (gram_psd, 1e-10 * lam_max),
+        "max_reproducing_residual": (reproducing, inverse_gate * scale + truncation, 1, 0),
+        "kernel_vs_tight_max": (kernel_vs_tight, inverse_gate * kernel_max, 0, -2),
+        "lax_identity_max": (lax_residual, inverse_gate * scale * scale, 2, 2),
+        "isometry_relative_max": (isometry, 1e-10, 0, 0),
+        "adjoint_relative_max": (adjoint, 1e-10, 0, 0),
+        "kernel_psd_violation": (kernel_psd_bound(kernel), 1e-9 * kernel_max, 0, -2),
+        "gramian_psd_violation": (gram_psd, 1e-10 * lam_max, 2, 2),
     }
 
 

@@ -53,7 +53,7 @@ def gramian_pinv(fs, rank_tol=1e-10):
     return (spec.u / spec.retained) @ spec.u.T, spec
 
 
-class TestSymMatrix:
+class TestGramianArrays:
     """The Gramians the library returns: read-only arrays, finite or refused."""
 
     def test_rejects_nonfinite(self):

@@ -63,6 +63,10 @@ def scaled(fs, c):
     return FrameSystem(grid=fs.grid, vectors=c * fs.vectors)
 
 
+def reweighted(fs, c):
+    return FrameSystem(grid=Grid(fs.grid.points, c * fs.grid.weights), vectors=fs.vectors)
+
+
 def suite_ratios(fs):
     rows = rkhs.identity_suite(fs, RANK_TOL)
     return {name: row.residual / row.tolerance for name, row in rows.items()}
@@ -313,7 +317,7 @@ class TestScale:
 
         def lax_fails(fs, rank_tol):
             out = rows(fs, rank_tol)
-            out["lax_identity_max"] = (3.0, 1.0)
+            out["lax_identity_max"] = (3.0, 1.0, *out["lax_identity_max"][2:])
             return out
 
         monkeypatch.setattr(rkhs, "_identity_rows", lax_fails)
@@ -324,7 +328,7 @@ class TestScale:
         assert code == cli.EXIT_MATH
 
     @pytest.mark.parametrize("k", [-600, 600])
-    def test_sym_eig_power_of_two(self, k):
+    def test_row_svd_power_of_two(self, k):
         # A A^T scaled by 2**k: the same rotations, the squares scaled by 2**k
         r = np.random.default_rng(7)
         x = r.standard_normal((9, 11))
@@ -334,7 +338,7 @@ class TestScale:
         assert np.array_equal(big.rows, np.ldexp(base.rows, k // 2))
         assert np.array_equal(big.squares, np.ldexp(base.squares, k))
 
-    def test_sym_eig_in_range_matches_unscaled_sweeps(self):
+    def test_row_svd_in_range_matches_unscaled_sweeps(self):
         # the pre-scaling is exact, so an in-range input gives the bits of
         # a plain run of the sweeps on the unscaled rows
         r = np.random.default_rng(8)
@@ -363,6 +367,57 @@ class TestScale:
         assert np.array_equal(rk_kernel(big).values, rk_kernel(fs).values)
         assert np.array_equal(canonical_tight(big).vectors, canonical_tight(fs).vectors)
         assert suite_ratios(big) == suite_ratios(fs)
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(k=st.integers(min_value=-450, max_value=450))
+    def test_power_of_four_weights_are_exact(self, k):
+        # W is centred by a power of four inside the suite, so 4**k * W
+        # scales each row by an exact power of two
+        fs = small_frame()
+        assert suite_ratios(reweighted(fs, 4.0**k)) == suite_ratios(fs)
+
+    @pytest.mark.parametrize("k", [-3, 0, 4])
+    def test_rows_scale_back_to_the_raw_frame(self, k):
+        # weights that are all 4**k are checked at 1 and Phi at 2**-2 * Phi,
+        # both exactly, so each row scaled back by its degrees is the row of
+        # the raw frame, bit for bit; only the reproducing tolerance moves
+        # off k = 0, its s being read at the centred W
+        base = small_frame()
+        grid = Grid(points=base.grid.points, weights=np.full(base.n_points, 4.0**k))
+        fs = FrameSystem(grid=grid, vectors=base.vectors)
+        raw = rkhs._identity_rows(fs, RANK_TOL)
+        for name, row in rkhs.identity_suite(fs, RANK_TOL).items():
+            assert row.residual == raw[name][0], name
+            if name != "max_reproducing_residual" or k == 0:
+                assert row.tolerance == raw[name][1], name
+
+    @pytest.mark.parametrize("c", [1e-20, 1e20])
+    def test_verify_scaled_weights(self, tmp_path, capsys, c):
+        # the reproducing tolerance, gate * s with s a norm in L2(w), is read
+        # at the centred weights; read at weights of 1e-20 it would lie below
+        # the rounding residual of a correct kernel
+        code, rows = self.verify_rows(tmp_path, capsys, reweighted(small_frame(), c))
+        assert code == cli.EXIT_OK
+        assert len(rows) == 7 and all(holds for _, holds in rows)
+
+    def test_doubled_kernel_fails_the_reproducing_row_on_large_weights(self, monkeypatch):
+        # read at the centred weights, the reproducing tolerance does not grow
+        # with sqrt(W), so the row catches an O(1) error on weights of 1e20
+        factor = rkhs._v_unweighted
+        monkeypatch.setattr(
+            rkhs, "_v_unweighted", lambda spec: np.sqrt(2.0) * factor(spec)
+        )
+        suite = rkhs.identity_suite(reweighted(small_frame(), 1e20), RANK_TOL)
+        assert not suite["max_reproducing_residual"].holds
+
+    def test_verify_weights_spanning_the_double_range(self, tmp_path, capsys):
+        # centring sqrt(W) on 1 keeps both 1e-300 and 1e300 in range, where
+        # scaling W by its largest weight would flush the smallest to 0
+        fs = small_frame()
+        grid = Grid(points=fs.grid.points, weights=np.logspace(-300, 300, fs.n_points))
+        code, rows = self.verify_rows(tmp_path, capsys, FrameSystem(grid=grid, vectors=fs.vectors))
+        assert code == cli.EXIT_OK
+        assert all(holds for _, holds in rows)
 
     @settings(max_examples=30, deadline=None, database=None)
     @given(k=st.integers(min_value=-480, max_value=480))
@@ -400,11 +455,12 @@ class TestScale:
         assert not recwarn.list
 
     def test_verify_past_the_double_range(self, tmp_path, capsys, recwarn):
-        # every verdict is taken on the normalized frame, whose Lax factor
-        # W^{-1/2} V_r Lambda_r^{-1/2} is about 1e-300 on weights of 1e300;
-        # the rows past the double range print inf
-        assert cli.main(["verify", self.diagonal_file(tmp_path, "1e300")]) == cli.EXIT_OK
-        assert "lax_identity_max=inf (tolerance inf)" in capsys.readouterr().out
+        # every verdict is taken on the normalized frame, Phi near 1 on
+        # weights near 1, whose Lax factor W^{-1/2} V_r Lambda_r^{-1/2} is
+        # about 1; the rows past the double range print inf or 0
+        for c, lax in (("1e300", "inf"), ("1e-300", "0")):
+            assert cli.main(["verify", self.diagonal_file(tmp_path, c)]) == cli.EXIT_OK, c
+            assert f"lax_identity_max={lax} (tolerance {lax})" in capsys.readouterr().out
         assert not recwarn.list
 
     @settings(max_examples=60, deadline=None, database=None)
