@@ -6,17 +6,21 @@ vector ISA this CPU runs), then, for the numpy twin (``python``) and for
 every variant of the compiled kernels this CPU runs (``compiled/avx512f``,
 ``compiled/avx2``, ``compiled/baseline``), the milliseconds (median over
 ``--repeats``) that each stage takes over ``--samples`` x ``--vectors``, run
-block by block into one reused scratch, on one thread, as a sample_kl
-worker runs them: the Philox words split into u1 and the angle words
-(the variant's ``philox_split``; ``compiled/avx2`` runs the baseline's),
-numpy's log in place on u1, and the radius and angle fused with the KL
-contraction (the variant's ``polar_contract``).  Then it prints the whole
-``sample_kl`` with one worker and with one worker per usable CPU, and the
-minor page faults per block, once warm, of each draw loop in this thread
-and of ``sample_kl`` on one worker.  It checks that every twin and variant,
-and one and all workers, give the same sample bytes, and exits 1 if they do
-not.  ``--json PATH`` also writes the medians and quartiles, with the
-environment, as JSON.
+block by block into one reused tile-major scratch bound once to the
+backend, on one thread, as a sample_kl worker runs them: the Philox words
+split into u1 and the angle words (the variant's ``philox_split``;
+``compiled/avx2`` runs the baseline's), numpy's log in place on u1, and the
+radius and angle fused with the KL contraction (the variant's
+``polar_contract``); each stage is the kernel's call alone, its arguments
+checked before the clock starts.  Then it prints the whole ``sample_kl``
+with one worker and with one worker per usable CPU, the per-block call
+overhead (``sample_kl`` on one worker minus the sum of the active
+backend's stages, per block: the checks, the thread pool and the Python
+between the kernels), and the minor page faults per block, once warm, of
+each draw loop in this thread and of ``sample_kl`` on one worker.  It
+checks that every twin and variant, and one and all workers, give the same
+sample bytes, and exits 1 if they do not.  ``--json PATH`` also writes the
+medians and quartiles, with the environment, as JSON.
 
     PYTHONPATH=src python3 benchmarks/bench_sampling.py [--samples 200000] [--vectors 50] [--repeats 5] [--json PATH]
 """
@@ -36,6 +40,7 @@ import numpy as np
 from bench_cli import environment, quartiles, timed_ms
 
 from framekit import _kernels, gp
+from framekit._kernels._sampling_py import LANES
 from framekit.frames import FrameSystem, Grid
 
 STAGES = ("philox split", "log", "fused polar + contraction")
@@ -70,7 +75,9 @@ def main():
     coeffs = random_coefficients(n, 40, seed)
     firsts = range(0, s, gp._SAMPLE_BLOCK)
     pairs, rows = (n + 1) // 2, min(gp._SAMPLE_BLOCK, s)
-    u1, k = np.empty((rows, pairs)), np.empty((rows, pairs), dtype=np.uint64)
+    tiles = -(-rows // LANES)
+    u1 = np.empty((tiles, pairs, LANES))
+    k = np.empty((tiles, pairs, LANES), dtype=np.uint64)
     out_re, out_im = np.empty(s), np.empty(s)
     twins = {"python": _kernels.PYTHON}
     twins.update((f"compiled/{name}", backend) for name, backend in _kernels.VARIANTS.items())
@@ -78,16 +85,19 @@ def main():
     def stages(backend):
         """Milliseconds of each stage over all blocks, in sample_kl's order."""
         spent = [0.0] * len(STAGES)
+        split, fuse = backend.bind(u1, k)
         for first in firsts:
             stop = min(first + gp._SAMPLE_BLOCK, s)
-            u, w = u1[: stop - first], k[: stop - first]
-            re, im = out_re[first:stop], out_im[first:stop]
+            used = -(-(stop - first) // LANES)
+            u = u1[:used]
+            fused = fuse(stop - first, coeffs.re, coeffs.im, out_re[first:stop],
+                         out_im[first:stop])
             t0 = perf_counter()
-            backend.philox_split(seed, first, u, w)
+            split(seed, first, used)
             t1 = perf_counter()
             np.log(u, out=u)
             t2 = perf_counter()
-            backend.polar_contract(u, w, coeffs.re, coeffs.im, re, im)
+            fused()
             t3 = perf_counter()
             for i, dt in enumerate((t1 - t0, t2 - t1, t3 - t2)):
                 spent[i] += dt * 1e3
@@ -126,6 +136,9 @@ def main():
     faults[f"sample_kl 1 worker, {active.name}/{active.variant}"] = faults_per_block(
         lambda: sample(1)
     )
+    own = "python" if active is _kernels.PYTHON else f"compiled/{active.variant}"
+    stage_sum = sum(q["median"] for q in stage_ms[own].values())
+    overhead_us = (sample_ms["1 worker"]["median"] - stage_sum) * 1e3 / len(firsts)
 
     print(f"sampling variant: {active.variant} (of {', '.join(_kernels.VARIANTS) or 'none'})")
     print(f"{s} samples x {n} vectors in blocks of {gp._SAMPLE_BLOCK}, BLAS pinned to 1 thread")
@@ -135,6 +148,7 @@ def main():
             print(f"{stage + ', ' + name:>45} {q['median']:>10.2f} ms")
     for workers, q in sample_ms.items():
         print(f"{'sample_kl, ' + workers:>45} {q['median']:>10.2f} ms")
+    print(f"{'call overhead per block, ' + own:>45} {overhead_us:>10.1f} us")
     print("minor page faults per block, warm:")
     for name, per_block in faults.items():
         print(f"{name:>45} {per_block:>10.1f}")
@@ -152,6 +166,7 @@ def main():
                 {"environment": {**environment(), "sampling_variant": active.variant},
                  "samples": s, "vectors": n, "block": gp._SAMPLE_BLOCK, "repeats": args.repeats,
                  "stages_ms": stage_ms, "sample_kl_ms": sample_ms,
+                 "call_overhead_us_per_block": overhead_us,
                  "minor_faults_per_block": faults, "same": same},
                 fh,
                 indent=1,

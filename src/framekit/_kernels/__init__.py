@@ -20,16 +20,22 @@ lists every one that loaded, for the parity tests and the benchmarks.
 The C library holds its sampling kernels, Philox's ``philox_split`` and the
 one kernel that draws normals, the fused ``polar_contract``, once per
 vector ISA: AVX-512 (F and DQ), AVX2 and the x86-64 baseline where the
-compiler targets x86-64, the baseline alone elsewhere.  The AVX-512
-variant runs both on 8 lanes of 64 bits; the AVX2 variant runs the
-baseline's scalar Philox.  The library names the variants this CPU runs,
-the compiled backend takes the widest, once per process, and ``VARIANTS``
+compiler targets x86-64, the baseline alone elsewhere.  Both take the
+Box-Muller operands tile-major, u1 and the angle words as (tiles, pairs, 8)
+arrays whose lane i of tile t is stream first + 8t + i: the AVX-512
+variant runs a tile's 8 streams in the 8 lanes of its vectors, the others
+loop over the lanes, and the AVX2 variant runs the baseline's scalar
+Philox.  ``bind`` checks a scratch once and passes the kernels its
+addresses from then on; each call checks only its own vectors, before
+either kernel runs.  The library names the variants this CPU runs, the
+compiled backend takes the widest, once per process, and ``VARIANTS``
 holds a compiled backend for each (widest first; empty when the numpy twin
 runs) for the parity tests and the benchmarks.  The variants give the same
 bits, so samples do not depend on which one runs.  The normals themselves
 are defined by the numpy twin: ``rng.seeded_normals`` computes them with
-``_sampling_py`` alone, and every variant's ``philox_split`` matches its
-words and every variant's ``polar_contract`` sums its normals bit for bit.
+``_sampling_py`` alone, in rows, and every variant's ``philox_split``
+matches its words and every variant's ``polar_contract`` sums its normals
+bit for bit.
 """
 
 from __future__ import annotations
@@ -60,11 +66,18 @@ class Backend(NamedTuple):
     ``jacobi_rows(a, max_sweeps, tol)``, one-sided Jacobi on the
     rows of ``a``, returning (squared row norms, rotations, sweeps);
     ``philox_split(seed, first, u1, k)``, which writes the Box-Muller operands
-    u1 and angle words k of Philox streams first.. into (rows, pairs) arrays;
-    ``polar_contract(ln_u1, k, c_re, c_im, out_re, out_im)``, the
-    ``kl_contract`` of the normals that the radius and angle of Box-Muller
-    give from ln u1 and k, count = len(c_re) of them a row, into the (rows,)
-    ``out_re`` and ``out_im``, the normals never written out; and
+    u1 and angle words k of Philox streams first.. into tile-major (tiles,
+    pairs, 8) arrays, every lane of every tile; ``polar_contract(ln_u1, k,
+    c_re, c_im, out_re, out_im)``, the ``kl_contract`` of the normals that the
+    radius and angle of Box-Muller give from the tile-major ln u1 and k,
+    count = len(c_re) of them a stream, for the first rows = len(out_re)
+    streams, into the (rows,) ``out_re`` and ``out_im``, the normals never
+    written out; ``bind(u1, k)``, the (split, fuse) of a tile-major scratch,
+    checked once: ``split(seed, first, tiles)`` runs ``philox_split`` into
+    its first tiles, and ``fuse(rows, c_re, c_im, out_re, out_im)`` checks
+    the vectors (float64, C-contiguous, the outputs writeable and of rows
+    entries; ValueError otherwise) and returns the call that runs
+    ``polar_contract`` on the scratch; and
     ``kl_contract(x, c_re, c_im, out_re, out_im)``, the fixed-order sums of
     ``sample_kl``, ``kl_coefficients`` and ``fourier_at_atoms``;
     ``spell_rows(table)``, the rows of a 2-D float table as ASCII bytes
@@ -78,17 +91,33 @@ class Backend(NamedTuple):
     jacobi_rows: Callable
     philox_split: Callable
     polar_contract: Callable
+    bind: Callable
     kl_contract: Callable
     spell_rows: Callable
     scan_frame: Callable
+
+
+def _whole(bind):
+    """(philox_split, polar_contract) on whole tile-major arrays, through
+    the ``bind`` of a backend."""
+
+    def philox_split(seed, first, u1, k):
+        split, _ = bind(u1, k)
+        split(seed, first, len(u1))
+
+    def polar_contract(ln_u1, k, c_re, c_im, out_re, out_im):
+        _, fuse = bind(ln_u1, k)
+        fuse(len(out_re), c_re, c_im, out_re, out_im)()
+
+    return philox_split, polar_contract
 
 
 PYTHON = Backend(
     "python",
     "numpy",
     _hestenes_py.jacobi_rows,
-    _sampling_py.philox_split,
-    _sampling_py.polar_contract,
+    *_whole(_sampling_py.bind),
+    _sampling_py.bind,
     _sampling_py.kl_contract,
     _frameio_py.spell_rows,
     _frameio_py.scan_frame,
@@ -161,8 +190,6 @@ def _load(library: Path) -> list[Backend]:
 
     vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     rows_in = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
-    words_in = np.ctypeslib.ndpointer(np.uint64, ndim=2, flags="C_CONTIGUOUS")
-    words_out = np.ctypeslib.ndpointer(np.uint64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
     lib.kl_contract.argtypes = [
         rows_in, vector, vector, out_vector, out_vector, ctypes.c_long, ctypes.c_long
     ]
@@ -209,30 +236,44 @@ def _load(library: Path) -> list[Backend]:
 
     lib.sampling_variants.argtypes = []
     lib.sampling_variants.restype = ctypes.c_char_p
-    sizes = [ctypes.c_long] * 3
+    # the sampling kernels take bare addresses, which bind checks once for
+    # the scratch and fuse for each call's vectors, as typed pointers would
+    addresses, sizes = [ctypes.c_void_p] * 6, [ctypes.c_long] * 3
 
     def variant(name):
         # a variant without a Philox of its own runs the baseline's
         philox = getattr(lib, f"philox_split_{name}", lib.philox_split)
-        philox.argtypes = [ctypes.c_uint64, ctypes.c_uint64, matrix, words_out, *sizes[:2]]
+        philox.argtypes = [ctypes.c_uint64, ctypes.c_uint64, *addresses[:2], *sizes[:2]]
         philox.restype = None
         fused = getattr(lib, f"polar_contract_{name}")
-        fused.argtypes = [rows_in, words_in, vector, vector, out_vector, out_vector, *sizes]
+        fused.argtypes = [*addresses, *sizes]
         fused.restype = None
 
-        def philox_split(seed, first, u1, k):
-            rows, pairs = _sampling_py.check_philox_args(seed, first, u1, k)
-            philox(seed, first, u1, k, rows, pairs)
+        def bind(u1, k):
+            held, pairs = _sampling_py.check_tiles(u1, k)
+            # each call holds the arrays whose addresses it passes, so that
+            # they outlive them
+            scratch = (u1, k, u1.ctypes.data, k.ctypes.data)
 
-        def polar_contract(ln_u1, k, c_re, c_im, out_re, out_im):
-            rows, pairs, count = _sampling_py.check_polar_contract_args(
-                ln_u1, k, c_re, c_im, out_re, out_im
-            )
-            fused(ln_u1, k, c_re, c_im, out_re, out_im, rows, pairs, count)
+            def split(seed, first, tiles):
+                _sampling_py.check_split_args(seed, first, tiles, held)
+                philox(seed, first, *scratch[2:], tiles, pairs)
+
+            def fuse(rows, c_re, c_im, out_re, out_im):
+                count, at = _sampling_py.check_fuse_args(
+                    pairs, held, rows, c_re, c_im, out_re, out_im
+                )
+
+                def run(vectors=(c_re, c_im, out_re, out_im)):
+                    fused(*scratch[2:], *at, rows, pairs, count)
+
+                return run
+
+            return split, fuse
 
         return Backend(
-            "compiled", name, jacobi_rows, philox_split, polar_contract, kl_contract,
-            spell_rows, scan_frame,
+            "compiled", name, jacobi_rows, *_whole(bind), bind, kl_contract, spell_rows,
+            scan_frame,
         )
 
     return [variant(name) for name in lib.sampling_variants().decode().split()]

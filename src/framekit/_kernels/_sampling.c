@@ -8,18 +8,27 @@
  * double or word by integer arithmetic.  Keep the two files in sync.
  * The stream layout and the angle algorithm are documented in framekit/rng.py.
  *
- * The fused polar_contract, the kernel that draws normals, is built once
- * per vector ISA: for AVX-512 (F and DQ) and for AVX2 where the compiler
- * targets x86-64 (GCC or Clang), and for the baseline everywhere.  The
- * AVX-512 variant also has its own philox_split, which runs 8 counter
- * blocks a vector, one a lane, and its polar_contract sums the 8 rows of a
- * full tile as the lanes of one vector; the AVX2 variant runs the
- * baseline's scalar philox_split, which neither the same code built for
- * AVX2 nor a 4-lane AVX2 Philox beat.  With no FMA and every sum in a
- * fixed order the variants give the same bits; sampling_variants names
- * those this CPU runs, and the loader picks the widest.  kl_contract is
- * built for the baseline alone.  The normals themselves are defined by the
- * numpy twin (rng.seeded_normals), which every variant matches bit for bit.
+ * The operands of Box-Muller are held tile-major: u1 (then ln u1) and the
+ * angle words k are (tiles, pairs, LANES) arrays, and lane i of tile t is
+ * stream first + LANES t + i, so that one pair of 8 streams is 8 doubles in
+ * a row.  philox_split fills whole tiles; polar_contract reads the tiles of
+ * its rows and writes the sums of the rows alone, never of the spare lanes
+ * that pad the last tile.
+ *
+ * Both are built once per vector ISA: for AVX-512 (F and DQ) and for AVX2
+ * where the compiler targets x86-64 (GCC or Clang), and for the baseline
+ * everywhere.  The AVX-512 variant runs 8 streams a vector, one a 64-bit
+ * lane, in intrinsics: its Philox draws one counter block of each of a
+ * tile's 8 streams at once, so each output word is a vector of 8 streams,
+ * stored whole; its polar_contract forms the normals of a pair of 8 streams
+ * as vectors and sums them into the lanes.  The baseline and AVX2 variants
+ * run the same layout from loops over the lanes (the AVX2 variant runs the
+ * baseline's Philox, which neither the same code built for AVX2 nor a
+ * 4-lane AVX2 Philox beat).  With no FMA and every sum in a fixed order the
+ * variants give the same bits; sampling_variants names those this CPU runs,
+ * and the loader picks the widest.  kl_contract is built for the baseline
+ * alone.  The normals themselves are defined by the numpy twin
+ * (rng.seeded_normals), which every variant matches bit for bit.
  */
 #include <math.h>
 #include <stdint.h>
@@ -35,6 +44,9 @@
 /* the bodies below are inlined into every variant, so that each is compiled
  * for its caller's ISA */
 #define BODY static inline __attribute__((always_inline))
+
+/* streams a tile of the operands holds, one a lane */
+#define LANES 8
 
 /* Philox-4x64 multipliers and Weyl key increments (Salmon et al., SC 2011) */
 #define PHILOX_M0 UINT64_C(0xD2E7470EE14C6C93)
@@ -60,34 +72,36 @@ static inline void philox4x64_10(uint64_t x[4], uint64_t k0, uint64_t k1)
     }
 }
 
-/* Streams first..first+rows-1 of the seed, each of 2 pairs words: row i
- * takes the words of counter blocks c + i b + 1 .. c + (i+1) b, with
- * b = ceil(pairs/2), c = first b (below 2^128) and the counter 256 bits
- * wide, as numpy's Philox(key=[seed, 0], counter=[c mod 2^64, c >> 64, 0, 0])
- * emits them.  Word w < pairs of a row becomes u1[i][w] = ((w >> 11) + 1)
- * 2^-53, word pairs + j becomes k[i][j] = w >> 11, and words past 2 pairs in
- * a row's last block are dropped. */
-void philox_split(uint64_t seed, uint64_t first, double *u1, uint64_t *k,
-                  long rows, long pairs)
+/* Streams first..first+LANES tiles-1 of the seed, each of 2 pairs words, into
+ * the tiles of u1 and k: stream r = LANES t + i (lane i of tile t) takes the
+ * words of counter blocks c + r b + 1 .. c + (r+1) b, with b = ceil(pairs/2),
+ * c = first b and the counter 256 bits wide (below 2^128 here), as numpy's
+ * Philox(key=[seed, 0], counter=[c mod 2^64, c >> 64, 0, 0]) emits them.
+ * Word w < pairs of a stream becomes u1[t][w][i] = ((w >> 11) + 1) 2^-53,
+ * word pairs + j becomes k[t][j][i] = w >> 11, and words past 2 pairs in a
+ * stream's last block are dropped.  Block j of the 8 streams of a tile is
+ * drawn lane after lane, so that each word fills one row of 8 lanes. */
+void philox_split(uint64_t seed, uint64_t first, double *u1, uint64_t *k, long tiles,
+                  long pairs)
 {
     uint64_t blocks = (uint64_t)(pairs + 1) / 2;
-    unsigned __int128 c = (unsigned __int128)first * blocks;
-    for (long i = 0; i < rows; i++) {
-        double *ui = u1 + i * pairs;
-        uint64_t *ki = k + i * pairs;
-        unsigned __int128 n = c + (unsigned __int128)i * blocks;
-        for (long w = 0; w < 2 * pairs; w += 4) {
-            n++;
-            uint64_t x[4] = {(uint64_t)n, (uint64_t)(n >> 64), 0, 0};
-            philox4x64_10(x, seed, 0);
-            for (long l = 0; l < 4 && w + l < 2 * pairs; l++) {
-                uint64_t word = x[l] >> 11;
-                if (w + l < pairs)
-                    ui[w + l] = (double)(word + 1) * 0x1p-53;
-                else
-                    ki[w + l - pairs] = word;
+    unsigned __int128 c = (unsigned __int128)first * blocks + 1;
+    for (long t = 0; t < tiles; t++) {
+        double *ut = u1 + t * pairs * LANES;
+        uint64_t *kt = k + t * pairs * LANES;
+        for (long j = 0; j < (long)blocks; j++)
+            for (long i = 0; i < LANES; i++) {
+                unsigned __int128 n = c + (unsigned __int128)(LANES * t + i) * blocks + j;
+                uint64_t x[4] = {(uint64_t)n, (uint64_t)(n >> 64), 0, 0};
+                philox4x64_10(x, seed, 0);
+                for (long l = 0, w = 4 * j; l < 4 && w < 2 * pairs; l++, w++) {
+                    uint64_t word = x[l] >> 11;
+                    if (w < pairs)
+                        ut[w * LANES + i] = (double)(word + 1) * 0x1p-53;
+                    else
+                        kt[(w - pairs) * LANES + i] = word;
+                }
             }
-        }
     }
 }
 
@@ -137,49 +151,8 @@ BODY void cos_sin(uint64_t k, double *cosv, double *sinv)
     *sinv = a * s - b * c;
 }
 
-/* oi[2j] = r cos, oi[2j+1] = r sin of the angle word ki[j], with the radius
- * r = sqrt(li[j] * -2), for the count columns of one row; an odd count drops
- * the last sine */
-BODY void polar_row(const double *li, const uint64_t *ki, double *oi, long count)
-{
-    for (long j = 0; j < count / 2; j++) {
-        double cosv, sinv, r = sqrt(li[j] * -2.0);
-        cos_sin(ki[j], &cosv, &sinv);
-        oi[2 * j] = r * cosv;
-        oi[2 * j + 1] = r * sinv;
-    }
-    if (count % 2) {
-        double cosv, sinv, r = sqrt(li[count / 2] * -2.0);
-        cos_sin(ki[count / 2], &cosv, &sinv);
-        oi[count - 1] = r * cosv;
-    }
-}
-
-/* rows whose sums overlap in the contraction */
+/* rows whose sums overlap in kl_contract */
 #define TILE 8
-/* columns of normals one tile of polar_contract holds at a time (even) */
-#define SPAN 64
-
-/* re[i] = re[i] + x[i][j] c_re[j] for j = 0..cols-1 in index order, and im
- * likewise, for the tile rows of x (row stride `stride`); with `first`, each
- * sum starts from its first term alone */
-BODY void contract_tile(const double *x, long stride, long cols, const double *c_re,
-                        const double *c_im, double *re, double *im, long tile, int first)
-{
-    long j = 0;
-    if (first) {
-        for (long i = 0; i < tile; i++) {
-            re[i] = x[i * stride] * c_re[0];
-            im[i] = x[i * stride] * c_im[0];
-        }
-        j = 1;
-    }
-    for (; j < cols; j++)
-        for (long i = 0; i < tile; i++) {
-            re[i] = re[i] + x[i * stride + j] * c_re[j];
-            im[i] = im[i] + x[i * stride + j] * c_im[j];
-        }
-}
 
 /* out_re[i] = sum over j in index order of x[i][j] c_re[j] (the first term
  * alone, then one add per term), and out_im likewise; TILE rows at a time
@@ -189,8 +162,17 @@ void kl_contract(const double *x, const double *c_re, const double *c_im,
 {
     for (long i0 = 0; i0 < rows; i0 += TILE) {
         long tile = rows - i0 < TILE ? rows - i0 : TILE;
+        const double *xt = x + i0 * n;
         double re[TILE], im[TILE];
-        contract_tile(x + i0 * n, n, n, c_re, c_im, re, im, tile, 1);
+        for (long i = 0; i < tile; i++) {
+            re[i] = xt[i * n] * c_re[0];
+            im[i] = xt[i * n] * c_im[0];
+        }
+        for (long j = 1; j < n; j++)
+            for (long i = 0; i < tile; i++) {
+                re[i] = re[i] + xt[i * n + j] * c_re[j];
+                im[i] = im[i] + xt[i * n + j] * c_im[j];
+            }
         for (long i = 0; i < tile; i++) {
             out_re[i0 + i] = re[i];
             out_im[i0 + i] = im[i];
@@ -198,42 +180,64 @@ void kl_contract(const double *x, const double *c_re, const double *c_im,
     }
 }
 
-/* columns c0..c0+cols-1 (c0 even) of the normals polar_row gives rows
- * 0..tile-1 of ln_u1 and k, into the tile x (row stride SPAN) */
-BODY void draw_span(const double *ln_u1, const uint64_t *k, double *x, long tile, long pairs,
-                    long c0, long cols)
+/* the normals r cos and r sin of pair p of the LANES streams of a tile, the
+ * radius r = sqrt(ln_u1 * -2) and the angle of k, into z0 and z1 */
+BODY void polar_lanes(const double *ln_u1, const uint64_t *k, double z0[LANES],
+                      double z1[LANES])
 {
-    for (long i = 0; i < tile; i++) {
-        long at = i * pairs + c0 / 2;
-        polar_row(ln_u1 + at, k + at, x + i * SPAN, cols);
+    for (int i = 0; i < LANES; i++) {
+        double cosv, sinv, r = sqrt(ln_u1[i] * -2.0);
+        cos_sin(k[i], &cosv, &sinv);
+        z0[i] = r * cosv;
+        z1[i] = r * sinv;
     }
 }
 
-/* kl_contract of the count normals polar_row gives each of the rows, into
- * out_re and out_im, without writing them out: a tile of rows is drawn SPAN
- * columns at a time into a buffer on the stack and its sums carried over
- * the spans, so the normals stay in L1 and every sum is kl_contract's */
-BODY void polar_contract_rows(const double *ln_u1, const uint64_t *k, const double *c_re,
-                              const double *c_im, double *out_re, double *out_im,
-                              long rows, long pairs, long count)
+/* re = re + z cr and im = im + z ci, lane by lane */
+BODY void add_lanes(const double z[LANES], double cr, double ci, double re[LANES],
+                    double im[LANES])
 {
-    double x[TILE * SPAN];
-    for (long i0 = 0; i0 < rows; i0 += TILE) {
-        long tile = rows - i0 < TILE ? rows - i0 : TILE;
-        double re[TILE], im[TILE];
-        for (long c0 = 0; c0 < count; c0 += SPAN) {
-            long cols = count - c0 < SPAN ? count - c0 : SPAN;
-            draw_span(ln_u1 + i0 * pairs, k + i0 * pairs, x, tile, pairs, c0, cols);
-            contract_tile(x, SPAN, cols, c_re + c0, c_im + c0, re, im, tile, c0 == 0);
+    for (int i = 0; i < LANES; i++) {
+        re[i] = re[i] + z[i] * cr;
+        im[i] = im[i] + z[i] * ci;
+    }
+}
+
+/* kl_contract of the count normals each of the rows draws from the tiles of
+ * ln_u1 and k, into out_re and out_im, without writing them out: the normals
+ * of stream i are r cos and r sin of its pairs in turn, an odd count
+ * dropping the last sine, and each tile's sums run in its lanes, the first
+ * term alone, then one add per term */
+BODY void polar_contract_lanes(const double *ln_u1, const uint64_t *k, const double *c_re,
+                               const double *c_im, double *out_re, double *out_im, long rows,
+                               long pairs, long count)
+{
+    for (long t = 0; t * LANES < rows; t++) {
+        const double *lt = ln_u1 + t * pairs * LANES;
+        const uint64_t *kt = k + t * pairs * LANES;
+        double re[LANES], im[LANES], z0[LANES], z1[LANES];
+        polar_lanes(lt, kt, z0, z1);
+        for (int i = 0; i < LANES; i++) {
+            re[i] = z0[i] * c_re[0];
+            im[i] = z0[i] * c_im[0];
         }
-        for (long i = 0; i < tile; i++) {
-            out_re[i0 + i] = re[i];
-            out_im[i0 + i] = im[i];
+        if (count > 1)
+            add_lanes(z1, c_re[1], c_im[1], re, im);
+        for (long p = 1; p < pairs; p++) {
+            polar_lanes(lt + p * LANES, kt + p * LANES, z0, z1);
+            add_lanes(z0, c_re[2 * p], c_im[2 * p], re, im);
+            if (2 * p + 1 < count)
+                add_lanes(z1, c_re[2 * p + 1], c_im[2 * p + 1], re, im);
+        }
+        long lanes = rows - t * LANES < LANES ? rows - t * LANES : LANES;
+        for (long i = 0; i < lanes; i++) {
+            out_re[t * LANES + i] = re[i];
+            out_im[t * LANES + i] = im[i];
         }
     }
 }
 
-/* the exported polar_contract_<isa> of the scalar code, compiled with the
+/* the exported polar_contract_<isa> of the lane loops, compiled with the
  * attributes that follow the name */
 #define SAMPLING_KERNELS(isa, ...)                                                   \
     __VA_ARGS__ void polar_contract_##isa(const double *ln_u1, const uint64_t *k,   \
@@ -241,33 +245,18 @@ BODY void polar_contract_rows(const double *ln_u1, const uint64_t *k, const doub
                                           double *out_re, double *out_im,           \
                                           long rows, long pairs, long count)        \
     {                                                                                \
-        polar_contract_rows(ln_u1, k, c_re, c_im, out_re, out_im, rows, pairs, count); \
+        polar_contract_lanes(ln_u1, k, c_re, c_im, out_re, out_im, rows, pairs, count); \
     }
 
 SAMPLING_KERNELS(baseline)
 #ifdef ISA_DISPATCH
 SAMPLING_KERNELS(avx2, __attribute__((target("avx2"))))
 
-/* The AVX-512 variant: Philox on 8 counter blocks a vector and the tile
- * sums on 8 rows a vector, one a 64-bit lane, with the scalar code's
- * operations lane by lane */
+/* The AVX-512 variant: a tile's 8 streams a vector, one a 64-bit lane, with
+ * the scalar code's operations lane by lane */
 #define AVX512 __attribute__((target("avx512f,avx512dq")))
-/* 8-block groups that philox_split_avx512f draws at a time */
+/* counter blocks that philox_split_avx512f draws at a time, one a vector */
 #define GROUPS 2
-/* counter blocks its buffer holds: a whole number of GROUPS x 8 */
-#define CHUNK 512
-_Static_assert(CHUNK % (8 * GROUPS) == 0, "the buffer holds whole steps");
-
-/* out[q] = the 128-bit chunks q of a, b, c and d, in that order */
-AVX512 BODY void chunks(__m512d a, __m512d b, __m512d c, __m512d d, __m512d out[4])
-{
-    __m512d ab_lo = _mm512_shuffle_f64x2(a, b, 0x44), cd_lo = _mm512_shuffle_f64x2(c, d, 0x44);
-    __m512d ab_hi = _mm512_shuffle_f64x2(a, b, 0xEE), cd_hi = _mm512_shuffle_f64x2(c, d, 0xEE);
-    out[0] = _mm512_shuffle_f64x2(ab_lo, cd_lo, 0x88);
-    out[1] = _mm512_shuffle_f64x2(ab_lo, cd_lo, 0xDD);
-    out[2] = _mm512_shuffle_f64x2(ab_hi, cd_hi, 0x88);
-    out[3] = _mm512_shuffle_f64x2(ab_hi, cd_hi, 0xDD);
-}
 
 /* the high word of the 128-bit product of each lane of x with the
  * multiplier whose low and high 32 bits m_lo and m_hi hold (in the low
@@ -275,14 +264,15 @@ AVX512 BODY void chunks(__m512d a, __m512d b, __m512d c, __m512d d, __m512d out[
  * low word */
 AVX512 BODY __m512i mul_wide(__m512i x, __m512i m_lo, __m512i m_hi, __m512i *lo)
 {
-    const __m512i low = _mm512_set1_epi64(0xFFFFFFFF);
     __m512i x_hi = _mm512_srli_epi64(x, 32);
     __m512i ll = _mm512_mul_epu32(x, m_lo), lh = _mm512_mul_epu32(x, m_hi);
     __m512i hl = _mm512_mul_epu32(x_hi, m_lo), hh = _mm512_mul_epu32(x_hi, m_hi);
     /* neither sum can carry past 64 bits: (2^32 - 1)^2 + 2^32 - 1 < 2^64 */
     __m512i mid = _mm512_add_epi64(hl, _mm512_srli_epi64(ll, 32));
-    __m512i mid2 = _mm512_add_epi64(lh, _mm512_and_si512(mid, low));
-    *lo = _mm512_or_si512(_mm512_slli_epi64(mid2, 32), _mm512_and_si512(ll, low));
+    /* 0x5555: the low 32 bits of each lane of mid */
+    __m512i mid2 = _mm512_add_epi64(lh, _mm512_maskz_mov_epi32(0x5555, mid));
+    /* 0xAAAA: the high 32 bits of each lane from the low 32 of mid2 */
+    *lo = _mm512_mask_shuffle_epi32(ll, 0xAAAA, mid2, _MM_PERM_CDAB);
     return _mm512_add_epi64(_mm512_add_epi64(hh, _mm512_srli_epi64(mid, 32)),
                             _mm512_srli_epi64(mid2, 32));
 }
@@ -314,69 +304,78 @@ AVX512 BODY void philox_groups(__m512i x[4 * GROUPS], uint64_t k0, uint64_t k1)
     }
 }
 
-/* words at..at+len-1 of a row, from src, split as philox_split splits them
- * into the row's ui and ki (the scalar philox_split splits a block inline:
- * through this loop pair it ran a quarter slower) */
-BODY void split_words(const uint64_t *src, long at, long len, long pairs, double *ui,
-                      uint64_t *ki)
-{
-    long end = at + len;
-    for (long w = at; w < pairs && w < end; w++)
-        ui[w] = (double)((src[w - at] >> 11) + 1) * 0x1p-53;
-    for (long w = at > pairs ? at : pairs; w < 2 * pairs && w < end; w++)
-        ki[w - pairs] = src[w - at] >> 11;
-}
-
-/* philox_split: the counter blocks of all rows, c + 1 .. c + rows b, are
- * drawn 8 x GROUPS at a time, CHUNK at a time into a buffer on the stack in
- * block order, and split from there row by row */
+/* philox_split: block j of the 8 streams of tile t, counters c + (8 t + i) b
+ * + j + 1 in lane i, is one vector of counters, GROUPS of them drawn at a
+ * time in tile-major order; each word of the 4 it yields is one word of 8
+ * streams, shifted, converted and stored whole into its row of the tile */
 AVX512 void philox_split_avx512f(uint64_t seed, uint64_t first, double *u1, uint64_t *k,
-                                 long rows, long pairs)
+                                 long tiles, long pairs)
 {
-    uint64_t words[4 * CHUNK];
-    long blocks = (pairs + 1) / 2, total = rows * blocks, row = 0, at = 0;
+    long blocks = (pairs + 1) / 2, total = tiles * blocks;
     unsigned __int128 c = (unsigned __int128)first * (uint64_t)blocks + 1;
-    const __m512i lanes = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
-    for (long b0 = 0; b0 < total; b0 += CHUNK) {
-        long n = total - b0 < CHUNK ? total - b0 : CHUNK;
-        /* a trailing partial step fills all its 8 GROUPS blocks, which
-         * CHUNK, a multiple of them, holds */
-        for (long g = 0; g < n; g += 8 * GROUPS) {
-            __m512i x[4 * GROUPS];
-            for (int h = 0; h < GROUPS; h++) {
-                unsigned __int128 n0 = c + (unsigned __int128)(b0 + g + 8 * h);
-                __m512i lo = _mm512_set1_epi64((long long)(uint64_t)n0);
-                __m512i hi = _mm512_set1_epi64((long long)(uint64_t)(n0 >> 64));
-                x[4 * h] = _mm512_add_epi64(lo, lanes);
-                /* a lane whose low word wrapped carries into word 1 */
-                x[4 * h + 1] = _mm512_mask_add_epi64(
-                    hi, _mm512_cmplt_epu64_mask(x[4 * h], lo), hi, _mm512_set1_epi64(1));
-                x[4 * h + 2] = x[4 * h + 3] = _mm512_setzero_si512();
-            }
-            philox_groups(x, seed, 0);
-            for (int h = 0; h < GROUPS; h++) {
-                __m512i *y = x + 4 * h;
-                __m512d out[4];
-                chunks(_mm512_castsi512_pd(_mm512_unpacklo_epi64(y[0], y[1])),
-                       _mm512_castsi512_pd(_mm512_unpacklo_epi64(y[2], y[3])),
-                       _mm512_castsi512_pd(_mm512_unpackhi_epi64(y[0], y[1])),
-                       _mm512_castsi512_pd(_mm512_unpackhi_epi64(y[2], y[3])), out);
-                for (int q = 0; q < 4; q++)
-                    _mm512_storeu_si512(words + 4 * (g + 8 * h) + 8 * q,
-                                        _mm512_castpd_si512(out[q]));
-            }
+    /* the lanes' offsets i b: below 2^64, since 8 b counter blocks are
+     * words of memory */
+    const __m512i strides = _mm512_mullo_epi64(_mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0),
+                                               _mm512_set1_epi64(blocks));
+    const __m512d ulp = _mm512_set1_pd(0x1p-53);
+    for (long g = 0; g < total; g += GROUPS) {
+        __m512i x[4 * GROUPS];
+        long t[GROUPS], j[GROUPS];
+        for (int h = 0; h < GROUPS; h++) {
+            /* a trailing partial group draws its first block again, unstored */
+            long n = g + h < total ? g + h : g;
+            t[h] = n / blocks;
+            j[h] = n % blocks;
+            unsigned __int128 n0 = c + (unsigned __int128)(LANES * t[h]) * (uint64_t)blocks
+                                   + (uint64_t)j[h];
+            __m512i lo = _mm512_set1_epi64((long long)(uint64_t)n0);
+            __m512i hi = _mm512_set1_epi64((long long)(uint64_t)(n0 >> 64));
+            x[4 * h] = _mm512_add_epi64(lo, strides);
+            /* a lane whose low word wrapped carries into word 1 */
+            x[4 * h + 1] = _mm512_mask_add_epi64(
+                hi, _mm512_cmplt_epu64_mask(x[4 * h], lo), hi, _mm512_set1_epi64(1));
+            x[4 * h + 2] = x[4 * h + 3] = _mm512_setzero_si512();
         }
-        for (long w = 0; w < 4 * n;) {
-            long len = 4 * blocks - at < 4 * n - w ? 4 * blocks - at : 4 * n - w;
-            split_words(words + w, at, len, pairs, u1 + row * pairs, k + row * pairs);
-            w += len;
-            at += len;
-            if (at == 4 * blocks) {
-                at = 0;
-                row++;
+        philox_groups(x, seed, 0);
+        for (int h = 0; h < GROUPS && g + h < total; h++) {
+            double *ut = u1 + t[h] * pairs * LANES;
+            uint64_t *kt = k + t[h] * pairs * LANES;
+            for (long l = 0, w = 4 * j[h]; l < 4 && w < 2 * pairs; l++, w++) {
+                __m512i word = _mm512_srli_epi64(x[4 * h + l], 11);
+                if (w < pairs) {
+                    __m512i above = _mm512_add_epi64(word, _mm512_set1_epi64(1));
+                    _mm512_storeu_pd(ut + w * LANES,
+                                     _mm512_mul_pd(_mm512_cvtepu64_pd(above), ulp));
+                } else {
+                    _mm512_storeu_si512(kt + (w - pairs) * LANES, word);
+                }
             }
         }
     }
+}
+
+/* (cos 2 pi u, sin 2 pi u) of cos_sin, lane by lane, for the 8 angle words
+ * in the lanes of k */
+AVX512 BODY void cos_sin8(__m512i k, __m512d *cosv, __m512d *sinv)
+{
+    /* the rotation of cos_sin by quadrant m, as tables of a and b */
+    const __m512d rot_a = _mm512_set_pd(0.0, -1.0, 0.0, 1.0, 0.0, -1.0, 0.0, 1.0);
+    const __m512d rot_b = _mm512_set_pd(1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0, 0.0);
+    __m512i q = _mm512_srli_epi64(_mm512_add_epi64(k, _mm512_set1_epi64(INT64_C(1) << 50)), 51);
+    __m512d t = _mm512_mul_pd(_mm512_cvtepi64_pd(_mm512_sub_epi64(k, _mm512_slli_epi64(q, 51))),
+                              _mm512_set1_pd(0x1p-50));
+    __m512d z = _mm512_mul_pd(t, t);
+    __m512d s = _mm512_set1_pd(SIN_COEF[8]);
+    for (int j = 7; j >= 0; j--)
+        s = _mm512_add_pd(_mm512_set1_pd(SIN_COEF[j]), _mm512_mul_pd(z, s));
+    s = _mm512_mul_pd(t, s);
+    __m512d c = _mm512_set1_pd(COS_COEF[9]);
+    for (int j = 8; j >= 0; j--)
+        c = _mm512_add_pd(_mm512_set1_pd(COS_COEF[j]), _mm512_mul_pd(z, c));
+    /* the tables' index is q mod 8, of which they repeat q mod 4 */
+    __m512d a = _mm512_permutexvar_pd(q, rot_a), b = _mm512_permutexvar_pd(q, rot_b);
+    *cosv = _mm512_add_pd(_mm512_mul_pd(a, c), _mm512_mul_pd(b, s));
+    *sinv = _mm512_sub_pd(_mm512_mul_pd(a, s), _mm512_mul_pd(b, c));
 }
 
 /* re = re + v cr and im = im + v ci, or with `start` the products alone */
@@ -388,61 +387,35 @@ AVX512 BODY void add_term(__m512d v, double cr, double ci, __m512d *re, __m512d 
     *im = start ? tim : _mm512_add_pd(*im, tim);
 }
 
-/* contract_tile of a full tile with row stride SPAN, its sums in the lanes
- * of re and im: each 8 x 8 block of the tile is transposed in registers
- * into 8 columns, and the columns past the last whole block are gathered */
-AVX512 BODY void contract_rows8(const double *x, long cols, const double *c_re,
-                                const double *c_im, __m512d *re, __m512d *im, int first)
-{
-    __m512d col[8];
-    long j = 0;
-    for (; j + 8 <= cols; j += 8) {
-        __m512d r[8];
-        for (int i = 0; i < 8; i++)
-            r[i] = _mm512_loadu_pd(x + i * SPAN + j);
-        chunks(_mm512_unpacklo_pd(r[0], r[1]), _mm512_unpacklo_pd(r[2], r[3]),
-               _mm512_unpacklo_pd(r[4], r[5]), _mm512_unpacklo_pd(r[6], r[7]), col);
-        chunks(_mm512_unpackhi_pd(r[0], r[1]), _mm512_unpackhi_pd(r[2], r[3]),
-               _mm512_unpackhi_pd(r[4], r[5]), _mm512_unpackhi_pd(r[6], r[7]), col + 4);
-        /* col[q] holds column 2q and col[4 + q] column 2q + 1 */
-        for (int t = 0; t < 8; t++) {
-            __m512d v = col[t % 2 * 4 + t / 2];
-            add_term(v, c_re[j + t], c_im[j + t], re, im, first && j + t == 0);
-        }
-    }
-    const __m512i rows = _mm512_set_epi64(7 * SPAN, 6 * SPAN, 5 * SPAN, 4 * SPAN, 3 * SPAN,
-                                          2 * SPAN, SPAN, 0);
-    for (; j < cols; j++) {
-        __m512d v = _mm512_i64gather_pd(rows, x + j, 8);
-        add_term(v, c_re[j], c_im[j], re, im, first && j == 0);
-    }
-}
-
-/* polar_contract_rows, with the sums of each full tile in the lanes */
+/* polar_contract_lanes, a pair of a tile's 8 streams a vector */
 AVX512 void polar_contract_avx512f(const double *ln_u1, const uint64_t *k, const double *c_re,
                                    const double *c_im, double *out_re, double *out_im,
                                    long rows, long pairs, long count)
 {
-    double x[TILE * SPAN];
-    long full = rows - rows % TILE;
-    for (long i0 = 0; i0 < full; i0 += TILE) {
+    for (long t = 0; t * LANES < rows; t++) {
+        const double *lt = ln_u1 + t * pairs * LANES;
+        const uint64_t *kt = k + t * pairs * LANES;
         __m512d re = _mm512_setzero_pd(), im = _mm512_setzero_pd();
-        for (long c0 = 0; c0 < count; c0 += SPAN) {
-            long cols = count - c0 < SPAN ? count - c0 : SPAN;
-            draw_span(ln_u1 + i0 * pairs, k + i0 * pairs, x, TILE, pairs, c0, cols);
-            contract_rows8(x, cols, c_re + c0, c_im + c0, &re, &im, c0 == 0);
+        for (long p = 0; p < pairs; p++) {
+            __m512d r = _mm512_sqrt_pd(
+                _mm512_mul_pd(_mm512_loadu_pd(lt + p * LANES), _mm512_set1_pd(-2.0)));
+            __m512d cosv, sinv;
+            cos_sin8(_mm512_loadu_si512(kt + p * LANES), &cosv, &sinv);
+            add_term(_mm512_mul_pd(r, cosv), c_re[2 * p], c_im[2 * p], &re, &im, p == 0);
+            if (2 * p + 1 < count)
+                add_term(_mm512_mul_pd(r, sinv), c_re[2 * p + 1], c_im[2 * p + 1], &re, &im, 0);
         }
-        _mm512_storeu_pd(out_re + i0, re);
-        _mm512_storeu_pd(out_im + i0, im);
+        long lanes = rows - t * LANES;
+        __mmask8 mask = lanes < LANES ? (__mmask8)((1u << lanes) - 1) : 0xFF;
+        _mm512_mask_storeu_pd(out_re + t * LANES, mask, re);
+        _mm512_mask_storeu_pd(out_im + t * LANES, mask, im);
     }
-    if (full < rows)
-        polar_contract_rows(ln_u1 + full * pairs, k + full * pairs, c_re, c_im, out_re + full,
-                            out_im + full, rows - full, pairs, count);
 }
 #endif
 
 /* the variants this CPU runs, widest first, separated by spaces; avx512f
- * needs AVX-512DQ as well, whose conversion split_words uses */
+ * needs AVX-512DQ as well, for its conversions between 64-bit integers and
+ * doubles */
 const char *sampling_variants(void)
 {
 #ifdef ISA_DISPATCH

@@ -6,15 +6,24 @@ operands in the same order, element for element, vectorised over the
 elements where the C twin loops over them.  numpy's Philox, integer-to-double
 conversions and the rotation table give the words and doubles that the C
 twin builds by integer arithmetic.  ``philox_split`` and ``polar_normals``
-are the reference: ``rng.seeded_normals`` computes the normal streams with
-them, and the C twin, which draws normals only inside ``polar_contract``,
-is tested against them.  Keep the two files in sync.  The stream layout and
-the angle algorithm are documented in ``framekit/rng.py``.
+are the reference, on (rows, pairs) operands: ``rng.seeded_normals``
+computes the normal streams with them, and the C twin, which draws normals
+only inside ``polar_contract``, is tested against them.  The backend
+entries, ``bind`` and the ``philox_split_tiles`` and ``polar_contract_tiles``
+it runs, hold the operands tile-major, as the C twin does ((tiles, pairs,
+LANES) arrays, lane i of tile t stream first + LANES t + i), and reshape
+and transpose the reference's rows.  The checks of a tile-major scratch and
+of the vectors of a call are here, for both twins.  Keep the two files in
+sync.  The stream layout and the angle algorithm are documented in
+``framekit/rng.py``.
 """
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+#: streams a tile of the Box-Muller operands holds, one a lane
+LANES = 8
+_FLOAT64 = np.dtype(np.float64).str
 #: Nearest doubles to the Taylor coefficients of sin(pi t/4) (odd powers,
 #: t**1..t**17) and cos(pi t/4) (even powers, t**0..t**18).
 SIN_COEF = tuple(
@@ -78,11 +87,58 @@ def check_contract_args(shape, c_re, c_im, out_re, out_im):
     return rows, n
 
 
-def check_polar_contract_args(ln_u1, k, c_re, c_im, out_re, out_im):
-    """(rows, pairs, count) of a valid ``polar_contract`` call; ValueError otherwise."""
-    shape = (ln_u1.shape[0], c_re.size)
-    check_contract_args(shape, c_re, c_im, out_re, out_im)
-    return check_polar_args(ln_u1, k, shape)
+def check_tiles(u1, k):
+    """(tiles, pairs) of a tile-major scratch: ``u1`` float64 and ``k``
+    uint64, both C-contiguous and writeable, of one shape (tiles, pairs,
+    LANES) with tiles and pairs at least 1; ValueError otherwise."""
+    for name, a, dtype in (("u1", u1, np.float64), ("angle words", k, np.uint64)):
+        if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.c_contiguous
+                and a.flags.writeable):
+            raise ValueError(f"{name} must be a writeable C-contiguous {np.dtype(dtype)} array")
+    tiles, pairs, lanes = u1.shape if u1.ndim == 3 else (0, 0, 0)
+    if k.shape != u1.shape or tiles < 1 or pairs < 1 or lanes != LANES:
+        raise ValueError(f"u1 {u1.shape}, angle words {k.shape}: need (tiles, pairs, {LANES})")
+    return tiles, pairs
+
+
+def check_split_args(seed, first, tiles, held):
+    """A valid ``split(seed, first, tiles)`` of a scratch of ``held`` tiles;
+    ValueError otherwise."""
+    if not (0 <= seed <= _MASK64 and 0 <= first <= _MASK64):
+        raise ValueError(f"seed {seed} or first stream {first} outside [0, 2**64)")
+    if not 1 <= tiles <= held:
+        raise ValueError(f"{tiles} tiles for a scratch of {held}")
+
+
+def vector_address(a, n, writeable=False):
+    """The address of the data of ``a``, a C-contiguous float64 array of
+    shape (n,), writeable if ``writeable``; ValueError otherwise, the
+    refusals of a typed ctypes pointer, read from one array interface."""
+    try:
+        face = a.__array_interface__
+    except AttributeError:
+        raise ValueError(f"{type(a).__name__} is not an array") from None
+    address, read_only = face["data"]
+    if (face["typestr"] != _FLOAT64 or face["shape"] != (n,) or face["strides"] is not None
+            or writeable and read_only):
+        kind = "writeable " if writeable else ""
+        raise ValueError(f"need a {kind}C-contiguous float64 array of shape ({n},)")
+    return address
+
+
+def check_fuse_args(pairs, tiles, rows, c_re, c_im, out_re, out_im):
+    """(count, addresses of c_re, c_im, out_re and out_im) of a valid
+    ``fuse(rows, c_re, c_im, out_re, out_im)`` of a scratch of ``tiles``
+    tiles of ``pairs`` pairs; ValueError otherwise."""
+    count = len(c_re)
+    if count not in (2 * pairs - 1, 2 * pairs) or not 1 <= rows <= LANES * tiles:
+        raise ValueError(f"{rows} rows of {count} normals for a scratch of {tiles} x {pairs}")
+    return count, (
+        vector_address(c_re, count),
+        vector_address(c_im, count),
+        vector_address(out_re, rows, writeable=True),
+        vector_address(out_im, rows, writeable=True),
+    )
 
 
 def philox_split(seed, first, u1, k):
@@ -94,13 +150,23 @@ def philox_split(seed, first, u1, k):
     place; ``first`` lies in [0, 2**64).
     """
     rows, pairs = check_philox_args(seed, first, u1, k)
+    _split(_philox_words(seed, first, rows, pairs), pairs, u1, k)
+
+
+def _philox_words(seed, first, rows, pairs):
+    """The words of streams first..first + rows - 1, shifted right by 11,
+    as the rows of a (rows, 4 ceil(pairs/2)) array."""
     blocks = (pairs + 1) // 2
     key = np.array([seed, 0], dtype=np.uint64)
     c = first * blocks
     counter = np.array([c & _MASK64, c >> 64, 0, 0], dtype=np.uint64)
     words = np.random.Philox(key=key, counter=counter).random_raw(rows * 4 * blocks)
     words = words.reshape(rows, 4 * blocks)
-    np.right_shift(words, np.uint64(11), out=words)
+    return np.right_shift(words, np.uint64(11), out=words)
+
+
+def _split(words, pairs, u1, k):
+    """u1 and k from the shifted ``words``, a stream's words along axis 1."""
     k[...] = words[:, pairs : 2 * pairs]
     head = words[:, :pairs]
     np.add(head, np.uint64(1), out=head)
@@ -158,13 +224,51 @@ def kl_contract(x, c_re, c_im, out_re, out_im):
             np.add(out, term, out=out)
 
 
-def polar_contract(ln_u1, k, c_re, c_im, out_re, out_im):
-    """``kl_contract`` of the ``polar_normals`` of ``ln_u1`` and ``k``, with
-    count = len(c_re) normals a row, into ``out_re`` and ``out_im``.
+def to_rows(tiled, rows):
+    """The first ``rows`` streams of a tile-major (tiles, pairs, LANES) array,
+    as the rows of a (rows, pairs) array."""
+    return tiled.transpose(0, 2, 1).reshape(-1, tiled.shape[1])[:rows]
+
+
+def philox_split_tiles(seed, first, u1, k):
+    """``philox_split`` of streams first..first + LANES tiles - 1 into the
+    tile-major (tiles, pairs, LANES) ``u1`` and ``k``, lane i of tile t
+    taking stream first + LANES t + i: the reference words, transposed
+    tile by tile."""
+    tiles, pairs, _ = u1.shape
+    words = _philox_words(seed, first, tiles * LANES, pairs)
+    _split(words.reshape(tiles, LANES, -1).transpose(0, 2, 1), pairs, u1, k)
+
+
+def polar_contract_tiles(ln_u1, k, c_re, c_im, out_re, out_im):
+    """``kl_contract`` of the ``polar_normals`` of the first rows =
+    len(out_re) streams of the tile-major ``ln_u1`` and ``k``, with count =
+    len(c_re) normals a row, into ``out_re`` and ``out_im``.
 
     The normals go through a temporary (rows, count) array, where the C twin
-    keeps a tile of them at a time in L1; the bits are the same.
+    keeps a pair of them a lane at a time; the bits are the same.
     """
-    x = np.empty((len(ln_u1), len(c_re)))
-    polar_normals(ln_u1, k, x)
+    rows = len(out_re)
+    x = np.empty((rows, len(c_re)))
+    polar_normals(to_rows(ln_u1, rows), to_rows(k, rows), x)
     kl_contract(x, c_re, c_im, out_re, out_im)
+
+
+def bind(u1, k):
+    """(split, fuse) of the tile-major scratch ``u1`` and ``k``:
+    ``split(seed, first, tiles)`` runs ``philox_split_tiles`` into its first
+    ``tiles`` tiles; ``fuse(rows, c_re, c_im, out_re, out_im)`` checks its
+    arguments and returns the call that runs ``polar_contract_tiles`` on
+    the tiles of ``rows`` streams."""
+    held, pairs = check_tiles(u1, k)
+
+    def split(seed, first, tiles):
+        check_split_args(seed, first, tiles, held)
+        philox_split_tiles(seed, first, u1[:tiles], k[:tiles])
+
+    def fuse(rows, c_re, c_im, out_re, out_im):
+        check_fuse_args(pairs, held, rows, c_re, c_im, out_re, out_im)
+        tiles = -(-rows // LANES)
+        return lambda: polar_contract_tiles(u1[:tiles], k[:tiles], c_re, c_im, out_re, out_im)
+
+    return split, fuse

@@ -28,6 +28,8 @@ from .frames import FrameSystem, Grid
 
 #: Samples drawn and contracted per block (per worker at a time) in sample_kl.
 _SAMPLE_BLOCK = 2048
+#: Samples whose |Y|^2 empirical_variance forms at a time.
+_VARIANCE_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -225,12 +227,24 @@ def _worker_count() -> int:
 
 
 def empirical_variance(samples_re: np.ndarray, samples_im: np.ndarray) -> float:
-    """Monte-Carlo estimate (1/s) sum_k |Y_k|^2 (the mean of |Y|^2; E Y = 0)."""
+    """Monte-Carlo estimate (1/s) sum_k |Y_k|^2 (the mean of |Y|^2; E Y = 0),
+    from the s samples of two equal-length 1-D arrays.
+
+    |Y_k|^2 = re^2 + im^2 is formed _VARIANCE_BLOCK samples at a time into
+    one array, whose mean numpy then takes whole, so no square of a whole
+    array is allocated and the bits are those of the whole-array formula.
+    """
     if samples_re.size < 2:
         raise InvalidArgument("need at least two samples")
+    abs2 = np.empty(samples_re.size)
+    squares = np.empty(min(_VARIANCE_BLOCK, samples_re.size))
     with np.errstate(over="ignore"):  # past the largest double it reads inf
-        abs2 = np.square(samples_re)
-        abs2 += np.square(samples_im)
+        for start in range(0, samples_re.size, _VARIANCE_BLOCK):
+            block = abs2[start : start + _VARIANCE_BLOCK]
+            im2 = squares[: block.size]
+            np.square(samples_re[start : start + _VARIANCE_BLOCK], out=block)
+            np.square(samples_im[start : start + _VARIANCE_BLOCK], out=im2)
+            block += im2
         return float(np.mean(abs2))
 
 

@@ -7,7 +7,8 @@ positive-definiteness certificates from a hand-rolled Cholesky.
 ``random_riesz_frame`` draws seeded Riesz systems, the hypothesis strategy
 ``weighted_frames`` the frames that property tests share, and
 ``fused_normals`` reads the normals back out of a backend's fused sampling
-kernel, which never writes them out.
+kernel, which never writes them out, through the tile-major operands that
+``to_tiles`` forms and ``from_tiles`` reads.
 """
 
 import math
@@ -149,20 +150,46 @@ def weighted_frames(draw):
     return FrameSystem(grid=grid, vectors=vectors)
 
 
+#: streams a tile of the tile-major Box-Muller operands holds, one a lane
+LANES = 8
+#: a NaN whose payload no kernel computes, for the words around an output
+#: that a kernel, or a call it refuses, must leave as they are
+CANARY = np.frombuffer(np.uint64(0x7FF8DEADBEEF0001).tobytes(), dtype=np.float64)[0]
+
+
+def to_tiles(rows, fill=0):
+    """The tile-major (tiles, pairs, LANES) copy of the (rows, pairs) array
+    ``rows``: lane i of tile t holds row LANES t + i, and the spare lanes of
+    a last tile that rows do not fill hold ``fill``."""
+    n, pairs = rows.shape
+    tiles = -(-n // LANES)
+    padded = np.full((tiles * LANES, pairs), fill, dtype=rows.dtype)
+    padded[:n] = rows
+    return np.ascontiguousarray(padded.reshape(tiles, LANES, pairs).transpose(0, 2, 1))
+
+
+def from_tiles(tiled, rows):
+    """The first ``rows`` streams of the tile-major array ``tiled``, as the
+    rows of a (rows, pairs) array."""
+    return tiled.transpose(0, 2, 1).reshape(-1, tiled.shape[1])[:rows]
+
+
 def fused_normals(backend, ln_u1, k, count):
     """The (rows, count) normals that ``backend.polar_contract`` draws from
-    the Box-Muller operands ``ln_u1`` and ``k``, read back bit for bit.
+    the Box-Muller operands ``ln_u1`` and ``k``, (rows, pairs) arrays, read
+    back bit for bit.
 
-    Each pair of operands goes through the kernel as a row of its own.  With
-    count 1 and c = (1), a sum is its first term alone, the cosine normal
-    z0.  With count 2, c_re = (+0, 1) and c_im = (-0, 1), the sums are
-    z0 * (+0) + z1 and z0 * (-0) + z1; the two products are zeros of
-    opposite signs, and the one that is -0 leaves z1 as it is, even a
-    signed zero: it is in out_re where z0 has its sign bit set, in out_im
-    where not.
+    Each pair of operands goes through the kernel as a stream of its own,
+    the lane of a tile-major operand whose spare lanes hold ln u1 = -1 and
+    the angle word 0.  With count 1 and c = (1), a sum is its first term
+    alone, the cosine normal z0.  With count 2, c_re = (+0, 1) and c_im =
+    (-0, 1), the sums are z0 * (+0) + z1 and z0 * (-0) + z1; the two
+    products are zeros of opposite signs, and the one that is -0 leaves z1
+    as it is, even a signed zero: it is in out_re where z0 has its sign bit
+    set, in out_im where not.
     """
     rows, pairs = ln_u1.shape
-    operands = [np.ascontiguousarray(a).reshape(-1, 1) for a in (ln_u1, k)]
+    operands = [to_tiles(np.reshape(a, (-1, 1)), fill) for a, fill in ((ln_u1, -1.0), (k, 0))]
 
     def contract(c_re, c_im):
         out = np.empty(rows * pairs), np.empty(rows * pairs)

@@ -16,7 +16,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     [
         ["bench_jacobi.py", "--shapes", "16x16,12x40", "--json", "jacobi.json"],
         ["bench_cli.py", "--sizes", "4,16", "--repeats", "2", "--json", "cli.json"],
-        ["bench_sampling.py", "--samples", "5000", "--vectors", "7", "--json", "sampling.json"],
+        # 5003 samples leave a last block of 907 streams, which pads its last tile
+        ["bench_sampling.py", "--samples", "5003", "--vectors", "7", "--json", "sampling.json"],
     ],
     ids=lambda argv: argv[0],
 )

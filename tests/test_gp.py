@@ -29,7 +29,7 @@ from framekit import (
     theoretical_variances,
 )
 from framekit import _kernels, gp, rng
-from oracles import eigh_descending, fused_normals, orthonormal_rows
+from oracles import CANARY, eigh_descending, fused_normals, orthonormal_rows
 
 
 def simple_atoms():
@@ -661,18 +661,20 @@ print("identical")
         seed=st.sampled_from([0, 2**64 - 1]) | st.integers(0, 2**64 - 1),
         first=st.integers(0, 64) | st.integers(2**64 - 64, 2**64 - 1),
         rows=st.integers(1, 40),
-        count=st.sampled_from([1, 2, 63, 64, 65, 127, 128, 129, 140]) | st.integers(1, 140),
+        count=st.sampled_from([1, 2, 7, 9, 50, 63, 64, 65, 140]) | st.integers(1, 140),
         draw=st.integers(0, 2**32 - 1),
     )
     @example(seed=2**64 - 1, first=2**64 - 40, rows=40, count=140, draw=0)
     @example(seed=0, first=0, rows=17, count=129, draw=1)
     @example(seed=2**64 - 1, first=2**64 - 1, rows=1, count=65, draw=2)
     def test_every_variant_sums_the_defined_normals(self, variant, seed, first, rows, count, draw):
-        # the fused kernels of each variant, through the scratch and through
-        # sample_kl, against the active kl_contract of the normals that
-        # seeded_normal_rows defines with numpy alone: rows off the 8-row
-        # tile, counts across the 64-column spans, streams up to 2**64 - 1,
-        # random coefficients of random binary scales with signed zeros
+        # the tile-major kernels of each variant and the numpy twin, through
+        # the scratch and through sample_kl, against the active kl_contract
+        # of the normals that seeded_normal_rows defines with numpy alone:
+        # rows that pad their last tile of 8 streams, odd and even counts,
+        # streams up to 2**64 - 1, random coefficients of random binary
+        # scales with signed zeros; the words around the outputs, and the
+        # outputs of a padded tile's spare lanes, stay as they were
         backend = _kernels.VARIANTS.get(variant, _kernels.PYTHON)
         stop = min(first + rows, 2**64)
         r = np.random.default_rng(draw)
@@ -685,12 +687,15 @@ print("identical")
             _kernels.ACTIVE.kl_contract(normals, c_re, c_im, *out)
             return out[0].tobytes(), out[1].tobytes()
 
-        got = np.empty(stop - first), np.empty(stop - first)
+        guarded = np.full((2, stop - first + 16), CANARY)
+        got = guarded[0, 8:-8], guarded[1, 8:-8]
         # mock, not monkeypatch: hypothesis refuses function-scoped fixtures
         with mock.patch.object(_kernels, "ACTIVE", backend):
             rng.NormalScratch(40, count).contract(seed, first, stop, c_re, c_im, *got)
             samples = sample_kl(ComplexVector(re=c_re, im=c_im), rows, seed)
         assert (got[0].tobytes(), got[1].tobytes()) == expected(first, stop)
+        edges = np.concatenate([guarded[:, :8], guarded[:, -8:]], axis=1)
+        assert edges.tobytes() == np.full((2, 16), CANARY).tobytes()
         assert (samples[0].tobytes(), samples[1].tobytes()) == expected(0, rows)
 
     @pytest.mark.parametrize("backend", sorted(_kernels.BACKENDS))
@@ -713,8 +718,9 @@ print("identical")
 
     @pytest.mark.skipif("compiled" not in _kernels.BACKENDS, reason="C twin not loaded")
     def test_contract_allocates_no_normals(self, monkeypatch):
-        # the compiled fused kernel keeps a tile of normals on its stack, so
-        # a scratch never allocates the (rows, count) normals; the sums are
+        # the compiled fused kernel forms the normals of a pair of 8 streams
+        # at a time and sums them in the lanes, so a scratch never allocates
+        # the (rows, count) normals; the sums are
         # kl_contract's of the streams seeded_normal_rows defines
         tracemalloc = pytest.importorskip("tracemalloc")
         monkeypatch.setattr(_kernels, "ACTIVE", _kernels.BACKENDS["compiled"])
@@ -830,6 +836,18 @@ class TestEmpiricalVariance:
         base = empirical_variance(*sample(fs, phat, 5000, 7))
         big = empirical_variance(*sample(fs, doubled, 5000, 7))
         assert abs(big - 4.0 * base) <= 1e-12 * max(1.0, big)
+
+    @pytest.mark.parametrize("s", [2, 3, gp._VARIANCE_BLOCK - 1, gp._VARIANCE_BLOCK,
+                                   gp._VARIANCE_BLOCK + 1, 3 * gp._VARIANCE_BLOCK + 5])
+    def test_blocks_keep_the_bits_of_the_whole_array_mean(self, s):
+        # squares formed a block at a time, one mean over them all: the bits
+        # of mean(re**2 + im**2), at scales that overflow a square to inf
+        r = np.random.default_rng(s)
+        re, im = r.standard_normal((2, s)) * 2.0 ** r.integers(-520, 520, (2, s))
+        for part in (re, re * 0.0):
+            with np.errstate(over="ignore"):
+                expected = np.mean(np.square(part) + np.square(im))
+            assert np.float64(empirical_variance(part, im)).tobytes() == expected.tobytes()
 
     def test_requires_two_samples(self):
         out = sample_kl(random_phat(1, 4), 1, 1)

@@ -6,6 +6,7 @@ a temporary cache instead.
 """
 
 import ctypes
+import math
 import os
 import platform
 import shutil
@@ -24,7 +25,7 @@ from framekit import FrameSystem, Grid, gp, rng, row_svd
 from framekit import _kernels
 from framekit._kernels import BACKENDS, VARIANTS, _sampling_py
 from framekit.spectral import _MAX_SWEEPS, _ORTHOGONAL_TOL
-from oracles import fused_normals
+from oracles import CANARY, LANES, from_tiles, fused_normals, to_tiles
 
 CC = shutil.which("cc")
 needs_cc = pytest.mark.skipif(CC is None, reason="no C compiler")
@@ -73,7 +74,7 @@ def sample(backend, words, count):
     them."""
     ln_u1, k = operands(words, count)
     out = np.empty(len(k)), np.empty(len(k))
-    backend.polar_contract(ln_u1, k, *coefficients(count), *out)
+    backend.polar_contract(to_tiles(ln_u1, -1.0), to_tiles(k), *coefficients(count), *out)
     return fused_normals(backend, ln_u1, k, count).tobytes(), *(o.tobytes() for o in out)
 
 
@@ -89,10 +90,13 @@ def reference(words, count):
 
 
 def split(backend, seed, first, rows, pairs):
-    """Bytes of u1 and of the angle words that ``backend``'s Philox writes."""
-    u1, k = np.empty((rows, pairs)), np.empty((rows, pairs), dtype=np.uint64)
+    """Bytes of u1 and of the angle words of streams first..first + rows - 1
+    that ``backend``'s Philox writes into the tiles that hold them."""
+    tiles = -(-rows // LANES)
+    u1 = np.empty((tiles, pairs, LANES))
+    k = np.empty((tiles, pairs, LANES), dtype=np.uint64)
     backend.philox_split(seed, first, u1, k)
-    return u1.tobytes(), k.tobytes()
+    return from_tiles(u1, rows).tobytes(), from_tiles(k, rows).tobytes()
 
 
 def random_coefficients(n, seed):
@@ -171,9 +175,8 @@ def test_sampling_twins_agree_on_edge_words(count, rows):
         assert sample(backend, words, count) == expected, backend.name
 
 
-#: normals a row in the variant tests: one and two, odd and even counts
-#: within one span of the fused kernel's tile (64 columns), counts just past
-#: one and two spans, and one past four
+#: normals a row in the variant tests: one and two, odd counts, which drop
+#: a stream's last sine, and even ones, up to rows of 129 pairs
 VARIANT_COUNTS = [1, 2, 7, 49, 50, 65, 129, 257]
 
 
@@ -187,8 +190,8 @@ VARIANT_COUNTS = [1, 2, 7, 49, 50, 65, 129, 257]
 )
 def test_every_variant_matches_the_numpy_twin(variant, rows, count, seed, edge_share):
     # each ISA variant this CPU runs, not only the widest, which the other
-    # parity tests see; row counts off the fused kernel's 8-row tile; random
-    # words with a share of edge words in random places
+    # parity tests see; row counts that leave spare lanes in the last tile
+    # of 8 streams; random words with a share of edge words in random places
     r = np.random.default_rng(seed)
     words = r.integers(0, 2**64, size=(rows, count + count % 2), dtype=np.uint64)
     edge = r.random(words.shape) < edge_share
@@ -199,8 +202,8 @@ def test_every_variant_matches_the_numpy_twin(variant, rows, count, seed, edge_s
 @pytest.mark.parametrize("variant", list(VARIANTS))
 @pytest.mark.parametrize("rows, count", [(9, 10_001), (17, 257), (8, 129), (1, 64), (3, 65)])
 def test_every_variant_fuses_any_count(variant, rows, count):
-    # the fused kernel's stack tile holds 64 columns; longer rows go through
-    # it a span at a time, carrying their sums
+    # long rows and short ones, full tiles and padded ones: each tile's sums
+    # run over all its pairs in the lanes
     words = philox_words(23, rows * (count + count % 2)).reshape(rows, -1)
     assert sample(VARIANTS[variant], words, count) == reference(words, count)
 
@@ -251,11 +254,12 @@ def test_philox_twins_match_numpy_word_for_word(seed, first, rows, count):
 
 def carry_first(blocks):
     """A first stream whose counter blocks c + 1, c + 2, ... (c = first *
-    blocks) pass 2**64 at block index g = 1, 3 or 7 mod 8, inside one of
-    the 8-block groups of the AVX-512 Philox rather than at its start:
-    first solves first * blocks = 2**64 - (g + 1) mod 2**64 with
-    g + 1 = max(2, 2**t), where 2**t is the largest power of two dividing
-    blocks."""
+    blocks) pass 2**64 at block index g = 1, 3 or 7 mod 8, so that the low
+    counter word wraps inside the group of 8 counters that the AVX-512
+    Philox draws at once, one a stream of a tile, between lanes 0 and 1 of
+    its first tile rather than at the group's start: first solves first *
+    blocks = 2**64 - (g + 1) mod 2**64 with g + 1 = max(2, 2**t), where 2**t
+    is the largest power of two dividing blocks."""
     t = (blocks & -blocks).bit_length() - 1
     d, odd, bits = max(2, 2**t), blocks >> t, 64 - t
     return ((2**64 - d) >> t) * pow(odd, -1, 2**bits) % 2**bits
@@ -274,13 +278,16 @@ def carry_first(blocks):
 @example(seed=0, rows=9, pairs=299, first=None)
 @example(seed=2**64 - 1, rows=2, pairs=25, first=2**64 - 1)
 def test_every_variant_philox_matches_numpy_word_for_word(variant, seed, rows, pairs, first):
-    # each variant this CPU runs: rows off the 8-block group, odd and even
-    # pairs, batches past the 512 blocks of the AVX-512 variant's buffer,
-    # and (first None) a counter that passes 2**64 inside a group
+    # each variant this CPU runs: every lane of the tiles that hold rows
+    # streams, the spare ones included, which draw the streams that follow;
+    # odd and even pairs, odd block counts, which leave the AVX-512 variant
+    # a partial group of blocks, and (first None) a counter that passes
+    # 2**64 between the lanes of a group
     if first is None:
         first = carry_first((pairs + 1) // 2)
-    expected = philox_reference(seed, first, rows, pairs)
-    assert split(VARIANTS[variant], seed, first, rows, pairs) == expected
+    drawn = LANES * -(-rows // LANES)
+    expected = philox_reference(seed, first, drawn, pairs)
+    assert split(VARIANTS[variant], seed, first, drawn, pairs) == expected
 
 
 @pytest.mark.parametrize("blocks", [1, 2, 3, 4, 8, 12, 13, 48, 150])
@@ -288,6 +295,8 @@ def test_carry_first_passes_the_low_word_inside_a_group(blocks):
     c = carry_first(blocks) * blocks
     g = (-(c + 1)) % 2**64
     assert c < 2**64 * blocks and g % 8 in (1, 3, 7) and g < max(2, blocks)
+    # block 0 of the first tile: lane 0 below the wrap, lane 1 past it
+    assert (c + 1) >> 64 < (c + 1 + blocks) >> 64
 
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
@@ -392,47 +401,101 @@ def test_wrong_arrays_raise():
             BACKENDS["compiled"].jacobi_rows(bad, _MAX_SWEEPS, _ORTHOGONAL_TOL)
 
 
-@pytest.mark.skipif("compiled" not in BACKENDS, reason="C twin not loaded")
 def test_wrong_sampling_arrays_raise():
-    ln_u1, words = -np.ones((4, 3)), np.arange(4 * 3, dtype=np.uint64).reshape(4, 3)
-    c5, c6, out = np.ones(5), np.ones(6), (np.empty(4), np.empty(4))
-    for variant in VARIANTS.values():
-        variant.polar_contract(ln_u1, words, c5, c5, *out)
-        variant.polar_contract(ln_u1, words, c6, c6, *out)
-    polar = BACKENDS["compiled"].polar_contract
-    frozen = np.empty(4)
+    # the checks of bind and fuse stop what C would misread, as typed
+    # pointers did, and in every twin alike: a wrong scratch, and a wrong
+    # dtype, layout, length or writeability of a vector, before any kernel
+    # writes a word
+    u1, k = -np.ones((2, 3, LANES)), np.zeros((2, 3, LANES), dtype=np.uint64)
+    c5, c6 = np.ones(5), np.ones(6)
+    out = np.full(9, CANARY), np.full(9, CANARY)
+    frozen = np.full(9, CANARY)
     frozen.setflags(write=False)
-    for args, error in [
-        ((ln_u1, words.view(np.int64), c6, c6, *out), ctypes.ArgumentError),
-        ((np.ones((4, 6))[:, ::2], words, c6, c6, *out), ctypes.ArgumentError),
-        ((ln_u1, np.arange(4 * 6, dtype=np.uint64).reshape(4, 6)[:, ::2], c6, c6, *out),
-         ctypes.ArgumentError),
-        ((ln_u1, words, np.ones(12)[::2], c6, *out), ctypes.ArgumentError),
-        ((ln_u1, words, c6, c6.astype(np.float32), *out), ctypes.ArgumentError),
-        ((ln_u1, words, c6, c6, frozen, out[1]), ctypes.ArgumentError),
-        ((ln_u1, words, c6, c6, out[0], np.empty(8)[::2]), ctypes.ArgumentError),
-        ((ln_u1, words[:, :2], c6, c6, *out), ValueError),
-        ((ln_u1, words, np.ones(4), np.ones(4), *out), ValueError),
-        ((ln_u1, words, np.ones(7), np.ones(7), *out), ValueError),
-        ((ln_u1, words, c6, c5, *out), ValueError),
-        ((ln_u1, words, c6, c6, np.empty(3), np.empty(3)), ValueError),
-        ((ln_u1, words, c6, c6, out[0], np.empty(5)), ValueError),
+    read_only = u1.copy()
+    read_only.setflags(write=False)
+    for backend in [_kernels.PYTHON, *VARIANTS.values()]:
+        # radius sqrt(2) and angle 0: each pair adds sqrt(2) and 0
+        r = math.sqrt(2.0)
+        for c in (c5, c6):
+            backend.polar_contract(u1, k, c, c, *out)
+            assert out[0].tolist() == out[1].tolist() == [r + r + r] * 9
+        out[0][:], out[1][:] = CANARY, CANARY
+        for args in [
+            (u1, k.view(np.int64), c6, c6, *out),
+            (u1.astype(np.float32), k, c6, c6, *out),
+            (np.ones((2, 6, LANES))[:, ::2], k, c6, c6, *out),
+            (read_only, k, c6, c6, *out),
+            (u1, k[:, :2], c6, c6, *out),
+            (u1[:0], k[:0], c6, c6, *out),
+            (u1.reshape(2, 3, 2, 4), k.reshape(2, 3, 2, 4), c6, c6, *out),
+            (u1, k, np.ones(12)[::2], c6, *out),
+            (u1, k, c6, c6.astype(np.float32), *out),
+            (u1, k, [1.0] * 6, c6, *out),
+            (u1, k, c6, c6, frozen, out[1]),
+            (u1, k, c6, c6, out[0], np.empty(18)[::2]),
+            (u1, k, c6, c6, out[0].astype(np.float32), out[1]),
+            (u1, k, np.ones(4), np.ones(4), *out),
+            (u1, k, np.ones(7), np.ones(7), *out),
+            (u1, k, c6, c5, *out),
+            (u1, k, c6, c6, np.empty(17), np.empty(17)),
+            (u1, k, c6, c6, out[0], np.empty(8)),
+        ]:
+            with pytest.raises(ValueError):
+                backend.polar_contract(*args)
+            assert out[0].tobytes() == out[1].tobytes() == np.full(9, CANARY).tobytes()
+        u1[...] = CANARY
+        for args in [
+            (1, 0, u1, k.view(np.int64)),
+            (1, 0, u1.astype(np.float32), k),
+            (1, 0, np.ones((2, 6, LANES))[:, ::2], k),
+            (1, 0, u1, k[:, :2]),
+            (1, 0, u1[:0], k[:0]),
+            (2**64, 0, u1, k),
+            (-1, 0, u1, k),
+            (1, -1, u1, k),
+            (1, 2**64, u1, k),
+        ]:
+            with pytest.raises(ValueError):
+                backend.philox_split(*args)
+            assert u1.tobytes() == np.full_like(u1, CANARY).tobytes() and not k.any()
+        u1[...] = -1.0
+
+
+@pytest.mark.parametrize("backend", ["numpy", *VARIANTS])
+def test_scratch_refuses_wrong_vectors_before_any_kernel(backend, monkeypatch):
+    # the scratch binds its own arrays once and checks each call's
+    # coefficients and outputs: float64, C-contiguous, of stop - first
+    # entries and writeable for the outputs; a refusal leaves the scratch
+    # and the outputs as they were, so neither Philox nor the fused kernel ran
+    monkeypatch.setattr(_kernels, "ACTIVE", VARIANTS.get(backend, _kernels.PYTHON))
+    scratch = rng.NormalScratch(20, 6)
+    scratch._u1[...] = CANARY
+    held = scratch._u1.tobytes() + scratch._k.tobytes()
+    c = np.linspace(-1.0, 1.0, 6)
+    out = np.full(13, CANARY), np.full(13, CANARY)
+    frozen = np.full(13, CANARY)
+    frozen.setflags(write=False)
+    for args in [
+        (c.astype(np.float32), c, *out),
+        (np.repeat(c, 2)[::2], c, *out),
+        (c[:5], c, *out),
+        (c, c[:4], *out),
+        (c, c, out[0].astype(np.float32), out[1]),
+        (c, c, frozen, out[1]),
+        (c, c, np.full(26, CANARY)[::2], out[1]),
+        (c, c, out[0][:12], out[1]),
+        (c, c, out[0], np.full(14, CANARY)),
     ]:
-        with pytest.raises(error):
-            polar(*args)
-    philox = BACKENDS["compiled"].philox_split
-    u1, k = np.empty((4, 3)), np.empty((4, 3), dtype=np.uint64)
-    for args, error in [
-        ((1, 0, u1, k.view(np.int64)), ctypes.ArgumentError),
-        ((1, 0, u1.astype(np.float32), k), ctypes.ArgumentError),
-        ((1, 0, np.empty((4, 6))[:, ::2], k), ctypes.ArgumentError),
-        ((1, 0, u1, k[:, :2]), ValueError),
-        ((1, 0, u1[:0], k[:0]), ValueError),
-        ((2**64, 0, u1, k), ValueError),
-        ((1, -1, u1, k), ValueError),
-    ]:
-        with pytest.raises(error):
-            philox(*args)
+        with pytest.raises(ValueError):
+            scratch.contract(1, 5, 18, *args)
+        assert scratch._u1.tobytes() + scratch._k.tobytes() == held
+        assert out[0].tobytes() == out[1].tobytes() == np.full(13, CANARY).tobytes()
+    scratch.contract(1, 5, 18, c, c, *out)
+    assert out[0].tobytes() == out[1].tobytes() != np.full(13, CANARY).tobytes()
+
+
+@pytest.mark.skipif("compiled" not in BACKENDS, reason="C twin not loaded")
+def test_wrong_contraction_arrays_raise():
     x, c = np.ones((4, 3)), np.ones(3)
     frozen = np.zeros(4)
     frozen.setflags(write=False)
@@ -617,10 +680,11 @@ def test_sources_build_without_the_isa_dispatch(tmp_path):
 
 #: run under the sanitizers with the path of a library built from
 #: _sampling.c, a folder and cases "ROWSxPAIRSxCOUNT": every variant's
-#: polar_contract on inputs read from the folder into heap buffers of
-#: exactly their size, its outputs written back; and cases
-#: "philox-SEEDxFIRSTxROWSxPAIRS": every variant's philox_split into heap
-#: buffers of exactly their size, u1 then k written to the folder; no numpy
+#: polar_contract on tile-major inputs read from the folder into heap
+#: buffers of exactly their size, and outputs of exactly ROWS entries,
+#: written back; and cases "philox-SEEDxFIRSTxTILESxPAIRS": every variant's
+#: philox_split into heap buffers of exactly TILES tiles, u1 then k written
+#: to the folder; no numpy
 SANITIZED_SAMPLING = """
 import ctypes, sys
 lib = ctypes.CDLL(sys.argv[1])
@@ -629,12 +693,12 @@ names = lib.sampling_variants().decode().split()
 real, word, size = ctypes.c_double, ctypes.c_uint64, ctypes.c_long
 for case in sys.argv[3:]:
     if case.startswith("philox-"):
-        seed, first, rows, pairs = map(int, case[len("philox-"):].split("x"))
+        seed, first, tiles, pairs = map(int, case[len("philox-"):].split("x"))
         for name in names:
             split = getattr(lib, "philox_split_" + name, lib.philox_split)
             split.argtypes = [word, word, ctypes.POINTER(real), ctypes.POINTER(word), size, size]
-            u1, k = (real * (rows * pairs))(), (word * (rows * pairs))()
-            split(seed, first, u1, k, rows, pairs)
+            u1, k = (real * (tiles * pairs * 8))(), (word * (tiles * pairs * 8))()
+            split(seed, first, u1, k, tiles, pairs)
             with open(f"{sys.argv[2]}/{case}-{name}", "wb") as fh:
                 fh.write(bytes(u1) + bytes(k))
         continue
@@ -676,28 +740,33 @@ def sanitized_library(tmp_path, source):
 
 @needs_cc
 def test_sampling_under_address_and_undefined_sanitizers(tmp_path):
-    # the fused kernel's stack tile and row loop of every variant, on rows
-    # off the tile and counts past the tile's 64 columns; and every
-    # variant's philox_split, on partial 8-block groups and batches past
-    # the AVX-512 variant's 512-block buffer, one with a carry into
-    # counter word 1
+    # the fused kernel of every variant, on rows that pad their last tile,
+    # whose spare lanes it must not write, and long rows; and every
+    # variant's philox_split, on odd block counts, which leave the AVX-512
+    # variant a partial group of blocks, a carry into counter word 1
+    # between the lanes, and the streams of a last tile past 2**64
     library, libasan = sanitized_library(tmp_path, Path(_kernels.__file__).with_name("_sampling.c"))
     cases, expected = [], {}
-    for seed, first, rows, pairs in [
-        (2**64 - 1, 0, 27, 300), (0, 7, 9, 1025), (5, carry_first(13), 5, 25), (1, 3, 1, 513),
-        (0, 2**64 - 1, 3, 1),
+    for seed, first, tiles, pairs in [
+        (2**64 - 1, 0, 4, 300), (0, 7, 2, 1025), (5, carry_first(13), 1, 25), (1, 3, 1, 513),
+        (0, 2**64 - 1, 1, 1),
     ]:
-        case = f"philox-{seed}x{first}x{rows}x{pairs}"
+        case = f"philox-{seed}x{first}x{tiles}x{pairs}"
         cases.append(case)
-        expected[case] = b"".join(philox_reference(seed, first, rows, pairs))
+        rows = philox_reference(seed, first, LANES * tiles, pairs)
+        expected[case] = b"".join(
+            to_tiles(np.frombuffer(b, dtype=t).reshape(-1, pairs)).tobytes()
+            for b, t in zip(rows, (np.float64, np.uint64))
+        )
     for rows, count in [(9, 10_001), (17, 257), (13, 49), (3, 50), (1, 1)]:
         pairs = (count + 1) // 2
         case = f"{rows}x{pairs}x{count}"
         words = philox_words(rows, rows * 2 * pairs).reshape(rows, -1)
         ln_u1, k = operands(words, count)
         c_re, c_im = coefficients(count)
-        for name, array in (("ln", ln_u1), ("k", k), ("re", c_re), ("im", c_im)):
-            (tmp_path / f"{case}-{name}").write_bytes(np.ascontiguousarray(array).tobytes())
+        for name, array in (("ln", to_tiles(ln_u1, -1.0)), ("k", to_tiles(k)), ("re", c_re),
+                            ("im", c_im)):
+            (tmp_path / f"{case}-{name}").write_bytes(array.tobytes())
         _, re, im = reference(words, count)
         cases.append(case)
         expected[case] = re + im
