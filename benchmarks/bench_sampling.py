@@ -6,12 +6,14 @@ vector ISA this CPU runs), then, for the numpy twin (``python``) and for
 every variant of the compiled kernels this CPU runs (``compiled/avx512f``,
 ``compiled/avx2``, ``compiled/baseline``), the milliseconds (median over
 ``--repeats``) that each stage takes over ``--samples`` x ``--vectors``, run
-block by block into one reused tile-major scratch bound once to the
-backend, on one thread, as a sample_kl worker runs them: the Philox words
-split into u1 and the angle words (the variant's ``philox_split``;
-``compiled/avx2`` runs the baseline's), numpy's log in place on u1, and the
-radius and angle fused with the KL contraction (the variant's
-``polar_contract``); each stage is the kernel's call alone, its arguments
+block by block into one scratch of the backend's ``sampler``, made once, on
+one thread, as a sample_kl worker runs them.  The numpy twin has one stage,
+its scratch's whole ``contract`` (Philox, log, the reference radius and
+angle and the KL contraction).  A compiled variant has three, run through
+its scratch's ``split`` and ``fuse``: the Philox words split into u1 and the
+angle words (the variant's ``philox_split``; ``compiled/avx2`` runs the
+baseline's), numpy's log in place on u1, and the radius and angle fused
+with the KL contraction (the variant's ``polar_contract``), its vectors
 checked before the clock starts.  Then it prints the whole ``sample_kl``
 with one worker and with one worker per usable CPU, the per-block call
 overhead (``sample_kl`` on one worker minus the sum of the active
@@ -40,9 +42,10 @@ import numpy as np
 from bench_cli import environment, quartiles, timed_ms
 
 from framekit import _kernels, gp
-from framekit._kernels._sampling_py import LANES
+from framekit._kernels import LANES
 from framekit.frames import FrameSystem, Grid
 
+#: the stages of a compiled variant; the numpy twin's one stage is "contract"
 STAGES = ("philox split", "log", "fused polar + contraction")
 
 
@@ -74,33 +77,36 @@ def main():
 
     coeffs = random_coefficients(n, 40, seed)
     firsts = range(0, s, gp._SAMPLE_BLOCK)
-    pairs, rows = (n + 1) // 2, min(gp._SAMPLE_BLOCK, s)
-    tiles = -(-rows // LANES)
-    u1 = np.empty((tiles, pairs, LANES))
-    k = np.empty((tiles, pairs, LANES), dtype=np.uint64)
+    rows = min(gp._SAMPLE_BLOCK, s)
     out_re, out_im = np.empty(s), np.empty(s)
     twins = {"python": _kernels.PYTHON}
     twins.update((f"compiled/{name}", backend) for name, backend in _kernels.VARIANTS.items())
 
     def stages(backend):
         """Milliseconds of each stage over all blocks, in sample_kl's order."""
-        spent = [0.0] * len(STAGES)
-        split, fuse = backend.bind(u1, k)
+        spent = {}
+        scratch = backend.sampler(rows, n)
         for first in firsts:
             stop = min(first + gp._SAMPLE_BLOCK, s)
-            used = -(-(stop - first) // LANES)
-            u = u1[:used]
-            fused = fuse(stop - first, coeffs.re, coeffs.im, out_re[first:stop],
-                         out_im[first:stop])
-            t0 = perf_counter()
-            split(seed, first, used)
-            t1 = perf_counter()
-            np.log(u, out=u)
-            t2 = perf_counter()
-            fused()
-            t3 = perf_counter()
-            for i, dt in enumerate((t1 - t0, t2 - t1, t3 - t2)):
-                spent[i] += dt * 1e3
+            block = (stop - first, coeffs.re, coeffs.im, out_re[first:stop], out_im[first:stop])
+            if backend is _kernels.PYTHON:
+                t0 = perf_counter()
+                scratch.contract(seed, first, *block)
+                times = {"contract": perf_counter() - t0}
+            else:
+                tiles = -(-block[0] // LANES)
+                u1 = scratch.u1[:tiles]
+                fused = scratch.fuse(*block)
+                t0 = perf_counter()
+                scratch.split(seed, first, tiles)
+                t1 = perf_counter()
+                np.log(u1, out=u1)
+                t2 = perf_counter()
+                fused()
+                t3 = perf_counter()
+                times = dict(zip(STAGES, (t1 - t0, t2 - t1, t3 - t2)))
+            for stage, dt in times.items():
+                spent[stage] = spent.get(stage, 0.0) + dt * 1e3
         return spent
 
     worker_count, active = gp._worker_count, _kernels.ACTIVE
@@ -127,7 +133,7 @@ def main():
     stage_ms, faults = {}, {}
     for name, backend in twins.items():
         passes = [stages(backend) for _ in range(args.repeats)]
-        stage_ms[name] = {stage: quartiles(list(col)) for stage, col in zip(STAGES, zip(*passes))}
+        stage_ms[name] = {stage: quartiles([p[stage] for p in passes]) for stage in passes[0]}
         faults[f"draw loop, {name}"] = faults_per_block(lambda b=backend: stages(b))
     sample_ms = {
         "1 worker": timed_ms(lambda: sample(1), args.repeats),

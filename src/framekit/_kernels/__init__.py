@@ -17,30 +17,33 @@ the backend ``spectral.row_svd``, ``rng.NormalScratch``, the fixed-order
 sums of ``gp`` and the file reader and writers of ``cli`` run; ``BACKENDS``
 lists every one that loaded, for the parity tests and the benchmarks.
 
-The C library holds its sampling kernels, Philox's ``philox_split`` and the
-one kernel that draws normals, the fused ``polar_contract``, once per
-vector ISA: AVX-512 (F and DQ), AVX2 and the x86-64 baseline where the
-compiler targets x86-64, the baseline alone elsewhere.  Both take the
-Box-Muller operands tile-major, u1 and the angle words as (tiles, pairs, 8)
-arrays whose lane i of tile t is stream first + 8t + i: the AVX-512
-variant runs a tile's 8 streams in the 8 lanes of its vectors, the others
-loop over the lanes, and the AVX2 variant runs the baseline's scalar
-Philox.  ``bind`` checks a scratch once and passes the kernels its
-addresses from then on; each call checks only its own vectors, before
-either kernel runs.  The library names the variants this CPU runs, the
-compiled backend takes the widest, once per process, and ``VARIANTS``
-holds a compiled backend for each (widest first; empty when the numpy twin
-runs) for the parity tests and the benchmarks.  The variants give the same
-bits, so samples do not depend on which one runs.  The normals themselves
-are defined by the numpy twin: ``rng.seeded_normals`` computes them with
-``_sampling_py`` alone, in rows, and every variant's ``philox_split``
-matches its words and every variant's ``polar_contract`` sums its normals
-bit for bit.
+Each backend's ``sampler(rows, count)`` is a scratch allocated once for
+blocks of up to ``rows`` normal streams of ``count`` normals, whose
+``contract`` draws a block and sums it into KL samples.  The numpy twin's
+runs the row-major reference of ``_sampling_py`` itself.  The compiled
+twin's holds the Box-Muller operands tile-major, a layout no other module
+knows: u1 and the angle words are (tiles, pairs, LANES) arrays whose lane i
+of tile t is stream first + LANES t + i, passed to the kernels by the
+addresses taken when the scratch is made.  The C library holds its sampling
+kernels, Philox's ``philox_split`` and the one kernel that draws normals,
+the fused ``polar_contract``, once per vector ISA: AVX-512 (F and DQ), AVX2
+and the x86-64 baseline where the compiler targets x86-64, the baseline
+alone elsewhere.  The AVX-512 variant runs a tile's 8 streams in the 8 lanes
+of its vectors, the others loop over the lanes, and the AVX2 variant runs
+the baseline's scalar Philox.  The library names the variants this CPU
+runs, the compiled backend takes the widest, once per process, and
+``VARIANTS`` holds a compiled backend for each (widest first; empty when the
+numpy twin runs) for the parity tests and the benchmarks.  The variants give
+the same bits, so samples do not depend on which one runs.  The normals
+themselves are defined by the numpy twin: ``rng.seeded_normals`` computes
+them with ``_sampling_py`` alone, and every variant's Philox matches its
+words and every variant's fused kernel sums its normals bit for bit.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import os
 import platform
 import zlib
@@ -60,68 +63,106 @@ _SOURCES = tuple(
 _FLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-fPIC", "-shared")
 
 
+#: streams a tile of the compiled twin's Box-Muller operands holds, one a lane
+LANES = 8
+
+
 class Backend(NamedTuple):
-    """One twin: ``variant``, the vector ISA its ``philox_split`` and
-    ``polar_contract`` were built for ("numpy" for the numpy twin);
-    ``jacobi_rows(a, max_sweeps, tol)``, one-sided Jacobi on the
-    rows of ``a``, returning (squared row norms, rotations, sweeps);
-    ``philox_split(seed, first, u1, k)``, which writes the Box-Muller operands
-    u1 and angle words k of Philox streams first.. into tile-major (tiles,
-    pairs, 8) arrays, every lane of every tile; ``polar_contract(ln_u1, k,
-    c_re, c_im, out_re, out_im)``, the ``kl_contract`` of the normals that the
-    radius and angle of Box-Muller give from the tile-major ln u1 and k,
-    count = len(c_re) of them a stream, for the first rows = len(out_re)
-    streams, into the (rows,) ``out_re`` and ``out_im``, the normals never
-    written out; ``bind(u1, k)``, the (split, fuse) of a tile-major scratch,
-    checked once: ``split(seed, first, tiles)`` runs ``philox_split`` into
-    its first tiles, and ``fuse(rows, c_re, c_im, out_re, out_im)`` checks
-    the vectors (float64, C-contiguous, the outputs writeable and of rows
-    entries; ValueError otherwise) and returns the call that runs
-    ``polar_contract`` on the scratch; and
-    ``kl_contract(x, c_re, c_im, out_re, out_im)``, the fixed-order sums of
-    ``sample_kl``, ``kl_coefficients`` and ``fourier_at_atoms``;
-    ``spell_rows(table)``, the rows of a 2-D float table as ASCII bytes
-    "[v, v], [v, v]", each value spelt as ``"%.17g"`` does and negative zero
-    as "-0.0", yielded in chunks of whole rows; and ``scan_frame(data)``, the
-    (points, weights, vectors) arrays of the bytes of a frame file in the
-    frame layout, or None to leave the file to the JSON walk."""
+    """One twin, a field an entry:
+
+    - ``name``: "compiled" or "python".
+    - ``variant``: the vector ISA its sampling kernels were built for,
+      "numpy" for the numpy twin.
+    - ``jacobi_rows(a, max_sweeps, tol)``: one-sided Jacobi on the rows of
+      ``a``, returning (squared row norms, rotations, sweeps).
+    - ``sampler(rows, count)``: a scratch for blocks of up to ``rows``
+      streams of ``count`` normals; its ``contract(seed, first, rows, c_re,
+      c_im, out_re, out_im)`` writes the ``kl_contract`` of streams first..
+      of ``seed`` into ``out_re`` and ``out_im``, never writing the normals
+      out; before any kernel runs it refuses with ValueError vectors that
+      are not C-contiguous float64 of ``count`` or ``rows`` entries (the
+      outputs writeable), a block of no streams or of more than the scratch
+      holds, and a seed or first stream outside [0, 2**64).
+    - ``kl_contract(x, c_re, c_im, out_re, out_im)``: the fixed-order sums of
+      ``sample_kl``, ``kl_coefficients`` and ``fourier_at_atoms``.
+    - ``spell_rows(table)``: the rows of a 2-D float table as ASCII bytes
+      "[v, v], [v, v]", each value spelt as ``"%.17g"`` does and negative
+      zero as "-0.0", yielded in chunks of whole rows.
+    - ``scan_frame(data)``: the (points, weights, vectors) arrays of the
+      bytes of a frame file in the frame layout, or None to leave the file
+      to the JSON walk.
+    """
 
     name: str
     variant: str
     jacobi_rows: Callable
-    philox_split: Callable
-    polar_contract: Callable
-    bind: Callable
+    sampler: Callable
     kl_contract: Callable
     spell_rows: Callable
     scan_frame: Callable
-
-
-def _whole(bind):
-    """(philox_split, polar_contract) on whole tile-major arrays, through
-    the ``bind`` of a backend."""
-
-    def philox_split(seed, first, u1, k):
-        split, _ = bind(u1, k)
-        split(seed, first, len(u1))
-
-    def polar_contract(ln_u1, k, c_re, c_im, out_re, out_im):
-        _, fuse = bind(ln_u1, k)
-        fuse(len(out_re), c_re, c_im, out_re, out_im)()
-
-    return philox_split, polar_contract
 
 
 PYTHON = Backend(
     "python",
     "numpy",
     _hestenes_py.jacobi_rows,
-    *_whole(_sampling_py.bind),
-    _sampling_py.bind,
+    _sampling_py.Sampler,
     _sampling_py.kl_contract,
     _frameio_py.spell_rows,
     _frameio_py.scan_frame,
 )
+
+
+class _TileSampler:
+    """The compiled twin's scratch for blocks of up to ``rows`` streams of
+    ``count`` normals: ``u1`` (then ln u1) and the angle words ``k`` as
+    tile-major (tiles, pairs, LANES) arrays, allocated once and passed to
+    ``philox``, a variant's ``philox_split``, and ``fused``, its
+    ``polar_contract``, by address.  A block whose rows are not a multiple
+    of LANES pads its last tile: its spare lanes are drawn (the streams that
+    follow the block) but no sum of them is written."""
+
+    def __init__(self, philox, fused, rows, count):
+        pairs = (count + 1) // 2
+        tiles = -(-rows // LANES)
+        self.rows, self.count, self._pairs = rows, count, pairs
+        self._philox, self._fused = philox, fused
+        self.u1 = np.empty((tiles, pairs, LANES))
+        self.k = np.empty((tiles, pairs, LANES), dtype=np.uint64)
+        self._at = self.u1.ctypes.data, self.k.ctypes.data
+
+    def split(self, seed, first, tiles):
+        """Streams first..first + LANES tiles - 1 of ``seed`` into the first
+        ``tiles`` tiles, every lane; ValueError, before Philox runs, for a
+        seed or first stream outside [0, 2**64) or tiles the scratch lacks."""
+        _sampling_py.check_seed(seed, first)
+        if not 1 <= tiles <= len(self.u1):
+            raise ValueError(f"{tiles} tiles for a scratch of {len(self.u1)}")
+        self._philox(seed, first, *self._at, tiles, self._pairs)
+
+    def fuse(self, rows, c_re, c_im, out_re, out_im):
+        """The call that runs the fused kernel on the tiles of ``rows``
+        streams into ``out_re`` and ``out_im``, its vectors checked now."""
+        at = _sampling_py.check_block_args(
+            self.rows, self.count, rows, c_re, c_im, out_re, out_im
+        )
+
+        # the call holds the vectors whose addresses it passes, so that they
+        # outlive them
+        def run(vectors=(c_re, c_im, out_re, out_im)):
+            self._fused(*self._at, *at, rows, self._pairs, self.count)
+
+        return run
+
+    def contract(self, seed, first, rows, c_re, c_im, out_re, out_im):
+        """Philox, ln in place on u1 and the fused kernel on a block."""
+        fused = self.fuse(rows, c_re, c_im, out_re, out_im)
+        tiles = -(-rows // LANES)
+        self.split(seed, first, tiles)
+        u1 = self.u1[:tiles]
+        np.log(u1, out=u1)
+        fused()
+
 
 #: bytes a compiled ``spell_rows`` call fills at most, unless one row needs more
 _SPELL_CHUNK = 1 << 18
@@ -236,8 +277,8 @@ def _load(library: Path) -> list[Backend]:
 
     lib.sampling_variants.argtypes = []
     lib.sampling_variants.restype = ctypes.c_char_p
-    # the sampling kernels take bare addresses, which bind checks once for
-    # the scratch and fuse for each call's vectors, as typed pointers would
+    # the sampling kernels take bare addresses, which the scratch holds
+    # and checks for each call's vectors, as typed pointers would
     addresses, sizes = [ctypes.c_void_p] * 6, [ctypes.c_long] * 3
 
     def variant(name):
@@ -249,31 +290,9 @@ def _load(library: Path) -> list[Backend]:
         fused.argtypes = [*addresses, *sizes]
         fused.restype = None
 
-        def bind(u1, k):
-            held, pairs = _sampling_py.check_tiles(u1, k)
-            # each call holds the arrays whose addresses it passes, so that
-            # they outlive them
-            scratch = (u1, k, u1.ctypes.data, k.ctypes.data)
-
-            def split(seed, first, tiles):
-                _sampling_py.check_split_args(seed, first, tiles, held)
-                philox(seed, first, *scratch[2:], tiles, pairs)
-
-            def fuse(rows, c_re, c_im, out_re, out_im):
-                count, at = _sampling_py.check_fuse_args(
-                    pairs, held, rows, c_re, c_im, out_re, out_im
-                )
-
-                def run(vectors=(c_re, c_im, out_re, out_im)):
-                    fused(*scratch[2:], *at, rows, pairs, count)
-
-                return run
-
-            return split, fuse
-
         return Backend(
-            "compiled", name, jacobi_rows, *_whole(bind), bind, kl_contract, spell_rows,
-            scan_frame,
+            "compiled", name, jacobi_rows, functools.partial(_TileSampler, philox, fused),
+            kl_contract, spell_rows, scan_frame,
         )
 
     return [variant(name) for name in lib.sampling_variants().decode().split()]

@@ -8,12 +8,14 @@
  * double or word by integer arithmetic.  Keep the two files in sync.
  * The stream layout and the angle algorithm are documented in framekit/rng.py.
  *
- * The operands of Box-Muller are held tile-major: u1 (then ln u1) and the
- * angle words k are (tiles, pairs, LANES) arrays, and lane i of tile t is
- * stream first + LANES t + i, so that one pair of 8 streams is 8 doubles in
- * a row.  philox_split fills whole tiles; polar_contract reads the tiles of
- * its rows and writes the sums of the rows alone, never of the spare lanes
- * that pad the last tile.
+ * The operands of Box-Muller are held tile-major, a layout of this twin's
+ * own (the numpy twin runs the row-major reference): u1 (then ln u1) and
+ * the angle words k are (tiles, pairs, LANES) arrays, and lane i of tile t
+ * is stream first + LANES t + i, so that one pair of 8 streams is 8 doubles
+ * in a row.  The compiled scratch of _kernels/__init__.py allocates them
+ * once and passes their addresses.  philox_split fills whole tiles;
+ * polar_contract reads the tiles of its rows and writes the sums of the
+ * rows alone, never of the spare lanes that pad the last tile.
  *
  * Both are built once per vector ISA: for AVX-512 (F and DQ) and for AVX2
  * where the compiler targets x86-64 (GCC or Clang), and for the baseline
@@ -45,7 +47,7 @@
  * for its caller's ISA */
 #define BODY static inline __attribute__((always_inline))
 
-/* streams a tile of the operands holds, one a lane */
+/* streams a tile of the operands holds, one a lane; _kernels.LANES in Python */
 #define LANES 8
 
 /* Philox-4x64 multipliers and Weyl key increments (Salmon et al., SC 2011) */

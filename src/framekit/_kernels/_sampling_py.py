@@ -1,28 +1,24 @@
 """Pure-numpy sampling kernels: Philox split into the Box-Muller operands,
-the Box-Muller radius and angle, the KL contraction, and the two fused.
+the Box-Muller radius and angle, and the KL contraction.
 
 Twin of the C kernels in ``_sampling.c``: the same operations on the same
 operands in the same order, element for element, vectorised over the
 elements where the C twin loops over them.  numpy's Philox, integer-to-double
 conversions and the rotation table give the words and doubles that the C
 twin builds by integer arithmetic.  ``philox_split`` and ``polar_normals``
-are the reference, on (rows, pairs) operands: ``rng.seeded_normals``
-computes the normal streams with them, and the C twin, which draws normals
-only inside ``polar_contract``, is tested against them.  The backend
-entries, ``bind`` and the ``philox_split_tiles`` and ``polar_contract_tiles``
-it runs, hold the operands tile-major, as the C twin does ((tiles, pairs,
-LANES) arrays, lane i of tile t stream first + LANES t + i), and reshape
-and transpose the reference's rows.  The checks of a tile-major scratch and
-of the vectors of a call are here, for both twins.  Keep the two files in
-sync.  The stream layout and the angle algorithm are documented in
+are the reference, on row-major (rows, pairs) operands: ``rng.seeded_normals``
+computes the normal streams with them, and the C twin, which holds its
+operands tile-major and draws normals only inside its fused kernel, is
+tested against them.  ``Sampler``, the numpy twin's backend entry, runs the
+reference itself on row-major arrays allocated once.  The checks of the
+vectors of a block are here, for both twins.  Keep the two files in sync.
+The stream layout and the angle algorithm are documented in
 ``framekit/rng.py``.
 """
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-#: streams a tile of the Box-Muller operands holds, one a lane
-LANES = 8
 _FLOAT64 = np.dtype(np.float64).str
 #: Nearest doubles to the Taylor coefficients of sin(pi t/4) (odd powers,
 #: t**1..t**17) and cos(pi t/4) (even powers, t**0..t**18).
@@ -59,8 +55,7 @@ def _horner(z, coef):
 
 def check_philox_args(seed, first, u1, k):
     """(rows, pairs) of a valid ``philox_split`` call; ValueError otherwise."""
-    if not (0 <= seed <= _MASK64 and 0 <= first <= _MASK64):
-        raise ValueError(f"seed {seed} or first stream {first} outside [0, 2**64)")
+    check_seed(seed, first)
     rows, pairs = u1.shape
     if k.shape != u1.shape or rows < 1 or pairs < 1:
         raise ValueError(f"u1 {u1.shape}, angle words {k.shape}")
@@ -87,27 +82,11 @@ def check_contract_args(shape, c_re, c_im, out_re, out_im):
     return rows, n
 
 
-def check_tiles(u1, k):
-    """(tiles, pairs) of a tile-major scratch: ``u1`` float64 and ``k``
-    uint64, both C-contiguous and writeable, of one shape (tiles, pairs,
-    LANES) with tiles and pairs at least 1; ValueError otherwise."""
-    for name, a, dtype in (("u1", u1, np.float64), ("angle words", k, np.uint64)):
-        if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.c_contiguous
-                and a.flags.writeable):
-            raise ValueError(f"{name} must be a writeable C-contiguous {np.dtype(dtype)} array")
-    tiles, pairs, lanes = u1.shape if u1.ndim == 3 else (0, 0, 0)
-    if k.shape != u1.shape or tiles < 1 or pairs < 1 or lanes != LANES:
-        raise ValueError(f"u1 {u1.shape}, angle words {k.shape}: need (tiles, pairs, {LANES})")
-    return tiles, pairs
-
-
-def check_split_args(seed, first, tiles, held):
-    """A valid ``split(seed, first, tiles)`` of a scratch of ``held`` tiles;
-    ValueError otherwise."""
+def check_seed(seed, first):
+    """ValueError unless ``seed`` and the first stream ``first`` lie in
+    [0, 2**64), where a C uint64 would wrap them."""
     if not (0 <= seed <= _MASK64 and 0 <= first <= _MASK64):
         raise ValueError(f"seed {seed} or first stream {first} outside [0, 2**64)")
-    if not 1 <= tiles <= held:
-        raise ValueError(f"{tiles} tiles for a scratch of {held}")
 
 
 def vector_address(a, n, writeable=False):
@@ -126,14 +105,13 @@ def vector_address(a, n, writeable=False):
     return address
 
 
-def check_fuse_args(pairs, tiles, rows, c_re, c_im, out_re, out_im):
-    """(count, addresses of c_re, c_im, out_re and out_im) of a valid
-    ``fuse(rows, c_re, c_im, out_re, out_im)`` of a scratch of ``tiles``
-    tiles of ``pairs`` pairs; ValueError otherwise."""
-    count = len(c_re)
-    if count not in (2 * pairs - 1, 2 * pairs) or not 1 <= rows <= LANES * tiles:
-        raise ValueError(f"{rows} rows of {count} normals for a scratch of {tiles} x {pairs}")
-    return count, (
+def check_block_args(held, count, rows, c_re, c_im, out_re, out_im):
+    """Addresses of c_re, c_im, out_re and out_im of a valid block of
+    ``rows`` streams into a scratch of ``held`` streams of ``count``
+    normals; ValueError otherwise."""
+    if not 1 <= rows <= held:
+        raise ValueError(f"{rows} streams for a scratch of {held}")
+    return (
         vector_address(c_re, count),
         vector_address(c_im, count),
         vector_address(out_re, rows, writeable=True),
@@ -150,23 +128,13 @@ def philox_split(seed, first, u1, k):
     place; ``first`` lies in [0, 2**64).
     """
     rows, pairs = check_philox_args(seed, first, u1, k)
-    _split(_philox_words(seed, first, rows, pairs), pairs, u1, k)
-
-
-def _philox_words(seed, first, rows, pairs):
-    """The words of streams first..first + rows - 1, shifted right by 11,
-    as the rows of a (rows, 4 ceil(pairs/2)) array."""
     blocks = (pairs + 1) // 2
     key = np.array([seed, 0], dtype=np.uint64)
     c = first * blocks
     counter = np.array([c & _MASK64, c >> 64, 0, 0], dtype=np.uint64)
     words = np.random.Philox(key=key, counter=counter).random_raw(rows * 4 * blocks)
     words = words.reshape(rows, 4 * blocks)
-    return np.right_shift(words, np.uint64(11), out=words)
-
-
-def _split(words, pairs, u1, k):
-    """u1 and k from the shifted ``words``, a stream's words along axis 1."""
+    np.right_shift(words, np.uint64(11), out=words)
     k[...] = words[:, pairs : 2 * pairs]
     head = words[:, :pairs]
     np.add(head, np.uint64(1), out=head)
@@ -224,51 +192,30 @@ def kl_contract(x, c_re, c_im, out_re, out_im):
             np.add(out, term, out=out)
 
 
-def to_rows(tiled, rows):
-    """The first ``rows`` streams of a tile-major (tiles, pairs, LANES) array,
-    as the rows of a (rows, pairs) array."""
-    return tiled.transpose(0, 2, 1).reshape(-1, tiled.shape[1])[:rows]
+class Sampler:
+    """The numpy twin's scratch for blocks of up to ``rows`` streams of
+    ``count`` normals: u1 (then ln u1), the angle words ``k`` and the
+    normals, row-major arrays allocated once and reused by every block."""
 
+    def __init__(self, rows, count):
+        pairs = (count + 1) // 2
+        self.rows, self.count = rows, count
+        self.u1 = np.empty((rows, pairs))
+        self.k = np.empty((rows, pairs), dtype=np.uint64)
+        self.normals = np.empty((rows, count))
 
-def philox_split_tiles(seed, first, u1, k):
-    """``philox_split`` of streams first..first + LANES tiles - 1 into the
-    tile-major (tiles, pairs, LANES) ``u1`` and ``k``, lane i of tile t
-    taking stream first + LANES t + i: the reference words, transposed
-    tile by tile."""
-    tiles, pairs, _ = u1.shape
-    words = _philox_words(seed, first, tiles * LANES, pairs)
-    _split(words.reshape(tiles, LANES, -1).transpose(0, 2, 1), pairs, u1, k)
+    def draw(self, seed, first, rows):
+        """The normals of streams first..first + rows - 1 of ``seed``, the
+        first ``rows`` rows of ``normals``."""
+        u1, k, normals = self.u1[:rows], self.k[:rows], self.normals[:rows]
+        philox_split(seed, first, u1, k)
+        np.log(u1, out=u1)
+        polar_normals(u1, k, normals)
+        return normals
 
-
-def polar_contract_tiles(ln_u1, k, c_re, c_im, out_re, out_im):
-    """``kl_contract`` of the ``polar_normals`` of the first rows =
-    len(out_re) streams of the tile-major ``ln_u1`` and ``k``, with count =
-    len(c_re) normals a row, into ``out_re`` and ``out_im``.
-
-    The normals go through a temporary (rows, count) array, where the C twin
-    keeps a pair of them a lane at a time; the bits are the same.
-    """
-    rows = len(out_re)
-    x = np.empty((rows, len(c_re)))
-    polar_normals(to_rows(ln_u1, rows), to_rows(k, rows), x)
-    kl_contract(x, c_re, c_im, out_re, out_im)
-
-
-def bind(u1, k):
-    """(split, fuse) of the tile-major scratch ``u1`` and ``k``:
-    ``split(seed, first, tiles)`` runs ``philox_split_tiles`` into its first
-    ``tiles`` tiles; ``fuse(rows, c_re, c_im, out_re, out_im)`` checks its
-    arguments and returns the call that runs ``polar_contract_tiles`` on
-    the tiles of ``rows`` streams."""
-    held, pairs = check_tiles(u1, k)
-
-    def split(seed, first, tiles):
-        check_split_args(seed, first, tiles, held)
-        philox_split_tiles(seed, first, u1[:tiles], k[:tiles])
-
-    def fuse(rows, c_re, c_im, out_re, out_im):
-        check_fuse_args(pairs, held, rows, c_re, c_im, out_re, out_im)
-        tiles = -(-rows // LANES)
-        return lambda: polar_contract_tiles(u1[:tiles], k[:tiles], c_re, c_im, out_re, out_im)
-
-    return split, fuse
+    def contract(self, seed, first, rows, c_re, c_im, out_re, out_im):
+        """``kl_contract`` of the normals of streams first..first + rows - 1
+        of ``seed`` into ``out_re`` and ``out_im``, the vectors checked
+        before any kernel runs."""
+        check_block_args(self.rows, self.count, rows, c_re, c_im, out_re, out_im)
+        kl_contract(self.draw(seed, first, rows), c_re, c_im, out_re, out_im)

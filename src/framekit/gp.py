@@ -161,7 +161,7 @@ def sample_kl(
     independent of generation order.  Each sample sums c_n B_{n,k} over
     n in index order, one rounded multiply and one rounded add per term
     (the sums of the active kernel's ``kl_contract``, which its
-    ``polar_contract`` forms as it draws the normals), so no BLAS thread
+    ``sampler`` forms from the normals it draws), so no BLAS thread
     count enters the bits.  Streams are drawn and contracted in blocks of
     _SAMPLE_BLOCK samples, each written to its own slice of the output, so
     the blocks run on a thread pool with one worker per usable CPU (the

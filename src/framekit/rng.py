@@ -45,20 +45,16 @@ for u2 (so b = ceil(pairs/2)), yielding z0[0], z1[0], z0[1], z1[1], ...
 truncated to ``count``.
 
 ``seeded_normals`` and ``seeded_normal_rows`` are the definition of a
-stream: they run every step in numpy, the numpy twin's Philox split and its
-radius and angle (``_sampling_py.polar_normals``), with ln between them in
-place on u1.  ``NormalScratch.contract``, which ``gp.sample_kl`` runs, takes
-the same steps in the active kernel of ``_kernels`` and sums the normals
-into KL samples as it draws them, never writing them out.  It holds u1 and
-the angle words tile-major, as (tiles, pairs, 8) arrays in which lane i of
-tile t is stream first + 8t + i, so that word j of 8 consecutive streams
-is 8 adjacent numbers: the C twin's Philox and fused kernel, built for
-several vector ISAs and run on the widest the CPU has, handle a tile's 8
-streams in the 8 lanes of a vector on AVX-512 and in loops over the lanes
-elsewhere, and the numpy twin transposes its rows of words into the tiles
-and back.  Every variant and both twins give the defined words and the
-sums of the defined normals bit for bit, so the samples do not depend on
-which one runs.
+stream: they run every step in numpy, in the numpy twin's scratch: its
+Philox split and its radius and angle (``_sampling_py.polar_normals``),
+with ln between them in place on u1.  ``NormalScratch.contract``, which
+``gp.sample_kl`` runs, takes the same steps in the scratch of the active
+backend of ``_kernels`` and sums the normals into KL samples.  The numpy
+twin's scratch runs the reference itself; the C twin's never writes the
+normals out, and holds its operands in a layout of its own, for kernels
+built for several vector ISAs and run on the widest the CPU has.  Every
+variant and both twins give the defined words and the sums of the defined
+normals bit for bit, so the samples do not depend on which one runs.
 
 So the normals are defined by the algorithm, except for ln: it is numpy's
 ufunc, whose last bit can differ from the C library's (with numpy 2.4.6 on
@@ -94,43 +90,26 @@ def _check_streams(seed: int, first: int, stop: int) -> int:
 
 
 class NormalScratch:
-    """Operand buffers for blocks of up to ``rows`` streams of ``count``
-    normals, allocated once and reused by every ``contract``, and bound once
-    to the active kernel.
-
-    u1 (then ln u1) and the angle words are held tile-major, as (tiles,
-    pairs, 8) arrays: lane i of tile t holds stream first + 8t + i of a
-    block.  A block whose rows are not a multiple of 8 pads its last tile:
-    its spare lanes are drawn (the streams that follow the block) but no sum
-    of them is written.  One object serves one thread at a time:
-    ``sample_kl`` gives each worker its own.
-    """
+    """A scratch of the active backend for blocks of up to ``rows`` streams
+    of ``count`` normals, allocated once and reused by every ``contract``.
+    One object serves one thread at a time: ``sample_kl`` gives each worker
+    its own."""
 
     def __init__(self, rows: int, count: int):
-        pairs = (count + 1) // 2
-        tiles = -(-rows // _sampling_py.LANES)
-        self._rows = rows
-        self._u1 = np.empty((tiles, pairs, _sampling_py.LANES))
-        self._k = np.empty((tiles, pairs, _sampling_py.LANES), dtype=np.uint64)
-        self._split, self._fuse = _kernels.ACTIVE.bind(self._u1, self._k)
+        self._sampler = _kernels.ACTIVE.sampler(rows, count)
 
     def contract(self, seed: int, first: int, stop: int, c_re, c_im, out_re, out_im) -> None:
         """out_re[i] and out_im[i] = the index-order sums over n of
         B[i, n] c_re[n] and B[i, n] c_im[n], as ``kl_contract`` forms them,
         where B[i] = seeded_normals(seed, first + i, count) and count =
-        len(c_re); the normals are never written out.  The outputs and
-        coefficients are checked before any kernel runs: C-contiguous
-        float64 vectors, the outputs writeable and of stop - first entries."""
+        len(c_re).  The outputs and coefficients are checked before any
+        kernel runs: C-contiguous float64 vectors of count entries, the
+        outputs writeable and of stop - first entries."""
         rows = stop - first
-        if not 0 < rows <= self._rows:
-            raise InvalidArgument(f"{rows} streams for a scratch of {self._rows}")
+        if not 0 < rows <= self._sampler.rows:
+            raise InvalidArgument(f"{rows} streams for a scratch of {self._sampler.rows}")
         seed = _check_streams(seed, first, stop)
-        fused = self._fuse(rows, c_re, c_im, out_re, out_im)
-        tiles = -(-rows // _sampling_py.LANES)
-        self._split(seed, first, tiles)
-        u1 = self._u1[:tiles]
-        np.log(u1, out=u1)
-        fused()
+        self._sampler.contract(seed, first, rows, c_re, c_im, out_re, out_im)
 
 
 def seeded_normals(seed: int, stream: int, count: int) -> np.ndarray:
@@ -144,11 +123,4 @@ def seeded_normal_rows(seed: int, first: int, stop: int, count: int) -> np.ndarr
     if not first < stop or count < 1:
         raise InvalidArgument("need 0 <= first < stop and count >= 1")
     seed = _check_streams(seed, first, stop)
-    pairs = (count + 1) // 2
-    u1 = np.empty((stop - first, pairs))
-    k = np.empty((stop - first, pairs), dtype=np.uint64)
-    _sampling_py.philox_split(seed, first, u1, k)
-    np.log(u1, out=u1)
-    out = np.empty((stop - first, count))
-    _sampling_py.polar_normals(u1, k, out)
-    return out
+    return _sampling_py.Sampler(stop - first, count).draw(seed, first, stop - first)

@@ -6,9 +6,9 @@ LAPACK, subspace kernels from weighted Gram-Schmidt, and
 positive-definiteness certificates from a hand-rolled Cholesky.
 ``random_riesz_frame`` draws seeded Riesz systems, the hypothesis strategy
 ``weighted_frames`` the frames that property tests share, and
-``fused_normals`` reads the normals back out of a backend's fused sampling
-kernel, which never writes them out, through the tile-major operands that
-``to_tiles`` forms and ``from_tiles`` reads.
+``fused_normals`` reads the normals back out of a compiled variant's fused
+sampling kernel, which never writes them out, through the tile-major
+operands that ``to_tiles`` forms and ``from_tiles`` reads.
 """
 
 import math
@@ -17,6 +17,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from framekit import FrameSystem, Grid, InvalidArgument, rng
+from framekit._kernels import LANES
 
 
 def power_iteration(a, steps=10_000):
@@ -150,8 +151,6 @@ def weighted_frames(draw):
     return FrameSystem(grid=grid, vectors=vectors)
 
 
-#: streams a tile of the tile-major Box-Muller operands holds, one a lane
-LANES = 8
 #: a NaN whose payload no kernel computes, for the words around an output
 #: that a kernel, or a call it refuses, must leave as they are
 CANARY = np.frombuffer(np.uint64(0x7FF8DEADBEEF0001).tobytes(), dtype=np.float64)[0]
@@ -174,26 +173,29 @@ def from_tiles(tiled, rows):
     return tiled.transpose(0, 2, 1).reshape(-1, tiled.shape[1])[:rows]
 
 
-def fused_normals(backend, ln_u1, k, count):
-    """The (rows, count) normals that ``backend.polar_contract`` draws from
-    the Box-Muller operands ``ln_u1`` and ``k``, (rows, pairs) arrays, read
-    back bit for bit.
+def fused_normals(variant, ln_u1, k, count):
+    """The (rows, count) normals that the fused kernel of the compiled
+    backend ``variant`` draws from the Box-Muller operands ``ln_u1`` and
+    ``k``, (rows, pairs) arrays, read back bit for bit.
 
     Each pair of operands goes through the kernel as a stream of its own,
-    the lane of a tile-major operand whose spare lanes hold ln u1 = -1 and
-    the angle word 0.  With count 1 and c = (1), a sum is its first term
-    alone, the cosine normal z0.  With count 2, c_re = (+0, 1) and c_im =
-    (-0, 1), the sums are z0 * (+0) + z1 and z0 * (-0) + z1; the two
-    products are zeros of opposite signs, and the one that is -0 leaves z1
-    as it is, even a signed zero: it is in out_re where z0 has its sign bit
-    set, in out_im where not.
+    the lane of a scratch's tile-major operands whose spare lanes hold
+    ln u1 = -1 and the angle word 0.  With count 1 and c = (1), a sum is its
+    first term alone, the cosine normal z0.  With count 2, c_re = (+0, 1)
+    and c_im = (-0, 1), the sums are z0 * (+0) + z1 and z0 * (-0) + z1; the
+    two products are zeros of opposite signs, and the one that is -0 leaves
+    z1 as it is, even a signed zero: it is in out_re where z0 has its sign
+    bit set, in out_im where not.
     """
     rows, pairs = ln_u1.shape
-    operands = [to_tiles(np.reshape(a, (-1, 1)), fill) for a, fill in ((ln_u1, -1.0), (k, 0))]
+    streams = rows * pairs
 
     def contract(c_re, c_im):
-        out = np.empty(rows * pairs), np.empty(rows * pairs)
-        backend.polar_contract(*operands, np.array(c_re), np.array(c_im), *out)
+        scratch = variant.sampler(streams, len(c_re))
+        scratch.u1[...] = to_tiles(np.reshape(ln_u1, (-1, 1)), -1.0)
+        scratch.k[...] = to_tiles(np.reshape(k, (-1, 1)))
+        out = np.empty(streams), np.empty(streams)
+        scratch.fuse(streams, np.array(c_re), np.array(c_im), *out)()
         return out
 
     cos, _ = contract([1.0], [1.0])

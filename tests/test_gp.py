@@ -29,6 +29,7 @@ from framekit import (
     theoretical_variances,
 )
 from framekit import _kernels, gp, rng
+from framekit._kernels import _sampling_py
 from oracles import CANARY, eigh_descending, fused_normals, orthonormal_rows
 
 
@@ -622,8 +623,8 @@ print("identical")
         # last pair; the words 0 and 2**64 - 1 give u1 = 2**-53 and 1 and
         # u2 = 0 and 1 - 2**-53, (j 2**61) >> 11 = j 2**50 puts u2 on an
         # octant edge, and an array of only those words is checked every
-        # time.  The fused kernels, read back by fused_normals, run on the
-        # words after ln in place on u1.
+        # time.  The reference polar_normals, and the fused kernels, read
+        # back by fused_normals, run on the words after ln in place on u1.
         pairs = (count + 1) // 2
         shape = ((rows,) if rows else ()) + (2 * pairs,)
         size = int(np.prod(shape))
@@ -639,9 +640,12 @@ print("identical")
             flat = words.reshape(-1, 2 * pairs) >> np.uint64(11)
             u1 = (flat[:, :pairs] + np.uint64(1)) * 2.0**-53
             np.log(u1, out=u1)
-            for backend in [_kernels.PYTHON, *_kernels.VARIANTS.values()]:
-                got = fused_normals(backend, u1, flat[:, pairs:], count)
-                assert got.tobytes() == expected.tobytes(), backend.variant
+            normals = np.empty((len(u1), count))
+            _sampling_py.polar_normals(u1, flat[:, pairs:], normals)
+            assert normals.tobytes() == expected.tobytes()
+            for variant in _kernels.VARIANTS.values():
+                got = fused_normals(variant, u1, flat[:, pairs:], count)
+                assert got.tobytes() == expected.tobytes(), variant.variant
         # and whole streams from a drawn seed and first stream, up to the
         # last stream 2**64 - 1, whose counter first * b passes 2**64
         seed = data.draw(st.integers(0, 2**64 - 1))

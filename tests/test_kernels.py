@@ -23,9 +23,9 @@ from hypothesis.extra import numpy as hnp
 import framekit
 from framekit import FrameSystem, Grid, gp, rng, row_svd
 from framekit import _kernels
-from framekit._kernels import BACKENDS, VARIANTS, _sampling_py
+from framekit._kernels import BACKENDS, LANES, VARIANTS, _sampling_py
 from framekit.spectral import _MAX_SWEEPS, _ORTHOGONAL_TOL
-from oracles import CANARY, LANES, from_tiles, fused_normals, to_tiles
+from oracles import CANARY, from_tiles, fused_normals, to_tiles
 
 CC = shutil.which("cc")
 needs_cc = pytest.mark.skipif(CC is None, reason="no C compiler")
@@ -68,14 +68,16 @@ def coefficients(count):
     return c_re, -c_re[::-1].copy()
 
 
-def sample(backend, words, count):
-    """Bytes of the normals that ``backend``'s fused kernel draws from
-    ``words``, read back by ``fused_normals``, and of its KL contraction of
-    them."""
+def sample(variant, words, count):
+    """Bytes of the normals that the compiled backend ``variant``'s fused
+    kernel draws from ``words`` in its scratch, read back by
+    ``fused_normals``, and of its KL contraction of them."""
     ln_u1, k = operands(words, count)
+    scratch = variant.sampler(len(k), count)
+    scratch.u1[...], scratch.k[...] = to_tiles(ln_u1, -1.0), to_tiles(k)
     out = np.empty(len(k)), np.empty(len(k))
-    backend.polar_contract(to_tiles(ln_u1, -1.0), to_tiles(k), *coefficients(count), *out)
-    return fused_normals(backend, ln_u1, k, count).tobytes(), *(o.tobytes() for o in out)
+    scratch.fuse(len(k), *coefficients(count), *out)()
+    return fused_normals(variant, ln_u1, k, count).tobytes(), *(o.tobytes() for o in out)
 
 
 def reference(words, count):
@@ -89,14 +91,20 @@ def reference(words, count):
     return normals.tobytes(), *(o.tobytes() for o in out)
 
 
-def split(backend, seed, first, rows, pairs):
+def split(variant, seed, first, rows, pairs):
     """Bytes of u1 and of the angle words of streams first..first + rows - 1
-    that ``backend``'s Philox writes into the tiles that hold them."""
-    tiles = -(-rows // LANES)
-    u1 = np.empty((tiles, pairs, LANES))
-    k = np.empty((tiles, pairs, LANES), dtype=np.uint64)
-    backend.philox_split(seed, first, u1, k)
-    return from_tiles(u1, rows).tobytes(), from_tiles(k, rows).tobytes()
+    that the compiled backend ``variant``'s Philox writes into the tiles of
+    its scratch that hold them."""
+    scratch = variant.sampler(rows, 2 * pairs)
+    scratch.split(seed, first, -(-rows // LANES))
+    return from_tiles(scratch.u1, rows).tobytes(), from_tiles(scratch.k, rows).tobytes()
+
+
+def numpy_split(seed, first, rows, pairs):
+    """The bytes ``split`` must give, by the numpy reference's Philox."""
+    u1, k = np.empty((rows, pairs)), np.empty((rows, pairs), dtype=np.uint64)
+    _sampling_py.philox_split(seed, first, u1, k)
+    return u1.tobytes(), k.tobytes()
 
 
 def random_coefficients(n, seed):
@@ -158,8 +166,8 @@ def test_sampling_twins_agree_bit_for_bit(count, rows, data):
     )
     words = np.array(words, dtype=np.uint64).reshape(shape)
     expected = reference(words, count)
-    for backend in BACKENDS.values():
-        assert sample(backend, words, count) == expected, backend.name
+    for variant in VARIANTS.values():
+        assert sample(variant, words, count) == expected, variant.variant
 
 
 @pytest.mark.parametrize("count", [2 * len(EDGE_WORDS), 2 * len(EDGE_WORDS) - 1])
@@ -171,8 +179,8 @@ def test_sampling_twins_agree_on_edge_words(count, rows):
     words = np.stack([np.roll(line, i) for i in range(max(rows, 1))])
     words = words.reshape(((rows,) if rows else ()) + (span,))
     expected = reference(words, count)
-    for backend in BACKENDS.values():
-        assert sample(backend, words, count) == expected, backend.name
+    for variant in VARIANTS.values():
+        assert sample(variant, words, count) == expected, variant.variant
 
 
 #: normals a row in the variant tests: one and two, odd counts, which drop
@@ -248,8 +256,9 @@ CARRY_FIRSTS = [2**64 - d for d in range(1, 5)]
 def test_philox_twins_match_numpy_word_for_word(seed, first, rows, count):
     pairs = (count + 1) // 2
     expected = philox_reference(seed, first, rows, pairs)
-    for backend in BACKENDS.values():
-        assert split(backend, seed, first, rows, pairs) == expected, backend.name
+    assert numpy_split(seed, first, rows, pairs) == expected
+    for variant in VARIANTS.values():
+        assert split(variant, seed, first, rows, pairs) == expected, variant.variant
 
 
 def carry_first(blocks):
@@ -300,16 +309,19 @@ def test_carry_first_passes_the_low_word_inside_a_group(blocks):
 
 
 @pytest.mark.parametrize("backend", sorted(BACKENDS))
-def test_streams_past_the_low_counter_word_stay_distinct(backend, monkeypatch):
+def test_streams_past_the_low_counter_word_stay_distinct(backend):
     # stream 2**63 of 6 normals has b = 2 blocks and starts at counter
     # 2**63 * 2 = 2**64, that is [0, 1, 0, 0], not stream 0's [0, 0, 0, 0]
-    monkeypatch.setattr(_kernels, "ACTIVE", BACKENDS[backend])
     assert rng.seeded_normals(3, 2**63, 6).tobytes() != rng.seeded_normals(3, 0, 6).tobytes()
     counter = np.array([0, 1, 0, 0], dtype=np.uint64)
     philox = np.random.Philox(key=np.array([3, 0], dtype=np.uint64), counter=counter)
     words = philox.random_raw(8) >> np.uint64(11)
     u1 = ((words[:3] + np.uint64(1)) * 2.0**-53).tobytes()
-    assert split(BACKENDS[backend], 3, 2**63, 1, 3) == (u1, words[3:6].tobytes())
+    if backend == "python":
+        got = numpy_split(3, 2**63, 1, 3)
+    else:
+        got = split(BACKENDS[backend], 3, 2**63, 1, 3)
+    assert got == (u1, words[3:6].tobytes())
 
 
 @pytest.mark.skipif("compiled" not in BACKENDS, reason="C twin not loaded")
@@ -360,15 +372,18 @@ def test_angle_within_two_ulp_of_the_radius():
         turns = [2 * mpmath.pi * int(w) / mpmath.mpf(2) ** 53 for w in k[0]]
         exact = [(r * mpmath.cos(a), r * mpmath.sin(a)) for r, a in zip(radius[0], turns)]
     ulp = np.spacing(radius[0])
-    for backend in [_kernels.PYTHON, *VARIANTS.values()]:
-        out = fused_normals(backend, ln_u1, k, 2000)[0]
+    normals = np.empty((1, 2000))
+    _sampling_py.polar_normals(ln_u1, k, normals)
+    drawn = {"numpy": normals[0]}
+    drawn.update((name, fused_normals(v, ln_u1, k, 2000)[0]) for name, v in VARIANTS.items())
+    for name, out in drawn.items():
         worst = max(
             float(abs(mpmath.mpf(out[2 * j + i]) - exact[j][i])) / ulp[j]
             for j in range(1000)
             for i in (0, 1)
             if radius[0, j] > 0.0
         )
-        assert worst <= 2.0, (backend.name, backend.variant, worst)
+        assert worst <= 2.0, (name, worst)
 
 
 def test_coefficients_are_the_nearest_taylor_doubles():
@@ -402,75 +417,68 @@ def test_wrong_arrays_raise():
 
 
 def test_wrong_sampling_arrays_raise():
-    # the checks of bind and fuse stop what C would misread, as typed
-    # pointers did, and in every twin alike: a wrong scratch, and a wrong
-    # dtype, layout, length or writeability of a vector, before any kernel
-    # writes a word
-    u1, k = -np.ones((2, 3, LANES)), np.zeros((2, 3, LANES), dtype=np.uint64)
+    # the checks of a scratch stop what C would misread, as typed pointers
+    # did, and in every twin alike: a wrong dtype, layout, length or
+    # writeability of a vector, a block the scratch cannot hold, and a seed
+    # or first stream outside [0, 2**64), which a C uint64 would wrap, all
+    # before any kernel writes a word
     c5, c6 = np.ones(5), np.ones(6)
     out = np.full(9, CANARY), np.full(9, CANARY)
     frozen = np.full(9, CANARY)
     frozen.setflags(write=False)
-    read_only = u1.copy()
-    read_only.setflags(write=False)
+    refused = [
+        (1, 0, 9, np.ones(12)[::2], c6, *out),
+        (1, 0, 9, c6, c6.astype(np.float32), *out),
+        (1, 0, 9, [1.0] * 6, c6, *out),
+        (1, 0, 9, c6, c6, frozen, out[1]),
+        (1, 0, 9, c6, c6, out[0], np.empty(18)[::2]),
+        (1, 0, 9, c6, c6, out[0].astype(np.float32), out[1]),
+        (1, 0, 9, c5, c5, *out),
+        (1, 0, 9, np.ones(7), np.ones(7), *out),
+        (1, 0, 9, c6, c5, *out),
+        (1, 0, 9, c6, c6, out[0], np.empty(8)),
+        (1, 0, 17, c6, c6, np.empty(17), np.empty(17)),
+        (1, 0, 0, c6, c6, out[0][:0], out[1][:0]),
+        (2**64, 0, 9, c6, c6, *out),
+        (-1, 0, 9, c6, c6, *out),
+        (1, -1, 9, c6, c6, *out),
+        (1, 2**64, 9, c6, c6, *out),
+    ]
     for backend in [_kernels.PYTHON, *VARIANTS.values()]:
+        scratch = backend.sampler(9, 6)
+        scratch.u1[...] = CANARY
+        held = scratch.u1.tobytes() + scratch.k.tobytes()
+        for args in refused:
+            with pytest.raises(ValueError):
+                scratch.contract(*args)
+            assert scratch.u1.tobytes() + scratch.k.tobytes() == held, backend.variant
+            assert out[0].tobytes() == out[1].tobytes() == np.full(9, CANARY).tobytes()
+    for variant in VARIANTS.values():
         # radius sqrt(2) and angle 0: each pair adds sqrt(2) and 0
         r = math.sqrt(2.0)
         for c in (c5, c6):
-            backend.polar_contract(u1, k, c, c, *out)
+            scratch = variant.sampler(9, len(c))
+            scratch.u1[...], scratch.k[...] = -1.0, 0
+            scratch.fuse(9, c, c, *out)()
             assert out[0].tolist() == out[1].tolist() == [r + r + r] * 9
-        out[0][:], out[1][:] = CANARY, CANARY
-        for args in [
-            (u1, k.view(np.int64), c6, c6, *out),
-            (u1.astype(np.float32), k, c6, c6, *out),
-            (np.ones((2, 6, LANES))[:, ::2], k, c6, c6, *out),
-            (read_only, k, c6, c6, *out),
-            (u1, k[:, :2], c6, c6, *out),
-            (u1[:0], k[:0], c6, c6, *out),
-            (u1.reshape(2, 3, 2, 4), k.reshape(2, 3, 2, 4), c6, c6, *out),
-            (u1, k, np.ones(12)[::2], c6, *out),
-            (u1, k, c6, c6.astype(np.float32), *out),
-            (u1, k, [1.0] * 6, c6, *out),
-            (u1, k, c6, c6, frozen, out[1]),
-            (u1, k, c6, c6, out[0], np.empty(18)[::2]),
-            (u1, k, c6, c6, out[0].astype(np.float32), out[1]),
-            (u1, k, np.ones(4), np.ones(4), *out),
-            (u1, k, np.ones(7), np.ones(7), *out),
-            (u1, k, c6, c5, *out),
-            (u1, k, c6, c6, np.empty(17), np.empty(17)),
-            (u1, k, c6, c6, out[0], np.empty(8)),
-        ]:
+        scratch.u1[...] = CANARY
+        for args in [(2**64, 0, 2), (-1, 0, 2), (1, -1, 2), (1, 2**64, 2), (1, 0, 0), (1, 0, 3)]:
             with pytest.raises(ValueError):
-                backend.polar_contract(*args)
-            assert out[0].tobytes() == out[1].tobytes() == np.full(9, CANARY).tobytes()
-        u1[...] = CANARY
-        for args in [
-            (1, 0, u1, k.view(np.int64)),
-            (1, 0, u1.astype(np.float32), k),
-            (1, 0, np.ones((2, 6, LANES))[:, ::2], k),
-            (1, 0, u1, k[:, :2]),
-            (1, 0, u1[:0], k[:0]),
-            (2**64, 0, u1, k),
-            (-1, 0, u1, k),
-            (1, -1, u1, k),
-            (1, 2**64, u1, k),
-        ]:
-            with pytest.raises(ValueError):
-                backend.philox_split(*args)
-            assert u1.tobytes() == np.full_like(u1, CANARY).tobytes() and not k.any()
-        u1[...] = -1.0
+                scratch.split(*args)
+            assert scratch.u1.tobytes() == np.full_like(scratch.u1, CANARY).tobytes()
+            assert not scratch.k.any()
 
 
 @pytest.mark.parametrize("backend", ["numpy", *VARIANTS])
 def test_scratch_refuses_wrong_vectors_before_any_kernel(backend, monkeypatch):
-    # the scratch binds its own arrays once and checks each call's
+    # the scratch allocates its own arrays once and checks each call's
     # coefficients and outputs: float64, C-contiguous, of stop - first
     # entries and writeable for the outputs; a refusal leaves the scratch
     # and the outputs as they were, so neither Philox nor the fused kernel ran
     monkeypatch.setattr(_kernels, "ACTIVE", VARIANTS.get(backend, _kernels.PYTHON))
     scratch = rng.NormalScratch(20, 6)
-    scratch._u1[...] = CANARY
-    held = scratch._u1.tobytes() + scratch._k.tobytes()
+    scratch._sampler.u1[...] = CANARY
+    held = scratch._sampler.u1.tobytes() + scratch._sampler.k.tobytes()
     c = np.linspace(-1.0, 1.0, 6)
     out = np.full(13, CANARY), np.full(13, CANARY)
     frozen = np.full(13, CANARY)
@@ -488,10 +496,21 @@ def test_scratch_refuses_wrong_vectors_before_any_kernel(backend, monkeypatch):
     ]:
         with pytest.raises(ValueError):
             scratch.contract(1, 5, 18, *args)
-        assert scratch._u1.tobytes() + scratch._k.tobytes() == held
+        assert scratch._sampler.u1.tobytes() + scratch._sampler.k.tobytes() == held
         assert out[0].tobytes() == out[1].tobytes() == np.full(13, CANARY).tobytes()
     scratch.contract(1, 5, 18, c, c, *out)
     assert out[0].tobytes() == out[1].tobytes() != np.full(13, CANARY).tobytes()
+
+
+def test_a_backend_has_one_sampling_entry():
+    # the scratch layout is each twin's own, behind sampler alone
+    assert _kernels.Backend._fields == (
+        "name", "variant", "jacobi_rows", "sampler", "kl_contract", "spell_rows", "scan_frame"
+    )
+    assert not hasattr(_kernels, "_whole")
+    for gone in ("LANES", "check_tiles", "to_rows", "philox_split_tiles",
+                 "polar_contract_tiles", "bind"):
+        assert not hasattr(_sampling_py, gone), gone
 
 
 @pytest.mark.skipif("compiled" not in BACKENDS, reason="C twin not loaded")
@@ -538,7 +557,7 @@ def test_second_build_does_not_run_the_compiler(tmp_path):
     assert run(active, base) == run(BACKENDS["python"], base)
     words = philox_words(3, 4 * 13 * 7).reshape(7, 52)
     assert sample(active, words, 25) == reference(words, 25)
-    assert split(active, 3, 5, 7, 13) == split(BACKENDS["python"], 3, 5, 7, 13)
+    assert split(active, 3, 5, 7, 13) == numpy_split(3, 5, 7, 13)
 
 
 @needs_cc
