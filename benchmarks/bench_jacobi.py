@@ -2,15 +2,17 @@
 """Time the one-sided Jacobi twins against LAPACK's SVD, and check their bits.
 
 For each k x L shape, random rows go through every twin of ``jacobi_rows``
-that loaded (the C twin, ``compiled``, and the numpy twin, ``python``) as
-``spectral.row_svd`` calls it; the squared norms, rotated rows, rotations
-and sweep counts must agree bit for bit, and the script exits 1 if they do
+that loaded, as ``spectral.row_svd`` calls it: the C twin once per vector
+ISA it was built for that this CPU runs (``avx512f``, which runs AVX2's
+Jacobi, ``avx2`` and ``baseline``; the widest is the one framekit runs) and
+the numpy twin (``numpy``).  The squared norms, rotated rows, rotations and
+sweep counts must agree bit for bit, and the script exits 1 if they do
 not.  ``numpy.linalg.svd`` of the same rows, on one BLAS thread, is the
 yardstick.  It prints the median milliseconds per call over ``--repeats``
-calls for the C twin and LAPACK, and over one call for the numpy twin,
-which is slow.  The C twin is built at the first import of framekit
-wherever ``cc`` works.  ``--json PATH`` also writes the medians and
-quartiles per shape and twin, with the environment, as JSON.
+calls for each C variant and LAPACK, and over one call for the numpy twin,
+which is slow.  The C twin is built at the first import of framekit wherever
+``cc`` works.  ``--json PATH`` also writes the medians and quartiles per
+shape and twin, with the environment, as JSON.
 
     PYTHONPATH=src python3 benchmarks/bench_jacobi.py [--shapes 64x64,128x128] [--repeats 5] [--json PATH]
 """
@@ -27,7 +29,7 @@ import time
 import numpy as np
 from bench_cli import environment, quartiles
 
-from framekit._kernels import BACKENDS
+from framekit._kernels import PYTHON, VARIANTS
 from framekit.spectral import _MAX_SWEEPS, _ORTHOGONAL_TOL
 
 
@@ -55,24 +57,25 @@ def main():
     parser.add_argument("--json", default=None, help="also write the results to this file")
     args = parser.parse_args()
     shapes = [tuple(int(x) for x in s.split("x")) for s in args.shapes.split(",")]
-    repeats = {"compiled": args.repeats, "python": 1}
+    twins = {**VARIANTS, "numpy": PYTHON}
+    repeats = {name: 1 if name == "numpy" else args.repeats for name in twins}
 
     rng = np.random.default_rng(0)
-    twins = [*BACKENDS, "lapack svd"]
-    print(f"{'k x L':>9} " + " ".join(f"{name:>12}" for name in twins) + f" {'sweeps':>7} bits")
+    columns = [*twins, "lapack svd"]
+    print(f"{'k x L':>9} " + " ".join(f"{name:>12}" for name in columns) + f" {'sweeps':>7} bits")
     results, agree = [], True
     for k, n in shapes:
         base = rng.standard_normal((k, n))
         ms, bits = {}, {}
-        for name, backend in BACKENDS.items():
+        for name, backend in twins.items():
             ms[name], bits[name] = timed(lambda: run_twin(backend, base), repeats[name])
         ms["lapack svd"], _ = timed(lambda: np.linalg.svd(base, full_matrices=False), args.repeats)
         same = len(set(bits.values())) == 1
         agree = agree and same
-        sweeps = bits["python"][3]
+        sweeps = bits["numpy"][3]
         results.append({"shape": f"{k}x{n}", "ms": ms, "sweeps": sweeps, "same": same})
         print(
-            f"{f'{k}x{n}':>9} " + " ".join(f"{ms[name]['median']:>10.2f}ms" for name in twins)
+            f"{f'{k}x{n}':>9} " + " ".join(f"{ms[name]['median']:>10.2f}ms" for name in columns)
             + f" {sweeps:>7} {'same' if same else 'DIFFER'}"
         )
     if args.json:

@@ -20,24 +20,32 @@ lists every one that loaded, for the parity tests and the benchmarks.
 Each backend's ``sampler(rows, count)`` is a scratch allocated once for
 blocks of up to ``rows`` normal streams of ``count`` normals, whose
 ``contract`` draws a block and sums it into KL samples.  The numpy twin's
-runs the row-major reference of ``_sampling_py`` itself.  The compiled
-twin's holds the Box-Muller operands tile-major, a layout no other module
-knows: u1 and the angle words are (tiles, pairs, LANES) arrays whose lane i
-of tile t is stream first + LANES t + i, passed to the kernels by the
-addresses taken when the scratch is made.  The C library holds its sampling
-kernels, Philox's ``philox_split`` and the one kernel that draws normals,
-the fused ``polar_contract``, once per vector ISA: AVX-512 (F and DQ), AVX2
-and the x86-64 baseline where the compiler targets x86-64, the baseline
-alone elsewhere.  The AVX-512 variant runs a tile's 8 streams in the 8 lanes
-of its vectors, the others loop over the lanes, and the AVX2 variant runs
-the baseline's scalar Philox.  The library names the variants this CPU
-runs, the compiled backend takes the widest, once per process, and
-``VARIANTS`` holds a compiled backend for each (widest first; empty when the
-numpy twin runs) for the parity tests and the benchmarks.  The variants give
-the same bits, so samples do not depend on which one runs.  The normals
-themselves are defined by the numpy twin: ``rng.seeded_normals`` computes
-them with ``_sampling_py`` alone, and every variant's Philox matches its
-words and every variant's fused kernel sums its normals bit for bit.
+runs the row-major reference of ``_sampling_py`` itself.  The compiled twin's
+holds the Box-Muller operands tile-major, a layout no other module knows: u1
+and the angle words are (tiles, pairs, LANES) arrays whose lane i of tile t
+is stream first + LANES t + i, passed to the kernels by the addresses taken
+when the scratch is made.  The C library holds its Jacobi kernel,
+``jacobi_rows``, and its sampling kernels, Philox's ``philox_split`` and the
+one kernel that draws normals, the fused ``polar_contract``, once per vector
+ISA: AVX-512 (F and DQ, sampling only), AVX2 and the x86-64 baseline where
+the compiler targets x86-64, the baseline alone elsewhere.  The AVX-512
+variant runs a tile's 8 streams in the 8 lanes of its vectors, the others
+loop over the lanes, and the AVX2 variant runs the baseline's scalar
+Philox.  Jacobi sums each of its dot products in 8 lanes, lane l taking the
+terms j = l (mod 8) in index order, and combines them as
+((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)): in two 4-wide vectors a
+sum on AVX2 and as 8 scalars on the baseline; the AVX-512 variant, which has
+no Jacobi of its own, runs the next variant's (AVX2's).  The library names
+the variants this CPU runs, the compiled backend takes the widest, once per
+process, for its Jacobi and its sampling alike, and ``VARIANTS`` holds a
+compiled backend for each (widest first; empty when the numpy twin runs) for
+the parity tests and the benchmarks.  A library that lacks a kernel the
+loader looks up is not loaded, and the numpy twin runs.  The variants give
+the same bits, so neither spectra nor samples depend on which one runs.  The
+numpy twin defines both: ``_hestenes_py`` the order of the Jacobi sums,
+which every variant matches bit for bit, and ``rng.seeded_normals``, with
+``_sampling_py`` alone, the normals, whose words every variant's Philox
+matches and which every variant's fused kernel sums bit for bit.
 """
 
 from __future__ import annotations
@@ -71,10 +79,12 @@ class Backend(NamedTuple):
     """One twin, a field an entry:
 
     - ``name``: "compiled" or "python".
-    - ``variant``: the vector ISA its sampling kernels were built for,
-      "numpy" for the numpy twin.
+    - ``variant``: the vector ISA its sampling kernels were built for, and
+      its Jacobi too unless the library has none for it; "numpy" for the
+      numpy twin.
     - ``jacobi_rows(a, max_sweeps, tol)``: one-sided Jacobi on the rows of
-      ``a``, returning (squared row norms, rotations, sweeps).
+      ``a``, returning (squared row norms, rotations, sweeps); a compiled
+      variant's is a partial whose argument is its C ``jacobi_rows_<isa>``.
     - ``sampler(rows, count)``: a scratch for blocks of up to ``rows``
       streams of ``count`` normals; its ``contract(seed, first, rows, c_re,
       c_im, out_re, out_im)`` writes the ``kl_contract`` of streams first..
@@ -164,6 +174,15 @@ class _TileSampler:
         fused()
 
 
+def _jacobi_rows(jacobi, a, max_sweeps, tol):
+    """A variant's ``jacobi_rows`` C function, ``jacobi``, on ``a``:
+    (squared row norms, rotations, sweeps)."""
+    k, n = _hestenes_py.check_rows_args(a)
+    v, norms = np.eye(k), np.empty(k)
+    sweeps = jacobi(a, v, norms, k, n, max_sweeps, tol)
+    return norms, v, sweeps
+
+
 #: bytes a compiled ``spell_rows`` call fills at most, unless one row needs more
 _SPELL_CHUNK = 1 << 18
 
@@ -211,24 +230,13 @@ def _build(cc: str, cache: Path) -> Path:
 
 
 def _load(library: Path) -> list[Backend]:
-    """A compiled backend for each sampling variant that this CPU runs,
+    """A compiled backend for each variant that this CPU runs,
     widest first."""
     lib = ctypes.CDLL(str(library))
     # typed pointers make a wrong dtype, rank, layout or a read-only array
     # raise instead of handing C the wrong memory
     matrix = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
     out_vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
-    lib.jacobi_rows.argtypes = [
-        matrix, matrix, out_vector, ctypes.c_long, ctypes.c_long, ctypes.c_int, ctypes.c_double
-    ]
-    lib.jacobi_rows.restype = ctypes.c_int
-
-    def jacobi_rows(a, max_sweeps, tol):
-        k, n = _hestenes_py.check_rows_args(a)
-        v, norms = np.eye(k), np.empty(k)
-        sweeps = lib.jacobi_rows(a, v, norms, k, n, max_sweeps, tol)
-        return norms, v, sweeps
-
     vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     rows_in = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
     lib.kl_contract.argtypes = [
@@ -281,7 +289,21 @@ def _load(library: Path) -> list[Backend]:
     # and checks for each call's vectors, as typed pointers would
     addresses, sizes = [ctypes.c_void_p] * 6, [ctypes.c_long] * 3
 
+    names = lib.sampling_variants().decode().split()
+
     def variant(name):
+        # a variant without a Jacobi of its own (avx512f) runs the next
+        # narrower one's; jacobi_rows_baseline is built everywhere
+        isa = next(
+            (isa for isa in names[names.index(name) :] if hasattr(lib, f"jacobi_rows_{isa}")),
+            "baseline",
+        )
+        jacobi = getattr(lib, f"jacobi_rows_{isa}")
+        jacobi.argtypes = [
+            matrix, matrix, out_vector, ctypes.c_long, ctypes.c_long, ctypes.c_int,
+            ctypes.c_double,
+        ]
+        jacobi.restype = ctypes.c_int
         # a variant without a Philox of its own runs the baseline's
         philox = getattr(lib, f"philox_split_{name}", lib.philox_split)
         philox.argtypes = [ctypes.c_uint64, ctypes.c_uint64, *addresses[:2], *sizes[:2]]
@@ -291,21 +313,23 @@ def _load(library: Path) -> list[Backend]:
         fused.restype = None
 
         return Backend(
-            "compiled", name, jacobi_rows, functools.partial(_TileSampler, philox, fused),
+            "compiled", name, functools.partial(_jacobi_rows, jacobi),
+            functools.partial(_TileSampler, philox, fused),
             kl_contract, spell_rows, scan_frame,
         )
 
-    return [variant(name) for name in lib.sampling_variants().decode().split()]
+    return [variant(name) for name in names]
 
 
 def _select(cc: str, cache: Path) -> tuple[dict, dict, Backend]:
-    """(every backend that loads, a compiled backend for each sampling
-    variant this CPU runs, the backend to run): the C twin built by
+    """(every backend that loads, a compiled backend for each variant this
+    CPU runs, the backend to run): the C twin built by
     ``cc`` into ``cache``, with its widest variant, when that works, the
     numpy twin otherwise."""
     try:
         variants = _load(_build(cc, cache))
-    except OSError:
+    # a library that lacks a kernel counts as one that did not build
+    except (OSError, AttributeError):
         return {"python": PYTHON}, {}, PYTHON
     widest = variants[0]
     return {"python": PYTHON, "compiled": widest}, {v.variant: v for v in variants}, widest

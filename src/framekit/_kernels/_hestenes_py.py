@@ -2,8 +2,19 @@
 
 Twin of the C kernel in ``_hestenes.c``: the same pair order, the same dot
 products summed in the same order and the same rotation formulas, element
-for element.  ``np.add.accumulate`` adds in index order, one rounded add per
-term, as the C loop does.  Keep the two files in sync.
+for element.  Keep the two files in sync.
+
+This twin defines the order of the dot products, which every ISA variant of
+the C kernel (AVX2 and the baseline) matches bit for bit.  The
+products of a row of n terms are summed in 8 lanes: lane l starts at +0.0
+and adds the products of the terms j = l (mod 8) in index order, one rounded
+add a term, and the lanes are combined as ((l0 + l4) + (l2 + l6)) +
+((l1 + l5) + (l3 + l7)).  Here the products are laid out as a (groups + 1,
+8) table whose first row is +0.0 and whose ragged tail is padded with +0.0,
+and ``np.add.accumulate`` adds its rows in order.  So a lane with no term,
+in a row shorter than 8 or past the ragged tail, adds only +0.0 and stays
++0.0; and since a sum that starts at +0.0 is never -0.0, the padding changes
+no bit of a lane it reaches.
 """
 
 from math import sqrt
@@ -14,6 +25,9 @@ import numpy as np
 # with other rows would sum underflowed terms
 _ZERO_ROW = 2.0**-900
 
+# lanes of the dot products
+_LANES = 8
+
 
 def check_rows_args(a):
     """(k, n) of a valid ``jacobi_rows`` array; ValueError otherwise."""
@@ -22,8 +36,21 @@ def check_rows_args(a):
     return a.shape
 
 
-def _index_order_sums(products):
-    return np.add.accumulate(products, axis=1)[:, -1]
+def lane_table(rows, n):
+    """A zeroed table for the products of ``rows`` rows of ``n`` terms:
+    (the (rows, groups + 1, 8) table, the (rows, n) view the products go
+    into, after the first row of +0.0)."""
+    table = np.zeros((rows, -(-n // _LANES) + 1, _LANES))
+    return table, table.reshape(rows, -1)[:, _LANES : _LANES + n]
+
+
+def lane_sums(table):
+    """The sum of each row of products in ``table`` as a list of floats,
+    lane by lane and then ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7))."""
+    return [
+        ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7))
+        for l0, l1, l2, l3, l4, l5, l6, l7 in np.add.accumulate(table, axis=1)[:, -1].tolist()
+    ]
 
 
 def jacobi_rows(a, max_sweeps, tol):
@@ -40,16 +67,18 @@ def jacobi_rows(a, max_sweeps, tol):
     """
     k, n = check_rows_args(a)
     v = np.eye(k)
-    products = np.empty((3, n))
+    table, products = lane_table(3, n)
+    squares, cross = products[:2], products[2]
     sweeps, rotated = 0, True
     while rotated and sweeps <= max_sweeps:
         rotated = False
         for p in range(k - 1):
             for q in range(p + 1, k):
-                np.multiply(a[p], a[p], out=products[0])
-                np.multiply(a[q], a[q], out=products[1])
-                np.multiply(a[p], a[q], out=products[2])
-                app, aqq, apq = _index_order_sums(products).tolist()
+                # rows p and q as one (2, n) view, squared in one call
+                pair = a[p : q + 1 : q - p]
+                np.multiply(pair, pair, out=squares)
+                np.multiply(a[p], a[q], out=cross)
+                app, aqq, apq = lane_sums(table)
                 big = app >= _ZERO_ROW and aqq >= _ZERO_ROW
                 if not (big and abs(apq) > tol * sqrt(app) * sqrt(aqq)):
                     continue
@@ -64,4 +93,6 @@ def jacobi_rows(a, max_sweeps, tol):
                     rows[q] = s * x + c * y
                 rotated = True
         sweeps += rotated
-    return _index_order_sums(a * a), v, sweeps
+    table, products = lane_table(k, n)
+    np.multiply(a, a, out=products)
+    return np.array(lane_sums(table)), v, sweeps

@@ -415,9 +415,10 @@ AVX512 void polar_contract_avx512f(const double *ln_u1, const uint64_t *k, const
 }
 #endif
 
-/* the variants this CPU runs, widest first, separated by spaces; avx512f
- * needs AVX-512DQ as well, for its conversions between 64-bit integers and
- * doubles */
+/* the variants this CPU runs, widest first, separated by spaces, which name
+ * the jacobi_rows_<isa> of _hestenes.c as well (a variant without one runs
+ * the next one's that exists); avx512f needs AVX-512DQ as well, for its
+ * conversions between 64-bit integers and doubles */
 const char *sampling_variants(void)
 {
 #ifdef ISA_DISPATCH

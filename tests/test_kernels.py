@@ -23,7 +23,7 @@ from hypothesis.extra import numpy as hnp
 import framekit
 from framekit import FrameSystem, Grid, gp, rng, row_svd
 from framekit import _kernels
-from framekit._kernels import BACKENDS, LANES, VARIANTS, _sampling_py
+from framekit._kernels import BACKENDS, LANES, VARIANTS, _hestenes_py, _sampling_py
 from framekit.spectral import _MAX_SWEEPS, _ORTHOGONAL_TOL
 from oracles import CANARY, from_tiles, fused_normals, to_tiles
 
@@ -33,19 +33,28 @@ needs_cc = pytest.mark.skipif(CC is None, reason="no C compiler")
 
 def factor(k, n, seed, kind, e):
     """2**e times k rows of length n: dense, with exact zeros and zero rows,
-    with each singular value repeated three times, or each row listed twice."""
+    with zeros of both signs and a row of -0.0, with each singular value
+    repeated three times, or each row listed twice."""
     r = np.random.default_rng(seed)
     x = r.standard_normal((k, n))
     if kind == "zeros":
         x[r.random((k, n)) < 0.5] = 0.0
         x[r.random(k) < 0.3] = 0.0
+    elif kind == "signed zeros":
+        zero = r.random((k, n)) < 0.5
+        x[zero] = np.copysign(0.0, x[zero])
+        x[r.integers(k)] = -0.0
     elif kind == "repeated":
-        left, _ = np.linalg.qr(r.standard_normal((k, k)))
-        right, _ = np.linalg.qr(r.standard_normal((n, k)))
-        x = (left * np.repeat(r.standard_normal(k), 3)[:k]) @ right.T
+        m = min(k, n)
+        left, _ = np.linalg.qr(r.standard_normal((k, m)))
+        right, _ = np.linalg.qr(r.standard_normal((n, m)))
+        x = (left * np.repeat(r.standard_normal(k), 3)[:m]) @ right.T
     elif kind == "duplicated":
         x = np.repeat(x[: (k + 1) // 2], 2, axis=0)[:k]
     return np.ldexp(x, e)
+
+
+KINDS = ["dense", "zeros", "signed zeros", "repeated", "duplicated"]
 
 
 def run(backend, base):
@@ -122,23 +131,56 @@ def fake_compiler(tmp_path, body):
     return str(script)
 
 
-@pytest.mark.skipif("compiled" not in BACKENDS, reason="C twin not loaded")
+def every_tail(test):
+    """``test`` with an example at each row length 1..17: rows shorter than
+    the 8 lanes of the dot products and every length of their ragged tail,
+    each kind of rows and the scales 2**-200, 1 and 2**200 in turn."""
+    for n in range(1, 18):
+        test = example(k=1 + n % 6, n=n, seed=n, kind=KINDS[n % 5], e=(-200, 0, 200)[n % 3])(test)
+    return test
+
+
+@pytest.mark.skipif(not VARIANTS, reason="C twin not loaded")
 @settings(max_examples=60, deadline=None, database=None)
 @given(
     k=st.integers(min_value=1, max_value=20),
-    extra=st.integers(min_value=0, max_value=6),
+    n=st.integers(min_value=1, max_value=40),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    kind=st.sampled_from(["dense", "zeros", "repeated", "duplicated"]),
+    kind=st.sampled_from(KINDS),
     e=st.integers(min_value=-200, max_value=200),
 )
-@example(k=1, extra=0, seed=0, kind="dense", e=0)
-@example(k=12, extra=3, seed=1, kind="repeated", e=0)
-@example(k=12, extra=0, seed=1, kind="zeros", e=-200)
-@example(k=20, extra=6, seed=2, kind="duplicated", e=200)
-def test_twins_agree_bit_for_bit(k, extra, seed, kind, e):
-    # squared norms, rotated rows, rotations and the sweep count
-    base = factor(k, k + extra, seed, kind, e)
-    assert run(BACKENDS["compiled"], base) == run(BACKENDS["python"], base)
+@every_tail
+@example(k=1, n=1, seed=0, kind="dense", e=0)
+@example(k=12, n=15, seed=1, kind="repeated", e=0)
+@example(k=12, n=12, seed=1, kind="zeros", e=-200)
+@example(k=20, n=26, seed=2, kind="duplicated", e=200)
+@example(k=9, n=17, seed=3, kind="signed zeros", e=0)
+def test_twins_agree_bit_for_bit(k, n, seed, kind, e):
+    # squared norms, rotated rows, rotations and the sweep count, of every
+    # variant against the numpy twin
+    base = factor(k, n, seed, kind, e)
+    expected = run(BACKENDS["python"], base)
+    for name, variant in VARIANTS.items():
+        assert run(variant, base) == expected, name
+
+
+def test_lane_sums_follow_the_lane_order():
+    # the numpy twin's sums against the order written out term by term, on
+    # rows that end in every lane, with signed zeros and terms that cancel
+    r = np.random.default_rng(4)
+    for n in range(1, 26):
+        products = r.standard_normal((3, n)) * 2.0 ** r.integers(-60, 60, (3, n))
+        products[1, ::3] = -0.0
+        products[2] = -0.0
+        table, view = _hestenes_py.lane_table(3, n)
+        view[...] = products
+        for row, got in zip(products, _hestenes_py.lane_sums(table)):
+            lanes = [0.0] * 8
+            for j, term in enumerate(row.tolist()):
+                lanes[j % 8] = lanes[j % 8] + term
+            l0, l1, l2, l3, l4, l5, l6, l7 = lanes
+            want = ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (n, row)
 
 
 #: Philox words at the octant edges of the angle: (j 2**61) >> 11 = j 2**50,
@@ -606,6 +648,19 @@ def test_failed_build_keeps_the_numpy_twin(tmp_path, monkeypatch, failure):
 
 
 @needs_cc
+def test_a_library_without_a_kernel_keeps_the_numpy_twin(tmp_path):
+    # a build that lacks a kernel the loader looks up, here every Jacobi,
+    # loads as no library rather than failing the import
+    cc = fake_compiler(
+        tmp_path,
+        'for arg; do shift; case "$arg" in *_hestenes.c) ;; *) set -- "$@" "$arg" ;; esac; done\n'
+        f'exec "{CC}" "$@"',
+    )
+    backends, variants, active = _kernels._select(cc, tmp_path / "cache")
+    assert active is _kernels.PYTHON and list(backends) == ["python"] and variants == {}
+
+
+@needs_cc
 def test_concurrent_first_builds(tmp_path):
     # three processes build into one empty cache at once; each loads a whole
     # library and one file remains
@@ -653,6 +708,13 @@ def test_the_widest_variant_the_cpu_allows_runs():
         widest = "avx2" if "avx2" in flags else "baseline"
     assert _kernels.ACTIVE.variant == widest
     assert list(VARIANTS)[0] == widest
+    # each variant runs the Jacobi built for its ISA, but the AVX-512
+    # variant, which has none of its own, runs the next variant's
+    names = list(VARIANTS)
+    for i, (name, variant) in enumerate(VARIANTS.items()):
+        own = names[i + 1] if name == "avx512f" else name
+        assert variant.jacobi_rows.args[0].__name__ == f"jacobi_rows_{own}"
+    assert _kernels.ACTIVE.jacobi_rows is VARIANTS[widest].jacobi_rows
 
 
 @needs_cc
@@ -677,7 +739,7 @@ def test_sources_build_without_the_isa_dispatch(tmp_path):
     sources = []
     for path in _kernels._SOURCES:
         text = path.read_text()
-        if path.name == "_sampling.c":
+        if path.name in ("_sampling.c", "_hestenes.c"):
             assert text.count(guard) == 1
             text = text.replace(guard, "")
         sources.append(tmp_path / path.name)
@@ -695,6 +757,8 @@ def test_sources_build_without_the_isa_dispatch(tmp_path):
     assert [v.variant for v in variants] == ["baseline"]
     words = philox_words(5, 9 * 52).reshape(9, 52)
     assert sample(variants[0], words, 51) == reference(words, 51)
+    base = factor(9, 21, 6, "dense", 0)
+    assert run(variants[0], base) == run(BACKENDS["python"], base)
 
 
 #: run under the sanitizers with the path of a library built from
@@ -749,7 +813,8 @@ def sanitized_library(tmp_path, source):
     library = tmp_path / (Path(source).stem + "-sanitized.so")
     subprocess.run(
         [CC, "-O1", "-g", "-fno-omit-frame-pointer", "-fsanitize=address,undefined",
-         "-fno-sanitize-recover=all", "-fPIC", "-shared", "-o", str(library), str(source)],
+         "-fno-sanitize-recover=all", "-ffp-contract=off", "-fPIC", "-shared", "-o",
+         str(library), str(source)],
         check=True,
         capture_output=True,
         timeout=120,
@@ -800,6 +865,73 @@ def test_sampling_under_address_and_undefined_sanitizers(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     names = proc.stdout.split()
     assert names == list(VARIANTS) or (not VARIANTS and names)
+    for case in cases:
+        for name in names:
+            assert (tmp_path / f"{case}-{name}").read_bytes() == expected[case], (case, name)
+
+
+#: run under the sanitizers with the path of a library built from
+#: _hestenes.c, a folder, the variants to run, separated by commas, the
+#: sweep limit, the tolerance and cases "KxN": every
+#: variant's jacobi_rows on the k x n rows read from the folder, each array
+#: in a heap buffer of exactly its size from malloc, so that a tail load past
+#: the end of the last row reads a redzone; the squared norms, the rotated
+#: rows, the rotations and the sweep count (8 bytes) written to the folder;
+#: no numpy
+SANITIZED_JACOBI = """
+import ctypes, sys
+lib, libc = ctypes.CDLL(sys.argv[1]), ctypes.CDLL(None)
+libc.malloc.restype, libc.malloc.argtypes = ctypes.c_void_p, [ctypes.c_size_t]
+libc.free.argtypes = [ctypes.c_void_p]
+real = ctypes.c_double
+for case in sys.argv[6:]:
+    k, n = map(int, case.split("x"))
+    with open(f"{sys.argv[2]}/{case}-a", "rb") as fh:
+        rows = fh.read()
+    eye = bytes((real * (k * k))(*[float(i % (k + 1) == 0) for i in range(k * k)]))
+    for name in sys.argv[3].split(","):
+        jacobi = getattr(lib, "jacobi_rows_" + name)
+        jacobi.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_long] * 2 + [ctypes.c_int, real]
+        a, v, norms = (libc.malloc(8 * size) for size in (k * n, k * k, k))
+        ctypes.memmove(a, rows, len(rows))
+        ctypes.memmove(v, eye, len(eye))
+        sweeps = jacobi(a, v, norms, k, n, int(sys.argv[4]), float(sys.argv[5]))
+        with open(f"{sys.argv[2]}/{case}-{name}", "wb") as fh:
+            fh.write(ctypes.string_at(norms, 8 * k) + ctypes.string_at(a, 8 * k * n)
+                     + ctypes.string_at(v, 8 * k * k) + sweeps.to_bytes(8, "little"))
+        for buffer in (a, v, norms):
+            libc.free(buffer)
+"""
+
+
+@needs_cc
+def test_jacobi_under_address_and_undefined_sanitizers(tmp_path):
+    # every variant's jacobi_rows on rows shorter than the 8 lanes, of a
+    # whole number of lanes and with every short tail, one row alone among
+    # them; the masked 4-wide tail loads must stay inside each row
+    library, libasan = sanitized_library(tmp_path, Path(_kernels.__file__).with_name("_hestenes.c"))
+    names = sorted(
+        {v.jacobi_rows.args[0].__name__.removeprefix("jacobi_rows_") for v in VARIANTS.values()}
+    ) or ["baseline"]
+    cases, expected = [], {}
+    for k, n in [(1, 1), (3, 1), (1, 7), (4, 7), (3, 8), (5, 9), (1, 15), (2, 15), (6, 17),
+                 (1, 63), (7, 63)]:
+        case = f"{k}x{n}"
+        base = factor(k, n, n, KINDS[k % 5], 0)
+        (tmp_path / f"{case}-a").write_bytes(base.tobytes())
+        squares, rows, v, sweeps = run(BACKENDS["python"], base)
+        cases.append(case)
+        expected[case] = squares + rows + v + sweeps.to_bytes(8, "little")
+    proc = subprocess.run(
+        [sys.executable, "-c", SANITIZED_JACOBI, str(library), str(tmp_path), ",".join(names),
+         str(_MAX_SWEEPS), repr(_ORTHOGONAL_TOL), *cases],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0",
+             "PYTHONMALLOC": "malloc"},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
     for case in cases:
         for name in names:
             assert (tmp_path / f"{case}-{name}").read_bytes() == expected[case], (case, name)
