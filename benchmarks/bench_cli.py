@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time the CLI's per-call costs that are not numerics, for each twin.
 
-For each size n and each backend that loaded (``python``, ``compiled``), it
+For each size n, on the numpy twin (``numpy``) and on each compiled variant
+that loaded (``avx512f``, ``avx2``, ``baseline``), it
 times ``write_kernel_file`` of an n x n kernel to a temporary file and
 ``parse_frame_file`` of a written n x n frame (n vectors on n points), and
 prints the median milliseconds per call over ``--repeats`` calls.  It also
@@ -71,7 +72,7 @@ def environment():
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
         "jacobi_backend": jacobi_backend(),
-        "backends": sorted(_kernels.BACKENDS),
+        "backends": ["numpy", *_kernels.VARIANTS],
         "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
     }
 
@@ -98,7 +99,7 @@ def main():
             kernel = rkhs.KernelMatrix(grid=grid, factor=factor)
             fs = frames.FrameSystem(grid=grid, vectors=rng.standard_normal((n, n)))
             expected = '{"matrix": ' + per_element(kernel.values) + ', "kind": "rkhs", "rank_tol": 1e-10}\n'
-            for name, backend in _kernels.BACKENDS.items():
+            for name, backend in {"numpy": _kernels.PYTHON, **_kernels.VARIANTS}.items():
                 _kernels.ACTIVE = backend
                 kernel_path = os.path.join(tmp, f"kernel-{n}-{name}.json")
                 frame_path = os.path.join(tmp, f"frame-{n}-{name}.json")

@@ -11,18 +11,19 @@ one thread, as a sample_kl worker runs them.  The numpy twin has one stage,
 its scratch's whole ``contract`` (Philox, log, the reference radius and
 angle and the KL contraction).  A compiled variant has three, run through
 its scratch's ``split`` and ``fuse``: the Philox words split into u1 and the
-angle words (the variant's ``philox_split``; ``compiled/avx2`` runs the
-baseline's), numpy's log in place on u1, and the radius and angle fused
-with the KL contraction (the variant's ``polar_contract``), its vectors
-checked before the clock starts.  Then it prints the whole ``sample_kl``
-with one worker and with one worker per usable CPU, the per-block call
-overhead (``sample_kl`` on one worker minus the sum of the active
-backend's stages, per block: the checks, the thread pool and the Python
-between the kernels), and the minor page faults per block, once warm, of
-each draw loop in this thread and of ``sample_kl`` on one worker.  It
-checks that every twin and variant, and one and all workers, give the same
-sample bytes, and exits 1 if they do not.  ``--json PATH`` also writes the
-medians and quartiles, with the environment, as JSON.
+angle words (the variant's ``philox_split_<v>``; ``compiled/avx2``'s is the
+baseline's code), numpy's log in place on u1, and the radius and angle
+fused with the KL contraction (the variant's ``polar_contract_<v>``); each
+stage includes its own checks, so the fused one includes those of the
+block's four vectors, a few microseconds a block, as ``contract`` makes
+them.  Then it prints the whole ``sample_kl`` with one worker and with one
+worker per usable CPU, the per-block call overhead (``sample_kl`` on one
+worker minus the sum of the active backend's stages, per block: the thread
+pool and the Python between the kernels), and the minor page faults per
+block, once warm, of each draw loop in this thread and of ``sample_kl`` on
+one worker.  It checks that every twin and variant, and one and all
+workers, give the same sample bytes, and exits 1 if they do not.  ``--json
+PATH`` also writes the medians and quartiles, with the environment, as JSON.
 
     PYTHONPATH=src python3 benchmarks/bench_sampling.py [--samples 200000] [--vectors 50] [--repeats 5] [--json PATH]
 """
@@ -96,13 +97,12 @@ def main():
             else:
                 tiles = -(-block[0] // LANES)
                 u1 = scratch.u1[:tiles]
-                fused = scratch.fuse(*block)
                 t0 = perf_counter()
                 scratch.split(seed, first, tiles)
                 t1 = perf_counter()
                 np.log(u1, out=u1)
                 t2 = perf_counter()
-                fused()
+                scratch.fuse(*block)
                 t3 = perf_counter()
                 times = dict(zip(STAGES, (t1 - t0, t2 - t1, t3 - t2)))
             for stage, dt in times.items():
@@ -139,10 +139,8 @@ def main():
         "1 worker": timed_ms(lambda: sample(1), args.repeats),
         f"{cpus} workers": timed_ms(lambda: sample(cpus), args.repeats),
     }
-    faults[f"sample_kl 1 worker, {active.name}/{active.variant}"] = faults_per_block(
-        lambda: sample(1)
-    )
     own = "python" if active is _kernels.PYTHON else f"compiled/{active.variant}"
+    faults[f"sample_kl 1 worker, {own}"] = faults_per_block(lambda: sample(1))
     stage_sum = sum(q["median"] for q in stage_ms[own].values())
     overhead_us = (sample_ms["1 worker"]["median"] - stage_sum) * 1e3 / len(firsts)
 
@@ -159,7 +157,7 @@ def main():
     for name, per_block in faults.items():
         print(f"{name:>45} {per_block:>10.1f}")
     runs = [(f"{name}, 1 worker", sample(1, b)) for name, b in twins.items()]
-    runs.append((f"{active.name}/{active.variant}, {cpus} workers", sample(cpus)))
+    runs.append((f"{own}, {cpus} workers", sample(cpus)))
     first = runs[0][1]
     same = all(
         re.tobytes() == first[0].tobytes() and im.tobytes() == first[1].tobytes()

@@ -11,41 +11,27 @@ outside the one frame layout, and the JSON walk in ``framekit.cli`` reads
 what they decline.  Nothing is built at install time: the first import
 compiles the C sources with ``cc`` into one library in this package's
 ``__pycache__/``, under a name keyed by a hash of the sources and the flags,
-and later imports load that file.  Without a compiler, when the build fails
-or when the directory is not writable, the Python twins run.  ``ACTIVE`` is
-the backend ``spectral.row_svd``, ``rng.NormalScratch``, the fixed-order
-sums of ``gp`` and the file reader and writers of ``cli`` run; ``BACKENDS``
-lists every one that loaded, for the parity tests and the benchmarks.
+and later imports load that file.
+
+The library builds its Jacobi and sampling kernels once per vector ISA:
+AVX-512 (F and DQ), AVX2 and the baseline where the compiler targets
+x86-64, the baseline alone elsewhere.  Every variant v that its
+``variants()`` names for this CPU, widest first, exports the same kernel
+set: ``jacobi_rows_<v>``, ``philox_split_<v>`` and ``polar_contract_<v>``.
+``VARIANTS`` holds a compiled backend for each, and ``ACTIVE``, the backend
+the package runs, is the widest.  Without a compiler, when the build fails,
+when the directory is not writable or when the library lacks a kernel,
+``VARIANTS`` is empty and ``ACTIVE`` is ``PYTHON``, the numpy twin.  The
+numpy twin defines the bits, which every variant matches: ``_hestenes_py``
+the order of the Jacobi sums, ``_sampling_py`` the normals.
 
 Each backend's ``sampler(rows, count)`` is a scratch allocated once for
-blocks of up to ``rows`` normal streams of ``count`` normals, whose
-``contract`` draws a block and sums it into KL samples.  The numpy twin's
-runs the row-major reference of ``_sampling_py`` itself.  The compiled twin's
-holds the Box-Muller operands tile-major, a layout no other module knows: u1
-and the angle words are (tiles, pairs, LANES) arrays whose lane i of tile t
-is stream first + LANES t + i, passed to the kernels by the addresses taken
-when the scratch is made.  The C library holds its Jacobi kernel,
-``jacobi_rows``, and its sampling kernels, Philox's ``philox_split`` and the
-one kernel that draws normals, the fused ``polar_contract``, once per vector
-ISA: AVX-512 (F and DQ, sampling only), AVX2 and the x86-64 baseline where
-the compiler targets x86-64, the baseline alone elsewhere.  The AVX-512
-variant runs a tile's 8 streams in the 8 lanes of its vectors, the others
-loop over the lanes, and the AVX2 variant runs the baseline's scalar
-Philox.  Jacobi sums each of its dot products in 8 lanes, lane l taking the
-terms j = l (mod 8) in index order, and combines them as
-((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)): in two 4-wide vectors a
-sum on AVX2 and as 8 scalars on the baseline; the AVX-512 variant, which has
-no Jacobi of its own, runs the next variant's (AVX2's).  The library names
-the variants this CPU runs, the compiled backend takes the widest, once per
-process, for its Jacobi and its sampling alike, and ``VARIANTS`` holds a
-compiled backend for each (widest first; empty when the numpy twin runs) for
-the parity tests and the benchmarks.  A library that lacks a kernel the
-loader looks up is not loaded, and the numpy twin runs.  The variants give
-the same bits, so neither spectra nor samples depend on which one runs.  The
-numpy twin defines both: ``_hestenes_py`` the order of the Jacobi sums,
-which every variant matches bit for bit, and ``rng.seeded_normals``, with
-``_sampling_py`` alone, the normals, whose words every variant's Philox
-matches and which every variant's fused kernel sums bit for bit.
+blocks of normal streams, whose ``contract`` draws a block and sums it into
+KL samples.  The numpy twin's runs the row-major reference of
+``_sampling_py``.  The compiled twin's holds the Box-Muller operands
+tile-major, a layout no other module knows: u1 and the angle words are
+(tiles, pairs, LANES) arrays whose lane i of tile t is stream
+first + LANES t + i, passed to the kernels by address.
 """
 
 from __future__ import annotations
@@ -78,21 +64,20 @@ LANES = 8
 class Backend(NamedTuple):
     """One twin, a field an entry:
 
-    - ``name``: "compiled" or "python".
-    - ``variant``: the vector ISA its sampling kernels were built for, and
-      its Jacobi too unless the library has none for it; "numpy" for the
-      numpy twin.
+    - ``variant``: "numpy" for the numpy twin, else the vector ISA v whose
+      kernel set the compiled twin runs.
     - ``jacobi_rows(a, max_sweeps, tol)``: one-sided Jacobi on the rows of
-      ``a``, returning (squared row norms, rotations, sweeps); a compiled
-      variant's is a partial whose argument is its C ``jacobi_rows_<isa>``.
+      ``a``, returning (squared row norms, rotations, sweeps); a variant's
+      is a partial of its C ``jacobi_rows_<v>``.
     - ``sampler(rows, count)``: a scratch for blocks of up to ``rows``
       streams of ``count`` normals; its ``contract(seed, first, rows, c_re,
       c_im, out_re, out_im)`` writes the ``kl_contract`` of streams first..
-      of ``seed`` into ``out_re`` and ``out_im``, never writing the normals
-      out; before any kernel runs it refuses with ValueError vectors that
-      are not C-contiguous float64 of ``count`` or ``rows`` entries (the
-      outputs writeable), a block of no streams or of more than the scratch
-      holds, and a seed or first stream outside [0, 2**64).
+      of ``seed`` into ``out_re`` and ``out_im``; before any kernel runs it
+      refuses with ValueError vectors that are not C-contiguous float64 of
+      ``count`` or ``rows`` entries (the outputs writeable), a block of no
+      streams or of more than the scratch holds, and a seed or first stream
+      outside [0, 2**64).  A variant's is a partial of its C
+      ``philox_split_<v>`` and ``polar_contract_<v>``.
     - ``kl_contract(x, c_re, c_im, out_re, out_im)``: the fixed-order sums of
       ``sample_kl``, ``kl_coefficients`` and ``fourier_at_atoms``.
     - ``spell_rows(table)``: the rows of a 2-D float table as ASCII bytes
@@ -103,7 +88,6 @@ class Backend(NamedTuple):
       to the JSON walk.
     """
 
-    name: str
     variant: str
     jacobi_rows: Callable
     sampler: Callable
@@ -113,7 +97,6 @@ class Backend(NamedTuple):
 
 
 PYTHON = Backend(
-    "python",
     "numpy",
     _hestenes_py.jacobi_rows,
     _sampling_py.Sampler,
@@ -126,9 +109,9 @@ PYTHON = Backend(
 class _TileSampler:
     """The compiled twin's scratch for blocks of up to ``rows`` streams of
     ``count`` normals: ``u1`` (then ln u1) and the angle words ``k`` as
-    tile-major (tiles, pairs, LANES) arrays, allocated once and passed to
-    ``philox``, a variant's ``philox_split``, and ``fused``, its
-    ``polar_contract``, by address.  A block whose rows are not a multiple
+    tile-major (tiles, pairs, LANES) arrays, allocated once and passed by
+    address to ``philox`` and ``fused``, a variant's ``philox_split_<v>``
+    and ``polar_contract_<v>``.  A block whose rows are not a multiple
     of LANES pads its last tile: its spare lanes are drawn (the streams that
     follow the block) but no sum of them is written."""
 
@@ -151,31 +134,30 @@ class _TileSampler:
         self._philox(seed, first, *self._at, tiles, self._pairs)
 
     def fuse(self, rows, c_re, c_im, out_re, out_im):
-        """The call that runs the fused kernel on the tiles of ``rows``
-        streams into ``out_re`` and ``out_im``, its vectors checked now."""
+        """The fused kernel on the tiles of ``rows`` streams into ``out_re``
+        and ``out_im``; ValueError, before it runs, for vectors
+        ``check_block_args`` refuses."""
         at = _sampling_py.check_block_args(
             self.rows, self.count, rows, c_re, c_im, out_re, out_im
         )
-
-        # the call holds the vectors whose addresses it passes, so that they
-        # outlive them
-        def run(vectors=(c_re, c_im, out_re, out_im)):
-            self._fused(*self._at, *at, rows, self._pairs, self.count)
-
-        return run
+        self._fused(*self._at, *at, rows, self._pairs, self.count)
 
     def contract(self, seed, first, rows, c_re, c_im, out_re, out_im):
-        """Philox, ln in place on u1 and the fused kernel on a block."""
-        fused = self.fuse(rows, c_re, c_im, out_re, out_im)
+        """Philox, ln in place on u1 and the fused kernel on a block, every
+        argument checked before Philox runs."""
+        at = _sampling_py.check_block_args(
+            self.rows, self.count, rows, c_re, c_im, out_re, out_im
+        )
+        _sampling_py.check_seed(seed, first)
         tiles = -(-rows // LANES)
-        self.split(seed, first, tiles)
+        self._philox(seed, first, *self._at, tiles, self._pairs)
         u1 = self.u1[:tiles]
         np.log(u1, out=u1)
-        fused()
+        self._fused(*self._at, *at, rows, self._pairs, self.count)
 
 
 def _jacobi_rows(jacobi, a, max_sweeps, tol):
-    """A variant's ``jacobi_rows`` C function, ``jacobi``, on ``a``:
+    """A variant's C ``jacobi_rows_<v>``, ``jacobi``, on ``a``:
     (squared row norms, rotations, sweeps)."""
     k, n = _hestenes_py.check_rows_args(a)
     v, norms = np.eye(k), np.empty(k)
@@ -283,29 +265,20 @@ def _load(library: Path) -> list[Backend]:
             return None
         return points, weights, vectors
 
-    lib.sampling_variants.argtypes = []
-    lib.sampling_variants.restype = ctypes.c_char_p
+    lib.variants.argtypes = []
+    lib.variants.restype = ctypes.c_char_p
     # the sampling kernels take bare addresses, which the scratch holds
     # and checks for each call's vectors, as typed pointers would
     addresses, sizes = [ctypes.c_void_p] * 6, [ctypes.c_long] * 3
 
-    names = lib.sampling_variants().decode().split()
-
     def variant(name):
-        # a variant without a Jacobi of its own (avx512f) runs the next
-        # narrower one's; jacobi_rows_baseline is built everywhere
-        isa = next(
-            (isa for isa in names[names.index(name) :] if hasattr(lib, f"jacobi_rows_{isa}")),
-            "baseline",
-        )
-        jacobi = getattr(lib, f"jacobi_rows_{isa}")
+        jacobi = getattr(lib, f"jacobi_rows_{name}")
         jacobi.argtypes = [
             matrix, matrix, out_vector, ctypes.c_long, ctypes.c_long, ctypes.c_int,
             ctypes.c_double,
         ]
         jacobi.restype = ctypes.c_int
-        # a variant without a Philox of its own runs the baseline's
-        philox = getattr(lib, f"philox_split_{name}", lib.philox_split)
+        philox = getattr(lib, f"philox_split_{name}")
         philox.argtypes = [ctypes.c_uint64, ctypes.c_uint64, *addresses[:2], *sizes[:2]]
         philox.restype = None
         fused = getattr(lib, f"polar_contract_{name}")
@@ -313,26 +286,24 @@ def _load(library: Path) -> list[Backend]:
         fused.restype = None
 
         return Backend(
-            "compiled", name, functools.partial(_jacobi_rows, jacobi),
+            name, functools.partial(_jacobi_rows, jacobi),
             functools.partial(_TileSampler, philox, fused),
             kl_contract, spell_rows, scan_frame,
         )
 
-    return [variant(name) for name in names]
+    return [variant(name) for name in lib.variants().decode().split()]
 
 
-def _select(cc: str, cache: Path) -> tuple[dict, dict, Backend]:
-    """(every backend that loads, a compiled backend for each variant this
-    CPU runs, the backend to run): the C twin built by
-    ``cc`` into ``cache``, with its widest variant, when that works, the
-    numpy twin otherwise."""
+def _select(cc: str, cache: Path) -> tuple[dict, Backend]:
+    """(a compiled backend for each variant this CPU runs, widest first, the
+    backend to run): the C twin built by ``cc`` into ``cache``, with its
+    widest variant, when that works, the numpy twin otherwise."""
     try:
         variants = _load(_build(cc, cache))
     # a library that lacks a kernel counts as one that did not build
     except (OSError, AttributeError):
-        return {"python": PYTHON}, {}, PYTHON
-    widest = variants[0]
-    return {"python": PYTHON, "compiled": widest}, {v.variant: v for v in variants}, widest
+        return {}, PYTHON
+    return {v.variant: v for v in variants}, variants[0]
 
 
-BACKENDS, VARIANTS, ACTIVE = _select("cc", Path(__file__).with_name("__pycache__"))
+VARIANTS, ACTIVE = _select("cc", Path(__file__).with_name("__pycache__"))

@@ -15,17 +15,13 @@
  * bit).  Eight independent chains of adds keep the vector unit busy where
  * one chain in index order would wait on the latency of each add.
  *
- * jacobi_rows is built once per vector ISA, as the kernels of _sampling.c
- * are: for AVX2 (two 4-wide accumulators a sum, lanes 0-3 and 4-7) where the
- * compiler targets x86-64 (GCC or Clang), and for the baseline everywhere,
- * whose sums run the same lanes as scalars.  The exported jacobi_rows_<isa>
- * are named after the sampling variants, and a sampling variant with no
- * jacobi_rows of its own (avx512f) runs the next narrower one's (avx2): on
- * the workloads' small rows an 8-wide AVX-512 sum was no faster than AVX2's
- * two 4-wide ones.  The ISA_DISPATCH guard below must stay the same as
- * _sampling.c's, so that the two files build their ISA variants for the same
- * targets.  With no FMA and every sum in the same order the variants give
- * the same bits.
+ * Every variant v that variants() of _sampling.c names exports
+ * jacobi_rows_<v>, so the ISA_DISPATCH guard below must stay the same as
+ * _sampling.c's.  The baseline sums its lanes as scalars, AVX2 in two
+ * 4-wide accumulators a sum (lanes 0-3 and 4-7), and avx512f runs AVX2's
+ * code under its own name: an 8-wide AVX-512 sum was no faster on the
+ * workloads' small rows.  With no FMA and every sum in the same order the
+ * variants give the same bits.
  */
 #include <math.h>
 
@@ -119,16 +115,16 @@ BODY int jacobi_sweeps(double *a, double *v, double *norms, long k, long n, int 
     return sweeps;
 }
 
-/* the exported jacobi_rows_<isa>, summing with dots_<isa> and compiled with
- * the attributes that follow the name */
-#define JACOBI_ROWS(isa, ...)                                                          \
+/* the exported jacobi_rows_<isa>, summing with dots and compiled with the
+ * attributes that follow it */
+#define JACOBI_ROWS(isa, dots, ...)                                                    \
     __VA_ARGS__ int jacobi_rows_##isa(double *a, double *v, double *norms, long k,    \
                                       long n, int max_sweeps, double tol)             \
     {                                                                                  \
-        return jacobi_sweeps(a, v, norms, k, n, max_sweeps, tol, dots_##isa);         \
+        return jacobi_sweeps(a, v, norms, k, n, max_sweeps, tol, dots);               \
     }
 
-JACOBI_ROWS(baseline)
+JACOBI_ROWS(baseline, dots_baseline)
 
 #ifdef ISA_DISPATCH
 #define AVX2 __attribute__((target("avx2")))
@@ -174,5 +170,6 @@ AVX2 BODY void dots_avx2(const double *x, const double *y, long n, double s[3])
     s[2] = lane_tree4(xy[0], xy[1]);
 }
 
-JACOBI_ROWS(avx2, AVX2)
+JACOBI_ROWS(avx2, dots_avx2, AVX2)
+JACOBI_ROWS(avx512f, dots_avx2, AVX2)
 #endif

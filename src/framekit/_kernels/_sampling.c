@@ -13,24 +13,18 @@
  * the angle words k are (tiles, pairs, LANES) arrays, and lane i of tile t
  * is stream first + LANES t + i, so that one pair of 8 streams is 8 doubles
  * in a row.  The compiled scratch of _kernels/__init__.py allocates them
- * once and passes their addresses.  philox_split fills whole tiles;
- * polar_contract reads the tiles of its rows and writes the sums of the
+ * once and passes their addresses.  philox_split_<v> fills whole tiles;
+ * polar_contract_<v> reads the tiles of its rows and writes the sums of the
  * rows alone, never of the spare lanes that pad the last tile.
  *
- * Both are built once per vector ISA: for AVX-512 (F and DQ) and for AVX2
- * where the compiler targets x86-64 (GCC or Clang), and for the baseline
- * everywhere.  The AVX-512 variant runs 8 streams a vector, one a 64-bit
- * lane, in intrinsics: its Philox draws one counter block of each of a
- * tile's 8 streams at once, so each output word is a vector of 8 streams,
- * stored whole; its polar_contract forms the normals of a pair of 8 streams
- * as vectors and sums them into the lanes.  The baseline and AVX2 variants
- * run the same layout from loops over the lanes (the AVX2 variant runs the
- * baseline's Philox, which neither the same code built for AVX2 nor a
- * 4-lane AVX2 Philox beat).  With no FMA and every sum in a fixed order the
- * variants give the same bits; sampling_variants names those this CPU runs,
- * and the loader picks the widest.  kl_contract is built for the baseline
- * alone.  The normals themselves are defined by the numpy twin
- * (rng.seeded_normals), which every variant matches bit for bit.
+ * Every variant v that variants() names exports the same kernel set:
+ * jacobi_rows_<v> (in _hestenes.c), philox_split_<v> and polar_contract_<v>.
+ * avx512f runs a tile's 8 streams in the 8 lanes of its vectors, in
+ * intrinsics; the baseline and avx2 run the same layout from loops over the
+ * lanes, and both export the scalar Philox built for the baseline (neither
+ * the same code built for AVX2 nor a 4-lane AVX2 Philox was faster).  With
+ * no FMA and every sum in a fixed order the variants give the same bits.
+ * kl_contract is built for the baseline alone.
  */
 #include <math.h>
 #include <stdint.h>
@@ -83,8 +77,8 @@ static inline void philox4x64_10(uint64_t x[4], uint64_t k0, uint64_t k1)
  * word pairs + j becomes k[t][j][i] = w >> 11, and words past 2 pairs in a
  * stream's last block are dropped.  Block j of the 8 streams of a tile is
  * drawn lane after lane, so that each word fills one row of 8 lanes. */
-void philox_split(uint64_t seed, uint64_t first, double *u1, uint64_t *k, long tiles,
-                  long pairs)
+void philox_split_baseline(uint64_t seed, uint64_t first, double *u1, uint64_t *k, long tiles,
+                           long pairs)
 {
     uint64_t blocks = (uint64_t)(pairs + 1) / 2;
     unsigned __int128 c = (unsigned __int128)first * blocks + 1;
@@ -254,6 +248,13 @@ SAMPLING_KERNELS(baseline)
 #ifdef ISA_DISPATCH
 SAMPLING_KERNELS(avx2, __attribute__((target("avx2"))))
 
+/* the AVX2 variant's Philox: the baseline's, built for the baseline */
+void philox_split_avx2(uint64_t seed, uint64_t first, double *u1, uint64_t *k, long tiles,
+                       long pairs)
+{
+    philox_split_baseline(seed, first, u1, k, tiles, pairs);
+}
+
 /* The AVX-512 variant: a tile's 8 streams a vector, one a 64-bit lane, with
  * the scalar code's operations lane by lane */
 #define AVX512 __attribute__((target("avx512f,avx512dq")))
@@ -306,10 +307,11 @@ AVX512 BODY void philox_groups(__m512i x[4 * GROUPS], uint64_t k0, uint64_t k1)
     }
 }
 
-/* philox_split: block j of the 8 streams of tile t, counters c + (8 t + i) b
- * + j + 1 in lane i, is one vector of counters, GROUPS of them drawn at a
- * time in tile-major order; each word of the 4 it yields is one word of 8
- * streams, shifted, converted and stored whole into its row of the tile */
+/* philox_split_baseline's words: block j of the 8 streams of tile t,
+ * counters c + (8 t + i) b + j + 1 in lane i, is one vector of counters,
+ * GROUPS of them drawn at a time in tile-major order; each word of the 4 it
+ * yields is one word of 8 streams, shifted, converted and stored whole into
+ * its row of the tile */
 AVX512 void philox_split_avx512f(uint64_t seed, uint64_t first, double *u1, uint64_t *k,
                                  long tiles, long pairs)
 {
@@ -415,19 +417,18 @@ AVX512 void polar_contract_avx512f(const double *ln_u1, const uint64_t *k, const
 }
 #endif
 
-/* the variants this CPU runs, widest first, separated by spaces, which name
- * the jacobi_rows_<isa> of _hestenes.c as well (a variant without one runs
- * the next one's that exists); avx512f needs AVX-512DQ as well, for its
- * conversions between 64-bit integers and doubles */
-const char *sampling_variants(void)
+/* the variants this CPU runs, widest first, separated by spaces: the <v> of
+ * the kernel set each exports; avx512f needs AVX-512DQ as well, for its
+ * conversions between 64-bit integers and doubles, and AVX2, whose Jacobi
+ * it runs */
+const char *variants(void)
 {
 #ifdef ISA_DISPATCH
-    static const char *const runs[4] = {
-        "baseline", "avx2 baseline", "avx512f baseline", "avx512f avx2 baseline",
-    };
+    static const char *const runs[3] = {"baseline", "avx2 baseline", "avx512f avx2 baseline"};
     __builtin_cpu_init();
-    int avx512 = __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq");
-    return runs[2 * avx512 + !!__builtin_cpu_supports("avx2")];
+    int avx2 = !!__builtin_cpu_supports("avx2");
+    int avx512 = avx2 && __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq");
+    return runs[avx2 + avx512];
 #else
     return "baseline";
 #endif

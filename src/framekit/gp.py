@@ -160,34 +160,37 @@ def sample_kl(
     set is reproducible bit-for-bit from (c, s, seed) and samples are
     independent of generation order.  Each sample sums c_n B_{n,k} over
     n in index order, one rounded multiply and one rounded add per term
-    (the sums of the active kernel's ``kl_contract``, which its
-    ``sampler`` forms from the normals it draws), so no BLAS thread
+    (the sums of the active kernel's ``kl_contract``), so no BLAS thread
     count enters the bits.  Streams are drawn and contracted in blocks of
     _SAMPLE_BLOCK samples, each written to its own slice of the output, so
     the blocks run on a thread pool with one worker per usable CPU (the
     ctypes kernels, or numpy's Philox and ufuncs in the numpy twin, release
     the GIL).  Each worker takes the next undrawn block until none is left,
-    and draws them all into one ``rng.NormalScratch`` of its own.  The
-    samples do not depend on the worker count, and memory stays bounded by
-    workers x block, not by s.  A count whose two output arrays cannot be
-    allocated is an InvalidArgument.
+    and draws them all into one scratch of its own, the active backend's
+    ``sampler``, whose ``contract`` checks each block.  The samples do not
+    depend on the worker count, and memory stays bounded by workers x
+    block, not by s.  A seed outside [0, 2**64) is an InvalidArgument,
+    refused before anything is allocated, and so is a count whose two
+    output arrays cannot be allocated.
     """
     if s < 1:
         raise InvalidArgument("sample count must be >= 1")
     n = len(coefficients)
     if n < 1:
         raise InvalidArgument("need at least one KL coefficient")
+    seed = rng._check_seed(seed)
     try:
         samples_re = np.empty(s)
         samples_im = np.empty(s)
     except (MemoryError, ValueError):  # ValueError: a count past 2**63 - 1
         raise InvalidArgument(f"{s} samples do not fit in memory") from None
 
+    sampler = _kernels.ACTIVE.sampler
     firsts = iter(range(0, s, _SAMPLE_BLOCK))
     taking = threading.Lock()
 
     def work() -> None:
-        scratch = rng.NormalScratch(min(_SAMPLE_BLOCK, s), n)
+        scratch = sampler(min(_SAMPLE_BLOCK, s), n)
         while True:
             with taking:
                 first = next(firsts, None)
@@ -197,7 +200,7 @@ def sample_kl(
             scratch.contract(
                 seed,
                 first,
-                stop,
+                stop - first,
                 coefficients.re,
                 coefficients.im,
                 samples_re[first:stop],

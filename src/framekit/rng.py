@@ -45,16 +45,14 @@ for u2 (so b = ceil(pairs/2)), yielding z0[0], z1[0], z0[1], z1[1], ...
 truncated to ``count``.
 
 ``seeded_normals`` and ``seeded_normal_rows`` are the definition of a
-stream: they run every step in numpy, in the numpy twin's scratch: its
-Philox split and its radius and angle (``_sampling_py.polar_normals``),
-with ln between them in place on u1.  ``NormalScratch.contract``, which
-``gp.sample_kl`` runs, takes the same steps in the scratch of the active
-backend of ``_kernels`` and sums the normals into KL samples.  The numpy
-twin's scratch runs the reference itself; the C twin's never writes the
-normals out, and holds its operands in a layout of its own, for kernels
-built for several vector ISAs and run on the widest the CPU has.  Every
-variant and both twins give the defined words and the sums of the defined
-normals bit for bit, so the samples do not depend on which one runs.
+stream: they run every step in numpy (``_sampling_py``: its Philox split,
+ln in place on u1, then its radius and angle).  ``gp.sample_kl`` takes the
+same steps block by block in the ``sampler`` of the active backend of
+``_kernels``, whose ``contract`` sums the normals into KL samples; a
+compiled variant v runs its ``philox_split_<v>`` and ``polar_contract_<v>``
+and never writes the normals out.  Every variant and both twins give the
+defined words and the sums of the defined normals bit for bit, so the
+samples do not depend on which one runs.
 
 So the normals are defined by the algorithm, except for ln: it is numpy's
 ufunc, whose last bit can differ from the C library's (with numpy 2.4.6 on
@@ -68,7 +66,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels
 from ._kernels import _sampling_py
 from .errors import InvalidArgument
 
@@ -87,29 +84,6 @@ def _check_streams(seed: int, first: int, stop: int) -> int:
     if first < 0 or stop > 1 << 64:
         raise InvalidArgument(f"streams {first}..{stop - 1} outside [0, 2**64)")
     return _check_seed(seed)
-
-
-class NormalScratch:
-    """A scratch of the active backend for blocks of up to ``rows`` streams
-    of ``count`` normals, allocated once and reused by every ``contract``.
-    One object serves one thread at a time: ``sample_kl`` gives each worker
-    its own."""
-
-    def __init__(self, rows: int, count: int):
-        self._sampler = _kernels.ACTIVE.sampler(rows, count)
-
-    def contract(self, seed: int, first: int, stop: int, c_re, c_im, out_re, out_im) -> None:
-        """out_re[i] and out_im[i] = the index-order sums over n of
-        B[i, n] c_re[n] and B[i, n] c_im[n], as ``kl_contract`` forms them,
-        where B[i] = seeded_normals(seed, first + i, count) and count =
-        len(c_re).  The outputs and coefficients are checked before any
-        kernel runs: C-contiguous float64 vectors of count entries, the
-        outputs writeable and of stop - first entries."""
-        rows = stop - first
-        if not 0 < rows <= self._sampler.rows:
-            raise InvalidArgument(f"{rows} streams for a scratch of {self._sampler.rows}")
-        seed = _check_streams(seed, first, stop)
-        self._sampler.contract(seed, first, rows, c_re, c_im, out_re, out_im)
 
 
 def seeded_normals(seed: int, stream: int, count: int) -> np.ndarray:

@@ -84,4 +84,4 @@ def row_svd(a) -> RowSVD:
 def jacobi_backend() -> str:
     """Name of the active Jacobi kernel: 'compiled' for the C twin built at
     first import, 'python' for the numpy twin it falls back to."""
-    return _kernels.ACTIVE.name
+    return "python" if _kernels.ACTIVE.variant == "numpy" else "compiled"

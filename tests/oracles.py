@@ -8,7 +8,8 @@ positive-definiteness certificates from a hand-rolled Cholesky.
 ``weighted_frames`` the frames that property tests share, and
 ``fused_normals`` reads the normals back out of a compiled variant's fused
 sampling kernel, which never writes them out, through the tile-major
-operands that ``to_tiles`` forms and ``from_tiles`` reads.
+operands that ``to_tiles`` forms and ``from_tiles`` reads.  ``TWINS`` names
+the backends that a test parametrized by ``jacobi_backend()``'s names runs.
 """
 
 import math
@@ -17,7 +18,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from framekit import FrameSystem, Grid, InvalidArgument, rng
-from framekit._kernels import LANES
+from framekit._kernels import LANES, PYTHON, VARIANTS
 
 
 def power_iteration(a, steps=10_000):
@@ -155,6 +156,11 @@ def weighted_frames(draw):
 #: that a kernel, or a call it refuses, must leave as they are
 CANARY = np.frombuffer(np.uint64(0x7FF8DEADBEEF0001).tobytes(), dtype=np.float64)[0]
 
+#: the backends a test parametrized by ``jacobi_backend()``'s names runs: the
+#: numpy twin for "python" and every compiled variant for "compiled", which
+#: is absent where the C twin did not load
+TWINS = {"python": [PYTHON], **({"compiled": list(VARIANTS.values())} if VARIANTS else {})}
+
 
 def to_tiles(rows, fill=0):
     """The tile-major (tiles, pairs, LANES) copy of the (rows, pairs) array
@@ -195,7 +201,7 @@ def fused_normals(variant, ln_u1, k, count):
         scratch.u1[...] = to_tiles(np.reshape(ln_u1, (-1, 1)), -1.0)
         scratch.k[...] = to_tiles(np.reshape(k, (-1, 1)))
         out = np.empty(streams), np.empty(streams)
-        scratch.fuse(streams, np.array(c_re), np.array(c_im), *out)()
+        scratch.fuse(streams, np.array(c_re), np.array(c_im), *out)
         return out
 
     cos, _ = contract([1.0], [1.0])

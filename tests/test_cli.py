@@ -21,6 +21,7 @@ from framekit.cli import (
     EXIT_OK,
     EXIT_SCHEMA,
 )
+from oracles import TWINS
 
 
 def write(path, payload):
@@ -347,10 +348,10 @@ class TestGpSim:
         path = write(tmp_path / "model2.json", payload)
         assert cli.main(["gp-sim", path]) == EXIT_SCHEMA
 
-    @pytest.mark.parametrize("backend", sorted(_kernels.BACKENDS))
+    @pytest.mark.parametrize("twin", sorted(TWINS))
     @pytest.mark.parametrize("overflow", ["phat", "frame", "masses", "phi_x"])
     def test_overflow_is_refused_before_sampling(
-        self, tmp_path, capsys, monkeypatch, backend, overflow
+        self, tmp_path, capsys, monkeypatch, twin, overflow
     ):
         # the identity frame on two unit atoms (a = b = 1) with phat =
         # (1e300, 1e300 i) has E|X|^2 = E|Y|^2 = inf, and a frame of entries
@@ -358,7 +359,6 @@ class TestGpSim:
         # the KL coefficients, and an atom and a grid point at 1e200 the
         # phases of phi_x.  Each is refused, naming what overflowed, before
         # a sample is drawn and with no RuntimeWarning
-        monkeypatch.setattr(_kernels, "ACTIVE", _kernels.BACKENDS[backend])
         monkeypatch.setattr(gp, "sample_kl", None)  # a call would raise TypeError
         payload = {
             "atoms": [{"u": 0.0, "mass": 1.0}, {"u": 1.0, "mass": 1.0}],
@@ -379,15 +379,17 @@ class TestGpSim:
                 "values": [1.0, 1.0],
             }
         path = write(tmp_path / "model.json", payload)
-        assert cli.main(["gp-sim", path]) == EXIT_SCHEMA
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == {
-            "phat": "invalid input: E|X|^2 = inf is not finite\n",
-            "frame": "invalid input: a = inf is not finite\n",
-            "masses": "invalid input: complex vector has non-finite entries\n",
-            "phi_x": "schema error: phi_x.values: complex vector has non-finite entries\n",
-        }[overflow]
+        for backend in TWINS[twin]:
+            monkeypatch.setattr(_kernels, "ACTIVE", backend)
+            assert cli.main(["gp-sim", path]) == EXIT_SCHEMA
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == {
+                "phat": "invalid input: E|X|^2 = inf is not finite\n",
+                "frame": "invalid input: a = inf is not finite\n",
+                "masses": "invalid input: complex vector has non-finite entries\n",
+                "phi_x": "schema error: phi_x.values: complex vector has non-finite entries\n",
+            }[overflow], backend.variant
 
     def test_not_a_frame(self, tmp_path, capsys):
         payload = onb_model_payload()
@@ -395,19 +397,21 @@ class TestGpSim:
         path = write(tmp_path / "model.json", payload)
         assert cli.main(["gp-sim", path, "--samples", "10"]) == EXIT_DEGENERATE
 
-    @pytest.mark.parametrize("backend", sorted(_kernels.BACKENDS))
+    @pytest.mark.parametrize("twin", sorted(TWINS))
     @pytest.mark.parametrize("profile", ["phat", "phi_x"])
-    def test_stdout_is_pinned(self, tmp_path, capsys, monkeypatch, backend, profile):
+    def test_stdout_is_pinned(self, tmp_path, capsys, monkeypatch, twin, profile):
         # sha256 of the whole report, recorded before gp was rebuilt on Grid
         # and FrameSystem; the models are dyadic, so no platform enters them
         digest = {
             "phat": "dca71a188f65b2c328863a6587cf3a004fe117f1243ba353edaa5cbae2e64003",
             "phi_x": "fc90bca6cfe3d139ff97c8f2912cf51ad62df868cc7ccfef0009c348e6014a46",
         }[profile]
-        monkeypatch.setattr(_kernels, "ACTIVE", _kernels.BACKENDS[backend])
         path = write(tmp_path / "model.json", dyadic_model_payload(profile))
-        assert cli.main(["gp-sim", path, "--samples", "20001", "--seed", "7"]) == EXIT_OK
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        for backend in TWINS[twin]:
+            monkeypatch.setattr(_kernels, "ACTIVE", backend)
+            assert cli.main(["gp-sim", path, "--samples", "20001", "--seed", "7"]) == EXIT_OK
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, backend.variant
 
     @pytest.mark.parametrize("profile, grids", [("phat", 1), ("phi_x", 2)])
     def test_bounds_and_coefficients_computed_once(

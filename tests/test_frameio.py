@@ -21,10 +21,12 @@ from hypothesis.extra import numpy as hnp
 
 import frameio_corpus
 from framekit import _kernels, cli, frames, rng
-from framekit._kernels import BACKENDS
+from framekit._kernels import PYTHON, VARIANTS
 from framekit.errors import FramekitError
 
-pytestmark = pytest.mark.skipif("compiled" not in BACKENDS, reason="C twin not loaded")
+pytestmark = pytest.mark.skipif(not VARIANTS, reason="C twin not loaded")
+#: the compiled twin: every variant shares its frame-file kernels
+COMPILED = next(iter(VARIANTS.values()), None)
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -52,7 +54,7 @@ def read(backend, path, data):
 
 
 def assert_read_alike(path, data):
-    assert read(BACKENDS["compiled"], path, data) == read(BACKENDS["python"], path, data), data
+    assert read(COMPILED, path, data) == read(PYTHON, path, data), data
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +65,7 @@ def assert_read_alike(path, data):
 @given(words=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
 def test_writer_twins_agree_on_bit_patterns(words):
     table = doubles(words).reshape(1, -1)
-    assert spelt(BACKENDS["compiled"], table) == spelt(BACKENDS["python"], table)
+    assert spelt(COMPILED, table) == spelt(PYTHON, table)
 
 
 def _ties(count):
@@ -92,9 +94,9 @@ EDGE_VALUES = {
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_writer_twins_agree_on_edge_values(name, sign):
     table = sign * np.array(EDGE_VALUES[name]).reshape(-1, 1)
-    assert spelt(BACKENDS["compiled"], table) == spelt(BACKENDS["python"], table)
+    assert spelt(COMPILED, table) == spelt(PYTHON, table)
     # the reference is "%.17g" itself
-    text = spelt(BACKENDS["python"], table).decode()
+    text = spelt(PYTHON, table).decode()
     assert text == ", ".join("[" + frameio_corpus.python_spelling(x) + "]" for x in table[:, 0])
 
 
@@ -103,8 +105,8 @@ def test_writer_chunks_hold_whole_rows(shape):
     # 300 x 50 spans several 256 KiB chunks; one 12000-wide row is larger
     # than a chunk and gets a buffer of its own
     table = np.random.default_rng(0).standard_normal(shape) * 1e5
-    chunks = list(BACKENDS["compiled"].spell_rows(table))
-    assert b"".join(chunks) == spelt(BACKENDS["python"], table)
+    chunks = list(COMPILED.spell_rows(table))
+    assert b"".join(chunks) == spelt(PYTHON, table)
     assert all(c.endswith(b"]") for c in chunks)
     assert len(chunks) == {(300, 50): 2, (1, 12000): 1, (3, 0): 1, (0, 4): 0}[shape]
 
@@ -209,7 +211,7 @@ def test_refusals_come_from_the_walk(tmp_path, case):
 )
 def test_scanner_reads_as_json_does(literal, value):
     data = b'{"grid": {"points": [%s], "weights": [1]}, "vectors": [[1]]}' % literal.encode()
-    points, _, _ = BACKENDS["compiled"].scan_frame(data)
+    points, _, _ = COMPILED.scan_frame(data)
     assert points.tobytes() == np.array([value]).tobytes()
     assert points.tobytes() == np.asarray(json.loads(data)["grid"]["points"], dtype=float).tobytes()
 
@@ -228,7 +230,7 @@ def test_scanner_accepts_what_framekit_writes(a, tmp_path_factory):
     fs = frames.FrameSystem(grid=frames.Grid(points=points, weights=weights), vectors=a)
     path = tmp_path_factory.mktemp("a") / "f.json"
     cli.write_frame_file(str(path), fs)
-    arrays = BACKENDS["compiled"].scan_frame(path.read_bytes())
+    arrays = COMPILED.scan_frame(path.read_bytes())
     assert arrays is not None
     for got, sent in zip(arrays, (fs.grid.points, fs.grid.weights, fs.vectors)):
         assert got.tobytes() == sent.tobytes()
@@ -242,7 +244,7 @@ def test_scanner_accepts_what_perfbench_writes(tmp_path, monkeypatch, seed):
         path = tmp_path / f"{f.name}.json"
         inputs.write_frame(str(path), f)
         data = path.read_bytes()
-        assert BACKENDS["compiled"].scan_frame(data) is not None, f.name
+        assert COMPILED.scan_frame(data) is not None, f.name
         assert_read_alike(path, data)
 
 
@@ -255,7 +257,7 @@ def test_reading_a_large_frame_needs_no_more_memory_than_the_walk(tmp_path):
     path = tmp_path / "large.json"
     cli.write_frame_file(str(path), fs)
     peaks = {}
-    for name, backend in BACKENDS.items():
+    for name, backend in (("python", PYTHON), ("compiled", COMPILED)):
         saved = _kernels.ACTIVE
         _kernels.ACTIVE = backend
         tracemalloc.start()

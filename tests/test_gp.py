@@ -30,7 +30,7 @@ from framekit import (
 )
 from framekit import _kernels, gp, rng
 from framekit._kernels import _sampling_py
-from oracles import CANARY, eigh_descending, fused_normals, orthonormal_rows
+from oracles import CANARY, TWINS, eigh_descending, fused_normals, orthonormal_rows
 
 
 def simple_atoms():
@@ -595,17 +595,32 @@ print("identical")
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(gp, "_worker_count", lambda: 2)
+        active = _kernels.ACTIVE
 
-        contract = rng.NormalScratch.contract
+        class Failing:
+            def __init__(self, rows, count):
+                self.scratch = active.sampler(rows, count)
 
-        def failing(scratch, seed, first, stop, *arrays):
-            if first > 0:
-                raise InvalidArgument(f"block at {first}")
-            return contract(scratch, seed, first, stop, *arrays)
+            def contract(self, seed, first, *block):
+                if first > 0:
+                    raise InvalidArgument(f"block at {first}")
+                self.scratch.contract(seed, first, *block)
 
-        monkeypatch.setattr(rng.NormalScratch, "contract", failing)
+        monkeypatch.setattr(_kernels, "ACTIVE", active._replace(sampler=Failing))
         with pytest.raises(InvalidArgument, match="block at"):
             sample_kl(random_phat(1, 4), 3 * gp._SAMPLE_BLOCK, 1)
+
+    def test_seed_is_refused_before_any_worker(self, monkeypatch):
+        # the seed is checked once, up front: no scratch is made, and a
+        # count too large to allocate still reports the seed
+        def no_sampler(rows, count):
+            raise AssertionError("a scratch was made")
+
+        monkeypatch.setattr(_kernels, "ACTIVE", _kernels.ACTIVE._replace(sampler=no_sampler))
+        for seed in (-1, 2**64):
+            for s in (10, 2**63):
+                with pytest.raises(InvalidArgument, match="seed"):
+                    sample_kl(random_phat(1, 4), s, seed)
 
     def test_import_leaves_thread_pool_unloaded(self):
         # the pool's import is paid by sample_kl, not by every CLI call
@@ -695,57 +710,58 @@ print("identical")
         got = guarded[0, 8:-8], guarded[1, 8:-8]
         # mock, not monkeypatch: hypothesis refuses function-scoped fixtures
         with mock.patch.object(_kernels, "ACTIVE", backend):
-            rng.NormalScratch(40, count).contract(seed, first, stop, c_re, c_im, *got)
+            backend.sampler(40, count).contract(seed, first, stop - first, c_re, c_im, *got)
             samples = sample_kl(ComplexVector(re=c_re, im=c_im), rows, seed)
         assert (got[0].tobytes(), got[1].tobytes()) == expected(first, stop)
         edges = np.concatenate([guarded[:, :8], guarded[:, -8:]], axis=1)
         assert edges.tobytes() == np.full((2, 16), CANARY).tobytes()
         assert (samples[0].tobytes(), samples[1].tobytes()) == expected(0, rows)
 
-    @pytest.mark.parametrize("backend", sorted(_kernels.BACKENDS))
-    def test_sample_bits_are_pinned(self, backend, monkeypatch):
+    @pytest.mark.parametrize("twin", sorted(TWINS))
+    def test_sample_bits_are_pinned(self, twin, monkeypatch):
         # sha256 of the samples and coefficients, and of one stream at the
         # top seed, recorded before the Philox split moved into the kernels;
         # the model is built from dyadic values, so no platform enters it
-        monkeypatch.setattr(_kernels, "ACTIVE", _kernels.BACKENDS[backend])
-        got = []
-        for n, s in ((50, 10_001), (7, 2_049)):
-            c = kl_coefficients(*dyadic_model(n))
-            re, im = sample_kl(c, s, 20240601)
-            got.append(sha256_of(re, im, c.re, c.im))
-        got.append(sha256_of(rng.seeded_normals(2**64 - 1, 3, 51)))
-        assert got == [
-            "a06e0db26fbacd8b7564b7ebb38bdd00ee7920bfaf8f788013c87df8b88fdb58",
-            "f038d7fee378e17befe6d83a873865028633b70c7eeb59008e91aee4a8d47524",
-            "15b4806b49b8678dd1067d6da98e181c571661645aebf7222cda18e352ce1a9d",
-        ]
+        for backend in TWINS[twin]:
+            monkeypatch.setattr(_kernels, "ACTIVE", backend)
+            got = []
+            for n, s in ((50, 10_001), (7, 2_049)):
+                c = kl_coefficients(*dyadic_model(n))
+                re, im = sample_kl(c, s, 20240601)
+                got.append(sha256_of(re, im, c.re, c.im))
+            got.append(sha256_of(rng.seeded_normals(2**64 - 1, 3, 51)))
+            assert got == [
+                "a06e0db26fbacd8b7564b7ebb38bdd00ee7920bfaf8f788013c87df8b88fdb58",
+                "f038d7fee378e17befe6d83a873865028633b70c7eeb59008e91aee4a8d47524",
+                "15b4806b49b8678dd1067d6da98e181c571661645aebf7222cda18e352ce1a9d",
+            ], backend.variant
 
-    @pytest.mark.skipif("compiled" not in _kernels.BACKENDS, reason="C twin not loaded")
-    def test_contract_allocates_no_normals(self, monkeypatch):
+    @pytest.mark.skipif(not _kernels.VARIANTS, reason="C twin not loaded")
+    def test_contract_allocates_no_normals(self):
         # the compiled fused kernel forms the normals of a pair of 8 streams
         # at a time and sums them in the lanes, so a scratch never allocates
         # the (rows, count) normals; the sums are
         # kl_contract's of the streams seeded_normal_rows defines
         tracemalloc = pytest.importorskip("tracemalloc")
-        monkeypatch.setattr(_kernels, "ACTIVE", _kernels.BACKENDS["compiled"])
         rows, count = gp._SAMPLE_BLOCK, 257
         c = kl_coefficients(*dyadic_model(count))
-        scratch = rng.NormalScratch(rows, count)
-        out = np.empty(rows), np.empty(rows)
-        tracemalloc.start()
-        try:
-            scratch.contract(5, 3, 3 + rows, c.re, c.im, *out)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < rows * count * 8 // 16, peak
         expected = np.empty(rows), np.empty(rows)
         normals = rng.seeded_normal_rows(5, 3, 3 + rows, count)
-        _kernels.ACTIVE.kl_contract(normals, c.re, c.im, *expected)
-        assert out[0].tobytes() == expected[0].tobytes()
-        assert out[1].tobytes() == expected[1].tobytes()
+        _kernels.PYTHON.kl_contract(normals, c.re, c.im, *expected)
+        for variant in _kernels.VARIANTS.values():
+            scratch = variant.sampler(rows, count)
+            out = np.empty(rows), np.empty(rows)
+            tracemalloc.start()
+            try:
+                scratch.contract(5, 3, rows, c.re, c.im, *out)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < rows * count * 8 // 16, (variant.variant, peak)
+            assert out[0].tobytes() == expected[0].tobytes(), variant.variant
+            assert out[1].tobytes() == expected[1].tobytes(), variant.variant
 
-    @pytest.mark.skipif("compiled" not in _kernels.BACKENDS, reason="C twin not loaded")
+    @pytest.mark.skipif(not _kernels.VARIANTS, reason="C twin not loaded")
     def test_memory_follows_workers_not_blocks(self, monkeypatch):
         # each worker draws all its blocks into one scratch, so 24 more
         # blocks may fault in no more than 50 pages each (a 2048 x 50 block
@@ -762,17 +778,17 @@ print("identical")
             probe[offset] = 1  # 16 fresh pages, 16 minor faults
         if minflt() == before:
             pytest.skip("ru_minflt is not counted here")
-        monkeypatch.setattr(_kernels, "ACTIVE", _kernels.BACKENDS["compiled"])
+        monkeypatch.setattr(_kernels, "ACTIVE", next(iter(_kernels.VARIANTS.values())))
         monkeypatch.setattr(gp, "_worker_count", lambda: 1)
         c = kl_coefficients(*dyadic_model(50))
-        scratch = rng.NormalScratch(gp._SAMPLE_BLOCK, 50)
+        scratch = _kernels.ACTIVE.sampler(gp._SAMPLE_BLOCK, 50)
         out = np.empty(gp._SAMPLE_BLOCK), np.empty(gp._SAMPLE_BLOCK)
 
         def faults(blocks):
             before = minflt()
             sample_kl(c, blocks * gp._SAMPLE_BLOCK, 3)
             for first in range(0, blocks * gp._SAMPLE_BLOCK, gp._SAMPLE_BLOCK):
-                scratch.contract(3, first, first + gp._SAMPLE_BLOCK, c.re, c.im, *out)
+                scratch.contract(3, first, gp._SAMPLE_BLOCK, c.re, c.im, *out)
             return minflt() - before
 
         faults(8)

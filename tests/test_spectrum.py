@@ -36,6 +36,7 @@ from framekit import _kernels
 from framekit.errors import InvalidArgument
 
 from oracles import gram_schmidt_kernel
+from test_differential import frames as differential_frames
 
 RANK_TOL = 1e-10
 
@@ -326,6 +327,24 @@ class TestScale:
         assert all(row.holds for name, row in suite.items() if name != "lax_identity_max")
         code, _ = self.verify_rows(tmp_path, capsys, scaled(small_frame(), 1e200))
         assert code == cli.EXIT_MATH
+
+    @pytest.mark.parametrize("fault", [None, "_lax", "_kernel"],
+                             ids=["unfaulted", "lax-factor", "kernel-factor"])
+    def test_rows_printed_as_inf_keep_their_verdict(self, tmp_path, capsys, monkeypatch, fault):
+        # the differential harness's frame scaled by 2**900: its Lax row
+        # prints inf against inf, but every verdict is taken on the
+        # normalized frame, so the frame passes, and fails with its Lax or
+        # its kernel factor times sqrt(2)
+        points, weights, vectors = differential_frames()["scaled-up"]
+        if fault:
+            table = getattr(rkhs, fault)
+            monkeypatch.setattr(rkhs, fault, lambda spec: rkhs.KernelMatrix(
+                grid=spec.frame.grid, factor=np.sqrt(2.0) * table(spec).factor))
+        path = tmp_path / "scaled-up.json"
+        cli.write_frame_file(str(path), FrameSystem(grid=Grid(points, weights), vectors=vectors))
+        code = cli.main(["verify", str(path)])
+        assert "lax_identity_max=inf (tolerance inf)" in capsys.readouterr().out
+        assert code == (cli.EXIT_MATH if fault else cli.EXIT_OK)
 
     @pytest.mark.parametrize("k", [-600, 600])
     def test_row_svd_power_of_two(self, k):
