@@ -5,8 +5,9 @@ For each size n, on the numpy twin (``numpy``) and on each compiled variant
 that loaded (``avx512f``, ``avx2``, ``baseline``), it
 times ``write_kernel_file`` of an n x n kernel to a temporary file and
 ``parse_frame_file`` of a written n x n frame (n vectors on n points), and
-prints the median milliseconds per call over ``--repeats`` calls.  It also
-prints the cost of building the argument parser.  It exits 1 unless every
+prints the median milliseconds per call over ``--repeats`` calls, with the
+parse's nanoseconds per number read (the frame's n^2 + 2n literals).  It
+also prints the cost of building the argument parser.  It exits 1 unless every
 backend writes the same bytes, the per-element spelling (17 significant
 digits, -0.0 kept), and reads back the same arrays bit for bit.  ``--json
 PATH`` also writes the medians and quartiles, with the environment, as JSON.
@@ -89,7 +90,7 @@ def main():
     parser_ms = timed_ms(build, args.repeats)
     print(f"_build_parser: {parser_ms['median']:.3f} ms per call")
     rng = np.random.default_rng(0)
-    print(f"{'n':>5} {'backend':>9} {'write_kernel':>12} {'parse_frame':>12} {'check':>6}")
+    print(f"{'n':>5} {'backend':>9} {'write_kernel':>12} {'parse_frame':>12} {'ns/number':>10} {'check':>6}")
     results, failed = [], False
     with tempfile.TemporaryDirectory() as tmp:
         for n in sizes:
@@ -106,6 +107,7 @@ def main():
                 write = timed_ms(lambda: cli.write_kernel_file(kernel_path, kernel, "rkhs", 1e-10), args.repeats)
                 cli.write_frame_file(frame_path, fs)
                 parse = timed_ms(lambda: cli.parse_frame_file(frame_path), args.repeats)
+                per_number = {k: v * 1e6 / (n * n + 2 * n) for k, v in parse.items()}
                 with open(kernel_path, encoding="utf-8") as fh:
                     same = fh.read() == expected
                 back = cli.parse_frame_file(frame_path)
@@ -113,11 +115,12 @@ def main():
                 same &= back.grid.weights.tobytes() == fs.grid.weights.tobytes()
                 failed |= not same
                 results.append(
-                    {"n": n, "backend": name, "write_kernel_ms": write, "parse_frame_ms": parse, "same": same}
+                    {"n": n, "backend": name, "write_kernel_ms": write, "parse_frame_ms": parse,
+                     "parse_frame_ns_per_number": per_number, "same": same}
                 )
                 print(
                     f"{n:>5} {name:>9} {write['median']:>10.3f}ms {parse['median']:>10.3f}ms "
-                    f"{'same' if same else 'DIFFERS':>6}"
+                    f"{per_number['median']:>10.1f} {'same' if same else 'DIFFERS':>6}"
                 )
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

@@ -8,7 +8,10 @@ bit-identical output for the same input, so the choice only affects speed.
 The frame-file reader is the one exception in form, not in result: the
 Python twin declines every file and the C scanner declines every file
 outside the one frame layout, and the JSON walk in ``framekit.cli`` reads
-what they decline.  Nothing is built at install time: the first import
+what they decline.  The scanner converts a literal of at most 19
+significant digits with a decimal exponent in [-27, 27] exactly itself and
+hands every other literal to ``strtod_l`` in the C locale, so each value is
+the double ``float()`` gives.  Nothing is built at install time: the first import
 compiles the C sources with ``cc`` into one library in this package's
 ``__pycache__/``, under a name keyed by a hash of the sources and the flags,
 and later imports load that file.
@@ -84,8 +87,8 @@ class Backend(NamedTuple):
       "[v, v], [v, v]", each value spelt as ``"%.17g"`` does and negative
       zero as "-0.0", yielded in chunks of whole rows.
     - ``scan_frame(data)``: the (points, weights, vectors) arrays of the
-      bytes of a frame file in the frame layout, or None to leave the file
-      to the JSON walk.
+      bytes of a frame file in the frame layout, each number the double
+      json reads, or None to leave the file to the JSON walk.
     """
 
     variant: str
@@ -230,17 +233,17 @@ def _load(library: Path) -> list[Backend]:
         rows, n = _sampling_py.check_contract_args(x.shape, c_re, c_im, out_re, out_im)
         lib.kl_contract(x, c_re, c_im, out_re, out_im, rows, n)
 
+    # the file kernels take the addresses of arrays their wrappers allocate
+    # or make contiguous float64 themselves, as the sampling kernels do
     lib.spell_rows.argtypes = [
-        rows_in, ctypes.c_long, ctypes.c_long, ctypes.c_char_p, ctypes.c_long,
+        ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_long,
         ctypes.POINTER(ctypes.c_long),
     ]
     lib.spell_rows.restype = ctypes.c_long
     shape_type = ctypes.c_long * 4
     lib.frame_shape.argtypes = [ctypes.c_char_p, ctypes.c_long, shape_type]
     lib.frame_shape.restype = ctypes.c_int
-    lib.frame_read.argtypes = [
-        ctypes.c_char_p, ctypes.c_long, shape_type, out_vector, out_vector, matrix
-    ]
+    lib.frame_read.argtypes = [ctypes.c_char_p, ctypes.c_long, shape_type, *[ctypes.c_void_p] * 3]
     lib.frame_read.restype = ctypes.c_int
 
     def spell_rows(table):
@@ -249,21 +252,25 @@ def _load(library: Path) -> list[Backend]:
         # 24 bytes a value at most, ", " after it, and "[", "]" and ", " a row
         row_bytes = 26 * cols + 4
         size = max(row_bytes, min(_SPELL_CHUNK, rows * row_bytes))
-        buffer = ctypes.create_string_buffer(size)
+        buffer = np.empty(size, dtype=np.uint8)  # not zero-filled: each call writes its bytes
+        at, out = table.ctypes.data, buffer.ctypes.data
         row = ctypes.c_long(0)
         while row.value < rows:
-            n = lib.spell_rows(table, rows, cols, buffer, size, ctypes.byref(row))
-            yield ctypes.string_at(buffer, n)
+            n = lib.spell_rows(at, rows, cols, out, size, ctypes.byref(row))
+            yield ctypes.string_at(out, n)
 
     def scan_frame(data):
         shape = shape_type()
         if lib.frame_shape(data, len(data), shape) != 0:
             return None
-        points, weights = np.empty(shape[0]), np.empty(shape[1])
-        vectors = np.empty((shape[2], shape[3]))
-        if lib.frame_read(data, len(data), shape, points, weights, vectors) != 0:
+        n_points, n_weights, rows, width = shape
+        # one allocation holds the three arrays, handed to C by address
+        flat = np.empty(n_points + n_weights + rows * width)
+        at = flat.ctypes.data
+        vectors_at = n_points + n_weights
+        if lib.frame_read(data, len(data), shape, at, at + 8 * n_points, at + 8 * vectors_at) != 0:
             return None
-        return points, weights, vectors
+        return flat[:n_points], flat[n_points:vectors_at], flat[vectors_at:].reshape(rows, width)
 
     lib.variants.argtypes = []
     lib.variants.restype = ctypes.c_char_p

@@ -6,8 +6,11 @@
  * snprintf in the C locale otherwise; nothing needs libm.  frame_shape and frame_read
  * accept only the frame layout framekit and perfbench write and decline
  * everything else, which the JSON walk in framekit/cli.py then reads; every
- * value they accept is the double the walk would give.  Keep the two files
- * in sync.
+ * value they accept is the double the walk would give.  A literal of at most
+ * 19 significant digits whose value is w 10^q with q in [-27, 27], nearly
+ * every literal "%.17g" and repr write, is converted exactly from the digits
+ * the walk gathers, in 128-bit integers; strtod_l in the C locale reads every
+ * other literal.  Keep the two files in sync.
  */
 #define _GNU_SOURCE
 #include <float.h>
@@ -191,10 +194,15 @@ long spell_rows(const double *a, long rows, long cols, char *out, long cap, long
 }
 
 /* ------------------------------------------------------------------------
- * The scanner.  It reads the bytes [p, end) and never a byte at or past end;
- * a number literal is copied out before strtod_l reads it. */
+ * The scanner.  It reads the bytes [p, end) and never a byte at or past end.
+ * While it walks a number literal it gathers the significand's digits w and
+ * the decimal exponent q of the literal's value w 10^q; for at most 19
+ * significant digits and q in [-27, 27] decimal() converts them exactly,
+ * and strtod_l in the C locale reads every other literal from a copy. */
 
 #define MAX_LITERAL 63
+#define MAX_DIGITS 19 /* 10^19 - 1 < 2^64 */
+#define MAX_Q 27      /* 5^27 < 2^63, the last entry of POW5 */
 
 typedef struct {
     const char *p, *end;
@@ -213,17 +221,86 @@ static int token(scan_t *s, const char *tok)
     return 1;
 }
 
-static int digits(scan_t *s)
+/* 1 and their value in *value if the 8 bytes at p are all ASCII digits:
+ * each byte's high nibble is 3 and adding 6 leaves it 3, and then three
+ * multiplications combine pairs of digits, of pairs and of fours */
+static int eight_digits(const char *p, uint64_t *value)
 {
-    const char *start = s->p;
-    while (s->p < s->end && *s->p >= '0' && *s->p <= '9')
-        s->p++;
-    return s->p > start;
+    uint64_t v;
+    memcpy(&v, p, sizeof v);
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    v = __builtin_bswap64(v); /* the first byte lowest */
+#endif
+    if (((v & UINT64_C(0xF0F0F0F0F0F0F0F0))
+         | (((v + UINT64_C(0x0606060606060606)) & UINT64_C(0xF0F0F0F0F0F0F0F0)) >> 4))
+        != UINT64_C(0x3333333333333333))
+        return 0;
+    v = (v & UINT64_C(0x0F0F0F0F0F0F0F0F)) * 2561 >> 8;           /* 10 a + b */
+    v = (v & UINT64_C(0x00FF00FF00FF00FF)) * 6553601 >> 16;       /* 100 a + b */
+    *value = (v & UINT64_C(0x0000FFFF0000FFFF)) * UINT64_C(42949672960001) >> 32;
+    return 1;
 }
 
-static int next_is(scan_t *s, char c)
+/* past the digits at p, each appended to *w, which wraps past 19 of them;
+ * eight at a time while eight bytes before end are digits */
+static const char *digits(const char *p, const char *end, uint64_t *w)
 {
-    return s->p < s->end && *s->p == c;
+    uint64_t v = *w, eight;
+    for (; end - p >= 8 && eight_digits(p, &eight); p += 8)
+        v = v * 100000000 + eight;
+    for (; p < end && (unsigned)(*p - '0') <= 9; p++)
+        v = 10 * v + (uint64_t)(*p - '0');
+    *w = v;
+    return p;
+}
+
+static int bit_length(u128 v)
+{
+    uint64_t high = (uint64_t)(v >> 64);
+    return high ? 128 - __builtin_clzll(high) : 64 - __builtin_clzll((uint64_t)v);
+}
+
+/* The double nearest w 10^q, ties to even, for 0 < w < 2^64 and |q| <= 27,
+ * by exact integers (W. D. Clinger, "How to Read Floating Point Numbers
+ * Accurately", PLDI 1990).  w 10^q = v 2^e exactly: v = w 5^q and e = q for
+ * q >= 0, at most 127 bits; for q < 0, v is the quotient of w 2^t by 5^-q,
+ * with t chosen so that v lies in [2^62, 2^64), e = q - t, and the
+ * remainder is the sticky bit.  v is rounded once to 53 bits. */
+static double decimal(uint64_t w, int q)
+{
+    u128 v;
+    int e = q, sticky = 0;
+    if (q >= 0) {
+        v = (u128)w * POW5[q];
+    } else {
+        uint64_t d = POW5[-q];
+        /* w 2^t has 63 bits more than d, so it is below d 2^64 and the
+         * 128-by-64-bit division is one machine division */
+        int t = 63 - __builtin_clzll(d) + __builtin_clzll(w);
+        u128 n = (u128)w << t;
+        v = n / d;
+        sticky = n != v * d;
+        e -= t;
+    }
+    int shift = bit_length(v) - 53;
+    uint64_t m;
+    if (shift <= 0) {
+        m = (uint64_t)v << -shift;
+    } else {
+        u128 half = (u128)1 << (shift - 1), low = v & ((half << 1) - 1);
+        m = (uint64_t)(v >> shift);
+        if (low > half || (low == half && (sticky || (m & 1))))
+            m++;
+        if (m >> 53) { /* rounded up to 2^53 */
+            m >>= 1;
+            shift++;
+        }
+    }
+    /* m 2^(e + shift) with m in [2^52, 2^53): a normal double */
+    uint64_t bits = (uint64_t)(e + shift + 1075) << 52 | (m & ((UINT64_C(1) << 52) - 1));
+    double x;
+    memcpy(&x, &bits, sizeof x);
+    return x;
 }
 
 /* One number under the JSON grammar, into *out when converting.  0 declines:
@@ -232,40 +309,67 @@ static int next_is(scan_t *s, char c)
 static int number(scan_t *s, double *out)
 {
     token(s, "");
-    const char *start = s->p;
-    int integer = 1;
-    if (next_is(s, '-'))
-        s->p++;
-    if (next_is(s, '0'))
-        s->p++;
-    else if (!(s->p < s->end && *s->p >= '1' && *s->p <= '9') || !digits(s))
+    const char *start = s->p, *end = s->end, *p = start;
+    int negative = p < end && *p == '-', integer = 1;
+    p += negative;
+    const char *first = p;
+    uint64_t w = 0;
+    if (p < end && *p == '0')
+        p++;
+    else if (p < end && *p >= '1' && *p <= '9')
+        p = digits(p, end, &w);
+    else
         return 0;
-    if (next_is(s, '.')) {
-        s->p++;
-        if (!digits(s))
+    long count = p - first, q = 0; /* digits in w, and q of the value w 10^q */
+    if (p < end && *p == '.') {
+        const char *f = ++p;
+        p = digits(p, end, &w);
+        if (p == f)
             return 0;
+        count += p - f;
+        q = -(p - f);
         integer = 0;
     }
-    if (next_is(s, 'e') || next_is(s, 'E')) {
-        s->p++;
-        if (next_is(s, '+') || next_is(s, '-'))
-            s->p++;
-        if (!digits(s))
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        p++;
+        int minus = p < end && *p == '-';
+        if (p < end && (*p == '-' || *p == '+'))
+            p++;
+        const char *f = p;
+        long exponent = 0; /* capped, past which q is out of range anyway */
+        for (; p < end && (unsigned)(*p - '0') <= 9; p++)
+            if (exponent < 100000)
+                exponent = 10 * exponent + (*p - '0');
+        if (p == f)
             return 0;
+        q += minus ? -exponent : exponent;
         integer = 0;
     }
-    size_t n = (size_t)(s->p - start);
+    s->p = p;
+    size_t n = (size_t)(p - start);
     if (n > MAX_LITERAL)
         return 0;
-    if (s->c_locale) {
+    if (!s->c_locale)
+        return 1;
+    if (count > MAX_DIGITS) /* leading zeros leave w at 0: they do not count */
+        for (const char *z = first; z < p && (*z == '0' || *z == '.'); z++)
+            count -= *z == '0';
+    double v;
+    if (count <= MAX_DIGITS && w == 0) {
+        v = negative && !integer ? -0.0 : 0.0;
+    } else if (count <= MAX_DIGITS && q >= -MAX_Q && q <= MAX_Q) {
+        v = decimal(w, (int)q);
+        v = negative ? -v : v;
+    } else {
         char text[MAX_LITERAL + 1];
         memcpy(text, start, n);
         text[n] = '\0';
-        double v = strtod_l(text, NULL, s->c_locale);
+        v = strtod_l(text, NULL, s->c_locale);
         if (!(v >= -DBL_MAX && v <= DBL_MAX))
             return 0;
-        *out = integer && v == 0.0 ? 0.0 : v;
+        v = integer && v == 0.0 ? 0.0 : v;
     }
+    *out = v;
     return 1;
 }
 

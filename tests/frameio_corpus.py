@@ -1,15 +1,20 @@
-"""Frame files for the scanner's parity and sanitizer tests, and the
-sanitizer run itself.
+"""Frame files and number literals for the scanner's parity, differential
+and sanitizer tests, and the sanitizer run itself.
 
 ``corpus()`` is a fixed list of byte strings: small frame files in the
 layouts framekit and perfbench write, variants of their structure that the
 scanner must decline, and mutants of all of them (every truncation, byte
 flips, deletions, and insertions of awkward tokens: ``-0``, ``1e400``,
 bools, integers past 2**53, bytes that are not UTF-8, a BOM).
+``BOUNDARY_LITERALS`` are the literals at the edges of the scanner's exact
+conversion, each of which must read as ``json`` reads it.
 
 Run as a script with the path of a library built from ``_frameio.c``, it
 hands every input to ``frame_shape`` and ``frame_read`` in a heap buffer of
-exactly its length, with output arrays of exactly the counted size, and
+exactly its length, with output arrays of exactly the counted size; hands
+every truncation of the accepted inputs to ``frame_read`` with the shape of
+the whole file, so that the converting walk meets a literal ending at the
+last byte; reads each boundary literal from a frame file of its own; and
 spells rows of awkward doubles with ``spell_rows`` into a buffer of exactly
 the size the calls are given, so that a sanitizer sees any access out of
 bounds:
@@ -17,14 +22,18 @@ bounds:
     python tests/frameio_corpus.py LIBRARY
 
 It imports neither numpy nor framekit, and exits 1 if a row's spelling
-differs from Python's ``"%.17g"`` or no input was accepted.
+differs from Python's ``"%.17g"``, a boundary literal reads otherwise than
+``float(json.loads(literal))`` (declining only what is not finite), or no
+input was accepted.
 """
 
 import ctypes
 import json
+import math
 import random
 import struct
 import sys
+from fractions import Fraction
 
 #: inserted at random offsets of the frame files
 TOKENS = [
@@ -35,6 +44,57 @@ TOKENS = [
     b"123456789012345678901234567890", b"1" * 70, b"0." + b"0" * 70 + b"1",
     b"\xff", b"\xe9", b"\xc3\xa9", b"\xef\xbb\xbf", b"\x00",
 ]
+
+
+def near_halfway(m, j, digits, side):
+    """The literal of ``digits`` significant digits nearest below (``side``
+    -1) or above (+1) t = m 2^j, for m odd of 54 bits, which lies halfway
+    between two neighbouring doubles; t itself when that many digits spell
+    it.  Rounding's hardest cases: just above t only the remainder of an
+    exact division can tell the literal from t."""
+    t = Fraction(m) * Fraction(2) ** j
+    k = len(str(t.numerator)) - len(str(t.denominator))
+    if Fraction(10) ** k > t:
+        k -= 1  # 10^k <= t < 10^(k+1)
+    scaled = t * Fraction(10) ** (digits - 1 - k)
+    return f"{math.floor(scaled) if side < 0 else math.ceil(scaled)}e{k + 1 - digits}"
+
+
+#: At the edges of the exact conversion, which takes at most 19 significant
+#: digits w and a decimal exponent q in [-27, 27] of the value w 10^q: 19
+#: and 20 digits (20 can wrap a 64-bit word to 0), q of -28, -27, 27 and 28,
+#: leading zeros (which do not count), exact halfway cases and 19 digits
+#: just above or below one, e/E/e+/e- and 60-digit exponents, which must not
+#: overflow the walk's count.
+BOUNDARY_LITERALS = [
+    "0", "-0", "0.0", "-0.0", "0e0", "-0E-0", "0.0000000000000000000000000", "0e" + "9" * 60,
+    "9999999999999999999", "-9999999999999999999", "10000000000000000000",
+    "9223372036854775807", "9223372036854775808", "18446744073709551615",
+    "18446744073709551616", "36893488147419103232", "12345678901234567891",
+    "1e-27", "1e-28", "1e27", "1e28", "-1E+27", "1E-0027", "1e+0028",
+    "9999999999999999999e27", "9999999999999999999e-27", "9999999999999999999e28",
+    "9999999999999999999e-28", "99999999999999999999e27", "99999999999999999999e-27",
+    "1234567890123456789e-27", "123456789012345678.9e-28", "1.234567890123456789e27",
+    "0.000000000000000000000000001", "0.0000000000000000000000000001",
+    "0.000000000000000000001234567890123456789", "0.0000000000000000000012345678901234567891",
+    "0.0025000000000000001", "0.00250000000000000001", "0.10000000000000001",
+    "9007199254740993", "-9007199254740993", "9007199254740995", "9007199254740992.5",
+    "4503599627370496.5", "4503599627370497.5", "2251799813685248.25", "2251799813685248.75",
+    "18014398509481986", "18014398509481990", "9007199254740993e0", "9007199254740993e-0",
+    near_halfway(2**53 + 1, 0, 19, 1), near_halfway(2**54 - 1, 11, 19, -1),
+    near_halfway(2**53 + 3, -3, 19, 1), near_halfway(2**54 - 3, -60, 19, -1),
+    "9863913363796477001e-3", "9852128141651333126e-4", "9105820155410051758e-6",
+    "9730488828944589997e-8", "8246600032485857454e-26",
+    "1.7976931348623157e308", "2.2250738585072014e-308", "5e-324", "1e23", "8.98846567431158e307",
+    "1e" + "0" * 59 + "5", "1e-" + "0" * 59 + "5", "1e" + "9" * 60, "1e-" + "9" * 60,
+    "-1e-" + "9" * 59, "1.5E+3", "2.5e-3", "-2.5e+00", "1E5", "1e-5",
+]
+
+
+def literal_frame(literals):
+    """A frame file whose points are ``literals``."""
+    points = ", ".join(literals)
+    return ('{"grid": {"points": [%s], "weights": [1]}, "vectors": [[1]]}' % points).encode()
 
 
 def _payload():
@@ -136,18 +196,45 @@ def main(library):
     ]
     lib.spell_rows.restype = ctypes.c_long
 
-    inputs = corpus()
-    accepted = 0
-    for data in inputs:
+    def scan(data, shape=None):
+        """The points frame_read reads from data in a heap buffer of exactly
+        its length, with the shape frame_shape counts unless one is given;
+        None when either declines."""
         buffer = libc.malloc(max(len(data), 1))
         ctypes.memmove(buffer, data, len(data))
-        shape = shape_type()
-        if lib.frame_shape(buffer, len(data), shape) == 0:
+        points = None
+        if shape is None:
+            shape = shape_type()
+            if lib.frame_shape(buffer, len(data), shape) != 0:
+                shape = None
+        if shape is not None:
             arrays = [libc.malloc(8 * n) for n in (shape[0], shape[1], shape[2] * shape[3])]
-            accepted += lib.frame_read(buffer, len(data), shape, *arrays) == 0
+            if lib.frame_read(buffer, len(data), shape, *arrays) == 0:
+                points = struct.unpack(f"<{shape[0]}d", ctypes.string_at(arrays[0], 8 * shape[0]))
             for a in arrays:
                 libc.free(a)
         libc.free(buffer)
+        return points
+
+    inputs = corpus()
+    accepted = 0
+    for data in inputs:
+        accepted += scan(data) is not None
+    # the converting walk cut short inside a literal, a token or whitespace
+    for base in _frame_texts():
+        shape = shape_type()
+        if lib.frame_shape(base, len(base), shape) == 0:
+            for i in range(len(base)):
+                scan(base[:i], shape)
+
+    misread = 0
+    for literal in BOUNDARY_LITERALS:
+        expected = float(json.loads(literal))
+        got = scan(literal_frame([literal]))
+        if got is None:
+            misread += expected - expected == 0  # declines only what is not finite
+        else:
+            misread += struct.pack("<d", got[0]) != struct.pack("<d", expected)
 
     # rows of 9 awkward doubles, spelt into a buffer that holds three rows by
     # the writer's bound, so each call fills it as far as the bound lets it
@@ -165,8 +252,9 @@ def main(library):
     got = "".join(chunks)[1:-1].split("], [")
     expected = [", ".join(map(python_spelling, values[i * cols : (i + 1) * cols])) for i in range(rows)]
     wrong = sum(a != b for a, b in zip(got, expected)) + abs(len(got) - len(expected))
-    print(f"{len(inputs)} inputs, {accepted} accepted; {rows} rows, {wrong} spelt wrong")
-    return 1 if wrong or not accepted else 0
+    print(f"{len(inputs)} inputs, {accepted} accepted; {len(BOUNDARY_LITERALS)} boundary "
+          f"literals, {misread} misread; {rows} rows, {wrong} spelt wrong")
+    return 1 if wrong or misread or not accepted else 0
 
 
 if __name__ == "__main__":

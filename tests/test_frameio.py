@@ -5,13 +5,19 @@ reference.  The compiled writer must spell every double byte for byte as
 the Python twin does, and ``parse_frame_file`` must give bit-identical
 arrays or the identical ``SchemaError`` text under both backends, whatever
 the file holds.  The compiled scanner must also accept every file that
-framekit and perfbench write, or the fast path would silently stop running.
+framekit and perfbench write, or the fast path would silently stop running,
+and read every literal bit for bit as ``float()`` does, whether it converts
+the literal itself or hands it to ``strtod_l``.
 """
 
 import json
 import os
 import random
+import struct
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +29,7 @@ import frameio_corpus
 from framekit import _kernels, cli, frames, rng
 from framekit._kernels import PYTHON, VARIANTS
 from framekit.errors import FramekitError
+from test_kernels import needs_cc, sanitized_library
 
 pytestmark = pytest.mark.skipif(not VARIANTS, reason="C twin not loaded")
 #: the compiled twin: every variant shares its frame-file kernels
@@ -216,6 +223,93 @@ def test_scanner_reads_as_json_does(literal, value):
     assert points.tobytes() == np.asarray(json.loads(data)["grid"]["points"], dtype=float).tobytes()
 
 
+# ---------------------------------------------------------------------------
+# reader differential: each literal reads as float(json.loads(literal)),
+# float() except that the int literal -0 is +0.0
+
+
+def assert_read_as_json(literals):
+    """The compiled scanner reads ``literals``, the points of one frame,
+    bit for bit as json does."""
+    points, _, _ = COMPILED.scan_frame(frameio_corpus.literal_frame(literals))
+    expected = np.array([float(json.loads(t)) for t in literals])
+    wrong = np.flatnonzero(points.view(np.uint64) != expected.view(np.uint64))
+    assert not wrong.size, [(literals[i], points[i], expected[i]) for i in wrong[:5]]
+
+
+def finite(x):
+    return x - x == 0
+
+
+@st.composite
+def spelt_doubles(draw):
+    """A random bit pattern, half the time with its exponent within 2^±100
+    (where most literals of the exact conversion lie), spelt "%.17g",
+    ``repr`` or "%.{p}e"; "0" for one that is not finite or spelt so."""
+    bits = draw(st.integers(0, 2**64 - 1))
+    if draw(st.booleans()):
+        bits = bits & ~(0x7FF << 52) | draw(st.integers(1023 - 100, 1023 + 100)) << 52
+    x = struct.unpack("<d", struct.pack("<Q", bits))[0]
+    spelling = draw(st.sampled_from(["%.17g", "repr", *(f"%.{p}e" for p in range(19))]))
+    text = repr(x) if spelling == "repr" else spelling % x
+    return text if finite(x) and finite(float(text)) else "0"
+
+
+def exponent_text(draw, e):
+    marker = draw(st.sampled_from(["e", "E"]))
+    zeros = "0" * draw(st.sampled_from([0, 0, 0, 1, 3]))
+    if e < 0:
+        return f"{marker}-{zeros}{-e}"
+    return f"{marker}{draw(st.sampled_from(['', '+']))}{zeros}{e}"
+
+
+@st.composite
+def decimal_literals(draw):
+    """n = 1..20 significant digits D and a decimal exponent q of the value
+    D 10^q, at the edges -28, -27, 27, 28 or in [-30, 30], spelt as an
+    integer, with a point inside D, or as 0.000D, with either sign."""
+    n = draw(st.integers(1, 20))
+    d = str(draw(st.integers(10 ** (n - 1), 10**n - 1)))
+    q = draw(st.sampled_from([-28, -27, 27, 28]) | st.integers(-30, 30))
+    form = draw(st.sampled_from(["integer", "point", "zeros"]))
+    if form == "point" and n > 1:
+        k = draw(st.integers(1, n - 1))
+        text = d[:k] + "." + d[k:] + exponent_text(draw, q + n - k)
+    elif form == "zeros":
+        z = draw(st.integers(0, 30))
+        text = "0." + "0" * z + d + exponent_text(draw, q + n + z)
+    else:
+        text = d + exponent_text(draw, q) if q or draw(st.booleans()) else d
+    text = draw(st.sampled_from(["", "-"])) + text
+    return text if finite(float(text)) else "0"
+
+
+@st.composite
+def halfway_literals(draw):
+    """The literal of 17 to 20 significant digits nearest below or above a
+    point halfway between two doubles, or on it."""
+    m = draw(st.integers(2**52, 2**53 - 1)) * 2 + 1
+    return frameio_corpus.near_halfway(
+        m, draw(st.integers(-100, 100)), draw(st.integers(17, 20)), draw(st.sampled_from([-1, 1]))
+    )
+
+
+@settings(max_examples=250, deadline=None, database=None)
+@given(literals=st.lists(spelt_doubles() | decimal_literals() | halfway_literals(), min_size=1,
+                         max_size=60))
+def test_literals_read_as_float(literals):
+    assert_read_as_json(literals)
+
+
+def test_boundary_literals_read_as_float():
+    # one file each: a literal that overflows declines its whole file
+    for literal in frameio_corpus.BOUNDARY_LITERALS:
+        if finite(float(literal)):
+            assert_read_as_json([literal])
+        else:
+            assert COMPILED.scan_frame(frameio_corpus.literal_frame([literal])) is None, literal
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(
     a=hnp.arrays(
@@ -271,3 +365,21 @@ def test_reading_a_large_frame_needs_no_more_memory_than_the_walk(tmp_path):
     # the bytes, the scanned arrays and the copies Grid and FrameSystem keep
     assert peaks["compiled"] <= path.stat().st_size + 3 * fs.vectors.nbytes
     assert peaks["compiled"] <= peaks["python"]
+
+
+@needs_cc
+def test_frameio_under_address_and_undefined_sanitizers(tmp_path):
+    # the corpus, the truncations and the boundary literals of
+    # tests/frameio_corpus.py, each input in a heap buffer of exactly its
+    # length, against the scanner and writer built with ASan and UBSan; the
+    # interpreter is not instrumented, so libasan is preloaded
+    library, libasan = sanitized_library(tmp_path, Path(_kernels.__file__).with_name("_frameio.c"))
+    proc = subprocess.run(
+        [sys.executable, frameio_corpus.__file__, str(library)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0"},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert " 0 misread;" in proc.stdout and " 0 spelt wrong" in proc.stdout

@@ -962,21 +962,3 @@ def test_jacobi_under_address_and_undefined_sanitizers(tmp_path):
     for case in cases:
         for name in names:
             assert (tmp_path / f"{case}-{name}").read_bytes() == expected[case], (case, name)
-
-
-@needs_cc
-def test_frame_io_under_address_and_undefined_sanitizers(tmp_path):
-    # the corpus of tests/frameio_corpus.py, each input in a heap buffer of
-    # exactly its length, against the scanner and writer built with ASan and
-    # UBSan; the interpreter is not instrumented, so libasan is preloaded
-    library, libasan = sanitized_library(tmp_path, Path(_kernels.__file__).with_name("_frameio.c"))
-    script = Path(__file__).with_name("frameio_corpus.py")
-    proc = subprocess.run(
-        [sys.executable, str(script), str(library)],
-        capture_output=True,
-        text=True,
-        timeout=300,
-        env={**os.environ, "LD_PRELOAD": libasan, "ASAN_OPTIONS": "detect_leaks=0"},
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert " 0 spelt wrong" in proc.stdout
