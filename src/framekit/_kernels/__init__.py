@@ -8,13 +8,17 @@ bit-identical output for the same input, so the choice only affects speed.
 The frame-file reader is the one exception in form, not in result: the
 Python twin declines every file and the C scanner declines every file
 outside the one frame layout, and the JSON walk in ``framekit.cli`` reads
-what they decline.  The scanner converts a literal of at most 19
-significant digits with a decimal exponent in [-27, 27] exactly itself and
-hands every other literal to ``strtod_l`` in the C locale, so each value is
-the double ``float()`` gives.  Nothing is built at install time: the first import
-compiles the C sources with ``cc`` into one library in this package's
-``__pycache__/``, under a name keyed by a hash of the sources and the flags,
-and later imports load that file.
+what they decline.  The scanner reads a file in one walk, each number in
+file order into one array of the file's commas + 1 doubles
+(``frame_numbers``): exactly the numbers of a file in the frame layout,
+and for a declined file at most 8 bytes a comma and one double more, which
+the walk leaves untouched past the numbers it read.  It converts a literal
+of at most 19 significant digits with a decimal exponent in [-27, 27]
+exactly itself and hands every other literal to ``strtod_l`` in the C
+locale, so each value is the double ``float()`` gives.  Nothing is built
+at install time: the first import compiles the C sources with ``cc`` into
+one library in this package's ``__pycache__/``, under a name keyed by a
+hash of the sources and the flags, and later imports load that file.
 
 The library builds its Jacobi and sampling kernels once per vector ISA:
 AVX-512 (F and DQ), AVX2 and the baseline where the compiler targets
@@ -88,7 +92,8 @@ class Backend(NamedTuple):
       zero as "-0.0", yielded in chunks of whole rows.
     - ``scan_frame(data)``: the (points, weights, vectors) arrays of the
       bytes of a frame file in the frame layout, each number the double
-      json reads, or None to leave the file to the JSON walk.
+      json reads, or None to leave the file to the JSON walk; the compiled
+      twin's are views of one array of exactly their numbers.
     """
 
     variant: str
@@ -163,8 +168,9 @@ def _jacobi_rows(jacobi, a, max_sweeps, tol):
     """A variant's C ``jacobi_rows_<v>``, ``jacobi``, on ``a``:
     (squared row norms, rotations, sweeps)."""
     k, n = _hestenes_py.check_rows_args(a)
+    at = _sampling_py.array_address(a, (k, n), writeable=True)
     v, norms = np.eye(k), np.empty(k)
-    sweeps = jacobi(a, v, norms, k, n, max_sweeps, tol)
+    sweeps = jacobi(at, v.ctypes.data, norms.ctypes.data, k, n, max_sweeps, tol)
     return norms, v, sweeps
 
 
@@ -218,32 +224,28 @@ def _load(library: Path) -> list[Backend]:
     """A compiled backend for each variant that this CPU runs,
     widest first."""
     lib = ctypes.CDLL(str(library))
-    # typed pointers make a wrong dtype, rank, layout or a read-only array
-    # raise instead of handing C the wrong memory
-    matrix = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS,WRITEABLE")
-    out_vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
-    vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    rows_in = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
-    lib.kl_contract.argtypes = [
-        rows_in, vector, vector, out_vector, out_vector, ctypes.c_long, ctypes.c_long
-    ]
+    # every kernel takes bare addresses: of arrays its wrapper allocates or
+    # makes contiguous float64 itself, or of arrays array_address has
+    # checked, so a wrong dtype, shape, layout or a read-only output raises
+    # ValueError before C runs
+    addresses, sizes = [ctypes.c_void_p] * 6, [ctypes.c_long] * 3
+    lib.kl_contract.argtypes = [*addresses[:5], *sizes[:2]]
     lib.kl_contract.restype = None
 
     def kl_contract(x, c_re, c_im, out_re, out_im):
-        rows, n = _sampling_py.check_contract_args(x.shape, c_re, c_im, out_re, out_im)
-        lib.kl_contract(x, c_re, c_im, out_re, out_im, rows, n)
+        lib.kl_contract(*_sampling_py.check_contract_args(x, c_re, c_im, out_re, out_im))
 
-    # the file kernels take the addresses of arrays their wrappers allocate
-    # or make contiguous float64 themselves, as the sampling kernels do
     lib.spell_rows.argtypes = [
         ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_long,
         ctypes.POINTER(ctypes.c_long),
     ]
     lib.spell_rows.restype = ctypes.c_long
     shape_type = ctypes.c_long * 4
-    lib.frame_shape.argtypes = [ctypes.c_char_p, ctypes.c_long, shape_type]
-    lib.frame_shape.restype = ctypes.c_int
-    lib.frame_read.argtypes = [ctypes.c_char_p, ctypes.c_long, shape_type, *[ctypes.c_void_p] * 3]
+    lib.frame_numbers.argtypes = [ctypes.c_char_p, ctypes.c_long]
+    lib.frame_numbers.restype = ctypes.c_long
+    lib.frame_read.argtypes = [
+        ctypes.c_char_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_long, shape_type
+    ]
     lib.frame_read.restype = ctypes.c_int
 
     def spell_rows(table):
@@ -260,30 +262,19 @@ def _load(library: Path) -> list[Backend]:
             yield ctypes.string_at(out, n)
 
     def scan_frame(data):
-        shape = shape_type()
-        if lib.frame_shape(data, len(data), shape) != 0:
+        flat, shape = np.empty(lib.frame_numbers(data, len(data))), shape_type()
+        if lib.frame_read(data, len(data), flat.ctypes.data, flat.size, shape) != 0:
             return None
         n_points, n_weights, rows, width = shape
-        # one allocation holds the three arrays, handed to C by address
-        flat = np.empty(n_points + n_weights + rows * width)
-        at = flat.ctypes.data
         vectors_at = n_points + n_weights
-        if lib.frame_read(data, len(data), shape, at, at + 8 * n_points, at + 8 * vectors_at) != 0:
-            return None
         return flat[:n_points], flat[n_points:vectors_at], flat[vectors_at:].reshape(rows, width)
 
     lib.variants.argtypes = []
     lib.variants.restype = ctypes.c_char_p
-    # the sampling kernels take bare addresses, which the scratch holds
-    # and checks for each call's vectors, as typed pointers would
-    addresses, sizes = [ctypes.c_void_p] * 6, [ctypes.c_long] * 3
 
     def variant(name):
         jacobi = getattr(lib, f"jacobi_rows_{name}")
-        jacobi.argtypes = [
-            matrix, matrix, out_vector, ctypes.c_long, ctypes.c_long, ctypes.c_int,
-            ctypes.c_double,
-        ]
+        jacobi.argtypes = [*addresses[:3], *sizes[:2], ctypes.c_int, ctypes.c_double]
         jacobi.restype = ctypes.c_int
         philox = getattr(lib, f"philox_split_{name}")
         philox.argtypes = [ctypes.c_uint64, ctypes.c_uint64, *addresses[:2], *sizes[:2]]

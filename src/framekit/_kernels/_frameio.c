@@ -3,14 +3,16 @@
  * Twin of _frameio_py.py.  spell_rows spells every double exactly as
  * Python's "%.17g" % x does, and negative zero as "-0.0".  The 17 digits come
  * from exact integer arithmetic for about 1e-15 <= |x| < 1e40 and from
- * snprintf in the C locale otherwise; nothing needs libm.  frame_shape and frame_read
- * accept only the frame layout framekit and perfbench write and decline
- * everything else, which the JSON walk in framekit/cli.py then reads; every
- * value they accept is the double the walk would give.  A literal of at most
- * 19 significant digits whose value is w 10^q with q in [-27, 27], nearly
- * every literal "%.17g" and repr write, is converted exactly from the digits
- * the walk gathers, in 128-bit integers; strtod_l in the C locale reads every
- * other literal.  Keep the two files in sync.
+ * snprintf in the C locale otherwise; nothing needs libm.  frame_read, the
+ * scanner's one walk, accepts only the frame layout framekit and perfbench
+ * write and declines everything else, which the JSON walk in framekit/cli.py
+ * then reads; it converts each number as it checks the grammar, into an
+ * output of frame_numbers(file) doubles, and each is the double the walk
+ * would give.  A literal of at most 19 significant digits whose value is
+ * w 10^q with q in [-27, 27], nearly every literal "%.17g" and repr write, is
+ * converted exactly from the digits the walk gathers, in 128-bit integers;
+ * strtod_l in the C locale reads every other literal.  Keep the two files in
+ * sync.
  */
 #define _GNU_SOURCE
 #include <float.h>
@@ -54,12 +56,19 @@ static char *put(char *p, const char *text)
     return p;
 }
 
-/* "%.17g" % x by the C library, in the C locale whatever LC_NUMERIC is */
-static char *spell_libc(double x, char *p, locale_t *c_locale)
+/* The C locale, made into *held by the first call that needs it; (locale_t)0
+ * if it cannot be made.  Its maker frees it. */
+static locale_t c_locale(locale_t *held)
 {
-    if (!*c_locale)
-        *c_locale = newlocale(LC_ALL_MASK, "C", (locale_t)0);
-    locale_t old = uselocale(*c_locale ? *c_locale : LC_GLOBAL_LOCALE);
+    if (!*held)
+        *held = newlocale(LC_ALL_MASK, "C", (locale_t)0);
+    return *held;
+}
+
+/* "%.17g" % x by the C library, in the C locale whatever LC_NUMERIC is */
+static char *spell_libc(double x, char *p, locale_t *held)
+{
+    locale_t old = uselocale(c_locale(held) ? *held : LC_GLOBAL_LOCALE);
     int n = snprintf(p, 25, "%.17g", x); /* at most 24 characters for a double */
     uselocale(old);
     return p + n;
@@ -71,7 +80,7 @@ static char *spell_libc(double x, char *p, locale_t *c_locale)
  * num / den in 128 bits, where d is the decimal exponent of the unrounded
  * product: 10^16 <= m 2^e 10^(16-d) < 10^17.  Only then does rounding pick
  * the exponent, when N reaches 10^17. */
-static char *spell(double x, char *p, locale_t *c_locale)
+static char *spell(double x, char *p, locale_t *held)
 {
     uint64_t bits;
     memcpy(&bits, &x, sizeof bits);
@@ -88,7 +97,7 @@ static char *spell(double x, char *p, locale_t *c_locale)
     /* floor(E log10 2) for |x| in [2^E, 2^(E+1)), exact for |E| < 1100 */
     int d = (int)(((int64_t)e + 52) * 78913 >> 18);
     if (biased == 0 || d < -15 || d > 39)
-        return spell_libc(x, p, c_locale);
+        return spell_libc(x, p, held);
     m |= UINT64_C(1) << 52;
     uint64_t n;
     for (;;) {
@@ -169,7 +178,7 @@ static char *spell(double x, char *p, locale_t *c_locale)
  * number of bytes written; cap must hold one row, 26 cols + 4. */
 long spell_rows(const double *a, long rows, long cols, char *out, long cap, long *row)
 {
-    locale_t c_locale = (locale_t)0;
+    locale_t held = (locale_t)0;
     char *p = out;
     long i = *row;
     for (; i < rows && (p - out) + 26 * cols + 4 <= cap; i++) {
@@ -183,18 +192,19 @@ long spell_rows(const double *a, long rows, long cols, char *out, long cap, long
                 *p++ = ',';
                 *p++ = ' ';
             }
-            p = spell(a[i * cols + j], p, &c_locale);
+            p = spell(a[i * cols + j], p, &held);
         }
         *p++ = ']';
     }
-    if (c_locale)
-        freelocale(c_locale);
+    if (held)
+        freelocale(held);
     *row = i;
     return (long)(p - out);
 }
 
 /* ------------------------------------------------------------------------
- * The scanner.  It reads the bytes [p, end) and never a byte at or past end.
+ * The scanner.  It reads the bytes [p, end) and never a byte at or past end,
+ * and writes the doubles [out, limit) and never one at or past limit.
  * While it walks a number literal it gathers the significand's digits w and
  * the decimal exponent q of the literal's value w 10^q; for at most 19
  * significant digits and q in [-27, 27] decimal() converts them exactly,
@@ -206,7 +216,8 @@ long spell_rows(const double *a, long rows, long cols, char *out, long cap, long
 
 typedef struct {
     const char *p, *end;
-    locale_t c_locale; /* (locale_t)0 while counting: no number is converted */
+    double *out, *limit;
+    locale_t held; /* the C locale once strtod_l has needed it */
 } scan_t;
 
 /* skip JSON whitespace, then match the bytes of tok */
@@ -303,11 +314,13 @@ static double decimal(uint64_t w, int q)
     return x;
 }
 
-/* One number under the JSON grammar, into *out when converting.  0 declines:
- * not a number, longer than MAX_LITERAL, or not finite as a double.  An
- * integer literal is an int for json, so "-0" reads as +0.0. */
-static int number(scan_t *s, double *out)
+/* One number under the JSON grammar, into *s->out++.  0 declines: no room
+ * left at out, not a number, longer than MAX_LITERAL, or not finite as a
+ * double.  An integer literal is an int for json, so "-0" reads as +0.0. */
+static int number(scan_t *s)
 {
+    if (s->out == s->limit)
+        return 0;
     token(s, "");
     const char *start = s->p, *end = s->end, *p = start;
     int negative = p < end && *p == '-', integer = 1;
@@ -349,8 +362,6 @@ static int number(scan_t *s, double *out)
     size_t n = (size_t)(p - start);
     if (n > MAX_LITERAL)
         return 0;
-    if (!s->c_locale)
-        return 1;
     if (count > MAX_DIGITS) /* leading zeros leave w at 0: they do not count */
         for (const char *z = first; z < p && (*z == '0' || *z == '.'); z++)
             count -= *z == '0';
@@ -361,92 +372,83 @@ static int number(scan_t *s, double *out)
         v = decimal(w, (int)q);
         v = negative ? -v : v;
     } else {
+        if (!c_locale(&s->held))
+            return 0;
         char text[MAX_LITERAL + 1];
         memcpy(text, start, n);
         text[n] = '\0';
-        v = strtod_l(text, NULL, s->c_locale);
+        v = strtod_l(text, NULL, s->held);
         if (!(v >= -DBL_MAX && v <= DBL_MAX))
             return 0;
         v = integer && v == 0.0 ? 0.0 : v;
     }
-    *out = v;
+    *s->out++ = v;
     return 1;
 }
 
-/* "[" number ("," number)* "]", at most cap numbers stored at out when
- * converting; the count, or -1 to decline (an empty array too) */
-static long array(scan_t *s, double *out, long cap)
+/* "[" number ("," number)* "]": the count, or -1 to decline (an empty array
+ * too) */
+static long array(scan_t *s)
 {
     if (!token(s, "["))
         return -1;
     long n = 0;
     do {
-        if (s->c_locale && n >= cap)
-            return -1;
-        if (!number(s, s->c_locale ? out + n : NULL))
+        if (!number(s))
             return -1;
         n++;
     } while (token(s, ","));
     return token(s, "]") ? n : -1;
 }
 
-/* The frame layout, counting into shape (points, weights, rows, width) or,
- * when converting, filling arrays of the shape counted before; 0 accepts. */
-static int frame(scan_t *s, long shape[4], double *points, double *weights, double *vectors)
+/* The frame layout, its counts (points, weights, rows, width) into shape; 0
+ * accepts. */
+static int frame(scan_t *s, long shape[4])
 {
-    int fill = s->c_locale != (locale_t)0;
-    long n[4];
     if (!token(s, "{") || !token(s, "\"grid\"") || !token(s, ":") || !token(s, "{")
         || !token(s, "\"points\"") || !token(s, ":"))
         return -1;
-    if ((n[0] = array(s, points, shape[0])) < 0 || !token(s, ",")
-        || !token(s, "\"weights\"") || !token(s, ":"))
+    if ((shape[0] = array(s)) < 0 || !token(s, ",") || !token(s, "\"weights\"")
+        || !token(s, ":"))
         return -1;
-    if ((n[1] = array(s, weights, shape[1])) < 0 || !token(s, "}") || !token(s, ",")
+    if ((shape[1] = array(s)) < 0 || !token(s, "}") || !token(s, ",")
         || !token(s, "\"vectors\"") || !token(s, ":") || !token(s, "["))
         return -1;
-    n[2] = n[3] = 0;
+    shape[2] = shape[3] = 0;
     do {
-        if (fill && n[2] >= shape[2])
+        long width = array(s);
+        if (width < 0 || (shape[2] > 0 && width != shape[3]))
             return -1;
-        long width = array(s, fill ? vectors + n[2] * shape[3] : NULL, shape[3]);
-        if (width < 0 || (n[2] > 0 && width != n[3]))
-            return -1;
-        n[3] = width;
-        n[2]++;
+        shape[3] = width;
+        shape[2]++;
     } while (token(s, ","));
     if (!token(s, "]") || !token(s, "}"))
         return -1;
     token(s, "");
-    if (s->p != s->end)
-        return -1;
-    if (fill)
-        return memcmp(n, shape, sizeof n) == 0 ? 0 : -1;
-    memcpy(shape, n, sizeof n);
-    return 0;
+    return s->p == s->end ? 0 : -1;
 }
 
-/* Counts of the frame file in buf[0, len): shape = (points, weights, rows,
- * width), all positive.  0 when the file has the frame layout, -1 to
- * decline it. */
-int frame_shape(const char *buf, long len, long shape[4])
+/* The commas of buf[0, len), + 1: the count of numbers of a file in the
+ * frame layout, where each number but the last is followed by one comma
+ * and the keys and whitespace hold none. */
+long frame_numbers(const char *buf, long len)
 {
-    scan_t s = {buf, buf + len, (locale_t)0};
-    long none[4] = {0, 0, 0, 0};
-    memcpy(shape, none, sizeof none);
-    return frame(&s, shape, NULL, NULL, NULL);
+    long commas = 0;
+    for (long i = 0; i < len; i++)
+        commas += buf[i] == ',';
+    return commas + 1;
 }
 
-/* The numbers of the frame file in buf[0, len), whose frame_shape is shape,
- * into points, weights and the rows x width vectors.  0 when every number is
- * a finite double, -1 to decline. */
-int frame_read(const char *buf, long len, long shape[4], double *points, double *weights,
-               double *vectors)
+/* The numbers of the frame file in buf[0, len), in file order, into out:
+ * the points, the weights, then the rows, each of width numbers.  0 with
+ * shape = (points, weights, rows, width), all positive, when the file has
+ * the frame layout and every number is a finite double; -1 to decline it,
+ * also at its number cap + 1, which is not written. */
+int frame_read(const char *buf, long len, double *out, long cap, long shape[4])
 {
-    scan_t s = {buf, buf + len, newlocale(LC_ALL_MASK, "C", (locale_t)0)};
-    if (!s.c_locale)
-        return -1;
-    int status = frame(&s, shape, points, weights, vectors);
-    freelocale(s.c_locale);
+    scan_t s = {buf, buf + len, out, out + cap, (locale_t)0};
+    int status = frame(&s, shape);
+    if (s.held)
+        freelocale(s.held);
     return status;
 }

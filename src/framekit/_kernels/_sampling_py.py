@@ -11,7 +11,9 @@ computes the normal streams with them, and the C twin, which holds its
 operands tile-major and draws normals only inside its fused kernel, is
 tested against them.  ``Sampler``, the numpy twin's backend entry, runs the
 reference itself on row-major arrays allocated once.  The checks of the
-vectors of a block are here, for both twins.  Keep the two files in sync.
+arrays of a block and of a contraction are here, for both twins, and every
+array a compiled kernel is handed goes through ``array_address``.  Keep the
+two files in sync.
 The stream layout and the angle algorithm are documented in
 ``framekit/rng.py``.
 """
@@ -71,15 +73,18 @@ def check_polar_args(ln_u1, k, shape):
     return rows, pairs, shape[1]
 
 
-def check_contract_args(shape, c_re, c_im, out_re, out_im):
-    """(rows, n) of a valid ``kl_contract`` call on normals of ``shape``;
+def check_contract_args(x, c_re, c_im, out_re, out_im):
+    """The addresses of x, c_re, c_im, out_re and out_im of a valid
+    ``kl_contract`` call on (rows, n) normals ``x``, then rows and n;
     ValueError otherwise."""
-    rows, n = shape
-    if n < 1 or c_re.shape != (n,) or c_im.shape != (n,):
-        raise ValueError(f"normals {shape} for coefficients {c_re.shape}, {c_im.shape}")
-    if out_re.shape != (rows,) or out_im.shape != (rows,):
-        raise ValueError(f"outputs {out_re.shape}, {out_im.shape} for {rows} rows")
-    return rows, n
+    rows, n = x.shape
+    if n < 1:
+        raise ValueError(f"normals {x.shape}: no coefficients")
+    return (
+        array_address(x, (rows, n)), array_address(c_re, (n,)), array_address(c_im, (n,)),
+        array_address(out_re, (rows,), writeable=True),
+        array_address(out_im, (rows,), writeable=True), rows, n,
+    )
 
 
 def check_seed(seed, first):
@@ -89,19 +94,19 @@ def check_seed(seed, first):
         raise ValueError(f"seed {seed} or first stream {first} outside [0, 2**64)")
 
 
-def vector_address(a, n, writeable=False):
+def array_address(a, shape, writeable=False):
     """The address of the data of ``a``, a C-contiguous float64 array of
-    shape (n,), writeable if ``writeable``; ValueError otherwise, the
-    refusals of a typed ctypes pointer, read from one array interface."""
+    the tuple ``shape``, writeable if ``writeable``, read from one array
+    interface; ValueError otherwise, before a kernel is handed the memory."""
     try:
         face = a.__array_interface__
     except AttributeError:
         raise ValueError(f"{type(a).__name__} is not an array") from None
     address, read_only = face["data"]
-    if (face["typestr"] != _FLOAT64 or face["shape"] != (n,) or face["strides"] is not None
+    if (face["typestr"] != _FLOAT64 or face["shape"] != shape or face["strides"] is not None
             or writeable and read_only):
         kind = "writeable " if writeable else ""
-        raise ValueError(f"need a {kind}C-contiguous float64 array of shape ({n},)")
+        raise ValueError(f"need a {kind}C-contiguous float64 array of shape {shape}")
     return address
 
 
@@ -112,10 +117,10 @@ def check_block_args(held, count, rows, c_re, c_im, out_re, out_im):
     if not 1 <= rows <= held:
         raise ValueError(f"{rows} streams for a scratch of {held}")
     return (
-        vector_address(c_re, count),
-        vector_address(c_im, count),
-        vector_address(out_re, rows, writeable=True),
-        vector_address(out_im, rows, writeable=True),
+        array_address(c_re, (count,)),
+        array_address(c_im, (count,)),
+        array_address(out_re, (rows,), writeable=True),
+        array_address(out_im, (rows,), writeable=True),
     )
 
 
@@ -181,9 +186,9 @@ def kl_contract(x, c_re, c_im, out_re, out_im):
 
     The first term alone, then one add per term, each multiply and add
     rounded on its own; a loop over the n coefficients, vectorised over the
-    rows of the C-contiguous (rows, n) array ``x``.
+    rows of the (rows, n) array ``x``.  Both twins refuse the same arrays.
     """
-    rows, n = check_contract_args(x.shape, c_re, c_im, out_re, out_im)
+    *_, rows, n = check_contract_args(x, c_re, c_im, out_re, out_im)
     term = np.empty(rows)
     for c, out in ((c_re, out_re), (c_im, out_im)):
         np.multiply(x[:, 0], c[0], out=out)

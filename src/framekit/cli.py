@@ -29,14 +29,15 @@ The active backend of ``framekit._kernels`` spells the rows and scans frame
 files.  The compiled scanner accepts only the frame layout above with the
 keys in that order and no others, any JSON whitespace, non-empty arrays,
 rows of equal width and finite numbers under the JSON number grammar, in
-ASCII, and reads each number as json does (the int literal -0 is +0.0):
-a literal of at most 19 significant digits with a decimal exponent in
-[-27, 27] is converted exactly by the scanner itself, and strtod_l in the
-C locale reads the rest.  It declines everything else, and the JSON walk
-below then reads the file.
-The walk is the reference and gives every refusal, so every schema error
-and exit code is the same whichever backend runs; model files always go
-through the walk.
+ASCII.  It reads a file in one walk, each number as json does (the int
+literal -0 is +0.0) into one array of the file's commas + 1 doubles,
+exactly its numbers: a literal of at most 19 significant digits with a
+decimal exponent in [-27, 27] is converted exactly by the scanner itself,
+and strtod_l in the C locale reads the rest.  It declines everything else,
+and the JSON walk below then reads the file.
+The JSON walk is the reference and gives every refusal, so every schema
+error and exit code is the same whichever backend runs; model files always
+go through it.
 
 Subcommands and the only flags each accepts, with their defaults:
 

@@ -10,21 +10,23 @@ bools, integers past 2**53, bytes that are not UTF-8, a BOM).
 conversion, each of which must read as ``json`` reads it.
 
 Run as a script with the path of a library built from ``_frameio.c``, it
-hands every input to ``frame_shape`` and ``frame_read`` in a heap buffer of
-exactly its length, with output arrays of exactly the counted size; hands
-every truncation of the accepted inputs to ``frame_read`` with the shape of
-the whole file, so that the converting walk meets a literal ending at the
-last byte; reads each boundary literal from a frame file of its own; and
-spells rows of awkward doubles with ``spell_rows`` into a buffer of exactly
-the size the calls are given, so that a sanitizer sees any access out of
-bounds:
+hands every input, in a heap buffer of exactly its length, to
+``frame_numbers`` and then to ``frame_read`` with an output of exactly that
+many doubles; reads every accepted input again with one double fewer, which
+must decline without writing past the output; hands every truncation of
+the accepted inputs to ``frame_read`` with the whole file's count, so that
+the walk meets a literal ending at the last byte; reads each boundary
+literal from a frame file of its own; and spells rows of awkward doubles
+with ``spell_rows`` into a buffer of exactly the size the calls are given,
+so that a sanitizer sees any access out of bounds:
 
     python tests/frameio_corpus.py LIBRARY
 
 It imports neither numpy nor framekit, and exits 1 if a row's spelling
 differs from Python's ``"%.17g"``, a boundary literal reads otherwise than
-``float(json.loads(literal))`` (declining only what is not finite), or no
-input was accepted.
+``float(json.loads(literal))`` (declining only what is not finite), an
+input is accepted with one double fewer than it holds, or no input was
+accepted.
 """
 
 import ctypes
@@ -188,49 +190,50 @@ def main(library):
     libc.malloc.argtypes = [ctypes.c_size_t]
     libc.free.argtypes = [ctypes.c_void_p]
     shape_type = ctypes.c_long * 4
-    lib.frame_shape.argtypes = [ctypes.c_void_p, ctypes.c_long, shape_type]
-    lib.frame_read.argtypes = [ctypes.c_void_p, ctypes.c_long, shape_type] + [ctypes.c_void_p] * 3
+    lib.frame_numbers.argtypes = [ctypes.c_void_p, ctypes.c_long]
+    lib.frame_numbers.restype = ctypes.c_long
+    lib.frame_read.argtypes = [
+        ctypes.c_void_p, ctypes.c_long, ctypes.c_void_p, ctypes.c_long, shape_type
+    ]
     lib.spell_rows.argtypes = [
         ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_long,
         ctypes.POINTER(ctypes.c_long),
     ]
     lib.spell_rows.restype = ctypes.c_long
 
-    def scan(data, shape=None):
-        """The points frame_read reads from data in a heap buffer of exactly
-        its length, with the shape frame_shape counts unless one is given;
-        None when either declines."""
+    def scan(data, cap=None):
+        """(the points frame_read reads from data in a heap buffer of exactly
+        its length into an output of exactly cap doubles, or None when it
+        declines; cap), cap being frame_numbers' count unless one is given."""
         buffer = libc.malloc(max(len(data), 1))
         ctypes.memmove(buffer, data, len(data))
-        points = None
-        if shape is None:
-            shape = shape_type()
-            if lib.frame_shape(buffer, len(data), shape) != 0:
-                shape = None
-        if shape is not None:
-            arrays = [libc.malloc(8 * n) for n in (shape[0], shape[1], shape[2] * shape[3])]
-            if lib.frame_read(buffer, len(data), shape, *arrays) == 0:
-                points = struct.unpack(f"<{shape[0]}d", ctypes.string_at(arrays[0], 8 * shape[0]))
-            for a in arrays:
-                libc.free(a)
+        if cap is None:
+            cap = lib.frame_numbers(buffer, len(data))
+        out, shape, points = libc.malloc(8 * cap), shape_type(), None
+        if lib.frame_read(buffer, len(data), out, cap, shape) == 0:
+            points = struct.unpack(f"<{shape[0]}d", ctypes.string_at(out, 8 * shape[0]))
+        libc.free(out)
         libc.free(buffer)
-        return points
+        return points, cap
 
     inputs = corpus()
-    accepted = 0
+    accepted = overfilled = 0
     for data in inputs:
-        accepted += scan(data) is not None
-    # the converting walk cut short inside a literal, a token or whitespace
+        points, cap = scan(data)
+        if points is not None:
+            accepted += 1
+            overfilled += scan(data, cap - 1)[0] is not None
+    # the walk cut short inside a literal, a token or whitespace
     for base in _frame_texts():
-        shape = shape_type()
-        if lib.frame_shape(base, len(base), shape) == 0:
+        points, cap = scan(base)
+        if points is not None:
             for i in range(len(base)):
-                scan(base[:i], shape)
+                scan(base[:i], cap)
 
     misread = 0
     for literal in BOUNDARY_LITERALS:
         expected = float(json.loads(literal))
-        got = scan(literal_frame([literal]))
+        got = scan(literal_frame([literal]))[0]
         if got is None:
             misread += expected - expected == 0  # declines only what is not finite
         else:
@@ -252,9 +255,10 @@ def main(library):
     got = "".join(chunks)[1:-1].split("], [")
     expected = [", ".join(map(python_spelling, values[i * cols : (i + 1) * cols])) for i in range(rows)]
     wrong = sum(a != b for a, b in zip(got, expected)) + abs(len(got) - len(expected))
-    print(f"{len(inputs)} inputs, {accepted} accepted; {len(BOUNDARY_LITERALS)} boundary "
-          f"literals, {misread} misread; {rows} rows, {wrong} spelt wrong")
-    return 1 if wrong or misread or not accepted else 0
+    print(f"{len(inputs)} inputs, {accepted} accepted, {overfilled} overfilled; "
+          f"{len(BOUNDARY_LITERALS)} boundary literals, {misread} misread; {rows} rows, "
+          f"{wrong} spelt wrong")
+    return 1 if wrong or misread or overfilled or not accepted else 0
 
 
 if __name__ == "__main__":

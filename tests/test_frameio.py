@@ -342,6 +342,32 @@ def test_scanner_accepts_what_perfbench_writes(tmp_path, monkeypatch, seed):
         assert_read_alike(path, data)
 
 
+def test_scanned_arrays_fill_one_buffer_without_slack(tmp_path, monkeypatch):
+    # every corpus file the scanner accepts, and files framekit and
+    # perfbench write: the output frame_numbers sizes holds the points, the
+    # weights and the rows back to back, and nothing more
+    scanned = [COMPILED.scan_frame(data) for data in frameio_corpus.corpus()]
+    fs = frames.FrameSystem(grid=frames.Grid(points=np.arange(5.0), weights=np.full(5, 0.5)),
+                            vectors=rng.seeded_normals(3, 0, 15).reshape(3, 5))
+    cli.write_frame_file(str(tmp_path / "framekit.json"), fs)
+    scanned.append(COMPILED.scan_frame((tmp_path / "framekit.json").read_bytes()))
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    inputs = pytest.importorskip("inputs")
+    for f in inputs.frame_cli_inputs(31337):
+        inputs.write_frame(str(tmp_path / "perfbench.json"), f)
+        scanned.append(COMPILED.scan_frame((tmp_path / "perfbench.json").read_bytes()))
+    accepted = [arrays for arrays in scanned if arrays is not None]
+    assert len(accepted) > len(inputs.frame_cli_inputs(31337)) + 1
+    for points, weights, vectors in accepted:
+        base = points.base
+        assert weights.base is base and vectors.base is base
+        assert base.shape == (points.size + weights.size + vectors.size,)
+        at = base.ctypes.data
+        assert points.ctypes.data == at
+        assert weights.ctypes.data == at + 8 * points.size
+        assert vectors.ctypes.data == at + 8 * (points.size + weights.size)
+
+
 def test_reading_a_large_frame_needs_no_more_memory_than_the_walk(tmp_path):
     # the weighted 50 x 3000 frame: 3.3 MB of text, 1.2 MB of vectors
     n, m = 50, 3000

@@ -442,15 +442,15 @@ def test_coefficients_are_the_nearest_taylor_doubles():
 
 @pytest.mark.skipif(not VARIANTS, reason="C twin not loaded")
 def test_wrong_arrays_raise():
-    # the typed pointers and the shape checks stop what C would misread
+    # the address and shape checks stop what C would misread, before it runs
     a = factor(4, 6, 0, "dense", 0)
     frozen = a.copy()
     frozen.setflags(write=False)
     for bad, error in [
-        (a.astype(np.float32), ctypes.ArgumentError),
-        (frozen, ctypes.ArgumentError),
-        (a[::-1], ctypes.ArgumentError),
-        (np.asfortranarray(a), ctypes.ArgumentError),
+        (a.astype(np.float32), ValueError),
+        (frozen, ValueError),
+        (a[::-1], ValueError),
+        (np.asfortranarray(a), ValueError),
         (a[0], ValueError),
         (a[:0], ValueError),
         (a[:, :0], ValueError),
@@ -563,8 +563,8 @@ def test_wrong_contraction_arrays_raise():
     frozen.setflags(write=False)
     contract = next(iter(VARIANTS.values())).kl_contract
     for args, error in [
-        ((np.asfortranarray(np.ones((4, 3))), c, c, np.zeros(4), np.zeros(4)), ctypes.ArgumentError),
-        ((x, c, c, frozen, np.zeros(4)), ctypes.ArgumentError),
+        ((np.asfortranarray(np.ones((4, 3))), c, c, np.zeros(4), np.zeros(4)), ValueError),
+        ((x, c, c, frozen, np.zeros(4)), ValueError),
         ((x, np.ones(2), c, np.zeros(4), np.zeros(4)), ValueError),
         ((x, c, c, np.zeros(3), np.zeros(4)), ValueError),
         ((np.ones((4, 0)), c[:0], c[:0], np.zeros(4), np.zeros(4)), ValueError),
