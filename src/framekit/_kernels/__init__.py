@@ -85,8 +85,9 @@ class Backend(NamedTuple):
       streams or of more than the scratch holds, and a seed or first stream
       outside [0, 2**64).  A variant's is a partial of its C
       ``philox_split_<v>`` and ``polar_contract_<v>``.
-    - ``kl_contract(x, c_re, c_im, out_re, out_im)``: the fixed-order sums of
-      ``sample_kl``, ``kl_coefficients`` and ``fourier_at_atoms``.
+    - ``kl_contract(x, c, out)``: out[j, i] = x[i] . c[j] in index order for
+      x (rows, n), c (k, n) and out (k, rows): the fixed-order sums of
+      ``kl_coefficients``, ``fourier_at_atoms`` and the numpy ``sampler``.
     - ``spell_rows(table)``: the rows of a 2-D float table as ASCII bytes
       "[v, v], [v, v]", each value spelt as ``"%.17g"`` does and negative
       zero as "-0.0", yielded in chunks of whole rows.
@@ -229,11 +230,11 @@ def _load(library: Path) -> list[Backend]:
     # checked, so a wrong dtype, shape, layout or a read-only output raises
     # ValueError before C runs
     addresses, sizes = [ctypes.c_void_p] * 6, [ctypes.c_long] * 3
-    lib.kl_contract.argtypes = [*addresses[:5], *sizes[:2]]
+    lib.kl_contract.argtypes = [*addresses[:3], *sizes]
     lib.kl_contract.restype = None
 
-    def kl_contract(x, c_re, c_im, out_re, out_im):
-        lib.kl_contract(*_sampling_py.check_contract_args(x, c_re, c_im, out_re, out_im))
+    def kl_contract(x, c, out):
+        lib.kl_contract(*_sampling_py.check_contract_args(x, c, out))
 
     lib.spell_rows.argtypes = [
         ctypes.c_void_p, ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_long,

@@ -1,5 +1,6 @@
 /* Compiled sampling kernels: Philox-4x64-10 split into the Box-Muller
- * operands, the Box-Muller radius and angle, and the KL contraction.
+ * operands, the Box-Muller radius and angle, and the fixed-order sums,
+ * fused with the draw (polar_contract_<v>) or of any width (kl_contract).
  *
  * Twin of _sampling_py.py: the same operations on the same operands in the
  * same order, element for element (built with -ffp-contract=off so no FMA
@@ -24,7 +25,7 @@
  * lanes, and both export the scalar Philox built for the baseline (neither
  * the same code built for AVX2 nor a 4-lane AVX2 Philox was faster).  With
  * no FMA and every sum in a fixed order the variants give the same bits.
- * kl_contract is built for the baseline alone.
+ * kl_contract (kl_coefficients, fourier_at_atoms) is built for the baseline.
  */
 #include <math.h>
 #include <stdint.h>
@@ -147,31 +148,26 @@ BODY void cos_sin(uint64_t k, double *cosv, double *sinv)
     *sinv = a * s - b * c;
 }
 
-/* rows whose sums overlap in kl_contract */
+/* rows of x whose sums overlap in kl_contract */
 #define TILE 8
 
-/* out_re[i] = sum over j in index order of x[i][j] c_re[j] (the first term
- * alone, then one add per term), and out_im likewise; TILE rows at a time
- * so that independent sums overlap */
-void kl_contract(const double *x, const double *c_re, const double *c_im,
-                 double *out_re, double *out_im, long rows, long n)
+/* out[j][i] = sum over l in index order of x[i][l] c[j][l] (the first term
+ * alone, then one add per term) for each of the k rows of c; TILE rows of x
+ * at a time so that independent sums overlap */
+void kl_contract(const double *x, const double *c, double *out, long rows, long n, long k)
 {
     for (long i0 = 0; i0 < rows; i0 += TILE) {
         long tile = rows - i0 < TILE ? rows - i0 : TILE;
         const double *xt = x + i0 * n;
-        double re[TILE], im[TILE];
-        for (long i = 0; i < tile; i++) {
-            re[i] = xt[i * n] * c_re[0];
-            im[i] = xt[i * n] * c_im[0];
-        }
-        for (long j = 1; j < n; j++)
-            for (long i = 0; i < tile; i++) {
-                re[i] = re[i] + xt[i * n + j] * c_re[j];
-                im[i] = im[i] + xt[i * n + j] * c_im[j];
-            }
-        for (long i = 0; i < tile; i++) {
-            out_re[i0 + i] = re[i];
-            out_im[i0 + i] = im[i];
+        for (long j = 0; j < k; j++) {
+            double sum[TILE];
+            for (long i = 0; i < tile; i++)
+                sum[i] = xt[i * n] * c[j * n];
+            for (long l = 1; l < n; l++)
+                for (long i = 0; i < tile; i++)
+                    sum[i] = sum[i] + xt[i * n + l] * c[j * n + l];
+            for (long i = 0; i < tile; i++)
+                out[j * rows + i0 + i] = sum[i];
         }
     }
 }
@@ -200,10 +196,10 @@ BODY void add_lanes(const double z[LANES], double cr, double ci, double re[LANES
 }
 
 /* kl_contract of the count normals each of the rows draws from the tiles of
- * ln_u1 and k, into out_re and out_im, without writing them out: the normals
- * of stream i are r cos and r sin of its pairs in turn, an odd count
- * dropping the last sine, and each tile's sums run in its lanes, the first
- * term alone, then one add per term */
+ * ln_u1 and k, with the two rows c_re and c_im, into out_re and out_im,
+ * without writing the normals out: those of stream i are r cos and r sin of
+ * its pairs in turn, an odd count dropping the last sine, and each tile's
+ * sums run in its lanes, the first term alone, then one add per term */
 BODY void polar_contract_lanes(const double *ln_u1, const uint64_t *k, const double *c_re,
                                const double *c_im, double *out_re, double *out_im, long rows,
                                long pairs, long count)

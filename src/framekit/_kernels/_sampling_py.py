@@ -1,5 +1,6 @@
 """Pure-numpy sampling kernels: Philox split into the Box-Muller operands,
-the Box-Muller radius and angle, and the KL contraction.
+the Box-Muller radius and angle, and the fixed-order contraction
+``kl_contract`` of any width.
 
 Twin of the C kernels in ``_sampling.c``: the same operations on the same
 operands in the same order, element for element, vectorised over the
@@ -73,17 +74,16 @@ def check_polar_args(ln_u1, k, shape):
     return rows, pairs, shape[1]
 
 
-def check_contract_args(x, c_re, c_im, out_re, out_im):
-    """The addresses of x, c_re, c_im, out_re and out_im of a valid
-    ``kl_contract`` call on (rows, n) normals ``x``, then rows and n;
-    ValueError otherwise."""
-    rows, n = x.shape
-    if n < 1:
-        raise ValueError(f"normals {x.shape}: no coefficients")
+def check_contract_args(x, c, out):
+    """The addresses of x, c and out of a valid ``kl_contract`` call, then
+    rows, n and k; ValueError otherwise."""
+    rows, n = np.shape(x)
+    k = len(c) if np.ndim(c) else 0
+    if n < 1 or k < 1:
+        raise ValueError(f"normals {np.shape(x)}, coefficients {np.shape(c)}: an empty sum")
     return (
-        array_address(x, (rows, n)), array_address(c_re, (n,)), array_address(c_im, (n,)),
-        array_address(out_re, (rows,), writeable=True),
-        array_address(out_im, (rows,), writeable=True), rows, n,
+        array_address(x, (rows, n)), array_address(c, (k, n)),
+        array_address(out, (k, rows), writeable=True), rows, n, k,
     )
 
 
@@ -117,8 +117,7 @@ def check_block_args(held, count, rows, c_re, c_im, out_re, out_im):
     if not 1 <= rows <= held:
         raise ValueError(f"{rows} streams for a scratch of {held}")
     return (
-        array_address(c_re, (count,)),
-        array_address(c_im, (count,)),
+        array_address(c_re, (count,)), array_address(c_im, (count,)),
         array_address(out_re, (rows,), writeable=True),
         array_address(out_im, (rows,), writeable=True),
     )
@@ -181,20 +180,21 @@ def polar_normals(ln_u1, k, out):
     np.multiply(radius[:, :half], sinv[:, :half], out=out[:, 1::2])
 
 
-def kl_contract(x, c_re, c_im, out_re, out_im):
-    """out[i] = sum over j in index order of x[i, j] * c[j], for c_re and c_im.
+def kl_contract(x, c, out):
+    """out[j, i] = sum over l in index order of x[i, l] * c[j, l], for
+    (rows, n) ``x``, (k, n) ``c`` and (k, rows) ``out``.
 
     The first term alone, then one add per term, each multiply and add
-    rounded on its own; a loop over the n coefficients, vectorised over the
-    rows of the (rows, n) array ``x``.  Both twins refuse the same arrays.
+    rounded on its own; a loop over the n terms of each row of ``c``,
+    vectorised over the rows of ``x``.  Both twins refuse the same arrays.
     """
-    *_, rows, n = check_contract_args(x, c_re, c_im, out_re, out_im)
+    *_, rows, n, k = check_contract_args(x, c, out)
     term = np.empty(rows)
-    for c, out in ((c_re, out_re), (c_im, out_im)):
-        np.multiply(x[:, 0], c[0], out=out)
-        for j in range(1, n):
-            np.multiply(x[:, j], c[j], out=term)
-            np.add(out, term, out=out)
+    for cj, oj in zip(c, out):
+        np.multiply(x[:, 0], cj[0], out=oj)
+        for l in range(1, n):
+            np.multiply(x[:, l], cj[l], out=term)
+            np.add(oj, term, out=oj)
 
 
 class Sampler:
@@ -219,8 +219,9 @@ class Sampler:
         return normals
 
     def contract(self, seed, first, rows, c_re, c_im, out_re, out_im):
-        """``kl_contract`` of the normals of streams first..first + rows - 1
-        of ``seed`` into ``out_re`` and ``out_im``, the vectors checked
-        before any kernel runs."""
+        """``kl_contract`` of the normals of streams first..first + rows - 1 of
+        ``seed``, c_re into out_re, then c_im into out_im, checked first."""
         check_block_args(self.rows, self.count, rows, c_re, c_im, out_re, out_im)
-        kl_contract(self.draw(seed, first, rows), c_re, c_im, out_re, out_im)
+        normals = self.draw(seed, first, rows)
+        kl_contract(normals, c_re[None], out_re[None])
+        kl_contract(normals, c_im[None], out_im[None])

@@ -81,7 +81,7 @@ def cauchy_mass(atoms: Grid) -> float:
 def fourier_at_atoms(x_grid: Grid, phi, atoms: Grid) -> ComplexVector:
     """Quadrature Fourier transform phat(u_j) = sum_i w_i e^{i x_i u_j} phi(x_i).
 
-    Each sum runs over the grid in index order (``kl_contract`` on the
+    Each sum runs over the grid in index order (one ``kl_contract`` on the
     stacked cos and sin rows), so no BLAS thread count enters the bits.
     """
     phi = np.asarray(phi, dtype=float)
@@ -93,9 +93,9 @@ def fourier_at_atoms(x_grid: Grid, phi, atoms: Grid) -> ComplexVector:
         weighted = x_grid.weights * phi
         phase = np.outer(atoms.points, x_grid.points)
         waves = np.concatenate([np.cos(phase), np.sin(phase)])
-        sums, same = np.empty(len(waves)), np.empty(len(waves))
-        _kernels.ACTIVE.kl_contract(waves, weighted, weighted, sums, same)
-    return ComplexVector(re=sums[: len(phase)], im=sums[len(phase) :])
+        sums = np.empty((2, len(phase)))
+        _kernels.ACTIVE.kl_contract(waves, weighted[None], sums.reshape(1, -1))
+    return ComplexVector(re=sums[0], im=sums[1])
 
 
 def kl_coefficients(fs: FrameSystem, phat: ComplexVector) -> ComplexVector:
@@ -103,17 +103,16 @@ def kl_coefficients(fs: FrameSystem, phat: ComplexVector) -> ComplexVector:
     (f_n real).
 
     Each sums over the atoms in index order, as ``sample_kl`` sums its
-    samples (the active kernel's ``kl_contract``), so no BLAS thread count
-    enters the bits.
+    samples (one ``kl_contract`` on the weighted re and im rows), so no
+    BLAS thread count enters the bits.
     """
     _check_profile(fs.grid, phat)
     f = np.ascontiguousarray(fs.vectors)
     with np.errstate(over="ignore", invalid="ignore"):  # ComplexVector refuses the result
-        weighted_re = fs.grid.weights * phat.re
-        weighted_im = fs.grid.weights * phat.im
-        re, im = np.empty(len(f)), np.empty(len(f))
-        _kernels.ACTIVE.kl_contract(f, weighted_re, weighted_im, re, im)
-    return ComplexVector(re=re, im=im)
+        weighted = fs.grid.weights * np.stack([phat.re, phat.im])
+        out = np.empty((2, len(f)))
+        _kernels.ACTIVE.kl_contract(f, weighted, out)
+    return ComplexVector(re=out[0], im=out[1])
 
 
 def theoretical_variances(
@@ -160,18 +159,17 @@ def sample_kl(
     set is reproducible bit-for-bit from (c, s, seed) and samples are
     independent of generation order.  Each sample sums c_n B_{n,k} over
     n in index order, one rounded multiply and one rounded add per term
-    (the sums of the active kernel's ``kl_contract``), so no BLAS thread
-    count enters the bits.  Streams are drawn and contracted in blocks of
-    _SAMPLE_BLOCK samples, each written to its own slice of the output, so
-    the blocks run on a thread pool with one worker per usable CPU (the
-    ctypes kernels, or numpy's Philox and ufuncs in the numpy twin, release
-    the GIL).  Each worker takes the next undrawn block until none is left,
-    and draws them all into one scratch of its own, the active backend's
-    ``sampler``, whose ``contract`` checks each block.  The samples do not
-    depend on the worker count, and memory stays bounded by workers x
-    block, not by s.  A seed outside [0, 2**64) is an InvalidArgument,
-    refused before anything is allocated, and so is a count whose two
-    output arrays cannot be allocated.
+    (``kl_contract``'s order), so no BLAS thread count enters the bits.
+    Streams are drawn and contracted in blocks of _SAMPLE_BLOCK samples,
+    each written to its own slice of the output, so the blocks run on a
+    thread pool with one worker per usable CPU (the ctypes kernels, or
+    numpy's Philox and ufuncs in the numpy twin, release the GIL).  Each
+    worker takes the next undrawn block until none is left, and draws them
+    all into one scratch of its own, the active backend's ``sampler``,
+    whose ``contract`` checks each block.  The samples do not depend on the
+    worker count, and memory stays bounded by workers x block, not by s.  A
+    seed outside [0, 2**64) is an InvalidArgument, refused before anything
+    is allocated; so is a count whose two output arrays do not fit in memory.
     """
     if s < 1:
         raise InvalidArgument("sample count must be >= 1")
@@ -231,12 +229,15 @@ def _worker_count() -> int:
 
 def empirical_variance(samples_re: np.ndarray, samples_im: np.ndarray) -> float:
     """Monte-Carlo estimate (1/s) sum_k |Y_k|^2 (the mean of |Y|^2; E Y = 0),
-    from the s samples of two equal-length 1-D arrays.
+    from the s samples of two equal-length 1-D arrays (else, before any
+    allocation, a DimensionMismatch).
 
     |Y_k|^2 = re^2 + im^2 is formed _VARIANCE_BLOCK samples at a time into
     one array, whose mean numpy then takes whole, so no square of a whole
     array is allocated and the bits are those of the whole-array formula.
     """
+    if np.ndim(samples_re) != 1 or np.shape(samples_re) != np.shape(samples_im):
+        raise DimensionMismatch(f"samples {np.shape(samples_re)}, {np.shape(samples_im)}")
     if samples_re.size < 2:
         raise InvalidArgument("need at least two samples")
     abs2 = np.empty(samples_re.size)

@@ -2,8 +2,10 @@
 
 Nothing here calls into framekit's linear algebra: the Hilbert matrix is
 formed entry by entry, eigenvalue estimates come from power iteration or
-LAPACK, subspace kernels from weighted Gram-Schmidt, and
-positive-definiteness certificates from a hand-rolled Cholesky.
+LAPACK, subspace kernels from weighted Gram-Schmidt or, for the monomials on
+a Gauss-Legendre grid, from the Christoffel-Darboux sum of the Legendre
+polynomials, and positive-definiteness certificates from a hand-rolled
+Cholesky.
 ``random_riesz_frame`` draws seeded Riesz systems, the hypothesis strategy
 ``weighted_frames`` the frames that property tests share, and
 ``fused_normals`` reads the normals back out of a compiled variant's fused
@@ -82,6 +84,30 @@ def gram_schmidt_kernel(vectors, weights, rel_tol=1e-8):
     """Subspace reproducing kernel sum_k e_k(s) e_k(t) from an explicit ONB."""
     basis = weighted_gram_schmidt(vectors, weights, rel_tol)
     return basis.T @ basis
+
+
+def gauss_legendre_monomials(n: int) -> FrameSystem:
+    """The monomials t**j, j < n, on the 2n-point Gauss-Legendre grid of
+    (0, 1): ``leggauss``'s nodes mapped to (0, 1) and its weights halved.
+
+    The rule integrates every polynomial of degree below 4n exactly, so the
+    Gramian is the n x n Hilbert matrix up to the rounding of the nodes, the
+    weights and the powers.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(2 * n)
+    points = (nodes + 1.0) / 2.0
+    return FrameSystem(
+        grid=Grid(points=points, weights=weights / 2.0),
+        vectors=points[None, :] ** np.arange(n)[:, None],
+    )
+
+
+def christoffel_darboux_kernel(n: int, points) -> np.ndarray:
+    """sum_{j<n} (2j+1) P_j(2s-1) P_j(2t-1) over the pairs (s, t) of
+    ``points``: the reproducing kernel of the polynomials of degree below n
+    in L2(0, 1), from the Legendre recurrence alone."""
+    legendre = np.polynomial.legendre.legvander(2.0 * np.asarray(points) - 1.0, n - 1)
+    return (legendre * (2.0 * np.arange(n) + 1.0)) @ legendre.T
 
 
 def cholesky_succeeds(a):

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import math
 import mmap
@@ -31,6 +32,20 @@ from framekit import (
 from framekit import _kernels, gp, rng
 from framekit._kernels import _sampling_py
 from oracles import CANARY, TWINS, eigh_descending, fused_normals, orthonormal_rows
+
+
+@contextlib.contextmanager
+def recorded_contractions():
+    """The shapes of (x, c, out) and a copy of out of each call that the
+    active backend's ``kl_contract`` takes in the context."""
+    calls, contract = [], _kernels.ACTIVE.kl_contract
+
+    def recording(x, c, out):
+        contract(x, c, out)
+        calls.append((x.shape, c.shape, out.shape, out.copy()))
+
+    with mock.patch.object(_kernels, "ACTIVE", _kernels.ACTIVE._replace(kl_contract=recording)):
+        yield calls
 
 
 def simple_atoms():
@@ -269,6 +284,16 @@ class TestFourierAtAtoms:
                     acc = acc + term * w
                 assert got == acc
 
+    def test_one_contraction_of_one_row(self):
+        # the weighted phi against the cos rows, then the sin rows, of the
+        # waves, in one kl_contract of k = 1 that writes re and im
+        grid = Grid(points=np.linspace(-1.0, 1.0, 9), weights=np.full(9, 0.25))
+        with recorded_contractions() as calls:
+            out = fourier_at_atoms(grid, np.arange(9.0), simple_atoms())
+        [(*shapes, written)] = calls
+        assert shapes == [(6, 9), (1, 9), (1, 6)]
+        assert out.re.tobytes() + out.im.tobytes() == written.tobytes()
+
     def test_blas_threads_leave_the_profile_unchanged(self):
         # a phi_x model of 10,001 atoms on 50 grid points, large enough for a
         # threaded gemv to split its sums
@@ -350,6 +375,16 @@ class TestKlCoefficients:
         fs = onb_model()
         with pytest.raises(DimensionMismatch):
             kl_coefficients(fs, ComplexVector(re=np.zeros(9), im=np.zeros(9)))
+
+    def test_one_contraction_of_two_rows(self):
+        # the vectors against the weighted re and im rows of phat, in one
+        # kl_contract of k = 2
+        fs, phat = random_model(3, 5, 4), random_phat(103, 4)
+        with recorded_contractions() as calls:
+            out = kl_coefficients(fs, phat)
+        [(*shapes, written)] = calls
+        assert shapes == [(5, 4), (2, 4), (2, 5)]
+        assert out.re.tobytes() + out.im.tobytes() == written.tobytes()
 
 
 class TestTheoreticalVariances:
@@ -701,9 +736,9 @@ print("identical")
         c_re[r.random(count) < 0.1] = -0.0
 
         def expected(first, stop):
-            out = np.empty(stop - first), np.empty(stop - first)
+            out = np.empty((2, stop - first))
             normals = rng.seeded_normal_rows(seed, first, stop, count)
-            _kernels.ACTIVE.kl_contract(normals, c_re, c_im, *out)
+            _kernels.ACTIVE.kl_contract(normals, np.stack([c_re, c_im]), out)
             return out[0].tobytes(), out[1].tobytes()
 
         guarded = np.full((2, stop - first + 16), CANARY)
@@ -745,9 +780,9 @@ print("identical")
         tracemalloc = pytest.importorskip("tracemalloc")
         rows, count = gp._SAMPLE_BLOCK, 257
         c = kl_coefficients(*dyadic_model(count))
-        expected = np.empty(rows), np.empty(rows)
+        expected = np.empty((2, rows))
         normals = rng.seeded_normal_rows(5, 3, 3 + rows, count)
-        _kernels.PYTHON.kl_contract(normals, c.re, c.im, *expected)
+        _kernels.PYTHON.kl_contract(normals, np.stack([c.re, c.im]), expected)
         for variant in _kernels.VARIANTS.values():
             scratch = variant.sampler(rows, count)
             out = np.empty(rows), np.empty(rows)
@@ -873,3 +908,30 @@ class TestEmpiricalVariance:
         out = sample_kl(random_phat(1, 4), 1, 1)
         with pytest.raises(InvalidArgument):
             empirical_variance(*out)
+
+    @pytest.mark.parametrize("re, im", [
+        (np.ones(10), np.array([3.0])),
+        (np.array([3.0]), np.ones(10)),
+        (np.ones(10), np.ones(9)),
+        (np.ones((2, 5)), np.ones((2, 5))),
+        (np.ones(10), np.ones((1, 10))),
+        (np.ones((1, 10)), np.ones(10)),
+        (np.float64(1.0), np.float64(1.0)),
+    ])
+    def test_unequal_or_not_1d_samples_are_refused(self, re, im):
+        # a short im would broadcast into every sample, and 2-D arrays or
+        # unequal lengths would reach numpy's own ValueError
+        with pytest.raises(DimensionMismatch):
+            empirical_variance(re, im)
+
+    def test_mismatch_is_refused_before_allocating(self):
+        tracemalloc = pytest.importorskip("tracemalloc")
+        re, im = np.ones(1_000_000), np.ones(1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionMismatch):
+                empirical_variance(re, im)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, peak

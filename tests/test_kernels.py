@@ -95,8 +95,8 @@ def reference(words, count):
     ln_u1, k = operands(words, count)
     normals = np.empty((len(k), count))
     _sampling_py.polar_normals(ln_u1, k, normals)
-    out = np.empty(len(k)), np.empty(len(k))
-    _sampling_py.kl_contract(normals, *coefficients(count), *out)
+    out = np.empty((2, len(k)))
+    _sampling_py.kl_contract(normals, np.stack(coefficients(count)), out)
     return normals.tobytes(), *(o.tobytes() for o in out)
 
 
@@ -384,9 +384,9 @@ def test_contraction_twins_agree_bit_for_bit(x, data):
     c_re, c_im = data.draw(coef), data.draw(coef)
     got = {}
     for backend in [PYTHON, *VARIANTS.values()]:
-        out_re, out_im = np.empty(len(x)), np.empty(len(x))
-        backend.kl_contract(x, c_re, c_im, out_re, out_im)
-        got[backend.variant] = out_re.tobytes(), out_im.tobytes()
+        out = np.empty((2, len(x)))
+        backend.kl_contract(x, np.stack([c_re, c_im]), out)
+        got[backend.variant] = out[0].tobytes(), out[1].tobytes()
     assert len(set(got.values())) == 1, got
 
 
@@ -395,11 +395,92 @@ def test_contraction_is_the_index_order_sum():
     x = np.array([[1.0, 1e16, -1e16, 1.0], [-0.0, -0.0, 3.0, 0.5]])
     c = np.array([1.0, 1.0, 1.0, 1.0])
     for backend in [PYTHON, *VARIANTS.values()]:
-        out_re, out_im = np.empty(2), np.empty(2)
-        backend.kl_contract(x, c, -c, out_re, out_im)
-        assert out_re.tolist() == [1.0, 3.5] and out_im.tolist() == [-1.0, -3.5]
-        backend.kl_contract(x[:, :1].copy(), c[:1], -c[:1], out_re, out_im)
-        assert np.signbit(out_re).tolist() == [False, True]
+        out = np.empty((2, 2))
+        backend.kl_contract(x, np.stack([c, -c]), out)
+        assert out[0].tolist() == [1.0, 3.5] and out[1].tolist() == [-1.0, -3.5]
+        backend.kl_contract(x[:, :1].copy(), np.stack([c[:1], -c[:1]]), out)
+        assert np.signbit(out[0]).tolist() == [False, True]
+
+
+def index_order_sums(x, c):
+    """out[j][i] of ``kl_contract`` by Python floats: x[i][0] c[j][0], then
+    one rounded multiply and one rounded add a term, l in index order."""
+    out = []
+    for cj in c.tolist():
+        row = []
+        for xi in x.tolist():
+            acc = xi[0] * cj[0]
+            for a, b in zip(xi[1:], cj[1:]):
+                acc = acc + a * b
+            row.append(acc)
+        out.append(row)
+    return np.array(out)
+
+
+def contraction_operand(rows, n, seed):
+    """A (rows, n) operand of random binary scales with zeros of both signs."""
+    r = np.random.default_rng(seed)
+    x = r.standard_normal((rows, n)) * 2.0 ** r.integers(-30, 30, (rows, n))
+    zero = r.random((rows, n)) < 0.2
+    x[zero] = np.copysign(0.0, r.standard_normal(zero.sum()))
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, 13])
+@pytest.mark.parametrize("rows", [1, 7, 8, 9, 17])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_contraction_of_k_rows_is_the_index_order_sum(k, rows, n):
+    # rows that fill, pad and overrun a tile of 8, any width k, one term
+    x = contraction_operand(rows, n, 100 * k + rows)
+    c = contraction_operand(k, n, 100 * k + rows + 50)
+    expected = index_order_sums(x, c).tobytes()
+    for backend in [PYTHON, *VARIANTS.values()]:
+        out = np.full((k, rows), CANARY)
+        backend.kl_contract(x, c, out)
+        assert out.tobytes() == expected, backend.variant
+
+
+@pytest.mark.parametrize("n", [1, 5, 50])
+@pytest.mark.parametrize("rows", [1, 7, 8, 9, 17])
+def test_contraction_with_itself_is_exactly_symmetric(rows, n):
+    # F F^T: entries (s, t) and (t, s) multiply the same pairs in the same
+    # order, and the rows s..t of the table are kl_contract(F, F[s:t], out)
+    f = contraction_operand(rows, n, rows + n)
+    got = set()
+    for backend in [PYTHON, *VARIANTS.values()]:
+        table = np.empty((rows, rows))
+        backend.kl_contract(f, f, table)
+        assert table.tobytes() == table.T.copy().tobytes(), backend.variant
+        for s in range(rows):
+            block = np.empty((rows - s, rows))
+            backend.kl_contract(f, f[s:], block)
+            assert block.tobytes() == table[s:].tobytes(), backend.variant
+        got.add(table.tobytes())
+    assert len(got) == 1
+
+
+@pytest.mark.parametrize("backend", [PYTHON, *VARIANTS.values()], ids=lambda b: b.variant)
+def test_both_twins_refuse_the_same_contraction_arrays(backend):
+    # refused with ValueError before any sum runs, the output untouched
+    x, c = np.ones((4, 3)), np.ones((2, 3))
+    frozen = np.zeros((2, 4))
+    frozen.setflags(write=False)
+    out = np.full((2, 4), CANARY)
+    for args in [
+        (x, c, frozen),
+        (x, np.ones((0, 3)), out[:0]),
+        (x, np.ones(3), out),
+        (x, np.ones((2, 3), dtype=np.float32), out),
+        (x, np.ones((3, 3)), out),
+        (x, c, out.T.copy()),
+        (x, c, np.full((2, 8), CANARY)[:, ::2]),
+        (x[:, :0].copy(), c[:, :0].copy(), out),
+        (np.ones(3), c, out),
+        (x.tolist(), c, out),
+    ]:
+        with pytest.raises(ValueError):
+            backend.kl_contract(*args)
+    assert out.tobytes() == np.full((2, 4), CANARY).tobytes()
 
 
 def test_angle_within_two_ulp_of_the_radius():
@@ -558,16 +639,16 @@ def test_a_backend_has_one_sampling_entry():
 
 @pytest.mark.skipif(not VARIANTS, reason="C twin not loaded")
 def test_wrong_contraction_arrays_raise():
-    x, c = np.ones((4, 3)), np.ones(3)
-    frozen = np.zeros(4)
+    x, c = np.ones((4, 3)), np.ones((2, 3))
+    frozen = np.zeros((2, 4))
     frozen.setflags(write=False)
     contract = next(iter(VARIANTS.values())).kl_contract
     for args, error in [
-        ((np.asfortranarray(np.ones((4, 3))), c, c, np.zeros(4), np.zeros(4)), ValueError),
-        ((x, c, c, frozen, np.zeros(4)), ValueError),
-        ((x, np.ones(2), c, np.zeros(4), np.zeros(4)), ValueError),
-        ((x, c, c, np.zeros(3), np.zeros(4)), ValueError),
-        ((np.ones((4, 0)), c[:0], c[:0], np.zeros(4), np.zeros(4)), ValueError),
+        ((np.asfortranarray(np.ones((4, 3))), c, np.zeros((2, 4))), ValueError),
+        ((x, c, frozen), ValueError),
+        ((x, np.ones((2, 2)), np.zeros((2, 4))), ValueError),
+        ((x, c, np.zeros((2, 3))), ValueError),
+        ((np.ones((4, 0)), c[:, :0], np.zeros((2, 4))), ValueError),
     ]:
         with pytest.raises(error):
             contract(*args)
