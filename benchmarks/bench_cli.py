@@ -7,7 +7,9 @@ times ``write_kernel_file`` of an n x n kernel to a temporary file and
 ``parse_frame_file`` of a written n x n frame (n vectors on n points), and
 prints the median milliseconds per call over ``--repeats`` calls, with the
 parse's nanoseconds per number read (the frame's n^2 + 2n literals).  It
-also prints the cost of building the argument parser.  It exits 1 unless every
+also prints the cost of building the argument parser, and of the one parse
+of a command's argv that ``cli.main`` makes with it, over 10 x ``--repeats``
+calls.  It exits 1 unless every
 backend writes the same bytes, the per-element spelling (17 significant
 digits, -0.0 kept), and reads back the same arrays bit for bit.  ``--json
 PATH`` also writes the medians and quartiles, with the environment, as JSON.
@@ -78,6 +80,17 @@ def environment():
     }
 
 
+#: one argv of each command, as perfbench's frame-cli and kl-sampling pass them
+PARSE_ARGV = [
+    ["analyze", "frame.json"],
+    ["kernel", "frame.json", "--out", "kernel.json"],
+    ["canonical", "frame.json", "--out", "tight.json"],
+    ["verify", "frame.json"],
+    ["gp-sim", "model.json", "--samples", "200000", "--seed", "1"],
+    ["hilbert", "--sizes", "4,5,6,7,8,9,10,11,12,13,14,15,16"],
+]
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", default="8,16,32,64,128")
@@ -89,6 +102,10 @@ def main():
     build = cli._build_parser.__wrapped__  # the construction itself, not the cached parser
     parser_ms = timed_ms(build, args.repeats)
     print(f"_build_parser: {parser_ms['median']:.3f} ms per call")
+    parse_ms = {}
+    for argv in PARSE_ARGV:  # the parse main makes, on the cached parser
+        parse_ms[argv[0]] = timed_ms(lambda: cli._parse(argv), 10 * args.repeats)
+        print(f"parse {' '.join(argv)}: {parse_ms[argv[0]]['median'] * 1e3:.1f} us per call")
     rng = np.random.default_rng(0)
     print(f"{'n':>5} {'backend':>9} {'write_kernel':>12} {'parse_frame':>12} {'ns/number':>10} {'check':>6}")
     results, failed = [], False
@@ -126,7 +143,7 @@ def main():
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(
                 {"environment": environment(), "repeats": args.repeats, "build_parser_ms": parser_ms,
-                 "sizes": results, "same": not failed},
+                 "parse_argv_ms": parse_ms, "sizes": results, "same": not failed},
                 fh,
                 indent=1,
             )

@@ -52,7 +52,9 @@ def run_twin(backend, base):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--shapes", default="64x64,128x128,256x256,100x200,120x300")
+    # 30x60 and 40x50 are the random frames of perfbench's frame-cli and the
+    # kl-sampling models
+    parser.add_argument("--shapes", default="30x60,40x50,64x64,128x128,256x256,100x200,120x300")
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--json", default=None, help="also write the results to this file")
     args = parser.parse_args()

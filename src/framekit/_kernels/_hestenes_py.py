@@ -1,8 +1,17 @@
 """Pure-numpy one-sided (Hestenes) cyclic Jacobi kernel.
 
-Twin of the C kernel in ``_hestenes.c``: the same pair order, the same dot
-products summed in the same order and the same rotation formulas, element
-for element.  Keep the two files in sync.
+Twin of the C kernel in ``_hestenes.c``: each rotation of the same two rows,
+the same dot products summed in the same order and the same rotation
+formulas, element for element.  Keep the two files in sync.
+
+This twin visits the pairs of a sweep in row-cyclic order, p = 0, 1, ...
+and q = p + 1, ..., k - 1, one at a time, and so defines the bits.  The C
+kernel runs the same pairs four disjoint ones at a time, in bands of four
+pivot rows: step j of the band p0..p0 + 3 takes the pairs
+(p0 + i, p0 + 1 + j - i) with 2i <= j and q < k.  Each row still meets its
+pairs in the row-cyclic sequence (pair (p, q) after (p, q - 1) and
+(p - 1, q)), so each rotation sees the same two rows and the bits are
+these.
 
 This twin defines the order of the dot products, which every ISA variant of
 the C kernel (AVX2 and the baseline) matches bit for bit.  The

@@ -74,8 +74,9 @@ def hilbert_spectrum_report(n_list) -> list[SpectrumRow]:
     where the rounded Hilbert matrix is singular to working precision (1e-12
     at n = 20, 5e-9 at n = 32).
 
-    Every size must lie in [1, 202], and all are checked before the first
-    factorization.  lam_min(H_202) = 5.5376e-307 is a normal double;
+    Every size must lie in [1, 202], and all are checked before the one
+    Cholesky factor, of the largest size, is built; each size reads its
+    leading block.  lam_min(H_202) = 5.5376e-307 is a normal double;
     lam_min(H_203) = 1.6342e-308 is below the smallest one, 2.2251e-308.
     Both come from power iteration on the exact integer inverse Hilbert
     matrix in mpmath at 30 digits.
@@ -84,9 +85,11 @@ def hilbert_spectrum_report(n_list) -> list[SpectrumRow]:
     for n in sizes:
         if not 1 <= n <= _HILBERT_MAX_N:
             raise InvalidArgument(f"sizes must lie in [1, {_HILBERT_MAX_N}], got {n}")
+    # L_ij does not depend on n, so each L is a leading block of the largest
+    factor = _hilbert_cholesky(max(sizes, default=1))
     rows = []
     for n in sizes:
-        squares = row_svd(_hilbert_cholesky(n)).squares
+        squares = row_svd(factor[:n, :n]).squares
         lam_max = float(squares[0])
         lam_min = float(squares[-1])
         rows.append(

@@ -52,7 +52,8 @@ Subcommands and the only flags each accepts, with their defaults:
 more and each hilbert size in [1, 202]: past 202 the smallest eigenvalue of
 the Hilbert matrix is not a normal double.  A sample count whose samples do
 not fit in memory exits 2 as well.  The argument parser is built once per process, on the
-first call of main().
+first call of main(), and each call is parsed in one pass: a first argument
+that names a subcommand goes straight to that subcommand's parser.
 
 Exit codes:
 
@@ -421,11 +422,29 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         for arg in names.split():
             p.add_argument(arg, **arguments[arg])
+    parser.commands = sub.choices  # name: its parser, for main's one pass
     return parser
 
 
+def _parse(argv) -> argparse.Namespace:
+    # _build_parser().parse_args(argv) in one pass: the top-level parser
+    # would hand everything after a command to that command's parser; its
+    # leftovers are refused in the top-level parser's words, as parse_args
+    # refuses them
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # no command, an unknown one, or a top-level option
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     # looked up per call, so a rebound cmd_* (a test stub, a tracer) is the one run
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:

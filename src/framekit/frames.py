@@ -216,9 +216,11 @@ def frame_spectrum(
         raise InvalidArgument(f"rank_tol must lie in [0, 1), got {rank_tol}")
     root = np.sqrt(fs.grid.weights)
     e_phi, e_root = _binary_exponent(fs.vectors), _binary_exponent(root)
-    b = np.ldexp(fs.vectors, -e_phi) * np.ldexp(root, -e_root)
+    b = np.ldexp(fs.vectors, -e_phi)
+    b *= np.ldexp(root, -e_root)
     e_b = _binary_exponent(b)
-    b = np.ldexp(b, -e_b)
+    if e_b:
+        np.ldexp(b, -e_b, out=b)
     shift = e_phi + e_root + e_b
     wide = fs.n_vectors <= fs.n_points
     svd = row_svd(b if wide else b.T)

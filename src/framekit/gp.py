@@ -229,8 +229,8 @@ def _worker_count() -> int:
 
 def empirical_variance(samples_re: np.ndarray, samples_im: np.ndarray) -> float:
     """Monte-Carlo estimate (1/s) sum_k |Y_k|^2 (the mean of |Y|^2; E Y = 0),
-    from the s samples of two equal-length 1-D arrays (else, before any
-    allocation, a DimensionMismatch).
+    from the s samples of two equal-length 1-D arrays, lists or tuples of
+    numbers (else, before any allocation, a DimensionMismatch).
 
     |Y_k|^2 = re^2 + im^2 is formed _VARIANCE_BLOCK samples at a time into
     one array, whose mean numpy then takes whole, so no square of a whole
@@ -238,6 +238,7 @@ def empirical_variance(samples_re: np.ndarray, samples_im: np.ndarray) -> float:
     """
     if np.ndim(samples_re) != 1 or np.shape(samples_re) != np.shape(samples_im):
         raise DimensionMismatch(f"samples {np.shape(samples_re)}, {np.shape(samples_im)}")
+    samples_re, samples_im = np.asarray(samples_re, dtype=float), np.asarray(samples_im, dtype=float)
     if samples_re.size < 2:
         raise InvalidArgument("need at least two samples")
     abs2 = np.empty(samples_re.size)

@@ -11,6 +11,7 @@ Hilbert table and the Riesz draws factor their own matrices.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -45,8 +46,7 @@ def _binary_exponent(a) -> int:
 
     Scaling by 2**-e is exact and brings the largest entry into [0.5, 1).
     """
-    top = float(np.max(np.abs(a)))
-    return int(np.frexp(top)[1]) if top > 0.0 else 0
+    return math.frexp(float(np.max(np.abs(a))))[1]
 
 
 def row_svd(a) -> RowSVD:
@@ -58,14 +58,15 @@ def row_svd(a) -> RowSVD:
     so small singular values keep the relative accuracy of the rows rather
     than of their squares.  The copy is first scaled by a power of two so
     that its largest entry lies in [0.5, 1), and the results are scaled back;
-    the scaling is exact, so ``left`` does not depend on the scale of ``a``.
+    the scaling is exact, so ``left`` does not depend on the scale of ``a``,
+    and it is skipped where the power is 2**0, as for a ``frame_spectrum`` B.
     Rows beyond the rank of ``a`` are rotated down to about 1e-136 of the
     largest entry and then count as zero; that costs sweeps, so callers pass
     the thinner side.
     """
     a = np.asarray(a, dtype=float)
     shift = _binary_exponent(a)
-    work = np.ldexp(a, -shift, order="C")
+    work = np.ldexp(a, -shift, order="C") if shift else np.array(a, order="C")
     squares, left, sweeps = _kernels.ACTIVE.jacobi_rows(work, _MAX_SWEEPS, _ORTHOGONAL_TOL)
     if sweeps > _MAX_SWEEPS:
         raise NotConverged(
@@ -73,12 +74,11 @@ def row_svd(a) -> RowSVD:
             f"{_MAX_SWEEPS} sweeps"
         )
     order = np.argsort(-squares, kind="stable")
-    return RowSVD(
-        squares=np.ldexp(squares[order], 2 * shift),
-        rows=np.ldexp(work[order], shift),
-        left=left[order],
-        sweeps=sweeps,
-    )
+    squares, rows = squares[order], work[order]
+    if shift:
+        np.ldexp(squares, 2 * shift, out=squares)
+        np.ldexp(rows, shift, out=rows)
+    return RowSVD(squares=squares, rows=rows, left=left[order], sweeps=sweeps)
 
 
 def jacobi_backend() -> str:

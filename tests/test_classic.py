@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from framekit import classic
 from framekit import (
     InvalidArgument,
     build_gramian,
@@ -134,6 +135,21 @@ class TestSpectrumReport:
     def test_invalid(self):
         with pytest.raises(InvalidArgument):
             hilbert_spectrum_report([0])
+
+    def test_one_factor_per_report(self, monkeypatch):
+        # each size reads the leading block of the largest size's factor: the
+        # bits of a report of that size alone, from one factor a report
+        def bits(rows):
+            return [(r.n, *(np.float64(x).tobytes() for x in (r.lam_max, r.lam_min, r.pi_gap)))
+                    for r in rows]
+
+        alone = [bits(hilbert_spectrum_report([n])) for n in (16, 4, 9, 4)]
+        built = []
+        factor = classic._hilbert_cholesky
+        monkeypatch.setattr(classic, "_hilbert_cholesky", lambda n: built.append(n) or factor(n))
+        rows = hilbert_spectrum_report([16, 4, 9, 4])
+        assert bits(rows) == [row for one in alone for row in one]
+        assert built == [16]
 
 
 class TestMercedes:

@@ -663,6 +663,64 @@ class TestParserOnce:
         assert proc.stdout.strip() == "0"
 
 
+#: argv rows for main's one argparse pass: each command's valid argv,
+#: "--opt=value" and abbreviated options, and rows that end in help or in an
+#: argument error; no file is read, every handler is a stub
+PARSE_ROWS = [
+    ["analyze", "frame.json"],
+    ["kernel", "frame.json", "--out", "k.json", "--naive"],
+    ["canonical", "frame.json", "--out", "tight.json"],
+    ["verify", "frame.json", "--rank-tol", "0.5"],
+    ["gp-sim", "model.json", "--seed", "3", "--samples", "10"],
+    ["hilbert", "--sizes", "4,5"],
+    ["kernel", "frame.json", "--out=k.json"],
+    ["analyze", "frame.json", "--rank", "1e-3"],
+    ["canonical", "--rank=0", "frame.json"],
+    ["analyze", "--", "frame.json"],
+    [],
+    ["bogus", "frame.json"],
+    ["Analyze", "frame.json"],
+    ["-h"],
+    ["--help"],
+    *([name, "-h"] for name in ("analyze", "kernel", "canonical", "verify", "gp-sim", "hilbert")),
+    ["analyze", "frame.json", "--he"],
+    ["analyze"],
+    ["hilbert"],
+    ["analyze", "frame.json", "--out", "x"],
+    ["hilbert", "--sizes", "4", "--rank-tol", "0"],
+    ["analyze", "frame.json", "second.json"],
+    ["verify", "frame.json", "--rank-tol", "2"],
+    ["kernel", "frame.json", "--naive", "--rank-tol=nan"],
+    ["analyze", "frame.json", "--rank-tol"],
+    ["gp-sim", "model.json", "--samples", "1"],
+]
+
+
+class TestOneParsePass:
+    @pytest.mark.parametrize("argv", PARSE_ROWS, ids=lambda argv: " ".join(argv) or "no command")
+    def test_main_parses_as_the_top_level_parser(self, monkeypatch, capsysbinary, argv):
+        # the Namespace main hands its handler, or the exit code, stdout and
+        # stderr of help or of an argument error, against the top-level
+        # parser's parse_args
+        handled = []
+        for name in cli._build_parser().commands:
+            monkeypatch.setattr(cli, "cmd_" + name.replace("-", "_"), handled.append)
+
+        def through_main(argv):
+            cli.main(argv)
+            (args,) = handled
+            return args
+
+        def outcome(parse):
+            try:
+                result = parse(list(argv))
+            except SystemExit as exc:
+                result = exc.code
+            return result, capsysbinary.readouterr()
+
+        assert outcome(through_main) == outcome(cli._build_parser().parse_args)
+
+
 def phi_x_model_payload():
     payload = onb_model_payload()
     del payload["phat"]

@@ -924,6 +924,15 @@ class TestEmpiricalVariance:
         with pytest.raises(DimensionMismatch):
             empirical_variance(re, im)
 
+    def test_lists_and_tuples_read_as_arrays(self):
+        # the same float as from float arrays, ints included
+        re, im = [1.0, -2.5, 3], (0.5, 2, -1.25)
+        want = empirical_variance(np.array(re, dtype=float), np.array(im, dtype=float))
+        for got in (empirical_variance(re, im), empirical_variance(tuple(re), list(im))):
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert empirical_variance([1.0, 2.0], [1.0, 2.0]) == 5.0
+
     def test_mismatch_is_refused_before_allocating(self):
         tracemalloc = pytest.importorskip("tracemalloc")
         re, im = np.ones(1_000_000), np.ones(1)

@@ -155,9 +155,18 @@ def every_tail(test):
 @example(k=12, n=12, seed=1, kind="zeros", e=-200)
 @example(k=20, n=26, seed=2, kind="duplicated", e=200)
 @example(k=9, n=17, seed=3, kind="signed zeros", e=0)
+# the C kernel takes the k - 1 pivot rows in bands of 4: a last band of 1,
+# 2, 4 and 2 rows, then 8 and 16 bands; with rows past the rank (k > n),
+# duplicated rows and zero rows
+@example(k=2, n=9, seed=4, kind="dense", e=0)
+@example(k=3, n=2, seed=5, kind="zeros", e=0)
+@example(k=5, n=3, seed=6, kind="duplicated", e=-200)
+@example(k=7, n=4, seed=7, kind="zeros", e=200)
+@example(k=33, n=40, seed=8, kind="duplicated", e=0)
+@example(k=65, n=24, seed=9, kind="zeros", e=0)
 def test_twins_agree_bit_for_bit(k, n, seed, kind, e):
     # squared norms, rotated rows, rotations and the sweep count, of every
-    # variant against the numpy twin
+    # variant against the numpy twin, whose pairs run in row-cyclic order
     base = factor(k, n, seed, kind, e)
     expected = run(PYTHON, base)
     for name, variant in VARIANTS.items():
@@ -1018,12 +1027,13 @@ for case in sys.argv[6:]:
 def test_jacobi_under_address_and_undefined_sanitizers(tmp_path):
     # every variant's jacobi_rows on rows shorter than the 8 lanes, of a
     # whole number of lanes and with every short tail, one row alone among
-    # them; the masked 4-wide tail loads must stay inside each row
+    # them; the masked 4-wide tail loads must stay inside each row, and the
+    # bands of 4 pivot rows inside the array, 9 x 5 and 13 x 3 among them
     library, libasan = sanitized_library(tmp_path, Path(_kernels.__file__).with_name("_hestenes.c"))
     names = list(VARIANTS) or ["baseline"]
     cases, expected = [], {}
-    for k, n in [(1, 1), (3, 1), (1, 7), (4, 7), (3, 8), (5, 9), (1, 15), (2, 15), (6, 17),
-                 (1, 63), (7, 63)]:
+    for k, n in [(1, 1), (3, 1), (1, 7), (4, 7), (3, 8), (5, 9), (9, 5), (13, 3), (1, 15),
+                 (2, 15), (6, 17), (1, 63), (7, 63)]:
         case = f"{k}x{n}"
         base = factor(k, n, n, KINDS[k % 5], 0)
         (tmp_path / f"{case}-a").write_bytes(base.tobytes())
