@@ -2,12 +2,15 @@
 """Time the one-sided Jacobi twins against LAPACK's SVD, and check their bits.
 
 For each k x L shape, random rows go through every twin of ``jacobi_rows``
-that loaded, as ``spectral.row_svd`` calls it: the C twin once per vector
-ISA it was built for that this CPU runs (``avx512f``, which runs AVX2's
-Jacobi, ``avx2`` and ``baseline``; the widest is the one framekit runs) and
-the numpy twin (``numpy``).  The squared norms, rotated rows, rotations and
-sweep counts must agree bit for bit, and the script exits 1 if they do
-not.  ``numpy.linalg.svd`` of the same rows, on one BLAS thread, is the
+that loaded, as ``spectral.row_svd`` calls it, on rows padded with +0.0 to
+a multiple of the 8 lanes of the dot products: the C twin once per vector
+ISA it was built for that this CPU runs (``avx512f``, ``avx2`` and
+``baseline``, one body compiled for each, with avx512f under AVX2's flags;
+the widest is the one framekit runs) and the numpy twin (``numpy``).  A
+shape whose L is not a multiple of 8 pays for the padding: 40 x 50 rotates
+rows of 56.  The squared norms, rotated rows, rotations and sweep counts
+must agree bit for bit, and the script exits 1 if they do not.
+``numpy.linalg.svd`` of the same unpadded rows, on one BLAS thread, is the
 yardstick.  It prints the median milliseconds per call over ``--repeats``
 calls for each C variant and LAPACK, and over one call for the numpy twin,
 which is slow.  The C twin is built at the first import of framekit wherever
@@ -29,7 +32,7 @@ import time
 import numpy as np
 from bench_cli import environment, quartiles
 
-from framekit._kernels import PYTHON, VARIANTS
+from framekit._kernels import PYTHON, VARIANTS, _hestenes_py
 from framekit.spectral import _MAX_SWEEPS, _ORTHOGONAL_TOL
 
 
@@ -45,7 +48,7 @@ def timed(fn, repeats):
 
 
 def run_twin(backend, base):
-    a = np.array(base, order="C")
+    a = _hestenes_py.padded_rows(base)
     squares, v, sweeps = backend.jacobi_rows(a, _MAX_SWEEPS, _ORTHOGONAL_TOL)
     return squares.tobytes(), a.tobytes(), v.tobytes(), sweeps
 

@@ -22,15 +22,18 @@ hash of the sources and the flags, and later imports load that file.
 
 The library builds its Jacobi and sampling kernels once per vector ISA:
 AVX-512 (F and DQ), AVX2 and the baseline where the compiler targets
-x86-64, the baseline alone elsewhere.  Every variant v that its
-``variants()`` names for this CPU, widest first, exports the same kernel
-set: ``jacobi_rows_<v>``, ``philox_split_<v>`` and ``polar_contract_<v>``.
-``VARIANTS`` holds a compiled backend for each, and ``ACTIVE``, the backend
-the package runs, is the widest.  Without a compiler, when the build fails,
-when the directory is not writable or when the library lacks a kernel,
-``VARIANTS`` is empty and ``ACTIVE`` is ``PYTHON``, the numpy twin.  The
-numpy twin defines the bits, which every variant matches: ``_hestenes_py``
-the order of the Jacobi sums, ``_sampling_py`` the normals.
+x86-64, the baseline alone elsewhere.  The Jacobi kernel is one body for
+every ISA, on rows that ``spectral.row_svd`` pads with +0.0 to a multiple
+of its 8 lanes; ``jacobi_rows`` refuses other rows with ValueError.  Every
+variant v that its ``variants()`` names for this CPU, widest first,
+exports the same kernel set: ``jacobi_rows_<v>``, ``philox_split_<v>``
+and ``polar_contract_<v>``.  ``VARIANTS`` holds a compiled backend for
+each, and ``ACTIVE``, the backend the package runs, is the widest.
+Without a compiler, when the build fails, when the directory is not
+writable or when the library lacks a kernel, ``VARIANTS`` is empty and
+``ACTIVE`` is ``PYTHON``, the numpy twin.  The numpy twin defines the
+bits, which every variant matches: ``_hestenes_py`` the order of the
+Jacobi sums, ``_sampling_py`` the normals.
 
 Each backend's ``sampler(rows, count)`` is a scratch allocated once for
 blocks of normal streams, whose ``contract`` draws a block and sums it into
@@ -74,8 +77,9 @@ class Backend(NamedTuple):
     - ``variant``: "numpy" for the numpy twin, else the vector ISA v whose
       kernel set the compiled twin runs.
     - ``jacobi_rows(a, max_sweeps, tol)``: one-sided Jacobi on the rows of
-      ``a``, returning (squared row norms, rotations, sweeps); a variant's
-      is a partial of its C ``jacobi_rows_<v>``.
+      ``a``, whose length is a multiple of 8, returning (squared row norms,
+      rotations, sweeps); a variant's is a partial of its C
+      ``jacobi_rows_<v>``.
     - ``sampler(rows, count)``: a scratch for blocks of up to ``rows``
       streams of ``count`` normals; its ``contract(seed, first, rows, c_re,
       c_im, out_re, out_im)`` writes the ``kl_contract`` of streams first..

@@ -25,28 +25,29 @@
  * The dot products x.x, y.y and x.y are summed in 8 lanes: lane l starts at
  * +0.0 and adds the products of the terms j = l (mod 8) in index order, one
  * rounded multiply and one rounded add a term, and the lanes are then
- * combined as ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)).  A lane the
- * ragged tail does not reach, or a lane of a row shorter than 8, keeps its
- * sum (a sum that starts at +0.0 is never -0.0, so adding +0.0 changes no
- * bit).  Eight independent chains of adds keep the vector unit busy where
- * one chain in index order would wait on the latency of each add.
+ * combined as ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)).  Eight
+ * independent chains of adds keep the vector unit busy where one chain in
+ * index order would wait on the latency of each add.  Rows come padded with
+ * +0.0 to a multiple n of the 8 lanes (spectral.row_svd pads its working
+ * copy), so every lane group is whole and no variant has a ragged tail: a
+ * padded term adds +0.0 to its lane, which changes no bit, since a sum that
+ * starts at +0.0 is never -0.0, and a padded entry stays +0.0 under every
+ * rotation, since c > 0.
  *
  * Every variant v that variants() of _sampling.c names exports
  * jacobi_rows_<v>, so the ISA_DISPATCH guard below must stay the same as
- * _sampling.c's.  The baseline sums its lanes as scalars, AVX2 in two
- * 4-wide accumulators a sum (lanes 0-3 and 4-7), and avx512f runs AVX2's
- * code under its own name: an 8-wide AVX-512 sum was no faster on the
+ * _sampling.c's.  All of them compile one body, whose sums are two 4-wide
+ * vectors of GCC's and Clang's vector extension (lanes 0-3 and 4-7): SSE2
+ * pairs on the baseline, AVX2 registers on avx2, and avx512f runs AVX2's
+ * code under its own name, since an 8-wide AVX-512 sum was no faster on the
  * workloads' small rows.  With no FMA and every sum in the same order the
  * variants give the same bits.
  */
 #include <math.h>
+#include <string.h>
 
 #if defined(__x86_64__) && (defined(__clang__) || __GNUC__ >= 5)
 #define ISA_DISPATCH 1
-#endif
-
-#ifdef ISA_DISPATCH
-#include <immintrin.h>
 #endif
 
 /* the bodies below are inlined into every variant, so that each is compiled
@@ -64,25 +65,36 @@
  * rotates */
 #define BAND 4
 
-/* ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)) */
-BODY double lane_tree(const double l[LANES])
+/* 4 lanes of a dot product.  A v4 is passed only by address, so that no
+ * function's ABI depends on the ISA it is compiled for. */
+typedef double v4 __attribute__((vector_size(32)));
+
+/* ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)) of the 8 lanes whose
+ * halves, lanes 0-3 and 4-7, are lo and hi */
+BODY double lane_tree(const v4 *lo, const v4 *hi)
 {
-    return ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]));
+    v4 h = *lo + *hi;
+    return (h[0] + h[2]) + (h[1] + h[3]);
 }
 
-/* x.x, y.y and x.y into s[0], s[1] and s[2], the lanes as scalars */
-BODY void dots_baseline(const double *x, const double *y, long n, double s[3])
+/* x.x, y.y and x.y into s[0], s[1] and s[2], each sum in two vectors of 4
+ * lanes, h = 0 and 1, over the whole lane groups of the rows of n, which is
+ * all of them when n is a multiple of LANES */
+BODY void dots(const double *x, const double *y, long n, double s[3])
 {
-    double xx[LANES] = {0.0}, yy[LANES] = {0.0}, xy[LANES] = {0.0};
-    for (long j = 0; j < n; j += LANES)
-        for (long l = 0; l < LANES && j + l < n; l++) {
-            xx[l] = xx[l] + x[j + l] * x[j + l];
-            yy[l] = yy[l] + y[j + l] * y[j + l];
-            xy[l] = xy[l] + x[j + l] * y[j + l];
+    v4 xx[2] = {{0.0}}, yy[2] = {{0.0}}, xy[2] = {{0.0}};
+    for (long j = 0; j + LANES <= n; j += LANES)
+        for (int h = 0; h < 2; h++) {
+            v4 xh, yh;
+            memcpy(&xh, x + j + 4 * h, sizeof xh);  /* unaligned loads */
+            memcpy(&yh, y + j + 4 * h, sizeof yh);
+            xx[h] = xx[h] + xh * xh;
+            yy[h] = yy[h] + yh * yh;
+            xy[h] = xy[h] + xh * yh;
         }
-    s[0] = lane_tree(xx);
-    s[1] = lane_tree(yy);
-    s[2] = lane_tree(xy);
+    s[0] = lane_tree(&xx[0], &xx[1]);
+    s[1] = lane_tree(&yy[0], &yy[1]);
+    s[2] = lane_tree(&xy[0], &xy[1]);
 }
 
 /* (x, y) <- (c x - s y, s x + c y) */
@@ -95,22 +107,20 @@ BODY void rotate(double *x, double *y, long n, double c, double s)
     }
 }
 
-/* the dot products of one variant: x.x, y.y and x.y of rows of n into s */
-typedef void dots_fn(const double *x, const double *y, long n, double s[3]);
-
-/* Rotate the rows of a in cyclic sweeps over the pairs p < q, in the band
- * order of the header, applying each rotation to the rows of v as well,
- * then write each row's squared norm to norms.  A pair is rotated when
- * |a_pq| > tol sqrt(a_pp) sqrt(a_qq) and neither row counts as zero; rows
- * beyond the rank of a shrink by about 2^-52 a sweep until they do.  Stops
- * after a sweep that rotates nothing, or after max_sweeps + 1 sweeps that
- * rotate; returns the number of sweeps that rotated, so a return above
- * max_sweeps means no convergence.  A band keeps its 4 pivot rows in L1
- * while the other rows stream past them.  Anti-diagonals p + q = d over the
- * whole array, 4 pairs at a time, give the same bits but lose the rows from
- * L1: 256 x 256 ran about 20 % slower than in bands. */
+/* Rotate the rows of a, of n a multiple of LANES, in cyclic sweeps over the
+ * pairs p < q, in the band order of the header, applying each rotation to
+ * the rows of v as well, then write each row's squared norm to norms.  A
+ * pair is rotated when |a_pq| > tol sqrt(a_pp) sqrt(a_qq) and neither row
+ * counts as zero; rows beyond the rank of a shrink by about 2^-52 a sweep
+ * until they do.  Stops after a sweep that rotates nothing, or after
+ * max_sweeps + 1 sweeps that rotate; returns the number of sweeps that
+ * rotated, so a return above max_sweeps means no convergence.  A band keeps
+ * its 4 pivot rows in L1 while the other rows stream past them.
+ * Anti-diagonals p + q = d over the whole array, 4 pairs at a time, give the
+ * same bits but lose the rows from L1: 256 x 256 ran about 20 % slower than
+ * in bands. */
 BODY int jacobi_sweeps(double *a, double *v, double *norms, long k, long n, int max_sweeps,
-                       double tol, dots_fn dots)
+                       double tol)
 {
     int sweeps = 0, rotated = 1;
     double s[BAND][3], c[BAND], sn[BAND];
@@ -159,61 +169,17 @@ BODY int jacobi_sweeps(double *a, double *v, double *norms, long k, long n, int 
     return sweeps;
 }
 
-/* the exported jacobi_rows_<isa>, summing with dots and compiled with the
- * attributes that follow it */
-#define JACOBI_ROWS(isa, dots, ...)                                                    \
-    __VA_ARGS__ int jacobi_rows_##isa(double *a, double *v, double *norms, long k,    \
-                                      long n, int max_sweeps, double tol)             \
+/* the exported jacobi_rows_<isa>, compiled with the attributes attrs */
+#define JACOBI_ROWS(isa, attrs)                                                        \
+    attrs int jacobi_rows_##isa(double *a, double *v, double *norms, long k, long n,   \
+                                int max_sweeps, double tol)                            \
     {                                                                                  \
-        return jacobi_sweeps(a, v, norms, k, n, max_sweeps, tol, dots);               \
+        return jacobi_sweeps(a, v, norms, k, n, max_sweeps, tol);                      \
     }
 
-JACOBI_ROWS(baseline, dots_baseline)
+JACOBI_ROWS(baseline, )
 
 #ifdef ISA_DISPATCH
-#define AVX2 __attribute__((target("avx2")))
-
-/* xx + x x, yy + y y and xy + x y into xx, yy and xy, lane by lane, each
- * product and each sum rounded */
-AVX2 BODY void add_products4(__m256d x, __m256d y, __m256d *xx, __m256d *yy, __m256d *xy)
-{
-    *xx = _mm256_add_pd(*xx, _mm256_mul_pd(x, x));
-    *yy = _mm256_add_pd(*yy, _mm256_mul_pd(y, y));
-    *xy = _mm256_add_pd(*xy, _mm256_mul_pd(x, y));
-}
-
-/* lane_tree of the 8 lanes whose halves, lanes 0-3 and 4-7, are lo and hi */
-AVX2 BODY double lane_tree4(__m256d lo, __m256d hi)
-{
-    __m256d h = _mm256_add_pd(lo, hi);
-    __m128d q = _mm_add_pd(_mm256_castpd256_pd128(h), _mm256_extractf128_pd(h, 1));
-    return _mm_cvtsd_f64(_mm_add_sd(q, _mm_unpackhi_pd(q, q)));
-}
-
-/* dots_baseline with lanes 0-3 and 4-7 of each sum in two vectors, h = 0
- * and 1; the ragged tail is loaded under a mask, its missing terms +0.0,
- * and a half it does not reach is not loaded */
-AVX2 BODY void dots_avx2(const double *x, const double *y, long n, double s[3])
-{
-    __m256d xx[2], yy[2], xy[2];
-    for (int h = 0; h < 2; h++)
-        xx[h] = yy[h] = xy[h] = _mm256_setzero_pd();
-    long j = 0;
-    for (; j + LANES <= n; j += LANES)
-        for (int h = 0; h < 2; h++)
-            add_products4(_mm256_loadu_pd(x + j + 4 * h), _mm256_loadu_pd(y + j + 4 * h),
-                          &xx[h], &yy[h], &xy[h]);
-    for (int h = 0; h < 2 && j + 4 * h < n; h++) {
-        __m256i tail = _mm256_cmpgt_epi64(_mm256_set1_epi64x(n - j - 4 * h),
-                                          _mm256_set_epi64x(3, 2, 1, 0));
-        add_products4(_mm256_maskload_pd(x + j + 4 * h, tail),
-                      _mm256_maskload_pd(y + j + 4 * h, tail), &xx[h], &yy[h], &xy[h]);
-    }
-    s[0] = lane_tree4(xx[0], xx[1]);
-    s[1] = lane_tree4(yy[0], yy[1]);
-    s[2] = lane_tree4(xy[0], xy[1]);
-}
-
-JACOBI_ROWS(avx2, dots_avx2, AVX2)
-JACOBI_ROWS(avx512f, dots_avx2, AVX2)
+JACOBI_ROWS(avx2, __attribute__((target("avx2"))))
+JACOBI_ROWS(avx512f, __attribute__((target("avx2"))))
 #endif

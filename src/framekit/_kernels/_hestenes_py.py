@@ -14,16 +14,14 @@ pairs in the row-cyclic sequence (pair (p, q) after (p, q - 1) and
 these.
 
 This twin defines the order of the dot products, which every ISA variant of
-the C kernel (AVX2 and the baseline) matches bit for bit.  The
-products of a row of n terms are summed in 8 lanes: lane l starts at +0.0
-and adds the products of the terms j = l (mod 8) in index order, one rounded
-add a term, and the lanes are combined as ((l0 + l4) + (l2 + l6)) +
-((l1 + l5) + (l3 + l7)).  Here the products are laid out as a (groups + 1,
-8) table whose first row is +0.0 and whose ragged tail is padded with +0.0,
-and ``np.add.accumulate`` adds its rows in order.  So a lane with no term,
-in a row shorter than 8 or past the ragged tail, adds only +0.0 and stays
-+0.0; and since a sum that starts at +0.0 is never -0.0, the padding changes
-no bit of a lane it reaches.
+the C kernel matches bit for bit.  The products of a row are summed in 8
+lanes: lane l starts at +0.0 and adds the products of the terms j = l
+(mod 8) in index order, one rounded add a term, and the lanes are combined
+as ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)).  Here the products
+are laid out as a (groups + 1, 8) table whose first row is +0.0, and
+``np.add.accumulate`` adds its rows in order.  Rows are whole lane groups:
+``spectral.row_svd`` pads each row with +0.0 to a multiple of 8
+(``padded_rows``), and both twins refuse any other length.
 """
 
 from math import sqrt
@@ -39,18 +37,34 @@ _LANES = 8
 
 
 def check_rows_args(a):
-    """(k, n) of a valid ``jacobi_rows`` array; ValueError otherwise."""
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"expected a k x n array with k, n >= 1, got shape {a.shape}")
+    """(k, n) of a valid ``jacobi_rows`` array, whose rows are whole groups
+    of the 8 lanes; ValueError otherwise."""
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1 or a.shape[1] % _LANES:
+        raise ValueError(
+            f"expected a k x n array with k >= 1 and n a positive multiple of {_LANES}, "
+            f"got shape {a.shape}"
+        )
     return a.shape
 
 
+def padded_rows(a):
+    """A C-contiguous float64 copy of the (k, n) array ``a`` with each row
+    padded by +0.0 to a whole number of the 8 lanes, as ``jacobi_rows``
+    takes them; ValueError for an array that is not 2-D."""
+    if np.ndim(a) != 2:
+        raise ValueError(f"expected a k x n array, got shape {np.shape(a)}")
+    k, n = np.shape(a)
+    padded = np.zeros((k, -(-n // _LANES) * _LANES))
+    padded[:, :n] = a
+    return padded
+
+
 def lane_table(rows, n):
-    """A zeroed table for the products of ``rows`` rows of ``n`` terms:
-    (the (rows, groups + 1, 8) table, the (rows, n) view the products go
-    into, after the first row of +0.0)."""
-    table = np.zeros((rows, -(-n // _LANES) + 1, _LANES))
-    return table, table.reshape(rows, -1)[:, _LANES : _LANES + n]
+    """A zeroed table for the products of ``rows`` rows of ``n`` terms, n a
+    multiple of 8: (the (rows, n / 8 + 1, 8) table, the (rows, n) view the
+    products go into, after the first row of +0.0)."""
+    table = np.zeros((rows, n // _LANES + 1, _LANES))
+    return table, table.reshape(rows, -1)[:, _LANES:]
 
 
 def lane_sums(table):
@@ -65,14 +79,15 @@ def lane_sums(table):
 def jacobi_rows(a, max_sweeps, tol):
     """Orthogonalize the rows of ``a`` in place; (squared norms, v, sweeps).
 
-    ``a`` is a C-contiguous float64 (k, n) array.  Pairs p < q are visited in
-    cyclic order, and a pair is rotated when |a_p.a_q| > tol |a_p| |a_q| and
-    neither squared norm is below 2**-900; rows beyond the rank of ``a``
-    shrink by about 2**-52 a sweep until they are.  ``v`` (k, k) starts as
-    the identity and takes the same rotations, so ``v @ a_in`` is ``a`` on
-    return.  The loop stops after a sweep that rotates nothing, or after
-    max_sweeps + 1 sweeps that rotate; ``sweeps`` counts the sweeps that
-    rotated, so a value above ``max_sweeps`` means no convergence.
+    ``a`` is a C-contiguous float64 (k, n) array, n a multiple of 8.  Pairs
+    p < q are visited in cyclic order, and a pair is rotated when
+    |a_p.a_q| > tol |a_p| |a_q| and neither squared norm is below 2**-900;
+    rows beyond the rank of ``a`` shrink by about 2**-52 a sweep until they
+    are.  ``v`` (k, k) starts as the identity and takes the same rotations,
+    so ``v @ a_in`` is ``a`` on return.  The loop stops after a sweep that
+    rotates nothing, or after max_sweeps + 1 sweeps that rotate; ``sweeps``
+    counts the sweeps that rotated, so a value above ``max_sweeps`` means no
+    convergence.
     """
     k, n = check_rows_args(a)
     v = np.eye(k)

@@ -72,7 +72,11 @@ def hilbert_spectrum_report(n_list) -> list[SpectrumRow]:
     per step in n.  Both are squared singular values of the Cholesky factor,
     so lam_min is within 1e-13 relative of the exact value up to n = 16,
     where the rounded Hilbert matrix is singular to working precision (1e-12
-    at n = 20, 5e-9 at n = 32).
+    at n = 20, 5e-9 at n = 32).  Past n of about 48 lam_min is wrong: n = 64
+    gives 4.35e-98 where the exact value is 6.07e-96, and n = 96 gives
+    1.56e-142 against 7.54e-145.  The factor's smallest singular value is
+    then below its rounding, and lam_min must come from the inverse factor
+    instead (ROADMAP item 6).
 
     Every size must lie in [1, 202], and all are checked before the one
     Cholesky factor, of the largest size, is built; each size reads its

@@ -6,7 +6,7 @@ keeps the small eigenvalues that squaring the condition number would lose.
 It makes no rank decision.  Frame bounds, kernels, canonical tight frames,
 Lax-Milgram and polar rest on one ``row_svd`` call per frame, made by
 ``frames.frame_spectrum``, which holds the library's one rank rule; the
-Hilbert table and the Riesz draws factor their own matrices.
+Hilbert table rotates the rows of its own Cholesky factor.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
+from ._kernels._hestenes_py import padded_rows
 from .errors import NotConverged
 
 #: Relative eigenvalue threshold below which spectrum is treated as rank noise.
@@ -60,13 +61,19 @@ def row_svd(a) -> RowSVD:
     that its largest entry lies in [0.5, 1), and the results are scaled back;
     the scaling is exact, so ``left`` does not depend on the scale of ``a``,
     and it is skipped where the power is 2**0, as for a ``frame_spectrum`` B.
+    Each row of the copy is padded with +0.0 to a whole number of the 8
+    lanes that the Jacobi kernels sum dot products in, and ``rows`` is the
+    first L columns of the rotated copy: a padded term adds +0.0 to its lane,
+    which changes no bit, and a padded entry stays +0.0 under each rotation.
     Rows beyond the rank of ``a`` are rotated down to about 1e-136 of the
     largest entry and then count as zero; that costs sweeps, so callers pass
     the thinner side.
     """
     a = np.asarray(a, dtype=float)
     shift = _binary_exponent(a)
-    work = np.ldexp(a, -shift, order="C") if shift else np.array(a, order="C")
+    work = padded_rows(a)
+    if shift:
+        np.ldexp(work, -shift, out=work)
     squares, left, sweeps = _kernels.ACTIVE.jacobi_rows(work, _MAX_SWEEPS, _ORTHOGONAL_TOL)
     if sweeps > _MAX_SWEEPS:
         raise NotConverged(
@@ -74,7 +81,7 @@ def row_svd(a) -> RowSVD:
             f"{_MAX_SWEEPS} sweeps"
         )
     order = np.argsort(-squares, kind="stable")
-    squares, rows = squares[order], work[order]
+    squares, rows = squares[order], work[order, : a.shape[1]]
     if shift:
         np.ldexp(squares, 2 * shift, out=squares)
         np.ldexp(rows, shift, out=rows)

@@ -58,7 +58,8 @@ KINDS = ["dense", "zeros", "signed zeros", "repeated", "duplicated"]
 
 
 def run(backend, base):
-    a = np.array(base, order="C")
+    # the rows padded to whole lane groups, as row_svd pads its working copy
+    a = _hestenes_py.padded_rows(base)
     squares, v, sweeps = backend.jacobi_rows(a, _MAX_SWEEPS, _ORTHOGONAL_TOL)
     return squares.tobytes(), a.tobytes(), v.tobytes(), sweeps
 
@@ -133,8 +134,9 @@ def fake_compiler(tmp_path, body):
 
 def every_tail(test):
     """``test`` with an example at each row length 1..17: rows shorter than
-    the 8 lanes of the dot products and every length of their ragged tail,
-    each kind of rows and the scales 2**-200, 1 and 2**200 in turn."""
+    the 8 lanes of the dot products and every remainder mod 8, padded as
+    ``row_svd`` pads them, each kind of rows and the scales 2**-200, 1 and
+    2**200 in turn."""
     for n in range(1, 18):
         test = example(k=1 + n % 6, n=n, seed=n, kind=KINDS[n % 5], e=(-200, 0, 200)[n % 3])(test)
     return test
@@ -173,16 +175,38 @@ def test_twins_agree_bit_for_bit(k, n, seed, kind, e):
         assert run(variant, base) == expected, name
 
 
+def svd_bytes(a):
+    """The bytes of ``row_svd(a)`` with the backend ``_kernels.ACTIVE``."""
+    svd = row_svd(a)
+    return svd.squares.tobytes(), svd.rows.tobytes(), svd.left.tobytes(), svd.sweeps
+
+
+@pytest.mark.skipif(not VARIANTS, reason="C twin not loaded")
+@pytest.mark.parametrize("n", [*range(1, 10), 15, 16, 17, 63, 64, 65])
+def test_row_svd_agrees_on_every_variant(monkeypatch, n):
+    # through row_svd, which pads the rows: lengths short of, at and just
+    # past whole lane groups, with more rows than columns where n < 7
+    base = factor(1 + n % 7, n, n, KINDS[n % 5], (-200, 0, 200)[n % 3])
+    monkeypatch.setattr(_kernels, "ACTIVE", PYTHON)
+    expected = svd_bytes(base)
+    assert row_svd(base).rows.shape == base.shape
+    for name, variant in VARIANTS.items():
+        monkeypatch.setattr(_kernels, "ACTIVE", variant)
+        assert svd_bytes(base) == expected, name
+
+
 def test_lane_sums_follow_the_lane_order():
     # the numpy twin's sums against the order written out term by term, on
-    # rows that end in every lane, with signed zeros and terms that cancel
+    # rows that end in every lane, with signed zeros and terms that cancel:
+    # the +0.0 that pads a row to whole lane groups changes no bit
     r = np.random.default_rng(4)
     for n in range(1, 26):
         products = r.standard_normal((3, n)) * 2.0 ** r.integers(-60, 60, (3, n))
         products[1, ::3] = -0.0
         products[2] = -0.0
-        table, view = _hestenes_py.lane_table(3, n)
-        view[...] = products
+        padded = _hestenes_py.padded_rows(products)
+        table, view = _hestenes_py.lane_table(3, padded.shape[1])
+        view[...] = padded
         for row, got in zip(products, _hestenes_py.lane_sums(table)):
             lanes = [0.0] * 8
             for j, term in enumerate(row.tolist()):
@@ -533,7 +557,7 @@ def test_coefficients_are_the_nearest_taylor_doubles():
 @pytest.mark.skipif(not VARIANTS, reason="C twin not loaded")
 def test_wrong_arrays_raise():
     # the address and shape checks stop what C would misread, before it runs
-    a = factor(4, 6, 0, "dense", 0)
+    a = _hestenes_py.padded_rows(factor(4, 6, 0, "dense", 0))
     frozen = a.copy()
     frozen.setflags(write=False)
     for bad, error in [
@@ -548,6 +572,18 @@ def test_wrong_arrays_raise():
         for variant in VARIANTS.values():
             with pytest.raises(error):
                 variant.jacobi_rows(bad, _MAX_SWEEPS, _ORTHOGONAL_TOL)
+
+
+@pytest.mark.parametrize("n", [1, 7, 9, 12, 63])
+def test_both_twins_refuse_rows_of_part_of_a_lane_group(n):
+    # only row_svd's padded rows reach a kernel: any other length is refused
+    # before the first rotation, by the numpy twin and every variant alike
+    base = factor(3, n, n, "dense", 0)
+    for backend in (PYTHON, *VARIANTS.values()):
+        a = base.copy()
+        with pytest.raises(ValueError, match="multiple of 8"):
+            backend.jacobi_rows(a, _MAX_SWEEPS, _ORTHOGONAL_TOL)
+        assert a.tobytes() == base.tobytes(), backend.variant
 
 
 def test_wrong_sampling_arrays_raise():
@@ -800,22 +836,29 @@ def test_the_widest_variant_the_cpu_allows_runs():
     assert _kernels.ACTIVE is VARIANTS[widest]
 
 
-@needs_cc
-def test_c_sources_compile_without_warnings(tmp_path):
+#: the C compilers on PATH, of cc, gcc and clang: each is a case of its own
+COMPILERS = [name for name in ("cc", "gcc", "clang") if shutil.which(name)]
+
+
+@pytest.mark.parametrize("compiler", COMPILERS)
+def test_c_sources_compile_without_warnings(tmp_path, compiler):
+    # with the ISA dispatch, as the package builds them, and without it, as
+    # where the compiler does not target x86-64
     proc = subprocess.run(
-        [CC, *_kernels._FLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "lib.so"),
-         *map(str, _kernels._SOURCES)],
+        [compiler, *_kernels._FLAGS, "-Wall", "-Wextra", "-Werror", "-o",
+         str(tmp_path / "lib.so"), *map(str, _kernels._SOURCES)],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    build_without_dispatch(tmp_path, compiler)
 
 
-def build_without_dispatch(tmp_path):
-    """The library built into ``tmp_path`` from the sources with the ISA
-    dispatch guard's definition taken out, as where the compiler does not
-    target x86-64, with warnings as errors."""
+def build_without_dispatch(tmp_path, compiler=CC):
+    """The library built by ``compiler`` into ``tmp_path`` from the sources
+    with the ISA dispatch guard's definition taken out, as where the
+    compiler does not target x86-64, with warnings as errors."""
     guard = "#define ISA_DISPATCH 1\n"
     sources = []
     for path in _kernels._SOURCES:
@@ -827,7 +870,7 @@ def build_without_dispatch(tmp_path):
         sources[-1].write_text(text)
     library = tmp_path / "plain.so"
     proc = subprocess.run(
-        [CC, *_kernels._FLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(library),
+        [compiler, *_kernels._FLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(library),
          *map(str, sources)],
         capture_output=True,
         text=True,
@@ -992,9 +1035,9 @@ def test_sampling_under_address_and_undefined_sanitizers(tmp_path):
 #: run under the sanitizers with the path of a library built from
 #: _hestenes.c, a folder, the variants to run, separated by commas, the
 #: sweep limit, the tolerance and cases "KxN": every
-#: variant's jacobi_rows on the k x n rows read from the folder, each array
-#: in a heap buffer of exactly its size from malloc, so that a tail load past
-#: the end of the last row reads a redzone; the squared norms, the rotated
+#: variant's jacobi_rows on the k x n rows read from the folder, n a
+#: multiple of the 8 lanes, each array in a heap buffer of exactly its size
+#: from malloc, so that a load past the end of the last row reads a redzone; the squared norms, the rotated
 #: rows, the rotations and the sweep count (8 bytes) written to the folder;
 #: no numpy
 SANITIZED_JACOBI = """
@@ -1025,18 +1068,19 @@ for case in sys.argv[6:]:
 
 @needs_cc
 def test_jacobi_under_address_and_undefined_sanitizers(tmp_path):
-    # every variant's jacobi_rows on rows shorter than the 8 lanes, of a
-    # whole number of lanes and with every short tail, one row alone among
-    # them; the masked 4-wide tail loads must stay inside each row, and the
-    # bands of 4 pivot rows inside the array, 9 x 5 and 13 x 3 among them
+    # every variant's jacobi_rows on rows padded to whole lane groups, as
+    # row_svd pads them, from rows of every remainder mod 8, one row alone
+    # among them; the loads of the last group must stay inside each row, and
+    # the bands of 4 pivot rows inside the array, 9 x 5 and 13 x 3 among them
     library, libasan = sanitized_library(tmp_path, Path(_kernels.__file__).with_name("_hestenes.c"))
     names = list(VARIANTS) or ["baseline"]
     cases, expected = [], {}
     for k, n in [(1, 1), (3, 1), (1, 7), (4, 7), (3, 8), (5, 9), (9, 5), (13, 3), (1, 15),
                  (2, 15), (6, 17), (1, 63), (7, 63)]:
-        case = f"{k}x{n}"
         base = factor(k, n, n, KINDS[k % 5], 0)
-        (tmp_path / f"{case}-a").write_bytes(base.tobytes())
+        padded = _hestenes_py.padded_rows(base)
+        case = "x".join(map(str, padded.shape))
+        (tmp_path / f"{case}-a").write_bytes(padded.tobytes())
         squares, rows, v, sweeps = run(PYTHON, base)
         cases.append(case)
         expected[case] = squares + rows + v + sweeps.to_bytes(8, "little")

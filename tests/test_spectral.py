@@ -13,7 +13,7 @@ from framekit import (
     row_svd,
     spectral,
 )
-from framekit._kernels import PYTHON, VARIANTS
+from framekit._kernels import PYTHON, VARIANTS, _hestenes_py
 from framekit.spectral import _MAX_SWEEPS, _ORTHOGONAL_TOL
 
 from oracles import hilbert_gramian_exact, power_iteration
@@ -131,6 +131,11 @@ class TestSymEig:
         assert row_svd(np.diag([3.0, 1.0])).sweeps == 0
         assert 0 < row_svd(random_rows(8, 11)).sweeps < _MAX_SWEEPS
 
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3, 4)])
+    def test_rows_of_a_matrix_only(self, shape):
+        with pytest.raises(ValueError, match="expected a k x n array"):
+            row_svd(np.ones(shape))
+
     def test_sweep_limit_raises(self, monkeypatch):
         monkeypatch.setattr(spectral, "_MAX_SWEEPS", 1)
         with pytest.raises(NotConverged):
@@ -157,7 +162,7 @@ class TestSymEig:
             base = random_rows(n, n)
             results = []
             for backend in (PYTHON, *VARIANTS.values()):
-                a = np.array(base, order="C")
+                a = _hestenes_py.padded_rows(base)
                 squares, v, sweeps = backend.jacobi_rows(a, _MAX_SWEEPS, _ORTHOGONAL_TOL)
                 results.append((squares.tobytes(), a.tobytes(), v.tobytes(), sweeps))
             assert len(set(results)) == 1

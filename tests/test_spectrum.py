@@ -359,18 +359,19 @@ class TestScale:
 
     def test_row_svd_in_range_matches_unscaled_sweeps(self):
         # the pre-scaling is exact, so an in-range input gives the bits of
-        # a plain run of the sweeps on the unscaled rows
+        # a plain run of the sweeps on the unscaled rows, padded to whole
+        # lane groups
         r = np.random.default_rng(8)
         for n in (1, 2, 5, 12):
             x = r.standard_normal((n, n + 1)) * 3.0
-            work = np.array(x, order="C", copy=True)
+            work = _kernels._hestenes_py.padded_rows(x)
             squares, left, _ = _kernels.ACTIVE.jacobi_rows(
                 work, spectral._MAX_SWEEPS, spectral._ORTHOGONAL_TOL
             )
             order = np.argsort(-squares, kind="stable")
             d = row_svd(x)
             assert np.array_equal(d.squares, squares[order])
-            assert np.array_equal(d.rows, work[order])
+            assert np.array_equal(d.rows, work[order, : n + 1])
             assert np.array_equal(d.left, left[order])
 
     @settings(max_examples=30, deadline=None, database=None)
@@ -615,13 +616,14 @@ class TestOneDecompositionPerFrame:
         cli.write_frame_file(str(path), weighted_frame(60, 60, 30))
         return str(path)
 
+    # each call rotates the 30 rows of B, of 60 entries padded to 64
     @pytest.mark.parametrize(
         "command, dims",
         [
-            ("analyze", [(30, 60)]),
-            ("kernel", [(30, 60)]),
-            ("canonical", [(30, 60), (30, 60)]),
-            ("verify", [(30, 60)]),
+            ("analyze", [(30, 64)]),
+            ("kernel", [(30, 64)]),
+            ("canonical", [(30, 64), (30, 64)]),
+            ("verify", [(30, 64)]),
         ],
     )
     def test_jacobi_calls(self, calls, frame_file, capsys, command, dims):
@@ -638,7 +640,7 @@ class TestOneDecompositionPerFrame:
         path = str(tmp_path / f"{name}.json")
         cli.write_frame_file(path, fs)
         n, m = fs.n_vectors, fs.n_points
-        side = (min(n, m), max(n, m))
+        side = (min(n, m), -(-max(n, m) // 8) * 8)  # the rows padded to whole lane groups
         assert frame_spectrum(fs, RANK_TOL).rank == r
         calls.clear()
         expected = {
@@ -671,7 +673,7 @@ class TestOneDecompositionPerFrame:
         assert seen["verify_lax_identity"] == 1
         assert seen["isometry_check"] == 1
         assert seen["build_gramian"] <= 1
-        assert calls == [(30, 60)]
+        assert calls == [(30, 64)]
 
     def test_canonical_projector_residual(self, tmp_path, capsys, frame_file):
         out = tmp_path / "tight.json"
