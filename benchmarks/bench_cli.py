@@ -9,7 +9,8 @@ prints the median milliseconds per call over ``--repeats`` calls, with the
 parse's nanoseconds per number read (the frame's n^2 + 2n literals).  It
 also prints the cost of building the argument parser, and of the one parse
 of a command's argv that ``cli.main`` makes with it, over 10 x ``--repeats``
-calls.  It exits 1 unless every
+calls: a plain argv of each command, which the walk parses, and one with an
+abbreviated option, which argparse parses.  It exits 1 unless every
 backend writes the same bytes, the per-element spelling (17 significant
 digits, -0.0 kept), and reads back the same arrays bit for bit.  ``--json
 PATH`` also writes the medians and quartiles, with the environment, as JSON.
@@ -80,15 +81,18 @@ def environment():
     }
 
 
-#: one argv of each command, as perfbench's frame-cli and kl-sampling pass them
-PARSE_ARGV = [
-    ["analyze", "frame.json"],
-    ["kernel", "frame.json", "--out", "kernel.json"],
-    ["canonical", "frame.json", "--out", "tight.json"],
-    ["verify", "frame.json"],
-    ["gp-sim", "model.json", "--samples", "200000", "--seed", "1"],
-    ["hilbert", "--sizes", "4,5,6,7,8,9,10,11,12,13,14,15,16"],
-]
+#: one argv of each command, as perfbench's frame-cli and kl-sampling pass
+#: them, which the plain walk parses, and one with --rank-tol abbreviated,
+#: which falls back to argparse
+PARSE_ARGV = {
+    "analyze": ["analyze", "frame.json"],
+    "kernel": ["kernel", "frame.json", "--out", "kernel.json"],
+    "canonical": ["canonical", "frame.json", "--out", "tight.json"],
+    "verify": ["verify", "frame.json"],
+    "gp-sim": ["gp-sim", "model.json", "--samples", "200000", "--seed", "1"],
+    "hilbert": ["hilbert", "--sizes", "4,5,6,7,8,9,10,11,12,13,14,15,16"],
+    "analyze --rank (argparse)": ["analyze", "frame.json", "--rank", "1e-3"],
+}
 
 
 def main():
@@ -103,9 +107,10 @@ def main():
     parser_ms = timed_ms(build, args.repeats)
     print(f"_build_parser: {parser_ms['median']:.3f} ms per call")
     parse_ms = {}
-    for argv in PARSE_ARGV:  # the parse main makes, on the cached parser
-        parse_ms[argv[0]] = timed_ms(lambda: cli._parse(argv), 10 * args.repeats)
-        print(f"parse {' '.join(argv)}: {parse_ms[argv[0]]['median'] * 1e3:.1f} us per call")
+    for name, argv in PARSE_ARGV.items():  # the parse main makes, on the cached parser
+        parse_ms[name] = timed_ms(lambda: cli._parse(argv), 10 * args.repeats)
+        path = "argparse" if cli._plain(cli._build_parser().plain, argv) is None else "walk"
+        print(f"parse {' '.join(argv)}: {parse_ms[name]['median'] * 1e3:.1f} us per call ({path})")
     rng = np.random.default_rng(0)
     print(f"{'n':>5} {'backend':>9} {'write_kernel':>12} {'parse_frame':>12} {'ns/number':>10} {'check':>6}")
     results, failed = [], False

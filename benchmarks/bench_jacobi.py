@@ -13,9 +13,12 @@ must agree bit for bit, and the script exits 1 if they do not.
 ``numpy.linalg.svd`` of the same unpadded rows, on one BLAS thread, is the
 yardstick.  It prints the median milliseconds per call over ``--repeats``
 calls for each C variant and LAPACK, and over one call for the numpy twin,
-which is slow.  The C twin is built at the first import of framekit wherever
-``cc`` works.  ``--json PATH`` also writes the medians and quartiles per
-shape and twin, with the environment, as JSON.
+which is slow.  The calls of a shape run in rounds of one call of each of
+them that has calls left, in an order reversed every other round, so a
+burst of load from elsewhere falls on all of them alike.  The C twin is
+built at the first import of framekit wherever ``cc`` works.  ``--json
+PATH`` also writes the medians and quartiles per shape and twin, with the
+environment, as JSON.
 
     PYTHONPATH=src python3 benchmarks/bench_jacobi.py [--shapes 64x64,128x128] [--repeats 5] [--json PATH]
 """
@@ -26,6 +29,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # pinned before numpy loads BLAS
 
 import argparse
+import functools
 import json
 import time
 
@@ -36,15 +40,19 @@ from framekit._kernels import PYTHON, VARIANTS, _hestenes_py
 from framekit.spectral import _MAX_SWEEPS, _ORTHOGONAL_TOL
 
 
-def timed(fn, repeats):
-    """(median and quartiles of the milliseconds per call over ``repeats``
-    calls, the last call's result)."""
-    times, result = [], None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        times.append((time.perf_counter() - start) * 1e3)
-    return quartiles(times), result
+def interleaved(calls, repeats):
+    """(median and quartiles of the milliseconds per call of each of the
+    named ``calls``, each one's last result): ``repeats[name]`` calls of
+    each, in rounds of one call of every name with calls left, the order
+    reversed every other round."""
+    times, results = {name: [] for name in calls}, {}
+    for turn in range(max(repeats.values())):
+        for name in list(calls) if turn % 2 == 0 else reversed(calls):
+            if len(times[name]) < repeats[name]:
+                start = time.perf_counter()
+                results[name] = calls[name]()
+                times[name].append((time.perf_counter() - start) * 1e3)
+    return {name: quartiles(t) for name, t in times.items()}, results
 
 
 def run_twin(backend, base):
@@ -71,10 +79,10 @@ def main():
     results, agree = [], True
     for k, n in shapes:
         base = rng.standard_normal((k, n))
-        ms, bits = {}, {}
-        for name, backend in twins.items():
-            ms[name], bits[name] = timed(lambda: run_twin(backend, base), repeats[name])
-        ms["lapack svd"], _ = timed(lambda: np.linalg.svd(base, full_matrices=False), args.repeats)
+        calls = {name: functools.partial(run_twin, backend, base) for name, backend in twins.items()}
+        calls["lapack svd"] = functools.partial(np.linalg.svd, base, full_matrices=False)
+        ms, bits = interleaved(calls, {**repeats, "lapack svd": args.repeats})
+        del bits["lapack svd"]
         same = len(set(bits.values())) == 1
         agree = agree and same
         sweeps = bits["numpy"][3]

@@ -21,7 +21,8 @@ as ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)).  Here the products
 are laid out as a (groups + 1, 8) table whose first row is +0.0, and
 ``np.add.accumulate`` adds its rows in order.  Rows are whole lane groups:
 ``spectral.row_svd`` pads each row with +0.0 to a multiple of 8
-(``padded_rows``), and both twins refuse any other length.
+(``padded_rows``), ``frames.frame_spectrum`` forms its B in rows of
+``padded_width``, and both twins refuse any other length.
 """
 
 from math import sqrt
@@ -47,6 +48,11 @@ def check_rows_args(a):
     return a.shape
 
 
+def padded_width(n):
+    """``n`` rounded up to a whole number of the 8 lanes."""
+    return -(-n // _LANES) * _LANES
+
+
 def padded_rows(a):
     """A C-contiguous float64 copy of the (k, n) array ``a`` with each row
     padded by +0.0 to a whole number of the 8 lanes, as ``jacobi_rows``
@@ -54,7 +60,7 @@ def padded_rows(a):
     if np.ndim(a) != 2:
         raise ValueError(f"expected a k x n array, got shape {np.shape(a)}")
     k, n = np.shape(a)
-    padded = np.zeros((k, -(-n // _LANES) * _LANES))
+    padded = np.zeros((k, padded_width(n)))
     padded[:, :n] = a
     return padded
 

@@ -51,9 +51,15 @@ Subcommands and the only flags each accepts, with their defaults:
 --rank-tol must lie in [0, 1), --seed in [0, 2**64), --samples at 2 or
 more and each hilbert size in [1, 202]: past 202 the smallest eigenvalue of
 the Hilbert matrix is not a normal double.  A sample count whose samples do
-not fit in memory exits 2 as well.  The argument parser is built once per process, on the
-first call of main(), and each call is parsed in one pass: a first argument
-that names a subcommand goes straight to that subcommand's parser.
+not fit in memory exits 2 as well.  The argument parser is built once per
+process, on the first call of main(), and argparse defines every parse.  A
+plain argv (a subcommand, then the exact long options it reads, once each,
+each with a value not starting with "-" that converts, a flag with none, and
+its positional) is read by a walk over a table of the parser's own arguments,
+to the Namespace argparse gives it; any other argv, abbreviations,
+--opt=value, "--", help and every argument error included, goes to
+argparse in one pass: a first argument that names a subcommand goes
+straight to that subcommand's parser.
 
 Exit codes:
 
@@ -333,7 +339,7 @@ def cmd_canonical(args) -> int:
     out = rkhs.canonical_tight(fs, args.rank_tol)
     # nonzero spectrum of the written frame's Gramian, in dimension min(N, M)
     lam = frames.frame_spectrum(out, args.rank_tol).eigenvalues
-    projector_residual = float(np.max(np.abs(lam * (lam - 1.0))))
+    projector_residual = float(np.abs(lam * (lam - 1.0)).max())
     if args.out:
         write_frame_file(args.out, out)
         print(f"wrote {args.out}")
@@ -418,21 +424,65 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Frame bounds, reproducing kernels, and KL Gaussian sampling",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # name: its parser, for main's one pass; name: {option string, or None
+    # for the positional: the argparse action}, for the plain walk
+    parser.commands, parser.plain = sub.choices, {}
     for name, (help_text, names) in commands.items():
         p = sub.add_parser(name, help=help_text)
+        parser.plain[name] = table = {}
         for arg in names.split():
-            p.add_argument(arg, **arguments[arg])
-    parser.commands = sub.choices  # name: its parser, for main's one pass
+            action = p.add_argument(arg, **arguments[arg])
+            table[arg if action.option_strings else None] = action
     return parser
 
 
+def _plain(table, argv):
+    """The Namespace parse_args gives a plain argv, or None for any other.
+
+    A plain argv names a command, then gives each argument that command
+    reads at most once: the positional as a word not starting with "-", an
+    option by its exact name, followed by a value not starting with "-"
+    unless it is a flag, and each value converts by its type; every
+    required argument is given.  Abbreviations, "--opt=value", "--", help
+    and every argument error are left to argparse, which defines them.
+    """
+    actions = table.get(argv[0]) if argv else None
+    if actions is None:
+        return None
+    values, given = {a.dest: a.default for a in actions.values()}, set()
+    words = iter(argv[1:])
+    for word in words:
+        action = actions.get(word if word.startswith("-") else None)
+        if action is None or action.dest in given:
+            return None
+        given.add(action.dest)
+        if action.nargs == 0:  # a flag
+            values[action.dest] = action.const
+            continue
+        value = next(words, "-") if action.option_strings else word
+        if value.startswith("-"):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        values[action.dest] = value
+    if any(a.required and a.dest not in given for a in actions.values()):
+        return None
+    return argparse.Namespace(**values, command=argv[0])
+
+
 def _parse(argv) -> argparse.Namespace:
-    # _build_parser().parse_args(argv) in one pass: the top-level parser
-    # would hand everything after a command to that command's parser; its
-    # leftovers are refused in the top-level parser's words, as parse_args
-    # refuses them
+    # _build_parser().parse_args(argv): a plain argv by the walk, any other
+    # in one argparse pass: the top-level parser would hand everything
+    # after a command to that command's parser; its leftovers are refused
+    # in the top-level parser's words, as parse_args refuses them
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain(parser.plain, argv)
+    if args is not None:
+        return args
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:  # no command, an unknown one, or a top-level option
         return parser.parse_args(argv)

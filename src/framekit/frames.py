@@ -28,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument, InvalidIndex, InvalidMatrix
-from .spectral import DEFAULT_RANK_TOL, _binary_exponent, row_svd
+from ._kernels._hestenes_py import padded_width
+from .spectral import DEFAULT_RANK_TOL, _binary_exponent, padded_svd
 
 _PARSEVAL_TOL = 1e-9
 
@@ -55,11 +56,12 @@ class Grid:
             raise DimensionMismatch(
                 f"{pts.size} points but {wts.size} weights"
             )
-        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))):
+        if not (np.isfinite(pts).all() and np.isfinite(wts).all()):
             raise InvalidMatrix("grid has non-finite entries")
-        if np.unique(pts).size != pts.size:
+        ordered = np.sort(pts)  # equal points, +0.0 and -0.0 too, end up neighbours
+        if (ordered[1:] == ordered[:-1]).any():
             raise InvalidMatrix("grid points must be pairwise distinct")
-        if np.any(wts <= 0.0):
+        if (wts <= 0.0).any():
             raise InvalidMatrix("grid weights must be strictly positive")
         pts.setflags(write=False)
         wts.setflags(write=False)
@@ -87,7 +89,7 @@ class FrameSystem:
                 f"vectors have {v.shape[1]} columns but grid has "
                 f"{self.grid.size} points"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise InvalidMatrix("frame vectors have non-finite entries")
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
@@ -163,7 +165,7 @@ def weighted_inner(grid: Grid, f, g):
 def weighted_norm(grid: Grid, f):
     """Norm induced by weighted_inner, of f or of each row of a stack."""
     f = _rows(f, grid.size)
-    return np.sqrt(np.sum(grid.weights * f * f, axis=-1))
+    return np.sqrt((grid.weights * f * f).sum(axis=-1))
 
 
 def build_gramian(fs: FrameSystem) -> np.ndarray:
@@ -176,7 +178,7 @@ def build_gramian(fs: FrameSystem) -> np.ndarray:
     half = fs.vectors * np.sqrt(fs.grid.weights)
     with np.errstate(over="ignore", invalid="ignore"):  # reported as InvalidMatrix
         g = half @ half.T
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise InvalidMatrix("Gramian has non-finite entries")
     g.setflags(write=False)
     return g
@@ -207,23 +209,28 @@ def frame_spectrum(
     of the frame, and the eigenvalues are scaled back by 4**e.  Phi and
     W^{1/2} are each scaled by a power of two before their product, so a B
     past the double range is formed all the same; where the unscaled product
-    is finite and normal, this gives its bits.  The rows of
-    the thinner side, B or B^T, are rotated until orthogonal: the rotations
-    give that side's singular vectors, and the rotated rows, sigma_k times
-    the other side's singular vectors, give the rest by one division.
+    is finite and normal, this gives its bits.  The rows of the thinner
+    side, B or B^T, are formed once, straight into the zero-padded buffer
+    that ``spectral.padded_svd``, the driver ``row_svd`` shares, rotates in
+    place until they are orthogonal: the rotations give that side's singular
+    vectors, and the rotated rows, sigma_k times the other side's singular
+    vectors, give the rest by one division.
     """
     if not 0.0 <= rank_tol < 1.0:
         raise InvalidArgument(f"rank_tol must lie in [0, 1), got {rank_tol}")
     root = np.sqrt(fs.grid.weights)
     e_phi, e_root = _binary_exponent(fs.vectors), _binary_exponent(root)
-    b = np.ldexp(fs.vectors, -e_phi)
+    wide = fs.n_vectors <= fs.n_points
+    k, n = sorted(fs.vectors.shape)  # min(N, M) rows of max(N, M) entries
+    work = np.zeros((k, padded_width(n)))
+    b = work[:, :n] if wide else work[:, :n].T  # the N x M B, in the rows Jacobi rotates
+    np.ldexp(fs.vectors, -e_phi, out=b)
     b *= np.ldexp(root, -e_root)
     e_b = _binary_exponent(b)
     if e_b:
         np.ldexp(b, -e_b, out=b)
     shift = e_phi + e_root + e_b
-    wide = fs.n_vectors <= fs.n_points
-    svd = row_svd(b if wide else b.T)
+    svd = padded_svd(work, n)
     lam = svd.squares
     # below (min(N, M) eps)**2 lambda_max an eigenvalue is rounding noise
     # whatever rank_tol is, since Jacobi's error in sigma is about n eps sigma_max

@@ -101,7 +101,7 @@ class KernelMatrix:
         # |fl(F_s . F_t)| is below max_t ||F_t||^2 (1 + gamma_k) / (1 - gamma_k)
         gamma = f.shape[1] * _UNIT_ROUNDOFF / (1.0 - f.shape[1] * _UNIT_ROUNDOFF)
         with np.errstate(over="ignore", invalid="ignore"):  # reported as InvalidMatrix
-            top = float(np.max(np.sum(f * f, axis=1))) * (1.0 + gamma) / (1.0 - gamma)
+            top = float((f * f).sum(axis=1).max()) * (1.0 + gamma) / (1.0 - gamma)
         if not math.isfinite(top):
             raise InvalidMatrix("kernel table has non-finite entries")
 
@@ -155,7 +155,7 @@ def verify_reproducing(fs: FrameSystem, k: KernelMatrix, f) -> float:
     shift = _binary_exponent(_rows(f, fs.n_points))  # apply checks the kernel's grid
     unit = np.ldexp(f, -shift)
     unit -= k.apply(unit)  # the residual, in place: one M-wide temporary fewer
-    return _ldexp_saturating(float(np.max(np.abs(unit, out=unit))), shift)
+    return _ldexp_saturating(float(np.abs(unit, out=unit).max()), shift)
 
 
 def lax_milgram(fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL) -> KernelMatrix:
@@ -174,7 +174,7 @@ def verify_lax_identity(fs: FrameSystem, op: KernelMatrix, f, g) -> float:
     residual is the max over every pair (f_i, g_j).
     """
     lhs = analysis(fs, f) @ analysis(fs, op.apply(g)).T
-    return float(np.max(np.abs(lhs - weighted_inner(fs.grid, f, g))))
+    return float(np.abs(lhs - weighted_inner(fs.grid, f, g)).max())
 
 
 def isometry_check(fs: FrameSystem, c):
@@ -185,8 +185,8 @@ def isometry_check(fs: FrameSystem, c):
     once per call.
     """
     combined = synthesis(fs, c)
-    lhs = np.sum(fs.grid.weights * combined * combined, axis=-1)
-    rhs = np.sum((c @ build_gramian(fs)) * c, axis=-1)
+    lhs = (fs.grid.weights * combined * combined).sum(axis=-1)
+    rhs = ((c @ build_gramian(fs)) * c).sum(axis=-1)
     return lhs, rhs
 
 
@@ -211,7 +211,7 @@ def kernel_psd_bound(kernel: KernelMatrix) -> float:
     f = kernel.factor
     k = f.shape[1]
     gamma = (k + 2) * _UNIT_ROUNDOFF / (1.0 - (k + 2) * _UNIT_ROUNDOFF)
-    return gamma * float(np.sum(f * f))
+    return gamma * float((f * f).sum())
 
 
 def polar_unitary(fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -303,25 +303,25 @@ def _identity_rows(fs: FrameSystem, rank_tol: float) -> dict:
     combos[i, (i + 1) % n] = -0.5
     probes = np.vstack([fs.vectors, combos @ fs.vectors])
     probe_norms = weighted_norm(fs.grid, probes)
-    scale = float(np.max(probe_norms))
+    scale = float(probe_norms.max())
 
     j = np.arange(min(n, 6))
     coeffs = np.eye(n)[j]
     coeffs[j, n - 1 - j] += 0.25
-    coeff_sq = np.sum(coeffs * coeffs, axis=1)
+    coeff_sq = (coeffs * coeffs).sum(axis=1)
     lhs, rhs = isometry_check(fs, coeffs)
-    isometry = float(np.max(np.abs(lhs - rhs) / (lam_max * coeff_sq)))
+    isometry = float((np.abs(lhs - rhs) / (lam_max * coeff_sq)).max())
     # <T f, c> = <f, T* c> on four probes; a zero probe has both sides 0
     heads = probes[:4]
     left = analysis(fs, heads) @ coeffs.T
     right = weighted_inner(fs.grid, heads, synthesis(fs, coeffs))
     bound = math.sqrt(lam_max) * np.outer(probe_norms[:4], np.sqrt(coeff_sq))
-    adjoint = float(np.max(np.abs(left - right) / np.where(bound > 0, bound, 1.0)))
+    adjoint = float((np.abs(left - right) / np.where(bound > 0, bound, 1.0)).max())
 
     reproducing = verify_reproducing(fs, kernel, probes)
     lax_residual = verify_lax_identity(fs, _lax(spec), probes, probes)
     # |K(s,t)| <= max_t ||F_t||^2, and |(K - Psi^T Psi)(s,t)| <= that ||U_r^T U_r - I||_2
-    kernel_max = float(np.max(np.sum(kernel.factor * kernel.factor, axis=1)))
+    kernel_max = float((kernel.factor * kernel.factor).sum(axis=1).max())
     kernel_vs_tight = kernel_max * float(np.linalg.norm(spec.u.T @ spec.u - np.eye(spec.rank)))
     gram_psd = max(0.0, -float(spec.eigenvalues[-1]))
     # capped, so a frame that needs a wider gate fails rather than passing
@@ -329,10 +329,10 @@ def _identity_rows(fs: FrameSystem, rank_tol: float) -> dict:
     inverse_gate = min(1e-3, max(1e-8, 1.1e-14 * lam_max / float(spec.retained[-1])))
     # probes hold genuine mass along eigendirections the rank cut discards;
     # the kernel reproduces only the retained span, so allow for that tail
-    cut_max = float(np.max(spec.eigenvalues[spec.rank :], initial=0.0))
+    cut_max = float(spec.eigenvalues[spec.rank :].max(initial=0.0))
     if cut_max <= 100 * 2.2e-16 * lam_max:
         cut_max = 0.0
-    truncation = 2.0 * math.sqrt(cut_max / float(np.min(fs.grid.weights)))
+    truncation = 2.0 * math.sqrt(cut_max / float(fs.grid.weights.min()))
 
     return {
         "max_reproducing_residual": (reproducing, inverse_gate * scale + truncation, 1, 0),

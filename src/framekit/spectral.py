@@ -4,9 +4,11 @@
 rotations and so gives the eigensystem of A A^T without forming it, which
 keeps the small eigenvalues that squaring the condition number would lose.
 It makes no rank decision.  Frame bounds, kernels, canonical tight frames,
-Lax-Milgram and polar rest on one ``row_svd`` call per frame, made by
-``frames.frame_spectrum``, which holds the library's one rank rule; the
-Hilbert table rotates the rows of its own Cholesky factor.
+Lax-Milgram and polar rest on one Jacobi call per frame, made by
+``frames.frame_spectrum`` through ``padded_svd``, the driver ``row_svd``
+shares, on a B it forms in the buffer Jacobi rotates;
+``frame_spectrum`` holds the library's one rank rule.  The Hilbert table
+rotates the rows of its own Cholesky factor by ``row_svd``.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ def _binary_exponent(a) -> int:
 
     Scaling by 2**-e is exact and brings the largest entry into [0.5, 1).
     """
-    return math.frexp(float(np.max(np.abs(a))))[1]
+    return math.frexp(max(a.max(), -a.min()))[1]  # max|a|, with no |a| array formed
 
 
 def row_svd(a) -> RowSVD:
@@ -60,11 +62,10 @@ def row_svd(a) -> RowSVD:
     than of their squares.  The copy is first scaled by a power of two so
     that its largest entry lies in [0.5, 1), and the results are scaled back;
     the scaling is exact, so ``left`` does not depend on the scale of ``a``,
-    and it is skipped where the power is 2**0, as for a ``frame_spectrum`` B.
+    and it is skipped where the power is 2**0.
     Each row of the copy is padded with +0.0 to a whole number of the 8
-    lanes that the Jacobi kernels sum dot products in, and ``rows`` is the
-    first L columns of the rotated copy: a padded term adds +0.0 to its lane,
-    which changes no bit, and a padded entry stays +0.0 under each rotation.
+    lanes that the Jacobi kernels sum dot products in (``padded_rows``), and
+    ``padded_svd``, the driver ``frames.frame_spectrum`` shares, rotates it.
     Rows beyond the rank of ``a`` are rotated down to about 1e-136 of the
     largest entry and then count as zero; that costs sweeps, so callers pass
     the thinner side.
@@ -74,18 +75,35 @@ def row_svd(a) -> RowSVD:
     work = padded_rows(a)
     if shift:
         np.ldexp(work, -shift, out=work)
+    svd = padded_svd(work, a.shape[1])
+    if shift:
+        np.ldexp(svd.squares, 2 * shift, out=svd.squares)
+        np.ldexp(svd.rows, shift, out=svd.rows)
+    return svd
+
+
+def padded_svd(work, width) -> RowSVD:
+    """Singular system of the first ``width`` columns of ``work``, whose rows
+    Jacobi rotates in place.
+
+    ``work`` is a C-contiguous k x n float64 array, n a multiple of the 8
+    lanes, whose columns from ``width`` on are +0.0, scaled so that its
+    largest entry lies in [0.5, 1) or all zero: a padded term adds +0.0 to
+    its lane, which changes no bit, and a padded entry stays +0.0 under each
+    rotation.  ``rows`` is the first ``width`` columns of the rotated rows,
+    in the order of ``squares``.  The one Jacobi call of ``row_svd`` and of
+    ``frames.frame_spectrum``, which forms its B in such a buffer.
+    """
     squares, left, sweeps = _kernels.ACTIVE.jacobi_rows(work, _MAX_SWEEPS, _ORTHOGONAL_TOL)
     if sweeps > _MAX_SWEEPS:
         raise NotConverged(
-            f"Jacobi on a {a.shape[0]} x {a.shape[1]} array still rotated after "
+            f"Jacobi on a {work.shape[0]} x {width} array still rotated after "
             f"{_MAX_SWEEPS} sweeps"
         )
     order = np.argsort(-squares, kind="stable")
-    squares, rows = squares[order], work[order, : a.shape[1]]
-    if shift:
-        np.ldexp(squares, 2 * shift, out=squares)
-        np.ldexp(rows, shift, out=rows)
-    return RowSVD(squares=squares, rows=rows, left=left[order], sweeps=sweeps)
+    return RowSVD(
+        squares=squares[order], rows=work[order, :width], left=left[order], sweeps=sweeps
+    )
 
 
 def jacobi_backend() -> str:

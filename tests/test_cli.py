@@ -1,5 +1,8 @@
+import argparse
 import collections
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -719,6 +722,102 @@ class TestOneParsePass:
             return result, capsysbinary.readouterr()
 
         assert outcome(through_main) == outcome(cli._build_parser().parse_args)
+
+
+COMMANDS = ["analyze", "kernel", "canonical", "verify", "gp-sim", "hilbert"]
+#: values for drawn argv: paths, numbers in and out of range, words that
+#: start with "-", numbers that do not convert and the empty word
+VALUES = [
+    "frame.json", "k.json", "0", "0.5", "1e-3", "3", "10", "4,5", "1", "2",
+    "-1", "-0.5", "-x", "-", "nan", "1.5", "x", "",
+]
+#: values each argument reads, for a command's own arguments to draw from
+GOOD_VALUES = {
+    None: ["frame.json", "x", ""], "--rank-tol": ["0", "0.5", "1e-3"], "--out": ["k.json"],
+    "--seed": ["0", "3"], "--samples": ["2", "10"], "--sizes": ["4,5", "4"],
+}
+#: words put in anywhere: each option by its exact name, "--opt=value"
+#: forms, abbreviations (ambiguous ones too), help and "--"
+OTHER_WORDS = [
+    "--rank-tol", "--out", "--naive", "--seed", "--samples", "--sizes",
+    "--rank-tol=0.5", "--out=k.json", "--naive=1", "--seed=3", "--sizes=4",
+    "--rank", "--o", "--na", "--s", "--se", "--sa", "--si", "-h", "--help", "--",
+]
+
+
+@st.composite
+def drawn_argv(draw):
+    """A command, then each argument it reads, given three times in four,
+    in any order, with a value it reads three times in four and one drawn
+    from VALUES else, or at times none, and in half the draws one or two
+    more words of any kind put in anywhere."""
+    command = draw(st.sampled_from([*COMMANDS, "bogus"]))
+    units = []
+    for name, action in cli._build_parser().plain.get(command, {}).items():
+        if not draw(st.integers(0, 3)):
+            continue
+        if action.nargs == 0:  # a flag
+            units.append([name])
+            continue
+        value = draw(st.sampled_from(GOOD_VALUES[name] if draw(st.integers(0, 3)) else VALUES))
+        if name is None:
+            units.append([value])
+        else:  # an option's value left out one time in eight
+            units.append([name] + [value] * bool(draw(st.integers(0, 7))))
+    units = draw(st.permutations(units))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        word = draw(st.sampled_from(VALUES + OTHER_WORDS))
+        units.insert(draw(st.integers(0, len(units))), [word])
+    return [command, *(word for unit in units for word in unit)]
+
+
+#: argv shaped as perfbench passes them, which the plain walk parses alone
+PLAIN_ARGV = [
+    ["analyze", "frame.json"],
+    ["kernel", "frame.json", "--out", "kernel.json"],
+    ["canonical", "frame.json", "--out", "tight.json"],
+    ["verify", "frame.json"],
+    ["hilbert", "--sizes", "4,5,6,7,8,9,10,11,12,13,14,15,16"],
+    ["gp-sim", "model.json", "--samples", "200000", "--seed", "1000"],
+]
+
+
+def parse_outcome(parse, argv):
+    """The Namespace ``parse`` returns for ``argv``, or the exit code of its
+    help or argument error, with what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestPlainWalk:
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(argv=drawn_argv())
+    @example(argv=["verify", "frame.json", "--rank-tol", "0.5", "--rank-tol", "0"])
+    @example(argv=["kernel", "--naive", "frame.json", "--naive"])
+    @example(argv=["gp-sim", "--seed", "3", "model.json", "--samples", "1"])
+    @example(argv=["hilbert", "--sizes", ""])
+    @example(argv=["kernel", "frame.json", "--out"])
+    @example(argv=["canonical", "frame.json", "--out", "-x"])
+    def test_parses_as_argparse(self, argv):
+        # a plain argv by the walk, any other by argparse: the same
+        # Namespace, or the same exit code, stdout and stderr, as parse_args
+        parser = cli._build_parser()
+        assert parse_outcome(cli._parse, argv) == parse_outcome(parser.parse_args, argv)
+
+    @pytest.mark.parametrize("argv", PLAIN_ARGV, ids=lambda argv: argv[0])
+    def test_plain_argv_never_reach_argparse(self, monkeypatch, argv):
+        expected = cli._build_parser().parse_args(argv)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a plain argv reached argparse")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        assert cli._parse(argv) == expected
 
 
 def phi_x_model_payload():

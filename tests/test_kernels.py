@@ -836,8 +836,20 @@ def test_the_widest_variant_the_cpu_allows_runs():
     assert _kernels.ACTIVE is VARIANTS[widest]
 
 
-#: the C compilers on PATH, of cc, gcc and clang: each is a case of its own
-COMPILERS = [name for name in ("cc", "gcc", "clang") if shutil.which(name)]
+def distinct_compilers(names):
+    """The ``names`` that find a compiler on PATH, one for each compiler
+    binary they resolve to: the first name that finds it."""
+    found = {}
+    for name in names:
+        path = shutil.which(name)
+        if path:
+            found.setdefault(os.path.realpath(path), name)
+    return list(found.values())
+
+
+#: the C compilers on PATH, of cc, gcc and clang: each binary is a case of
+#: its own, so where cc is gcc, gcc is not built with twice
+COMPILERS = distinct_compilers(("cc", "gcc", "clang"))
 
 
 @pytest.mark.parametrize("compiler", COMPILERS)

@@ -496,11 +496,13 @@ class TestScale:
         old = np.ldexp(old, -shift)
         seen = []
 
-        def spy(a):
-            seen.append(np.array(a))
-            return row_svd(a)
+        def spy(work, width):
+            # B or B^T, formed in the buffer Jacobi rotates, padded with +0.0
+            assert work[:, width:].tobytes() == np.zeros_like(work[:, width:]).tobytes()
+            seen.append(work[:, :width].copy())
+            return spectral.padded_svd(work, width)
 
-        with mock.patch.object(frames, "row_svd", spy):
+        with mock.patch.object(frames, "padded_svd", spy):
             spec = frame_spectrum(fs)
         wide = fs.n_vectors <= fs.n_points
         assert seen[0].tobytes() == (old if wide else old.T).tobytes()
