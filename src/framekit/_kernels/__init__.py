@@ -156,14 +156,13 @@ class _TileSampler:
         self._fused(*self._at, *at, rows, self._pairs, self.count)
 
     def contract(self, seed, first, rows, c_re, c_im, out_re, out_im):
-        """Philox, ln in place on u1 and the fused kernel on a block, every
+        """``split``, ln in place on u1 and the fused kernel on a block, every
         argument checked before Philox runs."""
         at = _sampling_py.check_block_args(
             self.rows, self.count, rows, c_re, c_im, out_re, out_im
         )
-        _sampling_py.check_seed(seed, first)
         tiles = -(-rows // LANES)
-        self._philox(seed, first, *self._at, tiles, self._pairs)
+        self.split(seed, first, tiles)
         u1 = self.u1[:tiles]
         np.log(u1, out=u1)
         self._fused(*self._at, *at, rows, self._pairs, self.count)

@@ -53,13 +53,12 @@ more and each hilbert size in [1, 202]: past 202 the smallest eigenvalue of
 the Hilbert matrix is not a normal double.  A sample count whose samples do
 not fit in memory exits 2 as well.  The argument parser is built once per
 process, on the first call of main(), and argparse defines every parse.  A
-plain argv (a subcommand, then the exact long options it reads, once each,
-each with a value not starting with "-" that converts, a flag with none, and
-its positional) is read by a walk over a table of the parser's own arguments,
-to the Namespace argparse gives it; any other argv, abbreviations,
---opt=value, "--", help and every argument error included, goes to
-argparse in one pass: a first argument that names a subcommand goes
-straight to that subcommand's parser.
+plain argv by the walk, any other by parse_args: a plain argv (a subcommand,
+then the exact long options it reads, once each, each with a value not
+starting with "-" that converts, a flag with none, and its positional) is
+read by a walk over a table of the parser's own arguments, to the Namespace
+argparse gives it; any other argv, abbreviations, --opt=value, "--", help
+and every argument error included, goes to the parser's own parse_args.
 
 Exit codes:
 
@@ -312,23 +311,26 @@ def cmd_hilbert(args) -> int:
 
 def cmd_gp_sim(args) -> int:
     fs, phat = parse_model_file(args.path)
-    spec = frames.frame_spectrum(fs, args.rank_tol)
-    coefficients = gp.kl_coefficients(fs, phat)
-    ex2, ey2 = gp.theoretical_variances(fs.grid, phat, coefficients)
-    report = gp.sandwich_check(spec.lower, spec.upper, ex2, ey2)
-    empirical = gp.empirical_variance(*gp.sample_kl(coefficients, args.samples, args.seed))
+    kl = gp.kl_sandwich(fs, phat, args.rank_tol)
+    empirical = gp.empirical_variance(*gp.sample_kl(kl.coefficients, args.samples, args.seed))
+    report = kl.report
     print(
-        f"a={_fmt_human(spec.lower)} b={_fmt_human(spec.upper)} "
+        f"a={_fmt_human(kl.a)} b={_fmt_human(kl.b)} "
         f"cauchy_mass={_fmt_human(gp.cauchy_mass(fs.grid))}"
     )
     print(
-        f"ex2={_fmt_human(ex2)} ey2={_fmt_human(ey2)} "
+        f"ex2={_fmt_human(kl.ex2)} ey2={_fmt_human(kl.ey2)} "
         f"ey2_empirical={_fmt_human(empirical)} "
         f"samples={args.samples} seed={args.seed}"
     )
+    if math.isnan(kl.ratio) or sys.float_info.min <= report.lower and report.upper < math.inf:
+        sides = (report.lower, kl.ey2, report.upper)
+        label = "sandwich"
+    else:  # a side left the normal range: the sides over E|X|^2, which do not
+        sides = (kl.a, kl.ratio, kl.b)
+        label = "sandwich over ex2"
     print(
-        f"sandwich {_fmt_human(report.lower)} <= {_fmt_human(ey2)} "
-        f"<= {_fmt_human(report.upper)}: "
+        f"{label} {' <= '.join(map(_fmt_human, sides))}: "
         f"{'holds' if report.holds else 'VIOLATED'}"
     )
     return EXIT_OK if report.holds else EXIT_SANDWICH
@@ -424,9 +426,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Frame bounds, reproducing kernels, and KL Gaussian sampling",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # name: its parser, for main's one pass; name: {option string, or None
-    # for the positional: the argparse action}, for the plain walk
-    parser.commands, parser.plain = sub.choices, {}
+    # a plain argv by the walk, any other by parse_args: the walk reads
+    # name: {option string, or None for the positional: the argparse action}
+    parser.plain = {}
     for name, (help_text, names) in commands.items():
         p = sub.add_parser(name, help=help_text)
         parser.plain[name] = table = {}
@@ -474,23 +476,11 @@ def _plain(table, argv):
 
 
 def _parse(argv) -> argparse.Namespace:
-    # _build_parser().parse_args(argv): a plain argv by the walk, any other
-    # in one argparse pass: the top-level parser would hand everything
-    # after a command to that command's parser; its leftovers are refused
-    # in the top-level parser's words, as parse_args refuses them
+    # what _build_parser().parse_args(argv) returns
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _plain(parser.plain, argv)
-    if args is not None:
-        return args
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:  # no command, an unknown one, or a top-level option
-        return parser.parse_args(argv)
-    args, extra = command.parse_known_args(argv[1:])
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    args.command = argv[0]
-    return args
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

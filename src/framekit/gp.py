@@ -24,7 +24,8 @@ import numpy as np
 
 from . import _kernels, rng
 from .errors import DimensionMismatch, InvalidArgument, InvalidMatrix, NotAFrame
-from .frames import FrameSystem, Grid
+from .frames import FrameSystem, Grid, frame_spectrum
+from .spectral import DEFAULT_RANK_TOL, _binary_exponent, _weight_exponent
 
 #: Samples drawn and contracted per block (per worker at a time) in sample_kl.
 _SAMPLE_BLOCK = 2048
@@ -68,6 +69,21 @@ class SandwichReport:
     upper: float
     slack: float
     holds: bool
+
+
+@dataclass(frozen=True)
+class KLSandwich:
+    """A KL model in its own units: the frame bounds a <= b, the KL
+    coefficients, E|X|^2, E|Y|^2, their ratio E|Y|^2 / E|X|^2 (nan where
+    E|X|^2 is 0) and the sandwich report."""
+
+    a: float
+    b: float
+    coefficients: ComplexVector
+    ex2: float
+    ey2: float
+    ratio: float
+    report: SandwichReport
 
 
 def cauchy_mass(atoms: Grid) -> float:
@@ -137,9 +153,7 @@ def sandwich_check(a: float, b: float, ex2: float, ey2: float) -> SandwichReport
     the frame or of phat.  Requires a > 0, and a, b, E|X|^2 and E|Y|^2
     finite: one that overflowed is an InvalidMatrix that names it.
     """
-    for name, value in (("a", a), ("b", b), ("E|X|^2", ex2), ("E|Y|^2", ey2)):
-        if not math.isfinite(value):
-            raise InvalidMatrix(f"{name} = {value} is not finite")
+    _check_finite(a, b, ex2, ey2)
     if a <= 0.0:
         raise NotAFrame("sandwich bounds need a strictly positive lower bound")
     lower = a * ex2
@@ -147,6 +161,54 @@ def sandwich_check(a: float, b: float, ex2: float, ey2: float) -> SandwichReport
     slack = 1e-10 * upper
     holds = (lower - slack) <= ey2 <= (upper + slack)
     return SandwichReport(lower=lower, upper=upper, slack=slack, holds=holds)
+
+
+def _check_finite(a: float, b: float, ex2: float, ey2: float) -> None:
+    for name, value in (("a", a), ("b", b), ("E|X|^2", ex2), ("E|Y|^2", ey2)):
+        if not math.isfinite(value):
+            raise InvalidMatrix(f"{name} = {value} is not finite")
+
+
+def kl_sandwich(
+    fs: FrameSystem, phat: ComplexVector, rank_tol: float = DEFAULT_RANK_TOL
+) -> KLSandwich:
+    """The KL model of phat on the frame ``fs``, taken on the model centred
+    by powers of two and scaled back.
+
+    Each side of the sandwich, a E|X|^2, E|Y|^2 and b E|X|^2, has degree 2
+    in Phi, in the masses and in phat, so it can leave the double range
+    where the model does not: masses of 1e-300 put E|Y|^2 near 1e-600,
+    which reads 0.  The spectrum, the coefficients, the variances and the
+    verdict are therefore taken on the centred model: 2**-e_phi Phi and
+    2**-e_p phat, max|Phi| and max|phat| in [0.5, 1), and 4**-e_w W with
+    ``identity_suite``'s e_w.  Each number returned is its centred one times
+    a power of two, so where the model's own computation stays normal it
+    has that computation's bits, and elsewhere it is the more accurate.  A
+    coefficient, a, b, E|X|^2 or E|Y|^2 that is not finite is refused as
+    ``ComplexVector`` and ``sandwich_check`` refuse it.
+    """
+    e_phi, e_w = _binary_exponent(fs.vectors), _weight_exponent(fs.grid.weights)
+    e_p = _binary_exponent(np.stack([phat.re, phat.im]))
+    grid = Grid(fs.grid.points, np.ldexp(fs.grid.weights, -2 * e_w)) if e_w else fs.grid
+    unit = FrameSystem(grid=grid, vectors=np.ldexp(fs.vectors, -e_phi))
+    unit_phat = ComplexVector(re=np.ldexp(phat.re, -e_p), im=np.ldexp(phat.im, -e_p))
+    spec = frame_spectrum(unit, rank_tol)
+    c = kl_coefficients(unit, unit_phat)
+    ex2, ey2 = theoretical_variances(grid, unit_phat, c)
+    # the degrees: a in Phi^2 W, c_n in Phi W phat, E|X|^2 in W phat^2
+    e_ab, e_c = 2 * (e_phi + e_w), e_phi + 2 * e_w + e_p
+    with np.errstate(over="ignore"):  # a number past the double range is refused
+        coefficients = ComplexVector(re=np.ldexp(c.re, e_c), im=np.ldexp(c.im, e_c))
+        model = np.ldexp([spec.lower, spec.upper, ex2, ey2], [e_ab, e_ab, 2 * (e_w + e_p), 2 * e_c])
+    _check_finite(*model)
+    report = sandwich_check(spec.lower, spec.upper, ex2, ey2)
+    with np.errstate(over="ignore"):  # a finite model's side may still overflow
+        sides = np.ldexp([report.lower, report.upper, report.slack], 2 * e_c)
+        ratio = np.ldexp(ey2 / ex2, e_ab) if ex2 else math.nan
+    a, b, ex2, ey2 = model.tolist()
+    return KLSandwich(
+        a, b, coefficients, ex2, ey2, float(ratio), SandwichReport(*sides.tolist(), report.holds)
+    )
 
 
 def sample_kl(

@@ -65,7 +65,7 @@ from .frames import (
     weighted_inner,
     weighted_norm,
 )
-from .spectral import DEFAULT_RANK_TOL, _binary_exponent
+from .spectral import DEFAULT_RANK_TOL, _binary_exponent, _weight_exponent
 
 _UNIT_ROUNDOFF = 2.0**-53
 
@@ -269,7 +269,7 @@ def identity_suite(fs: FrameSystem, rank_tol: float) -> dict:
     """
     e_phi = _binary_exponent(fs.vectors)
     w = fs.grid.weights
-    e_w = (math.frexp(math.sqrt(w.max()))[1] + math.frexp(math.sqrt(w.min()))[1] - 1) // 2
+    e_w = _weight_exponent(w)
     grid = Grid(fs.grid.points, np.ldexp(w, -2 * e_w)) if e_w else fs.grid
     unit = FrameSystem(grid=grid, vectors=np.ldexp(fs.vectors, -e_phi))
     rows = {}

@@ -52,6 +52,16 @@ def _binary_exponent(a) -> int:
     return math.frexp(max(a.max(), -a.min()))[1]  # max|a|, with no |a| array formed
 
 
+def _weight_exponent(w) -> int:
+    """Exponent e_w = floor((e_max + e_min - 1) / 2) from the binary exponents
+    of max and min sqrt(w), for positive weights w.
+
+    Scaling by 4**-e_w is exact, centres sqrt(w)'s range on 1 (all weights
+    4**k become 1) and keeps w in range at both ends.
+    """
+    return (math.frexp(math.sqrt(w.max()))[1] + math.frexp(math.sqrt(w.min()))[1] - 1) // 2
+
+
 def row_svd(a) -> RowSVD:
     """Singular system of the rows of ``a`` by one-sided cyclic Jacobi.
 

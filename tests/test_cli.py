@@ -16,12 +16,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from framekit import _kernels, cli, errors, frames, gp, mercedes_frame, rkhs, spectral
+from framekit import _kernels, classic, cli, errors, frames, gp, mercedes_frame, rkhs, spectral
 from framekit.cli import (
     EXIT_DEGENERATE,
     EXIT_MATH,
     EXIT_MISSING,
     EXIT_OK,
+    EXIT_SANDWICH,
     EXIT_SCHEMA,
 )
 from oracles import TWINS
@@ -66,6 +67,18 @@ def onb_model_payload(scale=1.0):
         ],
         "frame": [list(r) for r in rows],
         "phat": {"re": [0.3, -1.1, 0.25], "im": [0.0, 0.7, -0.4]},
+    }
+
+
+def random_model_payload(scale):
+    """9 random vectors on 6 atoms, masses uniform in [0.5, 2) times
+    ``scale``, and a random phat, from one fixed seed."""
+    rng = np.random.default_rng(0)
+    masses = rng.uniform(0.5, 2.0, 6)
+    return {
+        "atoms": [{"u": u, "mass": mass * scale} for u, mass in zip(rng.normal(size=6), masses)],
+        "frame": rng.normal(size=(9, 6)).tolist(),
+        "phat": {"re": rng.normal(size=6).tolist(), "im": rng.normal(size=6).tolist()},
     }
 
 
@@ -291,6 +304,27 @@ class TestHilbert:
         assert "[1, 202]" in captured.err
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "lam_max, message",
+        [((1.5, math.pi), "lam_max reached pi"), ((2.0, 1.5), "lam_max not increasing with n")],
+        ids=["pi", "falling"],
+    )
+    def test_table_violation_exits_4(self, monkeypatch, capsys, lam_max, message):
+        rows = [
+            classic.SpectrumRow(n=n, lam_max=lam, lam_min=0.5, pi_gap=math.pi - lam)
+            for n, lam in zip((4, 8), lam_max)
+        ]
+        monkeypatch.setattr(classic, "hilbert_spectrum_report", lambda sizes: rows)
+        assert cli.main(["hilbert", "--sizes", "4,8"]) == EXIT_MATH
+        captured = capsys.readouterr()
+        assert len(captured.out.splitlines()) == 1 + len(rows)
+        assert captured.err == f"violation: {message}\n"
+
+    @pytest.mark.parametrize("sizes", [",", ""])
+    def test_empty_sizes_refused(self, capsys, sizes):
+        assert cli.main(["hilbert", "--sizes", sizes]) == EXIT_SCHEMA
+        assert capsys.readouterr() == ("", "invalid input: --sizes is empty\n")
+
     def test_largest_size_is_read(self, capsys):
         assert cli.main(["hilbert", "--sizes", "202"]) == EXIT_OK
         (line,) = capsys.readouterr().out.strip().splitlines()[1:]
@@ -393,6 +427,35 @@ class TestGpSim:
                 "masses": "invalid input: complex vector has non-finite entries\n",
                 "phi_x": "schema error: phi_x.values: complex vector has non-finite entries\n",
             }[overflow], backend.variant
+
+    @pytest.mark.parametrize("doubled", [False, True], ids=["model", "doubled"])
+    @pytest.mark.parametrize("scale", [1.0, 1e-100, 1e-300])
+    def test_sandwich_is_decided_at_any_mass_scale(
+        self, tmp_path, capsys, monkeypatch, scale, doubled
+    ):
+        # each side has degree 2 in the masses, so at masses of 1e-300 all
+        # three read 0 on the model itself; doubled KL coefficients put
+        # E|Y|^2 past b E|X|^2 for this model, which must show at every scale
+        if doubled:
+            kl = gp.kl_coefficients
+
+            def doubled_kl(fs, phat):
+                c = kl(fs, phat)
+                return gp.ComplexVector(re=2.0 * c.re, im=2.0 * c.im)
+
+            monkeypatch.setattr(gp, "kl_coefficients", doubled_kl)
+        path = write(tmp_path / "model.json", random_model_payload(scale))
+        code = cli.main(["gp-sim", path, "--samples", "1000"])
+        out = capsys.readouterr().out
+        assert code == (EXIT_SANDWICH if doubled else EXIT_OK)
+        assert out.endswith("VIOLATED\n" if doubled else "holds\n")
+        # the printed sides are the ones decided: over E|X|^2 where the
+        # model's own read 0
+        sides = out.splitlines()[-1].rsplit(":", 1)[0]
+        assert ("sandwich over ex2 " in sides) == (scale == 1e-300)
+        lower, middle, upper = map(float, sides.split()[-5::2])
+        assert 0.0 < lower <= upper
+        assert (lower <= middle <= upper) == (not doubled)
 
     def test_not_a_frame(self, tmp_path, capsys):
         payload = onb_model_payload()
@@ -706,7 +769,7 @@ class TestOneParsePass:
         # stderr of help or of an argument error, against the top-level
         # parser's parse_args
         handled = []
-        for name in cli._build_parser().commands:
+        for name in cli._build_parser().plain:
             monkeypatch.setattr(cli, "cmd_" + name.replace("-", "_"), handled.append)
 
         def through_main(argv):

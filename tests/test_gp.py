@@ -29,7 +29,7 @@ from framekit import (
     sandwich_check,
     theoretical_variances,
 )
-from framekit import _kernels, gp, rng
+from framekit import _kernels, gp, rkhs, rng
 from framekit._kernels import _sampling_py
 from oracles import CANARY, TWINS, eigh_descending, fused_normals, orthonormal_rows
 
@@ -79,6 +79,16 @@ def random_model(seed, n, j):
 def scaled(fs, c):
     """The frame c f_n on the same atoms."""
     return FrameSystem(grid=fs.grid, vectors=c * fs.vectors)
+
+
+def times(v, c):
+    """The complex vector c v."""
+    return ComplexVector(re=c * v.re, im=c * v.im)
+
+
+def at_scale(fs, phi, mass):
+    """The frame phi f_n on the atoms with their masses times ``mass``."""
+    return FrameSystem(grid=Grid(fs.grid.points, fs.grid.weights * mass), vectors=phi * fs.vectors)
 
 
 def variances(fs, phat):
@@ -477,6 +487,69 @@ class TestSandwich:
             assert sandwich_check(*too_small(fs), *variances(fs, phat)).holds == expected
             violated += not expected
         assert violated > 0
+
+    @pytest.mark.parametrize(
+        "phi, mass, p",
+        [
+            (1.0, 1e-300, 1.0), (1e200, 1e-300, 1.0), (1.0, 1e-300, 1e-5), (1.0, 1e-310, 1.0),
+            (1.0, 1.0, 1e-170), (1e-60, 1e60, 1e60), (1.0, 1e-300, 1e-30), (1e-160, 1.0, 1.0),
+        ],
+    )
+    def test_kl_sandwich_decides_on_the_centred_model(self, monkeypatch, phi, mass, p):
+        # the sides have degree 2 in Phi, the masses and phat, so at these
+        # scales some read 0 or leave the normal range; at (1, 1e-300, 1e-30)
+        # the model's KL coefficients read 0 and at (1e-160, 1, 1) its a is
+        # subnormal.  The verdict is the unit-scale model's with the KL
+        # coefficients and with them doubled, and on the canonical tight
+        # frame (a = b) it still tells a factor 1 + 1e-12 on the
+        # coefficients, inside the slack of 1e-10, from 1 + 1e-9, past it
+        factor = [1.0]
+        kl = gp.kl_coefficients
+        monkeypatch.setattr(gp, "kl_coefficients", lambda fs, phat: times(kl(fs, phat), factor[0]))
+
+        def holds(fs, phat, by):
+            factor[0] = by
+            return gp.kl_sandwich(fs, phat).report.holds
+
+        base = random_model(21, 10, 6)
+        tight, fs = rkhs.canonical_tight(base), at_scale(base, phi, mass)
+        tight_fs = at_scale(tight, phi, mass)
+        violated = 0
+        for k in range(10):
+            unit = random_phat(300 + k, 6)
+            phat = times(unit, p)
+            assert holds(fs, phat, 1.0)
+            expected = holds(base, unit, 2.0)
+            assert holds(fs, phat, 2.0) == expected
+            violated += not expected
+            assert holds(tight_fs, phat, 1.0) and holds(tight_fs, phat, 1.0 + 1e-12)
+            assert not holds(tight_fs, phat, 1.0 + 1e-9)
+        assert violated > 0
+
+    @pytest.mark.parametrize(
+        "phi, mass, p", [(1.0, 1.0, 1.0), (3.0, 0.1, 7.0), (1e-60, 1e60, 1e60), (1e100, 1e-100, 1e-50)]
+    )
+    def test_kl_sandwich_returns_the_models_own_numbers(self, phi, mass, p):
+        # where the model's own computation stays normal, kl_sandwich's
+        # numbers, scaled back from the centred model, are its bits
+        fs = at_scale(random_model(21, 10, 6), phi, mass)
+        spec = frame_spectrum(fs)
+        for k in range(5):
+            phat = times(random_phat(300 + k, 6), p)
+            model = gp.kl_sandwich(fs, phat)
+            c = kl_coefficients(fs, phat)
+            ex2, ey2 = theoretical_variances(fs.grid, phat, c)
+            assert (model.a, model.b, model.ex2, model.ey2) == (spec.lower, spec.upper, ex2, ey2)
+            assert model.coefficients.re.tobytes() == c.re.tobytes()
+            assert model.coefficients.im.tobytes() == c.im.tobytes()
+            assert model.report == sandwich_check(spec.lower, spec.upper, ex2, ey2)
+            assert model.ratio == pytest.approx(ey2 / ex2, rel=1e-15)
+
+    def test_kl_sandwich_of_a_zero_profile(self):
+        fs = random_model(21, 10, 6)
+        model = gp.kl_sandwich(fs, ComplexVector(re=np.zeros(6), im=np.zeros(6)))
+        assert (model.ex2, model.ey2, model.report.holds) == (0.0, 0.0, True)
+        assert math.isnan(model.ratio)
 
     def test_not_a_frame(self):
         vectors = np.array([[1.0, 0.0, 0.0]])
