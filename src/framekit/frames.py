@@ -10,26 +10,26 @@ operator T, its adjoint T* (synthesis) and the weighted inner product are one
 matrix product each whatever the number of rows.  Lengths are validated.
 
 Every spectral quantity of a frame comes from one factorization of
-B = Phi W^{1/2} (``frame_spectrum``): B is scaled by a power of two so that
-its largest entry lies in [0.5, 1), and one-sided Jacobi orthogonalizes the
-min(N, M) rows of its thinner side, B or B^T.  The squared singular values
-are the nonzero spectrum of both the Gramian B B^T and the unit-weight frame
-operator B^T B, neither of which is formed.  One rank rule,
-lambda > max(rank_tol, (min(N, M) 2**-52)**2) * lambda_max with
-lambda_max > 0, decides what is kept: below the floor an eigenvalue is
-rounding noise whatever rank_tol is.  The frame bounds are read off what is
+B = Phi W^{1/2} (``frame_spectrum``), formed from the ``centred`` frame:
+one-sided Jacobi orthogonalizes the min(N, M) rows of its thinner side, B or
+B^T.  The squared singular values are the nonzero spectrum of both the
+Gramian B B^T and the unit-weight frame operator B^T B, neither of which is
+formed.  One rank rule, lambda > max(rank_tol, (min(N, M) 2**-52)**2) *
+lambda_max with lambda_max > 0, decides what is kept: below the floor an
+eigenvalue is rounding noise whatever rank_tol is.  The frame bounds are read off what is
 kept (``FrameSpectrum.lower`` and ``.upper``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument, InvalidIndex, InvalidMatrix
 from ._kernels._hestenes_py import padded_width
-from .spectral import DEFAULT_RANK_TOL, _binary_exponent, padded_svd
+from .spectral import DEFAULT_RANK_TOL, _binary_exponent, _scale_back_array, padded_svd
 
 _PARSEVAL_TOL = 1e-9
 
@@ -199,37 +199,59 @@ def frame_operator_apply(fs: FrameSystem, f) -> np.ndarray:
     return synthesis(fs, analysis(fs, f))
 
 
+def centred(fs: FrameSystem) -> tuple[FrameSystem, int, int]:
+    """(2**-e_phi Phi on 4**-e_w W, e_phi, e_w): the frame every scale-free
+    report is taken on, and its exponents.
+
+    Frame bounds, kernels, the identity suite and the KL sandwich are
+    homogeneous in Phi and W, so each is computed on this frame, and a number
+    of degrees (d_Phi, d_w) in (Phi, W^{1/2}) is scaled back by
+    2**(d_Phi e_phi + d_w e_w), reading inf or 0 past the double range.
+    e_phi brings max|Phi| into [0.5, 1); e_w = floor((e_max + e_min - 1) / 2),
+    from the binary exponents of max and min sqrt(w), centres sqrt(W)'s range
+    on 1, so that weights 4**k all become 1 and W stays in range at both ends.
+    The scalings are exact, so 2**a Phi on 4**b W gives this frame bit for
+    bit with exponents offset by (a, b); ``fs`` itself comes back at (0, 0).
+    """
+    e_phi, e_w = _exponents(fs)
+    if not (e_phi or e_w):
+        return fs, 0, 0
+    grid = Grid(fs.grid.points, np.ldexp(fs.grid.weights, -2 * e_w)) if e_w else fs.grid
+    return FrameSystem(grid=grid, vectors=np.ldexp(fs.vectors, -e_phi)), e_phi, e_w
+
+
+def _exponents(fs: FrameSystem) -> tuple[int, int]:
+    # (e_phi, e_w) of ``centred``, which frame_spectrum applies with no frame built
+    w = fs.grid.weights
+    e_max, e_min = (math.frexp(math.sqrt(x))[1] for x in (w.max(), w.min()))
+    return _binary_exponent(fs.vectors), (e_max + e_min - 1) // 2
+
+
 def frame_spectrum(
     fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL
 ) -> FrameSpectrum:
     """One-sided Jacobi on B = Phi W^{1/2}, in dimension min(N, M).
 
-    B is scaled by 2**-e so that max|B| lies in [0.5, 1); the scaling is
-    exact, so ranks and singular vectors do not depend on the overall scale
-    of the frame, and the eigenvalues are scaled back by 4**e.  Phi and
-    W^{1/2} are each scaled by a power of two before their product, so a B
-    past the double range is formed all the same; where the unscaled product
-    is finite and normal, this gives its bits.  The rows of the thinner
-    side, B or B^T, are formed once, straight into the zero-padded buffer
-    that ``spectral.padded_svd``, the driver ``row_svd`` shares, rotates in
-    place until they are orthogonal: the rotations give that side's singular
-    vectors, and the rotated rows, sigma_k times the other side's singular
-    vectors, give the rest by one division.
+    B is formed from the ``centred`` frame and scaled by 2**-e_b into
+    max|B| in [0.5, 1), so ranks and singular vectors do not depend on the
+    scale of Phi or W.  The rows of the thinner side, B or B^T, are formed
+    once, straight into the zero-padded buffer that ``spectral.padded_svd``,
+    the driver ``row_svd`` shares, rotates in place until they are
+    orthogonal: the rotations give that side's singular vectors, and the
+    rotated rows, sigma_k times the other side's singular vectors, give the
+    rest by one division.
     """
     if not 0.0 <= rank_tol < 1.0:
         raise InvalidArgument(f"rank_tol must lie in [0, 1), got {rank_tol}")
-    root = np.sqrt(fs.grid.weights)
-    e_phi, e_root = _binary_exponent(fs.vectors), _binary_exponent(root)
+    e_phi, e_w = _exponents(fs)
     wide = fs.n_vectors <= fs.n_points
     k, n = sorted(fs.vectors.shape)  # min(N, M) rows of max(N, M) entries
     work = np.zeros((k, padded_width(n)))
     b = work[:, :n] if wide else work[:, :n].T  # the N x M B, in the rows Jacobi rotates
     np.ldexp(fs.vectors, -e_phi, out=b)
-    b *= np.ldexp(root, -e_root)
+    b *= np.ldexp(np.sqrt(fs.grid.weights), -e_w)
     e_b = _binary_exponent(b)
-    if e_b:
-        np.ldexp(b, -e_b, out=b)
-    shift = e_phi + e_root + e_b
+    np.ldexp(b, -e_b, out=b)
     svd = padded_svd(work, n)
     lam = svd.squares
     # below (min(N, M) eps)**2 lambda_max an eigenvalue is rounding noise
@@ -239,15 +261,8 @@ def frame_spectrum(
     rotated = svd.left[:rank].T
     divided = svd.rows[:rank].T / np.sqrt(lam[:rank])
     u, v = (rotated, divided) if wide else (divided, rotated)
-    with np.errstate(over="ignore"):  # past the largest double a bound reads inf
-        eigenvalues = np.ldexp(lam, 2 * shift)
-    return FrameSpectrum(
-        frame=fs,
-        eigenvalues=eigenvalues,
-        rank=rank,
-        u=u,
-        v=v,
-    )
+    eigenvalues = _scale_back_array(lam, 2 * (e_phi + e_w + e_b))
+    return FrameSpectrum(frame=fs, eigenvalues=eigenvalues, rank=rank, u=u, v=v)
 
 
 def eval_l(fs: FrameSystem, t_index: int) -> np.ndarray:

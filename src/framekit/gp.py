@@ -24,8 +24,8 @@ import numpy as np
 
 from . import _kernels, rng
 from .errors import DimensionMismatch, InvalidArgument, InvalidMatrix, NotAFrame
-from .frames import FrameSystem, Grid, frame_spectrum
-from .spectral import DEFAULT_RANK_TOL, _binary_exponent, _weight_exponent
+from .frames import FrameSystem, Grid, centred, frame_spectrum
+from .spectral import DEFAULT_RANK_TOL, _binary_exponent, _scale_back, _scale_back_array
 
 #: Samples drawn and contracted per block (per worker at a time) in sample_kl.
 _SAMPLE_BLOCK = 2048
@@ -91,7 +91,8 @@ def cauchy_mass(atoms: Grid) -> float:
 
     Automatically finite for atomic measures; computed for reporting.
     """
-    return float(np.sum(atoms.weights / (1.0 + atoms.points**2)))
+    with np.errstate(over="ignore"):  # past |u| ~ 1.3e154, u^2 reads inf and its term 0
+        return float(np.sum(atoms.weights / (1.0 + atoms.points**2)))
 
 
 def fourier_at_atoms(x_grid: Grid, phi, atoms: Grid) -> ComplexVector:
@@ -172,42 +173,36 @@ def _check_finite(a: float, b: float, ex2: float, ey2: float) -> None:
 def kl_sandwich(
     fs: FrameSystem, phat: ComplexVector, rank_tol: float = DEFAULT_RANK_TOL
 ) -> KLSandwich:
-    """The KL model of phat on the frame ``fs``, taken on the model centred
-    by powers of two and scaled back.
+    """The KL model of phat on the frame ``fs``, taken on the
+    ``frames.centred`` frame and on 2**-e_p phat, max|phat| in [0.5, 1), and
+    scaled back by each number's degrees in (Phi, W^{1/2}, phat).
 
-    Each side of the sandwich, a E|X|^2, E|Y|^2 and b E|X|^2, has degree 2
-    in Phi, in the masses and in phat, so it can leave the double range
-    where the model does not: masses of 1e-300 put E|Y|^2 near 1e-600,
-    which reads 0.  The spectrum, the coefficients, the variances and the
-    verdict are therefore taken on the centred model: 2**-e_phi Phi and
-    2**-e_p phat, max|Phi| and max|phat| in [0.5, 1), and 4**-e_w W with
-    ``identity_suite``'s e_w.  Each number returned is its centred one times
-    a power of two, so where the model's own computation stays normal it
-    has that computation's bits, and elsewhere it is the more accurate.  A
-    coefficient, a, b, E|X|^2 or E|Y|^2 that is not finite is refused as
-    ``ComplexVector`` and ``sandwich_check`` refuse it.
+    Each side of the sandwich has degree 2 in Phi, in the masses and in
+    phat, so it can leave the double range where the model does not: masses
+    of 1e-300 put E|Y|^2 near 1e-600, which reads 0.  Where the model's own
+    computation stays normal each number has its bits, and elsewhere it is
+    the more accurate.  A coefficient, a, b, E|X|^2 or E|Y|^2 that is not
+    finite is refused as ``ComplexVector`` and ``sandwich_check`` refuse it.
     """
-    e_phi, e_w = _binary_exponent(fs.vectors), _weight_exponent(fs.grid.weights)
+    unit, e_phi, e_w = centred(fs)
     e_p = _binary_exponent(np.stack([phat.re, phat.im]))
-    grid = Grid(fs.grid.points, np.ldexp(fs.grid.weights, -2 * e_w)) if e_w else fs.grid
-    unit = FrameSystem(grid=grid, vectors=np.ldexp(fs.vectors, -e_phi))
     unit_phat = ComplexVector(re=np.ldexp(phat.re, -e_p), im=np.ldexp(phat.im, -e_p))
     spec = frame_spectrum(unit, rank_tol)
     c = kl_coefficients(unit, unit_phat)
-    ex2, ey2 = theoretical_variances(grid, unit_phat, c)
-    # the degrees: a in Phi^2 W, c_n in Phi W phat, E|X|^2 in W phat^2
-    e_ab, e_c = 2 * (e_phi + e_w), e_phi + 2 * e_w + e_p
-    with np.errstate(over="ignore"):  # a number past the double range is refused
-        coefficients = ComplexVector(re=np.ldexp(c.re, e_c), im=np.ldexp(c.im, e_c))
-        model = np.ldexp([spec.lower, spec.upper, ex2, ey2], [e_ab, e_ab, 2 * (e_w + e_p), 2 * e_c])
-    _check_finite(*model)
+    ex2, ey2 = theoretical_variances(unit.grid, unit_phat, c)
+
+    def exponent(d_phi, d_w, d_p):  # of a number of these degrees in (Phi, W^1/2, phat)
+        return d_phi * e_phi + d_w * e_w + d_p * e_p
+
+    coefficients = ComplexVector(*_scale_back_array(np.stack([c.re, c.im]), exponent(1, 2, 1)))
+    a, b = (_scale_back(x, exponent(2, 2, 0)) for x in (spec.lower, spec.upper))
+    ex2_model, ey2_model = _scale_back(ex2, exponent(0, 2, 2)), _scale_back(ey2, exponent(2, 4, 2))
+    _check_finite(a, b, ex2_model, ey2_model)
     report = sandwich_check(spec.lower, spec.upper, ex2, ey2)
-    with np.errstate(over="ignore"):  # a finite model's side may still overflow
-        sides = np.ldexp([report.lower, report.upper, report.slack], 2 * e_c)
-        ratio = np.ldexp(ey2 / ex2, e_ab) if ex2 else math.nan
-    a, b, ex2, ey2 = model.tolist()
+    sides = (_scale_back(x, exponent(2, 4, 2)) for x in (report.lower, report.upper, report.slack))
+    ratio = _scale_back(ey2 / ex2, exponent(2, 2, 0)) if ex2 else math.nan
     return KLSandwich(
-        a, b, coefficients, ex2, ey2, float(ratio), SandwichReport(*sides.tolist(), report.holds)
+        a, b, coefficients, ex2_model, ey2_model, ratio, SandwichReport(*sides, report.holds)
     )
 
 

@@ -7,8 +7,7 @@ weighted inner product.  For systems that span only a strict subspace, the
 pseudo-inverse restricts every construction to the span.
 
 Every construction here is a product of one ``frames.frame_spectrum`` of
-B = Phi W^{1/2} = U_r Lambda_r^{1/2} V_r^T, one-sided Jacobi on the
-min(N, M) rows of B or B^T after an exact power-of-two scaling of B:
+B = Phi W^{1/2} = U_r Lambda_r^{1/2} V_r^T, on the ``frames.centred`` frame:
 
     kernel        K = W^{-1/2} V_r V_r^T W^{-1/2}      (= Phi^T G^+ Phi)
     tight frame   Psi = U_r V_r^T W^{-1/2}             (= G^{-1/2} Phi)
@@ -30,10 +29,10 @@ negative eigenvalues, ``kernel_psd_bound``, need F alone; only the kernel file
 forms the M x M table.  The spectrum uses no BLAS, but the products with F,
 the tight frame and the identity checks do, so their last bits may follow
 BLAS's thread count.  ``identity_suite`` checks them all from one spectrum,
-over all probes at once, on Phi and W each scaled by a power of two, against
-gates of the same degrees in Phi and W^{1/2} as their residuals, so its
-verdicts do not follow the scale of Phi or W either (an absolute floor such
-as 1e-8 would pass a kernel wrong by O(1) on a frame of size 1e-90).
+over all probes at once, on the centred frame, against gates of the same
+degrees in Phi and W^{1/2} as their residuals, so its verdicts do not follow
+the scale of Phi or W either (an absolute floor such as 1e-8 would pass a
+kernel wrong by O(1) on a frame of size 1e-90).
 
 Operator conventions on a weighted grid: kernel-style value tables (K, L)
 are elementwise symmetric and act on a function f as K (w * f).  Adjoints
@@ -60,12 +59,13 @@ from .frames import (
     _rows,
     analysis,
     build_gramian,
+    centred,
     frame_spectrum,
     synthesis,
     weighted_inner,
     weighted_norm,
 )
-from .spectral import DEFAULT_RANK_TOL, _binary_exponent, _weight_exponent
+from .spectral import DEFAULT_RANK_TOL, _binary_exponent, _scale_back
 
 _UNIT_ROUNDOFF = 2.0**-53
 
@@ -155,7 +155,7 @@ def verify_reproducing(fs: FrameSystem, k: KernelMatrix, f) -> float:
     shift = _binary_exponent(_rows(f, fs.n_points))  # apply checks the kernel's grid
     unit = np.ldexp(f, -shift)
     unit -= k.apply(unit)  # the residual, in place: one M-wide temporary fewer
-    return _ldexp_saturating(float(np.abs(unit, out=unit).max()), shift)
+    return _scale_back(float(np.abs(unit, out=unit).max()), shift)
 
 
 def lax_milgram(fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL) -> KernelMatrix:
@@ -211,7 +211,8 @@ def kernel_psd_bound(kernel: KernelMatrix) -> float:
     f = kernel.factor
     k = f.shape[1]
     gamma = (k + 2) * _UNIT_ROUNDOFF / (1.0 - (k + 2) * _UNIT_ROUNDOFF)
-    return gamma * float((f * f).sum())
+    with np.errstate(over="ignore"):  # past the largest double the bound reads inf
+        return gamma * float((f * f).sum())
 
 
 def polar_unitary(fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -231,15 +232,8 @@ def identity_suite(fs: FrameSystem, rank_tol: float) -> dict:
     """Max residuals of the frame/kernel identities on deterministic probes.
 
     Returns {name: IdentityRow(residual, tolerance, holds)}.  The suite runs
-    on 2**-e_phi * Phi, with max|Phi| in [0.5, 1) as ``frame_spectrum`` scales
-    B, and on 4**-e_w * W, e_w = floor((e_max + e_min - 1) / 2) from the binary
-    exponents of max and min sqrt(w), which centres sqrt(W)'s range on 1 (all
-    weights 4**k become 1) and keeps W in range at both ends.  Each row is
-    scaled back by 2**(d_Phi * e_phi + d_w * e_w), its degrees below; ``holds``
-    is the verdict on the scaled frame.  So 2**k * Phi or 4**k * W keeps every
-    verdict and residual / tolerance bit for bit, another scale moves the
-    suite's frame by under 2 in Phi or 4 in W, and a row past the double range
-    prints as inf or 0.
+    on the ``centred`` frame and scales each row back by its degrees below;
+    ``holds`` is the verdict on the centred frame.
 
     The probes, the N frame vectors and min(N, 3) combinations
     phi_i - phi_{i+1}/2, are the rows of one matrix, so everything lies in the
@@ -267,28 +261,16 @@ def identity_suite(fs: FrameSystem, rank_tol: float) -> dict:
     reads -lambda_min, and the spectrum is made of squared singular values,
     so it is 0 by construction and checks nothing.
     """
-    e_phi = _binary_exponent(fs.vectors)
-    w = fs.grid.weights
-    e_w = _weight_exponent(w)
-    grid = Grid(fs.grid.points, np.ldexp(w, -2 * e_w)) if e_w else fs.grid
-    unit = FrameSystem(grid=grid, vectors=np.ldexp(fs.vectors, -e_phi))
+    unit, e_phi, e_w = centred(fs)
     rows = {}
     for name, (residual, tolerance, d_phi, d_w) in _identity_rows(unit, rank_tol).items():
         back = d_phi * e_phi + d_w * e_w
         rows[name] = IdentityRow(
-            residual=_ldexp_saturating(residual, back),
-            tolerance=_ldexp_saturating(tolerance, back),
+            residual=_scale_back(residual, back),
+            tolerance=_scale_back(tolerance, back),
             holds=residual <= tolerance,  # a NaN residual fails its row
         )
     return rows
-
-
-def _ldexp_saturating(x: float, e: int) -> float:
-    # x * 2**e for x >= 0, inf past the largest double (math.ldexp raises)
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        return math.inf
 
 
 def _identity_rows(fs: FrameSystem, rank_tol: float) -> dict:

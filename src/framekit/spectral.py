@@ -52,14 +52,18 @@ def _binary_exponent(a) -> int:
     return math.frexp(max(a.max(), -a.min()))[1]  # max|a|, with no |a| array formed
 
 
-def _weight_exponent(w) -> int:
-    """Exponent e_w = floor((e_max + e_min - 1) / 2) from the binary exponents
-    of max and min sqrt(w), for positive weights w.
+def _scale_back(x: float, e: int) -> float:
+    """x * 2**e, +-inf past the largest double (math.ldexp raises there)."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
-    Scaling by 4**-e_w is exact, centres sqrt(w)'s range on 1 (all weights
-    4**k become 1) and keeps w in range at both ends.
-    """
-    return (math.frexp(math.sqrt(w.max()))[1] + math.frexp(math.sqrt(w.min()))[1] - 1) // 2
+
+def _scale_back_array(a, e, out=None) -> np.ndarray:
+    """a * 2**e, +-inf past the largest double, with no overflow warning."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(a, e, out=out)
 
 
 def row_svd(a) -> RowSVD:
@@ -70,9 +74,9 @@ def row_svd(a) -> RowSVD:
     ``NotConverged`` if that takes more than 100 sweeps.  No A A^T is formed,
     so small singular values keep the relative accuracy of the rows rather
     than of their squares.  The copy is first scaled by a power of two so
-    that its largest entry lies in [0.5, 1), and the results are scaled back;
-    the scaling is exact, so ``left`` does not depend on the scale of ``a``,
-    and it is skipped where the power is 2**0.
+    that its largest entry lies in [0.5, 1), and the results are scaled back
+    (inf past the largest double); the scaling is exact, so ``left`` does
+    not depend on the scale of ``a``, and it is skipped where it is 2**0.
     Each row of the copy is padded with +0.0 to a whole number of the 8
     lanes that the Jacobi kernels sum dot products in (``padded_rows``), and
     ``padded_svd``, the driver ``frames.frame_spectrum`` shares, rotates it.
@@ -87,8 +91,8 @@ def row_svd(a) -> RowSVD:
         np.ldexp(work, -shift, out=work)
     svd = padded_svd(work, a.shape[1])
     if shift:
-        np.ldexp(svd.squares, 2 * shift, out=svd.squares)
-        np.ldexp(svd.rows, shift, out=svd.rows)
+        _scale_back_array(svd.squares, 2 * shift, out=svd.squares)
+        _scale_back_array(svd.rows, shift, out=svd.rows)
     return svd
 
 

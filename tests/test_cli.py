@@ -249,6 +249,21 @@ class TestKernel:
         assert "non-finite" in captured.err
 
 
+    def test_psd_bound_past_the_double_range_reads_inf(self, tmp_path, capsys, recwarn):
+        # every row of the 10 x 100 naive factor is finite, but ||F||_F^2
+        # sums to about 1e309: the bound prints inf, with nothing on stderr
+        vectors = np.random.default_rng(0).standard_normal((10, 100)) * 1e153
+        payload = {
+            "grid": {"points": list(range(100)), "weights": [1.0] * 100},
+            "vectors": vectors.tolist(),
+        }
+        assert cli.main(["kernel", write(tmp_path / "big.json", payload), "--naive"]) == EXIT_OK
+        assert not recwarn.list
+        captured = capsys.readouterr()
+        assert "psd_violation=inf" in captured.out
+        assert captured.err == ""
+
+
 @pytest.mark.parametrize("command", [["kernel"], ["kernel", "--naive"], ["canonical"]])
 def test_unwritable_out_exits_1(tmp_path, capsys, command):
     src = write(tmp_path / "m.json", mercedes_payload())

@@ -18,6 +18,7 @@ from framekit import (
     eval_l,
     frame_operator_apply,
     frame_spectrum,
+    frames,
     mercedes_frame,
     monomial_frame,
     synthesis,
@@ -339,6 +340,42 @@ class TestFrameBounds:
                 norm2 = weighted_norm(fs.grid, f) ** 2
                 eps = 1e-8 * bounds.upper * norm2
                 assert bounds.lower * norm2 - eps <= total <= bounds.upper * norm2 + eps
+
+
+class TestCentred:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 1000),
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        a=st.integers(-900, 900),
+        b=st.integers(-250, 250),
+    )
+    def test_powers_of_two_give_the_same_centred_frame(self, seed, shape, a, b):
+        # 2**a Phi on 4**b W centres to the frame of (Phi, W) bit for bit,
+        # with its exponents offset by (a, b); a centred frame is its own
+        fs = weighted_system(seed, *shape)
+        moved = FrameSystem(
+            grid=Grid(points=fs.grid.points, weights=np.ldexp(fs.grid.weights, 2 * b)),
+            vectors=np.ldexp(fs.vectors, a),
+        )
+        unit, e_phi, e_w = frames.centred(fs)
+        unit_moved, e_phi_moved, e_w_moved = frames.centred(moved)
+        assert (e_phi_moved, e_w_moved) == (e_phi + a, e_w + b)
+        assert unit_moved.vectors.tobytes() == unit.vectors.tobytes()
+        assert unit_moved.grid.weights.tobytes() == unit.grid.weights.tobytes()
+        again, *exponents = frames.centred(unit)
+        assert again is unit and exponents == [0, 0]
+
+    @pytest.mark.parametrize("k", [-3, 5])
+    def test_weights_of_one_power_of_four_become_one(self, k):
+        fs = FrameSystem(
+            grid=Grid(points=np.arange(3.0), weights=np.full(3, 4.0**k)),
+            vectors=[[0.5, -0.75, 0.0]],
+        )
+        unit, e_phi, e_w = frames.centred(fs)
+        assert (e_phi, e_w) == (0, k)
+        assert unit.grid.weights.tolist() == [1.0] * 3
+        assert unit.vectors.tobytes() == fs.vectors.tobytes()
 
 
 class TestEvalL:

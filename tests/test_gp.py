@@ -221,6 +221,12 @@ class TestAtomicMeasure:
         expected = 0.5 / (1 + 1.0) + 1.0 / (1 + 0.0) + 0.25 / (1 + 4.0)
         assert abs(cauchy_mass(simple_atoms()) - expected) <= 1e-14
 
+    def test_cauchy_mass_of_a_far_atom_is_zero(self):
+        # past |u| ~ 1.3e154, u^2 overflows and the atom adds 0, with no
+        # RuntimeWarning (an error under this suite's filter)
+        atoms = Grid(points=np.array([0.0, 1e200, -1e300]), weights=np.array([0.5, 2.0, 3.0]))
+        assert cauchy_mass(atoms) == 0.5
+
     def test_cauchy_mass_random(self):
         r = np.random.default_rng(10)
         for _ in range(20):
@@ -544,6 +550,27 @@ class TestSandwich:
             assert model.coefficients.im.tobytes() == c.im.tobytes()
             assert model.report == sandwich_check(spec.lower, spec.upper, ex2, ey2)
             assert model.ratio == pytest.approx(ey2 / ex2, rel=1e-15)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(a=st.integers(-100, 100), b=st.integers(-60, 60), c=st.integers(-100, 100))
+    def test_kl_sandwich_fields_scale_by_their_powers_of_two(self, a, b, c):
+        # at (2**a Phi, 4**b W, 2**c phat) every field is the unscaled one
+        # times 2**(d_Phi a + d_w b + d_p c), its degrees in (Phi, W^1/2, phat)
+        fs = random_model(21, 10, 6)
+        phat = random_phat(300, 6)
+        base = gp.kl_sandwich(fs, phat)
+        moved = gp.kl_sandwich(at_scale(fs, 2.0**a, 4.0**b), times(phat, 2.0**c))
+        e_ab, e_c, e_x, e_y = 2 * a + 2 * b, a + 2 * b + c, 2 * b + 2 * c, 2 * a + 4 * b + 2 * c
+        assert (moved.a, moved.b, moved.ratio) == tuple(
+            math.ldexp(x, e_ab) for x in (base.a, base.b, base.ratio)
+        )
+        assert moved.coefficients.re.tobytes() == np.ldexp(base.coefficients.re, e_c).tobytes()
+        assert moved.coefficients.im.tobytes() == np.ldexp(base.coefficients.im, e_c).tobytes()
+        assert (moved.ex2, moved.ey2) == (math.ldexp(base.ex2, e_x), math.ldexp(base.ey2, e_y))
+        report = base.report
+        assert moved.report == gp.SandwichReport(
+            *(math.ldexp(x, e_y) for x in (report.lower, report.upper, report.slack)), report.holds
+        )
 
     def test_kl_sandwich_of_a_zero_profile(self):
         fs = random_model(21, 10, 6)

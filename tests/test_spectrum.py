@@ -357,6 +357,15 @@ class TestScale:
         assert np.array_equal(big.rows, np.ldexp(base.rows, k // 2))
         assert np.array_equal(big.squares, np.ldexp(base.squares, k))
 
+    def test_row_svd_saturates_past_the_double_range(self):
+        # sigma**2 = 2e600 reads inf, as frame_spectrum's bound does, with
+        # no RuntimeWarning (an error under this suite's filter)
+        a = np.array([[1e300, 1e300]])
+        svd = row_svd(a)
+        fs = FrameSystem(grid=Grid(points=[0.0, 1.0], weights=[1.0, 1.0]), vectors=a)
+        assert svd.squares.tolist() == frame_spectrum(fs).eigenvalues.tolist() == [np.inf]
+        assert np.array_equal(np.abs(svd.rows), a)
+
     def test_row_svd_in_range_matches_unscaled_sweeps(self):
         # the pre-scaling is exact, so an in-range input gives the bits of
         # a plain run of the sweeps on the unscaled rows, padded to whole
