@@ -36,8 +36,8 @@ import time
 import numpy as np
 from bench_cli import environment, quartiles
 
-from framekit._kernels import PYTHON, VARIANTS, _hestenes_py
-from framekit.spectral import _MAX_SWEEPS, _ORTHOGONAL_TOL
+from framekit._kernels import PYTHON, VARIANTS
+from framekit.spectral import _MAX_SWEEPS, _ORTHOGONAL_TOL, padded_rows
 
 
 def interleaved(calls, repeats):
@@ -56,7 +56,7 @@ def interleaved(calls, repeats):
 
 
 def run_twin(backend, base):
-    a = _hestenes_py.padded_rows(base)
+    a = padded_rows(base)
     squares, v, sweeps = backend.jacobi_rows(a, _MAX_SWEEPS, _ORTHOGONAL_TOL)
     return squares.tobytes(), a.tobytes(), v.tobytes(), sweeps
 

@@ -23,9 +23,9 @@ hash of the sources and the flags, and later imports load that file.
 The library builds its Jacobi and sampling kernels once per vector ISA:
 AVX-512 (F and DQ), AVX2 and the baseline where the compiler targets
 x86-64, the baseline alone elsewhere.  The Jacobi kernel is one body for
-every ISA, on rows that ``spectral.row_svd`` and ``frames.frame_spectrum``
-pad with +0.0 to a multiple of its 8 lanes; ``jacobi_rows`` refuses other
-rows with ValueError.  Every variant v that its ``variants()`` names for
+every ISA, on rows padded to whole groups of its 8 lanes as
+``spectral.padded_svd`` states; ``jacobi_rows`` refuses other rows with
+ValueError.  Every variant v that its ``variants()`` names for
 this CPU, widest first, exports the same kernel set: ``jacobi_rows_<v>``,
 ``philox_split_<v>`` and ``polar_contract_<v>``.  ``VARIANTS`` holds a
 compiled backend for each, and ``ACTIVE``, the backend the package runs,

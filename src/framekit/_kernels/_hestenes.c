@@ -28,11 +28,8 @@
  * combined as ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)).  Eight
  * independent chains of adds keep the vector unit busy where one chain in
  * index order would wait on the latency of each add.  Rows come padded with
- * +0.0 to a multiple n of the 8 lanes (spectral.row_svd pads its working
- * copy), so every lane group is whole and no variant has a ragged tail: a
- * padded term adds +0.0 to its lane, which changes no bit, since a sum that
- * starts at +0.0 is never -0.0, and a padded entry stays +0.0 under every
- * rotation, since c > 0.
+ * +0.0 to a multiple n of the 8 lanes, as spectral.padded_svd states, so
+ * every lane group is whole and no variant has a ragged tail.
  *
  * Every variant v that variants() of _sampling.c names exports
  * jacobi_rows_<v>, so the ISA_DISPATCH guard below must stay the same as

@@ -19,10 +19,9 @@ lanes: lane l starts at +0.0 and adds the products of the terms j = l
 (mod 8) in index order, one rounded add a term, and the lanes are combined
 as ((l0 + l4) + (l2 + l6)) + ((l1 + l5) + (l3 + l7)).  Here the products
 are laid out as a (groups + 1, 8) table whose first row is +0.0, and
-``np.add.accumulate`` adds its rows in order.  Rows are whole lane groups:
-``spectral.row_svd`` pads each row with +0.0 to a multiple of 8
-(``padded_rows``), ``frames.frame_spectrum`` forms its B in rows of
-``padded_width``, and both twins refuse any other length.
+``np.add.accumulate`` adds its rows in order.  Rows are whole lane groups,
+padded and scaled as ``spectral.padded_svd`` states, and both twins refuse
+any other length.
 """
 
 from math import sqrt
@@ -46,23 +45,6 @@ def check_rows_args(a):
             f"got shape {a.shape}"
         )
     return a.shape
-
-
-def padded_width(n):
-    """``n`` rounded up to a whole number of the 8 lanes."""
-    return -(-n // _LANES) * _LANES
-
-
-def padded_rows(a):
-    """A C-contiguous float64 copy of the (k, n) array ``a`` with each row
-    padded by +0.0 to a whole number of the 8 lanes, as ``jacobi_rows``
-    takes them; ValueError for an array that is not 2-D."""
-    if np.ndim(a) != 2:
-        raise ValueError(f"expected a k x n array, got shape {np.shape(a)}")
-    k, n = np.shape(a)
-    padded = np.zeros((k, padded_width(n)))
-    padded[:, :n] = a
-    return padded
 
 
 def lane_table(rows, n):

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument, InvalidIndex, InvalidMatrix
-from ._kernels._hestenes_py import padded_width
-from .spectral import DEFAULT_RANK_TOL, _binary_exponent, _scale_back_array, padded_svd
+from .spectral import DEFAULT_RANK_TOL, _binary_exponent, _scale_back_array
+from .spectral import padded_svd, padded_width
 
 _PARSEVAL_TOL = 1e-9
 
@@ -232,11 +232,10 @@ def frame_spectrum(
 ) -> FrameSpectrum:
     """One-sided Jacobi on B = Phi W^{1/2}, in dimension min(N, M).
 
-    B is formed from the ``centred`` frame and scaled by 2**-e_b into
-    max|B| in [0.5, 1), so ranks and singular vectors do not depend on the
-    scale of Phi or W.  The rows of the thinner side, B or B^T, are formed
-    once, straight into the zero-padded buffer that ``spectral.padded_svd``,
-    the driver ``row_svd`` shares, rotates in place until they are
+    B is formed from the ``centred`` frame, so ranks and singular vectors
+    do not depend on the scale of Phi or W.  The rows of the thinner side,
+    B or B^T, are formed once, straight into the buffer that
+    ``spectral.padded_svd`` scales and rotates in place until they are
     orthogonal: the rotations give that side's singular vectors, and the
     rotated rows, sigma_k times the other side's singular vectors, give the
     rest by one division.
@@ -250,9 +249,7 @@ def frame_spectrum(
     b = work[:, :n] if wide else work[:, :n].T  # the N x M B, in the rows Jacobi rotates
     np.ldexp(fs.vectors, -e_phi, out=b)
     b *= np.ldexp(np.sqrt(fs.grid.weights), -e_w)
-    e_b = _binary_exponent(b)
-    np.ldexp(b, -e_b, out=b)
-    svd = padded_svd(work, n)
+    svd, e_b = padded_svd(work, n)
     lam = svd.squares
     # below (min(N, M) eps)**2 lambda_max an eigenvalue is rounding noise
     # whatever rank_tol is, since Jacobi's error in sigma is about n eps sigma_max

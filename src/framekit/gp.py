@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -75,7 +76,9 @@ class SandwichReport:
 class KLSandwich:
     """A KL model in its own units: the frame bounds a <= b, the KL
     coefficients, E|X|^2, E|Y|^2, their ratio E|Y|^2 / E|X|^2 (nan where
-    E|X|^2 is 0) and the sandwich report."""
+    E|X|^2 is 0), the sandwich report and the sandwich as shown: its sides
+    around E|Y|^2, or a <= ratio <= b where a side left the normal range
+    (``over_ex2``)."""
 
     a: float
     b: float
@@ -84,6 +87,8 @@ class KLSandwich:
     ey2: float
     ratio: float
     report: SandwichReport
+    shown: tuple[float, float, float]
+    over_ex2: bool
 
 
 def cauchy_mass(atoms: Grid) -> float:
@@ -200,10 +205,12 @@ def kl_sandwich(
     _check_finite(a, b, ex2_model, ey2_model)
     report = sandwich_check(spec.lower, spec.upper, ex2, ey2)
     sides = (_scale_back(x, exponent(2, 4, 2)) for x in (report.lower, report.upper, report.slack))
+    report = SandwichReport(*sides, report.holds)
     ratio = _scale_back(ey2 / ex2, exponent(2, 2, 0)) if ex2 else math.nan
-    return KLSandwich(
-        a, b, coefficients, ex2_model, ey2_model, ratio, SandwichReport(*sides, report.holds)
-    )
+    normal = sys.float_info.min <= report.lower and report.upper < math.inf
+    over_ex2 = bool(ex2) and not normal  # a side left the normal range; a, ratio and b do not
+    shown = (a, ratio, b) if over_ex2 else (report.lower, ey2_model, report.upper)
+    return KLSandwich(a, b, coefficients, ex2_model, ey2_model, ratio, report, shown, over_ex2)
 
 
 def sample_kl(

@@ -46,7 +46,7 @@ every verifier take one grid function or a stack of them as rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -83,11 +83,14 @@ class KernelMatrix:
     """Kernel-style table K[s][t] = sum_k F[s, k] F[t, k] over grid pairs.
 
     ``factor`` is the M x k factor F, read-only, and all that is held; the
-    table acts on f as K (w * f).  ``InvalidMatrix`` if it would overflow.
+    table acts on f as K (w * f).  ``scale`` is max_t K(t,t) = max_t
+    ||F_t||^2, which bounds every entry.  ``InvalidMatrix`` if it would
+    overflow.
     """
 
     grid: Grid
     factor: np.ndarray
+    scale: float = field(init=False)
 
     def __post_init__(self):
         f = np.array(self.factor, dtype=float)
@@ -101,9 +104,10 @@ class KernelMatrix:
         # |fl(F_s . F_t)| is below max_t ||F_t||^2 (1 + gamma_k) / (1 - gamma_k)
         gamma = f.shape[1] * _UNIT_ROUNDOFF / (1.0 - f.shape[1] * _UNIT_ROUNDOFF)
         with np.errstate(over="ignore", invalid="ignore"):  # reported as InvalidMatrix
-            top = float((f * f).sum(axis=1).max()) * (1.0 + gamma) / (1.0 - gamma)
-        if not math.isfinite(top):
+            scale = float((f * f).sum(axis=1).max())
+        if not math.isfinite(scale * (1.0 + gamma) / (1.0 - gamma)):
             raise InvalidMatrix("kernel table has non-finite entries")
+        object.__setattr__(self, "scale", scale)
 
     @property
     def values(self) -> np.ndarray:
@@ -303,8 +307,7 @@ def _identity_rows(fs: FrameSystem, rank_tol: float) -> dict:
     reproducing = verify_reproducing(fs, kernel, probes)
     lax_residual = verify_lax_identity(fs, _lax(spec), probes, probes)
     # |K(s,t)| <= max_t ||F_t||^2, and |(K - Psi^T Psi)(s,t)| <= that ||U_r^T U_r - I||_2
-    kernel_max = float((kernel.factor * kernel.factor).sum(axis=1).max())
-    kernel_vs_tight = kernel_max * float(np.linalg.norm(spec.u.T @ spec.u - np.eye(spec.rank)))
+    kernel_vs_tight = kernel.scale * float(np.linalg.norm(spec.u.T @ spec.u - np.eye(spec.rank)))
     gram_psd = max(0.0, -float(spec.eigenvalues[-1]))
     # capped, so a frame that needs a wider gate fails rather than passing
     # with fewer than three digits
@@ -318,11 +321,11 @@ def _identity_rows(fs: FrameSystem, rank_tol: float) -> dict:
 
     return {
         "max_reproducing_residual": (reproducing, inverse_gate * scale + truncation, 1, 0),
-        "kernel_vs_tight_max": (kernel_vs_tight, inverse_gate * kernel_max, 0, -2),
+        "kernel_vs_tight_max": (kernel_vs_tight, inverse_gate * kernel.scale, 0, -2),
         "lax_identity_max": (lax_residual, inverse_gate * scale * scale, 2, 2),
         "isometry_relative_max": (isometry, 1e-10, 0, 0),
         "adjoint_relative_max": (adjoint, 1e-10, 0, 0),
-        "kernel_psd_violation": (kernel_psd_bound(kernel), 1e-9 * kernel_max, 0, -2),
+        "kernel_psd_violation": (kernel_psd_bound(kernel), 1e-9 * kernel.scale, 0, -2),
         "gramian_psd_violation": (gram_psd, 1e-10 * lam_max, 2, 2),
     }
 

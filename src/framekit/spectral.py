@@ -5,10 +5,11 @@ rotations and so gives the eigensystem of A A^T without forming it, which
 keeps the small eigenvalues that squaring the condition number would lose.
 It makes no rank decision.  Frame bounds, kernels, canonical tight frames,
 Lax-Milgram and polar rest on one Jacobi call per frame, made by
-``frames.frame_spectrum`` through ``padded_svd``, the driver ``row_svd``
-shares, on a B it forms in the buffer Jacobi rotates;
+``frames.frame_spectrum`` on a B it forms in the buffer Jacobi rotates;
 ``frame_spectrum`` holds the library's one rank rule.  The Hilbert table
-rotates the rows of its own Cholesky factor by ``row_svd``.
+rotates the rows of its own Cholesky factor by ``row_svd``.  Both reach
+the kernels through ``padded_svd``, whose docstring states how their
+input is padded and scaled.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from ._kernels._hestenes_py import padded_rows
 from .errors import NotConverged
 
 #: Relative eigenvalue threshold below which spectrum is treated as rank noise.
@@ -27,6 +27,8 @@ DEFAULT_RANK_TOL = 1e-10
 
 _ORTHOGONAL_TOL = 1e-14
 _MAX_SWEEPS = 100
+# lanes the Jacobi kernels sum dot products in
+_LANES = 8
 
 
 class RowSVD(NamedTuple):
@@ -69,45 +71,61 @@ def _scale_back_array(a, e, out=None) -> np.ndarray:
 def row_svd(a) -> RowSVD:
     """Singular system of the rows of ``a`` by one-sided cyclic Jacobi.
 
-    The rows of a working copy are rotated in pairs, in cyclic order, until a
-    sweep finds every pair orthogonal to within |a_p.a_q| <= 1e-14 |a_p| |a_q|;
-    ``NotConverged`` if that takes more than 100 sweeps.  No A A^T is formed,
-    so small singular values keep the relative accuracy of the rows rather
-    than of their squares.  The copy is first scaled by a power of two so
-    that its largest entry lies in [0.5, 1), and the results are scaled back
-    (inf past the largest double); the scaling is exact, so ``left`` does
-    not depend on the scale of ``a``, and it is skipped where it is 2**0.
-    Each row of the copy is padded with +0.0 to a whole number of the 8
-    lanes that the Jacobi kernels sum dot products in (``padded_rows``), and
-    ``padded_svd``, the driver ``frames.frame_spectrum`` shares, rotates it.
-    Rows beyond the rank of ``a`` are rotated down to about 1e-136 of the
-    largest entry and then count as zero; that costs sweeps, so callers pass
-    the thinner side.
+    The rows of a padded copy are rotated in pairs, in cyclic order, by
+    ``padded_svd`` until a sweep finds every pair orthogonal to within
+    |a_p.a_q| <= 1e-14 |a_p| |a_q|; ``NotConverged`` after 100 sweeps.  No
+    A A^T is formed, so small singular values keep the relative accuracy
+    of the rows rather than of their squares.  The results are scaled back
+    by ``padded_svd``'s exponent (inf past the largest double), so ``left``
+    does not depend on the scale of ``a``.  Rows beyond the rank of ``a``
+    are rotated down to about 1e-136 of the largest entry and then count as
+    zero; that costs sweeps, so callers pass the thinner side.
     """
     a = np.asarray(a, dtype=float)
-    shift = _binary_exponent(a)
-    work = padded_rows(a)
-    if shift:
-        np.ldexp(work, -shift, out=work)
-    svd = padded_svd(work, a.shape[1])
-    if shift:
-        _scale_back_array(svd.squares, 2 * shift, out=svd.squares)
-        _scale_back_array(svd.rows, shift, out=svd.rows)
+    svd, e = padded_svd(padded_rows(a), a.shape[1])
+    if e:
+        _scale_back_array(svd.squares, 2 * e, out=svd.squares)
+        _scale_back_array(svd.rows, e, out=svd.rows)
     return svd
 
 
-def padded_svd(work, width) -> RowSVD:
-    """Singular system of the first ``width`` columns of ``work``, whose rows
-    Jacobi rotates in place.
+def padded_width(n):
+    """``n`` rounded up to a whole number of the 8 lanes."""
+    return -(-n // _LANES) * _LANES
 
-    ``work`` is a C-contiguous k x n float64 array, n a multiple of the 8
-    lanes, whose columns from ``width`` on are +0.0, scaled so that its
-    largest entry lies in [0.5, 1) or all zero: a padded term adds +0.0 to
-    its lane, which changes no bit, and a padded entry stays +0.0 under each
-    rotation.  ``rows`` is the first ``width`` columns of the rotated rows,
-    in the order of ``squares``.  The one Jacobi call of ``row_svd`` and of
-    ``frames.frame_spectrum``, which forms its B in such a buffer.
+
+def padded_rows(a):
+    """A C-contiguous float64 copy of the (k, n) array ``a`` with each row
+    padded by +0.0 to ``padded_width(n)``, as ``padded_svd`` takes them;
+    ValueError for an array that is not 2-D."""
+    if np.ndim(a) != 2:
+        raise ValueError(f"expected a k x n array, got shape {np.shape(a)}")
+    k, n = np.shape(a)
+    padded = np.zeros((k, padded_width(n)))
+    padded[:, :n] = a
+    return padded
+
+
+def padded_svd(work, width) -> tuple[RowSVD, int]:
+    """(singular system of the first ``width`` columns of ``work`` times
+    2**-e, e), by Jacobi on the rows of ``work`` in place: the one Jacobi
+    call of ``row_svd`` and ``frames.frame_spectrum``, and the one place
+    that knows the kernels' input contract.
+
+    ``work`` is C-contiguous float64, k x ``padded_width(width)``, with
+    columns from ``width`` on +0.0 (``padded_rows``): the kernels sum in 8
+    lanes and take whole lane groups only; a padded term adds +0.0 to its
+    lane (a sum from +0.0 is never -0.0) and a padded entry stays +0.0
+    under each rotation (c > 0), so the padding moves no bit.  ``work`` is
+    first scaled by 2**-e into max|entry| in [0.5, 1) (e = 0 if all zero),
+    which is exact for entries that stay normal, keeps the rows far above
+    the kernels' zero-row threshold and gives 2**k ``work`` the same
+    rotations with e + k.  ``squares`` scale back by 2**2e and ``rows``,
+    the rotated rows' first ``width`` columns in that order, by 2**e.
     """
+    e = _binary_exponent(work)
+    if e:
+        np.ldexp(work, -e, out=work)
     squares, left, sweeps = _kernels.ACTIVE.jacobi_rows(work, _MAX_SWEEPS, _ORTHOGONAL_TOL)
     if sweeps > _MAX_SWEEPS:
         raise NotConverged(
@@ -115,9 +133,8 @@ def padded_svd(work, width) -> RowSVD:
             f"{_MAX_SWEEPS} sweeps"
         )
     order = np.argsort(-squares, kind="stable")
-    return RowSVD(
-        squares=squares[order], rows=work[order, :width], left=left[order], sweeps=sweeps
-    )
+    svd = RowSVD(squares=squares[order], rows=work[order, :width], left=left[order], sweeps=sweeps)
+    return svd, e
 
 
 def jacobi_backend() -> str:

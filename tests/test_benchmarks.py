@@ -19,6 +19,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         ["bench_cli.py", "--sizes", "4,16", "--repeats", "2", "--json", "cli.json"],
         # 5003 samples leave a last block of 907 streams, which pads its last tile
         ["bench_sampling.py", "--samples", "5003", "--vectors", "7", "--json", "sampling.json"],
+        ["op_digests.py", "--seeds", "1", "--samples", "2000", "--json", "digests.json"],
     ],
     ids=lambda argv: argv[0],
 )

@@ -577,6 +577,8 @@ class TestSandwich:
         model = gp.kl_sandwich(fs, ComplexVector(re=np.zeros(6), im=np.zeros(6)))
         assert (model.ex2, model.ey2, model.report.holds) == (0.0, 0.0, True)
         assert math.isnan(model.ratio)
+        # with E|X|^2 = 0 there is no ratio to show: the sides 0 <= 0 <= 0 are shown
+        assert (model.shown, model.over_ex2) == ((0.0, 0.0, 0.0), False)
 
     def test_not_a_frame(self):
         vectors = np.array([[1.0, 0.0, 0.0]])

@@ -24,7 +24,7 @@ import framekit
 from framekit import FrameSystem, Grid, gp, rng, row_svd
 from framekit import _kernels
 from framekit._kernels import LANES, PYTHON, VARIANTS, _hestenes_py, _sampling_py
-from framekit.spectral import _MAX_SWEEPS, _ORTHOGONAL_TOL
+from framekit.spectral import _MAX_SWEEPS, _ORTHOGONAL_TOL, padded_rows
 from oracles import CANARY, TWINS, from_tiles, fused_normals, to_tiles
 
 CC = shutil.which("cc")
@@ -59,7 +59,7 @@ KINDS = ["dense", "zeros", "signed zeros", "repeated", "duplicated"]
 
 def run(backend, base):
     # the rows padded to whole lane groups, as row_svd pads its working copy
-    a = _hestenes_py.padded_rows(base)
+    a = padded_rows(base)
     squares, v, sweeps = backend.jacobi_rows(a, _MAX_SWEEPS, _ORTHOGONAL_TOL)
     return squares.tobytes(), a.tobytes(), v.tobytes(), sweeps
 
@@ -204,7 +204,7 @@ def test_lane_sums_follow_the_lane_order():
         products = r.standard_normal((3, n)) * 2.0 ** r.integers(-60, 60, (3, n))
         products[1, ::3] = -0.0
         products[2] = -0.0
-        padded = _hestenes_py.padded_rows(products)
+        padded = padded_rows(products)
         table, view = _hestenes_py.lane_table(3, padded.shape[1])
         view[...] = padded
         for row, got in zip(products, _hestenes_py.lane_sums(table)):
@@ -557,7 +557,7 @@ def test_coefficients_are_the_nearest_taylor_doubles():
 @pytest.mark.skipif(not VARIANTS, reason="C twin not loaded")
 def test_wrong_arrays_raise():
     # the address and shape checks stop what C would misread, before it runs
-    a = _hestenes_py.padded_rows(factor(4, 6, 0, "dense", 0))
+    a = padded_rows(factor(4, 6, 0, "dense", 0))
     frozen = a.copy()
     frozen.setflags(write=False)
     for bad, error in [
@@ -1090,7 +1090,7 @@ def test_jacobi_under_address_and_undefined_sanitizers(tmp_path):
     for k, n in [(1, 1), (3, 1), (1, 7), (4, 7), (3, 8), (5, 9), (9, 5), (13, 3), (1, 15),
                  (2, 15), (6, 17), (1, 63), (7, 63)]:
         base = factor(k, n, n, KINDS[k % 5], 0)
-        padded = _hestenes_py.padded_rows(base)
+        padded = padded_rows(base)
         case = "x".join(map(str, padded.shape))
         (tmp_path / f"{case}-a").write_bytes(padded.tobytes())
         squares, rows, v, sweeps = run(PYTHON, base)

@@ -483,6 +483,14 @@ class TestKernelMatrix:
             bound = 4 * size * 2.0**-53 * (wf @ np.abs(k.factor)) @ np.abs(k.factor).T
             assert np.all(np.abs(k.apply(f) - each) <= bound), name
 
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(fs=weighted_frames())
+    def test_scale_is_the_largest_row_norm_squared(self, fs):
+        # bitwise: the suite's gates read this number, and one rescaled by
+        # the overflow check's rounding factor would differ in its last bits
+        for k in (rk_kernel(fs), naive_kernel(fs), lax_milgram(fs)):
+            assert k.scale.hex() == float((k.factor * k.factor).sum(axis=1).max()).hex()
+
     def test_shapes(self):
         fs = random_frame(5, 3, 4, weighted=True)
         with pytest.raises(DimensionMismatch):

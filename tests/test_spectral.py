@@ -13,8 +13,8 @@ from framekit import (
     row_svd,
     spectral,
 )
-from framekit._kernels import PYTHON, VARIANTS, _hestenes_py
-from framekit.spectral import _MAX_SWEEPS, _ORTHOGONAL_TOL
+from framekit._kernels import PYTHON, VARIANTS
+from framekit.spectral import _MAX_SWEEPS, _ORTHOGONAL_TOL, padded_rows
 
 from oracles import hilbert_gramian_exact, power_iteration
 
@@ -162,7 +162,7 @@ class TestSymEig:
             base = random_rows(n, n)
             results = []
             for backend in (PYTHON, *VARIANTS.values()):
-                a = _hestenes_py.padded_rows(base)
+                a = padded_rows(base)
                 squares, v, sweeps = backend.jacobi_rows(a, _MAX_SWEEPS, _ORTHOGONAL_TOL)
                 results.append((squares.tobytes(), a.tobytes(), v.tobytes(), sweeps))
             assert len(set(results)) == 1

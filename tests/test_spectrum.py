@@ -13,8 +13,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from framekit import (
     FrameSystem,
@@ -373,7 +374,7 @@ class TestScale:
         r = np.random.default_rng(8)
         for n in (1, 2, 5, 12):
             x = r.standard_normal((n, n + 1)) * 3.0
-            work = _kernels._hestenes_py.padded_rows(x)
+            work = spectral.padded_rows(x)
             squares, left, _ = _kernels.ACTIVE.jacobi_rows(
                 work, spectral._MAX_SWEEPS, spectral._ORTHOGONAL_TOL
             )
@@ -382,6 +383,30 @@ class TestScale:
             assert np.array_equal(d.squares, squares[order])
             assert np.array_equal(d.rows, work[order, : n + 1])
             assert np.array_equal(d.left, left[order])
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        x=hnp.arrays(
+            float,
+            st.tuples(st.integers(1, 5), st.integers(1, 11)),
+            elements=st.floats(1.0, 10.0) | st.floats(-10.0, -1.0) | st.just(0.0),
+        ),
+        k=st.integers(min_value=-1022, max_value=1020),
+    )
+    @example(x=np.array([[3.0, 4.0, 0.0], [1.0, 2.0, 5.0]]), k=-500)
+    @example(x=np.array([[3.0, 4.0, 0.0], [1.0, 2.0, 5.0]]), k=520)
+    def test_padded_svd_scales_its_buffer(self, x, k):
+        # entries of 1..10 times 2**k stay normal and finite, and padded_svd
+        # takes them to the same buffer: the same squares, rows, rotations
+        # and sweeps, with the exponent offset by k
+        width = x.shape[1]
+        base, e = spectral.padded_svd(spectral.padded_rows(x), width)
+        moved, e_k = spectral.padded_svd(spectral.padded_rows(np.ldexp(x, k)), width)
+        assert e_k == (e + k if x.any() else 0)
+        assert moved.squares.tobytes() == base.squares.tobytes()
+        assert moved.rows.tobytes() == base.rows.tobytes()
+        assert moved.left.tobytes() == base.left.tobytes()
+        assert moved.sweeps == base.sweeps
 
     @settings(max_examples=30, deadline=None, database=None)
     @given(k=st.integers(min_value=-480, max_value=480))
@@ -506,9 +531,10 @@ class TestScale:
         seen = []
 
         def spy(work, width):
-            # B or B^T, formed in the buffer Jacobi rotates, padded with +0.0
+            # B or B^T, formed in the buffer Jacobi rotates, padded with +0.0;
+            # padded_svd scales it, so it is normalized here as padded_svd will
             assert work[:, width:].tobytes() == np.zeros_like(work[:, width:]).tobytes()
-            seen.append(work[:, :width].copy())
+            seen.append(np.ldexp(work[:, :width], -spectral._binary_exponent(work)))
             return spectral.padded_svd(work, width)
 
         with mock.patch.object(frames, "padded_svd", spy):
