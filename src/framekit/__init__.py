@@ -21,6 +21,7 @@ from .errors import (
     InvalidMatrix,
     NotAFrame,
     NotConverged,
+    Violation,
     ZeroSpan,
 )
 from .frames import (
@@ -113,4 +114,5 @@ __all__ = [
     "ZeroSpan",
     "NotAFrame",
     "NotConverged",
+    "Violation",
 ]

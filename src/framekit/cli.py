@@ -60,18 +60,12 @@ read by a walk over a table of the parser's own arguments, to the Namespace
 argparse gives it; any other argv, abbreviations, --opt=value, "--", help
 and every argument error included, goes to the parser's own parse_args.
 
-Exit codes:
-
-    0  success
-    1  unreadable or unwritable file
-    2  schema or argument violation (SchemaError, a file that is not UTF-8
-       or not JSON included; InvalidArgument, InvalidMatrix,
-       DimensionMismatch, InvalidIndex), a Jacobi solve that did not
-       converge (NotConverged), and any other FramekitError
-    3  degenerate input (ZeroSpan, NotAFrame)
-    4  a mathematical assertion failed (an identity residual above its
-       tolerance, a Hilbert table violation)
-    5  sandwich violated in gp-sim
+Exit codes: 0 on success; 1 for a file that cannot be read or written, with
+"error: <message>" on stderr; 2 for an argument argparse refuses; 5 when
+gp-sim's sandwich is violated, whose verdict is its last stdout line.  Every
+other failure is a FramekitError, whose class carries the exit code and the
+label main prints as "<label>: <message>": see framekit.errors, and
+SchemaError below.
 """
 
 from __future__ import annotations
@@ -85,27 +79,21 @@ import sys
 import numpy as np
 
 from . import _kernels, classic, frames, gp, rkhs
-from .errors import (
-    DimensionMismatch,
-    FramekitError,
-    InvalidArgument,
-    InvalidIndex,
-    InvalidMatrix,
-    NotAFrame,
-    ZeroSpan,
-)
+from .errors import FramekitError, InvalidArgument, Violation, ZeroSpan
 from .spectral import DEFAULT_RANK_TOL
 
 EXIT_OK = 0
 EXIT_MISSING = 1
-EXIT_SCHEMA = 2
-EXIT_DEGENERATE = 3
-EXIT_MATH = 4
+EXIT_SCHEMA = FramekitError.exit_code
+EXIT_DEGENERATE = ZeroSpan.exit_code
+EXIT_MATH = Violation.exit_code
 EXIT_SANDWICH = 5
 
 
 class SchemaError(FramekitError):
     """File content violates the expected schema; message names the field."""
+
+    label = "schema error"
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +288,10 @@ def cmd_hilbert(args) -> int:
             f"{_fmt_human(row.pi_gap)}"
         )
     if any(row.lam_max >= math.pi for row in rows):
-        print("violation: lam_max reached pi", file=sys.stderr)
-        return EXIT_MATH
+        raise Violation("lam_max reached pi")
     ordered = sorted(rows, key=lambda row: row.n)
     if any(a.n < b.n and a.lam_max >= b.lam_max for a, b in zip(ordered, ordered[1:])):
-        print("violation: lam_max not increasing with n", file=sys.stderr)
-        return EXIT_MATH
+        raise Violation("lam_max not increasing with n")
     return EXIT_OK
 
 
@@ -351,8 +337,7 @@ def cmd_verify(args) -> int:
     for name, row in rows.items():
         print(f"{name}={_fmt_human(row.residual)} (tolerance {_fmt_human(row.tolerance)})")
     if not all(row.holds for row in rows.values()):
-        print("violation: identity residual above tolerance", file=sys.stderr)
-        return EXIT_MATH
+        raise Violation("identity residual above tolerance")
     return EXIT_OK
 
 
@@ -485,18 +470,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # an unreadable input or an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except (InvalidArgument, InvalidMatrix, DimensionMismatch, InvalidIndex) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except (ZeroSpan, NotAFrame) as exc:
-        print(f"degenerate input: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except FramekitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 def entry() -> None:

@@ -209,9 +209,12 @@ def centred(fs: FrameSystem) -> tuple[FrameSystem, int, int]:
     2**(d_Phi e_phi + d_w e_w), reading inf or 0 past the double range.
     e_phi brings max|Phi| into [0.5, 1); e_w = floor((e_max + e_min - 1) / 2),
     from the binary exponents of max and min sqrt(w), centres sqrt(W)'s range
-    on 1, so that weights 4**k all become 1 and W stays in range at both ends.
-    The scalings are exact, so 2**a Phi on 4**b W gives this frame bit for
-    bit with exponents offset by (a, b); ``fs`` itself comes back at (0, 0).
+    on 1, so that weights 4**k all become 1.  Where the smallest weight lies
+    below 2**-1024, that centre would lift the largest past the double range,
+    so e_w is bounded below by e_max - 512: sqrt(W) then stays below 2**512,
+    and every weight finite and positive.  The scalings are exact, so 2**a Phi
+    on 4**b W gives this frame bit for bit with exponents offset by (a, b);
+    ``fs`` itself comes back at (0, 0).
     """
     e_phi, e_w = _exponents(fs)
     if not (e_phi or e_w):
@@ -224,7 +227,7 @@ def _exponents(fs: FrameSystem) -> tuple[int, int]:
     # (e_phi, e_w) of ``centred``, which frame_spectrum applies with no frame built
     w = fs.grid.weights
     e_max, e_min = (math.frexp(math.sqrt(x))[1] for x in (w.max(), w.min()))
-    return _binary_exponent(fs.vectors), (e_max + e_min - 1) // 2
+    return _binary_exponent(fs.vectors), max((e_max + e_min - 1) // 2, e_max - 512)
 
 
 def frame_spectrum(

@@ -1,6 +1,7 @@
 import argparse
 import collections
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -9,6 +10,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -562,6 +564,19 @@ class TestCanonicalAndVerify:
         }
         src = write(tmp_path / "w.json", payload)
         assert cli.main(["verify", src]) == EXIT_OK
+
+    @pytest.mark.parametrize("weights", [[5e-324, 1.0, 1.7e308], [1e-320, 1.0, 1e300]])
+    def test_verify_subnormal_and_huge_weights(self, tmp_path, capsys, weights):
+        # centring W must not lift the largest weight past the double range
+        payload = {
+            "grid": {"points": [0.0, 1.0, 2.0], "weights": weights},
+            "vectors": [[1.0, 0.5, 0.25], [0.0, 1.0, -1.0]],
+        }
+        src = write(tmp_path / "w.json", payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["verify", src]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     def test_verify_nan_residual_fails_its_row(self, tmp_path, capsys, monkeypatch):
         # NaN compares false both ways, so the verdict must be
@@ -1200,10 +1215,31 @@ EXIT_BY_ERROR = {
     errors.ZeroSpan: EXIT_DEGENERATE,
     errors.NotAFrame: EXIT_DEGENERATE,
     errors.NotConverged: EXIT_SCHEMA,
+    errors.Violation: EXIT_MATH,
+}
+
+# The label main prints before each class's message on stderr.
+LABEL_BY_ERROR = {
+    errors.FramekitError: "error",
+    errors.InvalidMatrix: "invalid input",
+    errors.DimensionMismatch: "invalid input",
+    errors.InvalidIndex: "invalid input",
+    errors.InvalidArgument: "invalid input",
+    cli.SchemaError: "schema error",
+    errors.ZeroSpan: "degenerate input",
+    errors.NotAFrame: "degenerate input",
+    errors.NotConverged: "error",
+    errors.Violation: "violation",
 }
 
 
 class TestExitCodes:
+    def test_exit_numbers_are_the_documented_ones(self):
+        # the constants are read from the error classes, so the tests that
+        # compare against them would follow a changed class; this one does not
+        codes = (EXIT_OK, EXIT_MISSING, EXIT_SCHEMA, EXIT_DEGENERATE, EXIT_MATH, EXIT_SANDWICH)
+        assert codes == (0, 1, 2, 3, 4, 5)
+
     def test_every_error_class_is_mapped(self):
         def subclasses(cls):
             for sub in cls.__subclasses__():
@@ -1223,6 +1259,37 @@ class TestExitCodes:
         path = write(tmp_path / "basis.json", standard_basis_payload())
         assert cli.main(["analyze", path]) == code
         assert "stubbed failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", list(EXIT_BY_ERROR), ids=lambda x: x.__name__)
+    def test_error_class_label(self, monkeypatch, tmp_path, capsys, error):
+        def failing(args):
+            print("printed before the failure")
+            raise error("stubbed failure")
+
+        monkeypatch.setattr(cli, "cmd_analyze", failing)
+        path = write(tmp_path / "basis.json", standard_basis_payload())
+        cli.main(["analyze", path])
+        expected = f"{LABEL_BY_ERROR[error]}: stubbed failure\n"
+        assert capsys.readouterr() == ("printed before the failure\n", expected)
+
+    def test_a_new_class_brings_its_own_code_and_label(self, monkeypatch, tmp_path, capsys):
+        # main reads the code and the label from the class, so a class added
+        # later needs no handler of its own
+        class Custom(errors.FramekitError):
+            exit_code = 7
+            label = "custom failure"
+
+        def failing(args):
+            raise Custom("stubbed failure")
+
+        monkeypatch.setattr(cli, "cmd_analyze", failing)
+        path = write(tmp_path / "basis.json", standard_basis_payload())
+        assert cli.main(["analyze", path]) == 7
+        assert capsys.readouterr().err == "custom failure: stubbed failure\n"
+        # drop the class, so test_every_error_class_is_mapped never meets it
+        monkeypatch.undo()
+        del Custom, failing
+        gc.collect()
 
     @pytest.mark.parametrize("command", ["analyze", "kernel", "verify"])
     def test_jacobi_sweep_limit(self, monkeypatch, tmp_path, capsys, command):

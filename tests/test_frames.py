@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framekit import (
@@ -376,6 +377,45 @@ class TestCentred:
         assert (e_phi, e_w) == (0, k)
         assert unit.grid.weights.tolist() == [1.0] * 3
         assert unit.vectors.tobytes() == fs.vectors.tobytes()
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        tiny=st.floats(5e-324, 2.0**-1022, exclude_max=True),
+        huge=st.floats(1.0, 1.7e308),
+        middle=st.lists(st.floats(0.0, 1.0), max_size=3),
+    )
+    @example(tiny=5e-324, huge=1.7e308, middle=[])
+    @example(tiny=1e-320, huge=1e300, middle=[])
+    def test_subnormal_weights_stay_finite_and_positive(self, tiny, huge, middle):
+        # centring on the range of sqrt(W) alone would lift 1.7e308 by 4**13;
+        # the bound on e_w keeps every weight a finite, positive double
+        weights = np.array([tiny, huge] + [tiny + t * (huge - tiny) for t in middle])
+        fs = FrameSystem(
+            grid=Grid(points=np.arange(weights.size, dtype=float), weights=weights),
+            vectors=np.ones((2, weights.size)),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unit = frames.centred(fs)[0]
+        w = unit.grid.weights
+        assert np.isfinite(w).all() and (w > 0).all()
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        weights=st.lists(
+            st.floats(2.0**-1024, 1.7976931348623157e308), min_size=1, max_size=5
+        )
+    )
+    @example(weights=[2.0**-1024, 1.7976931348623157e308])
+    def test_exponents_of_normal_range_weights_are_the_centre(self, weights):
+        # at or above 2**-1024 the bound never binds, so e_w is the centre
+        # of sqrt(W)'s binary exponents and every such frame keeps its bits
+        fs = FrameSystem(
+            grid=Grid(points=np.arange(len(weights), dtype=float), weights=weights),
+            vectors=np.ones((1, len(weights))),
+        )
+        e_max, e_min = (math.frexp(math.sqrt(x))[1] for x in (max(weights), min(weights)))
+        assert frames._exponents(fs)[1] == (e_max + e_min - 1) // 2
 
 
 class TestEvalL:
