@@ -78,8 +78,9 @@ class Backend(NamedTuple):
       kernel set the compiled twin runs.
     - ``jacobi_rows(a, max_sweeps, tol)``: one-sided Jacobi on the rows of
       ``a``, whose length is a multiple of 8, returning (squared row norms,
-      rotations, sweeps); a variant's is a partial of its C
-      ``jacobi_rows_<v>``.
+      rotations, sweeps), the rows of ``a``, the rotations and the norms
+      sorted alike into non-increasing norms; a variant's is a partial of
+      its C ``jacobi_rows_<v>``.
     - ``sampler(rows, count)``: a scratch for blocks of up to ``rows``
       streams of ``count`` normals; its ``contract(seed, first, rows, c_re,
       c_im, out_re, out_im)`` writes the ``kl_contract`` of streams first..
@@ -170,12 +171,15 @@ class _TileSampler:
 
 def _jacobi_rows(jacobi, a, max_sweeps, tol):
     """A variant's C ``jacobi_rows_<v>``, ``jacobi``, on ``a``:
-    (squared row norms, rotations, sweeps)."""
+    (squared row norms, rotations, sweeps), sorted by the kernel.  The
+    rotations and then the norms fill one ctypes buffer, handed to C as it
+    is, so no array address is read but that of ``a``."""
     k, n = _hestenes_py.check_rows_args(a)
     at = _sampling_py.array_address(a, (k, n), writeable=True)
-    v, norms = np.eye(k), np.empty(k)
-    sweeps = jacobi(at, v.ctypes.data, norms.ctypes.data, k, n, max_sweeps, tol)
-    return norms, v, sweeps
+    out = (ctypes.c_double * (k * k + k))()
+    sweeps = jacobi(at, out, ctypes.byref(out, 8 * k * k), k, n, max_sweeps, tol)
+    flat = np.frombuffer(out)
+    return flat[k * k :], flat[: k * k].reshape(k, k), sweeps
 
 
 #: bytes a compiled ``spell_rows`` call fills at most, unless one row needs more

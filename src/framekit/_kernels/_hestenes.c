@@ -4,8 +4,8 @@
  * products summed in the same order and the same rotation formulas, element
  * for element (built with -ffp-contract=off so no FMA re-rounding creeps
  * in).  Keep the two files in sync.  a is a C-contiguous k x n array and v
- * a C-contiguous k x k array; every rotation combines two contiguous rows
- * of each.
+ * a C-contiguous k x k array, which the kernel sets to the identity first;
+ * every rotation combines two contiguous rows of each.
  *
  * The numpy twin visits the pairs of a sweep in row-cyclic order, (0, 1),
  * (0, 2), ..., (0, k-1), (1, 2), ...  This kernel runs them in a wavefront
@@ -104,9 +104,57 @@ BODY void rotate(double *x, double *y, long n, double c, double s)
     }
 }
 
-/* Rotate the rows of a, of n a multiple of LANES, in cyclic sweeps over the
- * pairs p < q, in the band order of the header, applying each rotation to
- * the rows of v as well, then write each row's squared norm to norms.  A
+/* whether a row of squared norm x, input row ix, goes before one of y, iy:
+ * the larger norm first, NaN last, ties in input order, as numpy's stable
+ * argsort of -norms orders them */
+BODY int goes_before(double x, long ix, double y, long iy)
+{
+    if (x > y || (y != y && x == x))
+        return 1;
+    return !(y > x || (x != x && y == y)) && ix < iy;
+}
+
+/* swap the n entries of x and y */
+BODY void swap_rows(double *x, double *y, long n)
+{
+    for (long j = 0; j < n; j++) {
+        double t = x[j];
+        x[j] = y[j];
+        y[j] = t;
+    }
+}
+
+/* Sort the rows of a, of v and the norms alike into non-increasing norms
+ * (goes_before's order), by selection with one row swap a place: k row
+ * swaps at most, and from[] of k entries the only scratch. */
+BODY void sort_rows(double *a, double *v, double *norms, long k, long n)
+{
+    long from[k];  /* the input row now at each place */
+    for (long i = 0; i < k; i++)
+        from[i] = i;
+    for (long i = 0; i + 1 < k; i++) {
+        long best = i;
+        for (long j = i + 1; j < k; j++)
+            if (goes_before(norms[j], from[j], norms[best], from[best]))
+                best = j;
+        if (best == i)
+            continue;
+        swap_rows(a + i * n, a + best * n, n);
+        swap_rows(v + i * k, v + best * k, k);
+        double t = norms[i];
+        norms[i] = norms[best];
+        norms[best] = t;
+        long f = from[i];
+        from[i] = from[best];
+        from[best] = f;
+    }
+}
+
+/* Set v to the identity, then rotate the rows of a, of n a multiple of
+ * LANES, in cyclic sweeps over the pairs p < q, in the band order of the
+ * header, applying each rotation to the rows of v as well, then write each
+ * row's squared norm to norms and sort the rows of a and v and the norms
+ * alike into non-increasing norms (sort_rows).  A
  * pair is rotated when |a_pq| > tol sqrt(a_pp) sqrt(a_qq) and neither row
  * counts as zero; rows beyond the rank of a shrink by about 2^-52 a sweep
  * until they do.  Stops after a sweep that rotates nothing, or after
@@ -123,6 +171,9 @@ BODY int jacobi_sweeps(double *a, double *v, double *norms, long k, long n, int 
     double s[BAND][3], c[BAND], sn[BAND];
     long ps[BAND], qs[BAND];
     int turn[BAND];
+    memset(v, 0, (size_t)(k * k) * sizeof *v);
+    for (long i = 0; i < k; i++)
+        v[i * k + i] = 1.0;
     while (rotated && sweeps <= max_sweeps) {
         rotated = 0;
         for (long p0 = 0; p0 < k - 1; p0 += BAND)
@@ -163,6 +214,7 @@ BODY int jacobi_sweeps(double *a, double *v, double *norms, long k, long n, int 
         dots(a + i * n, a + i * n, n, s[0]);
         norms[i] = s[0][0];
     }
+    sort_rows(a, v, norms, k, n);
     return sweeps;
 }
 

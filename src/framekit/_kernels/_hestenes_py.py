@@ -65,7 +65,9 @@ def lane_sums(table):
 
 
 def jacobi_rows(a, max_sweeps, tol):
-    """Orthogonalize the rows of ``a`` in place; (squared norms, v, sweeps).
+    """Orthogonalize the rows of ``a`` in place; (squared norms, v, sweeps),
+    the rows of ``a`` and ``v`` and the norms sorted alike into non-increasing
+    norms, ties in input order (numpy's stable argsort of -norms).
 
     ``a`` is a C-contiguous float64 (k, n) array, n a multiple of 8.  Pairs
     p < q are visited in cyclic order, and a pair is rotated when
@@ -107,4 +109,7 @@ def jacobi_rows(a, max_sweeps, tol):
         sweeps += rotated
     table, products = lane_table(k, n)
     np.multiply(a, a, out=products)
-    return np.array(lane_sums(table)), v, sweeps
+    norms = np.array(lane_sums(table))
+    order = np.argsort(-norms, kind="stable")
+    a[...] = a[order]
+    return norms[order], v[order], sweeps

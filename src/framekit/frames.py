@@ -214,13 +214,29 @@ def centred(fs: FrameSystem) -> tuple[FrameSystem, int, int]:
     so e_w is bounded below by e_max - 512: sqrt(W) then stays below 2**512,
     and every weight finite and positive.  The scalings are exact, so 2**a Phi
     on 4**b W gives this frame bit for bit with exponents offset by (a, b);
-    ``fs`` itself comes back at (0, 0).
+    ``fs`` itself comes back at (0, 0).  Power-of-two scaling keeps what
+    ``Grid`` and ``FrameSystem`` check (finite entries, positive weights,
+    the same points and shapes), so the scaled arrays are wrapped as they
+    are, with no second validation.
     """
     e_phi, e_w = _exponents(fs)
     if not (e_phi or e_w):
         return fs, 0, 0
-    grid = Grid(fs.grid.points, np.ldexp(fs.grid.weights, -2 * e_w)) if e_w else fs.grid
-    return FrameSystem(grid=grid, vectors=np.ldexp(fs.vectors, -e_phi)), e_phi, e_w
+    grid = fs.grid
+    if e_w:
+        grid = _valid(Grid, points=grid.points, weights=np.ldexp(grid.weights, -2 * e_w))
+    vectors = np.ldexp(fs.vectors, -e_phi) if e_phi else fs.vectors
+    return _valid(FrameSystem, grid=grid, vectors=vectors), e_phi, e_w
+
+
+def _valid(cls, **fields):
+    # a Grid or FrameSystem of fields known valid, its arrays read-only, unchecked
+    made = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(made, name, value)
+    return made
 
 
 def _exponents(fs: FrameSystem) -> tuple[int, int]:

@@ -188,25 +188,39 @@ def kl_sandwich(
     computation stays normal each number has its bits, and elsewhere it is
     the more accurate.  A coefficient, a, b, E|X|^2 or E|Y|^2 that is not
     finite is refused as ``ComplexVector`` and ``sandwich_check`` refuse it.
+
+    E|Y|^2 and the sides have degree 4 in W^{1/2}, so on the centred frame
+    of masses that span the double range they can overflow where the
+    model's own do not (masses [5e-324, 1, 1e-300] lift W by 2**536).  They
+    are formed on the coefficients scaled by 2**-e_c, max|c| in [0.5, 1),
+    with b scaled into [0.5, 1) and E|X|^2 by the rest of 4**-e_c; each
+    scaling is a power of two, so where the centred numbers stay normal
+    every bit is theirs.
     """
     unit, e_phi, e_w = centred(fs)
     e_p = _binary_exponent(np.stack([phat.re, phat.im]))
     unit_phat = ComplexVector(re=np.ldexp(phat.re, -e_p), im=np.ldexp(phat.im, -e_p))
     spec = frame_spectrum(unit, rank_tol)
     c = kl_coefficients(unit, unit_phat)
-    ex2, ey2 = theoretical_variances(unit.grid, unit_phat, c)
+    e_c = _binary_exponent(np.stack([c.re, c.im]))
+    unit_c = ComplexVector(re=np.ldexp(c.re, -e_c), im=np.ldexp(c.im, -e_c))
+    ex2, ey2 = theoretical_variances(unit.grid, unit_phat, unit_c)  # ey2 = E|Y|^2 4**-e_c
 
-    def exponent(d_phi, d_w, d_p):  # of a number of these degrees in (Phi, W^1/2, phat)
-        return d_phi * e_phi + d_w * e_w + d_p * e_p
+    def exponent(d_phi, d_w, d_p, d_c=0):  # of these degrees in (Phi, W^1/2, phat, c)
+        return d_phi * e_phi + d_w * e_w + d_p * e_p + d_c * e_c
 
     coefficients = ComplexVector(*_scale_back_array(np.stack([c.re, c.im]), exponent(1, 2, 1)))
     a, b = (_scale_back(x, exponent(2, 2, 0)) for x in (spec.lower, spec.upper))
-    ex2_model, ey2_model = _scale_back(ex2, exponent(0, 2, 2)), _scale_back(ey2, exponent(2, 4, 2))
+    back = exponent(2, 4, 2, 2)  # of ey2 and of the sides formed as it is
+    ex2_model, ey2_model = _scale_back(ex2, exponent(0, 2, 2)), _scale_back(ey2, back)
     _check_finite(a, b, ex2_model, ey2_model)
-    report = sandwich_check(spec.lower, spec.upper, ex2, ey2)
-    sides = (_scale_back(x, exponent(2, 4, 2)) for x in (report.lower, report.upper, report.slack))
+    # a E|X|^2 and b E|X|^2 times 4**-e_c, as ey2: b into [0.5, 1), E|X|^2 by the rest
+    e_b = math.frexp(spec.upper)[1]
+    scaled = (_scale_back(x, -e_b) for x in (spec.lower, spec.upper))
+    report = sandwich_check(*scaled, _scale_back(ex2, e_b - 2 * e_c), ey2)
+    sides = (_scale_back(x, back) for x in (report.lower, report.upper, report.slack))
     report = SandwichReport(*sides, report.holds)
-    ratio = _scale_back(ey2 / ex2, exponent(2, 2, 0)) if ex2 else math.nan
+    ratio = _scale_back(ey2 / ex2, exponent(2, 2, 0, 2)) if ex2 else math.nan
     normal = sys.float_info.min <= report.lower and report.upper < math.inf
     over_ex2 = bool(ex2) and not normal  # a side left the normal range; a, ratio and b do not
     shown = (a, ratio, b) if over_ex2 else (report.lower, ey2_model, report.upper)

@@ -28,23 +28,35 @@ bounds every entry of a PSD table, and its rounding bound on the table's
 negative eigenvalues, ``kernel_psd_bound``, need F alone; only the kernel file
 forms the M x M table.  The spectrum uses no BLAS, but the products with F,
 the tight frame and the identity checks do, so their last bits may follow
-BLAS's thread count.  ``identity_suite`` checks them all from one spectrum,
-over all probes at once, on the centred frame, against gates of the same
-degrees in Phi and W^{1/2} as their residuals, so its verdicts do not follow
-the scale of Phi or W either (an absolute floor such as 1e-8 would pass a
-kernel wrong by O(1) on a frame of size 1e-90).
+BLAS's thread count.
+
+``identity_suite`` checks them all on the centred frame, read from the
+factors U_r, Lambda_r and V_r of its one spectrum rather than through the
+tables and verifiers: for the probe stack P and Q = P W^{1/2},
+
+    Q Q^T          <p_i, p_j>, analysis(P) (its first N columns), the Gramian
+    A = Q V_r      K (w P) = (A V_r^T) W^{-1/2},
+                   analysis(L P) = A Lambda_r^{-1} A[:N]^T
+    sum_k V_r^2/w  K's diagonal: its scale max_t K(t,t) and tr K = ||F||_F^2
+
+so the suite costs about one spectrum, builds no ``KernelMatrix`` and
+forms no M x M array.  Its gates have the same degrees in Phi and W^{1/2}
+as their residuals, so its verdicts do not follow the scale of Phi or W
+either (an absolute floor such as 1e-8 would pass a kernel wrong by O(1) on
+a frame of size 1e-90).
 
 Operator conventions on a weighted grid: kernel-style value tables (K, L)
 are elementwise symmetric and act on a function f as K (w * f).  Adjoints
 and projectors are therefore taken in the weighted inner product; on
 unit-weight grids they coincide with plain transposes.  Like the frame
-operators of ``frames`` (analysis T, synthesis T*, ``weighted_inner``,
-``weighted_norm``), on which the verifiers here are written, ``apply`` and
-every verifier take one grid function or a stack of them as rows.
+operators of ``frames`` (analysis T, synthesis T*, ``weighted_inner``), on
+which the verifiers here are written, ``apply`` and every verifier take one
+grid function or a stack of them as rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -63,11 +75,12 @@ from .frames import (
     frame_spectrum,
     synthesis,
     weighted_inner,
-    weighted_norm,
 )
 from .spectral import DEFAULT_RANK_TOL, _binary_exponent, _scale_back
 
 _UNIT_ROUNDOFF = 2.0**-53
+# entries of the block of Q - A V_r^T that _identity_rows forms at a time
+_BLOCK = 1 << 16
 
 
 class IdentityRow(NamedTuple):
@@ -100,14 +113,9 @@ class KernelMatrix:
             )
         f.setflags(write=False)
         object.__setattr__(self, "factor", f)
-        # a k-term dot product errs by gamma_k of its |terms|, so every entry
-        # |fl(F_s . F_t)| is below max_t ||F_t||^2 (1 + gamma_k) / (1 - gamma_k)
-        gamma = f.shape[1] * _UNIT_ROUNDOFF / (1.0 - f.shape[1] * _UNIT_ROUNDOFF)
         with np.errstate(over="ignore", invalid="ignore"):  # reported as InvalidMatrix
-            scale = float((f * f).sum(axis=1).max())
-        if not math.isfinite(scale * (1.0 + gamma) / (1.0 - gamma)):
-            raise InvalidMatrix("kernel table has non-finite entries")
-        object.__setattr__(self, "scale", scale)
+            row_squares = (f * f).sum(axis=1)
+        object.__setattr__(self, "scale", _table_scale(row_squares, f.shape[1]))
 
     @property
     def values(self) -> np.ndarray:
@@ -213,10 +221,8 @@ def kernel_psd_bound(kernel: KernelMatrix) -> float:
     while (k + 2) M < 9e6, since ||F||_F^2 = tr K <= M max_t K(t,t).
     """
     f = kernel.factor
-    k = f.shape[1]
-    gamma = (k + 2) * _UNIT_ROUNDOFF / (1.0 - (k + 2) * _UNIT_ROUNDOFF)
     with np.errstate(over="ignore"):  # past the largest double the bound reads inf
-        return gamma * float((f * f).sum())
+        return _gamma(f.shape[1] + 2) * float((f * f).sum())
 
 
 def polar_unitary(fs: FrameSystem, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -239,10 +245,14 @@ def identity_suite(fs: FrameSystem, rank_tol: float) -> dict:
     on the ``centred`` frame and scales each row back by its degrees below;
     ``holds`` is the verdict on the centred frame.
 
-    The probes, the N frame vectors and min(N, 3) combinations
-    phi_i - phi_{i+1}/2, are the rows of one matrix, so everything lies in the
-    span and each identity is one stacked call on the one frame spectrum, with
-    no M x M table; the kernel's PSD row reports ``kernel_psd_bound``, and
+    The probes P, the N frame vectors and min(N, 3) combinations
+    phi_i - phi_{i+1}/2, lie in the span.  Every row is read from the one
+    frame spectrum's U_r, Lambda_r and V_r with F = W^{-1/2} V_r, not through
+    ``KernelMatrix`` or the verifiers, as the module docstring sets out: the
+    rows of [P; C Phi] W^{1/2}, for min(N, 6) coefficient rows C, give one
+    Gram for the norms, the isometry and the adjoint rows; A = P W^{1/2} V_r
+    gives the reproducing and Lax rows; the kernel's PSD row is
+    ``kernel_psd_bound`` of F, read from K's diagonal; and
     ``kernel_vs_tight_max`` bounds K - Psi^T Psi = F (I - U_r^T U_r) F^T for
     the canonical tight frame Psi = U_r F^T.  With lambda_max the top Gramian
     eigenvalue, K(t,t) the kernel's diagonal, s the largest probe norm, and
@@ -280,54 +290,119 @@ def identity_suite(fs: FrameSystem, rank_tol: float) -> dict:
 def _identity_rows(fs: FrameSystem, rank_tol: float) -> dict:
     # {name: (residual, tolerance, d_Phi, d_w)} of identity_suite, in the units of fs
     spec = _spanning(frame_spectrum(fs, rank_tol))
-    kernel = _kernel(spec)
-    n = fs.n_vectors
-    lam_max = float(spec.eigenvalues[0])
+    u, v, lam = spec.u, spec.v, spec.retained
+    n, m, r = fs.n_vectors, fs.n_points, spec.rank
+    lam_max = float(lam[0])
+    weights = fs.grid.weights
+    root_w = np.sqrt(weights)
 
-    i = np.arange(min(n, 3))
-    combos = np.eye(n)[i]
-    combos[i, (i + 1) % n] = -0.5
-    probes = np.vstack([fs.vectors, combos @ fs.vectors])
-    probe_norms = weighted_norm(fs.grid, probes)
+    # K's diagonal sum_k V_r^2 / w, the squared rows of F = W^{-1/2} V_r: the
+    # scale max_t K(t,t) and tr K = ||F||_F^2 of kernel_psd_bound
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as InvalidMatrix
+        diagonal = np.einsum("ij,ij->i", v, v)
+        diagonal /= weights
+        psd_bound = _gamma(r + 2) * float(diagonal.sum())
+    k_scale = _table_scale(diagonal, r)
+
+    # Z = [P; C Phi] W^{1/2}: the probes P, the N frame vectors and min(N, 3)
+    # combinations phi_i - phi_{i+1}/2, then the syntheses of min(N, 6)
+    # coefficient rows c_j, each row times W^{1/2}; B = Phi W^{1/2} first
+    mix, coeffs, coeff_sq = _probe_mix(n)
+    p = n + len(mix) - len(coeffs)  # probes
+    z = np.empty((n + len(mix), m))
+    np.multiply(fs.vectors, root_w, out=z[:n])
+    np.matmul(mix, z[:n], out=z[n:])
+    # one Gram Z Z^T holds <p_i, p_j>, whose first N columns are analysis(P)
+    # and whose N x N head is the Gramian, ||sum_n c_jn phi_n||^2 on its
+    # diagonal and <p_i, sum_n c_jn phi_n> beside the probes' block
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as InvalidMatrix
+        zz = z @ z.T
+    if not np.isfinite(zz).all():
+        raise InvalidMatrix("Gramian has non-finite entries")
+    gram = zz[:p, :p]
+    norms_sq = zz.diagonal()
+    probe_norms = np.sqrt(norms_sq[:p])
     scale = float(probe_norms.max())
+    q = z[:p]  # P W^{1/2}
+    a = q @ v  # P W^{1/2} V_r; its first N rows are B V_r
 
-    j = np.arange(min(n, 6))
-    coeffs = np.eye(n)[j]
-    coeffs[j, n - 1 - j] += 0.25
-    coeff_sq = (coeffs * coeffs).sum(axis=1)
-    lhs, rhs = isometry_check(fs, coeffs)
-    isometry = float((np.abs(lhs - rhs) / (lam_max * coeff_sq)).max())
+    rhs = np.einsum("ij,ij->i", coeffs @ gram[:n, :n], coeffs)
+    isometry = float((np.abs(norms_sq[p:] - rhs) / coeff_sq).max()) / lam_max
     # <T f, c> = <f, T* c> on four probes; a zero probe has both sides 0
-    heads = probes[:4]
-    left = analysis(fs, heads) @ coeffs.T
-    right = weighted_inner(fs.grid, heads, synthesis(fs, coeffs))
-    bound = math.sqrt(lam_max) * np.outer(probe_norms[:4], np.sqrt(coeff_sq))
-    adjoint = float((np.abs(left - right) / np.where(bound > 0, bound, 1.0)).max())
+    left = gram[:4, :n] @ coeffs.T
+    bound = np.outer(probe_norms[:4], np.sqrt(coeff_sq))
+    ratio = np.abs(left - zz[: len(left), p:]) / np.where(bound > 0, bound, 1.0)
+    adjoint = float(ratio.max()) / math.sqrt(lam_max)
 
-    reproducing = verify_reproducing(fs, kernel, probes)
-    lax_residual = verify_lax_identity(fs, _lax(spec), probes, probes)
-    # |K(s,t)| <= max_t ||F_t||^2, and |(K - Psi^T Psi)(s,t)| <= that ||U_r^T U_r - I||_2
-    kernel_vs_tight = kernel.scale * float(np.linalg.norm(spec.u.T @ spec.u - np.eye(spec.rank)))
+    # analysis(P) analysis(L P)^T against <P, P>, analysis(L P) = A Lambda_r^-1 (B V_r)^T
+    lax = gram[:, :n] @ ((a[:n] / lam) @ a.T)
+    lax -= gram
+    lax_residual = float(np.abs(lax, out=lax).max())
+    # P - K (w P) = (Q - A V_r^T) W^{-1/2}, in place in Q, a block of columns at a time
+    step = max(1, _BLOCK // len(q))
+    for first in range(0, m, step):
+        block = q[:, first : first + step]
+        block -= a @ v[first : first + step].T
+        block /= root_w[first : first + step]
+    reproducing = float(np.abs(q, out=q).max())
+
+    # |K(s,t)| <= max_t K(t,t), and |(K - Psi^T Psi)(s,t)| <= that ||U_r^T U_r - I||_F
+    defect = u.T @ u
+    defect.flat[:: r + 1] -= 1.0
+    kernel_vs_tight = k_scale * math.sqrt(float(np.einsum("ij,ij->", defect, defect)))
     gram_psd = max(0.0, -float(spec.eigenvalues[-1]))
     # capped, so a frame that needs a wider gate fails rather than passing
     # with fewer than three digits
-    inverse_gate = min(1e-3, max(1e-8, 1.1e-14 * lam_max / float(spec.retained[-1])))
+    inverse_gate = min(1e-3, max(1e-8, 1.1e-14 * lam_max / float(lam[-1])))
     # probes hold genuine mass along eigendirections the rank cut discards;
     # the kernel reproduces only the retained span, so allow for that tail
-    cut_max = float(spec.eigenvalues[spec.rank :].max(initial=0.0))
+    cut_max = float(spec.eigenvalues[r:].max(initial=0.0))
     if cut_max <= 100 * 2.2e-16 * lam_max:
         cut_max = 0.0
-    truncation = 2.0 * math.sqrt(cut_max / float(fs.grid.weights.min()))
+    truncation = 2.0 * math.sqrt(cut_max / float(weights.min()))
 
     return {
         "max_reproducing_residual": (reproducing, inverse_gate * scale + truncation, 1, 0),
-        "kernel_vs_tight_max": (kernel_vs_tight, inverse_gate * kernel.scale, 0, -2),
+        "kernel_vs_tight_max": (kernel_vs_tight, inverse_gate * k_scale, 0, -2),
         "lax_identity_max": (lax_residual, inverse_gate * scale * scale, 2, 2),
         "isometry_relative_max": (isometry, 1e-10, 0, 0),
         "adjoint_relative_max": (adjoint, 1e-10, 0, 0),
-        "kernel_psd_violation": (kernel_psd_bound(kernel), 1e-9 * kernel.scale, 0, -2),
+        "kernel_psd_violation": (psd_bound, 1e-9 * k_scale, 0, -2),
         "gramian_psd_violation": (gram_psd, 1e-10 * lam_max, 2, 2),
     }
+
+
+@functools.lru_cache(maxsize=64)
+def _probe_mix(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (the rows that mix Phi into the combination probes and the coefficient
+    # rows, the coefficient rows c_j = e_j + e_{n-1-j}/4, ||c_j||^2), read-only
+    i, j = np.arange(min(n, 3)), np.arange(min(n, 6))
+    combos = np.eye(n)[i]
+    combos[i, (i + 1) % n] = -0.5
+    coeffs = np.eye(n)[j]
+    coeffs[j, n - 1 - j] += 0.25
+    mix = np.vstack([combos, coeffs])
+    coeffs = mix[len(i) :]
+    coeff_sq = (coeffs * coeffs).sum(axis=1)
+    for x in (mix, coeff_sq):
+        x.setflags(write=False)
+    return mix, coeffs, coeff_sq
+
+
+def _gamma(k: int) -> float:
+    # gamma_k = k u / (1 - k u), the relative error bound of a k-term dot product
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+
+
+def _table_scale(row_squares: np.ndarray, k: int) -> float:
+    # max_t ||F_t||^2 of an M x k factor F from its rows' squared norms.  A
+    # k-term dot product errs by gamma_k of its |terms|, so every entry
+    # |fl(F_s . F_t)| is below that (1 + gamma_k) / (1 - gamma_k); InvalidMatrix
+    # if the bound is not finite
+    scale = float(row_squares.max())
+    if not math.isfinite(scale * (1.0 + _gamma(k)) / (1.0 - _gamma(k))):
+        raise InvalidMatrix("kernel table has non-finite entries")
+    return scale
 
 
 def _spanning(spec: FrameSpectrum) -> FrameSpectrum:

@@ -120,8 +120,9 @@ def padded_svd(work, width) -> tuple[RowSVD, int]:
     first scaled by 2**-e into max|entry| in [0.5, 1) (e = 0 if all zero),
     which is exact for entries that stay normal, keeps the rows far above
     the kernels' zero-row threshold and gives 2**k ``work`` the same
-    rotations with e + k.  ``squares`` scale back by 2**2e and ``rows``,
-    the rotated rows' first ``width`` columns in that order, by 2**e.
+    rotations with e + k.  The kernels return the rows sorted, so ``rows``
+    is a view of ``work``'s first ``width`` columns, not a copy: ``squares``
+    scale back by 2**2e and ``rows`` by 2**e.
     """
     e = _binary_exponent(work)
     if e:
@@ -132,9 +133,7 @@ def padded_svd(work, width) -> tuple[RowSVD, int]:
             f"Jacobi on a {work.shape[0]} x {width} array still rotated after "
             f"{_MAX_SWEEPS} sweeps"
         )
-    order = np.argsort(-squares, kind="stable")
-    svd = RowSVD(squares=squares[order], rows=work[order, :width], left=left[order], sweeps=sweeps)
-    return svd, e
+    return RowSVD(squares=squares, rows=work[:, :width], left=left, sweeps=sweeps), e
 
 
 def jacobi_backend() -> str:

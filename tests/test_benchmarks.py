@@ -20,6 +20,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         # 5003 samples leave a last block of 907 streams, which pads its last tile
         ["bench_sampling.py", "--samples", "5003", "--vectors", "7", "--json", "sampling.json"],
         ["op_digests.py", "--seeds", "1", "--samples", "2000", "--json", "digests.json"],
+        ["bench_verify.py", "--large", "6x40", "--repeats", "2", "--large-repeats", "2",
+         "--json", "verify.json"],
     ],
     ids=lambda argv: argv[0],
 )

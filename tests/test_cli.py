@@ -474,6 +474,34 @@ class TestGpSim:
         assert 0.0 < lower <= upper
         assert (lower <= middle <= upper) == (not doubled)
 
+    @pytest.mark.parametrize("balanced", [False, True], ids=["generic", "balanced"])
+    def test_masses_across_the_double_range(self, tmp_path, capsys, balanced):
+        # masses [5e-324, 1, 1e-300] put the centred weights near 2**536,
+        # where E|Y|^2, of degree 4 in W^{1/2}, read inf on the centred
+        # frame.  A generic 3 x 3 frame there is no frame at the rank rule
+        # and must be refused as one, not as an overflow; with each column
+        # divided by sqrt(mass) it is a frame, decided as at any other mass.
+        masses = np.array([5e-324, 1.0, 1e-300])
+        rows = np.array([[1.0, 0.5, -0.25], [0.25, 1.0, 0.5], [-0.5, 0.25, 1.0]])
+        payload = {
+            "atoms": [{"u": u, "mass": mass} for u, mass in zip([-1.0, 0.5, 2.0], masses)],
+            "frame": (rows / np.sqrt(masses) if balanced else rows).tolist(),
+            "phat": {"re": [1.0, -0.5, 0.75], "im": [0.25, 0.5, -1.0]},
+        }
+        path = write(tmp_path / "model.json", payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["gp-sim", path, "--samples", "1000"])
+        captured = capsys.readouterr()
+        if balanced:
+            assert code == EXIT_OK
+            assert captured.out.endswith("sandwich 0.03125 <= 0.65625 <= 0.96875: holds\n")
+        else:
+            assert code == EXIT_DEGENERATE
+            assert captured.err == (
+                "degenerate input: sandwich bounds need a strictly positive lower bound\n"
+            )
+
     def test_not_a_frame(self, tmp_path, capsys):
         payload = onb_model_payload()
         payload["frame"] = [[1.0, 0.0, 0.0]]
@@ -577,6 +605,20 @@ class TestCanonicalAndVerify:
             warnings.simplefilter("error")
             assert cli.main(["verify", src]) == EXIT_OK
         assert capsys.readouterr().err == ""
+
+    def test_verify_refuses_a_gramian_past_the_double_range(self, tmp_path, capsys):
+        # two weights of 1.7e308 and a subnormal one leave W as it is when
+        # centred, and the Gramian's first entry, 1.7e308 (0.9^2 + 0.9^2),
+        # overflows: refused as invalid input, with no numpy warning
+        payload = {
+            "grid": {"points": [0.0, 1.0, 2.0], "weights": [5e-324, 1.7e308, 1.7e308]},
+            "vectors": [[0.9, 0.9, 0.9], [0.9, -0.9, 0.5]],
+        }
+        src = write(tmp_path / "w.json", payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["verify", src]) == EXIT_SCHEMA
+        assert capsys.readouterr().err == "invalid input: Gramian has non-finite entries\n"
 
     def test_verify_nan_residual_fails_its_row(self, tmp_path, capsys, monkeypatch):
         # NaN compares false both ways, so the verdict must be

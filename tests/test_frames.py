@@ -402,6 +402,34 @@ class TestCentred:
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(
+        weights=st.lists(st.floats(5e-324, 1.7976931348623157e308), min_size=1, max_size=5),
+        seed=st.integers(0, 1000),
+        n=st.integers(1, 3),
+        e=st.integers(-1074, 1023),
+    )
+    @example(weights=[5e-324, 1.0, 1.7e308], seed=0, n=2, e=0)
+    @example(weights=[5e-324, 1.0, 1e-300], seed=1, n=3, e=-1074)
+    @example(weights=[1e-320, 1.0, 1e300], seed=2, n=1, e=1023)
+    def test_centred_frame_passes_full_validation(self, weights, seed, n, e):
+        # centred wraps its scaled arrays without validating them again, so
+        # they must pass Grid's and FrameSystem's checks as they stand
+        vectors = np.ldexp(np.random.default_rng(seed).uniform(-1.0, 1.0, (n, len(weights))), e)
+        fs = FrameSystem(
+            grid=Grid(points=np.arange(len(weights), dtype=float), weights=weights),
+            vectors=vectors,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unit = frames.centred(fs)[0]
+        checked = FrameSystem(
+            grid=Grid(points=unit.grid.points, weights=unit.grid.weights), vectors=unit.vectors
+        )
+        for a, b in [(checked.vectors, unit.vectors), (checked.grid.weights, unit.grid.weights),
+                     (checked.grid.points, unit.grid.points)]:
+            assert a.tobytes() == b.tobytes() and not b.flags.writeable
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
         weights=st.lists(
             st.floats(2.0**-1024, 1.7976931348623157e308), min_size=1, max_size=5
         )

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -67,6 +68,55 @@ def scaled(fs, c):
 
 def reweighted(fs, c):
     return FrameSystem(grid=Grid(fs.grid.points, c * fs.grid.weights), vectors=fs.vectors)
+
+
+def read_faulted_spectrum(monkeypatch, fault):
+    """Make ``rkhs`` read ``fault(spec)`` for each frame spectrum it takes:
+    the identity suite reads every row from its one spectrum, so a wrong
+    factor there is a wrong kernel, tight frame or Lax-Milgram operator."""
+    spectrum = rkhs.frame_spectrum
+    monkeypatch.setattr(
+        rkhs, "frame_spectrum", lambda fs, rank_tol=RANK_TOL: fault(spectrum(fs, rank_tol))
+    )
+
+
+def kernel_factor_times_root_two(spec):
+    # V_r times sqrt(2): the kernel W^{-1/2} V_r V_r^T W^{-1/2} doubles, and
+    # the Lax-Milgram operator with it
+    return replace(spec, v=np.sqrt(2.0) * spec.v)
+
+
+def lax_factor_times_root_two(spec):
+    # the eigenvalues halved: the Lax factor W^{-1/2} V_r Lambda_r^{-1/2}
+    # times sqrt(2), with the kernel, the tight frame and the Lax row's gate,
+    # which reads lambda_max / lambda_r, as they were
+    return replace(spec, eigenvalues=spec.eigenvalues / 2.0)
+
+
+def kernel_factor_doubled(spec):
+    return replace(spec, v=2.0 * spec.v)
+
+
+def tight_frame_row_moved(spec):
+    # one row of U_r moved, so U_r has no orthonormal columns and the tight
+    # frame U_r V_r^T W^{-1/2} is not the kernel's
+    u = spec.u.copy()
+    u[0] += 0.25
+    return replace(spec, u=u)
+
+
+def rank_one_short(spec):
+    # the last retained direction dropped, a real eigenvalue left to the cut
+    return replace(spec, rank=spec.rank - 1, u=spec.u[:, :-1], v=spec.v[:, :-1])
+
+
+#: wrong spectra that verify must reject at every scale
+SPECTRUM_FAULTS = {
+    "v-doubled": kernel_factor_doubled,
+    "u-row-moved": tight_frame_row_moved,
+    "lax-factor-root-two": lax_factor_times_root_two,
+    "rank-one-short": rank_one_short,
+}
 
 
 def suite_ratios(fs):
@@ -279,16 +329,25 @@ class TestScale:
         self, tmp_path, capsys, monkeypatch, fs, rank_tol
     ):
         # A kernel wrong by O(1) must fail verify however small the frame is.
-        # Scaling the factor shared by the kernel-style tables doubles K and
-        # keeps the tight frame consistent with it, as a wrong spectrum would,
-        # so only the scale-relative gates can catch it.
-        factor = rkhs._v_unweighted
-        monkeypatch.setattr(
-            rkhs, "_v_unweighted", lambda spec: np.sqrt(2.0) * factor(spec)
-        )
+        # Scaling V_r, the factor shared by the kernel-style tables, doubles K
+        # and keeps the tight frame consistent with it, as a wrong spectrum
+        # would, so only the scale-relative gates can catch it.
+        read_faulted_spectrum(monkeypatch, kernel_factor_times_root_two)
         path = tmp_path / "scaled.json"
         cli.write_frame_file(str(path), fs)
         assert cli.main(["verify", str(path), "--rank-tol", rank_tol]) == cli.EXIT_MATH
+
+    @pytest.mark.parametrize("c", [1e-90, 1.0, 1e80])
+    @pytest.mark.parametrize("fault", sorted(SPECTRUM_FAULTS))
+    def test_each_spectrum_fault_fails_verify_at_any_scale(
+        self, tmp_path, capsys, monkeypatch, fault, c
+    ):
+        # each fault reaches the suite through the one spectrum it reads,
+        # and the gates are scale-relative, so each fails at every scale
+        read_faulted_spectrum(monkeypatch, SPECTRUM_FAULTS[fault])
+        path = tmp_path / "scaled.json"
+        cli.write_frame_file(str(path), scaled(small_frame(), c))
+        assert cli.main(["verify", str(path)]) == cli.EXIT_MATH
 
     @staticmethod
     def verify_rows(tmp_path, capsys, fs):
@@ -329,7 +388,8 @@ class TestScale:
         code, _ = self.verify_rows(tmp_path, capsys, scaled(small_frame(), 1e200))
         assert code == cli.EXIT_MATH
 
-    @pytest.mark.parametrize("fault", [None, "_lax", "_kernel"],
+    @pytest.mark.parametrize("fault", [None, lax_factor_times_root_two,
+                                       kernel_factor_times_root_two],
                              ids=["unfaulted", "lax-factor", "kernel-factor"])
     def test_rows_printed_as_inf_keep_their_verdict(self, tmp_path, capsys, monkeypatch, fault):
         # the differential harness's frame scaled by 2**900: its Lax row
@@ -338,9 +398,7 @@ class TestScale:
         # its kernel factor times sqrt(2)
         points, weights, vectors = differential_frames()["scaled-up"]
         if fault:
-            table = getattr(rkhs, fault)
-            monkeypatch.setattr(rkhs, fault, lambda spec: rkhs.KernelMatrix(
-                grid=spec.frame.grid, factor=np.sqrt(2.0) * table(spec).factor))
+            read_faulted_spectrum(monkeypatch, fault)
         path = tmp_path / "scaled-up.json"
         cli.write_frame_file(str(path), FrameSystem(grid=Grid(points, weights), vectors=vectors))
         code = cli.main(["verify", str(path)])
@@ -457,10 +515,7 @@ class TestScale:
     def test_doubled_kernel_fails_the_reproducing_row_on_large_weights(self, monkeypatch):
         # read at the centred weights, the reproducing tolerance does not grow
         # with sqrt(W), so the row catches an O(1) error on weights of 1e20
-        factor = rkhs._v_unweighted
-        monkeypatch.setattr(
-            rkhs, "_v_unweighted", lambda spec: np.sqrt(2.0) * factor(spec)
-        )
+        read_faulted_spectrum(monkeypatch, kernel_factor_times_root_two)
         suite = rkhs.identity_suite(reweighted(small_frame(), 1e20), RANK_TOL)
         assert not suite["max_reproducing_residual"].holds
 
@@ -695,21 +750,22 @@ class TestOneDecompositionPerFrame:
     def test_verify_checks_each_identity_once(
         self, calls, frame_file, monkeypatch, capsys
     ):
+        # every row is read from the one spectrum, taken once: the suite
+        # builds no kernel table and calls none of the operators or verifiers
         seen = {}
-        stacked = ("verify_reproducing", "verify_lax_identity", "isometry_check")
-        for name in stacked + ("build_gramian",):
+        helpers = ("KernelMatrix", "verify_reproducing", "verify_lax_identity",
+                   "isometry_check", "build_gramian", "analysis", "synthesis",
+                   "weighted_inner")
+        for name in ("frame_spectrum", "_identity_rows") + helpers:
             original = getattr(rkhs, name)
 
-            def counted(*args, _name=name, _original=original):
+            def counted(*args, _name=name, _original=original, **kwargs):
                 seen[_name] = seen.get(_name, 0) + 1
-                return _original(*args)
+                return _original(*args, **kwargs)
 
             monkeypatch.setattr(rkhs, name, counted)
         assert cli.main(["verify", frame_file]) == cli.EXIT_OK
-        assert seen["verify_reproducing"] == 1
-        assert seen["verify_lax_identity"] == 1
-        assert seen["isometry_check"] == 1
-        assert seen["build_gramian"] <= 1
+        assert seen == {"frame_spectrum": 1, "_identity_rows": 1}
         assert calls == [(30, 64)]
 
     def test_canonical_projector_residual(self, tmp_path, capsys, frame_file):
