@@ -8,10 +8,12 @@ loaded, it times ``rkhs.identity_suite`` and ``frames.frame_spectrum`` and
 prints the median milliseconds per call over ``--repeats`` calls
 (``--large-repeats`` on the large frame), with the suite's cost beyond its
 spectrum.  It also prints the tracemalloc peak of one call of each, as a
-multiple of Phi's bytes (8 N M).  It exits 1 unless every twin gives every
-frame the same suite rows, bit for bit.  ``--json PATH`` also writes the
-medians and quartiles, the peaks and the sums over the ``frame-cli``
-frames, with the environment, as JSON.
+multiple of Phi's bytes (8 N M), and the largest margin of a row, its
+residual / tolerance on the centred frame where its verdict is taken (a row
+fails above 1).  It exits 1 unless every twin gives every frame the same
+suite rows, bit for bit.  ``--json PATH`` also writes the medians and
+quartiles, the peaks, every row's margin and the sums over the
+``frame-cli`` frames, with the environment, as JSON.
 
     PYTHONPATH=src python3 benchmarks/bench_verify.py [--seed 31337] [--large 50x20000] [--repeats 200] [--large-repeats 7] [--json PATH]
 """
@@ -47,6 +49,12 @@ def peak_bytes(fn):
         tracemalloc.stop()
 
 
+def margins(fs):
+    """Each row's residual / tolerance on the centred frame, where its verdict is taken."""
+    raw = rkhs._identity_rows(frames.centred(fs)[0], DEFAULT_RANK_TOL)
+    return {name: residual / tolerance for name, (residual, tolerance, *_) in raw.items()}
+
+
 def suite_bits(rows):
     """The suite's rows as text that differs wherever one bit does."""
     return {name: [row.residual.hex(), row.tolerance.hex(), row.holds] for name, row in rows.items()}
@@ -71,7 +79,7 @@ def main():
 
     results, rows, failed = [], {}, False
     print(f"{'frame':>20} {'twin':>8} {'suite ms':>9} {'spectrum':>9} {'beyond':>9} "
-          f"{'suite peak':>10} {'spec peak':>9}")
+          f"{'suite peak':>10} {'spec peak':>9} {'max margin':>10}")
     for f, repeats in cases:
         fs = FrameSystem(grid=Grid(f.points, f.weights), vectors=f.vectors)
         phi_bytes = fs.vectors.nbytes
@@ -84,14 +92,16 @@ def main():
             bits = suite_bits(rkhs.identity_suite(fs, DEFAULT_RANK_TOL))
             failed |= rows.setdefault(f.name, bits) != bits
             beyond = suite["median"] - spectrum["median"]
+            margin = margins(fs)
             results.append(
                 {"frame": f.name, "shape": list(fs.vectors.shape), "twin": twin,
                  "repeats": repeats, "identity_suite_ms": suite, "frame_spectrum_ms": spectrum,
                  "beyond_spectrum_ms": beyond, "suite_peak_x_phi": suite_peak,
-                 "spectrum_peak_x_phi": spectrum_peak}
+                 "spectrum_peak_x_phi": spectrum_peak, "margins": margin}
             )
             print(f"{f.name:>20} {twin:>8} {suite['median']:>9.3f} {spectrum['median']:>9.3f} "
-                  f"{beyond:>9.3f} {suite_peak:>9.2f}x {spectrum_peak:>8.2f}x")
+                  f"{beyond:>9.3f} {suite_peak:>9.2f}x {spectrum_peak:>8.2f}x "
+                  f"{max(margin.values()):>10.3g}")
     _kernels.ACTIVE = active
     sums = {}
     for twin in twins:

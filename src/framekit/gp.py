@@ -179,8 +179,11 @@ def kl_sandwich(
     fs: FrameSystem, phat: ComplexVector, rank_tol: float = DEFAULT_RANK_TOL
 ) -> KLSandwich:
     """The KL model of phat on the frame ``fs``, taken on the
-    ``frames.centred`` frame and on 2**-e_p phat, max|phat| in [0.5, 1), and
-    scaled back by each number's degrees in (Phi, W^{1/2}, phat).
+    ``frames.centred`` frame with Phi scaled once more by 2**-e_s, max|B| in
+    [0.5, 1), and on 2**-e_p phat, max|phat| in [0.5, 1), and scaled back by
+    each number's degrees in (Phi, W^{1/2}, phat).  Centring Phi alone can
+    leave B = Phi W^{1/2} near 2**-538, where a large entry of Phi sits on a
+    subnormal mass, and its eigenvalues would read 0.
 
     Each side of the sandwich has degree 2 in Phi, in the masses and in
     phat, so it can leave the double range where the model does not: masses
@@ -195,16 +198,25 @@ def kl_sandwich(
     are formed on the coefficients scaled by 2**-e_c, max|c| in [0.5, 1),
     with b scaled into [0.5, 1) and E|X|^2 by the rest of 4**-e_c; each
     scaling is a power of two, so where the centred numbers stay normal
-    every bit is theirs.
+    every bit is theirs.  E|X|^2, of degree 2 in W^{1/2}, is formed on the
+    masses scaled by 2**-e_m, the largest in [0.5, 1), for the same reason:
+    masses [5e-324, 1.7e308, 1.7e308] keep W as it is.
     """
     unit, e_phi, e_w = centred(fs)
+    with np.errstate(under="ignore"):
+        e_s = _binary_exponent(unit.vectors * np.sqrt(unit.grid.weights))
+    if e_s:
+        unit = FrameSystem(grid=unit.grid, vectors=np.ldexp(unit.vectors, -e_s))
+        e_phi += e_s
     e_p = _binary_exponent(np.stack([phat.re, phat.im]))
     unit_phat = ComplexVector(re=np.ldexp(phat.re, -e_p), im=np.ldexp(phat.im, -e_p))
     spec = frame_spectrum(unit, rank_tol)
     c = kl_coefficients(unit, unit_phat)
     e_c = _binary_exponent(np.stack([c.re, c.im]))
     unit_c = ComplexVector(re=np.ldexp(c.re, -e_c), im=np.ldexp(c.im, -e_c))
-    ex2, ey2 = theoretical_variances(unit.grid, unit_phat, unit_c)  # ey2 = E|Y|^2 4**-e_c
+    e_m = _binary_exponent(unit.grid.weights)
+    ex2 = float(np.sum(np.ldexp(unit.grid.weights, -e_m) * unit_phat.abs2()))  # E|X|^2 2**-e_m
+    ey2 = float(np.sum(unit_c.abs2()))  # E|Y|^2 4**-e_c
 
     def exponent(d_phi, d_w, d_p, d_c=0):  # of these degrees in (Phi, W^1/2, phat, c)
         return d_phi * e_phi + d_w * e_w + d_p * e_p + d_c * e_c
@@ -212,15 +224,15 @@ def kl_sandwich(
     coefficients = ComplexVector(*_scale_back_array(np.stack([c.re, c.im]), exponent(1, 2, 1)))
     a, b = (_scale_back(x, exponent(2, 2, 0)) for x in (spec.lower, spec.upper))
     back = exponent(2, 4, 2, 2)  # of ey2 and of the sides formed as it is
-    ex2_model, ey2_model = _scale_back(ex2, exponent(0, 2, 2)), _scale_back(ey2, back)
+    ex2_model, ey2_model = _scale_back(ex2, exponent(0, 2, 2) + e_m), _scale_back(ey2, back)
     _check_finite(a, b, ex2_model, ey2_model)
     # a E|X|^2 and b E|X|^2 times 4**-e_c, as ey2: b into [0.5, 1), E|X|^2 by the rest
     e_b = math.frexp(spec.upper)[1]
     scaled = (_scale_back(x, -e_b) for x in (spec.lower, spec.upper))
-    report = sandwich_check(*scaled, _scale_back(ex2, e_b - 2 * e_c), ey2)
+    report = sandwich_check(*scaled, _scale_back(ex2, e_m + e_b - 2 * e_c), ey2)
     sides = (_scale_back(x, back) for x in (report.lower, report.upper, report.slack))
     report = SandwichReport(*sides, report.holds)
-    ratio = _scale_back(ey2 / ex2, exponent(2, 2, 0, 2)) if ex2 else math.nan
+    ratio = _scale_back(ey2 / ex2, exponent(2, 2, 0, 2) - e_m) if ex2 else math.nan
     normal = sys.float_info.min <= report.lower and report.upper < math.inf
     over_ex2 = bool(ex2) and not normal  # a side left the normal range; a, ratio and b do not
     shown = (a, ratio, b) if over_ex2 else (report.lower, ey2_model, report.upper)

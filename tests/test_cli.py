@@ -502,6 +502,26 @@ class TestGpSim:
                 "degenerate input: sandwich bounds need a strictly positive lower bound\n"
             )
 
+    def test_finite_ex2_on_masses_at_both_ends_of_the_double_range(self, tmp_path, capsys):
+        # masses [5e-324, 1.7e308, 1.7e308] keep W as it is, so the centred
+        # E|X|^2 = sum w |phat|^2 needs its own power of two, and the centred
+        # B = Phi W^{1/2} lies near 2**-538, where its eigenvalues underflow
+        masses = np.array([5e-324, 1.7e308, 1.7e308])
+        rows = np.array([[1.0, 0.5, -0.25], [0.25, 1.0, 0.5], [-0.5, 0.25, 1.0]])
+        payload = {
+            "atoms": [{"u": u, "mass": mass} for u, mass in zip([-1.0, 0.5, 2.0], masses)],
+            "frame": (rows / np.sqrt(masses)).tolist(),
+            "phat": {"re": [0.1, -0.1, 0.1], "im": [0.0, 0.0, 0.0]},
+        }
+        path = write(tmp_path / "model.json", payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["gp-sim", path, "--samples", "1000"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert out.splitlines()[1].startswith("ex2=3.4e+306 ")
+        assert out.endswith(": holds\n")
+
     def test_not_a_frame(self, tmp_path, capsys):
         payload = onb_model_payload()
         payload["frame"] = [[1.0, 0.0, 0.0]]

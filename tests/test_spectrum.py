@@ -637,7 +637,8 @@ def spectral_frames(draw):
     return frame_with_spectrum(draw(st.integers(0, 2**32 - 1)), n, m, k), k
 
 
-@pytest.mark.parametrize(
+#: frames whose eigenvalues reach the rank rule's noise floor, with the rank kept at rank_tol 0
+NOISE_FLOOR_CASES = pytest.mark.parametrize(
     "fs, rank",
     [
         (scaled(duplicated_frame(3, 8, 16), 1e3), 8),
@@ -652,9 +653,82 @@ def spectral_frames(draw):
     ids=["duplicates-1e3", "duplicates", "spectrum-3", "monomial-12", "monomial-16",
          "monomial-24"],
 )
+
+
+@NOISE_FLOOR_CASES
 def test_rank_tol_zero_keeps_no_rounding_noise(fs, rank):
     # eigenvalues below (min(N, M) 2**-52)**2 lambda_max are never kept
     assert frame_spectrum(fs, 0.0).rank == rank
+
+
+#: the wrong spectra of the fault matrix: SPECTRUM_FAULTS and V_r times sqrt(2)
+FAULT_MATRIX = {**SPECTRUM_FAULTS, "v-root-two": kernel_factor_times_root_two}
+#: the rows of the identity suite that each wrong spectrum must fail
+FAULT_CATCHERS = {
+    "v-doubled": {"max_reproducing_residual", "lax_identity_max", "isometry_relative_max",
+                  "adjoint_relative_max"},
+    "v-root-two": {"max_reproducing_residual", "lax_identity_max", "isometry_relative_max",
+                   "adjoint_relative_max"},
+    "u-row-moved": {"kernel_vs_tight_max", "adjoint_relative_max"},
+    "lax-factor-root-two": {"lax_identity_max", "adjoint_relative_max"},
+    "rank-one-short": {"lax_identity_max"},
+}
+COEFFICIENT_ROWS = ("isometry_relative_max", "adjoint_relative_max")
+
+
+class TestCoefficientRows:
+    """The isometry of the span onto its coefficients, ||V_r^T W^{1/2} p||^2 =
+    ||p||^2_w, and the adjoint analysis(P) = A Lambda_r^{1/2} U_r^T, read from
+    the factors: they hold on sound frames and name the faults they catch."""
+
+    @pytest.mark.parametrize("c", [1e-90, 1.0, 1e80])
+    @pytest.mark.parametrize("fault", sorted(FAULT_MATRIX))
+    def test_fault_matrix_names_its_catchers(self, monkeypatch, fault, c):
+        read_faulted_spectrum(monkeypatch, FAULT_MATRIX[fault])
+        suite = rkhs.identity_suite(scaled(small_frame(), c), RANK_TOL)
+        assert {name for name, row in suite.items() if not row.holds} >= FAULT_CATCHERS[fault]
+
+    def test_isometry_catches_the_kernel_on_spread_weights(self, monkeypatch):
+        # on weights 1e-300 ... 1e300 the reproducing row holds with the
+        # kernel doubled (its s is an L2(w) norm against a sup-norm residual);
+        # the isometry compares two L2(w) norms, so it reads the fault
+        fs = small_frame()
+        grid = Grid(points=fs.grid.points, weights=np.logspace(-300, 300, fs.n_points))
+        read_faulted_spectrum(monkeypatch, kernel_factor_times_root_two)
+        suite = rkhs.identity_suite(FrameSystem(grid=grid, vectors=fs.vectors), RANK_TOL)
+        assert not suite["isometry_relative_max"].holds
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(case=spectral_frames(), rank_tol=st.sampled_from([RANK_TOL, 0.0]))
+    def test_rows_hold_on_frames_of_a_known_spectrum(self, case, rank_tol):
+        fs, _ = case
+        suite = rkhs.identity_suite(fs, rank_tol)
+        for name in COEFFICIENT_ROWS:
+            assert suite[name].holds, (name, suite[name])
+            # only rounding noise is cut, so the gate stays at 1e-10
+            assert suite[name].tolerance == pytest.approx(1e-10, rel=1e-6)
+
+    def test_rows_allow_for_what_the_rank_cut_discards(self):
+        # singular values 1, 0.8, 0.5 and 1e-3 of B, and rank_tol 1e-4 cuts
+        # the last: the probes keep a share of about 1e-6 of their squared
+        # norm outside the retained span, which the tail allows for
+        r = np.random.default_rng(43)
+        left, _ = np.linalg.qr(r.standard_normal((6, 4)))
+        right, _ = np.linalg.qr(r.standard_normal((10, 4)))
+        weights = r.uniform(0.5, 2.0, 10)
+        b = (left * np.array([1.0, 0.8, 0.5, 1e-3])) @ right.T
+        fs = FrameSystem(grid=Grid(np.arange(10.0), weights), vectors=b / np.sqrt(weights))
+        suite = rkhs.identity_suite(fs, 1e-4)
+        for name in COEFFICIENT_ROWS:
+            assert 1e-10 < suite[name].residual <= suite[name].tolerance, (name, suite[name])
+
+    @pytest.mark.parametrize("rank_tol", [RANK_TOL, 0.0])
+    @NOISE_FLOOR_CASES
+    def test_rows_hold_at_the_noise_floor(self, fs, rank, rank_tol):
+        # at rank_tol 0 monomial-24 fails the Lax row; these two rows hold
+        suite = rkhs.identity_suite(fs, rank_tol)
+        for name in COEFFICIENT_ROWS:
+            assert suite[name].holds, (name, suite[name])
 
 
 class TestVectorInvariance:
